@@ -182,40 +182,44 @@ def _disruption(scn: Mapping, seed: int) -> DisruptionSpec:
     )
 
 
+# Scenario "engine" keys: (config field, type).  A key that is also a flag
+# (same name) takes the flag's value when given; an absent key keeps the
+# config's own default.
+_INNER_KEYS = {
+    "eta_price": ("price_eta", float),
+    "bid_refresh_period": ("bid_refresh_period", int),
+    "abs_tol": ("abs_tol", float),
+    "rel_tol": ("rel_tol", float),
+    "max_inner": ("max_iters", int),
+    "overload_factor": ("overload_factor", float),
+    "trace_stride": ("trace_stride", int),
+}
+_OUTER_KEYS = {
+    "eta_f": ("eta_f", float),
+    "eps_cost": ("eps_cost", float),
+    "f_floor": ("f_floor", float),
+    "max_outer": ("max_outer", int),
+    "normalized_f_update": ("normalized_f_update", bool),
+}
+
+
 def _mech_config(scn: Mapping, args: argparse.Namespace) -> MechanismConfig:
     eng = dict(scn.get("engine", {}))
-    known = {
-        "eta_price", "eta_f", "abs_tol", "rel_tol", "eps_cost", "bid_refresh_period",
-        "max_inner", "max_outer", "trace_stride", "f_floor", "normalized_f_update",
-        "overload_factor",
-    }
-    extra = set(eng) - known
+    extra = set(eng) - set(_INNER_KEYS) - set(_OUTER_KEYS)
     if extra:
         raise ValueError(f"unknown engine fields: {sorted(extra)}")
 
-    def pick(flag, key, default):
-        flag_val = getattr(args, flag, None)
-        if flag_val is not None:
-            return flag_val
-        return eng.get(key, default)
+    def given(keys: Mapping[str, tuple]) -> dict:
+        out = {}
+        for key, (name, cast) in keys.items():
+            value = getattr(args, key, None)
+            if value is None:
+                value = eng.get(key)
+            if value is not None:
+                out[name] = cast(value)
+        return out
 
-    inner = DynamicsConfig(
-        price_eta=pick("eta_price", "eta_price", None),
-        bid_refresh_period=int(eng.get("bid_refresh_period", 10)),
-        abs_tol=float(pick("abs_tol", "abs_tol", 0.1)),
-        rel_tol=float(pick("rel_tol", "rel_tol", 0.1)),
-        max_iters=int(pick("max_inner", "max_inner", 50_000)),
-        overload_factor=float(eng.get("overload_factor", 1.25)),
-        trace_stride=int(pick("trace_stride", "trace_stride", 0)),
-    )
-    return MechanismConfig(
-        inner=inner,
-        eta_f=float(pick("eta_f", "eta_f", 0.1)),
-        eps_cost=float(pick("eps_cost", "eps_cost", 0.05)),
-        f_floor=float(eng.get("f_floor", 1e-4)),
-        max_outer=int(pick("max_outer", "max_outer", 200)),
-        normalized_f_update=bool(eng.get("normalized_f_update", True)),
-    )
+    return MechanismConfig(inner=DynamicsConfig(**given(_INNER_KEYS)), **given(_OUTER_KEYS))
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import Network, PoolSystem, PoolView, compile_pool
+from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
 from .single_pool import (
     DynamicsConfig,
     PoolMarketState,
@@ -178,6 +178,20 @@ def _objective(utilities: UtilityTable, pool_states: Mapping[str, PoolMarketStat
     return total
 
 
+def _check_warm(warm: OuterState, views: Mapping[str, PoolView]) -> None:
+    """Reject a warm state whose pools, edges or operators differ from the instance."""
+    pool_ids = tuple(views)
+    if tuple(warm.shares.pool_ids) != pool_ids or set(warm.pool_states) != set(pool_ids):
+        raise InputMismatchError(
+            f"warm state covers pools {sorted(warm.pool_states)} with split over "
+            f"{list(warm.shares.pool_ids)}; the instance has {list(pool_ids)}"
+        )
+    for k, view in views.items():
+        st = warm.pool_states[k]
+        if tuple(st.edge_ids) != view.edge_ids or tuple(st.lop_ids) != view.lop_ids:
+            raise InputMismatchError(f"warm state of pool {k!r} has other edges or operators than the instance")
+
+
 def run_mechanism(
     net: Network,
     pools: PoolSystem,
@@ -188,9 +202,11 @@ def run_mechanism(
     """Run the full two-level mechanism to the equal-cost fixed point.
 
     Cold runs start from the uniform split with fresh pool markets; a warm
-    OuterState resumes with its split, prices, and bids intact.  The result
-    reports convergence honestly: an exhausted budget or a stalled inner
-    market yields converged=False plus diagnostics, never an exception.
+    OuterState resumes with its split, prices, and bids intact; it must
+    carry the instance's pools in order and, per pool, its edges and
+    operators in order, else InputMismatchError.  The result reports
+    convergence honestly: an exhausted budget or a stalled inner market
+    yields converged=False plus diagnostics, never an exception.
     """
     cfg = cfg or MechanismConfig()
     utilities.validate_against(pools)
@@ -199,6 +215,7 @@ def run_mechanism(
     capacity = net.capacity_vector()
 
     if warm is not None:
+        _check_warm(warm, views)
         shares = warm.shares
         states: dict[str, PoolMarketState | None] = {
             k: warm.pool_states[k].copy() for k in pools.pool_ids

@@ -240,7 +240,8 @@ class PoolView:
 
     incidence[e, p] is 1.0 when operator p's line uses edge e.  bottleneck[p]
     is the smallest raw capacity along p's line (scale by the pool's capacity
-    share to get the physical frequency ceiling).
+    share to get the physical frequency ceiling); compile_pool computes it
+    once, since every allocation step reads it.
     """
 
     pool_id: str
@@ -249,6 +250,7 @@ class PoolView:
     lop_ids: tuple[str, ...]
     incidence: np.ndarray
     line_edge_idx: tuple[np.ndarray, ...]
+    bottleneck: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -258,18 +260,17 @@ class PoolView:
     def n_lops(self) -> int:
         return len(self.lop_ids)
 
-    @property
-    def bottleneck(self) -> np.ndarray:
-        if self.n_lops == 0:
-            return np.zeros(0)
-        return np.array([self.capacity[idx].min() for idx in self.line_edge_idx])
-
     def lines_per_edge(self) -> np.ndarray:
         return self.incidence.sum(axis=1)
 
 
 def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
-    """Build the dense incidence view of one pool."""
+    """Build the dense incidence view of one pool.
+
+    An empty line is rejected, and so is a line that repeats an edge: the
+    0/1 incidence would count its load on that edge once, while the
+    certifier counts it per visit.
+    """
     if pool_id not in pools.pool_ids:
         raise InputMismatchError(f"unknown pool {pool_id!r}")
     edge_ids = net.edge_ids
@@ -279,19 +280,23 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
     idx_per_lop = []
     for p, lop in enumerate(lops):
         line = pools.line(lop, pool_id)
+        if not line.edge_ids or len(set(line.edge_ids)) != len(line.edge_ids):
+            raise InputMismatchError(f"line ({lop}, {pool_id}) is empty or repeats an edge")
         try:
             idx = np.array([pos[eid] for eid in line.edge_ids], dtype=int)
         except KeyError as err:
             raise InputMismatchError(f"line ({lop}, {pool_id}) uses unknown edge {err}") from None
         inc[idx, p] = 1.0
         idx_per_lop.append(idx)
+    capacity = net.capacity_vector()
     return PoolView(
         pool_id=pool_id,
         edge_ids=edge_ids,
-        capacity=net.capacity_vector(),
+        capacity=capacity,
         lop_ids=lops,
         incidence=inc,
         line_edge_idx=tuple(idx_per_lop),
+        bottleneck=np.array([capacity[idx].min() for idx in idx_per_lop], dtype=float),
     )
 
 

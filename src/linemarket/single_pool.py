@@ -20,7 +20,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import Network, PoolSystem, PoolView, compile_pool
+from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
 from .utility import UtilityTable, best_response_bids
 
 __all__ = [
@@ -124,9 +124,17 @@ class PoolMarketState:
 
     @classmethod
     def from_json(cls, doc: Mapping, view: PoolView) -> "PoolMarketState":
-        prices = np.array([float(doc["prices"].get(eid, 0.0)) for eid in view.edge_ids])
-        bids = np.array([float(doc["bids"].get(lop, 0.0)) for lop in view.lop_ids])
-        freqs = np.array([float(doc["freqs"].get(lop, 0.0)) for lop in view.lop_ids])
+        """Inverse of to_json against a compiled view; every id must be present."""
+
+        def vector(key: str, ids: tuple[str, ...]) -> np.ndarray:
+            missing = [i for i in ids if i not in doc[key]]
+            if missing:
+                raise InputMismatchError(f"pool {view.pool_id!r} state lacks {key} for {missing}")
+            return np.array([float(doc[key][i]) for i in ids])
+
+        prices = vector("prices", view.edge_ids)
+        bids = vector("bids", view.lop_ids)
+        freqs = vector("freqs", view.lop_ids)
         return cls(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, float(doc["share"]))
 
 
@@ -164,12 +172,10 @@ def allocate_frequencies(
     """
     mu = view.incidence.T @ prices
     ceil = view.bottleneck * share
-    with np.errstate(divide="ignore", invalid="ignore"):
-        nominal = np.where(mu > 0.0, bids / np.where(mu > 0.0, mu, 1.0), np.inf)
-    freqs = np.minimum(nominal, overload_factor * ceil)
-    freqs = np.where((mu <= 0.0) & (bids > 0.0), ceil, freqs)
-    freqs = np.where(bids > 0.0, freqs, 0.0)
-    return freqs, mu
+    priced = mu > 0.0
+    freqs = np.minimum(bids / np.where(priced, mu, 1.0), overload_factor * ceil)
+    freqs = np.where(priced, freqs, ceil)
+    return np.where(bids > 0.0, freqs, 0.0), mu
 
 
 def refresh_bids(
@@ -309,7 +315,11 @@ def _run_pool(
                     "freqs": state.freqs.copy(),
                 }
             )
-        res = pool_residuals(view, coefficients, state, cfg.abs_tol, cfg.rel_tol)
+        # settled() and the result read the residuals only at refresh
+        # boundaries and at the budget's end; skipping the other checks
+        # saves most of their cost without changing the trajectory
+        if iters % cfg.bid_refresh_period == 0 or iters >= cfg.max_iters:
+            res = pool_residuals(view, coefficients, state, cfg.abs_tol, cfg.rel_tol)
 
     if trace is not None:
         final = state.prices

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
+from linemarket import cli
 from linemarket.cli import emit_record, run_cli
 from linemarket.network import dump_network_file
 from linemarket.scenarios import ExperimentRecord
@@ -228,3 +229,9 @@ def test_emit_record_header_once():
     assert lines[1].split(",")[6] == ""  # wall_time blank without timing
     assert "nonconverged" in lines[2]
     assert "0.1" in lines[2].split(",")[6]
+
+
+def test_empty_engine_block_keeps_config_defaults():
+    args = cli._build_parser().parse_args(["solve", "--scenario", "scn.json"])
+    assert cli._mech_config({"engine": {}}, args) == lm.MechanismConfig()
+    assert cli._mech_config({}, args) == lm.MechanismConfig()

@@ -157,3 +157,26 @@ def test_equal_cost_certificate_at_termination():
     costs = np.array([res.state.pool_costs[k] for k in pools.pool_ids])
     assert lm.costs_equal(costs, 0.05)
     assert res.state.cost_level == pytest.approx(costs.mean(), rel=1e-12)
+
+
+def test_line_repeating_an_edge_is_rejected():
+    """The engine would count the repeated edge's load once, the certifier twice."""
+    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
+    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e1"))})
+    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
+    with pytest.raises(lm.InputMismatchError, match="repeats an edge"):
+        lm.run_mechanism(net, pools, table)
+
+
+@pytest.mark.parametrize(
+    "source, target",
+    [
+        (instances.chain_instance(0), instances.chain_instance(1)),  # other edges
+        (instances.chain_instance(0), instances.chain_instance(2)),  # other operators
+        (instances.single_edge(), instances.symmetric_two_pool()),   # other pools
+    ],
+)
+def test_warm_state_from_another_instance_is_rejected(source, target):
+    warm = lm.run_mechanism(*source).state
+    with pytest.raises(lm.InputMismatchError, match="warm state"):
+        lm.run_mechanism(*target, warm=warm)

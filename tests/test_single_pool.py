@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket.single_pool import pool_residuals
+from linemarket.single_pool import _run_pool, pool_residuals
 
 import instances
 
@@ -214,3 +214,136 @@ def test_empty_pool_converges_trivially():
     assert res.converged
     assert res.iterations == 0
     assert res.state.freqs.size == 0
+
+
+class TestStateJson:
+    def test_round_trip(self):
+        net, pools, table = instances.two_lops_one_edge()
+        view = lm.compile_pool(net, pools, "k0")
+        state = lm.run_single_pool(net, pools, "k0", table, 1.0).state
+        again = lm.PoolMarketState.from_json(state.to_json(), view)
+        for name in ("prices", "bids", "freqs"):
+            np.testing.assert_array_equal(getattr(again, name), getattr(state, name))
+        assert (again.pool_id, again.edge_ids, again.lop_ids, again.share) == (
+            state.pool_id, state.edge_ids, state.lop_ids, state.share
+        )
+
+    @pytest.mark.parametrize("key, missing", [("prices", "e1"), ("bids", "lop1"), ("freqs", "lop0")])
+    def test_missing_id_is_named(self, key, missing):
+        net, pools, _ = instances.two_lops_one_edge()
+        view = lm.compile_pool(net, pools, "k0")
+        doc = lm.cold_start(view, 1.0).to_json()
+        del doc[key][missing]
+        with pytest.raises(lm.InputMismatchError, match=missing):
+            lm.PoolMarketState.from_json(doc, view)
+
+
+# ---------------------------------------------------------------------------
+# Reference implementations: the allocation step with the line ceilings
+# recomputed per call and an explicit infinite allocation on unpriced
+# paths, and the eager pool loop that checks residuals after every price
+# update.  The engine must reproduce both bit for bit.
+
+def reference_allocate(view, prices, bids, share, overload_factor=1.25):
+    mu = view.incidence.T @ prices
+    ceil = np.array([view.capacity[idx].min() for idx in view.line_edge_idx]) * share
+    with np.errstate(divide="ignore", invalid="ignore"):
+        nominal = np.where(mu > 0.0, bids / np.where(mu > 0.0, mu, 1.0), np.inf)
+    freqs = np.minimum(nominal, overload_factor * ceil)
+    freqs = np.where((mu <= 0.0) & (bids > 0.0), ceil, freqs)
+    freqs = np.where(bids > 0.0, freqs, 0.0)
+    return freqs, mu
+
+
+def reference_run_pool(view, coefficients, share, cfg):
+    """Cold-started eager loop: residuals after every price update."""
+    eta = cfg.price_eta if cfg.price_eta is not None else lm.default_price_eta(view)
+    period = cfg.bid_refresh_period
+    bids = np.ones(view.n_lops)
+    crowd = view.incidence @ bids
+    prices = np.where(crowd > 0.0, crowd / np.maximum(view.capacity * share, 1e-300), 0.0)
+    freqs, mu = reference_allocate(view, prices, bids, share, cfg.overload_factor)
+    st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
+    iters = bid_updates = skipped = 0
+    res = pool_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
+    while not (res.converged and iters % period == 0) and iters < cfg.max_iters:
+        st.prices, _ = lm.price_step(st.prices, view.incidence @ st.freqs, view.capacity, share, eta)
+        iters += 1
+        st.freqs, mu = reference_allocate(view, st.prices, st.bids, share, cfg.overload_factor)
+        if iters % period == 0:
+            new_bids, skip_mask = lm.refresh_bids(coefficients, mu, st.bids)
+            skipped += int(skip_mask.sum())
+            rel_change = np.abs(new_bids - st.bids) / np.maximum(st.bids, 1e-300)
+            if float(rel_change.max(initial=0.0)) > cfg.rel_tol:
+                bid_updates += 1
+            st.bids = new_bids
+            st.freqs, mu = reference_allocate(view, st.prices, st.bids, share, cfg.overload_factor)
+        res = pool_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
+    converged = res.converged and iters % period == 0
+    return st, iters, bid_updates, skipped, converged, res
+
+
+def assert_same_run(view, coefficients, share, cfg):
+    got = _run_pool(view, coefficients, share, None, cfg)
+    st, iters, bid_updates, skipped, converged, res = reference_run_pool(view, coefficients, share, cfg)
+    assert (got.iterations, got.bid_updates, got.skipped_refreshes, got.converged) == (
+        iters, bid_updates, skipped, converged
+    )
+    for name in ("prices", "bids", "freqs"):
+        assert getattr(got.state, name).tobytes() == getattr(st, name).tobytes(), name
+    assert got.residuals == res
+    return got
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_pool_loop_matches_eager_reference_on_chains(seed):
+    net, pools, table = instances.chain_instance(seed)
+    for k in pools.pool_ids:
+        view = lm.compile_pool(net, pools, k)
+        assert_same_run(view, table.coefficients_for(view), 0.5, lm.DynamicsConfig())
+
+
+def test_pool_loop_matches_eager_reference_on_grid():
+    net, pools, table = instances.grid_instance(0, 2)
+    view = lm.compile_pool(net, pools, pools.pool_ids[0])
+    got = assert_same_run(view, table.coefficients_for(view), 0.5, instances.GRID_CFG.inner)
+    assert got.converged and got.iterations > 100
+
+
+def test_budget_exit_off_a_refresh_boundary_reports_final_residuals():
+    net, pools, table = instances.grid_instance(0, 2)
+    view = lm.compile_pool(net, pools, pools.pool_ids[0])
+    coeffs = table.coefficients_for(view)
+    cfg = lm.DynamicsConfig(price_eta=1e-3, bid_refresh_period=10, max_iters=37)
+    got = assert_same_run(view, coeffs, 0.5, cfg)
+    assert got.iterations == 37 and not got.converged
+    assert got.residuals == pool_residuals(view, coeffs, got.state, cfg.abs_tol, cfg.rel_tol)
+
+
+def test_allocation_matches_reference_bitwise():
+    rng = np.random.default_rng(2024)
+    views = []
+    for seed in range(5):
+        net, pools, _ = instances.chain_instance(seed)
+        views += [lm.compile_pool(net, pools, k) for k in pools.pool_ids]
+    net, pools, _ = instances.grid_instance(0, 2)
+    views.append(lm.compile_pool(net, pools, pools.pool_ids[0]))
+    seen = {"unpriced bidder": 0, "zero bid": 0, "negative bid": 0, "truncated": 0}
+    for trial in range(2000):
+        view = views[trial % len(views)]
+        # zero prices on a random subset, so some paths are unpriced; zero
+        # and negative bids on others
+        prices = rng.uniform(0.0, 2.0, view.n_edges) * (rng.random(view.n_edges) < rng.random())
+        bids = rng.uniform(-1.0, 3.0, view.n_lops) * (rng.random(view.n_lops) < 0.8)
+        share = float(rng.uniform(0.01, 1.0))
+        overload = float(rng.choice([1.0, 1.25, 3.0]))
+        got = lm.allocate_frequencies(view, prices, bids, share, overload)
+        want = reference_allocate(view, prices, bids, share, overload)
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), trial
+        mu = want[1]
+        seen["unpriced bidder"] += int(np.sum((mu == 0.0) & (bids > 0.0)))
+        seen["zero bid"] += int(np.sum(bids == 0.0))
+        seen["negative bid"] += int(np.sum(bids < 0.0))
+        nominal = bids / np.where(mu > 0.0, mu, 1.0)
+        seen["truncated"] += int(np.sum((mu > 0.0) & (nominal > overload * view.bottleneck * share)))
+    assert min(seen.values()) > 0, seen
