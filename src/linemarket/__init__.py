@@ -57,7 +57,6 @@ from .oracle import (
     FixedShareSolution,
     KKTReport,
     OracleSolution,
-    UnsupportedSizeError,
     kkt_report,
     mechanism_kkt,
     solve_fixed_bids,

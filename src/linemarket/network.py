@@ -8,6 +8,7 @@ after construction; the engines compile them into dense per-pool views.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -150,9 +151,9 @@ class Violation:
 def validate_network(net: Network, pools: PoolSystem) -> list[Violation]:
     """Check structural invariants; returns an empty list when sound.
 
-    Flags duplicate edge ids, dangling endpoints, nonpositive capacities,
-    lines that are empty, reference unknown edges, repeat an edge, or fail
-    to chain head-to-tail, and lines filed under unknown pools.
+    Flags duplicate edge ids, dangling endpoints, nonpositive or infinite
+    capacities, lines that are empty, reference unknown edges, repeat an
+    edge, or fail to chain head-to-tail, and lines filed under unknown pools.
     """
     out: list[Violation] = []
     seen: set[str] = set()
@@ -165,6 +166,8 @@ def validate_network(net: Network, pools: PoolSystem) -> list[Violation]:
                 out.append(Violation("unknown-node", node, f"edge {e.id}"))
         if not e.capacity > 0:
             out.append(Violation("nonpositive-capacity", e.id, f"capacity={e.capacity}"))
+        elif e.capacity == math.inf:
+            out.append(Violation("infinite-capacity", e.id))
 
     known_pools = set(pools.pool_ids)
     for (lop, k), line in sorted(pools.lines.items()):
@@ -269,10 +272,15 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
 
     An empty line is rejected, and so is a line that repeats an edge: the
     0/1 incidence would count its load on that edge once, while the
-    certifier counts it per visit.
+    certifier counts it per visit.  A NaN or infinite capacity is rejected
+    too; zero stays legal, since it closes an edge.
     """
     if pool_id not in pools.pool_ids:
         raise InputMismatchError(f"unknown pool {pool_id!r}")
+    capacity = net.capacity_vector()
+    if not np.isfinite(capacity).all():
+        bad = [eid for eid, c in zip(net.edge_ids, capacity) if not np.isfinite(c)]
+        raise InputMismatchError(f"edges {bad} have a non-finite capacity")
     edge_ids = net.edge_ids
     pos = {eid: i for i, eid in enumerate(edge_ids)}
     lops = pools.lops_in(pool_id)
@@ -288,7 +296,6 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
             raise InputMismatchError(f"line ({lop}, {pool_id}) uses unknown edge {err}") from None
         inc[idx, p] = 1.0
         idx_per_lop.append(idx)
-    capacity = net.capacity_vector()
     return PoolView(
         pool_id=pool_id,
         edge_ids=edge_ids,

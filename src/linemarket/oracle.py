@@ -5,7 +5,9 @@ allocation problem directly so tests can compare the two.  For a fixed
 capacity split the problem decomposes per pool into a concave program whose
 explicit convex dual over edge prices is minimized by a projected,
 Levenberg-damped Newton method (see _clearing_prices).  The full problem
-adds a grid-plus-refinement search over the capacity split simplex.
+needs no search over the capacity split: square-root valuations make each
+pool's value sqrt(share) times its value at share 1, so one solve per pool
+gives the optimal split in closed form (see solve_full).
 """
 from __future__ import annotations
 
@@ -19,7 +21,6 @@ from .multi_pool import OuterState
 from .utility import UtilityTable, marginal_utility, utility
 
 __all__ = [
-    "UnsupportedSizeError",
     "KKTReport",
     "kkt_report",
     "mechanism_kkt",
@@ -31,10 +32,6 @@ __all__ = [
 ]
 
 _TINY = 1e-30
-
-
-class UnsupportedSizeError(ValueError):
-    """The exhaustive split search is limited to four pools."""
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +100,6 @@ def _clearing_prices(
     incidence: np.ndarray,
     budget: np.ndarray,
     demand,
-    init: np.ndarray | None = None,
     max_iters: int = 300,
     tol: float = 1e-11,
 ) -> _PoolSolve:
@@ -170,13 +166,6 @@ def _clearing_prices(
             guess = float(demand.inverse(np.full(n_lops, max(fair[e], _TINY)))[p])
             prices[e] = max(prices[e], guess / line_len[p])
     ensure_cover(prices)
-    if init is not None:
-        # group members share one price sum, so paths keep their old cost
-        full = np.maximum(np.asarray(init, dtype=float), 0.0)
-        warm = np.array([sum(full[e] for e in rep_of[r]) for r in reps])
-        ensure_cover(warm)
-        if dual_value(warm) < dual_value(prices):
-            prices = warm
 
     cur = dual_value(prices)
     converged = False
@@ -262,10 +251,9 @@ def _solve_one_pool(
     view: PoolView,
     coefficients: np.ndarray,
     share: float,
-    init: np.ndarray | None = None,
 ) -> _PoolSolve:
     demand = _SqrtDemand(coefficients)
-    return _clearing_prices(view.incidence, view.capacity * share, demand, init=init)
+    return _clearing_prices(view.incidence, view.capacity * share, demand)
 
 
 def solve_fixed_f(
@@ -457,7 +445,7 @@ def mechanism_kkt(
 
 
 # ---------------------------------------------------------------------------
-# Full problem: grid search over the capacity split.
+# Full problem: frequencies and the capacity split jointly.
 
 @dataclass
 class OracleSolution:
@@ -473,124 +461,47 @@ class OracleSolution:
     converged: bool
 
 
-def _simplex_grid(n_pools: int, step: float) -> list[np.ndarray]:
-    """Interior grid points of the split simplex at the given step."""
-    ticks = int(round(1.0 / step))
-    pts: list[np.ndarray] = []
-    if n_pools == 2:
-        for i in range(1, ticks):
-            pts.append(np.array([i, ticks - i]) / ticks)
-    elif n_pools == 3:
-        for i in range(1, ticks):
-            for j in range(1, ticks - i):
-                pts.append(np.array([i, j, ticks - i - j]) / ticks)
-    elif n_pools == 4:
-        for i in range(1, ticks):
-            for j in range(1, ticks - i):
-                for m in range(1, ticks - i - j):
-                    pts.append(np.array([i, j, m, ticks - i - j - m]) / ticks)
-    return pts
-
-
-def _box_refine(center: np.ndarray, step: float, fine: float) -> list[np.ndarray]:
-    """Renormalized fine grid in a box around the incumbent split."""
-    n = len(center)
-    offsets = np.arange(-step, step + fine / 2, fine)
-    pts: list[np.ndarray] = []
-    if n == 2:
-        for da in offsets:
-            cand = np.array([center[0] + da, center[1] - da])
-            if np.all(cand > 0):
-                pts.append(cand)
-        return pts
-    grids = np.meshgrid(*([offsets] * (n - 1)), indexing="ij")
-    flat = np.stack([g.ravel() for g in grids], axis=1)
-    for row in flat:
-        cand = center.copy()
-        cand[:-1] = center[:-1] + row
-        cand[-1] = 1.0 - cand[:-1].sum()
-        if np.all(cand > 0):
-            pts.append(cand)
-    return pts
-
-
 def solve_full(
     net: Network, pools: PoolSystem, utilities: UtilityTable
 ) -> OracleSolution:
     """Reference optimum over frequencies and the capacity split jointly.
 
-    Exhausts a coarse simplex grid over the split (1/50 steps up to three
-    pools, 1/20 at four) and refines twice at ten times the resolution
-    around the incumbent.  Objective ties break toward the lexicographically
-    smallest split.  More than four pools is out of scope.
+    Every valuation is a*sqrt(x), so a pool's optimum at share f is its
+    optimum at share 1 with frequencies scaled by f, edge prices by
+    f**-0.5 and value V_k by sqrt(f).  Maximizing sum_k sqrt(f_k) V_k(1)
+    over the split simplex then gives f_k = V_k(1)^2 / sum_j V_j(1)^2, at
+    which every pool's network cost is the same (the envelope condition of
+    primal decomposition).  So each pool is solved once, at share 1.  A
+    pool of value zero, such as one without operators, gets share zero;
+    when every pool is worth zero the split is uniform.
     """
     utilities.validate_against(pools)
-    n_pools = len(pools.pool_ids)
-    if n_pools > 4:
-        raise UnsupportedSizeError(f"split search supports at most 4 pools, got {n_pools}")
+    views = [compile_pool(net, pools, k) for k in pools.pool_ids]
+    coeffs = [utilities.coefficients_for(view) for view in views]
+    sols = [_solve_one_pool(view, a, 1.0) for view, a in zip(views, coeffs)]
+    values = np.array([float(a @ np.sqrt(np.maximum(sol.freqs, 0.0))) for a, sol in zip(coeffs, sols)])
+    weights = values ** 2
+    total = float(weights.sum())
+    split = weights / total if total > 0.0 else np.full(len(views), 1.0 / len(views))
 
-    views = {k: compile_pool(net, pools, k) for k in pools.pool_ids}
-    coeffs = {k: utilities.coefficients_for(views[k]) for k in pools.pool_ids}
-    warm: dict[str, np.ndarray] = {}
-
-    def eval_split(split: np.ndarray) -> tuple[float, dict]:
-        sols = {}
-        total = 0.0
-        ok = True
-        for k, share in zip(pools.pool_ids, split):
-            sol = _solve_one_pool(views[k], coeffs[k], float(share), init=warm.get(k))
-            warm[k] = sol.prices
-            ok = ok and sol.converged
-            sols[k] = sol
-            total += float(np.sum(coeffs[k] * np.sqrt(np.maximum(sol.freqs, 0.0))))
-        return total, {"pools": sols, "ok": ok}
-
-    if n_pools == 1:
-        candidates = [np.array([1.0])]
-    else:
-        step = 1.0 / 50.0 if n_pools <= 3 else 1.0 / 20.0
-        candidates = _simplex_grid(n_pools, step)
-
-    best_obj = -np.inf
-    best_split: np.ndarray | None = None
-    best_info: dict | None = None
-    for cand in candidates:
-        obj, info = eval_split(cand)
-        better = obj > best_obj + 1e-12
-        tie = abs(obj - best_obj) <= 1e-12 and best_split is not None and tuple(cand) < tuple(best_split)
-        if better or tie:
-            best_obj, best_split, best_info = obj, cand, info
-
-    if n_pools > 1:
-        step = 1.0 / 50.0 if n_pools <= 3 else 1.0 / 20.0
-        for _ in range(2):
-            fine = step / 10.0
-            for cand in _box_refine(best_split, step, fine):
-                obj, info = eval_split(cand)
-                better = obj > best_obj + 1e-12
-                tie = abs(obj - best_obj) <= 1e-12 and tuple(cand) < tuple(best_split)
-                if better or tie:
-                    best_obj, best_split, best_info = obj, cand, info
-            step = fine
-
-    assert best_split is not None and best_info is not None
     freqs: dict[tuple[str, str], float] = {}
     prices: dict[tuple[str, str], float] = {}
     costs: list[float] = []
-    converged = bool(best_info["ok"])
-    for k in pools.pool_ids:
-        sol: _PoolSolve = best_info["pools"][k]
-        view = views[k]
-        for lop, x in zip(view.lop_ids, sol.freqs):
+    objective = 0.0
+    for k, view, a, sol, share in zip(pools.pool_ids, views, coeffs, sols, split):
+        x_k = sol.freqs * share
+        lam_k = sol.prices * share ** -0.5 if share > 0.0 else np.zeros_like(sol.prices)
+        for lop, x in zip(view.lop_ids, x_k):
             freqs[(lop, k)] = float(x)
-        for eid, lam in zip(view.edge_ids, sol.prices):
+        for eid, lam in zip(view.edge_ids, lam_k):
             if lam != 0.0:
                 prices[(eid, k)] = float(lam)
-        costs.append(float(view.capacity @ sol.prices))
+        costs.append(float(view.capacity @ lam_k))
+        objective += float(a @ np.sqrt(np.maximum(x_k, 0.0)))
 
     cost_level = max(costs)
     cost_gap = (max(costs) - float(np.mean(costs))) / max(max(costs), _TINY)
-    shares = {k: float(s) for k, s in zip(pools.pool_ids, best_split)}
+    shares = {k: float(s) for k, s in zip(pools.pool_ids, split)}
     report = kkt_report(net, pools, utilities, freqs, shares, prices, cost_level)
     return OracleSolution(
         frequencies=freqs,
@@ -598,7 +509,7 @@ def solve_full(
         prices=prices,
         cost_level=cost_level,
         cost_gap=cost_gap,
-        objective=best_obj,
+        objective=objective,
         kkt=report,
-        converged=converged,
+        converged=all(sol.converged for sol in sols),
     )

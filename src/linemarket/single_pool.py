@@ -277,7 +277,7 @@ def _run_pool(
     else:
         state = warm.copy()
         state.share = share
-    state.freqs, mu = allocate_frequencies(view, state.prices, state.bids, share, cfg.overload_factor)
+    state.freqs, _ = allocate_frequencies(view, state.prices, state.bids, share, cfg.overload_factor)
 
     trace: list[dict] | None = [] if cfg.trace_stride > 0 else None
     iters = 0
@@ -294,16 +294,18 @@ def _run_pool(
         loads = view.incidence @ state.freqs
         state.prices, excess = price_step(state.prices, loads, view.capacity, share, eta)
         iters += 1
-        state.freqs, mu = allocate_frequencies(view, state.prices, state.bids, share, cfg.overload_factor)
 
         if iters % cfg.bid_refresh_period == 0:
+            # the same path prices allocate_frequencies computes; the
+            # allocation itself is only needed under the new bids
+            mu = view.incidence.T @ state.prices
             new_bids, skip_mask = refresh_bids(coefficients, mu, state.bids)
             skipped += int(skip_mask.sum())
             rel_change = np.abs(new_bids - state.bids) / np.maximum(state.bids, 1e-300)
             if float(rel_change.max(initial=0.0)) > cfg.rel_tol:
                 bid_updates += 1
             state.bids = new_bids
-            state.freqs, mu = allocate_frequencies(view, state.prices, state.bids, share, cfg.overload_factor)
+        state.freqs, _ = allocate_frequencies(view, state.prices, state.bids, share, cfg.overload_factor)
 
         if trace is not None and iters % cfg.trace_stride == 0:
             trace.append(

@@ -33,8 +33,8 @@ class UtilitySpec:
     coefficient: float
 
     def __post_init__(self) -> None:
-        if not self.coefficient > 0:
-            raise ValueError(f"valuation coefficient must be positive, got {self.coefficient}")
+        if not (self.coefficient > 0 and math.isfinite(self.coefficient)):
+            raise ValueError(f"valuation coefficient must be positive and finite, got {self.coefficient}")
 
 
 def utility(spec: UtilitySpec, freq: float) -> float:

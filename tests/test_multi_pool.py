@@ -168,6 +168,15 @@ def test_line_repeating_an_edge_is_rejected():
         lm.run_mechanism(net, pools, table)
 
 
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("solve", [lm.run_mechanism, lm.solve_full], ids=["mechanism", "oracle"])
+def test_nonfinite_capacity_is_rejected(solve, capacity):
+    """A NaN capacity used to run the mechanism's whole budget to excess=nan."""
+    net, pools, table = instances.single_edge(capacity=capacity)
+    with pytest.raises(lm.InputMismatchError, match="non-finite capacity"):
+        solve(net, pools, table)
+
+
 @pytest.mark.parametrize(
     "source, target",
     [

@@ -36,6 +36,11 @@ class TestValidation:
         pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
         assert "nonpositive-capacity" in violation_kinds(net, pools)
 
+    def test_infinite_capacity(self):
+        net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", float("inf"))])
+        pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
+        assert "infinite-capacity" in violation_kinds(net, pools)
+
     def test_duplicate_edge_id(self):
         net = lm.Network(
             ["u", "v"],

@@ -1,4 +1,6 @@
-"""Reference solver: fixed-split optima, split search, KKT certification."""
+"""Reference solver: fixed-split optima, closed-form split, KKT certification."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -129,9 +131,9 @@ def test_full_search_symmetric_split():
     net, pools, table = instances.symmetric_two_pool()
     sol = lm.solve_full(net, pools, table)
     assert sol.converged
-    assert sol.shares["k0"] == pytest.approx(0.5, abs=0.021)
-    assert sol.objective == pytest.approx(4.0 * ROOT2, rel=1e-3)
-    assert sol.cost_gap <= 0.05
+    assert sol.shares["k0"] == pytest.approx(0.5, abs=1e-6)
+    assert sol.objective == pytest.approx(4.0 * ROOT2, rel=1e-9)
+    assert sol.cost_gap <= 1e-9
 
 
 def test_full_search_asymmetric_splits():
@@ -139,7 +141,7 @@ def test_full_search_asymmetric_splits():
         net, pools, table = instances.shared_edge_two_pools(ratio)
         sol = lm.solve_full(net, pools, table)
         assert sol.converged
-        assert abs(sol.shares["k0"] - target) <= 0.02, (ratio, sol.shares)
+        assert abs(sol.shares["k0"] - target) <= 1e-6, (ratio, sol.shares)
 
 
 def test_full_search_three_pools():
@@ -150,16 +152,49 @@ def test_full_search_three_pools():
     sol = lm.solve_full(net, pools, table)
     assert sol.converged
     for k in pool_ids:
-        assert sol.shares[k] == pytest.approx(1.0 / 3.0, abs=0.02)
+        assert sol.shares[k] == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
-def test_full_search_size_limit():
+def test_full_search_five_pools_closed_form():
+    """Any number of pools: on one shared edge the shares are a_k^2 / sum_j a_j^2."""
     net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
-    pool_ids = [f"k{i}" for i in range(5)]
-    pools = lm.PoolSystem(pool_ids, {("lop0", k): lm.Line(("e1",)) for k in pool_ids})
-    table = lm.UtilityTable({("lop0", k): lm.UtilitySpec(2.0) for k in pool_ids})
-    with pytest.raises(lm.UnsupportedSizeError):
-        lm.solve_full(net, pools, table)
+    coeffs = {f"k{i}": 1.0 + 0.5 * i for i in range(5)}
+    pools = lm.PoolSystem(list(coeffs), {("lop0", k): lm.Line(("e1",)) for k in coeffs})
+    table = lm.UtilityTable({("lop0", k): lm.UtilitySpec(a) for k, a in coeffs.items()})
+    sol = lm.solve_full(net, pools, table)
+    assert sol.converged
+    total = sum(a * a for a in coeffs.values())
+    for k, a in coeffs.items():
+        assert sol.shares[k] == pytest.approx(a * a / total, abs=1e-9)
+    assert sol.cost_gap <= 1e-9
+
+
+def test_full_search_pool_without_operators_gets_no_share():
+    """A pool worth nothing at every share gets none; if all are, the split is even."""
+    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
+    pools = lm.PoolSystem(["k0", "k1"], {("lop0", "k0"): lm.Line(("e1",))})
+    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
+    sol = lm.solve_full(net, pools, table)
+    assert sol.converged
+    assert sol.shares == {"k0": 1.0, "k1": 0.0}
+    assert sol.objective == pytest.approx(4.0, rel=1e-12)
+    assert all(k == "k0" for _, k in sol.prices)
+
+    idle = lm.solve_full(net, lm.PoolSystem(["k0", "k1"], {}), lm.UtilityTable({}))
+    assert idle.shares == {"k0": 0.5, "k1": 0.5}
+    assert idle.objective == 0.0 and idle.prices == {}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [partial(instances.chain_instance, seed) for seed in range(20)]
+    + [partial(instances.grid_instance, 0, 2)],
+    ids=[f"chain{seed}" for seed in range(20)] + ["grid0_k2"],
+)
+def test_full_search_certifies_at_solver_precision(make):
+    sol = lm.solve_full(*make())
+    assert sol.converged
+    assert sol.kkt.max_scaled() <= 1e-8
 
 
 def test_cost_level_is_max_pool_cost():

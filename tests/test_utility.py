@@ -84,6 +84,8 @@ def test_spec_requires_positive_coefficient():
         lm.UtilitySpec(0.0)
     with pytest.raises(ValueError):
         lm.UtilitySpec(-2.0)
+    with pytest.raises(ValueError):
+        lm.UtilitySpec(float("inf"))
 
 
 def test_table_keying_is_exact():
