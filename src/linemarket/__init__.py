@@ -8,7 +8,6 @@ reproducible experiment harness around capacity disruptions.
 """
 from .network import (
     Edge,
-    EdgeLoad,
     InputMismatchError,
     Line,
     Network,
@@ -17,11 +16,9 @@ from .network import (
     Violation,
     compile_pool,
     dump_network_file,
-    edge_loads,
     load_network_file,
     network_from_json,
     network_to_json,
-    path_price,
     validate_network,
 )
 from .utility import (

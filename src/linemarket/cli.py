@@ -199,7 +199,6 @@ _OUTER_KEYS = {
     "eps_cost": ("eps_cost", float),
     "f_floor": ("f_floor", float),
     "max_outer": ("max_outer", int),
-    "normalized_f_update": ("normalized_f_update", bool),
 }
 
 

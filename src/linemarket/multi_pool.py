@@ -95,22 +95,18 @@ def update_proportions(
     costs: np.ndarray,
     eta_f: float,
     floor: float,
-    normalized: bool = True,
 ) -> ProportionVector:
     """One ascent step of the capacity split toward costlier pools.
 
-    The drive term is max(0, cost_k - mean cost), divided by the mean cost
-    in the normalized form (the default); the raw form keeps the unscaled
-    difference.  After the step the split is renormalized and floored away
-    from zero so no pool is ever starved outright.  A nonpositive mean cost
-    makes the step undefined; the split is returned unchanged.
+    The drive term is max(0, cost_k - mean cost) divided by the mean cost.
+    After the step the split is renormalized and floored away from zero so
+    no pool is ever starved outright.  A nonpositive mean cost makes the
+    step undefined; the split is returned unchanged.
     """
     level = float(costs.mean())
     if not level > 0.0:
         return shares
-    drive = np.maximum(0.0, costs - level)
-    if normalized:
-        drive = drive / level
+    drive = np.maximum(0.0, costs - level) / level
     raw = shares.values + eta_f * drive
     return ProportionVector(shares.pool_ids, _floor_simplex(raw, floor))
 
@@ -124,7 +120,6 @@ class MechanismConfig:
     eps_cost: float = 0.05
     f_floor: float = 1e-4
     max_outer: int = 200
-    normalized_f_update: bool = True
 
     def __post_init__(self) -> None:
         if not self.eta_f > 0:
@@ -281,9 +276,7 @@ def run_mechanism(
         if outer == cfg.max_outer:
             diagnostics = f"equal-cost test still failing after {cfg.max_outer} split updates"
             break
-        shares = update_proportions(
-            shares, cost_vec, cfg.eta_f, cfg.f_floor, cfg.normalized_f_update
-        )
+        shares = update_proportions(shares, cost_vec, cfg.eta_f, cfg.f_floor)
         f_updates += 1
         for k in pools.pool_ids:
             states[k].share = shares.share(k)

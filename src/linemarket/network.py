@@ -3,7 +3,8 @@
 A network is a directed graph whose edges carry train capacities.  A line is
 a directed path in that graph, and a pool system records which line each
 operator runs inside each line pool.  All structures here are immutable
-after construction; the engines compile them into dense per-pool views.
+after construction; the engines, the reference solver and the certifier
+compile them into dense per-pool views.
 """
 from __future__ import annotations
 
@@ -21,11 +22,8 @@ __all__ = [
     "Network",
     "Line",
     "PoolSystem",
-    "EdgeLoad",
     "Violation",
     "validate_network",
-    "edge_loads",
-    "path_price",
     "PoolView",
     "compile_pool",
     "network_from_json",
@@ -189,51 +187,6 @@ def validate_network(net: Network, pools: PoolSystem) -> list[Violation]:
     return out
 
 
-class EdgeLoad:
-    """Per-(edge, pool) traffic implied by a frequency assignment.
-
-    Only touched pairs are stored; load() returns 0.0 for every edge a pool
-    does not use.
-    """
-
-    def __init__(self, values: Mapping[tuple[str, str], float]) -> None:
-        self._values = dict(values)
-
-    def load(self, edge_id: str, pool_id: str) -> float:
-        return self._values.get((edge_id, pool_id), 0.0)
-
-    def items(self):
-        return self._values.items()
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-def edge_loads(pools: PoolSystem, freqs: Mapping[tuple[str, str], float]) -> EdgeLoad:
-    """Aggregate operator frequencies into per-(edge, pool) loads.
-
-    freqs is keyed by (operator, pool); pairs absent from the pool system are
-    rejected, pairs absent from freqs contribute nothing.
-    """
-    extra = set(freqs) - set(pools.lines)
-    if extra:
-        raise InputMismatchError(f"frequencies for unknown (operator, pool) pairs: {sorted(extra)}")
-    acc: dict[tuple[str, str], float] = {}
-    for (lop, k), x in freqs.items():
-        for eid in pools.lines[(lop, k)].edge_ids:
-            key = (eid, k)
-            acc[key] = acc.get(key, 0.0) + float(x)
-    return EdgeLoad(acc)
-
-
-def path_price(
-    pools: PoolSystem, prices: Mapping[tuple[str, str], float], lop: str, pool_id: str
-) -> float:
-    """Sum of edge prices along one operator's line in one pool."""
-    line = pools.line(lop, pool_id)
-    return float(sum(prices.get((eid, pool_id), 0.0) for eid in line.edge_ids))
-
-
 # ---------------------------------------------------------------------------
 # Compiled per-pool view used by the engines and the reference solver.
 
@@ -270,17 +223,19 @@ class PoolView:
 def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
     """Build the dense incidence view of one pool.
 
-    An empty line is rejected, and so is a line that repeats an edge: the
-    0/1 incidence would count its load on that edge once, while the
-    certifier counts it per visit.  A NaN or infinite capacity is rejected
-    too; zero stays legal, since it closes an edge.
+    The engines, the reference solver and the certifier all read an
+    instance through this view.  An empty line is rejected, and so is a
+    line that repeats an edge, which the 0/1 incidence cannot represent.  A
+    negative, NaN or infinite capacity is rejected too; zero stays legal,
+    since it closes an edge.
     """
     if pool_id not in pools.pool_ids:
         raise InputMismatchError(f"unknown pool {pool_id!r}")
     capacity = net.capacity_vector()
-    if not np.isfinite(capacity).all():
-        bad = [eid for eid, c in zip(net.edge_ids, capacity) if not np.isfinite(c)]
-        raise InputMismatchError(f"edges {bad} have a non-finite capacity")
+    valid = np.isfinite(capacity) & (capacity >= 0.0)
+    if not valid.all():
+        bad = [eid for eid, ok in zip(net.edge_ids, valid) if not ok]
+        raise InputMismatchError(f"edges {bad} have a negative or non-finite capacity")
     edge_ids = net.edge_ids
     pos = {eid: i for i, eid in enumerate(edge_ids)}
     lops = pools.lops_in(pool_id)

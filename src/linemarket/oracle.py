@@ -18,7 +18,7 @@ import numpy as np
 
 from .network import Network, PoolSystem, PoolView, compile_pool
 from .multi_pool import OuterState
-from .utility import UtilityTable, marginal_utility, utility
+from .utility import UtilityTable, utility
 
 __all__ = [
     "KKTReport",
@@ -365,51 +365,44 @@ def kkt_report(
     """Certify a candidate clearing point against the optimality conditions.
 
     Checks, per pool: marginal value equals path price on running lines,
-    network cost at pool prices equals the common cost level, priced edges
-    run at share-scaled capacity, loads within capacity; plus the split
-    summing to one with complementary cost level, and nonnegativity all
-    around.
+    priced edges run at share-scaled capacity, loads within capacity, and,
+    for a pool with a positive share, network cost at pool prices equals
+    the common cost level; plus the split summing to one with complementary
+    cost level, and nonnegativity all around.  Each pool is read through
+    compile_pool, the view the engines run on, so a line or capacity they
+    reject raises InputMismatchError here too.
     """
-    capacity = net.capacity_vector()
     level_scale = max(abs(cost_level), _TINY)
+    share_vec = np.array([float(shares[k]) for k in pools.pool_ids])
 
     stat_raw: float | None = None
     stat_rel: float | None = None
     comp_raw = 0.0
-    comp_rel = 0.0
     over_raw = 0.0
     over_rel = 0.0
     spread_raw = 0.0
-    neg = 0.0
+    neg = max(0.0, -float(share_vec.min(initial=0.0)))
 
-    for k in pools.pool_ids:
-        share = float(shares[k])
-        neg = max(neg, -share)
-        load = {eid: 0.0 for eid in net.edge_ids}
-        for lop in pools.lops_in(k):
-            x = float(freqs.get((lop, k), 0.0))
-            neg = max(neg, -x)
-            line = pools.line(lop, k)
-            for eid in line.edge_ids:
-                load[eid] += x
-            if x > 0.0:
-                mu = sum(float(prices.get((eid, k), 0.0)) for eid in line.edge_ids)
-                gap = abs(marginal_utility(utilities.spec(lop, k), x) - mu)
-                stat_raw = gap if stat_raw is None else max(stat_raw, gap)
-                rel = gap / max(mu, _TINY)
-                stat_rel = rel if stat_rel is None else max(stat_rel, rel)
-        cost_k = 0.0
-        for e in net.edges:
-            lam = float(prices.get((e.id, k), 0.0))
-            neg = max(neg, -lam)
-            cost_k += e.capacity * lam
-            slack = load[e.id] - e.capacity * share
-            comp_raw = max(comp_raw, abs(lam * slack))
-            over_raw = max(over_raw, slack)
-            over_rel = max(over_rel, slack / e.capacity)
-        spread_raw = max(spread_raw, abs(cost_k - cost_level))
+    for k, share in zip(pools.pool_ids, share_vec):
+        view = compile_pool(net, pools, k)
+        x = np.array([float(freqs.get((lop, k), 0.0)) for lop in view.lop_ids])
+        lam = np.array([float(prices.get((eid, k), 0.0)) for eid in view.edge_ids])
+        neg = max(neg, -float(x.min(initial=0.0)), -float(lam.min(initial=0.0)))
+        run = x > 0.0
+        if run.any():
+            mu = (view.incidence.T @ lam)[run]
+            gap = np.abs(utilities.coefficients_for(view)[run] / (2.0 * np.sqrt(x[run])) - mu)
+            stat_raw = max(stat_raw or 0.0, float(gap.max()))
+            stat_rel = max(stat_rel or 0.0, float((gap / np.maximum(mu, _TINY)).max()))
+        slack = view.incidence @ x - view.capacity * share
+        comp_raw = max(comp_raw, float(np.abs(lam * slack).max(initial=0.0)))
+        over_raw = max(over_raw, float(slack.max(initial=0.0)))
+        over_rel = max(over_rel, float((slack / np.maximum(view.capacity, _TINY)).max(initial=0.0)))
+        if share > 0.0:
+            # the split's condition binds only pools that hold capacity
+            spread_raw = max(spread_raw, abs(float(view.capacity @ lam) - cost_level))
 
-    total_share = sum(float(shares[k]) for k in pools.pool_ids)
+    total_share = float(share_vec.sum())
     split_excess = max(0.0, total_share - 1.0)
     split_comp_raw = abs(cost_level * (total_share - 1.0))
 
@@ -422,10 +415,10 @@ def kkt_report(
         complementarity_rel=comp_raw / level_scale,
         split_comp_raw=split_comp_raw,
         split_comp_rel=split_comp_raw / level_scale,
-        overload_raw=max(0.0, over_raw),
-        overload_rel=max(0.0, over_rel),
+        overload_raw=over_raw,
+        overload_rel=over_rel,
         split_excess=split_excess,
-        negativity=max(0.0, neg),
+        negativity=neg,
     )
 
 

@@ -179,10 +179,13 @@ class TestBadInput:
         (tmp_path / "bad.json").write_text("{nope", encoding="utf-8")
         assert run_cli(["solve", "--scenario", "bad.json", "--out", "o"]) == 2
 
-    def test_unknown_engine_field(self, tmp_path, monkeypatch):
+    def test_unknown_engine_field(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        scn = write_single_edge_scenario(tmp_path, engine={"warp": 9})
-        assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
+        # a retired option's key is rejected like any unknown one
+        for engine in ({"warp": 9}, {"normalized_f_update": False}):
+            scn = write_single_edge_scenario(tmp_path, engine=engine)
+            assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
+            assert "unknown engine fields" in capsys.readouterr().err
 
     def test_grid_and_network_file_conflict(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

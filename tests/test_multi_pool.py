@@ -77,13 +77,6 @@ class TestUpdateProportions:
         out = lm.update_proportions(shares2(), np.array([6.0, 2.0]), 0.1, 1e-4)
         assert out.values[0] > 0.5 > out.values[1]
 
-    def test_unnormalized_form(self):
-        out = lm.update_proportions(
-            shares2(), np.array([6.0, 2.0]), 0.1, 1e-4, normalized=False
-        )
-        # drive max(0, 6-4) = 2, pre-norm (0.7, 0.5)
-        np.testing.assert_allclose(out.values, [0.7 / 1.2, 0.5 / 1.2], atol=1e-12)
-
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -160,18 +153,20 @@ def test_equal_cost_certificate_at_termination():
 
 
 def test_line_repeating_an_edge_is_rejected():
-    """The engine would count the repeated edge's load once, the certifier twice."""
+    """The 0/1 incidence counts a repeated edge's load once, so engine and certifier refuse it."""
     net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
     pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e1"))})
     table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
     with pytest.raises(lm.InputMismatchError, match="repeats an edge"):
         lm.run_mechanism(net, pools, table)
+    with pytest.raises(lm.InputMismatchError, match="repeats an edge"):
+        lm.kkt_report(net, pools, table, {("lop0", "k0"): 1.0}, {"k0": 1.0}, {}, 0.0)
 
 
-@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("capacity", [float("nan"), float("inf"), float("-inf"), -4.0])
 @pytest.mark.parametrize("solve", [lm.run_mechanism, lm.solve_full], ids=["mechanism", "oracle"])
 def test_nonfinite_capacity_is_rejected(solve, capacity):
-    """A NaN capacity used to run the mechanism's whole budget to excess=nan."""
+    """A NaN or negative capacity would run the mechanism through its whole budget."""
     net, pools, table = instances.single_edge(capacity=capacity)
     with pytest.raises(lm.InputMismatchError, match="non-finite capacity"):
         solve(net, pools, table)

@@ -78,76 +78,6 @@ class TestValidation:
         assert "unknown-pool" in violation_kinds(net, pools)
 
 
-class TestEdgeLoads:
-    def test_single_operator(self):
-        _, pools = chain2()
-        loads = lm.edge_loads(pools, {("lop0", "k0"): 5.0})
-        assert loads.load("e1", "k0") == 5.0
-        assert loads.load("e2", "k0") == 5.0
-
-    def test_shared_edge_sums(self):
-        net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
-        pools = lm.PoolSystem(
-            ["k0"],
-            {("lop0", "k0"): lm.Line(("e1",)), ("lop1", "k0"): lm.Line(("e1",))},
-        )
-        loads = lm.edge_loads(pools, {("lop0", "k0"): 2.0, ("lop1", "k0"): 3.0})
-        assert loads.load("e1", "k0") == 5.0
-
-    def test_all_zero(self):
-        _, pools = chain2()
-        loads = lm.edge_loads(pools, {("lop0", "k0"): 0.0})
-        assert loads.load("e1", "k0") == 0.0
-        assert loads.load("e2", "k0") == 0.0
-
-    def test_unused_edge_is_zero(self):
-        _, pools = chain2()
-        loads = lm.edge_loads(pools, {("lop0", "k0"): 5.0})
-        assert loads.load("e9", "k0") == 0.0
-
-    def test_unknown_pair_rejected(self):
-        _, pools = chain2()
-        with pytest.raises(lm.InputMismatchError):
-            lm.edge_loads(pools, {("ghost", "k0"): 1.0})
-
-    def test_linearity(self):
-        _, pools, _ = instances.chain_instance(3)
-        rng = np.random.default_rng(0)
-        keys = pools.pairs()
-        x1 = {key: float(rng.uniform(0, 5)) for key in keys}
-        x2 = {key: float(rng.uniform(0, 5)) for key in keys}
-        both = {key: x1[key] + x2[key] for key in keys}
-        a, b, c = (lm.edge_loads(pools, v) for v in (x1, x2, both))
-        for (eid, k), total in c.items():
-            assert total == pytest.approx(a.load(eid, k) + b.load(eid, k), abs=1e-12)
-
-
-class TestPathPrice:
-    def test_two_edge_sum(self):
-        _, pools = chain2()
-        prices = {("e1", "k0"): 0.5, ("e2", "k0"): 0.25}
-        assert lm.path_price(pools, prices, "lop0", "k0") == 0.75
-
-    def test_zero_prices(self):
-        _, pools = chain2()
-        assert lm.path_price(pools, {}, "lop0", "k0") == 0.0
-
-    def test_singleton_line(self):
-        net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
-        pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
-        assert lm.path_price(pools, {("e1", "k0"): 2.0}, "lop0", "k0") == 2.0
-
-    def test_off_line_prices_ignored(self):
-        _, pools = chain2()
-        prices = {("e1", "k0"): 0.5, ("e9", "k0"): 100.0, ("e1", "k9"): 100.0}
-        assert lm.path_price(pools, prices, "lop0", "k0") == 0.5
-
-    def test_absent_operator_rejected(self):
-        _, pools = chain2()
-        with pytest.raises(lm.InputMismatchError):
-            lm.path_price(pools, {}, "ghost", "k0")
-
-
 def test_compiled_view_matches_lines():
     """Column p of the incidence has exactly one entry per edge of line p."""
     net, pools, _ = instances.chain_instance(1)

@@ -179,6 +179,8 @@ def test_full_search_pool_without_operators_gets_no_share():
     assert sol.shares == {"k0": 1.0, "k1": 0.0}
     assert sol.objective == pytest.approx(4.0, rel=1e-12)
     assert all(k == "k0" for _, k in sol.prices)
+    # k1 holds no capacity, so its cost of 0 need not meet the level
+    assert sol.kkt.max_scaled() <= 1e-8
 
     idle = lm.solve_full(net, lm.PoolSystem(["k0", "k1"], {}), lm.UtilityTable({}))
     assert idle.shares == {"k0": 0.5, "k1": 0.5}
@@ -195,6 +197,93 @@ def test_full_search_certifies_at_solver_precision(make):
     sol = lm.solve_full(*make())
     assert sol.converged
     assert sol.kkt.max_scaled() <= 1e-8
+
+
+def test_closed_edge_is_certified_not_crashed():
+    """A zero-capacity edge is legal input; the overload row scales by a floor."""
+    net, pools, table = instances.chain_instance(3)
+    closed = net.with_capacities({"e5": 0.0})
+    cfg = lm.MechanismConfig(inner=lm.DynamicsConfig(max_iters=500))
+    mech = lm.run_mechanism(closed, pools, table, cfg)
+    for report in (lm.mechanism_kkt(closed, pools, table, mech.state), lm.solve_full(closed, pools, table).kkt):
+        assert np.isfinite(report.max_scaled())
+
+
+def _dict_loop_kkt(net, pools, utilities, freqs, shares, prices, cost_level):
+    """The certifier as it was before it read compiled views: Python loops over dicts."""
+    level_scale = max(abs(cost_level), 1e-30)
+    stat_raw = stat_rel = None
+    comp_raw = over_raw = over_rel = spread_raw = neg = 0.0
+    for k in pools.pool_ids:
+        share = float(shares[k])
+        neg = max(neg, -share)
+        load = {eid: 0.0 for eid in net.edge_ids}
+        for lop in pools.lops_in(k):
+            x = float(freqs.get((lop, k), 0.0))
+            neg = max(neg, -x)
+            line = pools.line(lop, k)
+            for eid in line.edge_ids:
+                load[eid] += x
+            if x > 0.0:
+                mu = sum(float(prices.get((eid, k), 0.0)) for eid in line.edge_ids)
+                gap = abs(lm.marginal_utility(utilities.spec(lop, k), x) - mu)
+                stat_raw = gap if stat_raw is None else max(stat_raw, gap)
+                rel = gap / max(mu, 1e-30)
+                stat_rel = rel if stat_rel is None else max(stat_rel, rel)
+        cost_k = 0.0
+        for e in net.edges:
+            lam = float(prices.get((e.id, k), 0.0))
+            neg = max(neg, -lam)
+            cost_k += e.capacity * lam
+            slack = load[e.id] - e.capacity * share
+            comp_raw = max(comp_raw, abs(lam * slack))
+            over_raw = max(over_raw, slack)
+            over_rel = max(over_rel, slack / e.capacity)
+        spread_raw = max(spread_raw, abs(cost_k - cost_level))
+    total_share = sum(float(shares[k]) for k in pools.pool_ids)
+    split_comp_raw = abs(cost_level * (total_share - 1.0))
+    return lm.KKTReport(
+        stationarity_raw=stat_raw,
+        stationarity_rel=stat_rel,
+        cost_spread_raw=spread_raw,
+        cost_spread_rel=spread_raw / level_scale,
+        complementarity_raw=comp_raw,
+        complementarity_rel=comp_raw / level_scale,
+        split_comp_raw=split_comp_raw,
+        split_comp_rel=split_comp_raw / level_scale,
+        overload_raw=max(0.0, over_raw),
+        overload_rel=max(0.0, over_rel),
+        split_excess=max(0.0, total_share - 1.0),
+        negativity=max(0.0, neg),
+    )
+
+
+def _mechanism_point(state):
+    freqs, prices = {}, {}
+    for k, st in state.pool_states.items():
+        freqs.update({(lop, k): float(x) for lop, x in zip(st.lop_ids, st.freqs)})
+        prices.update({(eid, k): float(lam) for eid, lam in zip(st.edge_ids, st.prices) if lam != 0.0})
+    return freqs, state.shares.as_dict(), prices, state.cost_level
+
+
+def test_certifier_matches_dict_loop_reference(k1_baseline, k2_baseline):
+    """Mechanism and oracle points of 20 chains and two grids certify as before."""
+    cases = [(*instances.chain_instance(seed), None) for seed in range(20)]
+    cases += [k1_baseline(0), k2_baseline(0)]
+    for net, pools, table, mech in cases:
+        mech = mech or lm.run_mechanism(net, pools, table)
+        sol = lm.solve_full(net, pools, table)
+        points = [_mechanism_point(mech.state), (sol.frequencies, sol.shares, sol.prices, sol.cost_level)]
+        for point in points:
+            new = lm.kkt_report(net, pools, table, *point)
+            ref = _dict_loop_kkt(net, pools, table, *point)
+            raw_tol = 1e-12 * max(1.0, abs(point[-1]))
+            assert (new.stationarity_raw is None) == (ref.stationarity_raw is None)
+            for name in lm.KKTReport.__dataclass_fields__:
+                a, b = getattr(new, name), getattr(ref, name)
+                if a is not None:
+                    assert abs(a - b) <= (raw_tol if name.endswith("_raw") else 1e-12), name
+            assert abs(new.max_scaled() - ref.max_scaled()) <= 1e-12
 
 
 def test_cost_level_is_max_pool_cost():
