@@ -76,9 +76,16 @@ class DynamicsConfig:
 
 
 def default_price_eta(view: PoolView) -> float:
-    """Capacity-scaled price step: 0.01 * min capacity / max lines per edge."""
+    """Capacity-scaled price step: 0.01 * min open capacity / max lines per edge.
+
+    A closed (zero-capacity) edge sets no scale: it would make the step zero
+    and freeze every price.  When every edge is closed no load can move, so
+    the step is irrelevant and the scale falls back to one.
+    """
     crowd = view.lines_per_edge().max() if view.n_lops else 1.0
-    return 0.01 * float(view.capacity.min()) / max(1.0, float(crowd))
+    open_caps = view.capacity[view.capacity > 0.0]
+    scale = float(open_caps.min()) if open_caps.size else 1.0
+    return 0.01 * scale / max(1.0, float(crowd))
 
 
 @dataclass
@@ -141,41 +148,64 @@ class PoolMarketState:
 def price_step(
     prices: np.ndarray,
     loads: np.ndarray,
-    capacity: np.ndarray,
-    share: float,
+    supply: np.ndarray,
     eta: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One projected Euler step of the edge price dynamics.
 
-    Each price moves along the capacity excess (load minus share-scaled
-    capacity) and is clipped at zero, so a zero-priced edge can only move
-    up.  Returns the new prices and the excess vector that drove them.
+    Each price moves along the capacity excess (load minus supply, the
+    pool's share-scaled capacity) and is clipped at zero, so a zero-priced
+    edge can only move up.  Returns the new prices and the excess vector
+    that drove them.
     """
-    excess = loads - capacity * share
-    return np.maximum(0.0, prices + eta * excess), excess
+    excess = loads - supply
+    new = eta * excess
+    new += prices
+    return np.maximum(0.0, new, out=new), excess
+
+
+def _bid_terms(bids: np.ndarray, ceil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bid-dependent inputs of allocate_frequencies, once per bid vector.
+
+    A line bids when its bid is positive.  offers is the bid where it bids
+    and 0 elsewhere; free is the line's ceiling where it bids and 0
+    elsewhere, the allocation at a zero path price.
+    """
+    bidding = bids > 0.0
+    return np.where(bidding, bids, 0.0), np.where(bidding, ceil, 0.0)
+
+
+def _cap(ceil: np.ndarray, overload_factor: float) -> np.ndarray:
+    """Truncation bound of priced allocations, overload_factor times the ceiling.
+
+    A factor below one would cut an unpriced bidder below its ceiling.
+    """
+    if not overload_factor >= 1.0:
+        raise ValueError("overload_factor must be at least 1")
+    return overload_factor * ceil
 
 
 def allocate_frequencies(
-    view: PoolView,
-    prices: np.ndarray,
-    bids: np.ndarray,
-    share: float,
-    overload_factor: float = _OVERLOAD,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies bought by each bid at current prices, and the path prices.
+    path_prices: np.ndarray,
+    offers: np.ndarray,
+    free: np.ndarray,
+    cap: np.ndarray,
+) -> np.ndarray:
+    """Frequencies bought by each bid at the current path prices.
 
     The nominal allocation is bid / path price.  Two physical guards apply:
-    at a zero path price a positive bidder receives exactly her line's
+    at a zero path price a positive bidder receives exactly its line's
     ceiling (smallest share-scaled capacity along the line, which keeps the
     excess finite and pushes prices up), and at positive prices the
-    allocation is truncated at overload_factor times that ceiling.
+    allocation is truncated at cap, overload_factor times that ceiling (see
+    _cap: the factor is at least one, so the ceiling itself stands).  A bid
+    that is not positive buys nothing.  offers and free come from
+    _bid_terms(bids, ceil); the caller holds them, and cap, for as long as
+    the bids and the share stay fixed.
     """
-    mu = view.incidence.T @ prices
-    ceil = view.bottleneck * share
-    priced = mu > 0.0
-    freqs = np.minimum(bids / np.where(priced, mu, 1.0), overload_factor * ceil)
-    freqs = np.where(priced, freqs, ceil)
-    return np.where(bids > 0.0, freqs, 0.0), mu
+    freqs = free.copy()
+    np.divide(offers, path_prices, out=freqs, where=path_prices > 0.0)
+    return np.minimum(freqs, cap, out=freqs)
 
 
 def refresh_bids(
@@ -202,26 +232,32 @@ class PoolResiduals:
 
 
 def pool_residuals(
-    view: PoolView,
     coefficients: np.ndarray,
-    state: PoolMarketState,
+    prices: np.ndarray,
+    freqs: np.ndarray,
+    path_prices: np.ndarray,
+    excess: np.ndarray,
     abs_tol: float,
     rel_tol: float,
 ) -> PoolResiduals:
-    loads = view.incidence @ state.freqs
-    excess = loads - view.capacity * state.share
-    mu = view.incidence.T @ state.prices
+    """Clearing residuals of one pool state.
 
+    path_prices (incidence.T @ prices) and excess (incidence @ freqs minus
+    the share-scaled capacity) are the state's own, which the price loop
+    already holds.  An active line on an unpriced path fails the check.
+    """
     feas = float(excess.max(initial=0.0))
-    comp = float((state.prices * np.abs(excess)).max(initial=0.0))
+    comp = float((prices * np.abs(excess)).max(initial=0.0))
 
-    active = state.freqs > 0.0
+    active = freqs > 0.0
+    priced = path_prices > 0.0
     stat = 0.0
-    priceless = bool(np.any(active & ~(mu > 0.0)))
-    if np.any(active & (mu > 0.0)):
-        sel = active & (mu > 0.0)
-        marg = coefficients[sel] / (2.0 * np.sqrt(state.freqs[sel]))
-        stat = float(np.max(np.abs(marg - mu[sel]) / mu[sel]))
+    priceless = bool((active & ~priced).any())
+    sel = active & priced
+    if sel.any():
+        mu = path_prices[sel]
+        marg = coefficients[sel] / (2.0 * np.sqrt(freqs[sel]))
+        stat = float((np.abs(marg - mu) / mu).max())
 
     ok = (
         not priceless
@@ -232,17 +268,21 @@ def pool_residuals(
     return PoolResiduals(feas, comp, stat, ok)
 
 
-def cold_start(view: PoolView, share: float) -> PoolMarketState:
+def cold_start(view: PoolView, share: float, overload_factor: float = _OVERLOAD) -> PoolMarketState:
     """Neutral initial state: unit bids, proportional-share prices.
 
     Every operator opens with a bid of one; each edge opens at the price
     that would exactly ration unit bids through its share-scaled capacity.
+    The opening frequencies are allocated at those prices under
+    overload_factor.
     """
     bids = np.ones(view.n_lops)
-    cap = view.capacity * share
+    supply = view.capacity * share
     crowd = view.incidence @ bids
-    prices = np.where(crowd > 0.0, crowd / np.maximum(cap, 1e-300), 0.0)
-    freqs, _ = allocate_frequencies(view, prices, bids, share)
+    prices = np.where(crowd > 0.0, crowd / np.maximum(supply, 1e-300), 0.0)
+    ceil = view.bottleneck * share
+    offers, free = _bid_terms(bids, ceil)
+    freqs = allocate_frequencies(view.incidence.T @ prices, offers, free, _cap(ceil, overload_factor))
     return PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
 
 
@@ -272,40 +312,50 @@ def _run_pool(
         return SinglePoolResult(empty, 0, 0, 0, True, res)
 
     eta = cfg.price_eta if cfg.price_eta is not None else default_price_eta(view)
+    period = cfg.bid_refresh_period
+    # fixed for the whole run: the step and the allocation read these, not
+    # the view, on every price update
+    inc, inc_t = view.incidence, view.incidence.T
+    supply = view.capacity * share
+    ceil = view.bottleneck * share
+    cap = _cap(ceil, cfg.overload_factor)
     if warm is None:
-        state = cold_start(view, share)
+        state = cold_start(view, share, cfg.overload_factor)
     else:
         state = warm.copy()
         state.share = share
-    state.freqs, _ = allocate_frequencies(view, state.prices, state.bids, share, cfg.overload_factor)
+    mu = inc_t @ state.prices
+    offers, free = _bid_terms(state.bids, ceil)
+    if warm is not None:  # cold_start has allocated under these bids
+        state.freqs = allocate_frequencies(mu, offers, free, cap)
+    loads = inc @ state.freqs
 
     trace: list[dict] | None = [] if cfg.trace_stride > 0 else None
     iters = 0
     bid_updates = 0
     skipped = 0
-    res = pool_residuals(view, coefficients, state, cfg.abs_tol, cfg.rel_tol)
+    res = pool_residuals(coefficients, state.prices, state.freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol)
 
     # convergence is only declared at bid-consistent states, i.e. right after
     # a refresh, so every clearing condition holds at one coherent state
     def settled() -> bool:
-        return res.converged and iters % cfg.bid_refresh_period == 0
+        return res.converged and iters % period == 0
 
     while not settled() and iters < cfg.max_iters:
-        loads = view.incidence @ state.freqs
-        state.prices, excess = price_step(state.prices, loads, view.capacity, share, eta)
+        state.prices, excess = price_step(state.prices, loads, supply, eta)
         iters += 1
+        mu = inc_t @ state.prices
 
-        if iters % cfg.bid_refresh_period == 0:
-            # the same path prices allocate_frequencies computes; the
-            # allocation itself is only needed under the new bids
-            mu = view.incidence.T @ state.prices
+        if iters % period == 0:
             new_bids, skip_mask = refresh_bids(coefficients, mu, state.bids)
             skipped += int(skip_mask.sum())
             rel_change = np.abs(new_bids - state.bids) / np.maximum(state.bids, 1e-300)
             if float(rel_change.max(initial=0.0)) > cfg.rel_tol:
                 bid_updates += 1
             state.bids = new_bids
-        state.freqs, _ = allocate_frequencies(view, state.prices, state.bids, share, cfg.overload_factor)
+            offers, free = _bid_terms(state.bids, ceil)
+        state.freqs = allocate_frequencies(mu, offers, free, cap)
+        loads = inc @ state.freqs
 
         if trace is not None and iters % cfg.trace_stride == 0:
             trace.append(
@@ -320,8 +370,10 @@ def _run_pool(
         # settled() and the result read the residuals only at refresh
         # boundaries and at the budget's end; skipping the other checks
         # saves most of their cost without changing the trajectory
-        if iters % cfg.bid_refresh_period == 0 or iters >= cfg.max_iters:
-            res = pool_residuals(view, coefficients, state, cfg.abs_tol, cfg.rel_tol)
+        if iters % period == 0 or iters >= cfg.max_iters:
+            res = pool_residuals(
+                coefficients, state.prices, state.freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol
+            )
 
     if trace is not None:
         final = state.prices
@@ -371,12 +423,15 @@ def run_price_dynamics(
     """
     hist = np.zeros((steps + 1, view.n_edges))
     exc = np.zeros((steps, view.n_edges))
+    supply = view.capacity * share
+    ceil = view.bottleneck * share
+    cap = _cap(ceil, overload_factor)
+    offers, free = _bid_terms(bids, ceil)
     cur = prices.astype(float).copy()
     hist[0] = cur
     for t in range(steps):
-        freqs, _ = allocate_frequencies(view, cur, bids, share, overload_factor)
-        loads = view.incidence @ freqs
-        cur, excess = price_step(cur, loads, view.capacity, share, eta)
+        freqs = allocate_frequencies(view.incidence.T @ cur, offers, free, cap)
+        cur, excess = price_step(cur, view.incidence @ freqs, supply, eta)
         hist[t + 1] = cur
         exc[t] = excess
     return hist, exc

@@ -184,3 +184,17 @@ def test_warm_state_from_another_instance_is_rejected(source, target):
     warm = lm.run_mechanism(*source).state
     with pytest.raises(lm.InputMismatchError, match="warm state"):
         lm.run_mechanism(*target, warm=warm)
+
+
+def test_closed_edge_keeps_the_default_price_step():
+    """A zero capacity sets no step scale; the mechanism still clears."""
+    net, pools, table = instances.chain_instance(3)
+    closed = net.with_capacities({"e5": 0.0})
+    for k in pools.pool_ids:
+        eta = lm.default_price_eta(lm.compile_pool(closed, pools, k))
+        assert eta > 0.0
+        assert eta == lm.default_price_eta(lm.compile_pool(net, pools, k))
+    res = lm.run_mechanism(closed, pools, table)
+    assert res.converged
+    assert sum(res.price_updates.values()) < 5_000
+    assert lm.mechanism_kkt(closed, pools, table, res.state).max_scaled() <= 0.1

@@ -209,6 +209,14 @@ def test_closed_edge_is_certified_not_crashed():
         assert np.isfinite(report.max_scaled())
 
 
+def test_failed_certificate_is_not_converged():
+    """On a closed edge the dual start leaves the line through it at x = 1e-30."""
+    net, pools, table = instances.chain_instance(3)
+    sol = lm.solve_full(net.with_capacities({"e5": 0.0}), pools, table)
+    assert sol.kkt.max_scaled() > 1e-6
+    assert not sol.converged
+
+
 def _dict_loop_kkt(net, pools, utilities, freqs, shares, prices, cost_level):
     """The certifier as it was before it read compiled views: Python loops over dicts."""
     level_scale = max(abs(cost_level), 1e-30)

@@ -3,7 +3,8 @@ import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket.single_pool import _run_pool, pool_residuals
+from linemarket import multi_pool, single_pool
+from linemarket.single_pool import PoolResiduals, _bid_terms, _run_pool, pool_residuals
 
 import instances
 
@@ -11,30 +12,45 @@ import instances
 class TestPriceStep:
     def test_rises_on_excess(self):
         prices, excess = lm.price_step(
-            np.array([0.0]), np.array([6.0]), np.array([4.0]), 1.0, 0.1
+            np.array([0.0]), np.array([6.0]), np.array([4.0]) * 1.0, 0.1
         )
         np.testing.assert_allclose(prices, [0.2])
         np.testing.assert_allclose(excess, [2.0])
 
     def test_falls_on_slack(self):
         prices, _ = lm.price_step(
-            np.array([0.5]), np.array([2.0]), np.array([4.0]), 1.0, 0.1
+            np.array([0.5]), np.array([2.0]), np.array([4.0]) * 1.0, 0.1
         )
         np.testing.assert_allclose(prices, [0.3])
 
     def test_clamped_at_zero(self):
         prices, _ = lm.price_step(
-            np.array([0.1]), np.array([0.0]), np.array([4.0]), 1.0, 0.1
+            np.array([0.1]), np.array([0.0]), np.array([4.0]) * 1.0, 0.1
         )
         np.testing.assert_allclose(prices, [0.0])
 
     def test_share_scales_capacity(self):
         # same load, half the share: excess doubles relative to full share
         prices, excess = lm.price_step(
-            np.array([0.0]), np.array([4.0]), np.array([4.0]), 0.5, 0.1
+            np.array([0.0]), np.array([4.0]), np.array([4.0]) * 0.5, 0.1
         )
         np.testing.assert_allclose(excess, [2.0])
         np.testing.assert_allclose(prices, [0.2])
+
+
+def allocate(view, prices, bids, share, overload_factor=1.25):
+    """allocate_frequencies with its inputs built from a view, as the loop builds them."""
+    ceil = view.bottleneck * share
+    offers, free = _bid_terms(bids, ceil)
+    mu = view.incidence.T @ prices
+    return lm.allocate_frequencies(mu, offers, free, overload_factor * ceil), mu
+
+
+def residuals_of(view, coefficients, state, abs_tol, rel_tol):
+    """pool_residuals with the path prices and excess of a stored state."""
+    mu = view.incidence.T @ state.prices
+    excess = view.incidence @ state.freqs - view.capacity * state.share
+    return pool_residuals(coefficients, state.prices, state.freqs, mu, excess, abs_tol, rel_tol)
 
 
 class TestAllocation:
@@ -44,26 +60,26 @@ class TestAllocation:
         return lm.compile_pool(net, pools, "k0")
 
     def test_bid_over_price(self):
-        freqs, mu = lm.allocate_frequencies(
+        freqs, mu = allocate(
             self.view(), np.array([2.0]), np.array([10.0]), 1.0
         )
         np.testing.assert_allclose(freqs, [5.0])
         np.testing.assert_allclose(mu, [2.0])
 
     def test_zero_bid_gets_nothing(self):
-        freqs, _ = lm.allocate_frequencies(
+        freqs, _ = allocate(
             self.view(), np.array([3.0]), np.array([0.0]), 1.0
         )
         np.testing.assert_allclose(freqs, [0.0])
 
     def test_free_path_capped_at_line_ceiling(self):
-        freqs, _ = lm.allocate_frequencies(
+        freqs, _ = allocate(
             self.view(capacity=4.0), np.array([0.0]), np.array([2.0]), 1.0
         )
         np.testing.assert_allclose(freqs, [4.0])
 
     def test_priced_path_truncated_at_overload_factor(self):
-        freqs, _ = lm.allocate_frequencies(
+        freqs, _ = allocate(
             self.view(capacity=4.0), np.array([0.1]), np.array([100.0]), 1.0
         )
         np.testing.assert_allclose(freqs, [5.0])  # 1.25 * 4
@@ -108,7 +124,7 @@ def test_residual_invariants_at_convergence():
 
     # recomputing the residuals from the final state gives the same verdict
     view = lm.compile_pool(net, pools, "k0")
-    again = pool_residuals(view, table.coefficients_for(view), res.state, 0.1, 0.1)
+    again = residuals_of(view, table.coefficients_for(view), res.state, 0.1, 0.1)
     assert again.converged
 
 
@@ -168,6 +184,21 @@ def test_default_step_scales_with_capacity_and_crowding():
     view2 = lm.compile_pool(net2, pools2, "k0")
     assert lm.default_price_eta(view2) == pytest.approx(0.02)  # 0.01 * 4 / 2
 
+
+
+def test_all_closed_edges_give_a_positive_step():
+    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 0.0)])
+    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
+    assert lm.default_price_eta(lm.compile_pool(net, pools, "k0")) == pytest.approx(0.01)
+
+
+def test_overload_below_one_is_rejected():
+    net, pools, _ = instances.two_lops_one_edge()
+    view = lm.compile_pool(net, pools, "k0")
+    with pytest.raises(ValueError, match="overload_factor"):
+        lm.cold_start(view, 1.0, 0.9)
+    with pytest.raises(ValueError, match="overload_factor"):
+        lm.run_price_dynamics(view, np.zeros(1), np.ones(2), 1.0, 0.05, 3, overload_factor=0.9)
 
 def test_cold_start_rations_unit_bids():
     net, pools, _ = instances.two_lops_one_edge()
@@ -239,10 +270,12 @@ class TestStateJson:
 
 
 # ---------------------------------------------------------------------------
-# Reference implementations: the allocation step with the line ceilings
-# recomputed per call and an explicit infinite allocation on unpriced
-# paths, and the eager pool loop that checks residuals after every price
-# update.  The engine must reproduce both bit for bit.
+# Reference implementations, written in plain numpy and calling no engine
+# step: the allocation step with the line ceilings recomputed per call and
+# an explicit infinite allocation on unpriced paths, the residual check as
+# it reads a stored state, and the eager pool loop that checks residuals
+# after every price update.  The engine must reproduce all three bit for
+# bit.
 
 def reference_allocate(view, prices, bids, share, overload_factor=1.25):
     mu = view.incidence.T @ prices
@@ -255,9 +288,34 @@ def reference_allocate(view, prices, bids, share, overload_factor=1.25):
     return freqs, mu
 
 
+def reference_residuals(view, coefficients, state, abs_tol, rel_tol):
+    loads = view.incidence @ state.freqs
+    excess = loads - view.capacity * state.share
+    mu = view.incidence.T @ state.prices
+
+    feas = float(excess.max(initial=0.0))
+    comp = float((state.prices * np.abs(excess)).max(initial=0.0))
+
+    active = state.freqs > 0.0
+    stat = 0.0
+    priceless = bool(np.any(active & ~(mu > 0.0)))
+    if np.any(active & (mu > 0.0)):
+        sel = active & (mu > 0.0)
+        marg = coefficients[sel] / (2.0 * np.sqrt(state.freqs[sel]))
+        stat = float(np.max(np.abs(marg - mu[sel]) / mu[sel]))
+
+    ok = not priceless and feas <= abs_tol and comp <= abs_tol and stat <= rel_tol
+    return PoolResiduals(feas, comp, stat, ok)
+
+
 def reference_run_pool(view, coefficients, share, cfg):
     """Cold-started eager loop: residuals after every price update."""
-    eta = cfg.price_eta if cfg.price_eta is not None else lm.default_price_eta(view)
+    if cfg.price_eta is not None:
+        eta = cfg.price_eta
+    else:
+        open_caps = view.capacity[view.capacity > 0.0]
+        scale = float(open_caps.min()) if open_caps.size else 1.0
+        eta = 0.01 * scale / max(1.0, float(view.incidence.sum(axis=1).max()))
     period = cfg.bid_refresh_period
     bids = np.ones(view.n_lops)
     crowd = view.incidence @ bids
@@ -265,20 +323,23 @@ def reference_run_pool(view, coefficients, share, cfg):
     freqs, mu = reference_allocate(view, prices, bids, share, cfg.overload_factor)
     st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
     iters = bid_updates = skipped = 0
-    res = pool_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
+    res = reference_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
     while not (res.converged and iters % period == 0) and iters < cfg.max_iters:
-        st.prices, _ = lm.price_step(st.prices, view.incidence @ st.freqs, view.capacity, share, eta)
+        excess = view.incidence @ st.freqs - view.capacity * share
+        st.prices = np.maximum(0.0, st.prices + eta * excess)
         iters += 1
         st.freqs, mu = reference_allocate(view, st.prices, st.bids, share, cfg.overload_factor)
         if iters % period == 0:
-            new_bids, skip_mask = lm.refresh_bids(coefficients, mu, st.bids)
+            skip_mask = ~(mu > 0.0)
+            best = coefficients ** 2 / (4.0 * np.where(skip_mask, 1.0, mu))
+            new_bids = np.where(skip_mask, st.bids, best)
             skipped += int(skip_mask.sum())
             rel_change = np.abs(new_bids - st.bids) / np.maximum(st.bids, 1e-300)
             if float(rel_change.max(initial=0.0)) > cfg.rel_tol:
                 bid_updates += 1
             st.bids = new_bids
             st.freqs, mu = reference_allocate(view, st.prices, st.bids, share, cfg.overload_factor)
-        res = pool_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
+        res = reference_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
     converged = res.converged and iters % period == 0
     return st, iters, bid_updates, skipped, converged, res
 
@@ -317,7 +378,7 @@ def test_budget_exit_off_a_refresh_boundary_reports_final_residuals():
     cfg = lm.DynamicsConfig(price_eta=1e-3, bid_refresh_period=10, max_iters=37)
     got = assert_same_run(view, coeffs, 0.5, cfg)
     assert got.iterations == 37 and not got.converged
-    assert got.residuals == pool_residuals(view, coeffs, got.state, cfg.abs_tol, cfg.rel_tol)
+    assert got.residuals == residuals_of(view, coeffs, got.state, cfg.abs_tol, cfg.rel_tol)
 
 
 def test_allocation_matches_reference_bitwise():
@@ -337,7 +398,7 @@ def test_allocation_matches_reference_bitwise():
         bids = rng.uniform(-1.0, 3.0, view.n_lops) * (rng.random(view.n_lops) < 0.8)
         share = float(rng.uniform(0.01, 1.0))
         overload = float(rng.choice([1.0, 1.25, 3.0]))
-        got = lm.allocate_frequencies(view, prices, bids, share, overload)
+        got = allocate(view, prices, bids, share, overload)
         want = reference_allocate(view, prices, bids, share, overload)
         assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes(), trial
         mu = want[1]
@@ -347,3 +408,75 @@ def test_allocation_matches_reference_bitwise():
         nominal = bids / np.where(mu > 0.0, mu, 1.0)
         seen["truncated"] += int(np.sum((mu > 0.0) & (nominal > overload * view.bottleneck * share)))
     assert min(seen.values()) > 0, seen
+
+
+def test_residuals_match_reference_on_final_states():
+    cases = [(instances.chain_instance(seed), lm.DynamicsConfig()) for seed in range(20)]
+    cases.append((instances.grid_instance(0, 2), instances.GRID_CFG.inner))
+    for (net, pools, table), cfg in cases:
+        for k in pools.pool_ids:
+            view = lm.compile_pool(net, pools, k)
+            coeffs = table.coefficients_for(view)
+            got = _run_pool(view, coeffs, 0.5, None, cfg)
+            want = reference_residuals(view, coeffs, got.state, cfg.abs_tol, cfg.rel_tol)
+            assert got.residuals == want
+            assert residuals_of(view, coeffs, got.state, cfg.abs_tol, cfg.rel_tol) == want
+
+
+def test_residuals_match_reference_on_random_states():
+    rng = np.random.default_rng(77)
+    views = []
+    for seed in range(5):
+        net, pools, table = instances.chain_instance(seed)
+        views += [(v, table.coefficients_for(v)) for v in (lm.compile_pool(net, pools, k) for k in pools.pool_ids)]
+    net, pools, table = instances.grid_instance(0, 2)
+    view = lm.compile_pool(net, pools, pools.pool_ids[0])
+    views.append((view, table.coefficients_for(view)))
+    seen = {"active on unpriced path": 0, "zero frequency": 0, "converged": 0, "not converged": 0}
+    for trial in range(2000):
+        view, coeffs = views[trial % len(views)]
+        prices = rng.uniform(0.0, 2.0, view.n_edges) * (rng.random(view.n_edges) < rng.random())
+        freqs = rng.uniform(0.0, 5.0, view.n_lops) * (rng.random(view.n_lops) < 0.8)
+        share = float(rng.uniform(0.01, 1.0))
+        tol = float(rng.choice([0.1, 1e9]))
+        state = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, np.ones(view.n_lops), freqs, share)
+        got = residuals_of(view, coeffs, state, tol, tol)
+        want = reference_residuals(view, coeffs, state, tol, tol)
+        assert got == want, trial
+        mu = view.incidence.T @ prices
+        seen["active on unpriced path"] += int(np.sum((freqs > 0.0) & (mu == 0.0)))
+        seen["zero frequency"] += int(np.sum(freqs == 0.0))
+        seen["converged" if got.converged else "not converged"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+def test_seams_run_once_per_use(monkeypatch):
+    """Each step goes through its module-level seam, exactly as often as it is used."""
+    calls = dict.fromkeys(("price_step", "allocate_frequencies", "refresh_bids", "pool_residuals"), 0)
+    for name in calls:
+        def counted(*args, _fn=getattr(single_pool, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(single_pool, name, counted)
+    runs = []
+
+    def run_pool(view, coefficients, share, warm, cfg):
+        res = _run_pool(view, coefficients, share, warm, cfg)
+        runs.append((view.n_lops, res.iterations))
+        return res
+
+    monkeypatch.setattr(multi_pool, "_run_pool", run_pool)
+    res = lm.run_mechanism(*instances.chain_instance(3))
+    period = lm.DynamicsConfig().bid_refresh_period
+    assert all(n_lops for n_lops, _ in runs)
+    updates = sum(n for _, n in runs)
+    assert updates == sum(res.price_updates.values())
+    boundaries = sum(n // period for _, n in runs)
+    # one check before the first update of each run, one per boundary, one
+    # more on a budget exit off a boundary
+    exits = sum(1 + (n % period != 0) for _, n in runs)
+    assert calls["price_step"] == updates
+    assert calls["refresh_bids"] == boundaries
+    assert calls["pool_residuals"] == boundaries + exits
+    # one allocation per price update, and one per run before the first
+    assert calls["allocate_frequencies"] == updates + len(runs)
