@@ -195,7 +195,6 @@ _INNER_KEYS = {
     "trace_stride": ("trace_stride", int),
 }
 _OUTER_KEYS = {
-    "eta_f": ("eta_f", float),
     "eps_cost": ("eps_cost", float),
     "f_floor": ("f_floor", float),
     "max_outer": ("max_outer", int),
@@ -441,7 +440,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seeds", default=None, help="comma-separated seeds, overrides the scenario")
         p.add_argument("--mode", default=None, choices=["cold", "warm", "both"])
         p.add_argument("--eta-price", type=float, default=None, dest="eta_price")
-        p.add_argument("--eta-f", type=float, default=None, dest="eta_f")
         p.add_argument("--abs-tol", type=float, default=None, dest="abs_tol")
         p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
         p.add_argument("--eps-cost", type=float, default=None, dest="eps_cost")

@@ -1,10 +1,15 @@
 """Cross-pool capacity split driven by pool cost equalization.
 
 Each pool clears its own market at the current capacity split; the split
-then shifts toward pools whose per-unit capacity cost exceeds the average,
-is renormalized onto the simplex, and the inner markets re-clear warm.  At
-the joint fixed point every pool is internally cleared and all pool costs
-agree, which is the optimality certificate for the split.
+then moves each share by the square of its pool's cost over the mean cost,
+is renormalized onto the simplex, and the inner markets re-clear warm from
+their last states rescaled to the new shares.  Square-root valuations make
+a pool's cost at share f its cost at share 1 over sqrt(f), so with exactly
+cleared pools one such step lands on the optimal split.  A pool none of
+whose lines can run holds no capacity: it keeps share zero and stays out of
+the update and the equal-cost test.  At the joint fixed point every pool is
+internally cleared and all pool costs agree, which is the optimality
+certificate for the split.
 """
 from __future__ import annotations
 
@@ -80,50 +85,49 @@ def costs_equal(costs: np.ndarray, eps_cost: float) -> bool:
     return spread / max(float(costs.mean()), _TINY) <= eps_cost
 
 
-def _floor_simplex(values: np.ndarray, floor: float) -> np.ndarray:
-    """Project onto the simplex slice {sum = 1, every entry >= floor}."""
+def _floor_simplex(values: np.ndarray, floor: float, held: np.ndarray) -> np.ndarray:
+    """Project onto the simplex slice {sum = 1, held entries >= floor, others 0}."""
     values = values / values.sum()
-    if floor <= 0.0 or np.all(values >= floor):
+    if floor <= 0.0 or np.all(values[held] >= floor):
         return values
-    excess = np.maximum(values - floor, 0.0)
-    budget = 1.0 - floor * len(values)
-    return floor + excess * (budget / max(excess.sum(), _TINY))
+    excess = np.where(held, np.maximum(values - floor, 0.0), 0.0)
+    budget = 1.0 - floor * int(held.sum())
+    return np.where(held, floor + excess * (budget / max(excess.sum(), _TINY)), 0.0)
 
 
 def update_proportions(
     shares: ProportionVector,
     costs: np.ndarray,
-    eta_f: float,
     floor: float,
 ) -> ProportionVector:
-    """One ascent step of the capacity split toward costlier pools.
+    """One proportional-response step of the capacity split.
 
-    The drive term is max(0, cost_k - mean cost) divided by the mean cost.
-    After the step the split is renormalized and floored away from zero so
-    no pool is ever starved outright.  A nonpositive mean cost makes the
-    step undefined; the split is returned unchanged.
+    Each share is multiplied by (cost_k / mean cost)**2, then the split is
+    renormalized and every positive share is floored away from zero, so no
+    pool that holds capacity is starved outright; a zero share stays zero.
+    A pool's cost at share f is its cost at share 1 over sqrt(f), so fed
+    exactly cleared costs the step lands on the optimal split at once.
+    The warm states are rescaled to the new split by the pool runs, not
+    overwritten here.  A nonpositive mean cost makes the step undefined;
+    the split is returned unchanged.
     """
     level = float(costs.mean())
     if not level > 0.0:
         return shares
-    drive = np.maximum(0.0, costs - level) / level
-    raw = shares.values + eta_f * drive
-    return ProportionVector(shares.pool_ids, _floor_simplex(raw, floor))
+    raw = shares.values * (costs / level) ** 2
+    return ProportionVector(shares.pool_ids, _floor_simplex(raw, floor, shares.values > 0.0))
 
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Outer-loop tuning: split step, equal-cost test, iteration budgets."""
+    """Outer-loop tuning: equal-cost test, share floor, iteration budgets."""
 
     inner: DynamicsConfig = field(default_factory=DynamicsConfig)
-    eta_f: float = 0.1
     eps_cost: float = 0.05
     f_floor: float = 1e-4
     max_outer: int = 200
 
     def __post_init__(self) -> None:
-        if not self.eta_f > 0:
-            raise ValueError("eta_f must be positive")
         if not self.eps_cost > 0:
             raise ValueError("eps_cost must be positive")
         if not 0.0 <= self.f_floor < 0.5:
@@ -197,7 +201,11 @@ def run_mechanism(
     """Run the full two-level mechanism to the equal-cost fixed point.
 
     Cold runs start from the uniform split with fresh pool markets; a warm
-    OuterState resumes with its split, prices, and bids intact; it must
+    OuterState resumes with its split, prices, and bids intact, each pool
+    state rescaled if it cleared at another share.  Either way a pool none
+    of whose lines can run holds share zero, and the split restarts evenly
+    over the others when they are not the pools holding capacity.  A warm
+    state must
     carry the instance's pools in order and, per pool, its edges and
     operators in order, else InputMismatchError.  The result reports
     convergence honestly: an exhausted budget or a stalled inner market
@@ -218,6 +226,13 @@ def run_mechanism(
     else:
         shares = ProportionVector.uniform(tuple(pools.pool_ids))
         states = {k: None for k in pools.pool_ids}
+    # as in solve_full, a pool none of whose lines can run (it has none, or
+    # each crosses a closed edge) holds no capacity.  A zero share is a fixed
+    # point of the split update, so when the pools holding capacity are not
+    # the ones that can run, the split restarts evenly over the latter.
+    live = np.array([views[k].bottleneck.max(initial=0.0) > 0.0 for k in pools.pool_ids])
+    if live.any() and np.any((shares.values > 0.0) != live):
+        shares = ProportionVector(shares.pool_ids, live / live.sum())
 
     t0 = time.perf_counter()
     f_updates = 0
@@ -255,7 +270,9 @@ def run_mechanism(
                 )
         pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pools.pool_ids}
         cost_vec = np.array([pool_costs[k] for k in pools.pool_ids])
-        level = float(cost_vec.mean())
+        # only pools that hold capacity must agree on the cost level
+        held_costs = cost_vec[shares.values > 0.0]
+        level = float(held_costs.mean())
         outer_trace.append(
             {
                 "outer_iter": outer,
@@ -267,7 +284,7 @@ def run_mechanism(
         )
         if not inner_ok:
             break
-        if costs_equal(cost_vec, cfg.eps_cost):
+        if costs_equal(held_costs, cfg.eps_cost):
             converged = True
             break
         if not level > 0.0:
@@ -276,10 +293,8 @@ def run_mechanism(
         if outer == cfg.max_outer:
             diagnostics = f"equal-cost test still failing after {cfg.max_outer} split updates"
             break
-        shares = update_proportions(shares, cost_vec, cfg.eta_f, cfg.f_floor)
+        shares = update_proportions(shares, cost_vec, cfg.f_floor)
         f_updates += 1
-        for k in pools.pool_ids:
-            states[k].share = shares.share(k)
 
     final_states = {k: states[k] for k in pools.pool_ids}
     out = OuterState(

@@ -33,8 +33,7 @@ __all__ = [
 
 _TINY = 1e-30
 # solve_full claims convergence only when its own certificate reads at most
-# this; exact answers read about 1e-11, a closed edge the dual start cannot
-# open reads 0.3
+# this; exact answers read about 1e-11
 _CERTIFIED = 1e-6
 
 
@@ -122,6 +121,9 @@ def _clearing_prices(
     at budget.
     """
     n_edges, n_lops = incidence.shape
+    # an operator whose line crosses a closed edge can run nothing; left
+    # active, it would price that edge without bound and stall the descent
+    demand.active &= ~incidence[budget <= 0.0].any(axis=0)
     act = demand.active
     if n_lops == 0 or not act.any():
         return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0)

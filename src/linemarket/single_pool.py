@@ -319,14 +319,24 @@ def _run_pool(
     supply = view.capacity * share
     ceil = view.bottleneck * share
     cap = _cap(ceil, cfg.overload_factor)
-    if warm is None:
-        state = cold_start(view, share, cfg.overload_factor)
-    else:
-        state = warm.copy()
-        state.share = share
+    # a state cleared at share zero holds nothing to rescale
+    cold = warm is None or not warm.share > 0.0
+    state = cold_start(view, share, cfg.overload_factor) if cold else warm.copy()
+    # a pool's optimum at share f is its share-1 optimum with prices scaled
+    # by f**-1/2 and bids by f**1/2, so a warm state cleared at another share
+    # is rescaled to it; the allocation below then scales the frequencies.
+    # The rescaled state is a prediction, not a certificate: the run must
+    # reach one refresh boundary at the new share before it may stop.
+    rescaled = state.share != share and share > 0.0
+    if rescaled:
+        ratio = share / state.share
+        state.prices *= ratio ** -0.5
+        state.bids *= ratio ** 0.5
+    state.share = share
+    first_stop = period if rescaled else 0
     mu = inc_t @ state.prices
     offers, free = _bid_terms(state.bids, ceil)
-    if warm is not None:  # cold_start has allocated under these bids
+    if not cold:  # cold_start has allocated under these bids
         state.freqs = allocate_frequencies(mu, offers, free, cap)
     loads = inc @ state.freqs
 
@@ -339,7 +349,7 @@ def _run_pool(
     # convergence is only declared at bid-consistent states, i.e. right after
     # a refresh, so every clearing condition holds at one coherent state
     def settled() -> bool:
-        return res.converged and iters % period == 0
+        return res.converged and iters % period == 0 and iters >= first_stop
 
     while not settled() and iters < cfg.max_iters:
         state.prices, excess = price_step(state.prices, loads, supply, eta)
@@ -394,8 +404,11 @@ def run_single_pool(
 ) -> SinglePoolResult:
     """Run one pool's market to its clearing point at a fixed share.
 
-    A warm state is resumed as-is (its share is overwritten); otherwise the
-    run cold-starts.  Returns the final state plus iteration accounting; a
+    A warm state cleared at another positive share is rescaled to this one
+    (prices by r**-1/2, bids by r**1/2, frequencies by r, for r the ratio
+    of the shares) and must pass a refresh boundary before the run may
+    stop; a warm state at this share is resumed as-is; otherwise the run
+    cold-starts.  Returns the final state plus iteration accounting; a
     run that exhausts max_iters comes back with converged=False rather than
     raising.
     """

@@ -187,6 +187,15 @@ class TestBadInput:
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
             assert "unknown engine fields" in capsys.readouterr().err
 
+    def test_retired_split_step_is_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        scn = write_single_edge_scenario(tmp_path, engine={"eta_f": 0.1})
+        assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
+        assert "unknown engine fields: ['eta_f']" in capsys.readouterr().err
+        scn = write_single_edge_scenario(tmp_path)
+        assert run_cli(["solve", "--scenario", str(scn), "--out", "o", "--eta-f", "0.1"]) == 2
+        assert "unrecognized arguments: --eta-f" in capsys.readouterr().err
+
     def test_grid_and_network_file_conflict(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         scn = write_single_edge_scenario(tmp_path, grid={"rows": 3, "cols": 3})

@@ -1,4 +1,6 @@
 """Outer loop: pool costs, split updates, the equal-cost fixed point."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -49,44 +51,61 @@ def test_costs_equal_spread_test():
 
 class TestUpdateProportions:
     def test_costlier_pool_gains(self):
-        out = lm.update_proportions(shares2(), np.array([6.0, 2.0]), 0.1, 1e-4)
-        # drive (0.5, 0), pre-norm (0.55, 0.5), then renormalized
-        np.testing.assert_allclose(out.values, [0.55 / 1.05, 0.5 / 1.05], atol=1e-12)
+        out = lm.update_proportions(shares2(), np.array([6.0, 2.0]), 1e-4)
+        # mean cost 4: pre-norm (0.5 * 1.5^2, 0.5 * 0.5^2) = (1.125, 0.125)
+        np.testing.assert_allclose(out.values, [0.9, 0.1], atol=1e-12)
 
     def test_equal_costs_fixed_point(self):
-        out = lm.update_proportions(shares2(), np.array([5.0, 5.0]), 0.1, 1e-4)
+        out = lm.update_proportions(shares2(), np.array([5.0, 5.0]), 1e-4)
         np.testing.assert_allclose(out.values, [0.5, 0.5], atol=1e-15)
 
     def test_below_average_pool_not_pushed(self):
-        out = lm.update_proportions(shares2(), np.array([0.0, 8.0]), 0.1, 1e-4)
-        np.testing.assert_allclose(out.values, [0.5 / 1.1, 0.6 / 1.1], atol=1e-12)
+        # a pool of cost zero keeps none of its share; the floor alone holds it
+        out = lm.update_proportions(shares2(), np.array([0.0, 8.0]), 1e-4)
+        np.testing.assert_allclose(out.values, [1e-4, 1.0 - 1e-4], atol=1e-12)
 
     def test_zero_mean_cost_skips(self):
         start = shares2(0.4, 0.6)
-        out = lm.update_proportions(start, np.array([0.0, 0.0]), 0.1, 1e-4)
+        out = lm.update_proportions(start, np.array([0.0, 0.0]), 1e-4)
         np.testing.assert_allclose(out.values, start.values)
 
     def test_floor_prevents_starvation(self):
         pv = shares2()
         for _ in range(40):
-            pv = lm.update_proportions(pv, np.array([100.0, 0.0]), 1.0, 1e-4)
+            pv = lm.update_proportions(pv, np.array([100.0, 0.0]), 1e-4)
         assert pv.values.min() >= 1e-4 - 1e-15
         assert pv.values.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_ordering_follows_costs(self):
-        out = lm.update_proportions(shares2(), np.array([6.0, 2.0]), 0.1, 1e-4)
+        out = lm.update_proportions(shares2(), np.array([6.0, 2.0]), 1e-4)
         assert out.values[0] > 0.5 > out.values[1]
+
+    def test_one_step_lands_on_the_optimal_split(self):
+        """Fed the exact costs a_k / sqrt(f_k), one step from any split gives a_k^2 / sum a_j^2."""
+        rng = np.random.default_rng(6)
+        for trial in range(200):
+            n = int(rng.integers(2, 6))
+            values = rng.dirichlet(np.ones(n))
+            start = lm.ProportionVector(tuple(f"k{i}" for i in range(n)), values)
+            a = rng.uniform(1.0, 3.0, n)
+            out = lm.update_proportions(start, a / np.sqrt(values), 1e-4)
+            np.testing.assert_allclose(out.values, a**2 / np.sum(a**2), rtol=1e-12, err_msg=str(trial))
+
+    def test_zero_share_stays_outside_the_floor(self):
+        start = lm.ProportionVector(("k0", "k1", "k2"), np.array([0.0, 0.5, 0.5]))
+        out = lm.update_proportions(start, np.array([0.0, 8.0, 0.0]), 1e-4)
+        np.testing.assert_allclose(out.values, [0.0, 1.0 - 1e-4, 1e-4], atol=1e-12)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        lm.MechanismConfig(eta_f=0.0)
     with pytest.raises(ValueError):
         lm.MechanismConfig(eps_cost=0.0)
     with pytest.raises(ValueError):
         lm.MechanismConfig(f_floor=0.6)
     with pytest.raises(ValueError):
         lm.MechanismConfig(max_outer=0)
+    with pytest.raises(TypeError):
+        lm.MechanismConfig(eta_f=0.1)  # the additive split step is retired
 
 
 def test_symmetric_instance_needs_no_split_updates():
@@ -126,11 +145,12 @@ def test_objective_is_sum_of_valuations():
 
 
 def test_outer_budget_exhaustion_reports_diagnostics():
+    # the ratio-0.25 instance needs two split updates, so a budget of one runs out
     net, pools, table = instances.shared_edge_two_pools(0.25)
-    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(max_outer=2))
+    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(max_outer=1))
     assert not res.converged
     assert res.diagnostics != ""
-    assert res.f_updates == 2
+    assert res.f_updates == 1
 
 
 def test_shares_stay_on_the_simplex_throughout():
@@ -198,3 +218,81 @@ def test_closed_edge_keeps_the_default_price_step():
     assert res.converged
     assert sum(res.price_updates.values()) < 5_000
     assert lm.mechanism_kkt(closed, pools, table, res.state).max_scaled() <= 0.1
+
+
+def dead_pool_instances():
+    """Two pools over edge e1; only k0's line can run in either instance.
+
+    In the first k1 has no operators, in the second its one line also
+    crosses the closed edge e2.  solve_full gives both splits {k0: 1, k1: 0}.
+    """
+    net = lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 0.0)])
+    only_k0 = lm.PoolSystem(["k0", "k1"], {("lop0", "k0"): lm.Line(("e1",))})
+    both = lm.PoolSystem(
+        ["k0", "k1"], {("lop0", "k0"): lm.Line(("e1",)), ("lop0", "k1"): lm.Line(("e1", "e2"))}
+    )
+    one = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
+    two = lm.UtilityTable({("lop0", k): lm.UtilitySpec(2.0) for k in ("k0", "k1")})
+    return [(net, only_k0, one), (net, both, two)]
+
+
+@pytest.mark.parametrize("f_floor", [1e-4, 0.0])
+@pytest.mark.parametrize("case", [0, 1], ids=["no-operators", "closed-line"])
+def test_pool_whose_lines_cannot_run_holds_no_capacity(case, f_floor):
+    """Such a pool gets share 0 outright instead of the floor and 200 split updates."""
+    net, pools, table = dead_pool_instances()[case]
+    assert lm.solve_full(net, pools, table).shares == {"k0": 1.0, "k1": 0.0}
+    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(f_floor=f_floor))
+    assert res.converged
+    assert res.f_updates == 0
+    assert res.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
+    assert res.price_updates["k1"] == 0
+    assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
+
+
+def test_warm_restart_drops_a_pool_whose_lines_closed():
+    """Closing the edge k1's only line crosses moves its whole share to k0 without split updates."""
+    closed, pools, table = dead_pool_instances()[1]
+    base = lm.run_mechanism(closed.with_capacities({"e2": 4.0}), pools, table)
+    assert base.converged and base.state.shares.share("k1") > 0.4
+    res = lm.run_mechanism(closed, pools, table, warm=base.state)
+    assert res.converged
+    assert res.f_updates == 0
+    assert res.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
+    assert res.price_updates["k1"] == 0  # nothing to re-clear at share 0
+    assert lm.mechanism_kkt(closed, pools, table, res.state).max_scaled() <= 0.1
+
+
+def test_warm_restart_gives_a_reopened_pool_capacity_again():
+    """A zero share would stay zero under the split update; a pool whose line reopens starts even."""
+    closed, pools, table = dead_pool_instances()[1]
+    base = lm.run_mechanism(closed, pools, table)
+    assert base.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
+    reopened = closed.with_capacities({"e2": 4.0})
+    res = lm.run_mechanism(reopened, pools, table, warm=base.state)
+    assert res.converged
+    assert res.outer_trace[0]["shares"] == {"k0": 0.5, "k1": 0.5}
+    cold = lm.run_mechanism(reopened, pools, table)
+    assert res.state.shares.share("k1") == pytest.approx(cold.state.shares.share("k1"), abs=0.02)
+    assert res.objective == pytest.approx(cold.objective, rel=0.01)
+    assert lm.mechanism_kkt(reopened, pools, table, res.state).max_scaled() <= 0.1
+
+
+def test_zero_floor_rescales_without_warnings():
+    """f_floor=0 lets shares reach zero; the rescale must stay finite and silent."""
+    closed, pools, table = dead_pool_instances()[1]
+    reopened = closed.with_capacities({"e2": 4.0})
+    runs = [
+        (closed, pools, table, lm.run_mechanism(reopened, pools, table).state),  # k1 to share 0
+        (reopened, pools, table, lm.run_mechanism(closed, pools, table).state),  # k1 from share 0
+    ]
+    runs += [(*case, None) for case in dead_pool_instances()]
+    runs += [(*instances.chain_instance(seed), None) for seed in range(20)]
+    cfg = lm.MechanismConfig(f_floor=0.0)
+    for net, pools, table, warm in runs:
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            res = lm.run_mechanism(net, pools, table, cfg, warm=warm)
+        assert res.converged
+        for st in res.state.pool_states.values():
+            assert all(np.isfinite(v).all() for v in (st.prices, st.bids, st.freqs))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
+from linemarket import oracle
 
 import instances
 
@@ -209,10 +210,31 @@ def test_closed_edge_is_certified_not_crashed():
         assert np.isfinite(report.max_scaled())
 
 
-def test_failed_certificate_is_not_converged():
-    """On a closed edge the dual start leaves the line through it at x = 1e-30."""
+def test_closed_edge_oracle_is_certified():
+    """An operator whose line crosses a closed edge runs nothing and leaves the edge unpriced."""
     net, pools, table = instances.chain_instance(3)
-    sol = lm.solve_full(net.with_capacities({"e5": 0.0}), pools, table)
+    closed = net.with_capacities({"e5": 0.0})
+    sol = lm.solve_full(closed, pools, table)
+    assert sol.converged
+    assert sol.kkt.max_scaled() <= 1e-6
+    for k in pools.pool_ids:
+        for lop in pools.lops_in(k):
+            if "e5" in pools.line(lop, k).edge_ids:
+                assert sol.frequencies[(lop, k)] == 0.0
+    assert not any(eid == "e5" for eid, _ in sol.prices)
+
+
+def test_failed_certificate_is_not_converged(monkeypatch):
+    """A pool solve that claims convergence at a wrong point fails the certificate."""
+    solve = oracle._solve_one_pool
+
+    def halved(view, coefficients, share):
+        sol = solve(view, coefficients, share)
+        sol.freqs = sol.freqs * 0.5
+        return sol
+
+    monkeypatch.setattr(oracle, "_solve_one_pool", halved)
+    sol = lm.solve_full(*instances.chain_instance(3))
     assert sol.kkt.max_scaled() > 1e-6
     assert not sol.converged
 

@@ -308,8 +308,13 @@ def reference_residuals(view, coefficients, state, abs_tol, rel_tol):
     return PoolResiduals(feas, comp, stat, ok)
 
 
-def reference_run_pool(view, coefficients, share, cfg):
-    """Cold-started eager loop: residuals after every price update."""
+def reference_run_pool(view, coefficients, share, cfg, warm=None):
+    """Eager loop: residuals after every price update.
+
+    A warm state cleared at another share starts from its prices times
+    r**-1/2 and its bids times r**1/2, r the ratio of the shares, and may
+    stop no earlier than the first refresh boundary.
+    """
     if cfg.price_eta is not None:
         eta = cfg.price_eta
     else:
@@ -317,14 +322,21 @@ def reference_run_pool(view, coefficients, share, cfg):
         scale = float(open_caps.min()) if open_caps.size else 1.0
         eta = 0.01 * scale / max(1.0, float(view.incidence.sum(axis=1).max()))
     period = cfg.bid_refresh_period
-    bids = np.ones(view.n_lops)
-    crowd = view.incidence @ bids
-    prices = np.where(crowd > 0.0, crowd / np.maximum(view.capacity * share, 1e-300), 0.0)
+    if warm is None:
+        bids = np.ones(view.n_lops)
+        crowd = view.incidence @ bids
+        prices = np.where(crowd > 0.0, crowd / np.maximum(view.capacity * share, 1e-300), 0.0)
+        first_stop = 0
+    else:
+        ratio = share / warm.share
+        prices = warm.prices * ratio ** -0.5
+        bids = warm.bids * ratio ** 0.5
+        first_stop = period if ratio != 1.0 else 0
     freqs, mu = reference_allocate(view, prices, bids, share, cfg.overload_factor)
     st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
     iters = bid_updates = skipped = 0
     res = reference_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
-    while not (res.converged and iters % period == 0) and iters < cfg.max_iters:
+    while not (res.converged and iters % period == 0 and iters >= first_stop) and iters < cfg.max_iters:
         excess = view.incidence @ st.freqs - view.capacity * share
         st.prices = np.maximum(0.0, st.prices + eta * excess)
         iters += 1
@@ -340,13 +352,13 @@ def reference_run_pool(view, coefficients, share, cfg):
             st.bids = new_bids
             st.freqs, mu = reference_allocate(view, st.prices, st.bids, share, cfg.overload_factor)
         res = reference_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
-    converged = res.converged and iters % period == 0
+    converged = res.converged and iters % period == 0 and iters >= first_stop
     return st, iters, bid_updates, skipped, converged, res
 
 
-def assert_same_run(view, coefficients, share, cfg):
-    got = _run_pool(view, coefficients, share, None, cfg)
-    st, iters, bid_updates, skipped, converged, res = reference_run_pool(view, coefficients, share, cfg)
+def assert_same_run(view, coefficients, share, cfg, warm=None):
+    got = _run_pool(view, coefficients, share, warm, cfg)
+    st, iters, bid_updates, skipped, converged, res = reference_run_pool(view, coefficients, share, cfg, warm)
     assert (got.iterations, got.bid_updates, got.skipped_refreshes, got.converged) == (
         iters, bid_updates, skipped, converged
     )
@@ -369,6 +381,44 @@ def test_pool_loop_matches_eager_reference_on_grid():
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
     got = assert_same_run(view, table.coefficients_for(view), 0.5, instances.GRID_CFG.inner)
     assert got.converged and got.iterations > 100
+
+
+@pytest.mark.parametrize("scale", [0.9, 1.1])
+def test_warm_rescaled_loop_matches_eager_reference(scale):
+    """Warm runs at 0.9x and 1.1x the share their state cleared at, bit for bit."""
+    cases = [(instances.chain_instance(seed), lm.DynamicsConfig()) for seed in range(20)]
+    cases.append((instances.grid_instance(0, 2), instances.GRID_CFG.inner))
+    for (net, pools, table), cfg in cases:
+        for k in pools.pool_ids:
+            view = lm.compile_pool(net, pools, k)
+            coeffs = table.coefficients_for(view)
+            cleared = _run_pool(view, coeffs, 0.5, None, cfg)
+            assert cleared.converged
+            got = assert_same_run(view, coeffs, 0.5 * scale, cfg, warm=cleared.state)
+            assert got.converged and got.iterations >= cfg.bid_refresh_period
+            assert cleared.state.share == 0.5  # the warm state itself is untouched
+
+
+def test_moved_share_runs_to_a_refresh_boundary():
+    """A rescaled state is a prediction: even one that passes the residual check re-clears."""
+    net, pools, table = instances.two_lops_one_edge()
+    view = lm.compile_pool(net, pools, "k0")
+    coeffs = table.coefficients_for(view)
+    cfg = lm.DynamicsConfig()
+    cleared = _run_pool(view, coeffs, 0.5, None, cfg).state
+    assert _run_pool(view, coeffs, 0.5, cleared, cfg).iterations == 0
+
+    share = 0.5 * 1.001
+    ratio = share / cleared.share
+    rescaled = cleared.copy()
+    rescaled.prices *= ratio ** -0.5
+    rescaled.bids *= ratio ** 0.5
+    rescaled.freqs, _ = allocate(view, rescaled.prices, rescaled.bids, share)
+    rescaled.share = share
+    assert residuals_of(view, coeffs, rescaled, cfg.abs_tol, cfg.rel_tol).converged
+    moved = _run_pool(view, coeffs, share, cleared, cfg)
+    assert moved.converged
+    assert moved.iterations >= cfg.bid_refresh_period
 
 
 def test_budget_exit_off_a_refresh_boundary_reports_final_residuals():
@@ -459,21 +509,26 @@ def test_seams_run_once_per_use(monkeypatch):
             return _fn(*args)
         monkeypatch.setattr(single_pool, name, counted)
     runs = []
+    moved = []
 
     def run_pool(view, coefficients, share, warm, cfg):
         res = _run_pool(view, coefficients, share, warm, cfg)
         runs.append((view.n_lops, res.iterations))
+        moved.append(warm is not None and warm.share != share)
         return res
 
     monkeypatch.setattr(multi_pool, "_run_pool", run_pool)
     res = lm.run_mechanism(*instances.chain_instance(3))
     period = lm.DynamicsConfig().bid_refresh_period
     assert all(n_lops for n_lops, _ in runs)
+    # two cold runs, one split update, two warm runs rescaled to the new split
+    assert res.f_updates == 1 and moved == [False, False, True, True]
+    assert all(n >= period for (_, n), m in zip(runs, moved) if m)
     updates = sum(n for _, n in runs)
     assert updates == sum(res.price_updates.values())
     boundaries = sum(n // period for _, n in runs)
-    # one check before the first update of each run, one per boundary, one
-    # more on a budget exit off a boundary
+    # one check before the first update of each run, moved or not, one per
+    # boundary, one more on a budget exit off a boundary
     exits = sum(1 + (n % period != 0) for _, n in runs)
     assert calls["price_step"] == updates
     assert calls["refresh_bids"] == boundaries
