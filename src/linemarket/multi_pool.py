@@ -85,14 +85,14 @@ def costs_equal(costs: np.ndarray, eps_cost: float) -> bool:
     return spread / max(float(costs.mean()), _TINY) <= eps_cost
 
 
-def _floor_simplex(values: np.ndarray, floor: float, held: np.ndarray) -> np.ndarray:
-    """Project onto the simplex slice {sum = 1, held entries >= floor, others 0}."""
+def _floor_simplex(values: np.ndarray, floor: float) -> np.ndarray:
+    """Project onto the simplex slice {sum = 1, every entry >= floor}."""
     values = values / values.sum()
-    if floor <= 0.0 or np.all(values[held] >= floor):
+    if floor <= 0.0 or np.all(values >= floor):
         return values
-    excess = np.where(held, np.maximum(values - floor, 0.0), 0.0)
-    budget = 1.0 - floor * int(held.sum())
-    return np.where(held, floor + excess * (budget / max(excess.sum(), _TINY)), 0.0)
+    excess = np.maximum(values - floor, 0.0)
+    budget = 1.0 - floor * len(values)
+    return floor + excess * (budget / max(excess.sum(), _TINY))
 
 
 def update_proportions(
@@ -103,19 +103,18 @@ def update_proportions(
     """One proportional-response step of the capacity split.
 
     Each share is multiplied by (cost_k / mean cost)**2, then the split is
-    renormalized and every positive share is floored away from zero, so no
-    pool that holds capacity is starved outright; a zero share stays zero.
-    A pool's cost at share f is its cost at share 1 over sqrt(f), so fed
-    exactly cleared costs the step lands on the optimal split at once.
-    The warm states are rescaled to the new split by the pool runs, not
-    overwritten here.  A nonpositive mean cost makes the step undefined;
-    the split is returned unchanged.
+    renormalized and floored away from zero so no pool is ever starved
+    outright.  A pool's cost at share f is its cost at share 1 over
+    sqrt(f), so fed exactly cleared costs the step lands on the optimal
+    split at once.  The warm states are rescaled to the new split by the
+    pool runs, not overwritten here.  A nonpositive mean cost makes the
+    step undefined; the split is returned unchanged.
     """
     level = float(costs.mean())
     if not level > 0.0:
         return shares
     raw = shares.values * (costs / level) ** 2
-    return ProportionVector(shares.pool_ids, _floor_simplex(raw, floor, shares.values > 0.0))
+    return ProportionVector(shares.pool_ids, _floor_simplex(raw, floor))
 
 
 @dataclass(frozen=True)
@@ -191,6 +190,24 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView]) -> None:
             raise InputMismatchError(f"warm state of pool {k!r} has other edges or operators than the instance")
 
 
+def _live_split(shares: ProportionVector, live: np.ndarray) -> ProportionVector:
+    """Move the split onto the pools that can run, keeping their proportions.
+
+    A pool that can run but holds share zero, say one whose closed line has
+    reopened, rejoins at the mean share of the others (evenly if none holds
+    any), since the split update keeps a zero share at zero.  When no pool
+    can run the split is uniform, as in solve_full.
+    """
+    if not live.any():
+        return ProportionVector.uniform(shares.pool_ids)
+    if np.array_equal(shares.values > 0.0, live):
+        return shares
+    values = np.where(live, shares.values, 0.0)
+    kept = values > 0.0
+    values[live & ~kept] = values[kept].mean() if kept.any() else 1.0
+    return ProportionVector(shares.pool_ids, values / values.sum())
+
+
 def run_mechanism(
     net: Network,
     pools: PoolSystem,
@@ -203,53 +220,57 @@ def run_mechanism(
     Cold runs start from the uniform split with fresh pool markets; a warm
     OuterState resumes with its split, prices, and bids intact, each pool
     state rescaled if it cleared at another share.  Either way a pool none
-    of whose lines can run holds share zero, and the split restarts evenly
-    over the others when they are not the pools holding capacity.  A warm
-    state must
-    carry the instance's pools in order and, per pool, its edges and
-    operators in order, else InputMismatchError.  The result reports
+    of whose lines can run holds share zero (see _live_split for how the
+    split moves when that set changes).  A warm state must carry the
+    instance's pools in order and, per pool, its edges and operators in
+    order, else InputMismatchError.  The result reports
     convergence honestly: an exhausted budget or a stalled inner market
     yields converged=False plus diagnostics, never an exception.
     """
     cfg = cfg or MechanismConfig()
     utilities.validate_against(pools)
-    views: dict[str, PoolView] = {k: compile_pool(net, pools, k) for k in pools.pool_ids}
-    coeffs = {k: utilities.coefficients_for(views[k]) for k in pools.pool_ids}
+    pool_ids = tuple(pools.pool_ids)
+    views: dict[str, PoolView] = {k: compile_pool(net, pools, k) for k in pool_ids}
+    coeffs = {k: utilities.coefficients_for(views[k]) for k in pool_ids}
     capacity = net.capacity_vector()
 
     if warm is not None:
         _check_warm(warm, views)
         shares = warm.shares
-        states: dict[str, PoolMarketState | None] = {
-            k: warm.pool_states[k].copy() for k in pools.pool_ids
-        }
+        states: dict[str, PoolMarketState | None] = {k: warm.pool_states[k].copy() for k in pool_ids}
     else:
-        shares = ProportionVector.uniform(tuple(pools.pool_ids))
-        states = {k: None for k in pools.pool_ids}
+        shares = ProportionVector.uniform(pool_ids)
+        states = {k: None for k in pool_ids}
     # as in solve_full, a pool none of whose lines can run (it has none, or
-    # each crosses a closed edge) holds no capacity.  A zero share is a fixed
-    # point of the split update, so when the pools holding capacity are not
-    # the ones that can run, the split restarts evenly over the latter.
-    live = np.array([views[k].bottleneck.max(initial=0.0) > 0.0 for k in pools.pool_ids])
-    if live.any() and np.any((shares.values > 0.0) != live):
-        shares = ProportionVector(shares.pool_ids, live / live.sum())
+    # each crosses a closed edge) holds no capacity: it is pinned at share
+    # zero with an empty market, and the pool runs, the equal-cost test and
+    # the split update see only the others
+    live = np.array([views[k].bottleneck.max(initial=0.0) > 0.0 for k in pool_ids])
+    live_ids = tuple(k for k, on in zip(pool_ids, live) if on)
+    shares = _live_split(shares, live)
+    for k, on in zip(pool_ids, live):
+        if not on:
+            v = views[k]
+            states[k] = PoolMarketState(
+                k, v.edge_ids, v.lop_ids, np.zeros(v.n_edges), np.zeros(v.n_lops), np.zeros(v.n_lops), 0.0
+            )
 
     t0 = time.perf_counter()
     f_updates = 0
-    price_updates = {k: 0 for k in pools.pool_ids}
+    price_updates = {k: 0 for k in pool_ids}
     bid_updates = 0
     skipped = 0
     outer_trace: list[dict] = []
-    inner_traces: dict[str, list[dict]] = {k: [] for k in pools.pool_ids}
+    inner_traces: dict[str, list[dict]] = {k: [] for k in pool_ids}
     diagnostics = ""
     converged = False
-    pool_costs = {k: 0.0 for k in pools.pool_ids}
+    pool_costs = {k: 0.0 for k in pool_ids}
     level = 0.0
     outer = 0
 
     for outer in range(cfg.max_outer + 1):
         inner_ok = True
-        for k in pools.pool_ids:
+        for k in live_ids:
             res: SinglePoolResult = _run_pool(
                 views[k], coeffs[k], shares.share(k), states[k], cfg.inner
             )
@@ -268,11 +289,9 @@ def run_mechanism(
                     f"complementarity={res.residuals.max_complementarity:.3g}, "
                     f"stationarity={res.residuals.max_stationarity:.3g})"
                 )
-        pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pools.pool_ids}
-        cost_vec = np.array([pool_costs[k] for k in pools.pool_ids])
-        # only pools that hold capacity must agree on the cost level
-        held_costs = cost_vec[shares.values > 0.0]
-        level = float(held_costs.mean())
+        pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pool_ids}
+        cost_vec = np.array([pool_costs[k] for k in live_ids])
+        level = float(cost_vec.mean()) if live_ids else 0.0
         outer_trace.append(
             {
                 "outer_iter": outer,
@@ -284,7 +303,7 @@ def run_mechanism(
         )
         if not inner_ok:
             break
-        if costs_equal(held_costs, cfg.eps_cost):
+        if costs_equal(cost_vec, cfg.eps_cost):
             converged = True
             break
         if not level > 0.0:
@@ -293,10 +312,13 @@ def run_mechanism(
         if outer == cfg.max_outer:
             diagnostics = f"equal-cost test still failing after {cfg.max_outer} split updates"
             break
-        shares = update_proportions(shares, cost_vec, cfg.f_floor)
+        split = update_proportions(ProportionVector(live_ids, shares.values[live]), cost_vec, cfg.f_floor)
+        values = np.zeros(len(pool_ids))
+        values[live] = split.values
+        shares = ProportionVector(pool_ids, values)
         f_updates += 1
 
-    final_states = {k: states[k] for k in pools.pool_ids}
+    final_states = {k: states[k] for k in pool_ids}
     out = OuterState(
         shares=shares,
         pool_states=final_states,

@@ -91,11 +91,6 @@ class TestUpdateProportions:
             out = lm.update_proportions(start, a / np.sqrt(values), 1e-4)
             np.testing.assert_allclose(out.values, a**2 / np.sum(a**2), rtol=1e-12, err_msg=str(trial))
 
-    def test_zero_share_stays_outside_the_floor(self):
-        start = lm.ProportionVector(("k0", "k1", "k2"), np.array([0.0, 0.5, 0.5]))
-        out = lm.update_proportions(start, np.array([0.0, 8.0, 0.0]), 1e-4)
-        np.testing.assert_allclose(out.values, [0.0, 1.0 - 1e-4, 1e-4], atol=1e-12)
-
 
 def test_config_validation():
     with pytest.raises(ValueError):
@@ -278,6 +273,80 @@ def test_warm_restart_gives_a_reopened_pool_capacity_again():
     assert lm.mechanism_kkt(reopened, pools, table, res.state).max_scaled() <= 0.1
 
 
+def three_pool_instance():
+    """k0 and k1 run one line each over e1 (coefficients 2 and 3); k2's line also crosses e2.
+
+    With e2 closed k2 cannot run and solve_full splits {4/13, 9/13, 0}.
+    """
+    net = lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 0.0)])
+    pools = lm.PoolSystem(
+        ["k0", "k1", "k2"],
+        {
+            ("lop0", "k0"): lm.Line(("e1",)),
+            ("lop0", "k1"): lm.Line(("e1",)),
+            ("lop0", "k2"): lm.Line(("e1", "e2")),
+        },
+    )
+    table = lm.UtilityTable({("lop0", k): lm.UtilitySpec(a) for k, a in zip(pools.pool_ids, (2.0, 3.0, 2.0))})
+    return net, pools, table
+
+
+@pytest.mark.parametrize("f_floor", [1e-4, 0.0])
+def test_pool_that_cannot_run_leaves_the_split_update_to_the_others(f_floor):
+    """Two live pools of unequal cost beside one that cannot run: the split moves, stays finite and certifies."""
+    net, pools, table = three_pool_instance()
+    oracle = lm.solve_full(net, pools, table)
+    np.testing.assert_allclose(list(oracle.shares.values()), [4 / 13, 9 / 13, 0.0], atol=1e-9)
+    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(f_floor=f_floor))
+    assert res.converged
+    assert res.f_updates >= 1  # the unequal live pools force at least one split update
+    shares = res.state.shares.values
+    assert np.isfinite(shares).all() and shares.sum() == pytest.approx(1.0, abs=1e-12)
+    assert res.state.shares.share("k2") == 0.0
+    np.testing.assert_allclose(shares, list(oracle.shares.values()), atol=0.02)
+    assert res.price_updates["k2"] == 0
+    dead = res.state.pool_states["k2"]  # pinned with an empty market, never priced at 1e300
+    assert dead.share == 0.0 and not dead.prices.any() and not dead.freqs.any()
+    assert res.state.pool_costs["k2"] == 0.0
+    assert np.isfinite(res.objective)
+    assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
+
+
+def test_no_pool_can_run_gives_the_uniform_split():
+    """With every line closed nothing is priced or run, and the split is uniform as in solve_full."""
+    net, pools, table = instances.chain_instance(3)
+    closed = net.with_capacities({e.id: 0.0 for e in net.edges})
+    res = lm.run_mechanism(closed, pools, table)
+    assert res.converged and res.f_updates == 0
+    assert res.state.shares.as_dict() == lm.solve_full(closed, pools, table).shares == {"k0": 0.5, "k1": 0.5}
+    assert sum(res.price_updates.values()) == 0
+    assert all(not st.prices.any() for st in res.state.pool_states.values())
+
+
+def test_warm_restart_keeps_the_surviving_proportions():
+    """Losing or regaining a third pool rescales the other two shares together instead of resetting them."""
+    closed, pools, table = three_pool_instance()
+    reopened = closed.with_capacities({"e2": 4.0})
+    for before, after in ((reopened, closed), (closed, reopened)):
+        base = lm.run_mechanism(before, pools, table)
+        assert base.converged
+        res = lm.run_mechanism(after, pools, table, warm=base.state)
+        assert res.converged
+        old = base.state.shares.as_dict()
+        start = res.outer_trace[0]["shares"]
+        assert start["k0"] / start["k1"] == pytest.approx(old["k0"] / old["k1"], rel=1e-12)
+        assert sum(start.values()) == pytest.approx(1.0, abs=1e-12)
+        if after is closed:
+            assert start["k2"] == 0.0
+        else:  # k2 rejoins at the mean share of the pools that kept theirs
+            assert start["k2"] == pytest.approx((start["k0"] + start["k1"]) / 2, rel=1e-12)
+        cold = lm.run_mechanism(after, pools, table)
+        np.testing.assert_allclose(
+            res.state.shares.values, cold.state.shares.values, atol=0.02
+        )
+        assert lm.mechanism_kkt(after, pools, table, res.state).max_scaled() <= 0.1
+
+
 def test_zero_floor_rescales_without_warnings():
     """f_floor=0 lets shares reach zero; the rescale must stay finite and silent."""
     closed, pools, table = dead_pool_instances()[1]
@@ -287,6 +356,7 @@ def test_zero_floor_rescales_without_warnings():
         (reopened, pools, table, lm.run_mechanism(closed, pools, table).state),  # k1 from share 0
     ]
     runs += [(*case, None) for case in dead_pool_instances()]
+    runs.append((*three_pool_instance(), None))
     runs += [(*instances.chain_instance(seed), None) for seed in range(20)]
     cfg = lm.MechanismConfig(f_floor=0.0)
     for net, pools, table, warm in runs:
