@@ -327,10 +327,13 @@ class KKTReport:
     """Residuals of the clearing conditions, raw and scale-free.
 
     stationarity entries are None when no operator runs a positive
-    frequency (nothing to certify there).  Scaled values divide by the
-    natural magnitude of the condition: path price for stationarity, cost
-    level for the cost and complementarity rows, per-edge capacity for
-    overloads.
+    frequency and none could (nothing to certify there).  An operator that
+    runs nothing although its line has share-scaled capacity reads
+    stationarity_rel 1: its marginal value at zero is unbounded, so no path
+    price meets it; stationarity_raw covers running operators only.  Scaled
+    values divide by the natural magnitude of the condition: path price for
+    stationarity, cost level for the cost and complementarity rows,
+    per-edge capacity for overloads.
     """
 
     stationarity_raw: float | None
@@ -370,7 +373,8 @@ def kkt_report(
 ) -> KKTReport:
     """Certify a candidate clearing point against the optimality conditions.
 
-    Checks, per pool: marginal value equals path price on running lines,
+    Checks, per pool: marginal value equals path price on running lines
+    and no line that could run stands idle,
     priced edges run at share-scaled capacity, loads within capacity, and,
     for a pool with a positive share, network cost at pool prices equals
     the common cost level; plus the split summing to one with complementary
@@ -400,6 +404,8 @@ def kkt_report(
             gap = np.abs(utilities.coefficients_for(view)[run] / (2.0 * np.sqrt(x[run])) - mu)
             stat_raw = max(stat_raw or 0.0, float(gap.max()))
             stat_rel = max(stat_rel or 0.0, float((gap / np.maximum(mu, _TINY)).max()))
+        if (~run & (view.bottleneck * share > 0.0)).any():
+            stat_rel = max(stat_rel or 0.0, 1.0)
         slack = view.incidence @ x - view.capacity * share
         comp_raw = max(comp_raw, float(np.abs(lam * slack).max(initial=0.0)))
         over_raw = max(over_raw, float(slack.max(initial=0.0)))

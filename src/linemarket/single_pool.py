@@ -12,6 +12,12 @@ interact:
 The fixed point of the three rules clears the pool: priced edges run at
 capacity, unpriced edges have slack, and every allocation sits where the
 operator's marginal value meets her path price.
+
+A cold run opens at fair-share bids (cold_start): each operator bids what
+the smallest even split of capacity along its line is worth to it, and each
+edge prices the bids it carries over its share-scaled capacity.  That
+opening is the optimum on a lone edge and scales with the share as the
+optimum does, so the loop only corrects what the even split got wrong.
 """
 from __future__ import annotations
 
@@ -268,18 +274,29 @@ def pool_residuals(
     return PoolResiduals(feas, comp, stat, ok)
 
 
-def cold_start(view: PoolView, share: float, overload_factor: float = _OVERLOAD) -> PoolMarketState:
-    """Neutral initial state: unit bids, proportional-share prices.
+def cold_start(
+    view: PoolView, coefficients: np.ndarray, share: float, overload_factor: float = _OVERLOAD
+) -> PoolMarketState:
+    """Fair-share opening state: each operator bids what its even split is worth.
 
-    Every operator opens with a bid of one; each edge opens at the price
-    that would exactly ration unit bids through its share-scaled capacity.
+    An operator's fair share is the smallest even split of share-scaled
+    capacity along its line, min over its edges of supply / lines crossing.
+    It opens at the bid (a/2)*sqrt(fair share), at which its marginal value
+    meets the path price that allocates it exactly that share; each edge
+    opens at the price that rations the bids it carries through its
+    share-scaled capacity.  On one edge with one operator this is the
+    optimum, and the state is 1/2-homogeneous in the share as the optimum
+    is: bids scale by sqrt(share), prices by 1/sqrt(share).  A line through
+    a closed edge opens at bid zero, so a closed edge carries no price.
     The opening frequencies are allocated at those prices under
     overload_factor.
     """
-    bids = np.ones(view.n_lops)
     supply = view.capacity * share
-    crowd = view.incidence @ bids
-    prices = np.where(crowd > 0.0, crowd / np.maximum(supply, 1e-300), 0.0)
+    fair = supply / np.maximum(view.lines_per_edge(), 1.0)
+    fair_share = np.where(view.incidence > 0.0, fair[:, None], np.inf).min(axis=0)
+    bids = 0.5 * coefficients * np.sqrt(fair_share)
+    mass = view.incidence @ bids
+    prices = np.divide(mass, supply, out=np.zeros(view.n_edges), where=mass > 0.0)
     ceil = view.bottleneck * share
     offers, free = _bid_terms(bids, ceil)
     freqs = allocate_frequencies(view.incidence.T @ prices, offers, free, _cap(ceil, overload_factor))
@@ -319,9 +336,15 @@ def _run_pool(
     supply = view.capacity * share
     ceil = view.bottleneck * share
     cap = _cap(ceil, cfg.overload_factor)
-    # a state cleared at share zero holds nothing to rescale
-    cold = warm is None or not warm.share > 0.0
-    state = cold_start(view, share, cfg.overload_factor) if cold else warm.copy()
+    # a state cleared at share zero holds nothing to rescale, and a line
+    # that can run but holds no bid would never bid again: its path may
+    # stay unpriced, and an idle line passes the residual check
+    cold = (
+        warm is None
+        or not warm.share > 0.0
+        or bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any())
+    )
+    state = cold_start(view, coefficients, share, cfg.overload_factor) if cold else warm.copy()
     # a pool's optimum at share f is its share-1 optimum with prices scaled
     # by f**-1/2 and bids by f**1/2, so a warm state cleared at another share
     # is rescaled to it; the allocation below then scales the frequencies.

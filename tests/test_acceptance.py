@@ -187,9 +187,9 @@ def test_asymmetric_split(ratio_runs):
 
 @criterion(5, "fixed-bid price dynamics descend, 10x distance drop in 1000 steps")
 def test_price_descent_with_frozen_bids():
-    net, pools, _ = instances.grid_instance(0, 1)
+    net, pools, table = instances.grid_instance(0, 1)
     view = lm.compile_pool(net, pools, "pool0")
-    start = lm.cold_start(view, 1.0)
+    start = lm.cold_start(view, table.coefficients_for(view), 1.0)
     bids = np.ones(view.n_lops)
     target = lm.solve_fixed_bids(view, bids, 1.0)
     eta = 1e-3

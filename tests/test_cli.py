@@ -16,10 +16,13 @@ import instances
 
 
 def write_single_edge_scenario(tmp_path, **extra):
-    net, pools, table = instances.single_edge()
+    return write_instance_scenario(tmp_path, "single", *instances.single_edge(), **extra)
+
+
+def write_instance_scenario(tmp_path, name, net, pools, table, **extra):
     dump_network_file(net, pools, tmp_path / "net.json")
     scn = {
-        "name": "single",
+        "name": name,
         "network_file": "net.json",
         "utilities": table.to_json(),
         "seeds": [0],
@@ -163,7 +166,8 @@ def test_recover_command_both_modes(tmp_path, monkeypatch):
 
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    scn = write_single_edge_scenario(tmp_path)
+    # chain 8's pools clear at share 0.5 in 60 and 20 updates, so 3 run out
+    scn = write_instance_scenario(tmp_path, "chain8", *instances.chain_instance(8))
     assert run_cli(["solve", "--scenario", str(scn), "--out", "out", "--max-inner", "3"]) == 1
     row = read_records(tmp_path / "out" / "records.csv")[0]
     assert row["status"] == "nonconverged"

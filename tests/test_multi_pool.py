@@ -140,9 +140,9 @@ def test_objective_is_sum_of_valuations():
 
 
 def test_outer_budget_exhaustion_reports_diagnostics():
-    # the ratio-0.25 instance needs two split updates, so a budget of one runs out
-    net, pools, table = instances.shared_edge_two_pools(0.25)
-    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(max_outer=1))
+    # at eps_cost 0.005 chain 8 needs two split updates, so a budget of one runs out
+    net, pools, table = instances.chain_instance(8)
+    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(eps_cost=0.005, max_outer=1))
     assert not res.converged
     assert res.diagnostics != ""
     assert res.f_updates == 1
@@ -213,6 +213,26 @@ def test_closed_edge_keeps_the_default_price_step():
     assert res.converged
     assert sum(res.price_updates.values()) < 5_000
     assert lm.mechanism_kkt(closed, pools, table, res.state).max_scaled() <= 0.1
+
+
+def test_closed_edge_reopens_to_the_optimum():
+    """A closed edge opens unpriced, so a warm restart after it reopens clears.
+
+    Pricing it at crowd / 1e-300 left a price the restart could never bring
+    down; a line that kept no bid would stay idle and pass the pool's check.
+    """
+    net, pools, table = instances.chain_instance(3)
+    closed = net.with_capacities({"e5": 0.0})
+    first = lm.run_mechanism(closed, pools, table)
+    assert first.converged
+    for st in first.state.pool_states.values():
+        assert st.price_map()["e5"] == 0.0
+    res = lm.run_mechanism(net, pools, table, warm=first.state)
+    assert res.converged
+    assert sum(res.price_updates.values()) < 1_000
+    assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
+    sol = lm.solve_full(net, pools, table)
+    assert abs(res.objective - sol.objective) / sol.objective <= 0.02
 
 
 def dead_pool_instances():

@@ -112,11 +112,24 @@ def test_kkt_sees_price_perturbation():
 
 
 def test_kkt_zero_candidate():
+    """An idle operator whose line has capacity is not a clearing point."""
     net, pools, table = instances.single_edge()
     report = lm.kkt_report(net, pools, table, {("lop0", "k0"): 0.0}, {"k0": 1.0}, {}, 0.0)
     assert report.stationarity_raw is None
+    assert report.stationarity_rel == 1.0
     assert report.overload_raw == 0.0
     assert report.complementarity_raw == 0.0
+    assert report.max_scaled() == 1.0
+
+
+def test_kkt_idle_operator_without_capacity_certifies():
+    """x=0 is the answer on a closed line or at share zero: nothing to flag there."""
+    net, pools, table = instances.single_edge()
+    report = lm.kkt_report(net, pools, table, {}, {"k0": 0.0}, {}, 0.0)
+    assert report.stationarity_rel is None
+    closed = net.with_capacities({"e1": 0.0})
+    report = lm.kkt_report(closed, pools, table, {}, {"k0": 1.0}, {}, 0.0)
+    assert report.stationarity_rel is None
     assert report.max_scaled() == 0.0
 
 

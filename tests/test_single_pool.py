@@ -146,9 +146,10 @@ def test_two_identical_operators_split_evenly():
 
 
 def test_nonconvergence_is_reported_not_raised():
-    net, pools, table = instances.single_edge()
+    # chain 8's pool k1 clears at share 0.5 in 20 updates, so 3 run out
+    net, pools, table = instances.chain_instance(8)
     cfg = lm.DynamicsConfig(max_iters=3)
-    res = lm.run_single_pool(net, pools, "k0", table, 1.0, cfg=cfg)
+    res = lm.run_single_pool(net, pools, "k1", table, 0.5, cfg=cfg)
     assert not res.converged
     assert res.iterations == 3
     assert res.residuals is not None
@@ -193,26 +194,81 @@ def test_all_closed_edges_give_a_positive_step():
 
 
 def test_overload_below_one_is_rejected():
-    net, pools, _ = instances.two_lops_one_edge()
+    net, pools, table = instances.two_lops_one_edge()
     view = lm.compile_pool(net, pools, "k0")
     with pytest.raises(ValueError, match="overload_factor"):
-        lm.cold_start(view, 1.0, 0.9)
+        lm.cold_start(view, table.coefficients_for(view), 1.0, 0.9)
     with pytest.raises(ValueError, match="overload_factor"):
         lm.run_price_dynamics(view, np.zeros(1), np.ones(2), 1.0, 0.05, 3, overload_factor=0.9)
 
-def test_cold_start_rations_unit_bids():
-    net, pools, _ = instances.two_lops_one_edge()
-    view = lm.compile_pool(net, pools, "k0")
-    state = lm.cold_start(view, 1.0)
-    np.testing.assert_allclose(state.bids, [1.0, 1.0])
-    np.testing.assert_allclose(state.prices, [0.5])  # two unit bids over capacity 4
-    np.testing.assert_allclose(state.freqs, [2.0, 2.0])
+
+def _two_edge_pool(e3_capacity=None):
+    """lop0 (a=2) on e1, e2 and lop1 (a=3) on e2, capacities 4 and 8.
+
+    With e3_capacity, lop2 (a=1) runs on e3 alone and e3 has that capacity.
+    """
+    edges = [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 8.0)]
+    lines = {("lop0", "k0"): lm.Line(("e1", "e2")), ("lop1", "k0"): lm.Line(("e2",))}
+    coeffs = [2.0, 3.0]
+    if e3_capacity is not None:
+        edges.append(lm.Edge("e3", "w", "z", e3_capacity))
+        lines[("lop2", "k0")] = lm.Line(("e3",))
+        coeffs.append(1.0)
+    net = lm.Network(["u", "v", "w", "z"], edges)
+    return lm.compile_pool(net, lm.PoolSystem(["k0"], lines), "k0"), np.array(coeffs)
+
+
+def test_cold_start_bids_at_fair_shares():
+    """Each operator bids (a/2)*sqrt(fair share); each edge rations the bids it carries."""
+    view, coeffs = _two_edge_pool()
+    # fair shares: e1 4/1, e2 8/2, so both lines get 4 and bid a
+    state = lm.cold_start(view, coeffs, 1.0)
+    np.testing.assert_array_equal(state.bids, [2.0, 3.0])
+    np.testing.assert_array_equal(state.prices, [0.5, 0.625])  # 2/4 and (2+3)/8
+    np.testing.assert_allclose(state.freqs, [2.0 / 1.125, 3.0 / 0.625], rtol=1e-15)
+    # at share 1/4 both fair shares are 1: bids halve, prices double
+    state = lm.cold_start(view, coeffs, 0.25)
+    np.testing.assert_array_equal(state.bids, [1.0, 1.5])
+    np.testing.assert_array_equal(state.prices, [1.0, 1.25])
+    np.testing.assert_allclose(state.freqs, [1.0 / 2.25, 1.5 / 1.25], rtol=1e-15)
+
+
+def test_closed_edge_opens_unpriced():
+    view, coeffs = _two_edge_pool(e3_capacity=0.0)
+    state = lm.cold_start(view, coeffs, 0.5)
+    assert state.bids[2] == 0.0 and state.prices[2] == 0.0 and state.freqs[2] == 0.0
+    np.testing.assert_array_equal(state.bids[:2], [2.0 * 0.5 ** 0.5, 3.0 * 0.5 ** 0.5])
+
+
+@pytest.mark.parametrize("share", [0.1, 0.3, 0.5, 0.7, 0.9])
+def test_cold_start_is_half_homogeneous_in_the_share(share):
+    """As the optimum: prices scale by share**-1/2, bids by share**1/2, frequencies by share."""
+    for seed in range(20):
+        net, pools, table = instances.chain_instance(seed)
+        for k in pools.pool_ids:
+            view = lm.compile_pool(net, pools, k)
+            coeffs = table.coefficients_for(view)
+            full = lm.cold_start(view, coeffs, 1.0)
+            part = lm.cold_start(view, coeffs, share)
+            np.testing.assert_allclose(part.prices, full.prices * share ** -0.5, rtol=1e-14)
+            np.testing.assert_allclose(part.bids, full.bids * share ** 0.5, rtol=1e-14)
+            np.testing.assert_allclose(part.freqs, full.freqs * share, rtol=1e-14)
+
+
+def test_one_edge_one_operator_opens_at_the_optimum():
+    """c=4, a=2: the opening state is x=4, price 0.5, bid 2, so no update runs."""
+    net, pools, table = instances.single_edge()
+    res = lm.run_single_pool(net, pools, "k0", table, 1.0)
+    assert res.converged and res.iterations == 0
+    assert (res.state.freqs[0], res.state.prices[0], res.state.bids[0]) == (4.0, 0.5, 2.0)
+    assert res.residuals.max_stationarity == 0.0
 
 
 def test_trace_sampling():
-    net, pools, table = instances.single_edge()
+    # chain 7's pool k0 takes 400 updates at share 0.5
+    net, pools, table = instances.chain_instance(7)
     cfg = lm.DynamicsConfig(trace_stride=50)
-    res = lm.run_single_pool(net, pools, "k0", table, 1.0, cfg=cfg)
+    res = lm.run_single_pool(net, pools, "k0", table, 0.5, cfg=cfg)
     assert res.trace, "stride > 0 must produce rows"
     for row in res.trace:
         assert row["iter"] % 50 == 0
@@ -261,9 +317,9 @@ class TestStateJson:
 
     @pytest.mark.parametrize("key, missing", [("prices", "e1"), ("bids", "lop1"), ("freqs", "lop0")])
     def test_missing_id_is_named(self, key, missing):
-        net, pools, _ = instances.two_lops_one_edge()
+        net, pools, table = instances.two_lops_one_edge()
         view = lm.compile_pool(net, pools, "k0")
-        doc = lm.cold_start(view, 1.0).to_json()
+        doc = lm.cold_start(view, table.coefficients_for(view), 1.0).to_json()
         del doc[key][missing]
         with pytest.raises(lm.InputMismatchError, match=missing):
             lm.PoolMarketState.from_json(doc, view)
@@ -323,9 +379,12 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         eta = 0.01 * scale / max(1.0, float(view.incidence.sum(axis=1).max()))
     period = cfg.bid_refresh_period
     if warm is None:
-        bids = np.ones(view.n_lops)
-        crowd = view.incidence @ bids
-        prices = np.where(crowd > 0.0, crowd / np.maximum(view.capacity * share, 1e-300), 0.0)
+        supply = view.capacity * share
+        crowd = view.incidence.sum(axis=1)
+        fair_share = np.array([(supply[idx] / crowd[idx]).min() for idx in view.line_edge_idx])
+        bids = coefficients / 2.0 * np.sqrt(fair_share)
+        mass = view.incidence @ bids
+        prices = np.where(mass > 0.0, mass / np.where(mass > 0.0, supply, 1.0), 0.0)
         first_stop = 0
     else:
         ratio = share / warm.share
@@ -419,6 +478,20 @@ def test_moved_share_runs_to_a_refresh_boundary():
     moved = _run_pool(view, coeffs, share, cleared, cfg)
     assert moved.converged
     assert moved.iterations >= cfg.bid_refresh_period
+
+
+def test_warm_state_with_a_silent_line_cold_starts_the_pool():
+    """A line that can run but holds no bid makes its pool start afresh."""
+    net, pools, table = instances.chain_instance(3)
+    view = lm.compile_pool(net, pools, "k0")
+    coeffs = table.coefficients_for(view)
+    cfg = lm.DynamicsConfig()
+    cleared = _run_pool(view, coeffs, 0.5, None, cfg)
+    silent = cleared.state.copy()
+    silent.bids[0] = 0.0
+    got = _run_pool(view, coeffs, 0.5, silent, cfg)
+    assert got.iterations == cleared.iterations
+    assert got.state.bids.tobytes() == cleared.state.bids.tobytes()
 
 
 def test_budget_exit_off_a_refresh_boundary_reports_final_residuals():
