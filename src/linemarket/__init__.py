@@ -25,7 +25,6 @@ from .utility import (
     UtilitySpec,
     UtilityTable,
     best_response_bid,
-    marginal_utility,
     utility,
 )
 from .single_pool import (
@@ -38,7 +37,6 @@ from .single_pool import (
     price_step,
     refresh_bids,
     run_price_dynamics,
-    run_single_pool,
 )
 from .multi_pool import (
     MechanismConfig,
@@ -51,13 +49,11 @@ from .multi_pool import (
     update_proportions,
 )
 from .oracle import (
-    FixedShareSolution,
     KKTReport,
     OracleSolution,
     kkt_report,
     mechanism_kkt,
     solve_fixed_bids,
-    solve_fixed_f,
     solve_full,
 )
 from .scenarios import (
@@ -68,7 +64,6 @@ from .scenarios import (
     apply_disruption,
     congested_edges,
     generate_grid,
-    perturb_pool,
     pool_scaled_utilities,
     run_recovery_experiment,
     uniform_utilities,

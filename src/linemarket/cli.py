@@ -23,6 +23,7 @@ from .multi_pool import MechanismConfig, MechanismResult, run_mechanism
 from .network import (
     Network,
     PoolSystem,
+    compile_pool,
     dump_network_file,
     load_network_file,
     validate_network,
@@ -32,6 +33,7 @@ from .scenarios import (
     DisruptionSpec,
     ExperimentRecord,
     GridSpec,
+    _record,
     child_seed,
     generate_grid,
     pool_scaled_utilities,
@@ -142,6 +144,9 @@ def _build_instance(
         net, pools = generate_grid(_grid_spec(scn["grid"], seed))
     else:
         net, pools = load_network_file(base / scn["network_file"])
+        # the same checks every engine makes, so generate rejects what solve does
+        for k in pools.pool_ids:
+            compile_pool(net, pools, k)
         problems = validate_network(net, pools)
         if problems:
             listing = "; ".join(str(v) for v in problems[:8])
@@ -191,7 +196,6 @@ _INNER_KEYS = {
     "abs_tol": ("abs_tol", float),
     "rel_tol": ("rel_tol", float),
     "max_inner": ("max_iters", int),
-    "overload_factor": ("overload_factor", float),
     "trace_stride": ("trace_stride", int),
 }
 _OUTER_KEYS = {
@@ -342,16 +346,7 @@ def _cmd_solve(cfg: RunConfig) -> int:
             lop_ids = res.state.pool_states[k].lop_ids
             _write_inner_trace(cfg.out_dir / f"inner_trace_seed{seed}_{k}.csv", rows, lop_ids)
         name = cfg.scenario.get("name", "run")
-        record = ExperimentRecord(
-            instance=f"{name}-s{seed}",
-            mode="cold",
-            f_updates=res.f_updates,
-            price_updates=dict(res.price_updates),
-            bid_updates=res.bid_updates,
-            wall_time=res.wall_time,
-            max_kkt=max_kkt,
-            status="converged" if res.converged else "nonconverged",
-        )
+        record = _record(f"{name}-s{seed}", "cold", res, max_kkt)
         with (cfg.out_dir / "records.csv").open("a", newline="", encoding="utf-8") as fh:
             emit_record(record, fh, timing=cfg.timing)
         print(_summary(seed, res, max_kkt))

@@ -9,7 +9,6 @@ compile them into dense per-pool views.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -57,7 +56,8 @@ class Network:
         self.edges = tuple(edges)
         self._by_id: dict[str, Edge] = {}
         for e in self.edges:
-            # first occurrence wins; duplicates are reported by validate_network
+            # first occurrence wins for lookups; compile_pool, which every
+            # engine reads an instance through, rejects repeated ids
             self._by_id.setdefault(e.id, e)
 
     @property
@@ -147,42 +147,28 @@ class Violation:
 
 
 def validate_network(net: Network, pools: PoolSystem) -> list[Violation]:
-    """Check structural invariants; returns an empty list when sound.
+    """Structural checks compile_pool cannot make; returns [] when sound.
 
-    Flags duplicate edge ids, dangling endpoints, nonpositive or infinite
-    capacities, lines that are empty, reference unknown edges, repeat an
-    edge, or fail to chain head-to-tail, and lines filed under unknown pools.
+    compile_pool is the one place that decides whether a capacity, an edge
+    id or a line is legal, and it raises on the first defect.  What it never
+    reads is checked here instead, all at once: edge endpoints that are not
+    nodes, consecutive line edges that do not chain head to tail, and lines
+    filed under a pool the system does not list.  A line edge this network
+    lacks is compile_pool's to report, so it is skipped here.
     """
     out: list[Violation] = []
-    seen: set[str] = set()
     for e in net.edges:
-        if e.id in seen:
-            out.append(Violation("duplicate-edge", e.id))
-        seen.add(e.id)
         for node in (e.tail, e.head):
             if node not in net.nodes:
                 out.append(Violation("unknown-node", node, f"edge {e.id}"))
-        if not e.capacity > 0:
-            out.append(Violation("nonpositive-capacity", e.id, f"capacity={e.capacity}"))
-        elif e.capacity == math.inf:
-            out.append(Violation("infinite-capacity", e.id))
 
     known_pools = set(pools.pool_ids)
     for (lop, k), line in sorted(pools.lines.items()):
         where = f"line ({lop}, {k})"
         if k not in known_pools:
             out.append(Violation("unknown-pool", k, where))
-        if len(line) == 0:
-            out.append(Violation("empty-line", where))
-            continue
-        missing = [eid for eid in line.edge_ids if not net.has_edge(eid)]
-        if missing:
-            out.append(Violation("unknown-edge", ",".join(missing), where))
-            continue
-        if len(set(line.edge_ids)) != len(line.edge_ids):
-            out.append(Violation("repeated-edge", where))
         for a, b in zip(line.edge_ids, line.edge_ids[1:]):
-            if net.edge(a).head != net.edge(b).tail:
+            if net.has_edge(a) and net.has_edge(b) and net.edge(a).head != net.edge(b).tail:
                 out.append(Violation("broken-path", where, f"{a} !-> {b}"))
     return out
 
@@ -205,7 +191,6 @@ class PoolView:
     capacity: np.ndarray
     lop_ids: tuple[str, ...]
     incidence: np.ndarray
-    line_edge_idx: tuple[np.ndarray, ...]
     bottleneck: np.ndarray
 
     @property
@@ -224,10 +209,13 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
     """Build the dense incidence view of one pool.
 
     The engines, the reference solver and the certifier all read an
-    instance through this view.  An empty line is rejected, and so is a
-    line that repeats an edge, which the 0/1 incidence cannot represent.  A
-    negative, NaN or infinite capacity is rejected too; zero stays legal,
-    since it closes an edge.
+    instance through this view, so this is the one place that decides what
+    is legal, raising InputMismatchError otherwise.  Edge ids must be
+    unique, or a line's edge would be ambiguous.  A capacity must be finite
+    and nonnegative; zero is legal and closes the edge.  A line must be
+    nonempty, use known edges only, and not repeat an edge, which the 0/1
+    incidence cannot represent.  validate_network adds the structural
+    checks this view never reads.
     """
     if pool_id not in pools.pool_ids:
         raise InputMismatchError(f"unknown pool {pool_id!r}")
@@ -238,6 +226,9 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
         raise InputMismatchError(f"edges {bad} have a negative or non-finite capacity")
     edge_ids = net.edge_ids
     pos = {eid: i for i, eid in enumerate(edge_ids)}
+    if len(pos) != len(edge_ids):
+        repeated = sorted({eid for eid in edge_ids if edge_ids.count(eid) > 1})
+        raise InputMismatchError(f"edge ids {repeated} are not unique")
     lops = pools.lops_in(pool_id)
     inc = np.zeros((len(edge_ids), len(lops)))
     idx_per_lop = []
@@ -257,7 +248,6 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
         capacity=capacity,
         lop_ids=lops,
         incidence=inc,
-        line_edge_idx=tuple(idx_per_lop),
         bottleneck=np.array([capacity[idx].min() for idx in idx_per_lop], dtype=float),
     )
 

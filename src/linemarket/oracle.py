@@ -1,13 +1,14 @@
 """Centralized reference solver and optimality certification.
 
 The market mechanism is decentralized; this module solves the same
-allocation problem directly so tests can compare the two.  For a fixed
-capacity split the problem decomposes per pool into a concave program whose
-explicit convex dual over edge prices is minimized by a projected,
-Levenberg-damped Newton method (see _clearing_prices).  The full problem
-needs no search over the capacity split: square-root valuations make each
-pool's value sqrt(share) times its value at share 1, so one solve per pool
-gives the optimal split in closed form (see solve_full).
+allocation problem directly so tests can compare the two.  There is one
+solve path: each pool is solved once, at share 1, by minimizing the explicit
+convex dual of its concave program over edge prices with a projected,
+Levenberg-damped Newton method (see _clearing_prices).  Square-root
+valuations make a pool's optimum at share f its share-1 optimum with
+frequencies scaled by f and prices by f**-1/2, so its value is sqrt(f) times
+its value at share 1 and the optimal split follows in closed form (see
+solve_full).  kkt_report certifies a candidate point from either solver.
 """
 from __future__ import annotations
 
@@ -18,14 +19,12 @@ import numpy as np
 
 from .network import Network, PoolSystem, PoolView, compile_pool
 from .multi_pool import OuterState
-from .utility import UtilityTable, utility
+from .utility import UtilityTable
 
 __all__ = [
     "KKTReport",
     "kkt_report",
     "mechanism_kkt",
-    "FixedShareSolution",
-    "solve_fixed_f",
     "solve_fixed_bids",
     "OracleSolution",
     "solve_full",
@@ -239,72 +238,15 @@ def _clearing_prices(
     return _PoolSolve(out, x, converged, iters)
 
 # ---------------------------------------------------------------------------
-# Fixed-split solves.
+# Pool solves.
 
-@dataclass
-class FixedShareSolution:
-    """Optimal pool markets at a frozen capacity split."""
+def _solve_one_pool(view: PoolView, coefficients: np.ndarray) -> _PoolSolve:
+    """One pool's optimum at share 1, the only share the oracle solves at.
 
-    shares: dict[str, float]
-    frequencies: dict[tuple[str, str], float]
-    prices: dict[tuple[str, str], float]
-    pool_costs: dict[str, float]
-    objective: float
-    converged: bool
-
-
-def _solve_one_pool(
-    view: PoolView,
-    coefficients: np.ndarray,
-    share: float,
-) -> _PoolSolve:
-    demand = _SqrtDemand(coefficients)
-    return _clearing_prices(view.incidence, view.capacity * share, demand)
-
-
-def solve_fixed_f(
-    net: Network,
-    pools: PoolSystem,
-    utilities: UtilityTable,
-    shares: Mapping[str, float],
-) -> FixedShareSolution:
-    """Reference optimum for a frozen capacity split.
-
-    Every pool with a positive share is solved independently; shares must be
-    positive and sum to at most one.
+    solve_full reaches every other share by 1/2-homogeneity: frequencies
+    scale by the share, prices by its inverse square root.
     """
-    utilities.validate_against(pools)
-    share_vec = np.array([float(shares[k]) for k in pools.pool_ids])
-    if np.any(share_vec <= 0.0):
-        raise ValueError("every pool share must be positive")
-    if float(share_vec.sum()) > 1.0 + 1e-9:
-        raise ValueError(f"shares sum to {share_vec.sum()}, above 1")
-
-    freqs: dict[tuple[str, str], float] = {}
-    prices: dict[tuple[str, str], float] = {}
-    costs: dict[str, float] = {}
-    objective = 0.0
-    ok = True
-    for k, share in zip(pools.pool_ids, share_vec):
-        view = compile_pool(net, pools, k)
-        coeffs = utilities.coefficients_for(view)
-        sol = _solve_one_pool(view, coeffs, share)
-        ok = ok and sol.converged
-        for lop, x in zip(view.lop_ids, sol.freqs):
-            freqs[(lop, k)] = float(x)
-            objective += utility(utilities.spec(lop, k), max(0.0, float(x)))
-        for eid, lam in zip(view.edge_ids, sol.prices):
-            if lam != 0.0:
-                prices[(eid, k)] = float(lam)
-        costs[k] = float(view.capacity @ sol.prices)
-    return FixedShareSolution(
-        shares={k: float(s) for k, s in zip(pools.pool_ids, share_vec)},
-        frequencies=freqs,
-        prices=prices,
-        pool_costs=costs,
-        objective=objective,
-        converged=ok,
-    )
+    return _clearing_prices(view.incidence, view.capacity, _SqrtDemand(coefficients))
 
 
 def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarray:
@@ -484,7 +426,7 @@ def solve_full(
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
     coeffs = [utilities.coefficients_for(view) for view in views]
-    sols = [_solve_one_pool(view, a, 1.0) for view, a in zip(views, coeffs)]
+    sols = [_solve_one_pool(view, a) for view, a in zip(views, coeffs)]
     values = np.array([float(a @ np.sqrt(np.maximum(sol.freqs, 0.0))) for a, sol in zip(coeffs, sols)])
     weights = values ** 2
     total = float(weights.sum())

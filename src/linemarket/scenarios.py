@@ -23,7 +23,6 @@ from .utility import UtilitySpec, UtilityTable
 __all__ = [
     "GridSpec",
     "generate_grid",
-    "perturb_pool",
     "uniform_utilities",
     "pool_scaled_utilities",
     "DisruptionSpec",
@@ -138,37 +137,6 @@ def generate_grid(spec: GridSpec) -> tuple[Network, PoolSystem]:
         for lop in lop_ids:
             lines[(lop, k)] = _monotone_path(spec, rng)
     return Network(nodes, edges), PoolSystem(pool_ids, lines)
-
-
-def perturb_pool(
-    spec: GridSpec, pools: PoolSystem, fraction: float, seed: int
-) -> PoolSystem:
-    """Resample a fraction of all lines with fresh paths from the same family.
-
-    ceil(fraction * number of lines) lines are chosen without replacement
-    and each is replaced by a different random line (resampling until the
-    replacement actually differs).
-    """
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError(f"fraction must lie in [0, 1], got {fraction}")
-    keys = sorted(pools.lines)
-    count = int(np.ceil(fraction * len(keys)))
-    if count == 0:
-        return PoolSystem(pools.pool_ids, pools.lines)
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(len(keys), size=count, replace=False)
-    lines = dict(pools.lines)
-    for i in sorted(int(j) for j in chosen):
-        key = keys[i]
-        old = lines[key]
-        for _ in range(10_000):
-            fresh = _monotone_path(spec, rng)
-            if fresh.edge_ids != old.edge_ids:
-                lines[key] = fresh
-                break
-        else:
-            raise ValueError("could not draw a distinct replacement line")
-    return PoolSystem(pools.pool_ids, lines)
 
 
 # ---------------------------------------------------------------------------

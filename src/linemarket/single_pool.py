@@ -26,8 +26,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
-from .utility import UtilityTable, best_response_bids
+from .network import InputMismatchError, PoolView
+from .utility import best_response_bids
 
 __all__ = [
     "DynamicsConfig",
@@ -39,12 +39,14 @@ __all__ = [
     "allocate_frequencies",
     "refresh_bids",
     "pool_residuals",
-    "run_single_pool",
     "run_price_dynamics",
 ]
 
-# Allocations are truncated at this multiple of the line's physical ceiling
-# while prices are still far from equilibrium; see DynamicsConfig.
+# Allocations at a positive path price are truncated at this multiple of the
+# line's physical ceiling.  Any factor above one keeps the excess signal
+# alive while prices catch up, without letting loads blow up when bids and
+# prices are still orders of magnitude apart; below one it would cut an
+# unpriced bidder below its ceiling.
 _OVERLOAD = 1.25
 
 
@@ -53,11 +55,10 @@ class DynamicsConfig:
     """Tuning knobs for the in-pool dynamics.
 
     price_eta of None means the capacity-scaled default: one percent of the
-    smallest edge capacity divided by the largest number of lines sharing an
-    edge.  overload_factor bounds how far past its physical ceiling a line
-    may be provisionally allocated while prices catch up; any factor > 1
-    keeps the excess signal alive without letting loads blow up when bids
-    and prices are still orders of magnitude apart.
+    smallest open edge capacity divided by the largest number of lines
+    sharing an edge.  Every field sets the loop (step, refresh period, stop
+    test, budget, trace sampling), none the instance: what is legal input
+    is decided once, by compile_pool, before any pool runs.
     """
 
     price_eta: float | None = None
@@ -65,7 +66,6 @@ class DynamicsConfig:
     abs_tol: float = 0.1
     rel_tol: float = 0.1
     max_iters: int = 50_000
-    overload_factor: float = _OVERLOAD
     trace_stride: int = 0
 
     def __post_init__(self) -> None:
@@ -77,8 +77,6 @@ class DynamicsConfig:
             raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if not self.overload_factor >= 1.0:
-            raise ValueError("overload_factor must be at least 1")
 
 
 def default_price_eta(view: PoolView) -> float:
@@ -181,16 +179,6 @@ def _bid_terms(bids: np.ndarray, ceil: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.where(bidding, bids, 0.0), np.where(bidding, ceil, 0.0)
 
 
-def _cap(ceil: np.ndarray, overload_factor: float) -> np.ndarray:
-    """Truncation bound of priced allocations, overload_factor times the ceiling.
-
-    A factor below one would cut an unpriced bidder below its ceiling.
-    """
-    if not overload_factor >= 1.0:
-        raise ValueError("overload_factor must be at least 1")
-    return overload_factor * ceil
-
-
 def allocate_frequencies(
     path_prices: np.ndarray,
     offers: np.ndarray,
@@ -203,8 +191,8 @@ def allocate_frequencies(
     at a zero path price a positive bidder receives exactly its line's
     ceiling (smallest share-scaled capacity along the line, which keeps the
     excess finite and pushes prices up), and at positive prices the
-    allocation is truncated at cap, overload_factor times that ceiling (see
-    _cap: the factor is at least one, so the ceiling itself stands).  A bid
+    allocation is truncated at cap, _OVERLOAD times that ceiling (the
+    factor is above one, so the ceiling itself stands).  A bid
     that is not positive buys nothing.  offers and free come from
     _bid_terms(bids, ceil); the caller holds them, and cap, for as long as
     the bids and the share stay fixed.
@@ -274,9 +262,7 @@ def pool_residuals(
     return PoolResiduals(feas, comp, stat, ok)
 
 
-def cold_start(
-    view: PoolView, coefficients: np.ndarray, share: float, overload_factor: float = _OVERLOAD
-) -> PoolMarketState:
+def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMarketState:
     """Fair-share opening state: each operator bids what its even split is worth.
 
     An operator's fair share is the smallest even split of share-scaled
@@ -288,8 +274,7 @@ def cold_start(
     optimum, and the state is 1/2-homogeneous in the share as the optimum
     is: bids scale by sqrt(share), prices by 1/sqrt(share).  A line through
     a closed edge opens at bid zero, so a closed edge carries no price.
-    The opening frequencies are allocated at those prices under
-    overload_factor.
+    The opening frequencies are allocated at those prices.
     """
     supply = view.capacity * share
     fair = supply / np.maximum(view.lines_per_edge(), 1.0)
@@ -299,7 +284,7 @@ def cold_start(
     prices = np.divide(mass, supply, out=np.zeros(view.n_edges), where=mass > 0.0)
     ceil = view.bottleneck * share
     offers, free = _bid_terms(bids, ceil)
-    freqs = allocate_frequencies(view.incidence.T @ prices, offers, free, _cap(ceil, overload_factor))
+    freqs = allocate_frequencies(view.incidence.T @ prices, offers, free, _OVERLOAD * ceil)
     return PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
 
 
@@ -321,6 +306,12 @@ def _run_pool(
     warm: PoolMarketState | None,
     cfg: DynamicsConfig,
 ) -> SinglePoolResult:
+    """Run one pool's market to its clearing point at a fixed share.
+
+    A warm state is resumed, rescaled first when it cleared at another
+    share; otherwise the pool cold-starts.  A run that exhausts max_iters
+    returns converged=False rather than raising.
+    """
     if view.n_lops == 0:
         empty = PoolMarketState(
             view.pool_id, view.edge_ids, (), np.zeros(view.n_edges), np.zeros(0), np.zeros(0), share
@@ -335,7 +326,7 @@ def _run_pool(
     inc, inc_t = view.incidence, view.incidence.T
     supply = view.capacity * share
     ceil = view.bottleneck * share
-    cap = _cap(ceil, cfg.overload_factor)
+    cap = _OVERLOAD * ceil
     # a state cleared at share zero holds nothing to rescale, and a line
     # that can run but holds no bid would never bid again: its path may
     # stay unpriced, and an idle line passes the residual check
@@ -344,7 +335,7 @@ def _run_pool(
         or not warm.share > 0.0
         or bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any())
     )
-    state = cold_start(view, coefficients, share, cfg.overload_factor) if cold else warm.copy()
+    state = cold_start(view, coefficients, share) if cold else warm.copy()
     # a pool's optimum at share f is its share-1 optimum with prices scaled
     # by f**-1/2 and bids by f**1/2, so a warm state cleared at another share
     # is rescaled to it; the allocation below then scales the frequencies.
@@ -416,32 +407,6 @@ def _run_pool(
     return SinglePoolResult(state, iters, bid_updates, skipped, settled(), res, trace)
 
 
-def run_single_pool(
-    net: Network,
-    pools: PoolSystem,
-    pool_id: str,
-    utilities: UtilityTable,
-    share: float,
-    warm: PoolMarketState | None = None,
-    cfg: DynamicsConfig | None = None,
-) -> SinglePoolResult:
-    """Run one pool's market to its clearing point at a fixed share.
-
-    A warm state cleared at another positive share is rescaled to this one
-    (prices by r**-1/2, bids by r**1/2, frequencies by r, for r the ratio
-    of the shares) and must pass a refresh boundary before the run may
-    stop; a warm state at this share is resumed as-is; otherwise the run
-    cold-starts.  Returns the final state plus iteration accounting; a
-    run that exhausts max_iters comes back with converged=False rather than
-    raising.
-    """
-    if not 0.0 < share <= 1.0 + 1e-12:
-        raise ValueError(f"share must lie in (0, 1], got {share}")
-    view = compile_pool(net, pools, pool_id)
-    coeffs = utilities.coefficients_for(view)
-    return _run_pool(view, coeffs, share, warm, cfg or DynamicsConfig())
-
-
 def run_price_dynamics(
     view: PoolView,
     prices: np.ndarray,
@@ -449,7 +414,6 @@ def run_price_dynamics(
     share: float,
     eta: float,
     steps: int,
-    overload_factor: float = _OVERLOAD,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Price trajectory under frozen bids.
 
@@ -461,7 +425,7 @@ def run_price_dynamics(
     exc = np.zeros((steps, view.n_edges))
     supply = view.capacity * share
     ceil = view.bottleneck * share
-    cap = _cap(ceil, overload_factor)
+    cap = _OVERLOAD * ceil
     offers, free = _bid_terms(bids, ceil)
     cur = prices.astype(float).copy()
     hist[0] = cur

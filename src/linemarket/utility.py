@@ -20,7 +20,6 @@ __all__ = [
     "UtilitySpec",
     "UtilityTable",
     "utility",
-    "marginal_utility",
     "best_response_bid",
     "best_response_bids",
 ]
@@ -42,13 +41,6 @@ def utility(spec: UtilitySpec, freq: float) -> float:
     if freq < 0:
         raise ValueError(f"frequency must be nonnegative, got {freq}")
     return spec.coefficient * math.sqrt(freq)
-
-
-def marginal_utility(spec: UtilitySpec, freq: float) -> float:
-    """Derivative of the valuation; diverges at zero frequency."""
-    if freq <= 0:
-        raise ValueError(f"marginal utility needs a positive frequency, got {freq}")
-    return spec.coefficient / (2.0 * math.sqrt(freq))
 
 
 def best_response_bid(spec: UtilitySpec, price: float) -> float:

@@ -173,6 +173,53 @@ def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert row["status"] == "nonconverged"
 
 
+def _long_line(doc):
+    return next(line for pool in doc["pools"] for line in pool["lines"] if len(line["edges"]) >= 2)
+
+
+# (case, edit of the network and valuation documents of chain 3, the reason
+# both solve and generate must print on exit 2, or None for a legal instance)
+BOUNDARY_CASES = [
+    ("closed-edge", lambda net, util: net["edges"][5].update(capacity=0.0), None),
+    ("negative-capacity", lambda net, util: net["edges"][0].update(capacity=-1.0), "non-finite capacity"),
+    ("nan-capacity", lambda net, util: net["edges"][0].update(capacity=float("nan")), "non-finite capacity"),
+    ("infinite-capacity", lambda net, util: net["edges"][0].update(capacity=float("inf")), "non-finite capacity"),
+    ("duplicate-edge-id", lambda net, util: net["edges"].append(dict(net["edges"][0])), "not unique"),
+    ("empty-line", lambda net, util: _long_line(net).update(edges=[]), "empty or repeats an edge"),
+    ("repeated-edge", lambda net, util: _long_line(net).update(edges=_long_line(net)["edges"][:1] * 2),
+     "empty or repeats an edge"),
+    ("unknown-edge", lambda net, util: _long_line(net)["edges"].append("ghost"), "unknown edge 'ghost'"),
+    ("broken-path", lambda net, util: _long_line(net)["edges"].reverse(), "broken-path"),
+    # a network document files each line under the pool that lists it, so
+    # an unknown pool reaches the CLI through the valuations
+    ("unknown-pool", lambda net, util: util["utilities"].append({"lop": "lop0", "pool": "kX", "a": 2.0}),
+     "'kX'"),
+    ("unknown-node", lambda net, util: net["edges"][0].update(tail="nowhere"), "unknown-node: nowhere"),
+]
+
+
+@pytest.mark.parametrize("case, edit, reason", BOUNDARY_CASES, ids=[c[0] for c in BOUNDARY_CASES])
+def test_network_file_boundary(tmp_path, monkeypatch, capsys, case, edit, reason):
+    """solve and generate accept and reject the same network files, as the engines do."""
+    monkeypatch.chdir(tmp_path)
+    net, pools, table = instances.chain_instance(3)
+    doc, util = lm.network_to_json(net, pools), table.to_json()
+    assert doc["edges"][5]["id"] == "e5"
+    edit(doc, util)
+    (tmp_path / "net.json").write_text(json.dumps(doc), encoding="utf-8")
+    scn = {"name": case, "network_file": "net.json", "utilities": util, "seeds": [0]}
+    (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
+    for command in ("solve", "generate"):
+        code = run_cli([command, "--scenario", "scn.json", "--out", "out"])
+        err = capsys.readouterr().err
+        if reason is None:
+            assert code == 0, err
+        else:
+            assert code == 2 and reason in err, (command, err)
+    if reason is None:
+        assert read_records(tmp_path / "out" / "records.csv")[0]["status"] == "converged"
+
+
 class TestBadInput:
     def test_missing_scenario_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -186,7 +233,7 @@ class TestBadInput:
     def test_unknown_engine_field(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         # a retired option's key is rejected like any unknown one
-        for engine in ({"warp": 9}, {"normalized_f_update": False}):
+        for engine in ({"warp": 9}, {"normalized_f_update": False}, {"overload_factor": 1.25}):
             scn = write_single_edge_scenario(tmp_path, engine=engine)
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
             assert "unknown engine fields" in capsys.readouterr().err

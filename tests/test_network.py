@@ -21,7 +21,16 @@ def violation_kinds(net, pools):
     return {v.kind for v in lm.validate_network(net, pools)}
 
 
+def compile_error(net, pools):
+    """compile_pool's InputMismatchError on the pool k0, as the engines would see it."""
+    with pytest.raises(lm.InputMismatchError) as err:
+        lm.compile_pool(net, pools, "k0")
+    return str(err.value)
+
+
 class TestValidation:
+    """validate_network reports what compile_pool never reads; compile_pool raises on the rest."""
+
     def test_well_formed(self):
         net, pools = chain2()
         assert lm.validate_network(net, pools) == []
@@ -29,17 +38,22 @@ class TestValidation:
     def test_missing_edge_reference(self):
         net, _ = chain2()
         pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "ghost"))})
-        assert "unknown-edge" in violation_kinds(net, pools)
+        assert "ghost" in compile_error(net, pools)
+        assert lm.validate_network(net, pools) == []
 
     def test_nonpositive_capacity(self):
+        # zero closes the edge and is legal in both; below zero is not
         net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 0.0)])
         pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
-        assert "nonpositive-capacity" in violation_kinds(net, pools)
+        assert lm.validate_network(net, pools) == []
+        assert lm.compile_pool(net, pools, "k0").capacity.tolist() == [0.0]
+        assert "e1" in compile_error(net.with_capacities({"e1": -1.0}), pools)
 
     def test_infinite_capacity(self):
-        net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", float("inf"))])
         pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
-        assert "infinite-capacity" in violation_kinds(net, pools)
+        for capacity in (float("inf"), float("nan")):
+            net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", capacity)])
+            assert "e1" in compile_error(net, pools)
 
     def test_duplicate_edge_id(self):
         net = lm.Network(
@@ -47,7 +61,7 @@ class TestValidation:
             [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e1", "v", "u", 2.0)],
         )
         pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
-        assert "duplicate-edge" in violation_kinds(net, pools)
+        assert "not unique" in compile_error(net, pools)
 
     def test_dangling_node(self):
         net = lm.Network(["u"], [lm.Edge("e1", "u", "nowhere", 4.0)])
@@ -65,17 +79,30 @@ class TestValidation:
 
     def test_repeated_edge_and_empty_line(self):
         net, _ = chain2()
-        pools = lm.PoolSystem(
-            ["k0"],
-            {("lop0", "k0"): lm.Line(("e1", "e1")), ("lop1", "k0"): lm.Line(())},
-        )
-        kinds = violation_kinds(net, pools)
-        assert "repeated-edge" in kinds and "empty-line" in kinds
+        for line in (lm.Line(("e1", "e1")), lm.Line(())):
+            pools = lm.PoolSystem(["k0"], {("lop0", "k0"): line})
+            assert "empty or repeats an edge" in compile_error(net, pools)
 
     def test_unknown_pool(self):
         net, _ = chain2()
         pools = lm.PoolSystem(["k0"], {("lop0", "kX"): lm.Line(("e1",))})
         assert "unknown-pool" in violation_kinds(net, pools)
+
+
+def test_repeated_edge_id_is_rejected_by_every_reader():
+    """Lookups keep the first e1, a position map the last: no reader may pick one."""
+    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e1", "u", "v", 1.0)])
+    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
+    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
+    readers = [
+        lambda: lm.compile_pool(net, pools, "k0"),
+        lambda: lm.run_mechanism(net, pools, table),
+        lambda: lm.solve_full(net, pools, table),
+        lambda: lm.kkt_report(net, pools, table, {("lop0", "k0"): 4.0}, {"k0": 1.0}, {("e1", "k0"): 0.5}, 2.0),
+    ]
+    for read in readers:
+        with pytest.raises(lm.InputMismatchError, match="not unique"):
+            read()
 
 
 def test_compiled_view_matches_lines():

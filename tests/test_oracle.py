@@ -1,4 +1,5 @@
-"""Reference solver: fixed-split optima, closed-form split, KKT certification."""
+"""Reference solver: closed-form pool optima and split, KKT certification."""
+import math
 from functools import partial
 
 import numpy as np
@@ -14,17 +15,17 @@ ROOT2 = float(np.sqrt(2.0))
 
 def test_single_edge_closed_form():
     net, pools, table = instances.single_edge()
-    sol = lm.solve_fixed_f(net, pools, table, {"k0": 1.0})
+    sol = lm.solve_full(net, pools, table)
     assert sol.converged
     assert sol.frequencies[("lop0", "k0")] == pytest.approx(4.0, rel=1e-8)
     assert sol.prices[("e1", "k0")] == pytest.approx(0.5, rel=1e-8)
     assert sol.objective == pytest.approx(4.0, rel=1e-8)
-    assert sol.pool_costs["k0"] == pytest.approx(2.0, rel=1e-8)
+    assert sol.cost_level == pytest.approx(2.0, rel=1e-8)
 
 
 def test_two_identical_operators_closed_form():
     net, pools, table = instances.two_lops_one_edge()
-    sol = lm.solve_fixed_f(net, pools, table, {"k0": 1.0})
+    sol = lm.solve_full(net, pools, table)
     assert sol.frequencies[("lop0", "k0")] == pytest.approx(2.0, rel=1e-8)
     assert sol.frequencies[("lop1", "k0")] == pytest.approx(2.0, rel=1e-8)
     assert sol.objective == pytest.approx(4.0 * ROOT2, rel=1e-8)
@@ -33,7 +34,7 @@ def test_two_identical_operators_closed_form():
 def test_sqrt_utilities_always_saturate():
     """Even huge capacities bind at the optimum; x lands on c * f."""
     net, pools, table = instances.single_edge(capacity=1e9)
-    sol = lm.solve_fixed_f(net, pools, table, {"k0": 1.0})
+    sol = lm.solve_full(net, pools, table)
     assert sol.frequencies[("lop0", "k0")] == pytest.approx(1e9, rel=1e-6)
     assert sol.prices[("e1", "k0")] > 0.0
 
@@ -46,19 +47,10 @@ def test_bottleneck_edge_carries_the_price():
     )
     pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e2"))})
     table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
-    sol = lm.solve_fixed_f(net, pools, table, {"k0": 1.0})
+    sol = lm.solve_full(net, pools, table)
     assert sol.frequencies[("lop0", "k0")] == pytest.approx(4.0, rel=1e-8)
     assert sol.prices[("e1", "k0")] == pytest.approx(0.5, rel=1e-8)
     assert ("e2", "k0") not in sol.prices
-
-
-def test_share_validation():
-    net, pools, table = instances.single_edge()
-    with pytest.raises(ValueError):
-        lm.solve_fixed_f(net, pools, table, {"k0": 0.0})
-    net2, pools2, table2 = instances.symmetric_two_pool()
-    with pytest.raises(ValueError):
-        lm.solve_fixed_f(net2, pools2, table2, {"k0": 0.7, "k1": 0.5})
 
 
 def test_fixed_bids_single_edge():
@@ -85,18 +77,11 @@ def test_fixed_bids_on_grid_pool():
     assert float((prices * np.abs(gap)).max()) <= 1e-9 * scale
 
 
-def test_fixed_split_knife_edge_share_converges():
-    # regression: a float-noise share (1.0 - 0.9) used to stall the dual descent
-    net, pools, table = instances.chain_instance(17)
-    sol = lm.solve_fixed_f(net, pools, table, {"k0": 0.9, "k1": 1.0 - 0.9})
-    assert sol.converged
-
-
 def test_kkt_clean_at_oracle_solution():
     net, pools, table = instances.single_edge()
-    sol = lm.solve_fixed_f(net, pools, table, {"k0": 1.0})
+    sol = lm.solve_full(net, pools, table)
     report = lm.kkt_report(
-        net, pools, table, sol.frequencies, {"k0": 1.0}, sol.prices, sol.pool_costs["k0"]
+        net, pools, table, sol.frequencies, {"k0": 1.0}, sol.prices, sol.cost_level
     )
     assert report.max_scaled() < 1e-6
 
@@ -104,7 +89,7 @@ def test_kkt_clean_at_oracle_solution():
 def test_kkt_sees_price_perturbation():
     """Shifting the binding edge price by +0.1 shows up as a 0.1 stationarity gap."""
     net, pools, table = instances.single_edge()
-    sol = lm.solve_fixed_f(net, pools, table, {"k0": 1.0})
+    sol = lm.solve_full(net, pools, table)
     bumped = {("e1", "k0"): sol.prices[("e1", "k0")] + 0.1}
     level = net.capacity("e1") * bumped[("e1", "k0")]
     report = lm.kkt_report(net, pools, table, sol.frequencies, {"k0": 1.0}, bumped, level)
@@ -134,11 +119,14 @@ def test_kkt_idle_operator_without_capacity_certifies():
 
 
 def test_full_search_single_pool_degenerates():
+    """One pool takes all the capacity, and the answer is its share-1 pool solve."""
     net, pools, table = instances.single_edge()
     sol = lm.solve_full(net, pools, table)
-    fixed = lm.solve_fixed_f(net, pools, table, {"k0": 1.0})
+    view = lm.compile_pool(net, pools, "k0")
+    coeffs = table.coefficients_for(view)
+    fixed = oracle._solve_one_pool(view, coeffs)
     assert sol.shares == {"k0": 1.0}
-    assert sol.objective == pytest.approx(fixed.objective, rel=1e-12)
+    assert sol.objective == pytest.approx(float(coeffs @ np.sqrt(fixed.freqs)), rel=1e-12)
 
 
 def test_full_search_symmetric_split():
@@ -241,8 +229,8 @@ def test_failed_certificate_is_not_converged(monkeypatch):
     """A pool solve that claims convergence at a wrong point fails the certificate."""
     solve = oracle._solve_one_pool
 
-    def halved(view, coefficients, share):
-        sol = solve(view, coefficients, share)
+    def halved(view, coefficients):
+        sol = solve(view, coefficients)
         sol.freqs = sol.freqs * 0.5
         return sol
 
@@ -269,7 +257,7 @@ def _dict_loop_kkt(net, pools, utilities, freqs, shares, prices, cost_level):
                 load[eid] += x
             if x > 0.0:
                 mu = sum(float(prices.get((eid, k), 0.0)) for eid in line.edge_ids)
-                gap = abs(lm.marginal_utility(utilities.spec(lop, k), x) - mu)
+                gap = abs(utilities.spec(lop, k).coefficient / (2.0 * math.sqrt(x)) - mu)
                 stat_raw = gap if stat_raw is None else max(stat_raw, gap)
                 rel = gap / max(mu, 1e-30)
                 stat_rel = rel if stat_rel is None else max(stat_rel, rel)

@@ -64,39 +64,6 @@ class TestGridGeneration:
                         capacity_range=(5.0, 5.0))
 
 
-class TestPerturbPool:
-    def setup_method(self):
-        self.spec = instances.grid_spec(0, 1)
-        _, self.pools = lm.generate_grid(self.spec)
-
-    def count_changed(self, other):
-        return sum(
-            1 for key in self.pools.pairs()
-            if other.lines[key] != self.pools.lines[key]
-        )
-
-    def test_zero_fraction_is_identity(self):
-        out = lm.perturb_pool(self.spec, self.pools, 0.0, seed=9)
-        assert self.count_changed(out) == 0
-
-    def test_tenth_of_ten_lines_changes_exactly_one(self):
-        out = lm.perturb_pool(self.spec, self.pools, 0.1, seed=9)
-        assert self.count_changed(out) == 1
-
-    def test_full_fraction_resamples_every_line(self):
-        out = lm.perturb_pool(self.spec, self.pools, 1.0, seed=9)
-        assert self.count_changed(out) == len(self.pools.pairs())
-
-    def test_deterministic(self):
-        a = lm.perturb_pool(self.spec, self.pools, 0.5, seed=4)
-        b = lm.perturb_pool(self.spec, self.pools, 0.5, seed=4)
-        assert a.lines == b.lines
-
-    def test_fraction_domain(self):
-        with pytest.raises(ValueError):
-            lm.perturb_pool(self.spec, self.pools, 1.5, seed=0)
-
-
 def test_uniform_utilities():
     _, ps = lm.generate_grid(instances.grid_spec(0, 2))
     table = lm.uniform_utilities(ps, 5.0, 15.0, seed=42)
@@ -222,11 +189,11 @@ class TestApplyDisruption:
 def test_disruption_objective_monotonicity():
     """Growing capacity can only help the optimum, shrinking only hurt."""
     net, pools, table = instances.two_lops_one_edge()
-    base = lm.solve_fixed_f(net, pools, table, {"k0": 1.0}).objective
+    base = lm.solve_full(net, pools, table).objective
     up = lm.apply_disruption(net, lm.DisruptionSpec("increase", 1, 0.5), ["e1"])
     down = lm.apply_disruption(net, lm.DisruptionSpec("reduce", 1, 0.5), ["e1"])
-    assert lm.solve_fixed_f(up, pools, table, {"k0": 1.0}).objective >= base - 1e-9
-    assert lm.solve_fixed_f(down, pools, table, {"k0": 1.0}).objective <= base + 1e-9
+    assert lm.solve_full(up, pools, table).objective >= base - 1e-9
+    assert lm.solve_full(down, pools, table).objective <= base + 1e-9
 
 
 class TestRecoveryExperiment:

@@ -46,6 +46,12 @@ def allocate(view, prices, bids, share, overload_factor=1.25):
     return lm.allocate_frequencies(mu, offers, free, overload_factor * ceil), mu
 
 
+def run_one_pool(net, pools, pool_id, table, share, warm=None, cfg=None):
+    """One pool's market at a fixed share, run as run_mechanism runs each pool."""
+    view = lm.compile_pool(net, pools, pool_id)
+    return _run_pool(view, table.coefficients_for(view), share, warm, cfg or lm.DynamicsConfig())
+
+
 def residuals_of(view, coefficients, state, abs_tol, rel_tol):
     """pool_residuals with the path prices and excess of a stored state."""
     mu = view.incidence.T @ state.prices
@@ -102,7 +108,7 @@ class TestBidRefresh:
 def test_single_edge_run_reaches_closed_form():
     """c=4, a=2 clears at x=4, price 0.5, bid 2 within the relative tolerance."""
     net, pools, table = instances.single_edge()
-    res = lm.run_single_pool(net, pools, "k0", table, 1.0)
+    res = run_one_pool(net, pools, "k0", table, 1.0)
     assert res.converged
     st = res.state
     assert abs(st.freqs[0] - 4.0) / 4.0 <= 0.1
@@ -116,7 +122,7 @@ def test_single_edge_run_reaches_closed_form():
 
 def test_residual_invariants_at_convergence():
     net, pools, table = instances.two_lops_one_edge()
-    res = lm.run_single_pool(net, pools, "k0", table, 1.0)
+    res = run_one_pool(net, pools, "k0", table, 1.0)
     assert res.converged
     assert res.residuals.max_excess <= 0.1
     assert res.residuals.max_complementarity <= 0.1
@@ -130,8 +136,8 @@ def test_residual_invariants_at_convergence():
 
 def test_warm_restart_at_fixed_point_is_free():
     net, pools, table = instances.single_edge()
-    first = lm.run_single_pool(net, pools, "k0", table, 1.0)
-    warm = lm.run_single_pool(net, pools, "k0", table, 1.0, warm=first.state)
+    first = run_one_pool(net, pools, "k0", table, 1.0)
+    warm = run_one_pool(net, pools, "k0", table, 1.0, warm=first.state)
     assert warm.converged
     assert warm.iterations <= 1
     assert warm.bid_updates == 0
@@ -139,7 +145,7 @@ def test_warm_restart_at_fixed_point_is_free():
 
 def test_two_identical_operators_split_evenly():
     net, pools, table = instances.two_lops_one_edge()
-    res = lm.run_single_pool(net, pools, "k0", table, 1.0)
+    res = run_one_pool(net, pools, "k0", table, 1.0)
     assert res.converged
     for x in res.state.freqs:
         assert abs(x - 2.0) / 2.0 <= 0.1
@@ -149,18 +155,10 @@ def test_nonconvergence_is_reported_not_raised():
     # chain 8's pool k1 clears at share 0.5 in 20 updates, so 3 run out
     net, pools, table = instances.chain_instance(8)
     cfg = lm.DynamicsConfig(max_iters=3)
-    res = lm.run_single_pool(net, pools, "k1", table, 0.5, cfg=cfg)
+    res = run_one_pool(net, pools, "k1", table, 0.5, cfg=cfg)
     assert not res.converged
     assert res.iterations == 3
     assert res.residuals is not None
-
-
-def test_share_domain():
-    net, pools, table = instances.single_edge()
-    with pytest.raises(ValueError):
-        lm.run_single_pool(net, pools, "k0", table, 0.0)
-    with pytest.raises(ValueError):
-        lm.run_single_pool(net, pools, "k0", table, 1.2)
 
 
 def test_config_validation():
@@ -172,8 +170,6 @@ def test_config_validation():
         lm.DynamicsConfig(abs_tol=0.0)
     with pytest.raises(ValueError):
         lm.DynamicsConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        lm.DynamicsConfig(overload_factor=0.9)
 
 
 def test_default_step_scales_with_capacity_and_crowding():
@@ -191,15 +187,6 @@ def test_all_closed_edges_give_a_positive_step():
     net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 0.0)])
     pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
     assert lm.default_price_eta(lm.compile_pool(net, pools, "k0")) == pytest.approx(0.01)
-
-
-def test_overload_below_one_is_rejected():
-    net, pools, table = instances.two_lops_one_edge()
-    view = lm.compile_pool(net, pools, "k0")
-    with pytest.raises(ValueError, match="overload_factor"):
-        lm.cold_start(view, table.coefficients_for(view), 1.0, 0.9)
-    with pytest.raises(ValueError, match="overload_factor"):
-        lm.run_price_dynamics(view, np.zeros(1), np.ones(2), 1.0, 0.05, 3, overload_factor=0.9)
 
 
 def _two_edge_pool(e3_capacity=None):
@@ -258,7 +245,7 @@ def test_cold_start_is_half_homogeneous_in_the_share(share):
 def test_one_edge_one_operator_opens_at_the_optimum():
     """c=4, a=2: the opening state is x=4, price 0.5, bid 2, so no update runs."""
     net, pools, table = instances.single_edge()
-    res = lm.run_single_pool(net, pools, "k0", table, 1.0)
+    res = run_one_pool(net, pools, "k0", table, 1.0)
     assert res.converged and res.iterations == 0
     assert (res.state.freqs[0], res.state.prices[0], res.state.bids[0]) == (4.0, 0.5, 2.0)
     assert res.residuals.max_stationarity == 0.0
@@ -268,7 +255,7 @@ def test_trace_sampling():
     # chain 7's pool k0 takes 400 updates at share 0.5
     net, pools, table = instances.chain_instance(7)
     cfg = lm.DynamicsConfig(trace_stride=50)
-    res = lm.run_single_pool(net, pools, "k0", table, 0.5, cfg=cfg)
+    res = run_one_pool(net, pools, "k0", table, 0.5, cfg=cfg)
     assert res.trace, "stride > 0 must produce rows"
     for row in res.trace:
         assert row["iter"] % 50 == 0
@@ -297,7 +284,7 @@ def test_empty_pool_converges_trivially():
     net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
     pools = lm.PoolSystem(["k0", "k1"], {("lop0", "k0"): lm.Line(("e1",))})
     table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
-    res = lm.run_single_pool(net, pools, "k1", table, 1.0)
+    res = run_one_pool(net, pools, "k1", table, 1.0)
     assert res.converged
     assert res.iterations == 0
     assert res.state.freqs.size == 0
@@ -307,7 +294,7 @@ class TestStateJson:
     def test_round_trip(self):
         net, pools, table = instances.two_lops_one_edge()
         view = lm.compile_pool(net, pools, "k0")
-        state = lm.run_single_pool(net, pools, "k0", table, 1.0).state
+        state = run_one_pool(net, pools, "k0", table, 1.0).state
         again = lm.PoolMarketState.from_json(state.to_json(), view)
         for name in ("prices", "bids", "freqs"):
             np.testing.assert_array_equal(getattr(again, name), getattr(state, name))
@@ -333,9 +320,14 @@ class TestStateJson:
 # after every price update.  The engine must reproduce all three bit for
 # bit.
 
+def line_edges(view):
+    """Each line's edge positions, read off the incidence column."""
+    return [np.flatnonzero(view.incidence[:, p]) for p in range(view.n_lops)]
+
+
 def reference_allocate(view, prices, bids, share, overload_factor=1.25):
     mu = view.incidence.T @ prices
-    ceil = np.array([view.capacity[idx].min() for idx in view.line_edge_idx]) * share
+    ceil = np.array([view.capacity[idx].min() for idx in line_edges(view)]) * share
     with np.errstate(divide="ignore", invalid="ignore"):
         nominal = np.where(mu > 0.0, bids / np.where(mu > 0.0, mu, 1.0), np.inf)
     freqs = np.minimum(nominal, overload_factor * ceil)
@@ -381,7 +373,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     if warm is None:
         supply = view.capacity * share
         crowd = view.incidence.sum(axis=1)
-        fair_share = np.array([(supply[idx] / crowd[idx]).min() for idx in view.line_edge_idx])
+        fair_share = np.array([(supply[idx] / crowd[idx]).min() for idx in line_edges(view)])
         bids = coefficients / 2.0 * np.sqrt(fair_share)
         mass = view.incidence @ bids
         prices = np.where(mass > 0.0, mass / np.where(mass > 0.0, supply, 1.0), 0.0)
@@ -391,7 +383,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         prices = warm.prices * ratio ** -0.5
         bids = warm.bids * ratio ** 0.5
         first_stop = period if ratio != 1.0 else 0
-    freqs, mu = reference_allocate(view, prices, bids, share, cfg.overload_factor)
+    freqs, mu = reference_allocate(view, prices, bids, share)
     st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
     iters = bid_updates = skipped = 0
     res = reference_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
@@ -399,7 +391,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         excess = view.incidence @ st.freqs - view.capacity * share
         st.prices = np.maximum(0.0, st.prices + eta * excess)
         iters += 1
-        st.freqs, mu = reference_allocate(view, st.prices, st.bids, share, cfg.overload_factor)
+        st.freqs, mu = reference_allocate(view, st.prices, st.bids, share)
         if iters % period == 0:
             skip_mask = ~(mu > 0.0)
             best = coefficients ** 2 / (4.0 * np.where(skip_mask, 1.0, mu))
@@ -409,7 +401,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
             if float(rel_change.max(initial=0.0)) > cfg.rel_tol:
                 bid_updates += 1
             st.bids = new_bids
-            st.freqs, mu = reference_allocate(view, st.prices, st.bids, share, cfg.overload_factor)
+            st.freqs, mu = reference_allocate(view, st.prices, st.bids, share)
         res = reference_residuals(view, coefficients, st, cfg.abs_tol, cfg.rel_tol)
     converged = res.converged and iters % period == 0 and iters >= first_stop
     return st, iters, bid_updates, skipped, converged, res

@@ -19,23 +19,6 @@ def test_utility_negative_frequency_rejected():
         lm.utility(A, -0.1)
 
 
-def test_marginal_values():
-    assert lm.marginal_utility(A, 4.0) == 0.5
-    assert lm.marginal_utility(A, 1.0) == 1.0
-
-
-def test_marginal_rejects_zero():
-    with pytest.raises(ValueError):
-        lm.marginal_utility(A, 0.0)
-
-
-def test_marginal_matches_finite_difference():
-    spec = lm.UtilitySpec(3.0)
-    x, h = 2.0, 1e-5
-    fd = (lm.utility(spec, x + h) - lm.utility(spec, x - h)) / (2 * h)
-    assert abs(fd - lm.marginal_utility(spec, x)) <= 1e-6
-
-
 def test_best_response_values():
     assert lm.best_response_bid(A, 1.0) == 1.0
     assert lm.best_response_bid(A, 0.5) == 2.0
@@ -55,7 +38,7 @@ def test_best_response_first_order_condition():
         spec = lm.UtilitySpec(a)
         for mu in (0.01, 0.7, 4.0, 250.0):
             w = lm.best_response_bid(spec, mu)
-            assert lm.marginal_utility(spec, w / mu) == pytest.approx(mu, rel=1e-9)
+            assert a / (2.0 * np.sqrt(w / mu)) == pytest.approx(mu, rel=1e-9)
 
 
 def test_best_response_monotonicity_and_scaling():
