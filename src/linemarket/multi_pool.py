@@ -60,7 +60,19 @@ class ProportionVector:
     @classmethod
     def uniform(cls, pool_ids: tuple[str, ...]) -> "ProportionVector":
         n = len(pool_ids)
-        return cls(pool_ids, np.full(n, 1.0 / n))
+        return cls._trusted(pool_ids, np.full(n, 1.0 / n))
+
+    @classmethod
+    def _trusted(cls, pool_ids: tuple[str, ...], values: np.ndarray) -> "ProportionVector":
+        """A split this module derived from a valid one, built without re-validation.
+
+        The outer loop builds several per split update; the checks guard
+        splits handed in from outside, which are validated as they are built.
+        """
+        split = object.__new__(cls)
+        object.__setattr__(split, "pool_ids", pool_ids)
+        object.__setattr__(split, "values", values)
+        return split
 
     def share(self, pool_id: str) -> float:
         return float(self.values[self.pool_ids.index(pool_id)])
@@ -74,6 +86,11 @@ def pool_cost(capacity: np.ndarray, prices: np.ndarray) -> float:
     return float(capacity @ prices)
 
 
+def _mean(values: np.ndarray) -> float:
+    """ndarray.mean's value, without its dispatch cost on a few entries."""
+    return float(values.sum()) / len(values)
+
+
 def costs_equal(costs: np.ndarray, eps_cost: float) -> bool:
     """Relative spread test: (max - min) / mean within eps_cost.
 
@@ -82,7 +99,7 @@ def costs_equal(costs: np.ndarray, eps_cost: float) -> bool:
     if len(costs) <= 1:
         return True
     spread = float(costs.max() - costs.min())
-    return spread / max(float(costs.mean()), _TINY) <= eps_cost
+    return spread / max(_mean(costs), _TINY) <= eps_cost
 
 
 def _floor_simplex(values: np.ndarray, floor: float) -> np.ndarray:
@@ -110,11 +127,11 @@ def update_proportions(
     pool runs, not overwritten here.  A nonpositive mean cost makes the
     step undefined; the split is returned unchanged.
     """
-    level = float(costs.mean())
+    level = _mean(costs)
     if not level > 0.0:
         return shares
     raw = shares.values * (costs / level) ** 2
-    return ProportionVector(shares.pool_ids, _floor_simplex(raw, floor))
+    return ProportionVector._trusted(shares.pool_ids, _floor_simplex(raw, floor))
 
 
 @dataclass(frozen=True)
@@ -205,7 +222,7 @@ def _live_split(shares: ProportionVector, live: np.ndarray) -> ProportionVector:
     values = np.where(live, shares.values, 0.0)
     kept = values > 0.0
     values[live & ~kept] = values[kept].mean() if kept.any() else 1.0
-    return ProportionVector(shares.pool_ids, values / values.sum())
+    return ProportionVector._trusted(shares.pool_ids, values / values.sum())
 
 
 def run_mechanism(
@@ -291,7 +308,7 @@ def run_mechanism(
                 )
         pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pool_ids}
         cost_vec = np.array([pool_costs[k] for k in live_ids])
-        level = float(cost_vec.mean()) if live_ids else 0.0
+        level = _mean(cost_vec) if live_ids else 0.0
         outer_trace.append(
             {
                 "outer_iter": outer,
@@ -312,10 +329,10 @@ def run_mechanism(
         if outer == cfg.max_outer:
             diagnostics = f"equal-cost test still failing after {cfg.max_outer} split updates"
             break
-        split = update_proportions(ProportionVector(live_ids, shares.values[live]), cost_vec, cfg.f_floor)
+        split = update_proportions(ProportionVector._trusted(live_ids, shares.values[live]), cost_vec, cfg.f_floor)
         values = np.zeros(len(pool_ids))
         values[live] = split.values
-        shares = ProportionVector(pool_ids, values)
+        shares = ProportionVector._trusted(pool_ids, values)
         f_updates += 1
 
     final_states = {k: states[k] for k in pool_ids}

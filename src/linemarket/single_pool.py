@@ -14,10 +14,14 @@ capacity, unpriced edges have slack, and every allocation sits where the
 operator's marginal value meets her path price.
 
 A cold run opens at fair-share bids (cold_start): each operator bids what
-the smallest even split of capacity along its line is worth to it, and each
-edge prices the bids it carries over its share-scaled capacity.  That
-opening is the optimum on a lone edge and scales with the share as the
-optimum does, so the loop only corrects what the even split got wrong.
+the smallest even split of capacity along its line is worth to it, and
+charges that bid to the edge or edges of its line that set the split, its
+neck.  Each neck prices the bids charged to it over its share-scaled
+capacity and every other edge opens unpriced, so a line opens at the path
+price that buys its fair share, not at the sum of every edge's rationing
+price.  That opening is the optimum on a lone edge and scales with the
+share as the optimum does, so the loop only corrects what the even split
+got wrong.
 """
 from __future__ import annotations
 
@@ -84,12 +88,10 @@ def default_price_eta(view: PoolView) -> float:
 
     A closed (zero-capacity) edge sets no scale: it would make the step zero
     and freeze every price.  When every edge is closed no load can move, so
-    the step is irrelevant and the scale falls back to one.
+    the step is irrelevant and the scale falls back to one.  compile_pool
+    computes that scale once per view, as its step_scale.
     """
-    crowd = view.lines_per_edge().max() if view.n_lops else 1.0
-    open_caps = view.capacity[view.capacity > 0.0]
-    scale = float(open_caps.min()) if open_caps.size else 1.0
-    return 0.01 * scale / max(1.0, float(crowd))
+    return 0.01 * view.step_scale
 
 
 @dataclass
@@ -245,13 +247,11 @@ def pool_residuals(
 
     active = freqs > 0.0
     priced = path_prices > 0.0
-    stat = 0.0
-    priceless = bool((active & ~priced).any())
+    priceless = bool((active > priced).any())  # active on an unpriced path
     sel = active & priced
-    if sel.any():
-        mu = path_prices[sel]
-        marg = coefficients[sel] / (2.0 * np.sqrt(freqs[sel]))
-        stat = float((np.abs(marg - mu) / mu).max())
+    mu = path_prices[sel]
+    marg = coefficients[sel] / (2.0 * np.sqrt(freqs[sel]))
+    stat = float((np.abs(marg - mu) / mu).max(initial=0.0))
 
     ok = (
         not priceless
@@ -266,25 +266,26 @@ def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMa
     """Fair-share opening state: each operator bids what its even split is worth.
 
     An operator's fair share is the smallest even split of share-scaled
-    capacity along its line, min over its edges of supply / lines crossing.
-    It opens at the bid (a/2)*sqrt(fair share), at which its marginal value
-    meets the path price that allocates it exactly that share; each edge
-    opens at the price that rations the bids it carries through its
-    share-scaled capacity.  On one edge with one operator this is the
-    optimum, and the state is 1/2-homogeneous in the share as the optimum
-    is: bids scale by sqrt(share), prices by 1/sqrt(share).  A line through
-    a closed edge opens at bid zero, so a closed edge carries no price.
-    The opening frequencies are allocated at those prices.
+    capacity along its line, share times min over its edges of capacity /
+    lines crossing.  It opens at the bid (a/2)*sqrt(fair share), at which
+    its marginal value meets the path price that allocates it exactly that
+    share.  The bid is charged only to the line's neck, the edge that sets
+    the fair share (split evenly over tied edges, so the opening does not
+    depend on edge order); each edge opens at the bids charged to it over
+    its share-scaled capacity, and an edge no line's neck includes opens
+    unpriced.  On one edge with one operator this is the optimum, and the
+    state is 1/2-homogeneous in the share as the optimum is: bids scale by
+    sqrt(share), prices by 1/sqrt(share).  A line through a closed edge
+    opens at bid zero, so a closed edge carries no price.  The opening
+    frequencies are allocated at those prices.
     """
     supply = view.capacity * share
-    fair = supply / np.maximum(view.lines_per_edge(), 1.0)
-    fair_share = np.where(view.incidence > 0.0, fair[:, None], np.inf).min(axis=0)
-    bids = 0.5 * coefficients * np.sqrt(fair_share)
-    mass = view.incidence @ bids
+    bids = 0.5 * coefficients * np.sqrt(share * view.fair_ratio)
+    mass = view.neck.dot(bids)
     prices = np.divide(mass, supply, out=np.zeros(view.n_edges), where=mass > 0.0)
     ceil = view.bottleneck * share
     offers, free = _bid_terms(bids, ceil)
-    freqs = allocate_frequencies(view.incidence.T @ prices, offers, free, _OVERLOAD * ceil)
+    freqs = allocate_frequencies(view.incidence.T.dot(prices), offers, free, _OVERLOAD * ceil)
     return PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
 
 
@@ -348,38 +349,43 @@ def _run_pool(
         state.bids *= ratio ** 0.5
     state.share = share
     first_stop = period if rescaled else 0
-    mu = inc_t @ state.prices
+    mu = inc_t.dot(state.prices)
     offers, free = _bid_terms(state.bids, ceil)
     if not cold:  # cold_start has allocated under these bids
         state.freqs = allocate_frequencies(mu, offers, free, cap)
-    loads = inc @ state.freqs
+    loads = inc.dot(state.freqs)
 
     trace: list[dict] | None = [] if cfg.trace_stride > 0 else None
     iters = 0
     bid_updates = 0
     skipped = 0
-    res = pool_residuals(coefficients, state.prices, state.freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol)
+    # a rescaled run cannot stop before its first refresh boundary, so its
+    # opening residuals would never be read; the loop runs at least once and
+    # checks again at that boundary or at the budget's end
+    res = None if rescaled else pool_residuals(
+        coefficients, state.prices, state.freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol
+    )
 
     # convergence is only declared at bid-consistent states, i.e. right after
     # a refresh, so every clearing condition holds at one coherent state
     def settled() -> bool:
-        return res.converged and iters % period == 0 and iters >= first_stop
+        return iters >= first_stop and iters % period == 0 and res.converged
 
     while not settled() and iters < cfg.max_iters:
         state.prices, excess = price_step(state.prices, loads, supply, eta)
         iters += 1
-        mu = inc_t @ state.prices
+        mu = inc_t.dot(state.prices)
 
         if iters % period == 0:
             new_bids, skip_mask = refresh_bids(coefficients, mu, state.bids)
-            skipped += int(skip_mask.sum())
+            skipped += np.count_nonzero(skip_mask)
             rel_change = np.abs(new_bids - state.bids) / np.maximum(state.bids, 1e-300)
             if float(rel_change.max(initial=0.0)) > cfg.rel_tol:
                 bid_updates += 1
             state.bids = new_bids
             offers, free = _bid_terms(state.bids, ceil)
         state.freqs = allocate_frequencies(mu, offers, free, cap)
-        loads = inc @ state.freqs
+        loads = inc.dot(state.freqs)
 
         if trace is not None and iters % cfg.trace_stride == 0:
             trace.append(

@@ -166,8 +166,8 @@ def test_recover_command_both_modes(tmp_path, monkeypatch):
 
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # chain 8's pools clear at share 0.5 in 60 and 20 updates, so 3 run out
-    scn = write_instance_scenario(tmp_path, "chain8", *instances.chain_instance(8))
+    # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 run out
+    scn = write_instance_scenario(tmp_path, "chain0", *instances.chain_instance(0))
     assert run_cli(["solve", "--scenario", str(scn), "--out", "out", "--max-inner", "3"]) == 1
     row = read_records(tmp_path / "out" / "records.csv")[0]
     assert row["status"] == "nonconverged"
@@ -185,6 +185,8 @@ BOUNDARY_CASES = [
     ("nan-capacity", lambda net, util: net["edges"][0].update(capacity=float("nan")), "non-finite capacity"),
     ("infinite-capacity", lambda net, util: net["edges"][0].update(capacity=float("inf")), "non-finite capacity"),
     ("duplicate-edge-id", lambda net, util: net["edges"].append(dict(net["edges"][0])), "not unique"),
+    ("duplicate-pool-id", lambda net, util: net["pools"].append({"id": "k0", "lines": []}),
+     "pool ids ['k0'] are not unique"),
     ("empty-line", lambda net, util: _long_line(net).update(edges=[]), "empty or repeats an edge"),
     ("repeated-edge", lambda net, util: _long_line(net).update(edges=_long_line(net)["edges"][:1] * 2),
      "empty or repeats an edge"),

@@ -140,8 +140,8 @@ def test_objective_is_sum_of_valuations():
 
 
 def test_outer_budget_exhaustion_reports_diagnostics():
-    # at eps_cost 0.005 chain 8 needs two split updates, so a budget of one runs out
-    net, pools, table = instances.chain_instance(8)
+    # at eps_cost 0.005 chain 6 needs two split updates, so a budget of one runs out
+    net, pools, table = instances.chain_instance(6)
     res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(eps_cost=0.005, max_outer=1))
     assert not res.converged
     assert res.diagnostics != ""
@@ -176,6 +176,21 @@ def test_line_repeating_an_edge_is_rejected():
         lm.run_mechanism(net, pools, table)
     with pytest.raises(lm.InputMismatchError, match="repeats an edge"):
         lm.kkt_report(net, pools, table, {("lop0", "k0"): 1.0}, {"k0": 1.0}, {}, 0.0)
+
+
+def test_repeated_pool_id_is_rejected():
+    """Two pools named k0 would read one set of lines and leave half the capacity unassigned."""
+    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
+    pools = lm.PoolSystem(["k0", "k0"], {("lop0", "k0"): lm.Line(("e1",)), ("lop1", "k0"): lm.Line(("e1",))})
+    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0), ("lop1", "k0"): lm.UtilitySpec(2.0)})
+    freqs = {("lop0", "k0"): 1.0, ("lop1", "k0"): 1.0}
+    for solve in (
+        lambda: lm.run_mechanism(net, pools, table),
+        lambda: lm.solve_full(net, pools, table),
+        lambda: lm.kkt_report(net, pools, table, freqs, {"k0": 0.5}, {}, 0.0),
+    ):
+        with pytest.raises(lm.InputMismatchError, match=r"pool ids \['k0'\] are not unique"):
+            solve()
 
 
 @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), float("-inf"), -4.0])

@@ -1,4 +1,6 @@
 """In-pool dynamics: price steps, allocation, bid refresh, full runs."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -152,8 +154,8 @@ def test_two_identical_operators_split_evenly():
 
 
 def test_nonconvergence_is_reported_not_raised():
-    # chain 8's pool k1 clears at share 0.5 in 20 updates, so 3 run out
-    net, pools, table = instances.chain_instance(8)
+    # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 run out
+    net, pools, table = instances.chain_instance(0)
     cfg = lm.DynamicsConfig(max_iters=3)
     res = run_one_pool(net, pools, "k1", table, 0.5, cfg=cfg)
     assert not res.converged
@@ -206,18 +208,55 @@ def _two_edge_pool(e3_capacity=None):
 
 
 def test_cold_start_bids_at_fair_shares():
-    """Each operator bids (a/2)*sqrt(fair share); each edge rations the bids it carries."""
+    """Each operator bids (a/2)*sqrt(fair share), charged to the edges that set it."""
     view, coeffs = _two_edge_pool()
-    # fair shares: e1 4/1, e2 8/2, so both lines get 4 and bid a
+    # ratios e1 4/1, e2 8/2: lop0 ties on both edges, lop1 sets e2; both
+    # fair shares are 4, so each line bids a
     state = lm.cold_start(view, coeffs, 1.0)
     np.testing.assert_array_equal(state.bids, [2.0, 3.0])
-    np.testing.assert_array_equal(state.prices, [0.5, 0.625])  # 2/4 and (2+3)/8
-    np.testing.assert_allclose(state.freqs, [2.0 / 1.125, 3.0 / 0.625], rtol=1e-15)
+    # lop0's bid splits evenly over its tie: e1 carries 1, e2 carries 1 + 3
+    np.testing.assert_array_equal(state.prices, [1 / 4, (1 + 3) / 8])
+    np.testing.assert_allclose(state.freqs, [2.0 / 0.75, 3.0 / 0.5], rtol=1e-15)
     # at share 1/4 both fair shares are 1: bids halve, prices double
     state = lm.cold_start(view, coeffs, 0.25)
     np.testing.assert_array_equal(state.bids, [1.0, 1.5])
-    np.testing.assert_array_equal(state.prices, [1.0, 1.25])
-    np.testing.assert_allclose(state.freqs, [1.0 / 2.25, 1.5 / 1.25], rtol=1e-15)
+    np.testing.assert_array_equal(state.prices, [0.5, 1.0])
+    np.testing.assert_allclose(state.freqs, [1.0 / 1.5, 1.5 / 1.0], rtol=1e-15)
+
+
+def _three_way_tie(order):
+    """lop0 ties on e1, e2, e3 (ratio 3 each), lop1 on e2, e3, lop2 sets e3 against e4 (ratio 5)."""
+    edges = [
+        lm.Edge("e1", "n1", "n2", 3.0), lm.Edge("e2", "n2", "n3", 6.0),
+        lm.Edge("e3", "n3", "n4", 9.0), lm.Edge("e4", "n4", "n5", 5.0),
+    ]
+    lines = {
+        ("lop0", "k0"): lm.Line(("e1", "e2", "e3")),
+        ("lop1", "k0"): lm.Line(("e2", "e3")),
+        ("lop2", "k0"): lm.Line(("e3", "e4")),
+    }
+    net = lm.Network([f"n{i}" for i in range(1, 6)], [edges[i] for i in order])
+    return lm.compile_pool(net, lm.PoolSystem(["k0"], lines), "k0"), np.array([2.0, 3.0, 5.0])
+
+
+def test_opening_does_not_depend_on_edge_order():
+    """Permuting the edge list moves no bid and no edge's opening price, ties included."""
+    view, coeffs = _three_way_tie(range(4))
+    np.testing.assert_array_equal(view.fair_ratio, [3.0, 3.0, 3.0])
+    base = lm.cold_start(view, coeffs, 0.6)
+    # every tie splits evenly: e3 carries a third of lop0's bid, half of
+    # lop1's and all of lop2's, e4 none
+    b = base.bids
+    np.testing.assert_allclose(
+        base.prices, np.array([b[0] / 3, b[0] / 3 + b[1] / 2, b[0] / 3 + b[1] / 2 + b[2], 0.0])
+        / (np.array([3.0, 6.0, 9.0, 5.0]) * 0.6), rtol=1e-15,
+    )
+    for order in itertools.permutations(range(4)):
+        view, _ = _three_way_tie(order)
+        state = lm.cold_start(view, coeffs, 0.6)
+        assert state.bids.tobytes() == base.bids.tobytes(), order
+        assert state.price_map() == base.price_map(), order
+        assert state.freq_map() == base.freq_map(), order
 
 
 def test_closed_edge_opens_unpriced():
@@ -230,16 +269,17 @@ def test_closed_edge_opens_unpriced():
 @pytest.mark.parametrize("share", [0.1, 0.3, 0.5, 0.7, 0.9])
 def test_cold_start_is_half_homogeneous_in_the_share(share):
     """As the optimum: prices scale by share**-1/2, bids by share**1/2, frequencies by share."""
+    cases = [_two_edge_pool(), _three_way_tie(range(4))]  # ties
     for seed in range(20):
         net, pools, table = instances.chain_instance(seed)
-        for k in pools.pool_ids:
-            view = lm.compile_pool(net, pools, k)
-            coeffs = table.coefficients_for(view)
-            full = lm.cold_start(view, coeffs, 1.0)
-            part = lm.cold_start(view, coeffs, share)
-            np.testing.assert_allclose(part.prices, full.prices * share ** -0.5, rtol=1e-14)
-            np.testing.assert_allclose(part.bids, full.bids * share ** 0.5, rtol=1e-14)
-            np.testing.assert_allclose(part.freqs, full.freqs * share, rtol=1e-14)
+        views = (lm.compile_pool(net, pools, k) for k in pools.pool_ids)
+        cases += [(view, table.coefficients_for(view)) for view in views]
+    for view, coeffs in cases:
+        full = lm.cold_start(view, coeffs, 1.0)
+        part = lm.cold_start(view, coeffs, share)
+        np.testing.assert_allclose(part.prices, full.prices * share ** -0.5, rtol=1e-14)
+        np.testing.assert_allclose(part.bids, full.bids * share ** 0.5, rtol=1e-14)
+        np.testing.assert_allclose(part.freqs, full.freqs * share, rtol=1e-14)
 
 
 def test_one_edge_one_operator_opens_at_the_optimum():
@@ -252,10 +292,10 @@ def test_one_edge_one_operator_opens_at_the_optimum():
 
 
 def test_trace_sampling():
-    # chain 7's pool k0 takes 400 updates at share 0.5
-    net, pools, table = instances.chain_instance(7)
+    # chain 0's pool k1 takes 360 updates at share 0.5
+    net, pools, table = instances.chain_instance(0)
     cfg = lm.DynamicsConfig(trace_stride=50)
-    res = run_one_pool(net, pools, "k0", table, 0.5, cfg=cfg)
+    res = run_one_pool(net, pools, "k1", table, 0.5, cfg=cfg)
     assert res.trace, "stride > 0 must produce rows"
     for row in res.trace:
         assert row["iter"] % 50 == 0
@@ -368,14 +408,22 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     else:
         open_caps = view.capacity[view.capacity > 0.0]
         scale = float(open_caps.min()) if open_caps.size else 1.0
-        eta = 0.01 * scale / max(1.0, float(view.incidence.sum(axis=1).max()))
+        eta = 0.01 * (scale / max(1.0, float(view.incidence.sum(axis=1).max())))
     period = cfg.bid_refresh_period
     if warm is None:
+        # each line's bid is charged evenly to the edges of its line with the
+        # smallest capacity / crowd; every other edge opens unpriced
         supply = view.capacity * share
         crowd = view.incidence.sum(axis=1)
-        fair_share = np.array([(supply[idx] / crowd[idx]).min() for idx in line_edges(view)])
-        bids = coefficients / 2.0 * np.sqrt(fair_share)
-        mass = view.incidence @ bids
+        charge = np.zeros((view.n_edges, view.n_lops))
+        fair = np.zeros(view.n_lops)
+        for p, idx in enumerate(line_edges(view)):
+            ratio = view.capacity[idx] / crowd[idx]
+            fair[p] = ratio.min()
+            neck = idx[ratio == fair[p]]
+            charge[neck, p] = 1.0 / len(neck)
+        bids = coefficients / 2.0 * np.sqrt(share * fair)
+        mass = charge @ bids
         prices = np.where(mass > 0.0, mass / np.where(mass > 0.0, supply, 1.0), 0.0)
         first_stop = 0
     else:
@@ -592,9 +640,10 @@ def test_seams_run_once_per_use(monkeypatch):
     updates = sum(n for _, n in runs)
     assert updates == sum(res.price_updates.values())
     boundaries = sum(n // period for _, n in runs)
-    # one check before the first update of each run, moved or not, one per
-    # boundary, one more on a budget exit off a boundary
-    exits = sum(1 + (n % period != 0) for _, n in runs)
+    # one check before the first update of each run whose share did not
+    # move (a moved run cannot stop there), one per boundary, one more on a
+    # budget exit off a boundary
+    exits = sum((not m) + (n % period != 0) for (_, n), m in zip(runs, moved))
     assert calls["price_step"] == updates
     assert calls["refresh_bids"] == boundaries
     assert calls["pool_residuals"] == boundaries + exits
