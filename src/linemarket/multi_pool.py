@@ -25,6 +25,7 @@ from .single_pool import (
     PoolMarketState,
     SinglePoolResult,
     _run_pool,
+    default_price_eta,
 )
 from .utility import UtilityTable, utility
 
@@ -60,19 +61,7 @@ class ProportionVector:
     @classmethod
     def uniform(cls, pool_ids: tuple[str, ...]) -> "ProportionVector":
         n = len(pool_ids)
-        return cls._trusted(pool_ids, np.full(n, 1.0 / n))
-
-    @classmethod
-    def _trusted(cls, pool_ids: tuple[str, ...], values: np.ndarray) -> "ProportionVector":
-        """A split this module derived from a valid one, built without re-validation.
-
-        The outer loop builds several per split update; the checks guard
-        splits handed in from outside, which are validated as they are built.
-        """
-        split = object.__new__(cls)
-        object.__setattr__(split, "pool_ids", pool_ids)
-        object.__setattr__(split, "values", values)
-        return split
+        return cls(pool_ids, np.full(n, 1.0 / n))
 
     def share(self, pool_id: str) -> float:
         return float(self.values[self.pool_ids.index(pool_id)])
@@ -86,11 +75,6 @@ def pool_cost(capacity: np.ndarray, prices: np.ndarray) -> float:
     return float(capacity @ prices)
 
 
-def _mean(values: np.ndarray) -> float:
-    """ndarray.mean's value, without its dispatch cost on a few entries."""
-    return float(values.sum()) / len(values)
-
-
 def costs_equal(costs: np.ndarray, eps_cost: float) -> bool:
     """Relative spread test: (max - min) / mean within eps_cost.
 
@@ -99,7 +83,7 @@ def costs_equal(costs: np.ndarray, eps_cost: float) -> bool:
     if len(costs) <= 1:
         return True
     spread = float(costs.max() - costs.min())
-    return spread / max(_mean(costs), _TINY) <= eps_cost
+    return spread / max(float(costs.mean()), _TINY) <= eps_cost
 
 
 def _floor_simplex(values: np.ndarray, floor: float) -> np.ndarray:
@@ -127,11 +111,11 @@ def update_proportions(
     pool runs, not overwritten here.  A nonpositive mean cost makes the
     step undefined; the split is returned unchanged.
     """
-    level = _mean(costs)
+    level = float(costs.mean())
     if not level > 0.0:
         return shares
     raw = shares.values * (costs / level) ** 2
-    return ProportionVector._trusted(shares.pool_ids, _floor_simplex(raw, floor))
+    return ProportionVector(shares.pool_ids, _floor_simplex(raw, floor))
 
 
 @dataclass(frozen=True)
@@ -222,7 +206,7 @@ def _live_split(shares: ProportionVector, live: np.ndarray) -> ProportionVector:
     values = np.where(live, shares.values, 0.0)
     kept = values > 0.0
     values[live & ~kept] = values[kept].mean() if kept.any() else 1.0
-    return ProportionVector._trusted(shares.pool_ids, values / values.sum())
+    return ProportionVector(shares.pool_ids, values / values.sum())
 
 
 def run_mechanism(
@@ -240,7 +224,8 @@ def run_mechanism(
     of whose lines can run holds share zero (see _live_split for how the
     split moves when that set changes).  A warm state must carry the
     instance's pools in order and, per pool, its edges and operators in
-    order, else InputMismatchError.  The result reports
+    order, else InputMismatchError; an f_floor no split over the pools that
+    can run satisfies is a ValueError.  The result reports
     convergence honestly: an exhausted budget or a stalled inner market
     yields converged=False plus diagnostics, never an exception.
     """
@@ -249,6 +234,10 @@ def run_mechanism(
     pool_ids = tuple(pools.pool_ids)
     views: dict[str, PoolView] = {k: compile_pool(net, pools, k) for k in pool_ids}
     coeffs = {k: utilities.coefficients_for(views[k]) for k in pool_ids}
+    # the price step reads only the view, so each pool's is set once for all
+    # of its runs
+    eta = cfg.inner.price_eta
+    etas = {k: default_price_eta(views[k]) if eta is None else eta for k in pool_ids}
     capacity = net.capacity_vector()
 
     if warm is not None:
@@ -264,6 +253,13 @@ def run_mechanism(
     # the split update see only the others
     live = np.array([views[k].bottleneck.max(initial=0.0) > 0.0 for k in pool_ids])
     live_ids = tuple(k for k, on in zip(pool_ids, live) if on)
+    # the split update floors every live share at f_floor, which a split
+    # summing to one can hold only while f_floor * live pools <= 1
+    if cfg.f_floor * len(live_ids) > 1.0:
+        raise ValueError(
+            f"f_floor {cfg.f_floor} admits no split over {len(live_ids)} pools: "
+            "f_floor times the number of pools must not exceed 1"
+        )
     shares = _live_split(shares, live)
     for k, on in zip(pool_ids, live):
         if not on:
@@ -289,7 +285,7 @@ def run_mechanism(
         inner_ok = True
         for k in live_ids:
             res: SinglePoolResult = _run_pool(
-                views[k], coeffs[k], shares.share(k), states[k], cfg.inner
+                views[k], coeffs[k], shares.share(k), states[k], cfg.inner, etas[k]
             )
             states[k] = res.state
             price_updates[k] += res.iterations
@@ -308,7 +304,7 @@ def run_mechanism(
                 )
         pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pool_ids}
         cost_vec = np.array([pool_costs[k] for k in live_ids])
-        level = _mean(cost_vec) if live_ids else 0.0
+        level = float(cost_vec.mean()) if live_ids else 0.0
         outer_trace.append(
             {
                 "outer_iter": outer,
@@ -329,10 +325,10 @@ def run_mechanism(
         if outer == cfg.max_outer:
             diagnostics = f"equal-cost test still failing after {cfg.max_outer} split updates"
             break
-        split = update_proportions(ProportionVector._trusted(live_ids, shares.values[live]), cost_vec, cfg.f_floor)
+        split = update_proportions(ProportionVector(live_ids, shares.values[live]), cost_vec, cfg.f_floor)
         values = np.zeros(len(pool_ids))
         values[live] = split.values
-        shares = ProportionVector._trusted(pool_ids, values)
+        shares = ProportionVector(pool_ids, values)
         f_updates += 1
 
     final_states = {k: states[k] for k in pool_ids}

@@ -180,22 +180,10 @@ def validate_network(net: Network, pools: PoolSystem) -> list[Violation]:
 class PoolView:
     """Dense numeric view of one pool against a fixed edge ordering.
 
-    incidence[e, p] is 1.0 when operator p's line uses edge e.  The other
-    arrays are share-free facts of the pool that every pool run reads, so
-    compile_pool computes them once:
-
-    * bottleneck[p], the smallest raw capacity along p's line (scale by the
-      pool's capacity share to get the physical frequency ceiling);
-    * crowd[e], the number of lines crossing edge e;
-    * fair_ratio[p], the smallest capacity / crowd along p's line, the
-      line's fair share at share one;
-    * neck[e, p], 1/n when e is one of the n edges of p's line at which
-      capacity / crowd equals fair_ratio[p], else 0.  Ties are exact float
-      ties of per-edge ratios, so the neck set does not depend on the edge
-      order;
-    * step_scale, the smallest open capacity over the largest crowd (one
-      where no edge is open or no line runs), the scale of the default
-      price step.
+    incidence[e, p] is 1.0 when operator p's line uses edge e.  bottleneck[p]
+    is the smallest raw capacity along p's line (scale by the pool's capacity
+    share to get the physical frequency ceiling); compile_pool computes it
+    once, since every allocation step reads it.
     """
 
     pool_id: str
@@ -204,10 +192,6 @@ class PoolView:
     lop_ids: tuple[str, ...]
     incidence: np.ndarray
     bottleneck: np.ndarray
-    crowd: np.ndarray
-    fair_ratio: np.ndarray
-    neck: np.ndarray
-    step_scale: float
 
     @property
     def n_edges(self) -> int:
@@ -216,6 +200,9 @@ class PoolView:
     @property
     def n_lops(self) -> int:
         return len(self.lop_ids)
+
+    def lines_per_edge(self) -> np.ndarray:
+        return self.incidence.sum(axis=1)
 
 
 def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
@@ -257,26 +244,13 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
         except KeyError as err:
             raise InputMismatchError(f"line ({lop}, {pool_id}) uses unknown edge {err}") from None
         inc[idx, p] = 1.0
-    on = inc > 0.0
-    crowd = inc.sum(axis=1)
-    # per-edge values seen along each line (columns), inf off the line
-    caps_along = np.where(on, capacity[:, None], np.inf)
-    ratio_along = np.where(on, (capacity / np.maximum(crowd, 1.0))[:, None], np.inf)
-    fair_ratio = ratio_along.min(axis=0, initial=np.inf)
-    neck = ratio_along == fair_ratio
-    open_caps = capacity[capacity > 0.0]
-    scale = float(open_caps.min()) if open_caps.size else 1.0
     return PoolView(
         pool_id=pool_id,
         edge_ids=edge_ids,
         capacity=capacity,
         lop_ids=lops,
         incidence=inc,
-        bottleneck=caps_along.min(axis=0, initial=np.inf),
-        crowd=crowd,
-        fair_ratio=fair_ratio,
-        neck=neck / neck.sum(axis=0),
-        step_scale=scale / max(1.0, float(crowd.max(initial=0.0))),
+        bottleneck=np.where(inc > 0.0, capacity[:, None], np.inf).min(axis=0, initial=np.inf),
     )
 
 

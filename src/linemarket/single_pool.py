@@ -88,10 +88,12 @@ def default_price_eta(view: PoolView) -> float:
 
     A closed (zero-capacity) edge sets no scale: it would make the step zero
     and freeze every price.  When every edge is closed no load can move, so
-    the step is irrelevant and the scale falls back to one.  compile_pool
-    computes that scale once per view, as its step_scale.
+    the step is irrelevant and the scale falls back to one.
     """
-    return 0.01 * view.step_scale
+    crowd = view.lines_per_edge().max() if view.n_lops else 1.0
+    open_caps = view.capacity[view.capacity > 0.0]
+    scale = float(open_caps.min()) if open_caps.size else 1.0
+    return 0.01 * scale / max(1.0, float(crowd))
 
 
 @dataclass
@@ -246,9 +248,8 @@ def pool_residuals(
     comp = float((prices * np.abs(excess)).max(initial=0.0))
 
     active = freqs > 0.0
-    priced = path_prices > 0.0
-    priceless = bool((active > priced).any())  # active on an unpriced path
-    sel = active & priced
+    sel = active & (path_prices > 0.0)
+    priceless = np.count_nonzero(active) > np.count_nonzero(sel)  # an active path unpriced
     mu = path_prices[sel]
     marg = coefficients[sel] / (2.0 * np.sqrt(freqs[sel]))
     stat = float((np.abs(marg - mu) / mu).max(initial=0.0))
@@ -280,8 +281,15 @@ def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMa
     frequencies are allocated at those prices.
     """
     supply = view.capacity * share
-    bids = 0.5 * coefficients * np.sqrt(share * view.fair_ratio)
-    mass = view.neck.dot(bids)
+    # capacity / lines crossing at each edge of each line (columns), inf off
+    # the line; the neck is where a line's ratio is smallest.  The ratio is
+    # share-free, so the neck is the same at every share
+    crowd = view.lines_per_edge()
+    ratio = np.where(view.incidence > 0.0, (view.capacity / np.maximum(crowd, 1.0))[:, None], np.inf)
+    fair_ratio = ratio.min(axis=0)
+    neck = ratio == fair_ratio
+    bids = 0.5 * coefficients * np.sqrt(share * fair_ratio)
+    mass = (neck / neck.sum(axis=0)).dot(bids)
     prices = np.divide(mass, supply, out=np.zeros(view.n_edges), where=mass > 0.0)
     ceil = view.bottleneck * share
     offers, free = _bid_terms(bids, ceil)
@@ -306,12 +314,15 @@ def _run_pool(
     share: float,
     warm: PoolMarketState | None,
     cfg: DynamicsConfig,
+    eta: float | None = None,
 ) -> SinglePoolResult:
     """Run one pool's market to its clearing point at a fixed share.
 
     A warm state is resumed, rescaled first when it cleared at another
-    share; otherwise the pool cold-starts.  A run that exhausts max_iters
-    returns converged=False rather than raising.
+    share; otherwise the pool cold-starts.  The price step is eta when
+    given, else cfg.price_eta or default_price_eta(view); run_mechanism
+    resolves it once per pool for all of that pool's runs.  A run that
+    exhausts max_iters returns converged=False rather than raising.
     """
     if view.n_lops == 0:
         empty = PoolMarketState(
@@ -320,7 +331,8 @@ def _run_pool(
         res = PoolResiduals(0.0, 0.0, 0.0, True)
         return SinglePoolResult(empty, 0, 0, 0, True, res)
 
-    eta = cfg.price_eta if cfg.price_eta is not None else default_price_eta(view)
+    if eta is None:
+        eta = cfg.price_eta if cfg.price_eta is not None else default_price_eta(view)
     period = cfg.bid_refresh_period
     # fixed for the whole run: the step and the allocation read these, not
     # the view, on every price update
@@ -355,62 +367,55 @@ def _run_pool(
         state.freqs = allocate_frequencies(mu, offers, free, cap)
     loads = inc.dot(state.freqs)
 
-    trace: list[dict] | None = [] if cfg.trace_stride > 0 else None
+    stride = cfg.trace_stride
+    trace: list[dict] | None = [] if stride > 0 else None
+    prices, bids, freqs = state.prices, state.bids, state.freqs
     iters = 0
     bid_updates = 0
     skipped = 0
-    # a rescaled run cannot stop before its first refresh boundary, so its
-    # opening residuals would never be read; the loop runs at least once and
-    # checks again at that boundary or at the budget's end
-    res = None if rescaled else pool_residuals(
-        coefficients, state.prices, state.freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol
-    )
-
+    res = pool_residuals(coefficients, prices, freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol)
     # convergence is only declared at bid-consistent states, i.e. right after
-    # a refresh, so every clearing condition holds at one coherent state
-    def settled() -> bool:
-        return iters >= first_stop and iters % period == 0 and res.converged
+    # a refresh, so every clearing condition holds at one coherent state.
+    # Each pass of the loop runs one refresh period (or what is left of the
+    # budget) and checks the residuals at its end, the only points where the
+    # stop test and the result read them
+    settled = res.converged and first_stop == 0
+    while not settled and iters < cfg.max_iters:
+        steps = min(period, cfg.max_iters - iters)
+        for step in range(1, steps + 1):
+            prices, excess = price_step(prices, loads, supply, eta)
+            mu = inc_t.dot(prices)
+            if step == period:
+                new_bids, skip_mask = refresh_bids(coefficients, mu, bids)
+                skipped += np.count_nonzero(skip_mask)
+                rel_change = np.abs(new_bids - bids) / np.maximum(bids, 1e-300)
+                if float(rel_change.max(initial=0.0)) > cfg.rel_tol:
+                    bid_updates += 1
+                bids = new_bids
+                offers, free = _bid_terms(bids, ceil)
+            freqs = allocate_frequencies(mu, offers, free, cap)
+            loads = inc.dot(freqs)
 
-    while not settled() and iters < cfg.max_iters:
-        state.prices, excess = price_step(state.prices, loads, supply, eta)
-        iters += 1
-        mu = inc_t.dot(state.prices)
+            if trace is not None and (iters + step) % stride == 0:
+                trace.append(
+                    {
+                        "iter": iters + step,
+                        "max_excess": float(excess.max(initial=0.0)),
+                        "v_estimate": None,  # filled against final prices below
+                        "prices": prices.copy(),
+                        "freqs": freqs.copy(),
+                    }
+                )
+        iters += steps
+        res = pool_residuals(coefficients, prices, freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol)
+        settled = res.converged and steps == period and iters >= first_stop
 
-        if iters % period == 0:
-            new_bids, skip_mask = refresh_bids(coefficients, mu, state.bids)
-            skipped += np.count_nonzero(skip_mask)
-            rel_change = np.abs(new_bids - state.bids) / np.maximum(state.bids, 1e-300)
-            if float(rel_change.max(initial=0.0)) > cfg.rel_tol:
-                bid_updates += 1
-            state.bids = new_bids
-            offers, free = _bid_terms(state.bids, ceil)
-        state.freqs = allocate_frequencies(mu, offers, free, cap)
-        loads = inc.dot(state.freqs)
-
-        if trace is not None and iters % cfg.trace_stride == 0:
-            trace.append(
-                {
-                    "iter": iters,
-                    "max_excess": float(excess.max(initial=0.0)),
-                    "v_estimate": None,  # filled against final prices below
-                    "prices": state.prices.copy(),
-                    "freqs": state.freqs.copy(),
-                }
-            )
-        # settled() and the result read the residuals only at refresh
-        # boundaries and at the budget's end; skipping the other checks
-        # saves most of their cost without changing the trajectory
-        if iters % period == 0 or iters >= cfg.max_iters:
-            res = pool_residuals(
-                coefficients, state.prices, state.freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol
-            )
-
+    state.prices, state.bids, state.freqs = prices, bids, freqs
     if trace is not None:
-        final = state.prices
         for row in trace:
-            gap = row.pop("prices") - final
+            gap = row.pop("prices") - prices
             row["v_estimate"] = 0.5 * float(gap @ gap)
-    return SinglePoolResult(state, iters, bid_updates, skipped, settled(), res, trace)
+    return SinglePoolResult(state, iters, bid_updates, skipped, settled, res, trace)
 
 
 def run_price_dynamics(

@@ -249,6 +249,17 @@ class TestBadInput:
         assert run_cli(["solve", "--scenario", str(scn), "--out", "o", "--eta-f", "0.1"]) == 2
         assert "unrecognized arguments: --eta-f" in capsys.readouterr().err
 
+    def test_floor_too_high_for_the_pools(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        scn = {
+            "name": "five", "grid": {"rows": 4, "cols": 6, "pools": 5, "lines_per_pool": 4},
+            "utilities_gen": {"kind": "uniform", "low": 5, "high": 15},
+            "engine": {"f_floor": 0.3}, "seeds": [0],
+        }
+        (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
+        assert run_cli(["solve", "--scenario", "scn.json", "--out", "o"]) == 2
+        assert "f_floor 0.3 admits no split over 5 pools" in capsys.readouterr().err
+
     def test_grid_and_network_file_conflict(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         scn = write_single_edge_scenario(tmp_path, grid={"rows": 3, "cols": 3})

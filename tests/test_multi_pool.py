@@ -193,6 +193,31 @@ def test_repeated_pool_id_is_rejected():
             solve()
 
 
+def _one_edge_pools(n_live, n_dead):
+    """n_live pools with one line on an open edge, n_dead with one on a closed edge."""
+    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e0", "u", "v", 0.0)])
+    pool_ids = [f"k{i}" for i in range(n_live + n_dead)]
+    lines = {("lop0", k): lm.Line(("e1" if i < n_live else "e0",)) for i, k in enumerate(pool_ids)}
+    table = lm.UtilityTable({key: lm.UtilitySpec(2.0) for key in lines})
+    return net, lm.PoolSystem(pool_ids, lines), table
+
+
+def test_floor_no_split_can_hold_is_rejected():
+    """Five pools cannot each keep 0.3 of the capacity; three can, whatever the others hold."""
+    net, pools, table = _one_edge_pools(5, 0)
+    with pytest.raises(ValueError, match="f_floor 0.3 admits no split over 5 pools"):
+        lm.run_mechanism(net, pools, table, lm.MechanismConfig(f_floor=0.3))
+    # the split update refuses the negative share its projection would give
+    start = lm.ProportionVector(tuple(pools.pool_ids), np.array([0.6, 0.1, 0.1, 0.1, 0.1]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        lm.update_proportions(start, np.ones(5), 0.3)
+    # two pools that cannot run hold no share, so the floor binds only three
+    net, pools, table = _one_edge_pools(3, 2)
+    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(f_floor=0.3))
+    assert res.converged
+    np.testing.assert_allclose(res.state.shares.values, [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0], rtol=1e-12)
+
+
 @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), float("-inf"), -4.0])
 @pytest.mark.parametrize("solve", [lm.run_mechanism, lm.solve_full], ids=["mechanism", "oracle"])
 def test_nonfinite_capacity_is_rejected(solve, capacity):

@@ -106,17 +106,14 @@ def test_repeated_edge_id_is_rejected_by_every_reader():
 
 
 def test_compiled_view_matches_lines():
-    """Column p of the incidence has one entry per edge of line p; crowds and fair ratios follow the lines."""
+    """Column p of the incidence has exactly one entry per edge of line p."""
     net, pools, _ = instances.chain_instance(1)
     for k in pools.pool_ids:
         view = lm.compile_pool(net, pools, k)
-        lines = [pools.line(lop, k).edge_ids for lop in view.lop_ids]
-        crowd = {e: sum(e in line for line in lines) for e in view.edge_ids}
-        assert list(view.crowd) == [crowd[e] for e in view.edge_ids]
-        for p, line in enumerate(lines):
+        for p, lop in enumerate(view.lop_ids):
+            line = pools.line(lop, k)
             assert view.incidence[:, p].sum() == len(line)
-            assert view.bottleneck[p] == min(net.capacity(e) for e in line)
-            assert view.fair_ratio[p] == min(net.capacity(e) / crowd[e] for e in line)
+            assert view.bottleneck[p] == min(net.capacity(e) for e in line.edge_ids)
     with pytest.raises(lm.InputMismatchError):
         lm.compile_pool(net, pools, "k9")
 

@@ -242,8 +242,9 @@ def _three_way_tie(order):
 def test_opening_does_not_depend_on_edge_order():
     """Permuting the edge list moves no bid and no edge's opening price, ties included."""
     view, coeffs = _three_way_tie(range(4))
-    np.testing.assert_array_equal(view.fair_ratio, [3.0, 3.0, 3.0])
     base = lm.cold_start(view, coeffs, 0.6)
+    # every fair share is 0.6 * 3
+    np.testing.assert_allclose(base.bids, coeffs / 2 * np.sqrt(0.6 * 3.0), rtol=1e-15)
     # every tie splits evenly: e3 carries a third of lop0's bid, half of
     # lop1's and all of lop2's, e4 none
     b = base.bids
@@ -408,7 +409,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     else:
         open_caps = view.capacity[view.capacity > 0.0]
         scale = float(open_caps.min()) if open_caps.size else 1.0
-        eta = 0.01 * (scale / max(1.0, float(view.incidence.sum(axis=1).max())))
+        eta = 0.01 * scale / max(1.0, float(view.incidence.sum(axis=1).max()))
     period = cfg.bid_refresh_period
     if warm is None:
         # each line's bid is charged evenly to the edges of its line with the
@@ -624,8 +625,8 @@ def test_seams_run_once_per_use(monkeypatch):
     runs = []
     moved = []
 
-    def run_pool(view, coefficients, share, warm, cfg):
-        res = _run_pool(view, coefficients, share, warm, cfg)
+    def run_pool(view, coefficients, share, warm, cfg, eta):
+        res = _run_pool(view, coefficients, share, warm, cfg, eta)
         runs.append((view.n_lops, res.iterations))
         moved.append(warm is not None and warm.share != share)
         return res
@@ -640,10 +641,9 @@ def test_seams_run_once_per_use(monkeypatch):
     updates = sum(n for _, n in runs)
     assert updates == sum(res.price_updates.values())
     boundaries = sum(n // period for _, n in runs)
-    # one check before the first update of each run whose share did not
-    # move (a moved run cannot stop there), one per boundary, one more on a
-    # budget exit off a boundary
-    exits = sum((not m) + (n % period != 0) for (_, n), m in zip(runs, moved))
+    # one check before the first update of each run, moved or not, one per
+    # boundary, one more on a budget exit off a boundary
+    exits = sum(1 + (n % period != 0) for _, n in runs)
     assert calls["price_step"] == updates
     assert calls["refresh_bids"] == boundaries
     assert calls["pool_residuals"] == boundaries + exits
