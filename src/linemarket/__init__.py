@@ -21,12 +21,7 @@ from .network import (
     network_to_json,
     validate_network,
 )
-from .utility import (
-    UtilitySpec,
-    UtilityTable,
-    best_response_bid,
-    utility,
-)
+from .utility import UtilitySpec, UtilityTable, best_response_bid
 from .single_pool import (
     DynamicsConfig,
     PoolMarketState,

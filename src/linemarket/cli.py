@@ -50,7 +50,7 @@ _FLOAT_FMT = "%.6g"
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved invocation: command, scenario document, overrides."""
+    """Fully resolved invocation: command, scenario document, engine config."""
 
     command: str
     scenario: dict
@@ -187,16 +187,13 @@ def _disruption(scn: Mapping, seed: int) -> DisruptionSpec:
     )
 
 
-# Scenario "engine" keys: (config field, type).  A key that is also a flag
-# (same name) takes the flag's value when given; an absent key keeps the
-# config's own default.
+# Scenario "engine" keys: (config field, type).  The engine block is the one
+# place a run's engine settings come from; an absent key keeps the config's
+# own default.
 _INNER_KEYS = {
     "eta_price": ("price_eta", float),
     "bid_refresh_period": ("bid_refresh_period", int),
-    "abs_tol": ("abs_tol", float),
-    "rel_tol": ("rel_tol", float),
     "max_inner": ("max_iters", int),
-    "trace_stride": ("trace_stride", int),
 }
 _OUTER_KEYS = {
     "eps_cost": ("eps_cost", float),
@@ -205,21 +202,14 @@ _OUTER_KEYS = {
 }
 
 
-def _mech_config(scn: Mapping, args: argparse.Namespace) -> MechanismConfig:
+def _mech_config(scn: Mapping) -> MechanismConfig:
     eng = dict(scn.get("engine", {}))
     extra = set(eng) - set(_INNER_KEYS) - set(_OUTER_KEYS)
     if extra:
         raise ValueError(f"unknown engine fields: {sorted(extra)}")
 
     def given(keys: Mapping[str, tuple]) -> dict:
-        out = {}
-        for key, (name, cast) in keys.items():
-            value = getattr(args, key, None)
-            if value is None:
-                value = eng.get(key)
-            if value is not None:
-                out[name] = cast(value)
-        return out
+        return {name: cast(eng[key]) for key, (name, cast) in keys.items() if eng.get(key) is not None}
 
     return MechanismConfig(inner=DynamicsConfig(**given(_INNER_KEYS)), **given(_OUTER_KEYS))
 
@@ -251,7 +241,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         seeds=seeds,
         mode=mode,
         timing=bool(args.timing),
-        mech=_mech_config(scn, args),
+        mech=_mech_config(scn),
     )
 
 
@@ -297,17 +287,6 @@ def _write_outer_trace(path: Path, res: MechanismResult) -> None:
             )
 
 
-def _write_inner_trace(path: Path, rows: list[dict], lop_ids: Sequence[str]) -> None:
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["outer_iter", "iter", "max_excess", "v_estimate"] + [f"x_{lop}" for lop in lop_ids])
-        for row in rows:
-            writer.writerow(
-                [row["outer_iter"], row["iter"], _fmt(row["max_excess"]), _fmt(row["v_estimate"])]
-                + [_fmt(float(x)) for x in row["freqs"]]
-            )
-
-
 def _summary(seed: int, res: MechanismResult, max_kkt: float) -> str:
     per_pool = ";".join(f"{k}:{v}" for k, v in sorted(res.price_updates.items()))
     status = "converged" if res.converged else "nonconverged"
@@ -342,9 +321,6 @@ def _cmd_solve(cfg: RunConfig) -> int:
         max_kkt = mechanism_kkt(net, pools, table, res.state).max_scaled()
         _write_json(cfg.out_dir / f"state_seed{seed}.json", _state_doc(res))
         _write_outer_trace(cfg.out_dir / f"outer_trace_seed{seed}.csv", res)
-        for k, rows in sorted(res.inner_traces.items()):
-            lop_ids = res.state.pool_states[k].lop_ids
-            _write_inner_trace(cfg.out_dir / f"inner_trace_seed{seed}_{k}.csv", rows, lop_ids)
         name = cfg.scenario.get("name", "run")
         record = _record(f"{name}-s{seed}", "cold", res, max_kkt)
         with (cfg.out_dir / "records.csv").open("a", newline="", encoding="utf-8") as fh:
@@ -434,13 +410,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seeds", default=None, help="comma-separated seeds, overrides the scenario")
         p.add_argument("--mode", default=None, choices=["cold", "warm", "both"])
-        p.add_argument("--eta-price", type=float, default=None, dest="eta_price")
-        p.add_argument("--abs-tol", type=float, default=None, dest="abs_tol")
-        p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-        p.add_argument("--eps-cost", type=float, default=None, dest="eps_cost")
-        p.add_argument("--max-inner", type=int, default=None, dest="max_inner")
-        p.add_argument("--max-outer", type=int, default=None, dest="max_outer")
-        p.add_argument("--trace-stride", type=int, default=None, dest="trace_stride")
         p.add_argument("--timing", action="store_true", help="record wall-clock times (breaks byte reproducibility)")
     return parser
 

@@ -45,7 +45,7 @@ _TINY = 1e-30
 
 @dataclass(frozen=True)
 class ProportionVector:
-    """Capacity split across pools: nonnegative, sums to one."""
+    """Capacity split across pools: finite, nonnegative, sums to one."""
 
     pool_ids: tuple[str, ...]
     values: np.ndarray
@@ -53,6 +53,8 @@ class ProportionVector:
     def __post_init__(self) -> None:
         if len(self.pool_ids) != len(self.values):
             raise ValueError("pool ids and values differ in length")
+        if not np.isfinite(self.values).all():
+            raise ValueError(f"proportions must be finite, got {self.values}")
         if np.any(self.values < -1e-12):
             raise ValueError("proportions must be nonnegative")
         if abs(float(self.values.sum()) - 1.0) > 1e-9:
@@ -158,7 +160,6 @@ class MechanismResult:
     objective: float
     wall_time: float
     outer_trace: list[dict]
-    inner_traces: dict[str, list[dict]] = field(default_factory=dict)
     diagnostics: str = ""
 
     def frequencies(self) -> dict[tuple[str, str], float]:
@@ -274,7 +275,6 @@ def run_mechanism(
     bid_updates = 0
     skipped = 0
     outer_trace: list[dict] = []
-    inner_traces: dict[str, list[dict]] = {k: [] for k in pool_ids}
     diagnostics = ""
     converged = False
     pool_costs = {k: 0.0 for k in pool_ids}
@@ -291,9 +291,6 @@ def run_mechanism(
             price_updates[k] += res.iterations
             bid_updates += res.bid_updates
             skipped += res.skipped_refreshes
-            if res.trace:
-                for row in res.trace:
-                    inner_traces[k].append({"outer_iter": outer, **row})
             if not res.converged:
                 inner_ok = False
                 diagnostics = (
@@ -349,6 +346,5 @@ def run_mechanism(
         objective=_objective(utilities, final_states),
         wall_time=time.perf_counter() - t0,
         outer_trace=outer_trace,
-        inner_traces={k: v for k, v in inner_traces.items() if v},
         diagnostics=diagnostics,
     )

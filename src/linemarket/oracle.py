@@ -141,7 +141,6 @@ def _clearing_prices(
     m = len(reps)
     line_idx = [np.flatnonzero(sub_inc[:, p]) for p in range(n_lops)]
     line_len = np.maximum(sub_inc.sum(axis=0), 1.0)
-    bneck = np.array([sub_budget[idx].min() if len(idx) else 0.0 for idx in line_idx])
     scale_b = max(1.0, float(sub_budget.max()))
 
     def dual_value(pr: np.ndarray) -> float:
@@ -150,18 +149,10 @@ def _clearing_prices(
             return np.inf
         return float(demand.conjugate(mu).sum() + pr @ sub_budget)
 
-    def ensure_cover(pr: np.ndarray) -> None:
-        # price the bottleneck of any active path the start left free
-        mu = sub_inc.T @ pr
-        for p in np.flatnonzero(act):
-            idx = line_idx[p]
-            if mu[p] <= 0.0 and len(idx):
-                e = idx[np.argmin(sub_budget[idx])]
-                seed = float(demand.inverse(np.full(n_lops, max(bneck[p], _TINY)))[p])
-                pr[e] = max(pr[e], seed / line_len[p], _TINY)
-
     # fair-share start: price each edge as if its budget were split evenly
-    # among the lines crossing it
+    # among the lines crossing it.  Every edge of an active line has a
+    # positive budget (lines over a closed edge are inactive), so the start
+    # prices every active path and the dual value is finite
     crowd = np.maximum(sub_inc[:, act].sum(axis=1), 1.0)
     fair = sub_budget / crowd
     prices = np.zeros(m)
@@ -170,7 +161,6 @@ def _clearing_prices(
         for e in line_idx[p]:
             guess = float(demand.inverse(np.full(n_lops, max(fair[e], _TINY)))[p])
             prices[e] = max(prices[e], guess / line_len[p])
-    ensure_cover(prices)
 
     cur = dual_value(prices)
     converged = False

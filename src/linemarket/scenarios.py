@@ -291,20 +291,19 @@ def run_recovery_experiment(
     disruption: DisruptionSpec,
     cfg: MechanismConfig | None = None,
     instance: str = "instance",
-    congestion_threshold: float = 0.1,
-    baseline_cfg: MechanismConfig | None = None,
     baseline: MechanismResult | None = None,
     modes: Iterable[str] = ("cold", "warm"),
 ) -> RecoveryResult:
     """Converge, disrupt, then restart on the shock in the requested modes.
 
     The baseline run must converge (it plays the role of the known optimum a
-    disruption hits); by default it runs under a tighter equal-cost test
-    than the recovery runs so warm restarts measure the shock, not leftover
-    slack in the baseline.  A precomputed converged `baseline` skips that
-    solve, which matters when several disruptions hit the same instance.
-    Non-convergence of a recovery run is recorded in its ExperimentRecord,
-    not raised.
+    disruption hits); it runs under a tighter equal-cost test than the
+    recovery runs, eps_cost at most 0.02, so warm restarts measure the
+    shock, not leftover slack in the baseline.  A precomputed converged
+    `baseline` skips that solve, which matters when several disruptions hit
+    the same instance.  The shock hits the edges congested_edges finds at
+    its default threshold.  Non-convergence of a recovery run is recorded in
+    its ExperimentRecord, not raised.
     """
     cfg = cfg or MechanismConfig()
     wanted = set(modes)
@@ -313,14 +312,11 @@ def run_recovery_experiment(
     if not wanted <= {"cold", "warm"}:
         raise ValueError(f"unknown recovery modes: {sorted(wanted - {'cold', 'warm'})}")
     if baseline is None:
-        if baseline_cfg is None:
-            baseline_cfg = replace(cfg, eps_cost=min(cfg.eps_cost, 0.02))
-        baseline = run_mechanism(net, pools, utilities, baseline_cfg)
+        baseline = run_mechanism(net, pools, utilities, replace(cfg, eps_cost=min(cfg.eps_cost, 0.02)))
     if not baseline.converged:
         raise RuntimeError(f"baseline run failed to converge: {baseline.diagnostics}")
 
-    hot = congested_edges(baseline.state, congestion_threshold)
-    shocked = apply_disruption(net, disruption, hot)
+    shocked = apply_disruption(net, disruption, congested_edges(baseline.state))
 
     cold_res = warm_res = None
     cold_rec = warm_rec = None

@@ -26,11 +26,10 @@ got wrong.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .network import InputMismatchError, PoolView
+from .network import PoolView
 from .utility import best_response_bids
 
 __all__ = [
@@ -53,32 +52,34 @@ __all__ = [
 # unpriced bidder below its ceiling.
 _OVERLOAD = 1.25
 
+# The stop test's tolerances: a pool has cleared when neither its worst
+# overload nor its worst price * |excess| exceeds _ABS_TOL and every active
+# line's marginal value is within _REL_TOL of its path price, relatively.  A
+# refresh that moves some bid by more than _REL_TOL counts as a bid update.
+_ABS_TOL = 0.1
+_REL_TOL = 0.1
+
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    """Tuning knobs for the in-pool dynamics.
+    """Tuning knobs for the in-pool dynamics: step, refresh period, budget.
 
     price_eta of None means the capacity-scaled default: one percent of the
     smallest open edge capacity divided by the largest number of lines
-    sharing an edge.  Every field sets the loop (step, refresh period, stop
-    test, budget, trace sampling), none the instance: what is legal input
-    is decided once, by compile_pool, before any pool runs.
+    sharing an edge.  The stop test's tolerances are the module constants
+    _ABS_TOL and _REL_TOL.  No field describes the instance: what is legal
+    input is decided once, by compile_pool, before any pool runs.
     """
 
     price_eta: float | None = None
     bid_refresh_period: int = 10
-    abs_tol: float = 0.1
-    rel_tol: float = 0.1
     max_iters: int = 50_000
-    trace_stride: int = 0
 
     def __post_init__(self) -> None:
         if self.price_eta is not None and not self.price_eta > 0:
             raise ValueError("price_eta must be positive")
         if self.bid_refresh_period < 1:
             raise ValueError("bid_refresh_period must be a positive integer")
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
 
@@ -136,21 +137,6 @@ class PoolMarketState:
             "bids": self.bid_map(),
             "freqs": self.freq_map(),
         }
-
-    @classmethod
-    def from_json(cls, doc: Mapping, view: PoolView) -> "PoolMarketState":
-        """Inverse of to_json against a compiled view; every id must be present."""
-
-        def vector(key: str, ids: tuple[str, ...]) -> np.ndarray:
-            missing = [i for i in ids if i not in doc[key]]
-            if missing:
-                raise InputMismatchError(f"pool {view.pool_id!r} state lacks {key} for {missing}")
-            return np.array([float(doc[key][i]) for i in ids])
-
-        prices = vector("prices", view.edge_ids)
-        bids = vector("bids", view.lop_ids)
-        freqs = vector("freqs", view.lop_ids)
-        return cls(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, float(doc["share"]))
 
 
 def price_step(
@@ -235,14 +221,13 @@ def pool_residuals(
     freqs: np.ndarray,
     path_prices: np.ndarray,
     excess: np.ndarray,
-    abs_tol: float,
-    rel_tol: float,
 ) -> PoolResiduals:
     """Clearing residuals of one pool state.
 
     path_prices (incidence.T @ prices) and excess (incidence @ freqs minus
     the share-scaled capacity) are the state's own, which the price loop
-    already holds.  An active line on an unpriced path fails the check.
+    already holds.  converged is the stop test at _ABS_TOL and _REL_TOL; an
+    active line on an unpriced path fails it.
     """
     feas = float(excess.max(initial=0.0))
     comp = float((prices * np.abs(excess)).max(initial=0.0))
@@ -256,9 +241,9 @@ def pool_residuals(
 
     ok = (
         not priceless
-        and feas <= abs_tol
-        and comp <= abs_tol
-        and stat <= rel_tol
+        and feas <= _ABS_TOL
+        and comp <= _ABS_TOL
+        and stat <= _REL_TOL
     )
     return PoolResiduals(feas, comp, stat, ok)
 
@@ -305,7 +290,6 @@ class SinglePoolResult:
     skipped_refreshes: int   # refresh events skipped for zero path price
     converged: bool
     residuals: PoolResiduals
-    trace: list[dict] | None = None
 
 
 def _run_pool(
@@ -367,13 +351,11 @@ def _run_pool(
         state.freqs = allocate_frequencies(mu, offers, free, cap)
     loads = inc.dot(state.freqs)
 
-    stride = cfg.trace_stride
-    trace: list[dict] | None = [] if stride > 0 else None
     prices, bids, freqs = state.prices, state.bids, state.freqs
     iters = 0
     bid_updates = 0
     skipped = 0
-    res = pool_residuals(coefficients, prices, freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol)
+    res = pool_residuals(coefficients, prices, freqs, mu, loads - supply)
     # convergence is only declared at bid-consistent states, i.e. right after
     # a refresh, so every clearing condition holds at one coherent state.
     # Each pass of the loop runs one refresh period (or what is left of the
@@ -383,39 +365,24 @@ def _run_pool(
     while not settled and iters < cfg.max_iters:
         steps = min(period, cfg.max_iters - iters)
         for step in range(1, steps + 1):
-            prices, excess = price_step(prices, loads, supply, eta)
+            prices, _ = price_step(prices, loads, supply, eta)
             mu = inc_t.dot(prices)
             if step == period:
                 new_bids, skip_mask = refresh_bids(coefficients, mu, bids)
                 skipped += np.count_nonzero(skip_mask)
                 rel_change = np.abs(new_bids - bids) / np.maximum(bids, 1e-300)
-                if float(rel_change.max(initial=0.0)) > cfg.rel_tol:
+                if float(rel_change.max(initial=0.0)) > _REL_TOL:
                     bid_updates += 1
                 bids = new_bids
                 offers, free = _bid_terms(bids, ceil)
             freqs = allocate_frequencies(mu, offers, free, cap)
             loads = inc.dot(freqs)
-
-            if trace is not None and (iters + step) % stride == 0:
-                trace.append(
-                    {
-                        "iter": iters + step,
-                        "max_excess": float(excess.max(initial=0.0)),
-                        "v_estimate": None,  # filled against final prices below
-                        "prices": prices.copy(),
-                        "freqs": freqs.copy(),
-                    }
-                )
         iters += steps
-        res = pool_residuals(coefficients, prices, freqs, mu, loads - supply, cfg.abs_tol, cfg.rel_tol)
+        res = pool_residuals(coefficients, prices, freqs, mu, loads - supply)
         settled = res.converged and steps == period and iters >= first_stop
 
     state.prices, state.bids, state.freqs = prices, bids, freqs
-    if trace is not None:
-        for row in trace:
-            gap = row.pop("prices") - prices
-            row["v_estimate"] = 0.5 * float(gap @ gap)
-    return SinglePoolResult(state, iters, bid_updates, skipped, settled, res, trace)
+    return SinglePoolResult(state, iters, bid_updates, skipped, settled, res)
 
 
 def run_price_dynamics(

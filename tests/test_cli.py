@@ -167,8 +167,8 @@ def test_recover_command_both_modes(tmp_path, monkeypatch):
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 run out
-    scn = write_instance_scenario(tmp_path, "chain0", *instances.chain_instance(0))
-    assert run_cli(["solve", "--scenario", str(scn), "--out", "out", "--max-inner", "3"]) == 1
+    scn = write_instance_scenario(tmp_path, "chain0", *instances.chain_instance(0), engine={"max_inner": 3})
+    assert run_cli(["solve", "--scenario", str(scn), "--out", "out"]) == 1
     row = read_records(tmp_path / "out" / "records.csv")[0]
     assert row["status"] == "nonconverged"
 
@@ -235,7 +235,9 @@ class TestBadInput:
     def test_unknown_engine_field(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         # a retired option's key is rejected like any unknown one
-        for engine in ({"warp": 9}, {"normalized_f_update": False}, {"overload_factor": 1.25}):
+        retired = ({"normalized_f_update": False}, {"overload_factor": 1.25}, {"abs_tol": 0.1},
+                   {"rel_tol": 0.1}, {"trace_stride": 50})
+        for engine in ({"warp": 9},) + retired:
             scn = write_single_edge_scenario(tmp_path, engine=engine)
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
             assert "unknown engine fields" in capsys.readouterr().err
@@ -270,10 +272,16 @@ class TestBadInput:
         scn = write_single_edge_scenario(tmp_path)
         assert run_cli(["solve", "--scenario", str(scn), "--out", "o", "--seeds", "a,b"]) == 2
 
-    def test_bad_flag_value(self, tmp_path, monkeypatch):
+    def test_bad_flag_value(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
+        scn = write_single_edge_scenario(tmp_path, engine={"eta_price": -1})
+        assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
+        assert "price_eta must be positive" in capsys.readouterr().err
+        # engine values come from the scenario alone: the retired flags are unknown
         scn = write_single_edge_scenario(tmp_path)
-        assert run_cli(["solve", "--scenario", str(scn), "--out", "o", "--eta-price", "-1"]) == 2
+        for flag in ("--eta-price", "--abs-tol", "--rel-tol", "--eps-cost", "--max-inner", "--max-outer", "--trace-stride"):
+            assert run_cli(["solve", "--scenario", str(scn), "--out", "o", flag, "1"]) == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_missing_required_flag(self):
         assert run_cli(["solve"]) == 2
@@ -308,6 +316,5 @@ def test_emit_record_header_once():
 
 
 def test_empty_engine_block_keeps_config_defaults():
-    args = cli._build_parser().parse_args(["solve", "--scenario", "scn.json"])
-    assert cli._mech_config({"engine": {}}, args) == lm.MechanismConfig()
-    assert cli._mech_config({}, args) == lm.MechanismConfig()
+    assert cli._mech_config({"engine": {}}) == lm.MechanismConfig()
+    assert cli._mech_config({}) == lm.MechanismConfig()

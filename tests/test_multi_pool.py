@@ -27,6 +27,11 @@ class TestProportionVector:
         with pytest.raises(ValueError):
             lm.ProportionVector(("k0", "k1"), np.array([0.5, 0.6]))
 
+    def test_rejects_non_finite(self):
+        for values in ([np.nan, np.nan], [np.inf, -np.inf], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                lm.ProportionVector(("k0", "k1"), np.array(values))
+
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             lm.ProportionVector(("k0",), np.array([0.5, 0.5]))
@@ -134,7 +139,7 @@ def test_objective_is_sum_of_valuations():
     net, pools, table = instances.symmetric_two_pool()
     res = lm.run_mechanism(net, pools, table)
     expect = sum(
-        lm.utility(table.spec(lop, k), x) for (lop, k), x in res.frequencies().items()
+        lm.utility.utility(table.spec(lop, k), x) for (lop, k), x in res.frequencies().items()
     )
     assert res.objective == pytest.approx(expect, rel=1e-12)
 

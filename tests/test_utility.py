@@ -9,14 +9,14 @@ A = lm.UtilitySpec(2.0)
 
 
 def test_utility_values():
-    assert lm.utility(lm.UtilitySpec(1e4), 4.0) == 2e4
-    assert lm.utility(A, 0.0) == 0.0
-    assert lm.utility(A, 1.0) == 2.0
+    assert lm.utility.utility(lm.UtilitySpec(1e4), 4.0) == 2e4
+    assert lm.utility.utility(A, 0.0) == 0.0
+    assert lm.utility.utility(A, 1.0) == 2.0
 
 
 def test_utility_negative_frequency_rejected():
     with pytest.raises(ValueError):
-        lm.utility(A, -0.1)
+        lm.utility.utility(A, -0.1)
 
 
 def test_best_response_values():
