@@ -202,14 +202,27 @@ _OUTER_KEYS = {
 }
 
 
+def _engine_value(key: str, value, kind: type):
+    """One engine value parsed by its type: a JSON number, integral for an int key."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (kind is int and value % 1 != 0):
+        raise ValueError(f"engine field {key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"engine field {key!r} is out of range") from None
+
+
 def _mech_config(scn: Mapping) -> MechanismConfig:
-    eng = dict(scn.get("engine", {}))
+    eng = scn.get("engine", {})
+    if not isinstance(eng, dict):
+        raise ValueError(f"engine must be a JSON object, got {eng!r}")
     extra = set(eng) - set(_INNER_KEYS) - set(_OUTER_KEYS)
     if extra:
         raise ValueError(f"unknown engine fields: {sorted(extra)}")
 
     def given(keys: Mapping[str, tuple]) -> dict:
-        return {name: cast(eng[key]) for key, (name, cast) in keys.items() if eng.get(key) is not None}
+        return {name: _engine_value(key, eng[key], kind)
+                for key, (name, kind) in keys.items() if eng.get(key) is not None}
 
     return MechanismConfig(inner=DynamicsConfig(**given(_INNER_KEYS)), **given(_OUTER_KEYS))
 

@@ -27,7 +27,7 @@ from .single_pool import (
     _run_pool,
     default_price_eta,
 )
-from .utility import UtilityTable, utility
+from .utility import UtilityTable
 
 __all__ = [
     "ProportionVector",
@@ -130,8 +130,8 @@ class MechanismConfig:
     max_outer: int = 200
 
     def __post_init__(self) -> None:
-        if not self.eps_cost > 0:
-            raise ValueError("eps_cost must be positive")
+        if not 0.0 < self.eps_cost < np.inf:
+            raise ValueError(f"eps_cost must be positive and finite, got {self.eps_cost}")
         if not 0.0 <= self.f_floor < 0.5:
             raise ValueError("f_floor must lie in [0, 0.5)")
         if self.max_outer < 1:
@@ -168,14 +168,6 @@ class MechanismResult:
             for lop, x in zip(st.lop_ids, st.freqs):
                 out[(lop, k)] = float(x)
         return out
-
-
-def _objective(utilities: UtilityTable, pool_states: Mapping[str, PoolMarketState]) -> float:
-    total = 0.0
-    for k, st in pool_states.items():
-        for lop, x in zip(st.lop_ids, st.freqs):
-            total += utility(utilities.spec(lop, k), max(0.0, float(x)))
-    return total
 
 
 def _check_warm(warm: OuterState, views: Mapping[str, PoolView]) -> None:
@@ -343,7 +335,7 @@ def run_mechanism(
         price_updates=price_updates,
         bid_updates=bid_updates,
         skipped_refreshes=skipped,
-        objective=_objective(utilities, final_states),
+        objective=sum(float(coeffs[k] @ np.sqrt(np.maximum(states[k].freqs, 0.0))) for k in pool_ids),
         wall_time=time.perf_counter() - t0,
         outer_trace=outer_trace,
         diagnostics=diagnostics,

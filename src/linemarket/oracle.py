@@ -4,10 +4,12 @@ The market mechanism is decentralized; this module solves the same
 allocation problem directly so tests can compare the two.  There is one
 solve path: each pool is solved once, at share 1, by minimizing the explicit
 convex dual of its concave program over edge prices with a projected,
-Levenberg-damped Newton method (see _clearing_prices).  Square-root
-valuations make a pool's optimum at share f its share-1 optimum with
-frequencies scaled by f and prices by f**-1/2, so its value is sqrt(f) times
-its value at share 1 and the optimal split follows in closed form (see
+Levenberg-damped Newton method (see _clearing_prices).  Newton opens where
+the engine opens, at single_pool.cold_start's fair-share prices, so the fair
+share and each line's neck have one definition, in single_pool.
+Square-root valuations make a pool's optimum at share f its share-1 optimum
+with frequencies scaled by f and prices by f**-1/2, so its value is sqrt(f)
+times its value at share 1 and the optimal split follows in closed form (see
 solve_full).  kkt_report certifies a candidate point from either solver.
 """
 from __future__ import annotations
@@ -19,6 +21,7 @@ import numpy as np
 
 from .network import Network, PoolSystem, PoolView, compile_pool
 from .multi_pool import OuterState
+from .single_pool import _fair_split, _neck_prices, cold_start
 from .utility import UtilityTable
 
 __all__ = [
@@ -53,9 +56,6 @@ class _SqrtDemand:
     def slope(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.where(self.active, -2.0 * x / np.maximum(mu, _TINY), 0.0)
 
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self.active, self.a / (2.0 * np.sqrt(np.maximum(x, _TINY))), 0.0)
-
     def conjugate(self, mu: np.ndarray) -> np.ndarray:
         # sup_x a*sqrt(x) - mu*x, the per-operator term of the dual
         out = np.zeros_like(self.a)
@@ -78,9 +78,6 @@ class _BidDemand:
     def slope(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
         return np.where(self.active, -x / np.maximum(mu, _TINY), 0.0)
 
-    def inverse(self, x: np.ndarray) -> np.ndarray:
-        return np.where(self.active, self.w / np.maximum(x, _TINY), 0.0)
-
     def conjugate(self, mu: np.ndarray) -> np.ndarray:
         # sup_x w*log(x) - mu*x
         out = np.zeros_like(self.w)
@@ -102,6 +99,7 @@ def _clearing_prices(
     incidence: np.ndarray,
     budget: np.ndarray,
     demand,
+    opening: np.ndarray,
     max_iters: int = 300,
     tol: float = 1e-11,
 ) -> _PoolSolve:
@@ -110,14 +108,20 @@ def _clearing_prices(
     Minimizes the dual of  max sum(values) s.t. incidence @ x <= budget
     over nonnegative prices with a projected, Levenberg-damped Newton
     method.  Edges crossed by exactly the same set of active operators are
-    collapsed first: within such a group only the scarcest edge can carry a
-    positive price, and the collapse removes the flat directions that would
-    otherwise make the Newton system singular.  The dual value blows up
-    whenever an active operator's path turns free of charge, so descent
-    steps keep every such path priced without explicit bookkeeping.  At the
-    returned point every active operator sits on her demand curve, loads
-    never exceed the budget beyond solver precision, and priced edges run
-    at budget.
+    collapsed first, by one np.unique over their active incidence rows:
+    within such a group only the scarcest edge, its representative, can
+    carry a positive price, and the collapse removes the flat directions
+    that would otherwise make the Newton system singular.  Newton opens at
+    `opening`, the engine's fair-share opening prices (single_pool's neck
+    charge), summed onto each group's representative; the sum keeps every
+    active path price, so the dual value is finite from the start.  The dual
+    value blows up whenever an active operator's path turns free of charge,
+    so descent steps keep every such path priced without explicit
+    bookkeeping.  The Armijo test allows for the dual value's own rounding
+    (a few ulps of it), else a step the rounding hides stalls the descent
+    short of `tol`.  At the returned point every active operator sits on
+    her demand curve, loads never exceed the budget beyond solver
+    precision, and priced edges run at budget.
     """
     n_edges, n_lops = incidence.shape
     # an operator whose line crosses a closed edge can run nothing; left
@@ -127,20 +131,16 @@ def _clearing_prices(
     if n_lops == 0 or not act.any():
         return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0)
 
-    # group edges by active-operator support; representative = scarcest edge
-    groups: dict[bytes, list[int]] = {}
-    for e in range(n_edges):
-        row = incidence[e, act]
-        if row.any():
-            groups.setdefault(row.tobytes(), []).append(e)
-    rep_of = {min(idx, key=lambda e: budget[e]): idx for idx in groups.values()}
-    reps = sorted(rep_of)
+    # group the edges active lines cross by their active rows, scarcest edge
+    # first, so each group's first edge is its representative
+    rows = incidence[:, act]
+    edges = np.flatnonzero(rows.any(axis=1))
+    edges = edges[np.argsort(budget[edges], kind="stable")]
+    _, first, group = np.unique(rows[edges], axis=0, return_index=True, return_inverse=True)
+    reps = edges[first]
     sub_inc = incidence[reps]
-    sub_budget = np.array([min(budget[e] for e in rep_of[r]) for r in reps])
-
-    m = len(reps)
-    line_idx = [np.flatnonzero(sub_inc[:, p]) for p in range(n_lops)]
-    line_len = np.maximum(sub_inc.sum(axis=0), 1.0)
+    sub_budget = budget[reps]
+    prices = np.bincount(group, weights=opening[edges], minlength=len(reps))
     scale_b = max(1.0, float(sub_budget.max()))
 
     def dual_value(pr: np.ndarray) -> float:
@@ -148,19 +148,6 @@ def _clearing_prices(
         if np.any(mu[act] <= 0.0):
             return np.inf
         return float(demand.conjugate(mu).sum() + pr @ sub_budget)
-
-    # fair-share start: price each edge as if its budget were split evenly
-    # among the lines crossing it.  Every edge of an active line has a
-    # positive budget (lines over a closed edge are inactive), so the start
-    # prices every active path and the dual value is finite
-    crowd = np.maximum(sub_inc[:, act].sum(axis=1), 1.0)
-    fair = sub_budget / crowd
-    prices = np.zeros(m)
-    for p in np.flatnonzero(act):
-        # inverse() is vectorized over operators, not edges; probe per edge
-        for e in line_idx[p]:
-            guess = float(demand.inverse(np.full(n_lops, max(fair[e], _TINY)))[p])
-            prices[e] = max(prices[e], guess / line_len[p])
 
     cur = dual_value(prices)
     converged = False
@@ -201,7 +188,9 @@ def _clearing_prices(
                 trial[fset] = np.maximum(0.0, prices[fset] + t_step * step)
                 value = dual_value(trial)
                 moved = trial[fset] - prices[fset]
-                if np.isfinite(value) and value <= cur + 1e-4 * min(0.0, float(gf @ moved)):
+                # Armijo, with room for the rounding of the dual value itself
+                slack = 1e-4 * min(0.0, float(gf @ moved)) + 4e-16 * abs(cur)
+                if np.isfinite(value) and value <= cur + slack:
                     if np.array_equal(trial, prices):
                         break
                     prices, cur = trial, value
@@ -233,19 +222,25 @@ def _clearing_prices(
 def _solve_one_pool(view: PoolView, coefficients: np.ndarray) -> _PoolSolve:
     """One pool's optimum at share 1, the only share the oracle solves at.
 
+    Newton opens at cold_start's share-1 prices, the engine's own opening.
+
     solve_full reaches every other share by 1/2-homogeneity: frequencies
     scale by the share, prices by its inverse square root.
     """
-    return _clearing_prices(view.incidence, view.capacity, _SqrtDemand(coefficients))
+    opening = cold_start(view, coefficients, 1.0).prices
+    return _clearing_prices(view.incidence, view.capacity, _SqrtDemand(coefficients), opening)
 
 
 def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarray:
     """Clearing prices of one pool under frozen bids.
 
     This is the stationary point of the frozen-bid price dynamics; the
-    descent tests measure distance to it.
+    descent tests measure distance to it.  Newton opens at the bids charged
+    to each line's neck, as cold_start charges its own.
     """
-    sol = _clearing_prices(view.incidence, view.capacity * share, _BidDemand(bids))
+    supply = view.capacity * share
+    opening = _neck_prices(_fair_split(view)[1], bids, supply)
+    sol = _clearing_prices(view.incidence, supply, _BidDemand(bids), opening)
     if not sol.converged:
         raise RuntimeError("frozen-bid clearing prices did not reach solver precision")
     return sol.prices

@@ -76,8 +76,8 @@ class DynamicsConfig:
     max_iters: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.price_eta is not None and not self.price_eta > 0:
-            raise ValueError("price_eta must be positive")
+        if self.price_eta is not None and not 0.0 < self.price_eta < np.inf:
+            raise ValueError(f"price_eta must be positive and finite, got {self.price_eta}")
         if self.bid_refresh_period < 1:
             raise ValueError("bid_refresh_period must be a positive integer")
         if self.max_iters < 1:
@@ -248,34 +248,52 @@ def pool_residuals(
     return PoolResiduals(feas, comp, stat, ok)
 
 
+def _fair_split(view: PoolView) -> tuple[np.ndarray, np.ndarray]:
+    """Each line's fair ratio and its neck, the one definition of both.
+
+    The fair ratio of a line is the smallest even split of capacity along
+    it, min over its edges of capacity / lines crossing; its neck (a boolean
+    edges x lines mask) is the edge or edges where that minimum is reached.
+    Both are share-free: at share f the fair share is f times the ratio and
+    the neck is the same.
+    """
+    # capacity / lines crossing at each edge of each line (columns), inf off
+    # the line
+    ratio = np.where(view.incidence > 0.0, (view.capacity / np.maximum(view.lines_per_edge(), 1.0))[:, None], np.inf)
+    fair_ratio = ratio.min(axis=0)
+    return fair_ratio, ratio == fair_ratio
+
+
+def _neck_prices(neck: np.ndarray, bids: np.ndarray, supply: np.ndarray) -> np.ndarray:
+    """Edge prices at which each line's bid is charged only to its neck.
+
+    A bid is split evenly over tied neck edges, so the prices do not depend
+    on edge order; each edge prices the bids charged to it over its supply.
+    An edge no line's neck includes, and a closed edge, stays unpriced.
+    """
+    mass = (neck / neck.sum(axis=0)).dot(bids)
+    return np.divide(mass, supply, out=np.zeros(len(supply)), where=supply > 0.0)
+
+
 def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMarketState:
     """Fair-share opening state: each operator bids what its even split is worth.
 
-    An operator's fair share is the smallest even split of share-scaled
-    capacity along its line, share times min over its edges of capacity /
-    lines crossing.  It opens at the bid (a/2)*sqrt(fair share), at which
-    its marginal value meets the path price that allocates it exactly that
-    share.  The bid is charged only to the line's neck, the edge that sets
-    the fair share (split evenly over tied edges, so the opening does not
-    depend on edge order); each edge opens at the bids charged to it over
-    its share-scaled capacity, and an edge no line's neck includes opens
-    unpriced.  On one edge with one operator this is the optimum, and the
-    state is 1/2-homogeneous in the share as the optimum is: bids scale by
-    sqrt(share), prices by 1/sqrt(share).  A line through a closed edge
-    opens at bid zero, so a closed edge carries no price.  The opening
-    frequencies are allocated at those prices.
+    An operator's fair share is share times its line's fair ratio (see
+    _fair_split).  It opens at the bid (a/2)*sqrt(fair share), at which its
+    marginal value meets the path price that allocates it exactly that
+    share, and the bid is charged only to the line's neck (see
+    _neck_prices), so each edge opens at the bids charged to it over its
+    share-scaled capacity.  On one edge with one operator this is the
+    optimum, and the state is 1/2-homogeneous in the share as the optimum
+    is: bids scale by sqrt(share), prices by 1/sqrt(share).  A line through
+    a closed edge opens at bid zero, so a closed edge carries no price.  The
+    opening frequencies are allocated at those prices.  The oracle opens its
+    Newton solve at this state's share-1 prices.
     """
     supply = view.capacity * share
-    # capacity / lines crossing at each edge of each line (columns), inf off
-    # the line; the neck is where a line's ratio is smallest.  The ratio is
-    # share-free, so the neck is the same at every share
-    crowd = view.lines_per_edge()
-    ratio = np.where(view.incidence > 0.0, (view.capacity / np.maximum(crowd, 1.0))[:, None], np.inf)
-    fair_ratio = ratio.min(axis=0)
-    neck = ratio == fair_ratio
+    fair_ratio, neck = _fair_split(view)
     bids = 0.5 * coefficients * np.sqrt(share * fair_ratio)
-    mass = (neck / neck.sum(axis=0)).dot(bids)
-    prices = np.divide(mass, supply, out=np.zeros(view.n_edges), where=mass > 0.0)
+    prices = _neck_prices(neck, bids, supply)
     ceil = view.bottleneck * share
     offers, free = _bid_terms(bids, ceil)
     freqs = allocate_frequencies(view.incidence.T.dot(prices), offers, free, _OVERLOAD * ceil)

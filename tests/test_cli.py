@@ -277,6 +277,25 @@ class TestBadInput:
         scn = write_single_edge_scenario(tmp_path, engine={"eta_price": -1})
         assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
         assert "price_eta must be positive" in capsys.readouterr().err
+        # engine values are JSON numbers, integral for the integer keys; the
+        # error names the key
+        for key, value in (
+            ("eta_price", [0.001]), ("eta_price", {"v": 0.001}), ("eps_cost", "0.05"), ("f_floor", True),
+            ("max_inner", 3.9), ("max_inner", True), ("max_outer", "5"), ("bid_refresh_period", 2.5),
+            ("max_outer", float("inf")), ("eta_price", 10**400),
+        ):
+            scn = write_single_edge_scenario(tmp_path, engine={key: value})
+            assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2, (key, value)
+            assert f"engine field {key!r}" in capsys.readouterr().err
+        # JSON Infinity is a number, and the configs reject it
+        for key, field in (("eta_price", "price_eta"), ("eps_cost", "eps_cost")):
+            scn = write_single_edge_scenario(tmp_path, engine={key: float("inf")})
+            assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
+            assert f"{field} must be positive and finite" in capsys.readouterr().err
+        for engine in ([0.001], "eta_price", 5):
+            scn = write_single_edge_scenario(tmp_path, engine=engine)
+            assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2, engine
+            assert "engine must be a JSON object" in capsys.readouterr().err
         # engine values come from the scenario alone: the retired flags are unknown
         scn = write_single_edge_scenario(tmp_path)
         for flag in ("--eta-price", "--abs-tol", "--rel-tol", "--eps-cost", "--max-inner", "--max-outer", "--trace-stride"):
@@ -318,3 +337,7 @@ def test_emit_record_header_once():
 def test_empty_engine_block_keeps_config_defaults():
     assert cli._mech_config({"engine": {}}) == lm.MechanismConfig()
     assert cli._mech_config({}) == lm.MechanismConfig()
+    # an integral float is an integer, and an integer is a number
+    cfg = cli._mech_config({"engine": {"max_inner": 3.0, "eta_price": 1}})
+    assert cfg.inner.max_iters == 3 and type(cfg.inner.max_iters) is int
+    assert cfg.inner.price_eta == 1.0 and type(cfg.inner.price_eta) is float

@@ -1,4 +1,5 @@
 """Outer loop: pool costs, split updates, the equal-cost fixed point."""
+import math
 import warnings
 
 import numpy as np
@@ -98,8 +99,9 @@ class TestUpdateProportions:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        lm.MechanismConfig(eps_cost=0.0)
+    for eps in (0.0, -0.05, math.inf, math.nan):
+        with pytest.raises(ValueError, match="eps_cost"):
+            lm.MechanismConfig(eps_cost=eps)
     with pytest.raises(ValueError):
         lm.MechanismConfig(f_floor=0.6)
     with pytest.raises(ValueError):

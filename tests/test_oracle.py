@@ -1,12 +1,13 @@
 """Reference solver: closed-form pool optima and split, KKT certification."""
 import math
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket import oracle
+from linemarket import cli, oracle
 
 import instances
 
@@ -189,16 +190,63 @@ def test_full_search_pool_without_operators_gets_no_share():
     assert idle.objective == 0.0 and idle.prices == {}
 
 
-@pytest.mark.parametrize(
-    "make",
-    [partial(instances.chain_instance, seed) for seed in range(20)]
-    + [partial(instances.grid_instance, 0, 2)],
-    ids=[f"chain{seed}" for seed in range(20)] + ["grid0_k2"],
+def ci_instance(pools: int, seed: int):
+    """The CI scenario's 4x6 family at `pools` pools, built as the CLI builds it."""
+    scn = {
+        "grid": {"rows": 4, "cols": 6, "pools": pools, "lines_per_pool": 4},
+        "utilities_gen": {"kind": "uniform", "low": 5, "high": 15},
+    }
+    return cli._build_instance(scn, seed, Path("."))
+
+
+CERTIFY_CASES = (
+    [(f"chain{seed}", partial(instances.chain_instance, seed)) for seed in range(20)]
+    + [(f"grid{seed}_k{k}", partial(instances.grid_instance, seed, k)) for k in (1, 2) for seed in range(20)]
+    + [(f"ci{seed}_k{k}", partial(ci_instance, k, seed)) for k in (3, 5) for seed in range(5)]
 )
+
+
+@pytest.mark.parametrize("make", [make for _, make in CERTIFY_CASES], ids=[name for name, _ in CERTIFY_CASES])
 def test_full_search_certifies_at_solver_precision(make):
     sol = lm.solve_full(*make())
     assert sol.converged
     assert sol.kkt.max_scaled() <= 1e-8
+
+
+def test_oracle_opens_at_cold_start(monkeypatch):
+    """Newton opens at cold_start's share-1 prices, summed onto each edge group.
+
+    A group is the edges crossed by the same lines, represented by its
+    scarcest edge; the grouping here is restated with a loop over edges.
+    The 20 chains merge edges into groups, and the tied pair splits one
+    line's opening bid over two edges of one group, which the sum rejoins.
+    """
+    tied = (
+        lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 4.0)]),
+        lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e2"))}),
+        lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)}),
+    )
+    monkeypatch.setattr(oracle, "_clearing_prices", partial(oracle._clearing_prices, max_iters=0))
+    merged = summed = 0
+    for net, pools, table in [instances.chain_instance(seed) for seed in range(20)] + [tied]:
+        for k in pools.pool_ids:
+            view = lm.compile_pool(net, pools, k)
+            coeffs = table.coefficients_for(view)
+            opening = lm.cold_start(view, coeffs, 1.0).prices
+            groups: dict[tuple, list[int]] = {}
+            for e in range(view.n_edges):
+                if view.incidence[e].any():
+                    groups.setdefault(tuple(view.incidence[e]), []).append(e)
+            expected = np.zeros(view.n_edges)
+            for members in groups.values():
+                rep = min(members, key=lambda e: view.capacity[e])
+                expected[rep] = sum(opening[e] for e in members)
+                merged += len(members) > 1
+                summed += sum(opening[e] > 0.0 for e in members) > 1
+            sol = oracle._solve_one_pool(view, coeffs)
+            assert sol.iterations == 0
+            np.testing.assert_allclose(sol.prices, expected, rtol=1e-15, atol=0.0)
+    assert merged > 1 and summed > 0
 
 
 def test_closed_edge_is_certified_not_crashed():

@@ -1,5 +1,6 @@
 """In-pool dynamics: price steps, allocation, bid refresh, full runs."""
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -164,8 +165,9 @@ def test_nonconvergence_is_reported_not_raised():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        lm.DynamicsConfig(price_eta=-0.1)
+    for eta in (-0.1, 0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="price_eta"):
+            lm.DynamicsConfig(price_eta=eta)
     with pytest.raises(ValueError):
         lm.DynamicsConfig(bid_refresh_period=0)
     with pytest.raises(ValueError):
