@@ -117,20 +117,62 @@ def _parse_seeds(text: str) -> tuple[int, ...]:
         raise ValueError(f"seeds must be a comma-separated integer list, got {text!r}") from None
 
 
-def _grid_spec(doc: Mapping, seed: int) -> GridSpec:
-    known = {
-        "rows", "cols", "pools", "lines_per_pool", "capacity_range",
-        "shared_first_edge", "min_line_len", "seed",
-    }
-    extra = set(doc) - known
+_KIND_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _value(where: str, value, kind):
+    """One scenario value checked against its JSON type (see _read)."""
+    if isinstance(kind, list) and isinstance(value, list):
+        return tuple(_value(where, item, kind[0]) for item in value)
+    if kind is None or (kind is str and isinstance(value, str)):
+        return value
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind not in (int, float) or not number or (kind is int and value % 1 != 0):
+        raise ValueError(f"{where} must be {'a list' if isinstance(kind, list) else _KIND_NAMES[kind]}, got {value!r}")
+    try:
+        return kind(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{where} is out of range") from None
+
+
+def _read(doc, block: str, fields: Mapping, required: Sequence[str] = ()) -> dict:
+    """A scenario block's given values, each parsed by its JSON type.
+
+    fields maps every key the block may hold to its type: float for a JSON
+    number, int for a whole one (3.0 reads as 3), str, [t] for a list of t
+    (read as a tuple), and None for a block that its own reader parses.  A
+    block that is not an object, an unknown key, a missing required key or
+    a value of another type raises ValueError naming the block and the key;
+    null counts as absent, so it keeps the default.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"{block} must be a JSON object, got {doc!r}")
+    extra = set(doc) - set(fields)
     if extra:
-        raise ValueError(f"unknown grid fields: {sorted(extra)}")
-    kwargs = dict(doc)
-    if "capacity_range" in kwargs:
-        kwargs["capacity_range"] = tuple(float(v) for v in kwargs["capacity_range"])
-    if "shared_first_edge" in kwargs:
-        (a, b), (c, d) = kwargs["shared_first_edge"]
-        kwargs["shared_first_edge"] = ((int(a), int(b)), (int(c), int(d)))
+        raise ValueError(f"unknown {block} fields: {sorted(extra)}")
+    missing = [key for key in required if doc.get(key) is None]
+    if missing:
+        raise ValueError(f"missing {block} fields: {missing}")
+    return {key: _value(f"{block} field {key!r}", v, fields[key]) for key, v in doc.items() if v is not None}
+
+
+# Each block's keys and their types, for _read
+_SCENARIO = {"name": str, "seeds": [int], "mode": str, "grid": None, "network_file": str, "utilities": None,
+             "utilities_file": str, "utilities_gen": None, "disruption": None, "engine": None}
+_GRID = {"rows": int, "cols": int, "pools": int, "lines_per_pool": int, "capacity_range": [float],
+         "shared_first_edge": [[int]], "min_line_len": int, "seed": int}
+# per kind: its keys and the required ones; the first read types every key
+# any kind takes, then the kind's own read rejects the others
+_UTILITIES_GEN = {
+    "uniform": ({"kind": str, "low": float, "high": float, "seed": int}, ("low", "high")),
+    "pool_scale": ({"kind": str, "base": float, "scales": [float]}, ("base", "scales")),
+}
+_GEN_KEYS = {key: kind for fields, _ in _UTILITIES_GEN.values() for key, kind in fields.items()}
+_DISRUPTION = {"kind": str, "edge_count": int, "magnitude": float, "seed": int}
+
+
+def _grid_spec(doc: Mapping, seed: int) -> GridSpec:
+    kwargs = _read(doc, "grid", _GRID, ("rows", "cols", "pools", "lines_per_pool"))
     kwargs.setdefault("seed", child_seed(seed, "grid"))
     return GridSpec(**kwargs)
 
@@ -160,17 +202,14 @@ def _build_instance(
     elif "utilities_file" in scn:
         table = UtilityTable.load(base / scn["utilities_file"])
     else:
-        gen = scn["utilities_gen"]
-        kind = gen.get("kind")
-        if kind == "uniform":
-            table = uniform_utilities(
-                pools, float(gen["low"]), float(gen["high"]),
-                int(gen.get("seed", child_seed(seed, "utilities"))),
-            )
-        elif kind == "pool_scale":
-            table = pool_scaled_utilities(pools, float(gen["base"]), [float(s) for s in gen["scales"]])
-        else:
+        kind = _read(scn["utilities_gen"], "utilities_gen", _GEN_KEYS, ("kind",))["kind"]
+        if kind not in _UTILITIES_GEN:
             raise ValueError(f"unknown utilities_gen kind {kind!r}")
+        gen = _read(scn["utilities_gen"], "utilities_gen", *_UTILITIES_GEN[kind])
+        if kind == "uniform":
+            table = uniform_utilities(pools, gen["low"], gen["high"], gen.get("seed", child_seed(seed, "utilities")))
+        else:
+            table = pool_scaled_utilities(pools, gen["base"], gen["scales"])
     table.validate_against(pools)
     return net, pools, table
 
@@ -178,13 +217,9 @@ def _build_instance(
 def _disruption(scn: Mapping, seed: int) -> DisruptionSpec:
     if "disruption" not in scn:
         raise ValueError("recover needs a 'disruption' entry in the scenario")
-    doc = scn["disruption"]
-    return DisruptionSpec(
-        kind=str(doc["kind"]),
-        edge_count=int(doc["edge_count"]),
-        magnitude=float(doc["magnitude"]),
-        seed=int(doc.get("seed", child_seed(seed, "disruption"))),
-    )
+    doc = _read(scn["disruption"], "disruption", _DISRUPTION, ("kind", "edge_count", "magnitude"))
+    doc.setdefault("seed", child_seed(seed, "disruption"))
+    return DisruptionSpec(**doc)
 
 
 # Scenario "engine" keys: (config field, type).  The engine block is the one
@@ -202,27 +237,11 @@ _OUTER_KEYS = {
 }
 
 
-def _engine_value(key: str, value, kind: type):
-    """One engine value parsed by its type: a JSON number, integral for an int key."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or (kind is int and value % 1 != 0):
-        raise ValueError(f"engine field {key!r} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
-    try:
-        return kind(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"engine field {key!r} is out of range") from None
-
-
 def _mech_config(scn: Mapping) -> MechanismConfig:
-    eng = scn.get("engine", {})
-    if not isinstance(eng, dict):
-        raise ValueError(f"engine must be a JSON object, got {eng!r}")
-    extra = set(eng) - set(_INNER_KEYS) - set(_OUTER_KEYS)
-    if extra:
-        raise ValueError(f"unknown engine fields: {sorted(extra)}")
+    eng = _read(scn.get("engine", {}), "engine", {key: kind for key, (_, kind) in {**_INNER_KEYS, **_OUTER_KEYS}.items()})
 
     def given(keys: Mapping[str, tuple]) -> dict:
-        return {name: _engine_value(key, eng[key], kind)
-                for key, (name, kind) in keys.items() if eng.get(key) is not None}
+        return {name: eng[key] for key, (name, _) in keys.items() if key in eng}
 
     return MechanismConfig(inner=DynamicsConfig(**given(_INNER_KEYS)), **given(_OUTER_KEYS))
 
@@ -235,13 +254,9 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"cannot read scenario: {err}") from None
     except json.JSONDecodeError as err:
         raise ValueError(f"scenario is not valid JSON: {err}") from None
-    if not isinstance(scn, dict):
-        raise ValueError("scenario must be a JSON object")
+    scn = _read(scn, "scenario", _SCENARIO)
 
-    if args.seeds is not None:
-        seeds = _parse_seeds(args.seeds)
-    else:
-        seeds = tuple(int(s) for s in scn.get("seeds", [0]))
+    seeds = _parse_seeds(args.seeds) if args.seeds is not None else scn.get("seeds", (0,))
     if not seeds:
         raise ValueError("no seeds given")
     mode = args.mode or scn.get("mode", "both")

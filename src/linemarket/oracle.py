@@ -4,13 +4,16 @@ The market mechanism is decentralized; this module solves the same
 allocation problem directly so tests can compare the two.  There is one
 solve path: each pool is solved once, at share 1, by minimizing the explicit
 convex dual of its concave program over edge prices with a projected,
-Levenberg-damped Newton method (see _clearing_prices).  Newton opens where
-the engine opens, at single_pool.cold_start's fair-share prices, so the fair
-share and each line's neck have one definition, in single_pool.
-Square-root valuations make a pool's optimum at share f its share-1 optimum
-with frequencies scaled by f and prices by f**-1/2, so its value is sqrt(f)
-times its value at share 1 and the optimal split follows in closed form (see
-solve_full).  kkt_report certifies a candidate point from either solver.
+Levenberg-damped Newton method (see _clearing_prices).  That solver knows
+one demand law, x = (scale / path price)**power: a valuation a*sqrt(x) is
+power 2 at scale a/2, and a frozen bid w (solve_fixed_bids) is power 1 at
+scale w.  Newton opens where the engine opens, at single_pool.cold_start's
+fair-share prices, so the fair share and each line's neck have one
+definition, in single_pool.  Square-root valuations make a pool's optimum
+at share f its share-1 optimum with frequencies scaled by f and prices by
+f**-1/2, so its value is sqrt(f) times its value at share 1 and the optimal
+split follows in closed form (see solve_full).  kkt_report certifies a
+candidate point from either solver.
 """
 from __future__ import annotations
 
@@ -39,54 +42,6 @@ _TINY = 1e-30
 _CERTIFIED = 1e-6
 
 
-# ---------------------------------------------------------------------------
-# Demand curves seen by the dual solver.
-
-class _SqrtDemand:
-    """Demand of valuation a*sqrt(x): x(price) = (a / 2 price)^2."""
-
-    def __init__(self, coefficients: np.ndarray) -> None:
-        self.a = np.asarray(coefficients, dtype=float)
-        self.active = self.a > 0.0
-
-    def x(self, mu: np.ndarray) -> np.ndarray:
-        safe = np.maximum(mu, _TINY)
-        return np.where(self.active, (self.a / (2.0 * safe)) ** 2, 0.0)
-
-    def slope(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.where(self.active, -2.0 * x / np.maximum(mu, _TINY), 0.0)
-
-    def conjugate(self, mu: np.ndarray) -> np.ndarray:
-        # sup_x a*sqrt(x) - mu*x, the per-operator term of the dual
-        out = np.zeros_like(self.a)
-        act = self.active
-        out[act] = self.a[act] ** 2 / (4.0 * np.maximum(mu[act], _TINY))
-        return out
-
-
-class _BidDemand:
-    """Demand of frozen bids: x(price) = bid / price."""
-
-    def __init__(self, bids: np.ndarray) -> None:
-        self.w = np.asarray(bids, dtype=float)
-        self.active = self.w > 0.0
-
-    def x(self, mu: np.ndarray) -> np.ndarray:
-        safe = np.maximum(mu, _TINY)
-        return np.where(self.active, self.w / safe, 0.0)
-
-    def slope(self, mu: np.ndarray, x: np.ndarray) -> np.ndarray:
-        return np.where(self.active, -x / np.maximum(mu, _TINY), 0.0)
-
-    def conjugate(self, mu: np.ndarray) -> np.ndarray:
-        # sup_x w*log(x) - mu*x
-        out = np.zeros_like(self.w)
-        act = self.active
-        w = self.w[act]
-        out[act] = w * (np.log(w / np.maximum(mu[act], _TINY)) - 1.0)
-        return out
-
-
 @dataclass
 class _PoolSolve:
     prices: np.ndarray
@@ -98,12 +53,22 @@ class _PoolSolve:
 def _clearing_prices(
     incidence: np.ndarray,
     budget: np.ndarray,
-    demand,
+    scale: np.ndarray,
+    power: int,
     opening: np.ndarray,
     max_iters: int = 300,
     tol: float = 1e-11,
 ) -> _PoolSolve:
     """Edge prices clearing one pool at capacity budget `budget`.
+
+    Every operator has one isoelastic demand law: at path price mu it runs
+    x = (scale / mu)**power.  Power 2 with scale a/2 is the valuation
+    a*sqrt(x); power 1 with scale w is a frozen bid w, the valuation
+    w*log(x) of proportional fairness (Kelly, Maulloo & Tan 1998).  The
+    dual term sup_x value(x) - mu*x is scale**2/mu for power 2 and
+    scale*(log(scale/mu) - 1) for power 1.  An operator is active when its
+    scale is positive and its line crosses no closed edge; the others run
+    nothing.
 
     Minimizes the dual of  max sum(values) s.t. incidence @ x <= budget
     over nonnegative prices with a projected, Levenberg-damped Newton
@@ -121,13 +86,12 @@ def _clearing_prices(
     (a few ulps of it), else a step the rounding hides stalls the descent
     short of `tol`.  At the returned point every active operator sits on
     her demand curve, loads never exceed the budget beyond solver
-    precision, and priced edges run at budget.
+    precision, and priced edges run at budget.  No argument is modified.
     """
     n_edges, n_lops = incidence.shape
     # an operator whose line crosses a closed edge can run nothing; left
     # active, it would price that edge without bound and stall the descent
-    demand.active &= ~incidence[budget <= 0.0].any(axis=0)
-    act = demand.active
+    act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
     if n_lops == 0 or not act.any():
         return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0)
 
@@ -143,11 +107,19 @@ def _clearing_prices(
     prices = np.bincount(group, weights=opening[edges], minlength=len(reps))
     scale_b = max(1.0, float(sub_budget.max()))
 
+    def demand(mu: np.ndarray) -> np.ndarray:
+        return np.where(act, (scale / np.maximum(mu, _TINY)) ** power, 0.0)
+
     def dual_value(pr: np.ndarray) -> float:
         mu = sub_inc.T @ pr
         if np.any(mu[act] <= 0.0):
             return np.inf
-        return float(demand.conjugate(mu).sum() + pr @ sub_budget)
+        s, m = scale[act], np.maximum(mu[act], _TINY)
+        # summed over every operator, zeros included, so the rounding of the
+        # sum does not depend on which operators are active
+        terms = np.zeros(n_lops)
+        terms[act] = s ** 2 / m if power == 2 else s * (np.log(s / m) - 1.0)
+        return float(terms.sum() + pr @ sub_budget)
 
     cur = dual_value(prices)
     converged = False
@@ -155,7 +127,7 @@ def _clearing_prices(
     for _ in range(max_iters):
         iters += 1
         mu = sub_inc.T @ prices
-        x = demand.x(mu)
+        x = demand(mu)
         load = sub_inc @ x
         gap = load - sub_budget
         feas = float(np.maximum(gap, 0.0).max(initial=0.0))
@@ -168,7 +140,7 @@ def _clearing_prices(
         fset = np.flatnonzero((prices > 0.0) | (grad < 0.0))
         gf = grad[fset]
         sub = sub_inc[fset]
-        hess = (sub * -demand.slope(mu, x)) @ sub.T
+        hess = (sub * (power * x / np.maximum(mu, _TINY))) @ sub.T
         lev = max(1e-14 * float(np.trace(hess)) / len(fset),
                   1e-8 * float(np.abs(gf).max()) / scale_b)
         hess[np.diag_indices_from(hess)] += lev
@@ -203,7 +175,7 @@ def _clearing_prices(
             break
 
     mu = sub_inc.T @ prices
-    x = demand.x(mu)
+    x = demand(mu)
     load = sub_inc @ x
     over = load > sub_budget
     if over.any():
@@ -223,24 +195,27 @@ def _solve_one_pool(view: PoolView, coefficients: np.ndarray) -> _PoolSolve:
     """One pool's optimum at share 1, the only share the oracle solves at.
 
     Newton opens at cold_start's share-1 prices, the engine's own opening.
+    A valuation a*sqrt(x) demands x = (a / 2 mu)**2, scale a/2 at power 2.
 
     solve_full reaches every other share by 1/2-homogeneity: frequencies
     scale by the share, prices by its inverse square root.
     """
     opening = cold_start(view, coefficients, 1.0).prices
-    return _clearing_prices(view.incidence, view.capacity, _SqrtDemand(coefficients), opening)
+    return _clearing_prices(view.incidence, view.capacity, 0.5 * coefficients, 2, opening)
 
 
 def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarray:
     """Clearing prices of one pool under frozen bids.
 
     This is the stationary point of the frozen-bid price dynamics; the
-    descent tests measure distance to it.  Newton opens at the bids charged
-    to each line's neck, as cold_start charges its own.
+    descent tests measure distance to it.  A bid w buys x = w / mu, scale w
+    at power 1; a zero bid, or a line over a closed edge, gets nothing.
+    Newton opens at the bids charged to each line's neck, as cold_start
+    charges its own.
     """
     supply = view.capacity * share
     opening = _neck_prices(_fair_split(view)[1], bids, supply)
-    sol = _clearing_prices(view.incidence, supply, _BidDemand(bids), opening)
+    sol = _clearing_prices(view.incidence, supply, bids, 1, opening)
     if not sol.converged:
         raise RuntimeError("frozen-bid clearing prices did not reach solver precision")
     return sol.prices

@@ -72,7 +72,7 @@ class GridSpec:
         if self.pools < 1 or self.lines_per_pool < 1:
             raise ValueError("need at least one pool and one line per pool")
         lo, hi = self.capacity_range
-        if not (0 < lo < hi):
+        if not (0 < lo < hi < np.inf):
             raise ValueError(f"bad capacity range {self.capacity_range}")
         (r0, c0), (r1, c1) = self.shared_first_edge
         down = (r1 == r0 + 1 and c1 == c0)
@@ -146,7 +146,7 @@ def uniform_utilities(
     pools: PoolSystem, low: float, high: float, seed: int
 ) -> UtilityTable:
     """Independent uniform coefficients per (operator, pool)."""
-    if not 0 < low <= high:
+    if not 0 < low <= high < np.inf:
         raise ValueError(f"bad coefficient range [{low}, {high}]")
     rng = np.random.default_rng(seed)
     entries = {

@@ -326,13 +326,6 @@ def _run_pool(
     resolves it once per pool for all of that pool's runs.  A run that
     exhausts max_iters returns converged=False rather than raising.
     """
-    if view.n_lops == 0:
-        empty = PoolMarketState(
-            view.pool_id, view.edge_ids, (), np.zeros(view.n_edges), np.zeros(0), np.zeros(0), share
-        )
-        res = PoolResiduals(0.0, 0.0, 0.0, True)
-        return SinglePoolResult(empty, 0, 0, 0, True, res)
-
     if eta is None:
         eta = cfg.price_eta if cfg.price_eta is not None else default_price_eta(view)
     period = cfg.bid_refresh_period

@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,46 @@ def write_instance_scenario(tmp_path, name, net, pools, table, **extra):
     path = tmp_path / "scn.json"
     path.write_text(json.dumps(scn), encoding="utf-8")
     return path
+
+
+# a 3x3 lattice scenario with every block the reader parses
+GRID_SCENARIO = {
+    "name": "g",
+    "grid": {"rows": 3, "cols": 3, "pools": 1, "lines_per_pool": 2,
+             "shared_first_edge": [[0, 1], [1, 1]], "min_line_len": 2},
+    "utilities_gen": {"kind": "uniform", "low": 5, "high": 15},
+    "disruption": {"kind": "reduce", "edge_count": 1, "magnitude": 0.1},
+    "engine": {"eta_price": 0.001},
+    "seeds": [0],
+}
+DROP = object()
+
+# (block, None for the top level; key; value, DROP to delete the key; error)
+BAD_SCENARIO_VALUES = [
+    (None, "seeds", [[1]], "scenario field 'seeds' must be an integer, got [1]"),
+    (None, "seeds", [1.5], "scenario field 'seeds' must be an integer, got 1.5"),
+    (None, "seeds", 1, "scenario field 'seeds' must be a list, got 1"),
+    (None, "engnie", {}, "unknown scenario fields: ['engnie']"),
+    (None, "utilities_gen", [1], "utilities_gen must be a JSON object, got [1]"),
+    (None, "mode", 5, "scenario field 'mode' must be a string, got 5"),
+    ("grid", "rows", "3", "grid field 'rows' must be an integer, got '3'"),
+    ("grid", "rows", 3.7, "grid field 'rows' must be an integer, got 3.7"),
+    ("grid", "rows", DROP, "missing grid fields: ['rows']"),
+    ("grid", "shared_first_edge", [0, 1, 1, 1], "grid field 'shared_first_edge' must be a list, got 0"),
+    ("grid", "capacity_range", [10, "110"], "grid field 'capacity_range' must be a number, got '110'"),
+    ("grid", "capacity_range", [10, float("inf")], "bad capacity range (10.0, inf)"),
+    ("utilities_gen", "low", DROP, "missing utilities_gen fields: ['low']"),
+    ("utilities_gen", "low", "5", "utilities_gen field 'low' must be a number, got '5'"),
+    ("utilities_gen", "lo", 5, "unknown utilities_gen fields: ['lo']"),
+    ("utilities_gen", "base", 5, "unknown utilities_gen fields: ['base']"),  # another kind's key
+    ("utilities_gen", "kind", DROP, "missing utilities_gen fields: ['kind']"),
+    ("utilities_gen", "high", float("inf"), "bad coefficient range [5.0, inf]"),
+    ("disruption", "edge_count", [1], "disruption field 'edge_count' must be an integer, got [1]"),
+    ("disruption", "edge_count", 1.9, "disruption field 'edge_count' must be an integer, got 1.9"),
+    ("disruption", "kind", DROP, "missing disruption fields: ['kind']"),
+    ("disruption", "seed", True, "disruption field 'seed' must be an integer, got True"),
+    ("engine", "max_inner", 2.5, "engine field 'max_inner' must be an integer, got 2.5"),
+]
 
 
 def read_records(path):
@@ -302,6 +343,24 @@ class TestBadInput:
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o", flag, "1"]) == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "block, key, value, message", BAD_SCENARIO_VALUES,
+        ids=[f"{block or 'scenario'}.{key}={'drop' if value is DROP else value!r}"
+             for block, key, value, _ in BAD_SCENARIO_VALUES],
+    )
+    def test_bad_scenario_value(self, tmp_path, monkeypatch, capsys, block, key, value, message):
+        """Every block types its values, rejects unknown keys and names missing ones."""
+        monkeypatch.chdir(tmp_path)
+        scn = json.loads(json.dumps(GRID_SCENARIO))
+        doc = scn[block] if block else scn
+        if value is DROP:
+            del doc[key]
+        else:
+            doc[key] = value
+        (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
+        assert run_cli(["recover", "--scenario", "scn.json", "--out", "o"]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
     def test_missing_required_flag(self):
         assert run_cli(["solve"]) == 2
 
@@ -332,6 +391,21 @@ def test_emit_record_header_once():
     assert lines[1].split(",")[6] == ""  # wall_time blank without timing
     assert "nonconverged" in lines[2]
     assert "0.1" in lines[2].split(",")[6]
+
+
+def test_scenario_blocks_read_typed_values():
+    """The table's base scenario reads; integral floats are integers and null keeps a default."""
+    scn = json.loads(json.dumps(GRID_SCENARIO))
+    scn["grid"].update(rows=3.0, seed=None)
+    scn["seeds"] = None
+    top = cli._read(scn, "scenario", cli._SCENARIO)
+    assert "seeds" not in top and cli._mech_config(top).inner.price_eta == 0.001
+    spec = cli._grid_spec(top["grid"], 0)
+    assert spec.rows == 3 and type(spec.rows) is int and spec.seed == cli.child_seed(0, "grid")
+    assert spec.shared_first_edge == ((0, 1), (1, 1))
+    net, pools, table = cli._build_instance(top, 0, Path("."))
+    assert len(pools.pool_ids) == 1 and len(table.entries) == 2
+    assert cli._disruption(top, 0) == lm.DisruptionSpec("reduce", 1, 0.1, cli.child_seed(0, "disruption"))
 
 
 def test_empty_engine_block_keeps_config_defaults():

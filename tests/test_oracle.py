@@ -61,6 +61,22 @@ def test_fixed_bids_single_edge():
     np.testing.assert_allclose(prices, [0.5], atol=1e-9)
 
 
+@pytest.mark.parametrize("closed", [False, True], ids=["zero_bid", "closed_edge"])
+def test_fixed_bids_idle_line_gets_nothing(closed):
+    """A zero bid, or a bid on a line over a closed edge, buys nothing; the other line clears alone."""
+    net = lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 0.0)])
+    lines = {("lop0", "k0"): lm.Line(("e1",)), ("lop1", "k0"): lm.Line(("e1", "e2") if closed else ("e1",))}
+    view = lm.compile_pool(net, lm.PoolSystem(["k0"], lines), "k0")
+    assert view.edge_ids == ("e1", "e2") and view.lop_ids == ("lop0", "lop1")
+    bids = np.array([1.3, 2.0 if closed else 0.0])
+    np.testing.assert_allclose(lm.solve_fixed_bids(view, bids, 1.0), [1.3 / 4.0, 0.0], rtol=1e-12)
+    # from an opening off the answer, the solver must still idle the line
+    sol = oracle._clearing_prices(view.incidence, view.capacity, bids, 1, np.ones(2))
+    assert sol.converged
+    np.testing.assert_allclose(sol.prices, [1.3 / 4.0, 0.0], rtol=1e-12)
+    np.testing.assert_allclose(sol.freqs, [4.0, 0.0], rtol=1e-12)
+
+
 def test_fixed_bids_on_grid_pool():
     """Grid-scale frozen-bid clearing reaches solver precision."""
     net, ps, _ = instances.grid_instance(0, 1)
