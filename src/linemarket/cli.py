@@ -56,8 +56,8 @@ class RunConfig:
     scenario: dict
     out_dir: Path
     seeds: tuple[int, ...]
-    mode: str
-    timing: bool
+    mode: str       # recover's restarts: cold, warm or both
+    timing: bool    # solve and recover fill the wall-time column
     mech: MechanismConfig
 
 
@@ -157,7 +157,7 @@ def _read(doc, block: str, fields: Mapping, required: Sequence[str] = ()) -> dic
 
 
 # Each block's keys and their types, for _read
-_SCENARIO = {"name": str, "seeds": [int], "mode": str, "grid": None, "network_file": str, "utilities": None,
+_SCENARIO = {"name": str, "seeds": [int], "grid": None, "network_file": str, "utilities": None,
              "utilities_file": str, "utilities_gen": None, "disruption": None, "engine": None}
 _GRID = {"rows": int, "cols": int, "pools": int, "lines_per_pool": int, "capacity_range": [float],
          "shared_first_edge": [[int]], "min_line_len": int, "seed": int}
@@ -232,7 +232,6 @@ _INNER_KEYS = {
 }
 _OUTER_KEYS = {
     "eps_cost": ("eps_cost", float),
-    "f_floor": ("f_floor", float),
     "max_outer": ("max_outer", int),
 }
 
@@ -259,16 +258,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     seeds = _parse_seeds(args.seeds) if args.seeds is not None else scn.get("seeds", (0,))
     if not seeds:
         raise ValueError("no seeds given")
-    mode = args.mode or scn.get("mode", "both")
-    if mode not in ("cold", "warm", "both"):
-        raise ValueError(f"mode must be cold, warm, or both, got {mode!r}")
     return RunConfig(
         command=args.command,
         scenario=scn,
         out_dir=Path(args.out),
         seeds=seeds,
-        mode=mode,
-        timing=bool(args.timing),
+        mode=args.mode,
+        timing=args.timing,
         mech=_mech_config(scn),
     )
 
@@ -434,11 +430,16 @@ def _build_parser() -> argparse.ArgumentParser:
         ("recover", "disrupt a converged instance and compare warm vs cold restarts"),
     ):
         p = sub.add_parser(name, help=helptext)
+        # each flag only on the commands that read it; the others run with
+        # these values
+        p.set_defaults(mode="both", timing=False)
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seeds", default=None, help="comma-separated seeds, overrides the scenario")
-        p.add_argument("--mode", default=None, choices=["cold", "warm", "both"])
-        p.add_argument("--timing", action="store_true", help="record wall-clock times (breaks byte reproducibility)")
+        if name == "recover":
+            p.add_argument("--mode", choices=["cold", "warm", "both"], help="restarts to run (default: both)")
+        if name in ("solve", "recover"):
+            p.add_argument("--timing", action="store_true", help="record wall-clock times (breaks byte reproducibility)")
     return parser
 
 

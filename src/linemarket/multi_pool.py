@@ -5,9 +5,11 @@ then moves each share by the square of its pool's cost over the mean cost,
 is renormalized onto the simplex, and the inner markets re-clear warm from
 their last states rescaled to the new shares.  Square-root valuations make
 a pool's cost at share f its cost at share 1 over sqrt(f), so with exactly
-cleared pools one such step lands on the optimal split.  A pool none of
-whose lines can run holds no capacity: it keeps share zero and stays out of
-the update and the equal-cost test.  At the joint fixed point every pool is
+cleared pools one such step lands on the optimal split, however small a
+share that split gives a pool: the step is multiplicative, so it needs no
+lower bound on the shares.  A pool none of whose lines can run holds no
+capacity: it keeps share zero, which the update leaves at zero, and stays
+out of the equal-cost test.  At the joint fixed point every pool is
 internally cleared and all pool costs agree, which is the optimality
 certificate for the split.
 """
@@ -88,52 +90,42 @@ def costs_equal(costs: np.ndarray, eps_cost: float) -> bool:
     return spread / max(float(costs.mean()), _TINY) <= eps_cost
 
 
-def _floor_simplex(values: np.ndarray, floor: float) -> np.ndarray:
-    """Project onto the simplex slice {sum = 1, every entry >= floor}."""
-    values = values / values.sum()
-    if floor <= 0.0 or np.all(values >= floor):
-        return values
-    excess = np.maximum(values - floor, 0.0)
-    budget = 1.0 - floor * len(values)
-    return floor + excess * (budget / max(excess.sum(), _TINY))
-
-
-def update_proportions(
-    shares: ProportionVector,
-    costs: np.ndarray,
-    floor: float,
-) -> ProportionVector:
+def update_proportions(shares: ProportionVector, costs: np.ndarray) -> ProportionVector:
     """One proportional-response step of the capacity split.
 
-    Each share is multiplied by (cost_k / mean cost)**2, then the split is
-    renormalized and floored away from zero so no pool is ever starved
-    outright.  A pool's cost at share f is its cost at share 1 over
-    sqrt(f), so fed exactly cleared costs the step lands on the optimal
-    split at once.  The warm states are rescaled to the new split by the
-    pool runs, not overwritten here.  A nonpositive mean cost makes the
-    step undefined; the split is returned unchanged.
+    Each share is multiplied by (cost_k / mean cost)**2 and the split is
+    renormalized.  The step is multiplicative, so a positive share stays
+    positive however small, and a zero share (a pool of cost zero, such as
+    one that cannot run) stays zero.  A pool's cost at share f is its cost
+    at share 1 over sqrt(f), so fed exactly cleared costs the step lands on
+    the optimal split at once, however lopsided.  The warm states are
+    rescaled to the new split by the pool runs, not overwritten here.  A
+    nonpositive mean cost makes the step undefined; the split is returned
+    unchanged.
     """
     level = float(costs.mean())
     if not level > 0.0:
         return shares
     raw = shares.values * (costs / level) ** 2
-    return ProportionVector(shares.pool_ids, _floor_simplex(raw, floor))
+    return ProportionVector(shares.pool_ids, raw / raw.sum())
 
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Outer-loop tuning: equal-cost test, share floor, iteration budgets."""
+    """Outer-loop tuning: the inner dynamics, the equal-cost test, the split budget.
+
+    The split needs no lower bound: the split update keeps every positive
+    share positive, so a pool may end at as small a share as the optimum
+    gives it.
+    """
 
     inner: DynamicsConfig = field(default_factory=DynamicsConfig)
     eps_cost: float = 0.05
-    f_floor: float = 1e-4
     max_outer: int = 200
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_cost < np.inf:
             raise ValueError(f"eps_cost must be positive and finite, got {self.eps_cost}")
-        if not 0.0 <= self.f_floor < 0.5:
-            raise ValueError("f_floor must lie in [0, 0.5)")
         if self.max_outer < 1:
             raise ValueError("max_outer must be positive")
 
@@ -156,7 +148,6 @@ class MechanismResult:
     f_updates: int
     price_updates: dict[str, int]
     bid_updates: int
-    skipped_refreshes: int
     objective: float
     wall_time: float
     outer_trace: list[dict]
@@ -217,10 +208,9 @@ def run_mechanism(
     of whose lines can run holds share zero (see _live_split for how the
     split moves when that set changes).  A warm state must carry the
     instance's pools in order and, per pool, its edges and operators in
-    order, else InputMismatchError; an f_floor no split over the pools that
-    can run satisfies is a ValueError.  The result reports
-    convergence honestly: an exhausted budget or a stalled inner market
-    yields converged=False plus diagnostics, never an exception.
+    order, else InputMismatchError.  The result reports convergence
+    honestly: an exhausted budget or a stalled inner market yields
+    converged=False plus diagnostics, never an exception.
     """
     cfg = cfg or MechanismConfig()
     utilities.validate_against(pools)
@@ -242,17 +232,10 @@ def run_mechanism(
         states = {k: None for k in pool_ids}
     # as in solve_full, a pool none of whose lines can run (it has none, or
     # each crosses a closed edge) holds no capacity: it is pinned at share
-    # zero with an empty market, and the pool runs, the equal-cost test and
-    # the split update see only the others
+    # zero with an empty market and cost zero, which the split update keeps
+    # at zero; the pool runs and the equal-cost test see only the others
     live = np.array([views[k].bottleneck.max(initial=0.0) > 0.0 for k in pool_ids])
     live_ids = tuple(k for k, on in zip(pool_ids, live) if on)
-    # the split update floors every live share at f_floor, which a split
-    # summing to one can hold only while f_floor * live pools <= 1
-    if cfg.f_floor * len(live_ids) > 1.0:
-        raise ValueError(
-            f"f_floor {cfg.f_floor} admits no split over {len(live_ids)} pools: "
-            "f_floor times the number of pools must not exceed 1"
-        )
     shares = _live_split(shares, live)
     for k, on in zip(pool_ids, live):
         if not on:
@@ -265,7 +248,6 @@ def run_mechanism(
     f_updates = 0
     price_updates = {k: 0 for k in pool_ids}
     bid_updates = 0
-    skipped = 0
     outer_trace: list[dict] = []
     diagnostics = ""
     converged = False
@@ -282,7 +264,6 @@ def run_mechanism(
             states[k] = res.state
             price_updates[k] += res.iterations
             bid_updates += res.bid_updates
-            skipped += res.skipped_refreshes
             if not res.converged:
                 inner_ok = False
                 diagnostics = (
@@ -292,8 +273,8 @@ def run_mechanism(
                     f"stationarity={res.residuals.max_stationarity:.3g})"
                 )
         pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pool_ids}
-        cost_vec = np.array([pool_costs[k] for k in live_ids])
-        level = float(cost_vec.mean()) if live_ids else 0.0
+        costs = np.array([pool_costs[k] for k in pool_ids])
+        level = float(costs[live].mean()) if live_ids else 0.0
         outer_trace.append(
             {
                 "outer_iter": outer,
@@ -305,7 +286,7 @@ def run_mechanism(
         )
         if not inner_ok:
             break
-        if costs_equal(cost_vec, cfg.eps_cost):
+        if costs_equal(costs[live], cfg.eps_cost):
             converged = True
             break
         if not level > 0.0:
@@ -314,10 +295,7 @@ def run_mechanism(
         if outer == cfg.max_outer:
             diagnostics = f"equal-cost test still failing after {cfg.max_outer} split updates"
             break
-        split = update_proportions(ProportionVector(live_ids, shares.values[live]), cost_vec, cfg.f_floor)
-        values = np.zeros(len(pool_ids))
-        values[live] = split.values
-        shares = ProportionVector(pool_ids, values)
+        shares = update_proportions(shares, costs)
         f_updates += 1
 
     final_states = {k: states[k] for k in pool_ids}
@@ -334,7 +312,6 @@ def run_mechanism(
         f_updates=f_updates,
         price_updates=price_updates,
         bid_updates=bid_updates,
-        skipped_refreshes=skipped,
         objective=sum(float(coeffs[k] @ np.sqrt(np.maximum(states[k].freqs, 0.0))) for k in pool_ids),
         wall_time=time.perf_counter() - t0,
         outer_trace=outer_trace,

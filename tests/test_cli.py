@@ -53,7 +53,7 @@ BAD_SCENARIO_VALUES = [
     (None, "seeds", 1, "scenario field 'seeds' must be a list, got 1"),
     (None, "engnie", {}, "unknown scenario fields: ['engnie']"),
     (None, "utilities_gen", [1], "utilities_gen must be a JSON object, got [1]"),
-    (None, "mode", 5, "scenario field 'mode' must be a string, got 5"),
+    (None, "mode", 5, "unknown scenario fields: ['mode']"),  # recover's --mode alone picks the restarts
     ("grid", "rows", "3", "grid field 'rows' must be an integer, got '3'"),
     ("grid", "rows", 3.7, "grid field 'rows' must be an integer, got 3.7"),
     ("grid", "rows", DROP, "missing grid fields: ['rows']"),
@@ -214,6 +214,21 @@ def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert row["status"] == "nonconverged"
 
 
+def test_solve_gives_a_lopsided_pool_its_tiny_share(tmp_path, monkeypatch, capsys):
+    """A pool valued at 0.003 of the others is owed a share below 1e-5; every seed clears."""
+    monkeypatch.chdir(tmp_path)
+    scn = {
+        "name": "lopsided", "grid": {"rows": 4, "cols": 6, "pools": 3, "lines_per_pool": 4},
+        "utilities_gen": {"kind": "pool_scale", "base": 10, "scales": [1, 1, 0.003]},
+        "engine": {"eta_price": 0.001}, "seeds": [0, 1, 2],
+    }
+    (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
+    assert run_cli(["solve", "--scenario", "scn.json", "--out", "out"]) == 0, capsys.readouterr().out
+    rows = read_records(tmp_path / "out" / "records.csv")
+    assert [r["instance"] for r in rows] == ["lopsided-s0", "lopsided-s1", "lopsided-s2"]
+    assert all(r["status"] == "converged" for r in rows)
+
+
 def _long_line(doc):
     return next(line for pool in doc["pools"] for line in pool["lines"] if len(line["edges"]) >= 2)
 
@@ -277,7 +292,7 @@ class TestBadInput:
         monkeypatch.chdir(tmp_path)
         # a retired option's key is rejected like any unknown one
         retired = ({"normalized_f_update": False}, {"overload_factor": 1.25}, {"abs_tol": 0.1},
-                   {"rel_tol": 0.1}, {"trace_stride": 50})
+                   {"rel_tol": 0.1}, {"trace_stride": 50}, {"f_floor": 1e-4})
         for engine in ({"warp": 9},) + retired:
             scn = write_single_edge_scenario(tmp_path, engine=engine)
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
@@ -291,17 +306,6 @@ class TestBadInput:
         scn = write_single_edge_scenario(tmp_path)
         assert run_cli(["solve", "--scenario", str(scn), "--out", "o", "--eta-f", "0.1"]) == 2
         assert "unrecognized arguments: --eta-f" in capsys.readouterr().err
-
-    def test_floor_too_high_for_the_pools(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        scn = {
-            "name": "five", "grid": {"rows": 4, "cols": 6, "pools": 5, "lines_per_pool": 4},
-            "utilities_gen": {"kind": "uniform", "low": 5, "high": 15},
-            "engine": {"f_floor": 0.3}, "seeds": [0],
-        }
-        (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
-        assert run_cli(["solve", "--scenario", "scn.json", "--out", "o"]) == 2
-        assert "f_floor 0.3 admits no split over 5 pools" in capsys.readouterr().err
 
     def test_grid_and_network_file_conflict(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -321,7 +325,7 @@ class TestBadInput:
         # engine values are JSON numbers, integral for the integer keys; the
         # error names the key
         for key, value in (
-            ("eta_price", [0.001]), ("eta_price", {"v": 0.001}), ("eps_cost", "0.05"), ("f_floor", True),
+            ("eta_price", [0.001]), ("eta_price", {"v": 0.001}), ("eps_cost", "0.05"), ("eps_cost", True),
             ("max_inner", 3.9), ("max_inner", True), ("max_outer", "5"), ("bid_refresh_period", 2.5),
             ("max_outer", float("inf")), ("eta_price", 10**400),
         ):
@@ -342,6 +346,14 @@ class TestBadInput:
         for flag in ("--eta-price", "--abs-tol", "--rel-tol", "--eps-cost", "--max-inner", "--max-outer", "--trace-stride"):
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o", flag, "1"]) == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        # each command takes only the flags it reads: --mode picks recover's
+        # restarts, and --timing fills solve's and recover's wall-time column
+        for command, flags in (
+            ("solve", ["--mode", "warm"]), ("generate", ["--mode", "cold"]), ("oracle", ["--mode", "both"]),
+            ("oracle", ["--timing"]), ("generate", ["--timing"]),
+        ):
+            assert run_cli([command, "--scenario", str(scn), "--out", "o", *flags]) == 2, (command, flags)
+            assert f"unrecognized arguments: {flags[0]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "block, key, value, message", BAD_SCENARIO_VALUES,

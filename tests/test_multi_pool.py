@@ -57,33 +57,26 @@ def test_costs_equal_spread_test():
 
 class TestUpdateProportions:
     def test_costlier_pool_gains(self):
-        out = lm.update_proportions(shares2(), np.array([6.0, 2.0]), 1e-4)
+        out = lm.update_proportions(shares2(), np.array([6.0, 2.0]))
         # mean cost 4: pre-norm (0.5 * 1.5^2, 0.5 * 0.5^2) = (1.125, 0.125)
         np.testing.assert_allclose(out.values, [0.9, 0.1], atol=1e-12)
 
     def test_equal_costs_fixed_point(self):
-        out = lm.update_proportions(shares2(), np.array([5.0, 5.0]), 1e-4)
+        out = lm.update_proportions(shares2(), np.array([5.0, 5.0]))
         np.testing.assert_allclose(out.values, [0.5, 0.5], atol=1e-15)
 
     def test_below_average_pool_not_pushed(self):
-        # a pool of cost zero keeps none of its share; the floor alone holds it
-        out = lm.update_proportions(shares2(), np.array([0.0, 8.0]), 1e-4)
-        np.testing.assert_allclose(out.values, [1e-4, 1.0 - 1e-4], atol=1e-12)
+        # a pool of cost zero keeps none of its share
+        out = lm.update_proportions(shares2(), np.array([0.0, 8.0]))
+        np.testing.assert_array_equal(out.values, [0.0, 1.0])
 
     def test_zero_mean_cost_skips(self):
         start = shares2(0.4, 0.6)
-        out = lm.update_proportions(start, np.array([0.0, 0.0]), 1e-4)
+        out = lm.update_proportions(start, np.array([0.0, 0.0]))
         np.testing.assert_allclose(out.values, start.values)
 
-    def test_floor_prevents_starvation(self):
-        pv = shares2()
-        for _ in range(40):
-            pv = lm.update_proportions(pv, np.array([100.0, 0.0]), 1e-4)
-        assert pv.values.min() >= 1e-4 - 1e-15
-        assert pv.values.sum() == pytest.approx(1.0, abs=1e-12)
-
     def test_ordering_follows_costs(self):
-        out = lm.update_proportions(shares2(), np.array([6.0, 2.0]), 1e-4)
+        out = lm.update_proportions(shares2(), np.array([6.0, 2.0]))
         assert out.values[0] > 0.5 > out.values[1]
 
     def test_one_step_lands_on_the_optimal_split(self):
@@ -94,7 +87,7 @@ class TestUpdateProportions:
             values = rng.dirichlet(np.ones(n))
             start = lm.ProportionVector(tuple(f"k{i}" for i in range(n)), values)
             a = rng.uniform(1.0, 3.0, n)
-            out = lm.update_proportions(start, a / np.sqrt(values), 1e-4)
+            out = lm.update_proportions(start, a / np.sqrt(values))
             np.testing.assert_allclose(out.values, a**2 / np.sum(a**2), rtol=1e-12, err_msg=str(trial))
 
 
@@ -103,11 +96,11 @@ def test_config_validation():
         with pytest.raises(ValueError, match="eps_cost"):
             lm.MechanismConfig(eps_cost=eps)
     with pytest.raises(ValueError):
-        lm.MechanismConfig(f_floor=0.6)
-    with pytest.raises(ValueError):
         lm.MechanismConfig(max_outer=0)
     with pytest.raises(TypeError):
         lm.MechanismConfig(eta_f=0.1)  # the additive split step is retired
+    with pytest.raises(TypeError):
+        lm.MechanismConfig(f_floor=1e-4)  # the split update needs no lower bound
 
 
 def test_symmetric_instance_needs_no_split_updates():
@@ -209,20 +202,32 @@ def _one_edge_pools(n_live, n_dead):
     return net, lm.PoolSystem(pool_ids, lines), table
 
 
-def test_floor_no_split_can_hold_is_rejected():
-    """Five pools cannot each keep 0.3 of the capacity; three can, whatever the others hold."""
-    net, pools, table = _one_edge_pools(5, 0)
-    with pytest.raises(ValueError, match="f_floor 0.3 admits no split over 5 pools"):
-        lm.run_mechanism(net, pools, table, lm.MechanismConfig(f_floor=0.3))
-    # the split update refuses the negative share its projection would give
-    start = lm.ProportionVector(tuple(pools.pool_ids), np.array([0.6, 0.1, 0.1, 0.1, 0.1]))
-    with pytest.raises(ValueError, match="nonnegative"):
-        lm.update_proportions(start, np.ones(5), 0.3)
-    # two pools that cannot run hold no share, so the floor binds only three
+def test_equal_live_pools_split_evenly_beside_dead_ones():
+    """Two pools on a closed edge hold no share; three equal ones on the open edge split it evenly."""
     net, pools, table = _one_edge_pools(3, 2)
-    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(f_floor=0.3))
+    res = lm.run_mechanism(net, pools, table)
     assert res.converged
     np.testing.assert_allclose(res.state.shares.values, [1 / 3, 1 / 3, 1 / 3, 0.0, 0.0], rtol=1e-12)
+
+
+LOPSIDED_SCALES = [[1.0, 0.01], [1.0, 0.005], [1.0, 0.001], [1.0, 1.0, 0.003]]
+
+
+@pytest.mark.parametrize("scales", LOPSIDED_SCALES, ids=[str(s) for s in LOPSIDED_SCALES])
+def test_lopsided_pools_reach_the_oracle_split(scales):
+    """A pool whose optimal share is tiny (2.5e-5 at scale 0.005) gets it in one split update.
+
+    Pools valued base * scale_k on one shared edge split it in proportion to
+    scale_k**2, however small that is.
+    """
+    net, pools, _ = _one_edge_pools(len(scales), 0)
+    table = lm.pool_scaled_utilities(pools, 2.0, scales)
+    oracle = lm.solve_full(net, pools, table)
+    res = lm.run_mechanism(net, pools, table)
+    assert res.converged, res.diagnostics
+    assert res.f_updates == 1
+    np.testing.assert_allclose(res.state.shares.values, list(oracle.shares.values()), rtol=1e-9)
+    assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 1e-6
 
 
 @pytest.mark.parametrize("capacity", [float("nan"), float("inf"), float("-inf"), -4.0])
@@ -298,13 +303,12 @@ def dead_pool_instances():
     return [(net, only_k0, one), (net, both, two)]
 
 
-@pytest.mark.parametrize("f_floor", [1e-4, 0.0])
 @pytest.mark.parametrize("case", [0, 1], ids=["no-operators", "closed-line"])
-def test_pool_whose_lines_cannot_run_holds_no_capacity(case, f_floor):
-    """Such a pool gets share 0 outright instead of the floor and 200 split updates."""
+def test_pool_whose_lines_cannot_run_holds_no_capacity(case):
+    """Such a pool gets share 0 outright instead of 200 split updates toward it."""
     net, pools, table = dead_pool_instances()[case]
     assert lm.solve_full(net, pools, table).shares == {"k0": 1.0, "k1": 0.0}
-    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(f_floor=f_floor))
+    res = lm.run_mechanism(net, pools, table)
     assert res.converged
     assert res.f_updates == 0
     assert res.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
@@ -358,13 +362,12 @@ def three_pool_instance():
     return net, pools, table
 
 
-@pytest.mark.parametrize("f_floor", [1e-4, 0.0])
-def test_pool_that_cannot_run_leaves_the_split_update_to_the_others(f_floor):
+def test_pool_that_cannot_run_leaves_the_split_update_to_the_others():
     """Two live pools of unequal cost beside one that cannot run: the split moves, stays finite and certifies."""
     net, pools, table = three_pool_instance()
     oracle = lm.solve_full(net, pools, table)
     np.testing.assert_allclose(list(oracle.shares.values()), [4 / 13, 9 / 13, 0.0], atol=1e-9)
-    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(f_floor=f_floor))
+    res = lm.run_mechanism(net, pools, table)
     assert res.converged
     assert res.f_updates >= 1  # the unequal live pools force at least one split update
     shares = res.state.shares.values
@@ -415,7 +418,7 @@ def test_warm_restart_keeps_the_surviving_proportions():
 
 
 def test_zero_floor_rescales_without_warnings():
-    """f_floor=0 lets shares reach zero; the rescale must stay finite and silent."""
+    """Shares may reach zero; the rescale must stay finite and silent."""
     closed, pools, table = dead_pool_instances()[1]
     reopened = closed.with_capacities({"e2": 4.0})
     runs = [
@@ -425,11 +428,10 @@ def test_zero_floor_rescales_without_warnings():
     runs += [(*case, None) for case in dead_pool_instances()]
     runs.append((*three_pool_instance(), None))
     runs += [(*instances.chain_instance(seed), None) for seed in range(20)]
-    cfg = lm.MechanismConfig(f_floor=0.0)
     for net, pools, table, warm in runs:
         with warnings.catch_warnings(), np.errstate(all="raise"):
             warnings.simplefilter("error")
-            res = lm.run_mechanism(net, pools, table, cfg, warm=warm)
+            res = lm.run_mechanism(net, pools, table, warm=warm)
         assert res.converged
         for st in res.state.pool_states.values():
             assert all(np.isfinite(v).all() for v in (st.prices, st.bids, st.freqs))
