@@ -1,4 +1,5 @@
 """Outer loop: pool costs, split updates, the equal-cost fixed point."""
+import dataclasses
 import math
 import warnings
 
@@ -303,17 +304,30 @@ def dead_pool_instances():
     return [(net, only_k0, one), (net, both, two)]
 
 
+def holding(state, values):
+    """The warm state with its split replaced by values, pool states as they cleared."""
+    return dataclasses.replace(state, shares=lm.ProportionVector(state.shares.pool_ids, np.array(values)))
+
+
+# the share a pool that cannot run still holds in a warm state: what a
+# lower bound on the split, as the engine once kept, would have left it, or none
+DEAD_HELD = [1e-4, 0.0]
+
+
+@pytest.mark.parametrize("held", DEAD_HELD)
 @pytest.mark.parametrize("case", [0, 1], ids=["no-operators", "closed-line"])
-def test_pool_whose_lines_cannot_run_holds_no_capacity(case):
-    """Such a pool gets share 0 outright instead of 200 split updates toward it."""
+def test_pool_whose_lines_cannot_run_holds_no_capacity(case, held):
+    """Such a pool gets share 0 outright instead of 200 split updates toward it, cold or warm."""
     net, pools, table = dead_pool_instances()[case]
     assert lm.solve_full(net, pools, table).shares == {"k0": 1.0, "k1": 0.0}
-    res = lm.run_mechanism(net, pools, table)
-    assert res.converged
-    assert res.f_updates == 0
-    assert res.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
-    assert res.price_updates["k1"] == 0
-    assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
+    cold = lm.run_mechanism(net, pools, table)
+    warm = lm.run_mechanism(net, pools, table, warm=holding(cold.state, [1.0 - held, held]))
+    for res in (cold, warm):
+        assert res.converged
+        assert res.f_updates == 0
+        assert res.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
+        assert res.price_updates["k1"] == 0
+        assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
 
 
 def test_warm_restart_drops_a_pool_whose_lines_closed():
@@ -362,24 +376,33 @@ def three_pool_instance():
     return net, pools, table
 
 
-def test_pool_that_cannot_run_leaves_the_split_update_to_the_others():
-    """Two live pools of unequal cost beside one that cannot run: the split moves, stays finite and certifies."""
+@pytest.mark.parametrize("held", DEAD_HELD)
+def test_pool_that_cannot_run_leaves_the_split_update_to_the_others(held):
+    """Two live pools of unequal cost beside one that cannot run: the split moves, stays finite and certifies.
+
+    The warm run starts the live pools back at an even split while the dead
+    one holds the share held.
+    """
     net, pools, table = three_pool_instance()
     oracle = lm.solve_full(net, pools, table)
     np.testing.assert_allclose(list(oracle.shares.values()), [4 / 13, 9 / 13, 0.0], atol=1e-9)
-    res = lm.run_mechanism(net, pools, table)
-    assert res.converged
-    assert res.f_updates >= 1  # the unequal live pools force at least one split update
-    shares = res.state.shares.values
-    assert np.isfinite(shares).all() and shares.sum() == pytest.approx(1.0, abs=1e-12)
-    assert res.state.shares.share("k2") == 0.0
-    np.testing.assert_allclose(shares, list(oracle.shares.values()), atol=0.02)
-    assert res.price_updates["k2"] == 0
-    dead = res.state.pool_states["k2"]  # pinned with an empty market, never priced at 1e300
-    assert dead.share == 0.0 and not dead.prices.any() and not dead.freqs.any()
-    assert res.state.pool_costs["k2"] == 0.0
-    assert np.isfinite(res.objective)
-    assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
+    cold = lm.run_mechanism(net, pools, table)
+    even = (1.0 - held) / 2
+    warm = lm.run_mechanism(net, pools, table, warm=holding(cold.state, [even, even, held]))
+    assert warm.outer_trace[0]["shares"] == {"k0": 0.5, "k1": 0.5, "k2": 0.0}
+    for res in (cold, warm):
+        assert res.converged
+        assert res.f_updates >= 1  # the unequal live pools force at least one split update
+        shares = res.state.shares.values
+        assert np.isfinite(shares).all() and shares.sum() == pytest.approx(1.0, abs=1e-12)
+        assert res.state.shares.share("k2") == 0.0
+        np.testing.assert_allclose(shares, list(oracle.shares.values()), atol=0.02)
+        assert res.price_updates["k2"] == 0
+        dead = res.state.pool_states["k2"]  # pinned with an empty market, never priced at 1e300
+        assert dead.share == 0.0 and not dead.prices.any() and not dead.freqs.any()
+        assert res.state.pool_costs["k2"] == 0.0
+        assert np.isfinite(res.objective)
+        assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
 
 
 def test_no_pool_can_run_gives_the_uniform_split():
