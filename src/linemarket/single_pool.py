@@ -22,6 +22,13 @@ price that buys its fair share, not at the sum of every edge's rationing
 price.  That opening is the optimum on a lone edge and scales with the
 share as the optimum does, so the loop only corrects what the even split
 got wrong.
+
+The loop checks its stop test only at refresh boundaries, and computes the
+full residuals (pool_residuals) only at a boundary whose worst overload and
+worst price * |excess| already pass (_may_stop), or when the budget runs
+out.  On almost every update every path is priced; allocate_frequencies,
+refresh_bids and _bid_terms then skip their zero-price masks, which give
+the same numbers on such inputs.
 """
 from __future__ import annotations
 
@@ -163,8 +170,11 @@ def _bid_terms(bids: np.ndarray, ceil: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
     A line bids when its bid is positive.  offers is the bid where it bids
     and 0 elsewhere; free is the line's ceiling where it bids and 0
-    elsewhere, the allocation at a zero path price.
+    elsewhere, the allocation at a zero path price.  When every line bids
+    they are bids and ceil themselves, which the callers only read.
     """
+    if bids.min(initial=np.inf) > 0.0:
+        return bids, ceil
     bidding = bids > 0.0
     return np.where(bidding, bids, 0.0), np.where(bidding, ceil, 0.0)
 
@@ -185,8 +195,12 @@ def allocate_frequencies(
     factor is above one, so the ceiling itself stands).  A bid
     that is not positive buys nothing.  offers and free come from
     _bid_terms(bids, ceil); the caller holds them, and cap, for as long as
-    the bids and the share stay fixed.
+    the bids and the share stay fixed.  When every path is priced, as on
+    almost every price update, the division runs unmasked; any other input
+    takes the masked division, which gives the same numbers where both apply.
     """
+    if path_prices.min(initial=np.inf) > 0.0:
+        return np.minimum(offers / path_prices, cap)
     freqs = free.copy()
     np.divide(offers, path_prices, out=freqs, where=path_prices > 0.0)
     return np.minimum(freqs, cap, out=freqs)
@@ -198,8 +212,12 @@ def refresh_bids(
     """Re-bid optimally where the path price is positive.
 
     Entries with a zero path price keep their old bid; the boolean mask of
-    those skipped entries is returned alongside the new bid vector.
+    those skipped entries is returned alongside the new bid vector.  When
+    every path is priced the best responses are returned unmasked, with an
+    all-False mask.
     """
+    if path_prices.min(initial=np.inf) > 0.0:
+        return best_response_bids(coefficients, path_prices), np.zeros(len(path_prices), dtype=bool)
     skipped = ~(path_prices > 0.0)
     new_bids = np.where(skipped, bids, best_response_bids(coefficients, np.where(skipped, 1.0, path_prices)))
     return new_bids, skipped
@@ -215,6 +233,24 @@ class PoolResiduals:
     converged: bool
 
 
+def _clearing_terms(prices: np.ndarray, excess: np.ndarray) -> tuple[float, float]:
+    """The stop test's absolute terms: worst overload and worst price * |excess|.
+
+    A NaN in either input makes its term NaN, which no tolerance passes.
+    """
+    return float(excess.max(initial=0.0)), float((prices * np.abs(excess)).max(initial=0.0))
+
+
+def _may_stop(prices: np.ndarray, excess: np.ndarray) -> bool:
+    """Whether both absolute terms are within _ABS_TOL: the cheap half of the stop test.
+
+    pool_residuals(...).converged implies it, so the price loop computes the
+    full residuals only at a boundary that passes it.
+    """
+    feas, comp = _clearing_terms(prices, excess)
+    return feas <= _ABS_TOL and comp <= _ABS_TOL
+
+
 def pool_residuals(
     coefficients: np.ndarray,
     prices: np.ndarray,
@@ -227,10 +263,12 @@ def pool_residuals(
     path_prices (incidence.T @ prices) and excess (incidence @ freqs minus
     the share-scaled capacity) are the state's own, which the price loop
     already holds.  converged is the stop test at _ABS_TOL and _REL_TOL; an
-    active line on an unpriced path fails it.
+    active line on an unpriced path fails it.  Its overload and
+    complementarity terms come from _clearing_terms, as _may_stop's do.  The
+    price loop calls this at a run's opening, at each refresh boundary that
+    passes _may_stop, and on the exit that spends the budget.
     """
-    feas = float(excess.max(initial=0.0))
-    comp = float((prices * np.abs(excess)).max(initial=0.0))
+    feas, comp = _clearing_terms(prices, excess)
 
     active = freqs > 0.0
     sel = active & (path_prices > 0.0)
@@ -325,6 +363,11 @@ def _run_pool(
     given, else cfg.price_eta or default_price_eta(view); run_mechanism
     resolves it once per pool for all of that pool's runs.  A run that
     exhausts max_iters returns converged=False rather than raising.
+
+    The full residuals (pool_residuals) are computed at the opening, at
+    each refresh boundary whose worst overload and worst price * |excess|
+    are both within _ABS_TOL (_may_stop), and when the budget runs out;
+    any other boundary cannot pass the stop test, so it is not checked.
     """
     if eta is None:
         eta = cfg.price_eta if cfg.price_eta is not None else default_price_eta(view)
@@ -370,8 +413,8 @@ def _run_pool(
     # convergence is only declared at bid-consistent states, i.e. right after
     # a refresh, so every clearing condition holds at one coherent state.
     # Each pass of the loop runs one refresh period (or what is left of the
-    # budget) and checks the residuals at its end, the only points where the
-    # stop test and the result read them
+    # budget); its end is the only point where the stop test and the result
+    # read the residuals
     settled = res.converged and first_stop == 0
     while not settled and iters < cfg.max_iters:
         steps = min(period, cfg.max_iters - iters)
@@ -389,8 +432,10 @@ def _run_pool(
             freqs = allocate_frequencies(mu, offers, free, cap)
             loads = inc.dot(freqs)
         iters += steps
-        res = pool_residuals(coefficients, prices, freqs, mu, loads - supply)
-        settled = res.converged and steps == period and iters >= first_stop
+        excess = loads - supply
+        if iters >= cfg.max_iters or _may_stop(prices, excess):
+            res = pool_residuals(coefficients, prices, freqs, mu, excess)
+            settled = res.converged and steps == period and iters >= first_stop
 
     state.prices, state.bids, state.freqs = prices, bids, freqs
     return SinglePoolResult(state, iters, bid_updates, skipped, settled, res)

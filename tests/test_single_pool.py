@@ -7,7 +7,7 @@ import pytest
 
 import linemarket as lm
 from linemarket import multi_pool, single_pool
-from linemarket.single_pool import _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _run_pool, pool_residuals
+from linemarket.single_pool import _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _may_stop, _run_pool, pool_residuals
 
 import instances
 
@@ -519,7 +519,7 @@ def test_allocation_matches_reference_bitwise():
         views += [lm.compile_pool(net, pools, k) for k in pools.pool_ids]
     net, pools, _ = instances.grid_instance(0, 2)
     views.append(lm.compile_pool(net, pools, pools.pool_ids[0]))
-    seen = {"unpriced bidder": 0, "zero bid": 0, "negative bid": 0, "truncated": 0}
+    seen = {"unpriced bidder": 0, "zero bid": 0, "negative bid": 0, "truncated": 0, "every path priced": 0}
     for trial in range(2000):
         view = views[trial % len(views)]
         # zero prices on a random subset, so some paths are unpriced; zero
@@ -537,6 +537,39 @@ def test_allocation_matches_reference_bitwise():
         seen["negative bid"] += int(np.sum(bids < 0.0))
         nominal = bids / np.where(mu > 0.0, mu, 1.0)
         seen["truncated"] += int(np.sum((mu > 0.0) & (nominal > overload * view.bottleneck * share)))
+        seen["every path priced"] += int(bool(np.all(mu > 0.0)))
+    assert min(seen.values()) > 0, seen
+
+
+def test_bid_refresh_and_bid_terms_match_reference_bitwise():
+    """Both the unmasked and the masked paths give the reference formulas' bytes."""
+    rng = np.random.default_rng(2025)
+    seen = {"every path priced": 0, "unpriced path": 0, "every line bids": 0, "zero bid": 0, "negative bid": 0}
+    for trial in range(2000):
+        n = int(rng.integers(1, 12))
+        coeffs = rng.uniform(0.5, 20.0, n)
+        # some trials price every path and give every line a positive bid;
+        # the others zero a random subset of path prices and of bids, and
+        # make some bids negative
+        mixed = trial % 2 == 1
+        mu = rng.uniform(0.01, 3.0, n) * (rng.random(n) < (rng.random() if mixed else 2.0))
+        bids = rng.uniform(-1.0 if mixed else 0.01, 3.0, n) * (rng.random(n) < (0.8 if mixed else 2.0))
+        ceil = rng.uniform(0.1, 5.0, n)
+
+        new_bids, skipped = lm.refresh_bids(coeffs, mu, bids)
+        want_skipped = ~(mu > 0.0)
+        want_bids = np.where(want_skipped, bids, coeffs ** 2 / (4.0 * np.where(want_skipped, 1.0, mu)))
+        assert new_bids.tobytes() == want_bids.tobytes(), trial
+        assert skipped.dtype == bool and skipped.tobytes() == want_skipped.tobytes(), trial
+
+        offers, free = _bid_terms(bids, ceil)
+        assert offers.tobytes() == np.where(bids > 0.0, bids, 0.0).tobytes(), trial
+        assert free.tobytes() == np.where(bids > 0.0, ceil, 0.0).tobytes(), trial
+
+        seen["every path priced" if np.all(mu > 0.0) else "unpriced path"] += 1
+        seen["every line bids"] += int(bool(np.all(bids > 0.0)))
+        seen["zero bid"] += int(np.sum(bids == 0.0))
+        seen["negative bid"] += int(np.sum(bids < 0.0))
     assert min(seen.values()) > 0, seen
 
 
@@ -584,6 +617,52 @@ def test_residuals_match_reference_on_random_states(monkeypatch):
     assert min(seen.values()) > 0, seen
 
 
+def test_boundary_precheck_is_necessary_for_the_stop_test(monkeypatch):
+    """Whenever pool_residuals converges, _may_stop holds; a NaN or an inf fails both."""
+    rng = np.random.default_rng(78)
+    views = []
+    for seed in range(5):
+        net, pools, table = instances.chain_instance(seed)
+        views += [(v, table.coefficients_for(v)) for v in (lm.compile_pool(net, pools, k) for k in pools.pool_ids)]
+    net, pools, table = instances.grid_instance(0, 2)
+    view = lm.compile_pool(net, pools, pools.pool_ids[0])
+    views.append((view, table.coefficients_for(view)))
+    seen = {"converged": 0, "pre-check only": 0, "both fail": 0, "nan excess": 0, "inf excess": 0, "nan or inf price": 0}
+    for trial in range(2000):
+        view, coeffs = views[trial % len(views)]
+        prices = rng.uniform(0.0, 2.0, view.n_edges) * (rng.random(view.n_edges) < rng.random())
+        freqs = rng.uniform(0.0, 5.0, view.n_lops) * (rng.random(view.n_lops) < 0.8)
+        share = float(rng.uniform(0.01, 1.0))
+        tol = float(rng.choice([0.1, 1e9]))
+        monkeypatch.setattr(single_pool, "_ABS_TOL", tol)
+        monkeypatch.setattr(single_pool, "_REL_TOL", tol)
+        mu = view.incidence.T @ prices
+        excess = view.incidence @ freqs - view.capacity * share
+        # every fifth trial puts a NaN or an inf into the prices or the excess
+        bad = trial % 5
+        where = int(rng.integers(view.n_edges))
+        if bad == 1:
+            excess[where] = np.nan
+        elif bad == 2:
+            excess[where] = rng.choice([np.inf, -np.inf])
+        elif bad == 3:
+            prices[where] = rng.choice([np.nan, np.inf])
+            with np.errstate(invalid="ignore"):
+                mu = view.incidence.T @ prices
+        with np.errstate(invalid="ignore"):
+            full = pool_residuals(coeffs, prices, freqs, mu, excess)
+            cheap = _may_stop(prices, excess)
+        assert cheap or not full.converged, trial
+        if bad in (1, 2, 3):
+            assert not cheap and not full.converged, trial
+            seen[("nan excess", "inf excess", "nan or inf price")[bad - 1]] += 1
+        if full.converged:
+            seen["converged"] += 1
+        else:
+            seen["pre-check only" if cheap else "both fail"] += 1
+    assert min(seen.values()) > 0, seen
+
+
 def test_seams_run_once_per_use(monkeypatch):
     """Each step goes through its module-level seam, exactly as often as it is used."""
     calls = dict.fromkeys(("price_step", "allocate_frequencies", "refresh_bids", "pool_residuals"), 0)
@@ -592,30 +671,50 @@ def test_seams_run_once_per_use(monkeypatch):
             calls[_name] += 1
             return _fn(*args)
         monkeypatch.setattr(single_pool, name, counted)
+    checks = []  # each boundary pre-check's verdict
+
+    def may_stop(prices, excess, _fn=single_pool._may_stop):
+        checks.append(_fn(prices, excess))
+        return checks[-1]
+
+    monkeypatch.setattr(single_pool, "_may_stop", may_stop)
     runs = []
     moved = []
 
     def run_pool(view, coefficients, share, warm, cfg, eta):
         res = _run_pool(view, coefficients, share, warm, cfg, eta)
-        runs.append((view.n_lops, res.iterations))
+        runs.append((view.n_lops, res.iterations, res.iterations == cfg.max_iters))
         moved.append(warm is not None and warm.share != share)
         return res
 
     monkeypatch.setattr(multi_pool, "_run_pool", run_pool)
     res = lm.run_mechanism(*instances.chain_instance(3))
     period = lm.DynamicsConfig().bid_refresh_period
-    assert all(n_lops for n_lops, _ in runs)
+    assert all(n_lops for n_lops, _, _ in runs)
     # two cold runs, one split update, two warm runs rescaled to the new split
     assert res.f_updates == 1 and moved == [False, False, True, True]
-    assert all(n >= period for (_, n), m in zip(runs, moved) if m)
-    updates = sum(n for _, n in runs)
-    assert updates == sum(res.price_updates.values())
-    boundaries = sum(n // period for _, n in runs)
-    # one check before the first update of each run, moved or not, one per
-    # boundary, one more on a budget exit off a boundary
-    exits = sum(1 + (n % period != 0) for _, n in runs)
+    assert all(n >= period for (_, n, _), m in zip(runs, moved) if m)
+    assert sum(n for _, n, _ in runs) == sum(res.price_updates.values())
+    # chain 0 reaches boundaries whose overload or complementarity still
+    # fails, and two grid runs spend their budget, off and on a boundary
+    lm.run_mechanism(*instances.chain_instance(0))
+    net, pools, table = instances.grid_instance(0, 2)
+    view = lm.compile_pool(net, pools, pools.pool_ids[0])
+    for max_iters in (37, 40):
+        cfg = lm.DynamicsConfig(price_eta=1e-3, max_iters=max_iters)
+        multi_pool._run_pool(view, table.coefficients_for(view), 0.5, None, cfg, None)
+    updates = sum(n for _, n, _ in runs)
+    boundaries = sum(n // period for _, n, _ in runs)
+    budget_exits = sum(spent for _, _, spent in runs)
+    assert budget_exits == 2
     assert calls["price_step"] == updates
     assert calls["refresh_bids"] == boundaries
-    assert calls["pool_residuals"] == boundaries + exits
+    # each pass of a loop ends at a boundary or on the budget; the pass that
+    # spends the budget skips the pre-check
+    assert len(checks) == sum(-(-n // period) for _, n, _ in runs) - budget_exits
+    assert not all(checks)
+    # one full check before the first update of each run, moved or not, one
+    # per boundary whose pre-check passes, one more on a budget exit
+    assert calls["pool_residuals"] == len(runs) + sum(checks) + budget_exits
     # one allocation per price update, and one per run before the first
     assert calls["allocate_frequencies"] == updates + len(runs)
