@@ -26,9 +26,12 @@ got wrong.
 The loop checks its stop test only at refresh boundaries, and computes the
 full residuals (pool_residuals) only at a boundary whose worst overload and
 worst price * |excess| already pass (_may_stop), or when the budget runs
-out.  On almost every update every path is priced; allocate_frequencies,
-refresh_bids and _bid_terms then skip their zero-price masks, which give
-the same numbers on such inputs.
+out.  When every path is priced, allocate_frequencies and refresh_bids
+skip their zero-price masks, and _bid_terms its zero-bid mask when every
+line bids; the masked paths give the same numbers there.  Both hold at
+every call on the chain, two-pool grid and recovery benchmarks.  Where
+they fail, as in a pool with a closed edge or a line that cannot run, the
+steps take the masked paths.
 """
 from __future__ import annotations
 
@@ -195,9 +198,9 @@ def allocate_frequencies(
     factor is above one, so the ceiling itself stands).  A bid
     that is not positive buys nothing.  offers and free come from
     _bid_terms(bids, ceil); the caller holds them, and cap, for as long as
-    the bids and the share stay fixed.  When every path is priced, as on
-    almost every price update, the division runs unmasked; any other input
-    takes the masked division, which gives the same numbers where both apply.
+    the bids and the share stay fixed.  When every path is priced the
+    division runs unmasked; any other input takes the masked division,
+    which gives the same numbers where both apply.
     """
     if path_prices.min(initial=np.inf) > 0.0:
         return np.minimum(offers / path_prices, cap)
