@@ -182,8 +182,10 @@ class PoolView:
 
     incidence[e, p] is 1.0 when operator p's line uses edge e.  bottleneck[p]
     is the smallest raw capacity along p's line (scale by the pool's capacity
-    share to get the physical frequency ceiling); compile_pool computes it
-    once, since every allocation step reads it.
+    share to get the physical frequency ceiling).  own_edges holds, in edge
+    order, the positions of the pool's own edges, those some line of the
+    pool uses; no load ever reaches any other edge.  compile_pool computes
+    both once, since every run of the pool's price loop reads them.
     """
 
     pool_id: str
@@ -192,6 +194,7 @@ class PoolView:
     lop_ids: tuple[str, ...]
     incidence: np.ndarray
     bottleneck: np.ndarray
+    own_edges: np.ndarray
 
     @property
     def n_edges(self) -> int:
@@ -251,6 +254,7 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
         lop_ids=lops,
         incidence=inc,
         bottleneck=np.where(inc > 0.0, capacity[:, None], np.inf).min(axis=0, initial=np.inf),
+        own_edges=np.flatnonzero(inc.any(axis=1)),
     )
 
 

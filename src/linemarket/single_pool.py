@@ -23,12 +23,19 @@ price.  That opening is the optimum on a lone edge and scales with the
 share as the optimum does, so the loop only corrects what the even split
 got wrong.
 
+The loop runs on the pool's own edges only, the edges some line of the
+pool uses (PoolView.own_edges).  No load ever reaches another edge, so its
+price is zero at every clearing point and it adds nothing to the stop
+test: the loop holds it at zero and never steps it.
+
 The loop checks its stop test only at refresh boundaries, and computes the
 full residuals (pool_residuals) only at a boundary whose worst overload and
 worst price * |excess| already pass (_may_stop), or when the budget runs
 out.  When every path is priced, allocate_frequencies and refresh_bids
 skip their zero-price masks, and _bid_terms its zero-bid mask when every
-line bids; the masked paths give the same numbers there.  Both hold at
+line bids; the masked paths give the same numbers there.  Each step picks
+its path with _positive, which decides as x.min(initial=inf) > 0 does,
+NaN included, at a third of a reduction's cost.  Both conditions hold at
 every call on the chain, two-pool grid and recovery benchmarks.  Where
 they fail, as in a pool with a closed edge or a line that cannot run, the
 steps take the masked paths.
@@ -149,23 +156,39 @@ class PoolMarketState:
         }
 
 
+# the projection's zero as a 0-d array: numpy converts a Python float
+# operand afresh on every call, an array it takes as it is
+_ZERO = np.zeros(())
+
+
 def price_step(
     prices: np.ndarray,
     loads: np.ndarray,
     supply: np.ndarray,
-    eta: float,
+    eta: float | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One projected Euler step of the edge price dynamics.
 
     Each price moves along the capacity excess (load minus supply, the
     pool's share-scaled capacity) and is clipped at zero, so a zero-priced
     edge can only move up.  Returns the new prices and the excess vector
-    that drove them.
+    that drove them.  eta may be a float or a 0-d array, which the price
+    loop passes since numpy takes it without converting it.
     """
     excess = loads - supply
     new = eta * excess
     new += prices
-    return np.maximum(0.0, new, out=new), excess
+    return np.maximum(_ZERO, new, out=new), excess
+
+
+def _positive(x: np.ndarray) -> bool:
+    """Whether every entry of x is positive, decided as x.min(initial=np.inf) > 0.0.
+
+    argmin points at the first NaN when there is one, so a NaN fails here as
+    it fails under min, and an empty x passes; reading one entry costs less
+    than a ufunc reduction.
+    """
+    return x.size == 0 or x[x.argmin()] > 0.0
 
 
 def _bid_terms(bids: np.ndarray, ceil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +199,7 @@ def _bid_terms(bids: np.ndarray, ceil: np.ndarray) -> tuple[np.ndarray, np.ndarr
     elsewhere, the allocation at a zero path price.  When every line bids
     they are bids and ceil themselves, which the callers only read.
     """
-    if bids.min(initial=np.inf) > 0.0:
+    if _positive(bids):
         return bids, ceil
     bidding = bids > 0.0
     return np.where(bidding, bids, 0.0), np.where(bidding, ceil, 0.0)
@@ -202,7 +225,7 @@ def allocate_frequencies(
     division runs unmasked; any other input takes the masked division,
     which gives the same numbers where both apply.
     """
-    if path_prices.min(initial=np.inf) > 0.0:
+    if _positive(path_prices):
         return np.minimum(offers / path_prices, cap)
     freqs = free.copy()
     np.divide(offers, path_prices, out=freqs, where=path_prices > 0.0)
@@ -219,7 +242,7 @@ def refresh_bids(
     every path is priced the best responses are returned unmasked, with an
     all-False mask.
     """
-    if path_prices.min(initial=np.inf) > 0.0:
+    if _positive(path_prices):
         return best_response_bids(coefficients, path_prices), np.zeros(len(path_prices), dtype=bool)
     skipped = ~(path_prices > 0.0)
     new_bids = np.where(skipped, bids, best_response_bids(coefficients, np.where(skipped, 1.0, path_prices)))
@@ -363,9 +386,16 @@ def _run_pool(
 
     A warm state is resumed, rescaled first when it cleared at another
     share; otherwise the pool cold-starts.  The price step is eta when
-    given, else cfg.price_eta or default_price_eta(view); run_mechanism
-    resolves it once per pool for all of that pool's runs.  A run that
-    exhausts max_iters returns converged=False rather than raising.
+    given, else cfg.price_eta or default_price_eta(view), which reads the
+    whole view; run_mechanism resolves it once per pool for all of that
+    pool's runs.  A run that exhausts max_iters returns converged=False
+    rather than raising.
+
+    Every price step, product with the incidence, excess and stop test
+    reads the pool's own edges only (view.own_edges).  Any other edge
+    carries no load, which would drive its price to zero and hold it there,
+    so the run opens it at zero, whatever a warm state held, and returns it
+    at zero.
 
     The full residuals (pool_residuals) are computed at the opening, at
     each refresh boundary whose worst overload and worst price * |excess|
@@ -374,11 +404,14 @@ def _run_pool(
     """
     if eta is None:
         eta = cfg.price_eta if cfg.price_eta is not None else default_price_eta(view)
+    eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
     period = cfg.bid_refresh_period
     # fixed for the whole run: the step and the allocation read these, not
     # the view, on every price update
-    inc, inc_t = view.incidence, view.incidence.T
-    supply = view.capacity * share
+    own = view.own_edges
+    inc = view.incidence[own]
+    inc_t = inc.T
+    supply = view.capacity[own] * share
     ceil = view.bottleneck * share
     cap = _OVERLOAD * ceil
     # a state cleared at share zero holds nothing to rescale, and a line
@@ -390,6 +423,7 @@ def _run_pool(
         or bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any())
     )
     state = cold_start(view, coefficients, share) if cold else warm.copy()
+    prices = state.prices[own]
     # a pool's optimum at share f is its share-1 optimum with prices scaled
     # by f**-1/2 and bids by f**1/2, so a warm state cleared at another share
     # is rescaled to it; the allocation below then scales the frequencies.
@@ -398,17 +432,17 @@ def _run_pool(
     rescaled = state.share != share and share > 0.0
     if rescaled:
         ratio = share / state.share
-        state.prices *= ratio ** -0.5
+        prices *= ratio ** -0.5
         state.bids *= ratio ** 0.5
     state.share = share
     first_stop = period if rescaled else 0
-    mu = inc_t.dot(state.prices)
+    mu = inc_t.dot(prices)
     offers, free = _bid_terms(state.bids, ceil)
     if not cold:  # cold_start has allocated under these bids
         state.freqs = allocate_frequencies(mu, offers, free, cap)
     loads = inc.dot(state.freqs)
 
-    prices, bids, freqs = state.prices, state.bids, state.freqs
+    bids, freqs = state.bids, state.freqs
     iters = 0
     bid_updates = 0
     skipped = 0
@@ -440,7 +474,9 @@ def _run_pool(
             res = pool_residuals(coefficients, prices, freqs, mu, excess)
             settled = res.converged and steps == period and iters >= first_stop
 
-    state.prices, state.bids, state.freqs = prices, bids, freqs
+    state.prices = np.zeros(view.n_edges)
+    state.prices[own] = prices
+    state.bids, state.freqs = bids, freqs
     return SinglePoolResult(state, iters, bid_updates, skipped, settled, res)
 
 

@@ -7,7 +7,9 @@ import pytest
 
 import linemarket as lm
 from linemarket import multi_pool, single_pool
-from linemarket.single_pool import _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _may_stop, _run_pool, pool_residuals
+from linemarket.single_pool import (
+    _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _may_stop, _positive, _run_pool, pool_residuals
+)
 
 import instances
 
@@ -183,6 +185,25 @@ def test_default_step_scales_with_capacity_and_crowding():
     view2 = lm.compile_pool(net2, pools2, "k0")
     assert lm.default_price_eta(view2) == pytest.approx(0.02)  # 0.01 * 4 / 2
 
+
+
+def test_default_step_reads_the_whole_view():
+    """The step reads every edge's capacity, not only those of the pool's own edges.
+
+    In chain 3 only pool k1's lines use e3, the narrowest edge (capacity
+    2.75), yet it sets the step of both pools.  Pool k0's own narrowest edge
+    has capacity 5.47, which a step taken from own edges would read.  Such a
+    step is not a free change: taken alone it made the chain seeds need far
+    more price updates, so the loop's restriction to own edges leaves the
+    step as it is.
+    """
+    net, pools, _ = instances.chain_instance(3)
+    k0, k1 = (lm.compile_pool(net, pools, k) for k in pools.pool_ids)
+    assert 3 not in k0.own_edges and 3 in k1.own_edges
+    assert k0.capacity[k0.own_edges].min() == pytest.approx(5.465, abs=1e-3)
+    for view in (k0, k1):
+        assert lm.default_price_eta(view) == pytest.approx(0.02753, abs=1e-5)
+        assert lm.default_price_eta(view) == 0.01 * view.capacity[3]
 
 
 def test_all_closed_edges_give_a_positive_step():
@@ -571,6 +592,103 @@ def test_bid_refresh_and_bid_terms_match_reference_bitwise():
         seen["zero bid"] += int(np.sum(bids == 0.0))
         seen["negative bid"] += int(np.sum(bids < 0.0))
     assert min(seen.values()) > 0, seen
+
+
+POSITIVITY_CASES = {
+    "empty": ([], True),
+    "all positive": ([0.5, 2.0, 1e-300], True),
+    "zero": ([1.0, 0.0, 2.0], False),
+    "negative zero": ([1.0, -0.0, 2.0], False),
+    "negative": ([1.0, -3.0, 2.0], False),
+    "nan first": ([np.nan, 1.0, 2.0], False),
+    "nan in the middle": ([1.0, np.nan, 2.0], False),
+    "nan last": ([1.0, 2.0, np.nan], False),
+    "nan after a zero": ([1.0, 0.0, np.nan], False),
+    "+inf": ([np.inf, 1.0], True),
+    "only +inf": ([np.inf], True),
+    "-inf": ([1.0, -np.inf], False),
+}
+
+
+@pytest.mark.parametrize("case", list(POSITIVITY_CASES))
+def test_positivity_check_decides_as_min(case):
+    """_positive, which picks the steps' fast paths, decides as x.min(initial=inf) > 0."""
+    values, positive = POSITIVITY_CASES[case]
+    x = np.array(values, dtype=float)
+    assert bool(x.min(initial=np.inf) > 0.0) is positive
+    assert bool(_positive(x)) is positive
+
+
+def _chain_with_unused_edge(first):
+    """Chain 3 with one more edge of capacity 1.0, which no line uses, first or last."""
+    net, pools, table = instances.chain_instance(3)
+    spare = lm.Edge("spare", "s0", "s1", 1.0)
+    edges = (spare, *net.edges) if first else (*net.edges, spare)
+    return lm.Network(net.nodes | {"s0", "s1"}, edges), pools, table
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_unused_edge_costs_nothing_and_changes_nothing(first):
+    """An edge no line uses leaves every run byte for byte as it is, at price 0.
+
+    Each pool runs cold, then warm at a moved share.  Both networks take the
+    step of the one without the edge, since default_price_eta reads the
+    narrowest edge of the whole view.
+    """
+    net, pools, table = instances.chain_instance(3)
+    wide, _, _ = _chain_with_unused_edge(first)
+    spare = 0 if first else len(net.edges)
+    shared = np.arange(len(wide.edges)) != spare
+    cfg = lm.DynamicsConfig()
+    for k in pools.pool_ids:
+        view, wide_view = lm.compile_pool(net, pools, k), lm.compile_pool(wide, pools, k)
+        assert spare not in wide_view.own_edges
+        coeffs = table.coefficients_for(view)
+        eta = lm.default_price_eta(view)
+        want = got = None
+        for share in (0.5, 0.45):
+            want = _run_pool(view, coeffs, share, want and want.state, cfg, eta)
+            got = _run_pool(wide_view, coeffs, share, got and got.state, cfg, eta)
+            assert want.converged
+            assert (got.iterations, got.bid_updates, got.converged, got.residuals) == (
+                want.iterations, want.bid_updates, want.converged, want.residuals
+            )
+            assert got.state.prices[shared].tobytes() == want.state.prices.tobytes()
+            assert got.state.bids.tobytes() == want.state.bids.tobytes()
+            assert got.state.freqs.tobytes() == want.state.freqs.tobytes()
+            assert got.state.prices[spare] == 0.0 and not np.signbit(got.state.prices[spare])
+        assert want.iterations >= cfg.bid_refresh_period
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["first", "last"])
+def test_warm_price_on_an_unused_edge_is_dropped(first):
+    """A warm state's price on an edge no line uses opens, and ends, at zero."""
+    net, pools, table = _chain_with_unused_edge(first)
+    spare = 0 if first else len(net.edges) - 1
+    cfg = lm.DynamicsConfig()
+    for k in pools.pool_ids:
+        view = lm.compile_pool(net, pools, k)
+        coeffs = table.coefficients_for(view)
+        cleared = _run_pool(view, coeffs, 0.5, None, cfg)
+        assert cleared.converged
+        warm = cleared.state.copy()
+        warm.prices[spare] = 3.0
+        # at the share it cleared at, the state is the cleared one again
+        same = _run_pool(view, coeffs, 0.5, warm, cfg)
+        assert same.converged and same.iterations == 0
+        assert same.state.prices.tobytes() == cleared.state.prices.tobytes()
+        moved = _run_pool(view, coeffs, 0.45, warm, cfg)
+        assert moved.converged and moved.state.prices[spare] == 0.0
+        assert warm.prices[spare] == 3.0  # the warm state itself is untouched
+
+    res = lm.run_mechanism(net, pools, table)
+    assert res.converged
+    for st in res.state.pool_states.values():
+        st.prices[spare] = 3.0
+    warm = lm.run_mechanism(net, pools, table, warm=res.state)
+    assert warm.converged
+    assert all(st.prices[spare] == 0.0 for st in warm.state.pool_states.values())
+    assert lm.mechanism_kkt(net, pools, table, warm.state).max_scaled() <= 0.1
 
 
 def test_residuals_match_reference_on_final_states():
