@@ -647,8 +647,8 @@ def test_unused_edge_costs_nothing_and_changes_nothing(first):
         eta = lm.default_price_eta(view)
         want = got = None
         for share in (0.5, 0.45):
-            want = _run_pool(view, coeffs, share, want and want.state, cfg, eta)
-            got = _run_pool(wide_view, coeffs, share, got and got.state, cfg, eta)
+            want = _run_pool(view, coeffs, share, want.state if want else None, cfg, eta)
+            got = _run_pool(wide_view, coeffs, share, got.state if got else None, cfg, eta)
             assert want.converged
             assert (got.iterations, got.bid_updates, got.converged, got.residuals) == (
                 want.iterations, want.bid_updates, want.converged, want.residuals
