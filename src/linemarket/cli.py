@@ -21,6 +21,7 @@ from typing import IO, Mapping, Sequence
 
 from .multi_pool import MechanismConfig, MechanismResult, run_mechanism
 from .network import (
+    InputMismatchError,
     Network,
     PoolSystem,
     compile_pool,
@@ -187,6 +188,8 @@ def _build_instance(
     else:
         net, pools = load_network_file(base / scn["network_file"])
         # the same checks every engine makes, so generate rejects what solve does
+        if not pools.pool_ids:
+            raise InputMismatchError("the pool system lists no pools")
         for k in pools.pool_ids:
             compile_pool(net, pools, k)
         problems = validate_network(net, pools)

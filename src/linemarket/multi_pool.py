@@ -208,10 +208,12 @@ def run_mechanism(
     of whose lines can run holds share zero (see _live_split for how the
     split moves when that set changes).  A warm state must carry the
     instance's pools in order and, per pool, its edges and operators in
-    order, else InputMismatchError.  The result reports convergence
-    honestly: an exhausted budget or a stalled inner market yields
-    converged=False plus diagnostics, never an exception.
+    order, else InputMismatchError, as is an empty pool system.  The result
+    reports convergence honestly: an exhausted budget or a stalled inner
+    market yields converged=False plus diagnostics, never an exception.
     """
+    if not pools.pool_ids:
+        raise InputMismatchError("the pool system lists no pools")
     cfg = cfg or MechanismConfig()
     utilities.validate_against(pools)
     pool_ids = tuple(pools.pool_ids)

@@ -8,23 +8,26 @@ Levenberg-damped Newton method (see _clearing_prices).  That solver knows
 one demand law, x = (scale / path price)**power: a valuation a*sqrt(x) is
 power 2 at scale a/2, and a frozen bid w (solve_fixed_bids) is power 1 at
 scale w.  Newton opens where the engine opens, at single_pool.cold_start's
-fair-share prices, so the fair share and each line's neck have one
-definition, in single_pool.  Square-root valuations make a pool's optimum
-at share f its share-1 optimum with frequencies scaled by f and prices by
-f**-1/2, so its value is sqrt(f) times its value at share 1 and the optimal
-split follows in closed form (see solve_full).  kkt_report certifies a
-candidate point from either solver.
+share-1 prices, which it computes from the same two single_pool helpers
+(_fair_split and _neck_prices), so the fair share and each line's neck have
+one definition, in single_pool.  Square-root valuations make a pool's
+optimum at share f its share-1 optimum with frequencies scaled by f and
+prices by f**-1/2, so its value is sqrt(f) times its value at share 1 and
+the optimal split follows in closed form (see solve_full).  kkt_report
+certifies a candidate point from either solver; solve_full hands it the
+views it compiled, so each pool is compiled once per solve.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .network import Network, PoolSystem, PoolView, compile_pool
+from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
 from .multi_pool import OuterState
-from .single_pool import _fair_split, _neck_prices, cold_start
+from .single_pool import _fair_split, _neck_prices
 from .utility import UtilityTable
 
 __all__ = [
@@ -48,6 +51,20 @@ class _PoolSolve:
     freqs: np.ndarray
     converged: bool
     iterations: int
+    dual_evals: int   # dual values computed: the opening's and each trial step's
+
+
+def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First occurrences and group ids of equal rows of a 0/1 matrix.
+
+    The answer of np.unique(rows, axis=0, return_index=True,
+    return_inverse=True), without its structured-dtype sort: rows holding
+    only 0.0 and 1.0 compare byte by byte as they compare by value, so one
+    sort of each row's bytes, as one opaque item, orders them the same way.
+    """
+    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
+    return first, group
 
 
 def _clearing_prices(
@@ -73,99 +90,114 @@ def _clearing_prices(
     Minimizes the dual of  max sum(values) s.t. incidence @ x <= budget
     over nonnegative prices with a projected, Levenberg-damped Newton
     method.  Edges crossed by exactly the same set of active operators are
-    collapsed first, by one np.unique over their active incidence rows:
-    within such a group only the scarcest edge, its representative, can
-    carry a positive price, and the collapse removes the flat directions
-    that would otherwise make the Newton system singular.  Newton opens at
-    `opening`, the engine's fair-share opening prices (single_pool's neck
-    charge), summed onto each group's representative; the sum keeps every
-    active path price, so the dual value is finite from the start.  The dual
-    value blows up whenever an active operator's path turns free of charge,
-    so descent steps keep every such path priced without explicit
-    bookkeeping.  The Armijo test allows for the dual value's own rounding
-    (a few ulps of it), else a step the rounding hides stalls the descent
-    short of `tol`.  At the returned point every active operator sits on
-    her demand curve, loads never exceed the budget beyond solver
-    precision, and priced edges run at budget.  No argument is modified.
+    collapsed first, by grouping their active incidence rows (see
+    _row_groups): within such a group only the scarcest edge, its
+    representative, can carry a positive price, and the collapse removes
+    the flat directions that would otherwise make the Newton system
+    singular.  Newton opens at `opening`, the engine's fair-share opening
+    prices (single_pool's neck charge), summed onto each group's
+    representative; the sum keeps every active path price, so the dual
+    value is finite from the start.  The dual value blows up whenever an
+    active operator's path turns free of charge, so descent steps keep
+    every such path priced without explicit bookkeeping.  The Armijo test
+    allows for the dual value's own rounding (a few ulps of it), else a
+    step the rounding hides stalls the descent short of `tol`.  Each
+    accepted step's path prices, demand and loads carry over to the next
+    iteration and to the exit.  At the returned point every active
+    operator sits on her demand curve, loads never exceed the budget
+    beyond solver precision, and priced edges run at budget.  No argument
+    is modified.
     """
     n_edges, n_lops = incidence.shape
     # an operator whose line crosses a closed edge can run nothing; left
     # active, it would price that edge without bound and stall the descent
     act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
     if n_lops == 0 or not act.any():
-        return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0)
+        return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0, 0)
 
     # group the edges active lines cross by their active rows, scarcest edge
     # first, so each group's first edge is its representative
     rows = incidence[:, act]
-    edges = np.flatnonzero(rows.any(axis=1))
+    edges = rows.any(axis=1).nonzero()[0]
     edges = edges[np.argsort(budget[edges], kind="stable")]
-    _, first, group = np.unique(rows[edges], axis=0, return_index=True, return_inverse=True)
+    first, group = _row_groups(rows[edges])
     reps = edges[first]
     sub_inc = incidence[reps]
     sub_budget = budget[reps]
     prices = np.bincount(group, weights=opening[edges], minlength=len(reps))
     scale_b = max(1.0, float(sub_budget.max()))
+    every = bool(act.all())
+    s = scale[act]
+    s_sq = s ** 2
+    evals = 0
 
     def demand(mu: np.ndarray) -> np.ndarray:
-        return np.where(act, (scale / np.maximum(mu, _TINY)) ** power, 0.0)
+        x = (scale / np.maximum(mu, _TINY)) ** power
+        return x if every else np.where(act, x, 0.0)
 
-    def dual_value(pr: np.ndarray) -> float:
+    def dual_value(pr: np.ndarray) -> tuple[float, np.ndarray]:
+        """The dual value at edge prices pr, and the path prices there."""
+        nonlocal evals
+        evals += 1
         mu = sub_inc.T @ pr
-        if np.any(mu[act] <= 0.0):
-            return np.inf
-        s, m = scale[act], np.maximum(mu[act], _TINY)
-        # summed over every operator, zeros included, so the rounding of the
-        # sum does not depend on which operators are active
-        terms = np.zeros(n_lops)
-        terms[act] = s ** 2 / m if power == 2 else s * (np.log(s / m) - 1.0)
-        return float(terms.sum() + pr @ sub_budget)
+        m = mu if every else mu[act]
+        if (m <= 0.0).any():
+            return np.inf, mu
+        m = np.maximum(m, _TINY)
+        value = s_sq / m if power == 2 else s * (np.log(s / m) - 1.0)
+        if not every:
+            # summed over every operator, zeros included, so the rounding of
+            # the sum does not depend on which operators are active
+            terms = np.zeros(n_lops)
+            terms[act] = value
+            value = terms
+        return float(value.sum() + pr @ sub_budget), mu
 
-    cur = dual_value(prices)
+    cur, mu = dual_value(prices)
+    x = demand(mu)
+    load = sub_inc @ x
     converged = False
     iters = 0
     for _ in range(max_iters):
         iters += 1
-        mu = sub_inc.T @ prices
-        x = demand(mu)
-        load = sub_inc @ x
         gap = load - sub_budget
-        feas = float(np.maximum(gap, 0.0).max(initial=0.0))
+        feas = float(gap.max(initial=0.0))
         comp = float((prices * np.abs(gap)).max(initial=0.0))
         if max(feas, comp) <= tol * scale_b:
             converged = True
             break
 
         grad = -gap  # dual gradient: budget - load
-        fset = np.flatnonzero((prices > 0.0) | (grad < 0.0))
+        fset = ((prices > 0.0) | (grad < 0.0)).nonzero()[0]
         gf = grad[fset]
         sub = sub_inc[fset]
         hess = (sub * (power * x / np.maximum(mu, _TINY))) @ sub.T
-        lev = max(1e-14 * float(np.trace(hess)) / len(fset),
+        lev = max(1e-14 * float(hess.trace()) / len(fset),
                   1e-8 * float(np.abs(gf).max()) / scale_b)
-        hess[np.diag_indices_from(hess)] += lev
+        hess.flat[:: len(fset) + 1] += lev
         try:
             newton = np.linalg.solve(hess, -gf)
         except np.linalg.LinAlgError:
             newton = None
 
         accepted = False
+        base = prices[fset]
         candidates = [newton, -gf] if newton is not None else [-gf]
         for step in candidates:
             if float(gf @ step) >= 0.0:
                 continue
             t_step = 1.0
             for _ in range(60):
+                moved_to = np.maximum(0.0, base + t_step * step)
                 trial = prices.copy()
-                trial[fset] = np.maximum(0.0, prices[fset] + t_step * step)
-                value = dual_value(trial)
-                moved = trial[fset] - prices[fset]
+                trial[fset] = moved_to
+                value, trial_mu = dual_value(trial)
                 # Armijo, with room for the rounding of the dual value itself
-                slack = 1e-4 * min(0.0, float(gf @ moved)) + 4e-16 * abs(cur)
-                if np.isfinite(value) and value <= cur + slack:
-                    if np.array_equal(trial, prices):
+                slack = 1e-4 * min(0.0, float(gf @ (moved_to - base))) + 4e-16 * abs(cur)
+                if math.isfinite(value) and value <= cur + slack:
+                    if (moved_to == base).all():
                         break
-                    prices, cur = trial, value
+                    prices, cur, mu = trial, value, trial_mu
                     accepted = True
                     break
                 t_step *= 0.5
@@ -173,10 +205,9 @@ def _clearing_prices(
                 break
         if not accepted:
             break
+        x = demand(mu)
+        load = sub_inc @ x
 
-    mu = sub_inc.T @ prices
-    x = demand(mu)
-    load = sub_inc @ x
     over = load > sub_budget
     if over.any():
         # uniform shrink onto the feasible set; perturbation is at solver
@@ -186,7 +217,7 @@ def _clearing_prices(
             x = x / ratio
     out = np.zeros(n_edges)
     out[reps] = prices
-    return _PoolSolve(out, x, converged, iters)
+    return _PoolSolve(out, x, converged, iters, evals)
 
 # ---------------------------------------------------------------------------
 # Pool solves.
@@ -194,14 +225,19 @@ def _clearing_prices(
 def _solve_one_pool(view: PoolView, coefficients: np.ndarray) -> _PoolSolve:
     """One pool's optimum at share 1, the only share the oracle solves at.
 
-    Newton opens at cold_start's share-1 prices, the engine's own opening.
-    A valuation a*sqrt(x) demands x = (a / 2 mu)**2, scale a/2 at power 2.
+    Newton opens at the engine's own share-1 opening, the prices of
+    cold_start(view, coefficients, 1.0), computed here from the same two
+    single_pool helpers without the opening frequencies, which Newton never
+    reads.  A valuation a*sqrt(x) demands x = (a / 2 mu)**2, scale a/2 at
+    power 2, and opens at the bid a/2 * sqrt(fair ratio).
 
     solve_full reaches every other share by 1/2-homogeneity: frequencies
     scale by the share, prices by its inverse square root.
     """
-    opening = cold_start(view, coefficients, 1.0).prices
-    return _clearing_prices(view.incidence, view.capacity, 0.5 * coefficients, 2, opening)
+    scale = 0.5 * coefficients
+    fair_ratio, neck = _fair_split(view)
+    opening = _neck_prices(neck, scale * np.sqrt(fair_ratio), view.capacity)
+    return _clearing_prices(view.incidence, view.capacity, scale, 2, opening)
 
 
 def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarray:
@@ -272,6 +308,8 @@ def kkt_report(
     shares: Mapping[str, float],
     prices: Mapping[tuple[str, str], float],
     cost_level: float,
+    *,
+    views: Sequence[PoolView] | None = None,
 ) -> KKTReport:
     """Certify a candidate clearing point against the optimality conditions.
 
@@ -282,8 +320,21 @@ def kkt_report(
     the common cost level; plus the split summing to one with complementary
     cost level, and nonnegativity all around.  Each pool is read through
     compile_pool, the view the engines run on, so a line or capacity they
-    reject raises InputMismatchError here too.
+    reject raises InputMismatchError here too.  A caller that holds the
+    views already, as solve_full does, passes them in pools.pool_ids order
+    and nothing is compiled twice.  An empty pool system, or shares keyed
+    by other pools than the system lists, raises InputMismatchError.
     """
+    if not pools.pool_ids:
+        raise InputMismatchError("the pool system lists no pools")
+    missing = [k for k in pools.pool_ids if k not in shares]
+    extra = sorted(set(shares) - set(pools.pool_ids))
+    if missing or extra:
+        raise InputMismatchError(f"shares do not match the pools: missing={missing} extra={extra}")
+    if views is None:
+        views = [compile_pool(net, pools, k) for k in pools.pool_ids]
+    elif [view.pool_id for view in views] != list(pools.pool_ids):
+        raise InputMismatchError("views must be the pools' compiled views, in pool order")
     level_scale = max(abs(cost_level), _TINY)
     share_vec = np.array([float(shares[k]) for k in pools.pool_ids])
 
@@ -295,8 +346,7 @@ def kkt_report(
     spread_raw = 0.0
     neg = max(0.0, -float(share_vec.min(initial=0.0)))
 
-    for k, share in zip(pools.pool_ids, share_vec):
-        view = compile_pool(net, pools, k)
+    for k, view, share in zip(pools.pool_ids, views, share_vec):
         x = np.array([float(freqs.get((lop, k), 0.0)) for lop in view.lop_ids])
         lam = np.array([float(prices.get((eid, k), 0.0)) for eid in view.edge_ids])
         neg = max(neg, -float(x.min(initial=0.0)), -float(lam.min(initial=0.0)))
@@ -381,8 +431,12 @@ def solve_full(
     primal decomposition).  So each pool is solved once, at share 1.  A
     pool of value zero, such as one without operators, gets share zero;
     when every pool is worth zero the split is uniform.  converged requires
-    every pool solve to converge and the certificate to hold.
+    every pool solve to converge and the certificate to hold; kkt_report
+    certifies the answer on the views compiled here.  An empty pool system
+    raises InputMismatchError.
     """
+    if not pools.pool_ids:
+        raise InputMismatchError("the pool system lists no pools")
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
     coeffs = [utilities.coefficients_for(view) for view in views]
@@ -399,18 +453,18 @@ def solve_full(
     for k, view, a, sol, share in zip(pools.pool_ids, views, coeffs, sols, split):
         x_k = sol.freqs * share
         lam_k = sol.prices * share ** -0.5 if share > 0.0 else np.zeros_like(sol.prices)
-        for lop, x in zip(view.lop_ids, x_k):
-            freqs[(lop, k)] = float(x)
-        for eid, lam in zip(view.edge_ids, lam_k):
+        for lop, x in zip(view.lop_ids, x_k.tolist()):
+            freqs[(lop, k)] = x
+        for eid, lam in zip(view.edge_ids, lam_k.tolist()):
             if lam != 0.0:
-                prices[(eid, k)] = float(lam)
+                prices[(eid, k)] = lam
         costs.append(float(view.capacity @ lam_k))
         objective += float(a @ np.sqrt(np.maximum(x_k, 0.0)))
 
     cost_level = max(costs)
     cost_gap = (max(costs) - float(np.mean(costs))) / max(max(costs), _TINY)
     shares = {k: float(s) for k, s in zip(pools.pool_ids, split)}
-    report = kkt_report(net, pools, utilities, freqs, shares, prices, cost_level)
+    report = kkt_report(net, pools, utilities, freqs, shares, prices, cost_level, views=views)
     return OracleSolution(
         frequencies=freqs,
         shares=shares,

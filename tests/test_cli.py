@@ -278,6 +278,21 @@ def test_network_file_boundary(tmp_path, monkeypatch, capsys, case, edit, reason
         assert read_records(tmp_path / "out" / "records.csv")[0]["status"] == "converged"
 
 
+def test_network_file_without_pools_exits_2(tmp_path, monkeypatch, capsys):
+    """Every command rejects a network file that lists no pools, with exit 2."""
+    monkeypatch.chdir(tmp_path)
+    net, _, _ = instances.single_edge()
+    dump_network_file(net, lm.PoolSystem([], {}), tmp_path / "net.json")
+    scn = {
+        "name": "no-pools", "network_file": "net.json", "utilities": {"utilities": []}, "seeds": [0],
+        "disruption": {"kind": "reduce", "edge_count": 1, "magnitude": 0.1},
+    }
+    (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
+    for command in ("solve", "oracle", "recover", "generate"):
+        assert run_cli([command, "--scenario", "scn.json", "--out", "out"]) == 2, command
+        assert "lists no pools" in capsys.readouterr().err, command
+
+
 class TestBadInput:
     def test_missing_scenario_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -206,6 +206,19 @@ def test_full_search_pool_without_operators_gets_no_share():
     assert idle.objective == 0.0 and idle.prices == {}
 
 
+def test_empty_pool_system_is_rejected():
+    """No pools is an input error in every reader, not a division by zero deep inside."""
+    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
+    pools, table = lm.PoolSystem([], {}), lm.UtilityTable({})
+    for read in (
+        lambda: lm.run_mechanism(net, pools, table),
+        lambda: lm.solve_full(net, pools, table),
+        lambda: lm.kkt_report(net, pools, table, {}, {}, {}, 0.0),
+    ):
+        with pytest.raises(lm.InputMismatchError, match="lists no pools"):
+            read()
+
+
 def ci_instance(pools: int, seed: int):
     """The CI scenario's 4x6 family at `pools` pools, built as the CLI builds it."""
     scn = {
@@ -227,6 +240,104 @@ def test_full_search_certifies_at_solver_precision(make):
     sol = lm.solve_full(*make())
     assert sol.converged
     assert sol.kkt.max_scaled() <= 1e-8
+
+
+def _pool_views(make):
+    net, pools, table = make()
+    for k in pools.pool_ids:
+        view = lm.compile_pool(net, pools, k)
+        yield view, table.coefficients_for(view)
+
+
+def test_opening_is_cold_start_prices_bytewise(monkeypatch):
+    """The share-1 opening, computed without cold_start's frequencies, is its prices byte for byte."""
+    solve = oracle._clearing_prices
+    openings = []
+
+    def opened(incidence, budget, scale, power, opening):
+        openings.append(opening.tobytes())
+        return solve(incidence, budget, scale, power, opening, max_iters=0)
+
+    monkeypatch.setattr(oracle, "_clearing_prices", opened)
+    pools_seen = 0
+    for name, make in CERTIFY_CASES:
+        for view, coeffs in _pool_views(make):
+            openings.clear()
+            oracle._solve_one_pool(view, coeffs)
+            assert openings == [lm.cold_start(view, coeffs, 1.0).prices.tobytes()], (name, view.pool_id)
+            pools_seen += 1
+    assert pools_seen == 40 + 60 + 40
+
+
+def test_certificate_reuses_the_solve_views(monkeypatch):
+    """solve_full compiles each pool once and certifies as a fresh kkt_report on its own point."""
+    compiled = []
+    compile_pool = oracle.compile_pool
+
+    def counted(net, pools, k):
+        compiled.append(k)
+        return compile_pool(net, pools, k)
+
+    monkeypatch.setattr(oracle, "compile_pool", counted)
+    for name, make in CERTIFY_CASES:
+        net, pools, table = make()
+        compiled.clear()
+        sol = lm.solve_full(net, pools, table)
+        assert compiled == list(pools.pool_ids), name
+        fresh = lm.kkt_report(net, pools, table, sol.frequencies, sol.shares, sol.prices, sol.cost_level)
+        assert sol.kkt == fresh, name
+
+
+def test_certificate_views_must_match_the_pools():
+    net, pools, table = instances.chain_instance(3)
+    views = [lm.compile_pool(net, pools, k) for k in reversed(pools.pool_ids)]
+    with pytest.raises(lm.InputMismatchError, match="in pool order"):
+        lm.kkt_report(net, pools, table, {}, {"k0": 0.5, "k1": 0.5}, {}, 1.0, views=views)
+
+
+def test_kkt_shares_must_name_the_listed_pools():
+    """A share missing for a pool, or filed under a pool the system lacks, is an input error."""
+    net, pools, table = instances.chain_instance(3)
+    with pytest.raises(lm.InputMismatchError, match=r"missing=\['k1'\] extra=\[\]"):
+        lm.kkt_report(net, pools, table, {}, {"k0": 1.0}, {}, 1.0)
+    with pytest.raises(lm.InputMismatchError, match=r"missing=\[\] extra=\['kX'\]"):
+        lm.kkt_report(net, pools, table, {}, {"k0": 0.5, "k1": 0.5, "kX": 0.0}, {}, 1.0)
+
+
+def test_dual_evaluations_cover_every_iteration():
+    """Each iteration evaluates at least its accepted trial; the opening is evaluated once."""
+    for name, make in CERTIFY_CASES:
+        for view, coeffs in _pool_views(make):
+            sol = oracle._solve_one_pool(view, coeffs)
+            assert sol.converged and sol.dual_evals >= sol.iterations >= 1, (name, view.pool_id)
+    view, coeffs = next(_pool_views(partial(instances.chain_instance, 0)))
+    opening = lm.cold_start(view, coeffs, 1.0).prices
+    start = oracle._clearing_prices(view.incidence, view.capacity, 0.5 * coeffs, 2, opening, max_iters=0)
+    assert (start.iterations, start.dual_evals) == (0, 1)
+    idle = oracle._clearing_prices(view.incidence, view.capacity, 0.0 * coeffs, 2, opening)
+    assert (idle.iterations, idle.dual_evals) == (0, 0)
+
+
+def test_row_groups_match_unique_over_rows():
+    """The byte-keyed grouping gives np.unique(axis=0)'s representatives and group ids."""
+    rng = np.random.default_rng(16)
+    mats = [
+        np.array([[1.0, 0.0, 1.0]]),                     # a single row
+        np.ones((5, 3)),                                 # all rows equal
+        np.zeros((4, 2)),
+        np.ones((6, 1)),
+        np.tile([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], (7, 1)),  # many duplicates
+    ]
+    for trial in range(3000):
+        m, k = int(rng.integers(1, 30)), int(rng.integers(1, 10))
+        rows = (rng.random((m, k)) < rng.random()).astype(float)
+        # every other matrix draws its rows from a few, so duplicates abound
+        mats.append(rows[rng.integers(0, max(1, m // 4), size=m)] if trial % 2 else rows)
+    for rows in mats:
+        _, first, group = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        got_first, got_group = oracle._row_groups(rows)
+        np.testing.assert_array_equal(got_first, first)
+        np.testing.assert_array_equal(got_group, group.ravel())
 
 
 def test_oracle_opens_at_cold_start(monkeypatch):
