@@ -230,7 +230,6 @@ def _disruption(scn: Mapping, seed: int) -> DisruptionSpec:
 # own default.
 _INNER_KEYS = {
     "eta_price": ("price_eta", float),
-    "bid_refresh_period": ("bid_refresh_period", int),
     "max_inner": ("max_iters", int),
 }
 _OUTER_KEYS = {

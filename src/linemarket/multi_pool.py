@@ -26,6 +26,7 @@ from .single_pool import (
     DynamicsConfig,
     PoolMarketState,
     SinglePoolResult,
+    _check_count,
     _run_pool,
     default_price_eta,
 )
@@ -126,8 +127,7 @@ class MechanismConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_cost < np.inf:
             raise ValueError(f"eps_cost must be positive and finite, got {self.eps_cost}")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be positive")
+        _check_count("max_outer", self.max_outer)
 
 
 @dataclass
@@ -162,7 +162,13 @@ class MechanismResult:
 
 
 def _check_warm(warm: OuterState, views: Mapping[str, PoolView]) -> None:
-    """Reject a warm state whose pools, edges or operators differ from the instance."""
+    """Reject a warm state that does not fit the instance or holds values no run can resume.
+
+    Its pools, and per pool its edges and operators, must be the instance's
+    in order.  Each pool state's prices must hold one entry per edge, its
+    bids and freqs one per operator, none of them negative or non-finite,
+    and its share must be finite.
+    """
     pool_ids = tuple(views)
     if tuple(warm.shares.pool_ids) != pool_ids or set(warm.pool_states) != set(pool_ids):
         raise InputMismatchError(
@@ -173,6 +179,16 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView]) -> None:
         st = warm.pool_states[k]
         if tuple(st.edge_ids) != view.edge_ids or tuple(st.lop_ids) != view.lop_ids:
             raise InputMismatchError(f"warm state of pool {k!r} has other edges or operators than the instance")
+        for name, n in (("prices", view.n_edges), ("bids", view.n_lops), ("freqs", view.n_lops)):
+            values = getattr(st, name)
+            if np.shape(values) != (n,):
+                raise InputMismatchError(
+                    f"warm state of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)"
+                )
+            if not (np.isfinite(values) & (values >= 0.0)).all():
+                raise InputMismatchError(f"warm state of pool {k!r}: {name} holds a negative or non-finite entry")
+        if not np.isfinite(st.share):
+            raise InputMismatchError(f"warm state of pool {k!r}: share {st.share} is not finite")
 
 
 def _live_split(shares: ProportionVector, live: np.ndarray) -> ProportionVector:
@@ -208,7 +224,10 @@ def run_mechanism(
     of whose lines can run holds share zero (see _live_split for how the
     split moves when that set changes).  A warm state must carry the
     instance's pools in order and, per pool, its edges and operators in
-    order, else InputMismatchError, as is an empty pool system.  The result
+    order, with finite, nonnegative prices, bids and frequencies of the
+    instance's lengths and a finite share (see _check_warm), else
+    InputMismatchError, as is an empty pool system.  The warm state itself
+    is left as it was.  The result
     reports convergence honestly: an exhausted budget or a stalled inner
     market yields converged=False plus diagnostics, never an exception.
     """
@@ -228,7 +247,8 @@ def run_mechanism(
     if warm is not None:
         _check_warm(warm, views)
         shares = warm.shares
-        states: dict[str, PoolMarketState | None] = {k: warm.pool_states[k].copy() for k in pool_ids}
+        # _run_pool resumes a copy, so the caller's states are never written
+        states: dict[str, PoolMarketState | None] = {k: warm.pool_states[k] for k in pool_ids}
     else:
         shares = ProportionVector.uniform(pool_ids)
         states = {k: None for k in pool_ids}

@@ -6,8 +6,8 @@ interact:
 * the network side nudges each edge price along the capacity excess and
   projects at zero (price_step),
 * operators are allocated bid/price trains on their line (allocate_frequencies),
-* every few rounds operators re-bid optimally against current path prices
-  (refresh_bids).
+* every DynamicsConfig.bid_refresh_period price updates, a constant 10,
+  operators re-bid optimally against current path prices (refresh_bids).
 
 The fixed point of the three rules clears the pool: priced edges run at
 capacity, unpriced edges have slack, and every allocation sits where the
@@ -42,7 +42,9 @@ steps take the masked paths.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -79,26 +81,35 @@ _REL_TOL = 0.1
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    """Tuning knobs for the in-pool dynamics: step, refresh period, budget.
+    """Tuning knobs for the in-pool dynamics: the price step and the budget.
 
     price_eta of None means the capacity-scaled default: one percent of the
     smallest open edge capacity divided by the largest number of lines
-    sharing an edge.  The stop test's tolerances are the module constants
-    _ABS_TOL and _REL_TOL.  No field describes the instance: what is legal
-    input is decided once, by compile_pool, before any pool runs.
+    sharing an edge.  max_iters, the price updates one pool run may spend,
+    is a whole number of at least 1.  Operators re-bid every
+    bid_refresh_period price updates, a constant of the dynamics rather than
+    a field.  The stop test's tolerances are the module constants _ABS_TOL
+    and _REL_TOL.  No field describes the instance: what is legal input is
+    decided once, by compile_pool, before any pool runs.
     """
 
+    bid_refresh_period: ClassVar[int] = 10
     price_eta: float | None = None
-    bid_refresh_period: int = 10
     max_iters: int = 50_000
 
     def __post_init__(self) -> None:
         if self.price_eta is not None and not 0.0 < self.price_eta < np.inf:
             raise ValueError(f"price_eta must be positive and finite, got {self.price_eta}")
-        if self.bid_refresh_period < 1:
-            raise ValueError("bid_refresh_period must be a positive integer")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        _check_count("max_iters", self.max_iters)
+
+
+def _check_count(name: str, value: object) -> None:
+    """Reject a budget that is not a whole number of at least 1.
+
+    Any integer type passes, numpy's included; bool, though an int, does not.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
 
 
 def default_price_eta(view: PoolView) -> float:
@@ -232,21 +243,16 @@ def allocate_frequencies(
     return np.minimum(freqs, cap, out=freqs)
 
 
-def refresh_bids(
-    coefficients: np.ndarray, path_prices: np.ndarray, bids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re-bid optimally where the path price is positive.
+def refresh_bids(coefficients: np.ndarray, path_prices: np.ndarray, bids: np.ndarray) -> np.ndarray:
+    """Re-bid optimally where the path price is positive; return the new bids.
 
-    Entries with a zero path price keep their old bid; the boolean mask of
-    those skipped entries is returned alongside the new bid vector.  When
-    every path is priced the best responses are returned unmasked, with an
-    all-False mask.
+    An entry with a zero path price keeps its old bid.  When every path is
+    priced the best responses are returned unmasked.
     """
     if _positive(path_prices):
-        return best_response_bids(coefficients, path_prices), np.zeros(len(path_prices), dtype=bool)
+        return best_response_bids(coefficients, path_prices)
     skipped = ~(path_prices > 0.0)
-    new_bids = np.where(skipped, bids, best_response_bids(coefficients, np.where(skipped, 1.0, path_prices)))
-    return new_bids, skipped
+    return np.where(skipped, bids, best_response_bids(coefficients, np.where(skipped, 1.0, path_prices)))
 
 
 @dataclass(frozen=True)
@@ -369,7 +375,6 @@ class SinglePoolResult:
     state: PoolMarketState
     iterations: int          # number of price updates applied
     bid_updates: int         # refreshes that materially changed a bid
-    skipped_refreshes: int   # refresh events skipped for zero path price
     converged: bool
     residuals: PoolResiduals
 
@@ -380,16 +385,16 @@ def _run_pool(
     share: float,
     warm: PoolMarketState | None,
     cfg: DynamicsConfig,
-    eta: float | None = None,
+    eta: float,
 ) -> SinglePoolResult:
     """Run one pool's market to its clearing point at a fixed share.
 
-    A warm state is resumed, rescaled first when it cleared at another
-    share; otherwise the pool cold-starts.  The price step is eta when
-    given, else cfg.price_eta or default_price_eta(view), which reads the
-    whole view; run_mechanism resolves it once per pool for all of that
-    pool's runs.  A run that exhausts max_iters returns converged=False
-    rather than raising.
+    A warm state is resumed from a copy, rescaled first when it cleared at
+    another share, and is never modified; otherwise the pool cold-starts.
+    eta is the price step, which run_mechanism resolves once per pool for
+    all of that pool's runs.  Operators re-bid every
+    DynamicsConfig.bid_refresh_period price updates.  A run that exhausts
+    max_iters returns converged=False rather than raising.
 
     Every price step, product with the incidence, excess and stop test
     reads the pool's own edges only (view.own_edges).  Any other edge
@@ -402,8 +407,6 @@ def _run_pool(
     are both within _ABS_TOL (_may_stop), and when the budget runs out;
     any other boundary cannot pass the stop test, so it is not checked.
     """
-    if eta is None:
-        eta = cfg.price_eta if cfg.price_eta is not None else default_price_eta(view)
     eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
     period = cfg.bid_refresh_period
     # fixed for the whole run: the step and the allocation read these, not
@@ -435,7 +438,6 @@ def _run_pool(
         prices *= ratio ** -0.5
         state.bids *= ratio ** 0.5
     state.share = share
-    first_stop = period if rescaled else 0
     mu = inc_t.dot(prices)
     offers, free = _bid_terms(state.bids, ceil)
     if not cold:  # cold_start has allocated under these bids
@@ -445,22 +447,21 @@ def _run_pool(
     bids, freqs = state.bids, state.freqs
     iters = 0
     bid_updates = 0
-    skipped = 0
     res = pool_residuals(coefficients, prices, freqs, mu, loads - supply)
     # convergence is only declared at bid-consistent states, i.e. right after
     # a refresh, so every clearing condition holds at one coherent state.
     # Each pass of the loop runs one refresh period (or what is left of the
     # budget); its end is the only point where the stop test and the result
-    # read the residuals
-    settled = res.converged and first_stop == 0
+    # read the residuals.  A pass that ends on a boundary has run a whole
+    # period, so only the opening check must hold a rescaled state back
+    settled = res.converged and not rescaled
     while not settled and iters < cfg.max_iters:
         steps = min(period, cfg.max_iters - iters)
         for step in range(1, steps + 1):
             prices, _ = price_step(prices, loads, supply, eta)
             mu = inc_t.dot(prices)
             if step == period:
-                new_bids, skip_mask = refresh_bids(coefficients, mu, bids)
-                skipped += np.count_nonzero(skip_mask)
+                new_bids = refresh_bids(coefficients, mu, bids)
                 rel_change = np.abs(new_bids - bids) / np.maximum(bids, 1e-300)
                 if float(rel_change.max(initial=0.0)) > _REL_TOL:
                     bid_updates += 1
@@ -472,12 +473,12 @@ def _run_pool(
         excess = loads - supply
         if iters >= cfg.max_iters or _may_stop(prices, excess):
             res = pool_residuals(coefficients, prices, freqs, mu, excess)
-            settled = res.converged and steps == period and iters >= first_stop
+            settled = res.converged and steps == period
 
     state.prices = np.zeros(view.n_edges)
     state.prices[own] = prices
     state.bids, state.freqs = bids, freqs
-    return SinglePoolResult(state, iters, bid_updates, skipped, settled, res)
+    return SinglePoolResult(state, iters, bid_updates, settled, res)
 
 
 def run_price_dynamics(

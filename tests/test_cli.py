@@ -307,7 +307,7 @@ class TestBadInput:
         monkeypatch.chdir(tmp_path)
         # a retired option's key is rejected like any unknown one
         retired = ({"normalized_f_update": False}, {"overload_factor": 1.25}, {"abs_tol": 0.1},
-                   {"rel_tol": 0.1}, {"trace_stride": 50}, {"f_floor": 1e-4})
+                   {"rel_tol": 0.1}, {"trace_stride": 50}, {"f_floor": 1e-4}, {"bid_refresh_period": 10})
         for engine in ({"warp": 9},) + retired:
             scn = write_single_edge_scenario(tmp_path, engine=engine)
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
@@ -341,7 +341,7 @@ class TestBadInput:
         # error names the key
         for key, value in (
             ("eta_price", [0.001]), ("eta_price", {"v": 0.001}), ("eps_cost", "0.05"), ("eps_cost", True),
-            ("max_inner", 3.9), ("max_inner", True), ("max_outer", "5"), ("bid_refresh_period", 2.5),
+            ("max_inner", 3.9), ("max_inner", True), ("max_outer", "5"), ("max_outer", 2.5),
             ("max_outer", float("inf")), ("eta_price", 10**400),
         ):
             scn = write_single_edge_scenario(tmp_path, engine={key: value})

@@ -254,6 +254,89 @@ def test_warm_state_from_another_instance_is_rejected(source, target):
         lm.run_mechanism(*target, warm=warm)
 
 
+def _with_entry(value, own_edge=False):
+    """A copy of the array with its first entry, or that of the pool's first own edge, set to value."""
+    def change(values, own):
+        values = values.copy()
+        values[own[0] if own_edge else 0] = value
+        return values
+
+    return change
+
+
+# (attribute, change) per malformed warm state.  Past the boundary each
+# fails deep in a pool run or misleads it: a short price array raises
+# IndexError, a short bid array a broadcast ValueError or nothing at all; a
+# NaN, inf or -5 price on an own edge can spend the whole inner budget; a
+# NaN bid can return converged=True at a certificate of 1.0.
+MALFORMED_WARM = {
+    "price array one short": ("prices", lambda values, own: values[:-1]),
+    "bid array one short": ("bids", lambda values, own: values[:-1]),
+    "freq array one long": ("freqs", lambda values, own: np.append(values, 1.0)),
+    "NaN price": ("prices", _with_entry(np.nan, own_edge=True)),
+    "inf price": ("prices", _with_entry(np.inf, own_edge=True)),
+    "negative price": ("prices", _with_entry(-5.0, own_edge=True)),
+    "NaN bid": ("bids", _with_entry(np.nan)),
+    "negative bid": ("bids", _with_entry(-1.0)),
+    "inf freq": ("freqs", _with_entry(np.inf)),
+    "inf share": ("share", lambda value, own: np.inf),
+    "NaN share": ("share", lambda value, own: np.nan),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_WARM))
+@pytest.mark.parametrize("pool", ["k0", "k1"])
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_malformed_warm_pool_state_is_rejected(seed, pool, case):
+    """A warm state of the wrong length, or with a negative or non-finite entry, fails at the boundary."""
+    net, pools, table = instances.chain_instance(seed)
+    warm = lm.run_mechanism(net, pools, table).state
+    name, change = MALFORMED_WARM[case]
+    st = warm.pool_states[pool]
+    own = lm.compile_pool(net, pools, pool).own_edges
+    setattr(st, name, change(getattr(st, name), own))
+    with pytest.raises(lm.InputMismatchError, match=rf"warm state of pool '{pool}': {name} "):
+        lm.run_mechanism(net, pools, table, warm=warm)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 7])
+def test_valid_warm_restart_returns_its_fixed_point_bit_for_bit(seed):
+    """The boundary check passes a cleared state, which restarts at its own bytes with no update."""
+    net, pools, table = instances.chain_instance(seed)
+    first = lm.run_mechanism(net, pools, table)
+    again = lm.run_mechanism(net, pools, table, warm=first.state)
+    assert again.converged and again.f_updates == 0 and sum(again.price_updates.values()) == 0
+    assert again.state.shares.values.tobytes() == first.state.shares.values.tobytes()
+    for k, st in first.state.pool_states.items():
+        for name in ("prices", "bids", "freqs"):
+            assert getattr(again.state.pool_states[k], name).tobytes() == getattr(st, name).tobytes(), (k, name)
+
+
+def _pool_arrays(state):
+    return {(k, name): getattr(st, name) for k, st in state.pool_states.items() for name in ("prices", "bids", "freqs")}
+
+
+@pytest.mark.parametrize("seed", range(20))
+@pytest.mark.parametrize("rescaled", [False, True], ids=["same-split", "rescaled"])
+def test_warm_restart_leaves_the_warm_state_alone(seed, rescaled):
+    """run_mechanism neither writes the caller's warm arrays nor hands them back in its result."""
+    net, pools, table = instances.chain_instance(seed)
+    warm = lm.run_mechanism(net, pools, table).state
+    if rescaled:  # every pool state cleared at another share than it restarts at
+        warm.shares = lm.ProportionVector(warm.shares.pool_ids, np.array([0.3, 0.7]))
+    before = {key: values.tobytes() for key, values in _pool_arrays(warm).items()}
+    shares = {k: st.share for k, st in warm.pool_states.items()}
+    res = lm.run_mechanism(net, pools, table, warm=warm)
+    assert res.converged
+    if rescaled:
+        assert sum(res.price_updates.values()) > 0
+    assert {key: values.tobytes() for key, values in _pool_arrays(warm).items()} == before
+    assert {k: st.share for k, st in warm.pool_states.items()} == shares
+    held = list(_pool_arrays(warm).values())
+    for got in _pool_arrays(res.state).values():
+        assert not any(np.shares_memory(got, values) for values in held)
+
+
 def test_closed_edge_keeps_the_default_price_step():
     """A zero capacity sets no step scale; the mechanism still clears."""
     net, pools, table = instances.chain_instance(3)

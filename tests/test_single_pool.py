@@ -51,10 +51,16 @@ def allocate(view, prices, bids, share, overload_factor=1.25):
     return lm.allocate_frequencies(mu, offers, free, overload_factor * ceil), mu
 
 
+def run_pool(view, coefficients, share, warm, cfg):
+    """_run_pool at the price step run_mechanism resolves for the pool."""
+    eta = lm.default_price_eta(view) if cfg.price_eta is None else cfg.price_eta
+    return _run_pool(view, coefficients, share, warm, cfg, eta)
+
+
 def run_one_pool(net, pools, pool_id, table, share, warm=None, cfg=None):
     """One pool's market at a fixed share, run as run_mechanism runs each pool."""
     view = lm.compile_pool(net, pools, pool_id)
-    return _run_pool(view, table.coefficients_for(view), share, warm, cfg or lm.DynamicsConfig())
+    return run_pool(view, table.coefficients_for(view), share, warm, cfg or lm.DynamicsConfig())
 
 
 def residuals_of(view, coefficients, state):
@@ -99,15 +105,13 @@ class TestAllocation:
 class TestBidRefresh:
     def test_best_response_applied(self):
         coeffs = np.array([2.0, 2.0])
-        bids, skipped = lm.refresh_bids(coeffs, np.array([1.0, 0.5]), np.array([9.0, 9.0]))
+        bids = lm.refresh_bids(coeffs, np.array([1.0, 0.5]), np.array([9.0, 9.0]))
         np.testing.assert_allclose(bids, [1.0, 2.0])
-        assert not skipped.any()
 
     def test_zero_price_skipped(self):
         coeffs = np.array([2.0, 2.0])
-        bids, skipped = lm.refresh_bids(coeffs, np.array([0.0, 0.5]), np.array([7.0, 7.0]))
+        bids = lm.refresh_bids(coeffs, np.array([0.0, 0.5]), np.array([7.0, 7.0]))
         np.testing.assert_allclose(bids, [7.0, 2.0])
-        np.testing.assert_array_equal(skipped, [True, False])
 
 
 def test_single_edge_run_reaches_closed_form():
@@ -170,10 +174,29 @@ def test_config_validation():
     for eta in (-0.1, 0.0, math.inf, math.nan):
         with pytest.raises(ValueError, match="price_eta"):
             lm.DynamicsConfig(price_eta=eta)
-    with pytest.raises(ValueError):
-        lm.DynamicsConfig(bid_refresh_period=0)
-    with pytest.raises(ValueError):
-        lm.DynamicsConfig(max_iters=0)
+    # the refresh period is a constant of the dynamics, not a field
+    assert lm.DynamicsConfig.bid_refresh_period == lm.DynamicsConfig().bid_refresh_period == 10
+    with pytest.raises(TypeError):
+        lm.DynamicsConfig(bid_refresh_period=10)
+
+
+BAD_BUDGETS = [0, -3, 2.5, 10.0, math.inf, math.nan, True, False, "5", None]
+
+
+@pytest.mark.parametrize("value", BAD_BUDGETS, ids=repr)
+def test_budgets_are_whole_numbers(value):
+    """max_iters and max_outer take an integer of at least 1, numpy's included, and no bool."""
+    with pytest.raises(ValueError, match="max_iters must be a whole number of at least 1"):
+        lm.DynamicsConfig(max_iters=value)
+    with pytest.raises(ValueError, match="max_outer must be a whole number of at least 1"):
+        lm.MechanismConfig(max_outer=value)
+
+
+def test_numpy_integer_budgets_run():
+    cfg = lm.MechanismConfig(inner=lm.DynamicsConfig(max_iters=np.int64(50_000)), max_outer=np.int32(200))
+    res = lm.run_mechanism(*instances.chain_instance(0), cfg)
+    want = lm.run_mechanism(*instances.chain_instance(0))
+    assert res.converged and res.price_updates == want.price_updates and res.objective == want.objective
 
 
 def test_default_step_scales_with_capacity_and_crowding():
@@ -421,7 +444,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         first_stop = period if ratio != 1.0 else 0
     freqs, mu = reference_allocate(view, prices, bids, share)
     st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
-    iters = bid_updates = skipped = 0
+    iters = bid_updates = 0
     res = reference_residuals(view, coefficients, st)
     while not (res.converged and iters % period == 0 and iters >= first_stop) and iters < cfg.max_iters:
         excess = view.incidence @ st.freqs - view.capacity * share
@@ -432,7 +455,6 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
             skip_mask = ~(mu > 0.0)
             best = coefficients ** 2 / (4.0 * np.where(skip_mask, 1.0, mu))
             new_bids = np.where(skip_mask, st.bids, best)
-            skipped += int(skip_mask.sum())
             rel_change = np.abs(new_bids - st.bids) / np.maximum(st.bids, 1e-300)
             if float(rel_change.max(initial=0.0)) > _REL_TOL:
                 bid_updates += 1
@@ -440,15 +462,13 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
             st.freqs, mu = reference_allocate(view, st.prices, st.bids, share)
         res = reference_residuals(view, coefficients, st)
     converged = res.converged and iters % period == 0 and iters >= first_stop
-    return st, iters, bid_updates, skipped, converged, res
+    return st, iters, bid_updates, converged, res
 
 
 def assert_same_run(view, coefficients, share, cfg, warm=None):
-    got = _run_pool(view, coefficients, share, warm, cfg)
-    st, iters, bid_updates, skipped, converged, res = reference_run_pool(view, coefficients, share, cfg, warm)
-    assert (got.iterations, got.bid_updates, got.skipped_refreshes, got.converged) == (
-        iters, bid_updates, skipped, converged
-    )
+    got = run_pool(view, coefficients, share, warm, cfg)
+    st, iters, bid_updates, converged, res = reference_run_pool(view, coefficients, share, cfg, warm)
+    assert (got.iterations, got.bid_updates, got.converged) == (iters, bid_updates, converged)
     for name in ("prices", "bids", "freqs"):
         assert getattr(got.state, name).tobytes() == getattr(st, name).tobytes(), name
     assert got.residuals == res
@@ -479,7 +499,7 @@ def test_warm_rescaled_loop_matches_eager_reference(scale):
         for k in pools.pool_ids:
             view = lm.compile_pool(net, pools, k)
             coeffs = table.coefficients_for(view)
-            cleared = _run_pool(view, coeffs, 0.5, None, cfg)
+            cleared = run_pool(view, coeffs, 0.5, None, cfg)
             assert cleared.converged
             got = assert_same_run(view, coeffs, 0.5 * scale, cfg, warm=cleared.state)
             assert got.converged and got.iterations >= cfg.bid_refresh_period
@@ -492,8 +512,8 @@ def test_moved_share_runs_to_a_refresh_boundary():
     view = lm.compile_pool(net, pools, "k0")
     coeffs = table.coefficients_for(view)
     cfg = lm.DynamicsConfig()
-    cleared = _run_pool(view, coeffs, 0.5, None, cfg).state
-    assert _run_pool(view, coeffs, 0.5, cleared, cfg).iterations == 0
+    cleared = run_pool(view, coeffs, 0.5, None, cfg).state
+    assert run_pool(view, coeffs, 0.5, cleared, cfg).iterations == 0
 
     share = 0.5 * 1.001
     ratio = share / cleared.share
@@ -503,7 +523,7 @@ def test_moved_share_runs_to_a_refresh_boundary():
     rescaled.freqs, _ = allocate(view, rescaled.prices, rescaled.bids, share)
     rescaled.share = share
     assert residuals_of(view, coeffs, rescaled).converged
-    moved = _run_pool(view, coeffs, share, cleared, cfg)
+    moved = run_pool(view, coeffs, share, cleared, cfg)
     assert moved.converged
     assert moved.iterations >= cfg.bid_refresh_period
 
@@ -514,10 +534,10 @@ def test_warm_state_with_a_silent_line_cold_starts_the_pool():
     view = lm.compile_pool(net, pools, "k0")
     coeffs = table.coefficients_for(view)
     cfg = lm.DynamicsConfig()
-    cleared = _run_pool(view, coeffs, 0.5, None, cfg)
+    cleared = run_pool(view, coeffs, 0.5, None, cfg)
     silent = cleared.state.copy()
     silent.bids[0] = 0.0
-    got = _run_pool(view, coeffs, 0.5, silent, cfg)
+    got = run_pool(view, coeffs, 0.5, silent, cfg)
     assert got.iterations == cleared.iterations
     assert got.state.bids.tobytes() == cleared.state.bids.tobytes()
 
@@ -526,7 +546,7 @@ def test_budget_exit_off_a_refresh_boundary_reports_final_residuals():
     net, pools, table = instances.grid_instance(0, 2)
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
     coeffs = table.coefficients_for(view)
-    cfg = lm.DynamicsConfig(price_eta=1e-3, bid_refresh_period=10, max_iters=37)
+    cfg = lm.DynamicsConfig(price_eta=1e-3, max_iters=37)
     got = assert_same_run(view, coeffs, 0.5, cfg)
     assert got.iterations == 37 and not got.converged
     assert got.residuals == residuals_of(view, coeffs, got.state)
@@ -577,11 +597,10 @@ def test_bid_refresh_and_bid_terms_match_reference_bitwise():
         bids = rng.uniform(-1.0 if mixed else 0.01, 3.0, n) * (rng.random(n) < (0.8 if mixed else 2.0))
         ceil = rng.uniform(0.1, 5.0, n)
 
-        new_bids, skipped = lm.refresh_bids(coeffs, mu, bids)
-        want_skipped = ~(mu > 0.0)
-        want_bids = np.where(want_skipped, bids, coeffs ** 2 / (4.0 * np.where(want_skipped, 1.0, mu)))
+        new_bids = lm.refresh_bids(coeffs, mu, bids)
+        skipped = ~(mu > 0.0)
+        want_bids = np.where(skipped, bids, coeffs ** 2 / (4.0 * np.where(skipped, 1.0, mu)))
         assert new_bids.tobytes() == want_bids.tobytes(), trial
-        assert skipped.dtype == bool and skipped.tobytes() == want_skipped.tobytes(), trial
 
         offers, free = _bid_terms(bids, ceil)
         assert offers.tobytes() == np.where(bids > 0.0, bids, 0.0).tobytes(), trial
@@ -669,15 +688,15 @@ def test_warm_price_on_an_unused_edge_is_dropped(first):
     for k in pools.pool_ids:
         view = lm.compile_pool(net, pools, k)
         coeffs = table.coefficients_for(view)
-        cleared = _run_pool(view, coeffs, 0.5, None, cfg)
+        cleared = run_pool(view, coeffs, 0.5, None, cfg)
         assert cleared.converged
         warm = cleared.state.copy()
         warm.prices[spare] = 3.0
         # at the share it cleared at, the state is the cleared one again
-        same = _run_pool(view, coeffs, 0.5, warm, cfg)
+        same = run_pool(view, coeffs, 0.5, warm, cfg)
         assert same.converged and same.iterations == 0
         assert same.state.prices.tobytes() == cleared.state.prices.tobytes()
-        moved = _run_pool(view, coeffs, 0.45, warm, cfg)
+        moved = run_pool(view, coeffs, 0.45, warm, cfg)
         assert moved.converged and moved.state.prices[spare] == 0.0
         assert warm.prices[spare] == 3.0  # the warm state itself is untouched
 
@@ -698,7 +717,7 @@ def test_residuals_match_reference_on_final_states():
         for k in pools.pool_ids:
             view = lm.compile_pool(net, pools, k)
             coeffs = table.coefficients_for(view)
-            got = _run_pool(view, coeffs, 0.5, None, cfg)
+            got = run_pool(view, coeffs, 0.5, None, cfg)
             want = reference_residuals(view, coeffs, got.state)
             assert got.residuals == want
             assert residuals_of(view, coeffs, got.state) == want
@@ -820,7 +839,7 @@ def test_seams_run_once_per_use(monkeypatch):
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
     for max_iters in (37, 40):
         cfg = lm.DynamicsConfig(price_eta=1e-3, max_iters=max_iters)
-        multi_pool._run_pool(view, table.coefficients_for(view), 0.5, None, cfg, None)
+        multi_pool._run_pool(view, table.coefficients_for(view), 0.5, None, cfg, 1e-3)
     updates = sum(n for _, n, _ in runs)
     boundaries = sum(n // period for _, n, _ in runs)
     budget_exits = sum(spent for _, _, spent in runs)
