@@ -7,6 +7,11 @@ seed, split deterministically per component, so reruns with the same
 scenario and seed write byte-identical files (wall-clock timings are
 disabled by default for exactly that reason; --timing turns them on).
 
+run_cli has one loop over the seeds: it builds each seed's instance and
+hands it to the command's per-seed handler, which writes that seed's files
+and line and returns whether its runs converged.  solve and recover append
+their records to records.csv through one writer (_append_records).
+
 Exit codes: 0 all runs converged, 1 at least one run did not, 2 bad input.
 """
 from __future__ import annotations
@@ -326,97 +331,84 @@ def _summary(seed: int, res: MechanismResult, max_kkt: float) -> str:
 # ---------------------------------------------------------------------------
 # Commands.
 
-def _cmd_generate(cfg: RunConfig) -> int:
-    base = Path(".")
-    for seed in cfg.seeds:
-        net, pools, table = _build_instance(cfg.scenario, seed, base)
-        dump_network_file(net, pools, cfg.out_dir / f"network_seed{seed}.json")
-        table.dump(cfg.out_dir / f"utilities_seed{seed}.json")
-        print(
-            f"seed={seed} nodes={len(net.nodes)} edges={len(net.edges)} "
-            f"pools={len(pools.pool_ids)} lines={len(pools.lines)}"
-        )
-    return 0
-
-
-def _cmd_solve(cfg: RunConfig) -> int:
-    worst = 0
-    for seed in cfg.seeds:
-        net, pools, table = _build_instance(cfg.scenario, seed, Path("."))
-        res = run_mechanism(net, pools, table, cfg.mech)
-        max_kkt = mechanism_kkt(net, pools, table, res.state).max_scaled()
-        _write_json(cfg.out_dir / f"state_seed{seed}.json", _state_doc(res))
-        _write_outer_trace(cfg.out_dir / f"outer_trace_seed{seed}.csv", res)
-        name = cfg.scenario.get("name", "run")
-        record = _record(f"{name}-s{seed}", "cold", res, max_kkt)
-        with (cfg.out_dir / "records.csv").open("a", newline="", encoding="utf-8") as fh:
+def _append_records(cfg: RunConfig, records: Sequence[ExperimentRecord]) -> None:
+    with (cfg.out_dir / "records.csv").open("a", newline="", encoding="utf-8") as fh:
+        for record in records:
             emit_record(record, fh, timing=cfg.timing)
-        print(_summary(seed, res, max_kkt))
-        if not res.converged:
-            worst = 1
-    return worst
 
 
-def _cmd_oracle(cfg: RunConfig) -> int:
-    worst = 0
-    for seed in cfg.seeds:
-        net, pools, table = _build_instance(cfg.scenario, seed, Path("."))
-        sol = solve_full(net, pools, table)
-        doc = {
-            "objective": sol.objective,
-            "shares": sol.shares,
-            "cost_level": sol.cost_level,
-            "cost_gap": sol.cost_gap,
-            "converged": sol.converged,
-            "frequencies": [
-                {"lop": lop, "pool": k, "x": x} for (lop, k), x in sorted(sol.frequencies.items())
-            ],
-            "prices": [
-                {"edge": e, "pool": k, "price": v} for (e, k), v in sorted(sol.prices.items())
-            ],
-            "max_kkt": sol.kkt.max_scaled(),
-        }
-        _write_json(cfg.out_dir / f"oracle_seed{seed}.json", doc)
-        print(
-            f"seed={seed} objective={_fmt(sol.objective)} "
-            f"shares={';'.join(f'{k}:{_fmt(v)}' for k, v in sorted(sol.shares.items()))} "
-            f"cost_level={_fmt(sol.cost_level)}"
+def _instance_name(cfg: RunConfig, seed: int) -> str:
+    return f"{cfg.scenario.get('name', 'run')}-s{seed}"
+
+
+def _cmd_generate(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table: UtilityTable) -> bool:
+    dump_network_file(net, pools, cfg.out_dir / f"network_seed{seed}.json")
+    table.dump(cfg.out_dir / f"utilities_seed{seed}.json")
+    print(
+        f"seed={seed} nodes={len(net.nodes)} edges={len(net.edges)} "
+        f"pools={len(pools.pool_ids)} lines={len(pools.lines)}"
+    )
+    return True
+
+
+def _cmd_solve(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table: UtilityTable) -> bool:
+    res = run_mechanism(net, pools, table, cfg.mech)
+    max_kkt = mechanism_kkt(net, pools, table, res.state).max_scaled()
+    _write_json(cfg.out_dir / f"state_seed{seed}.json", _state_doc(res))
+    _write_outer_trace(cfg.out_dir / f"outer_trace_seed{seed}.csv", res)
+    _append_records(cfg, [_record(_instance_name(cfg, seed), "cold", res, max_kkt)])
+    print(_summary(seed, res, max_kkt))
+    return res.converged
+
+
+def _cmd_oracle(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table: UtilityTable) -> bool:
+    sol = solve_full(net, pools, table)
+    doc = {
+        "objective": sol.objective,
+        "shares": sol.shares,
+        "cost_level": sol.cost_level,
+        "cost_gap": sol.cost_gap,
+        "converged": sol.converged,
+        "frequencies": [
+            {"lop": lop, "pool": k, "x": x} for (lop, k), x in sorted(sol.frequencies.items())
+        ],
+        "prices": [
+            {"edge": e, "pool": k, "price": v} for (e, k), v in sorted(sol.prices.items())
+        ],
+        "max_kkt": sol.kkt.max_scaled(),
+    }
+    _write_json(cfg.out_dir / f"oracle_seed{seed}.json", doc)
+    print(
+        f"seed={seed} objective={_fmt(sol.objective)} "
+        f"shares={';'.join(f'{k}:{_fmt(v)}' for k, v in sorted(sol.shares.items()))} "
+        f"cost_level={_fmt(sol.cost_level)}"
+    )
+    return sol.converged
+
+
+def _cmd_recover(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table: UtilityTable) -> bool:
+    spec = _disruption(cfg.scenario, seed)
+    modes = ("cold", "warm") if cfg.mode == "both" else (cfg.mode,)
+    try:
+        result = run_recovery_experiment(
+            net, pools, table, spec, cfg.mech, instance=_instance_name(cfg, seed), modes=modes,
         )
-        if not sol.converged:
-            worst = 1
-    return worst
+    except (RuntimeError, ValueError) as err:
+        print(f"seed={seed} error: {err}", file=sys.stderr)
+        return False
+    records = result.records()
+    _append_records(cfg, records)
+    for rec in records:
+        print(
+            f"seed={seed} mode={rec.mode} status={rec.status} "
+            f"f_updates={rec.f_updates} price_updates={rec.total_price_updates} "
+            f"bid_updates={rec.bid_updates} max_kkt={_fmt(rec.max_kkt)}"
+        )
+    return all(rec.status == "converged" for rec in records)
 
 
-def _cmd_recover(cfg: RunConfig) -> int:
-    worst = 0
-    name = cfg.scenario.get("name", "run")
-    record_path = cfg.out_dir / "records.csv"
-    for seed in cfg.seeds:
-        net, pools, table = _build_instance(cfg.scenario, seed, Path("."))
-        spec = _disruption(cfg.scenario, seed)
-        modes = ("cold", "warm") if cfg.mode == "both" else (cfg.mode,)
-        try:
-            result = run_recovery_experiment(
-                net, pools, table, spec, cfg.mech,
-                instance=f"{name}-s{seed}", modes=modes,
-            )
-        except (RuntimeError, ValueError) as err:
-            print(f"seed={seed} error: {err}", file=sys.stderr)
-            worst = 1
-            continue
-        records = result.records()
-        with record_path.open("a", newline="", encoding="utf-8") as fh:
-            for rec in records:
-                emit_record(rec, fh, timing=cfg.timing)
-        for rec in records:
-            print(
-                f"seed={seed} mode={rec.mode} status={rec.status} "
-                f"f_updates={rec.f_updates} price_updates={rec.total_price_updates} "
-                f"bid_updates={rec.bid_updates} max_kkt={_fmt(rec.max_kkt)}"
-            )
-            if rec.status != "converged":
-                worst = 1
-    return worst
+# Per-seed handlers: each runs one seed's instance and returns whether it converged
+_COMMANDS = {"generate": _cmd_generate, "solve": _cmd_solve, "oracle": _cmd_oracle, "recover": _cmd_recover}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -454,13 +446,9 @@ def run_cli(argv: Sequence[str]) -> int:
     try:
         cfg = _load_config(args)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        handler = {
-            "generate": _cmd_generate,
-            "solve": _cmd_solve,
-            "oracle": _cmd_oracle,
-            "recover": _cmd_recover,
-        }[cfg.command]
-        return handler(cfg)
+        handler = _COMMANDS[cfg.command]
+        converged = [handler(cfg, seed, *_build_instance(cfg.scenario, seed, Path("."))) for seed in cfg.seeds]
+        return 0 if all(converged) else 1
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -48,12 +48,19 @@ _TINY = 1e-30
 
 @dataclass(frozen=True)
 class ProportionVector:
-    """Capacity split across pools: finite, nonnegative, sums to one."""
+    """Capacity split across pools: finite, nonnegative, sums to one.
+
+    values is the split's own read-only copy of the array it was given, so
+    no two splits, nor a split and its caller, share writable memory.
+    """
 
     pool_ids: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        values = np.array(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
         if len(self.pool_ids) != len(self.values):
             raise ValueError("pool ids and values differ in length")
         if not np.isfinite(self.values).all():
@@ -117,7 +124,8 @@ class MechanismConfig:
 
     The split needs no lower bound: the split update keeps every positive
     share positive, so a pool may end at as small a share as the optimum
-    gives it.
+    gives it.  max_outer, like DynamicsConfig.max_iters, is a whole number
+    of at least 1, stored as a Python int.
     """
 
     inner: DynamicsConfig = field(default_factory=DynamicsConfig)
@@ -127,7 +135,7 @@ class MechanismConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_cost < np.inf:
             raise ValueError(f"eps_cost must be positive and finite, got {self.eps_cost}")
-        _check_count("max_outer", self.max_outer)
+        object.__setattr__(self, "max_outer", _check_count("max_outer", self.max_outer))
 
 
 @dataclass
@@ -165,9 +173,9 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView]) -> None:
     """Reject a warm state that does not fit the instance or holds values no run can resume.
 
     Its pools, and per pool its edges and operators, must be the instance's
-    in order.  Each pool state's prices must hold one entry per edge, its
-    bids and freqs one per operator, none of them negative or non-finite,
-    and its share must be finite.
+    in order.  Each pool state's prices must be a floating-point array of
+    one entry per edge, its bids and freqs one of one entry per operator,
+    none of them negative or non-finite, and its share must be finite.
     """
     pool_ids = tuple(views)
     if tuple(warm.shares.pool_ids) != pool_ids or set(warm.pool_states) != set(pool_ids):
@@ -185,6 +193,9 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView]) -> None:
                 raise InputMismatchError(
                     f"warm state of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)"
                 )
+            dtype = getattr(values, "dtype", None)
+            if dtype is None or not np.issubdtype(dtype, np.floating):
+                raise InputMismatchError(f"warm state of pool {k!r}: {name} is not a floating-point array (dtype {dtype})")
             if not (np.isfinite(values) & (values >= 0.0)).all():
                 raise InputMismatchError(f"warm state of pool {k!r}: {name} holds a negative or non-finite entry")
         if not np.isfinite(st.share):
@@ -224,12 +235,13 @@ def run_mechanism(
     of whose lines can run holds share zero (see _live_split for how the
     split moves when that set changes).  A warm state must carry the
     instance's pools in order and, per pool, its edges and operators in
-    order, with finite, nonnegative prices, bids and frequencies of the
-    instance's lengths and a finite share (see _check_warm), else
-    InputMismatchError, as is an empty pool system.  The warm state itself
-    is left as it was.  The result
-    reports convergence honestly: an exhausted budget or a stalled inner
-    market yields converged=False plus diagnostics, never an exception.
+    order, with finite, nonnegative floating-point prices, bids and
+    frequencies of the instance's lengths and a finite share (see
+    _check_warm), else InputMismatchError, as is an empty pool system.  The
+    warm state itself is left as it was, and the result holds its own copy
+    of the split.  The result reports convergence honestly: an exhausted
+    budget or a stalled inner market yields converged=False plus
+    diagnostics, never an exception.
     """
     if not pools.pool_ids:
         raise InputMismatchError("the pool system lists no pools")
@@ -246,7 +258,7 @@ def run_mechanism(
 
     if warm is not None:
         _check_warm(warm, views)
-        shares = warm.shares
+        shares = ProportionVector(pool_ids, warm.shares.values)  # a copy: the result's split is its own
         # _run_pool resumes a copy, so the caller's states are never written
         states: dict[str, PoolMarketState | None] = {k: warm.pool_states[k] for k in pool_ids}
     else:

@@ -9,8 +9,9 @@ one demand law, x = (scale / path price)**power: a valuation a*sqrt(x) is
 power 2 at scale a/2, and a frozen bid w (solve_fixed_bids) is power 1 at
 scale w.  Newton opens where the engine opens, at single_pool.cold_start's
 share-1 prices, which it computes from the same two single_pool helpers
-(_fair_split and _neck_prices), so the fair share and each line's neck have
-one definition, in single_pool.  Square-root valuations make a pool's
+(_fair_split and _neck_prices), and stops on the engine's own overload and
+complementarity terms (_clearing_terms), so each of these has one
+definition, in single_pool.  Square-root valuations make a pool's
 optimum at share f its share-1 optimum with frequencies scaled by f and
 prices by f**-1/2, so its value is sqrt(f) times its value at share 1 and
 the optimal split follows in closed form (see solve_full).  kkt_report
@@ -27,7 +28,7 @@ import numpy as np
 
 from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
 from .multi_pool import OuterState
-from .single_pool import _fair_split, _neck_prices
+from .single_pool import _clearing_terms, _fair_split, _neck_prices
 from .utility import UtilityTable
 
 __all__ = [
@@ -89,30 +90,37 @@ def _clearing_prices(
 
     Minimizes the dual of  max sum(values) s.t. incidence @ x <= budget
     over nonnegative prices with a projected, Levenberg-damped Newton
-    method.  Edges crossed by exactly the same set of active operators are
-    collapsed first, by grouping their active incidence rows (see
-    _row_groups): within such a group only the scarcest edge, its
-    representative, can carry a positive price, and the collapse removes
-    the flat directions that would otherwise make the Newton system
-    singular.  Newton opens at `opening`, the engine's fair-share opening
-    prices (single_pool's neck charge), summed onto each group's
-    representative; the sum keeps every active path price, so the dual
-    value is finite from the start.  The dual value blows up whenever an
-    active operator's path turns free of charge, so descent steps keep
-    every such path priced without explicit bookkeeping.  The Armijo test
-    allows for the dual value's own rounding (a few ulps of it), else a
-    step the rounding hides stalls the descent short of `tol`.  Each
-    accepted step's path prices, demand and loads carry over to the next
-    iteration and to the exit.  At the returned point every active
-    operator sits on her demand curve, loads never exceed the budget
-    beyond solver precision, and priced edges run at budget.  No argument
-    is modified.
+    method.  The solve runs on a reduced system: the active operators'
+    columns only, and of their rows one per group.  Edges crossed by
+    exactly the same set of active operators are collapsed by grouping
+    their active incidence rows (see _row_groups): within such a group only
+    the scarcest edge, its representative, can carry a positive price, and
+    the collapse removes the flat directions that would otherwise make the
+    Newton system singular.  An inactive operator never enters the system,
+    so the solve is the one of the same pool with its column deleted; at
+    the exit the prices are scattered onto the representatives and the
+    frequencies onto the active columns, every other entry zero.
+
+    Newton opens at `opening`, the engine's fair-share opening prices
+    (single_pool's neck charge), summed onto each group's representative;
+    the sum keeps every active path price, so the dual value is finite from
+    the start.  The dual value blows up whenever an active operator's path
+    turns free of charge, so descent steps keep every such path priced
+    without explicit bookkeeping.  The stop test reads the engine's own
+    overload and complementarity terms (single_pool._clearing_terms) at
+    `tol` times the largest budget.  The Armijo test allows for the dual
+    value's own rounding (a few ulps of it), else a step the rounding hides
+    stalls the descent short of `tol`.  Each accepted step's path prices,
+    demand and loads carry over to the next iteration and to the exit.  At
+    the returned point every active operator sits on her demand curve,
+    loads never exceed the budget beyond solver precision, and priced edges
+    run at budget.  No argument is modified.
     """
     n_edges, n_lops = incidence.shape
     # an operator whose line crosses a closed edge can run nothing; left
     # active, it would price that edge without bound and stall the descent
     act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
-    if n_lops == 0 or not act.any():
+    if not act.any():
         return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0, 0)
 
     # group the edges active lines cross by their active rows, scarcest edge
@@ -122,35 +130,26 @@ def _clearing_prices(
     edges = edges[np.argsort(budget[edges], kind="stable")]
     first, group = _row_groups(rows[edges])
     reps = edges[first]
-    sub_inc = incidence[reps]
+    sub_inc = rows[reps]
     sub_budget = budget[reps]
     prices = np.bincount(group, weights=opening[edges], minlength=len(reps))
     scale_b = max(1.0, float(sub_budget.max()))
-    every = bool(act.all())
     s = scale[act]
     s_sq = s ** 2
     evals = 0
 
     def demand(mu: np.ndarray) -> np.ndarray:
-        x = (scale / np.maximum(mu, _TINY)) ** power
-        return x if every else np.where(act, x, 0.0)
+        return (s / np.maximum(mu, _TINY)) ** power
 
     def dual_value(pr: np.ndarray) -> tuple[float, np.ndarray]:
         """The dual value at edge prices pr, and the path prices there."""
         nonlocal evals
         evals += 1
         mu = sub_inc.T @ pr
-        m = mu if every else mu[act]
-        if (m <= 0.0).any():
+        if (mu <= 0.0).any():
             return np.inf, mu
-        m = np.maximum(m, _TINY)
+        m = np.maximum(mu, _TINY)
         value = s_sq / m if power == 2 else s * (np.log(s / m) - 1.0)
-        if not every:
-            # summed over every operator, zeros included, so the rounding of
-            # the sum does not depend on which operators are active
-            terms = np.zeros(n_lops)
-            terms[act] = value
-            value = terms
         return float(value.sum() + pr @ sub_budget), mu
 
     cur, mu = dual_value(prices)
@@ -161,9 +160,7 @@ def _clearing_prices(
     for _ in range(max_iters):
         iters += 1
         gap = load - sub_budget
-        feas = float(gap.max(initial=0.0))
-        comp = float((prices * np.abs(gap)).max(initial=0.0))
-        if max(feas, comp) <= tol * scale_b:
+        if max(_clearing_terms(prices, gap)) <= tol * scale_b:
             converged = True
             break
 
@@ -217,7 +214,9 @@ def _clearing_prices(
             x = x / ratio
     out = np.zeros(n_edges)
     out[reps] = prices
-    return _PoolSolve(out, x, converged, iters, evals)
+    freqs = np.zeros(n_lops)
+    freqs[act] = x
+    return _PoolSolve(out, freqs, converged, iters, evals)
 
 # ---------------------------------------------------------------------------
 # Pool solves.

@@ -222,19 +222,12 @@ def apply_disruption(
     rng = np.random.default_rng(spec.seed)
     picked = rng.choice(len(pool_of_edges), size=need, replace=False)
     picked_ids = [pool_of_edges[int(i)] for i in picked]
-    new_caps: dict[str, float] = {}
-    if spec.kind == "reduce":
-        for eid in picked_ids:
-            new_caps[eid] = net.capacity(eid) * (1.0 - spec.magnitude)
-    elif spec.kind == "increase":
-        for eid in picked_ids:
-            new_caps[eid] = net.capacity(eid) * (1.0 + spec.magnitude)
-    else:
-        for eid in picked_ids[: spec.edge_count]:
-            new_caps[eid] = net.capacity(eid) * (1.0 - spec.magnitude)
-        for eid in picked_ids[spec.edge_count :]:
-            new_caps[eid] = net.capacity(eid) * (1.0 + spec.magnitude)
-    return net.with_capacities(new_caps)
+    # the first edge_count picks of reduce and mixed shrink; every other pick grows
+    cut = 0 if spec.kind == "increase" else spec.edge_count
+    return net.with_capacities({
+        eid: net.capacity(eid) * (1.0 - spec.magnitude if n < cut else 1.0 + spec.magnitude)
+        for n, eid in enumerate(picked_ids)
+    })
 
 
 # ---------------------------------------------------------------------------

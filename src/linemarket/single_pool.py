@@ -86,11 +86,11 @@ class DynamicsConfig:
     price_eta of None means the capacity-scaled default: one percent of the
     smallest open edge capacity divided by the largest number of lines
     sharing an edge.  max_iters, the price updates one pool run may spend,
-    is a whole number of at least 1.  Operators re-bid every
-    bid_refresh_period price updates, a constant of the dynamics rather than
-    a field.  The stop test's tolerances are the module constants _ABS_TOL
-    and _REL_TOL.  No field describes the instance: what is legal input is
-    decided once, by compile_pool, before any pool runs.
+    is a whole number of at least 1, stored as a Python int.  Operators
+    re-bid every bid_refresh_period price updates, a constant of the
+    dynamics rather than a field.  The stop test's tolerances are the module
+    constants _ABS_TOL and _REL_TOL.  No field describes the instance: what
+    is legal input is decided once, by compile_pool, before any pool runs.
     """
 
     bid_refresh_period: ClassVar[int] = 10
@@ -100,16 +100,18 @@ class DynamicsConfig:
     def __post_init__(self) -> None:
         if self.price_eta is not None and not 0.0 < self.price_eta < np.inf:
             raise ValueError(f"price_eta must be positive and finite, got {self.price_eta}")
-        _check_count("max_iters", self.max_iters)
+        object.__setattr__(self, "max_iters", _check_count("max_iters", self.max_iters))
 
 
-def _check_count(name: str, value: object) -> None:
-    """Reject a budget that is not a whole number of at least 1.
+def _check_count(name: str, value: object) -> int:
+    """A budget as a Python int; reject one that is not a whole number of at least 1.
 
-    Any integer type passes, numpy's included; bool, though an int, does not.
+    Any integer type passes, numpy's included, and is stored as int, so the
+    counts a budget bounds are Python ints too; bool, though an int, fails.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
         raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
+    return int(value)
 
 
 def default_price_eta(view: PoolView) -> float:

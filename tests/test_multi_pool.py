@@ -268,7 +268,9 @@ def _with_entry(value, own_edge=False):
 # fails deep in a pool run or misleads it: a short price array raises
 # IndexError, a short bid array a broadcast ValueError or nothing at all; a
 # NaN, inf or -5 price on an own edge can spend the whole inner budget; a
-# NaN bid can return converged=True at a certificate of 1.0.
+# NaN bid can return converged=True at a certificate of 1.0.  Of the
+# non-float arrays, int64 prices fail at a rescale with numpy's
+# UFuncTypeError, object bids with a bare TypeError, and bool freqs run.
 MALFORMED_WARM = {
     "price array one short": ("prices", lambda values, own: values[:-1]),
     "bid array one short": ("bids", lambda values, own: values[:-1]),
@@ -281,6 +283,9 @@ MALFORMED_WARM = {
     "inf freq": ("freqs", _with_entry(np.inf)),
     "inf share": ("share", lambda value, own: np.inf),
     "NaN share": ("share", lambda value, own: np.nan),
+    "int64 prices": ("prices", lambda values, own: values.astype(np.int64)),
+    "object bids": ("bids", lambda values, own: values.astype(object)),
+    "bool freqs": ("freqs", lambda values, own: values > 0.0),
 }
 
 
@@ -288,7 +293,7 @@ MALFORMED_WARM = {
 @pytest.mark.parametrize("pool", ["k0", "k1"])
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_malformed_warm_pool_state_is_rejected(seed, pool, case):
-    """A warm state of the wrong length, or with a negative or non-finite entry, fails at the boundary."""
+    """A warm state of the wrong length or dtype, or with a negative or non-finite entry, fails at the boundary."""
     net, pools, table = instances.chain_instance(seed)
     warm = lm.run_mechanism(net, pools, table).state
     name, change = MALFORMED_WARM[case]
@@ -313,13 +318,14 @@ def test_valid_warm_restart_returns_its_fixed_point_bit_for_bit(seed):
 
 
 def _pool_arrays(state):
-    return {(k, name): getattr(st, name) for k, st in state.pool_states.items() for name in ("prices", "bids", "freqs")}
+    arrays = {(k, name): getattr(st, name) for k, st in state.pool_states.items() for name in ("prices", "bids", "freqs")}
+    return {**arrays, ("split", "values"): state.shares.values}
 
 
 @pytest.mark.parametrize("seed", range(20))
 @pytest.mark.parametrize("rescaled", [False, True], ids=["same-split", "rescaled"])
 def test_warm_restart_leaves_the_warm_state_alone(seed, rescaled):
-    """run_mechanism neither writes the caller's warm arrays nor hands them back in its result."""
+    """run_mechanism neither writes the caller's warm arrays and split nor hands them back in its result."""
     net, pools, table = instances.chain_instance(seed)
     warm = lm.run_mechanism(net, pools, table).state
     if rescaled:  # every pool state cleared at another share than it restarts at

@@ -304,6 +304,45 @@ def test_kkt_shares_must_name_the_listed_pools():
         lm.kkt_report(net, pools, table, {}, {"k0": 0.5, "k1": 0.5, "kX": 0.0}, {}, 1.0)
 
 
+def _inactive_operator_cases():
+    """Newton inputs of chain and 7x12 pools with operators made inactive, and the active mask.
+
+    Two ways per pool: a zero bid at power 1 on every other line, and, at
+    power 2, the lines over a closed edge (of the edges some line crosses,
+    the one fewest lines cross).
+    Each opens at the neck prices of its scales at full capacity.
+    """
+    makes = [partial(instances.chain_instance, seed) for seed in range(20)]
+    makes += [partial(instances.grid_instance, seed, k) for k in (1, 2) for seed in range(5)]
+    for make in makes:
+        for view, coeffs in _pool_views(make):
+            fair_ratio, neck = oracle._fair_split(view)
+            bids = 0.5 * coeffs * np.sqrt(fair_ratio)
+            bids[::2] = 0.0
+            yield view.incidence, view.capacity, bids, 1, oracle._neck_prices(neck, bids, view.capacity), bids > 0.0
+            crossing = view.incidence.sum(axis=1)
+            closed = view.capacity.copy()
+            closed[np.argmin(np.where(crossing > 0.0, crossing, np.inf))] = 0.0
+            scale = 0.5 * coeffs
+            opening = oracle._neck_prices(neck, scale * np.sqrt(fair_ratio), view.capacity)
+            yield view.incidence, closed, scale, 2, opening, ~view.incidence[closed <= 0.0].any(axis=0)
+
+
+def test_inactive_operator_is_invisible_to_the_newton_solve():
+    """A solve with inactive operators is, bit for bit, the solve with their columns deleted."""
+    partly = 0
+    for incidence, budget, scale, power, opening, act in _inactive_operator_cases():
+        full = oracle._clearing_prices(incidence, budget, scale, power, opening)
+        cut = oracle._clearing_prices(incidence[:, act], budget, scale[act], power, opening)
+        assert full.prices.tobytes() == cut.prices.tobytes()
+        assert full.freqs[act].tobytes() == cut.freqs.tobytes()
+        assert full.freqs[~act].tobytes() == np.zeros(np.count_nonzero(~act)).tobytes()
+        assert (full.converged, full.iterations, full.dual_evals) == (cut.converged, cut.iterations, cut.dual_evals)
+        assert full.converged
+        partly += act.any() and not act.all()
+    assert partly >= 100
+
+
 def test_dual_evaluations_cover_every_iteration():
     """Each iteration evaluates at least its accepted trial; the opening is evaluated once."""
     for name, make in CERTIFY_CASES:

@@ -1,5 +1,6 @@
 """In-pool dynamics: price steps, allocation, bid refresh, full runs."""
 import itertools
+import json
 import math
 
 import numpy as np
@@ -197,6 +198,12 @@ def test_numpy_integer_budgets_run():
     res = lm.run_mechanism(*instances.chain_instance(0), cfg)
     want = lm.run_mechanism(*instances.chain_instance(0))
     assert res.converged and res.price_updates == want.price_updates and res.objective == want.objective
+    # a budget that runs out leaves its own value in the counts, which stay Python ints
+    short = lm.MechanismConfig(inner=lm.DynamicsConfig(max_iters=np.int64(37)), max_outer=np.int32(3))
+    assert type(short.inner.max_iters) is int and type(short.max_outer) is int
+    for res in (res, lm.run_mechanism(*instances.chain_instance(0), short)):
+        json.dumps([res.price_updates, res.f_updates, res.bid_updates])
+        assert all(type(v) is int for v in [*res.price_updates.values(), res.f_updates, res.bid_updates])
 
 
 def test_default_step_scales_with_capacity_and_crowding():
