@@ -237,14 +237,11 @@ def run_mechanism(
     instance's pools in order and, per pool, its edges and operators in
     order, with finite, nonnegative floating-point prices, bids and
     frequencies of the instance's lengths and a finite share (see
-    _check_warm), else InputMismatchError, as is an empty pool system.  The
-    warm state itself is left as it was, and the result holds its own copy
-    of the split.  The result reports convergence honestly: an exhausted
-    budget or a stalled inner market yields converged=False plus
-    diagnostics, never an exception.
+    _check_warm), else InputMismatchError.  The warm state itself is left
+    as it was, and the result holds its own copy of the split.  The result
+    reports convergence honestly: an exhausted budget or a stalled inner
+    market yields converged=False plus diagnostics, never an exception.
     """
-    if not pools.pool_ids:
-        raise InputMismatchError("the pool system lists no pools")
     cfg = cfg or MechanismConfig()
     utilities.validate_against(pools)
     pool_ids = tuple(pools.pool_ids)

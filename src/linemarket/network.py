@@ -3,8 +3,11 @@
 A network is a directed graph whose edges carry train capacities.  A line is
 a directed path in that graph, and a pool system records which line each
 operator runs inside each line pool.  All structures here are immutable
-after construction; the engines, the reference solver and the certifier
-compile them into dense per-pool views.
+after construction, and each checks its own shape once, when it is built:
+a Network its edge ids and capacities, a PoolSystem its pool ids and the
+pools its lines are filed under, raising InputMismatchError.  The engines,
+the reference solver and the certifier compile them into dense per-pool
+views (compile_pool), which checks only how the lines lie on the network.
 """
 from __future__ import annotations
 
@@ -48,28 +51,37 @@ class Network:
     """Directed graph with per-edge capacities.
 
     Edge order is the construction order; every per-edge vector produced by
-    this module is aligned with it.
+    this module is aligned with it.  The constructor rejects, with
+    InputMismatchError, a negative or non-finite capacity (zero is legal and
+    closes the edge) and a repeated edge id, which would make a line's edge
+    ambiguous.  It builds the edge-id tuple, the id-to-position map and the
+    read-only capacity vector once, and every pool compiled against the
+    network shares them; with_capacities and network_from_json build
+    through it, so they inherit the checks.
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge]) -> None:
         self.nodes = frozenset(nodes)
         self.edges = tuple(edges)
-        self._by_id: dict[str, Edge] = {}
-        for e in self.edges:
-            # first occurrence wins for lookups; compile_pool, which every
-            # engine reads an instance through, rejects repeated ids
-            self._by_id.setdefault(e.id, e)
-
-    @property
-    def edge_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.edges)
+        self.edge_ids = tuple(e.id for e in self.edges)
+        capacity = np.array([e.capacity for e in self.edges], dtype=float)
+        valid = np.isfinite(capacity) & (capacity >= 0.0)
+        if not valid.all():
+            bad = [eid for eid, ok in zip(self.edge_ids, valid) if not ok]
+            raise InputMismatchError(f"edges {bad} have a negative or non-finite capacity")
+        self._pos = {eid: i for i, eid in enumerate(self.edge_ids)}
+        if len(self._pos) != len(self.edge_ids):
+            repeated = sorted({eid for eid in self.edge_ids if self.edge_ids.count(eid) > 1})
+            raise InputMismatchError(f"edge ids {repeated} are not unique")
+        capacity.flags.writeable = False
+        self._capacity = capacity
 
     def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._by_id
+        return edge_id in self._pos
 
     def edge(self, edge_id: str) -> Edge:
         try:
-            return self._by_id[edge_id]
+            return self.edges[self._pos[edge_id]]
         except KeyError:
             raise InputMismatchError(f"unknown edge {edge_id!r}") from None
 
@@ -77,11 +89,12 @@ class Network:
         return self.edge(edge_id).capacity
 
     def capacity_vector(self) -> np.ndarray:
-        return np.array([e.capacity for e in self.edges], dtype=float)
+        """Capacities in edge order, one read-only array shared by every caller."""
+        return self._capacity
 
     def with_capacities(self, new_caps: Mapping[str, float]) -> "Network":
         """Copy of the network with selected edge capacities replaced."""
-        unknown = set(new_caps) - set(self._by_id)
+        unknown = set(new_caps) - set(self._pos)
         if unknown:
             raise InputMismatchError(f"unknown edges in capacity update: {sorted(unknown)}")
         edges = [
@@ -109,12 +122,24 @@ class PoolSystem:
 
     Keys are (operator id, pool id).  An operator participates in a pool iff
     the pair is present; participation with more than one line per pool is
-    impossible by construction.
+    impossible by construction.  The constructor rejects, with
+    InputMismatchError, an empty pool list, a repeated pool id (two pools
+    would read one set of lines under one split entry) and a line filed
+    under a pool the list does not name.  A listed pool may hold no lines.
     """
 
     def __init__(self, pool_ids: Iterable[str], lines: Mapping[tuple[str, str], Line]) -> None:
         self.pool_ids = tuple(pool_ids)
         self.lines = dict(lines)
+        if not self.pool_ids:
+            raise InputMismatchError("the pool system lists no pools")
+        listed = set(self.pool_ids)
+        if len(listed) != len(self.pool_ids):
+            repeated = sorted({k for k in self.pool_ids if self.pool_ids.count(k) > 1})
+            raise InputMismatchError(f"pool ids {repeated} are not unique")
+        unlisted = sorted(key for key in self.lines if key[1] not in listed)
+        if unlisted:
+            raise InputMismatchError(f"lines {unlisted} are filed under pools the system does not list")
         self.lop_ids = tuple(sorted({lop for lop, _ in self.lines}))
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
@@ -147,14 +172,14 @@ class Violation:
 
 
 def validate_network(net: Network, pools: PoolSystem) -> list[Violation]:
-    """Structural checks compile_pool cannot make; returns [] when sound.
+    """Structural checks no constructor and no compiled view makes; [] when sound.
 
-    compile_pool is the one place that decides whether a capacity, an edge
-    id or a line is legal, and it raises on the first defect.  What it never
-    reads is checked here instead, all at once: edge endpoints that are not
-    nodes, consecutive line edges that do not chain head to tail, and lines
-    filed under a pool the system does not list.  A line edge this network
-    lacks is compile_pool's to report, so it is skipped here.
+    Network and PoolSystem check their own shapes when built, and
+    compile_pool how each line lies on the network, each raising on the
+    first defect.  What none of them reads is checked here instead, all at
+    once: edge endpoints that are not nodes, and consecutive line edges
+    that do not chain head to tail.  A line edge this network lacks is
+    compile_pool's to report, so it is skipped here.
     """
     out: list[Violation] = []
     for e in net.edges:
@@ -162,11 +187,8 @@ def validate_network(net: Network, pools: PoolSystem) -> list[Violation]:
             if node not in net.nodes:
                 out.append(Violation("unknown-node", node, f"edge {e.id}"))
 
-    known_pools = set(pools.pool_ids)
     for (lop, k), line in sorted(pools.lines.items()):
         where = f"line ({lop}, {k})"
-        if k not in known_pools:
-            out.append(Violation("unknown-pool", k, where))
         for a, b in zip(line.edge_ids, line.edge_ids[1:]):
             if net.has_edge(a) and net.has_edge(b) and net.edge(a).head != net.edge(b).tail:
                 out.append(Violation("broken-path", where, f"{a} !-> {b}"))
@@ -212,44 +234,31 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
     """Build the dense incidence view of one pool.
 
     The engines, the reference solver and the certifier all read an
-    instance through this view, so this is the one place that decides what
-    is legal, raising InputMismatchError otherwise.  Pool ids must be
-    unique, or two pools would read one set of lines under one split entry;
-    edge ids too, or a line's edge would be ambiguous.  A capacity must be
-    finite and nonnegative; zero is legal and closes the edge.  A line must
-    be nonempty, use known edges only, and not repeat an edge, which the
-    0/1 incidence cannot represent.  validate_network adds the structural
-    checks this view never reads.
+    instance through this view.  The network and the pool system have
+    checked their own shapes when built, so this only lays the pool's lines
+    onto the network's stored edge ids, positions and capacities, and
+    checks what needs both, raising InputMismatchError: the pool must be
+    one the system lists, and each line must be nonempty, use known edges
+    only, and not repeat an edge, which the 0/1 incidence cannot represent.
+    validate_network adds the structural checks this view never reads.
     """
     if pool_id not in pools.pool_ids:
         raise InputMismatchError(f"unknown pool {pool_id!r}")
-    if len(set(pools.pool_ids)) != len(pools.pool_ids):
-        repeated = sorted({k for k in pools.pool_ids if pools.pool_ids.count(k) > 1})
-        raise InputMismatchError(f"pool ids {repeated} are not unique")
     capacity = net.capacity_vector()
-    valid = np.isfinite(capacity) & (capacity >= 0.0)
-    if not valid.all():
-        bad = [eid for eid, ok in zip(net.edge_ids, valid) if not ok]
-        raise InputMismatchError(f"edges {bad} have a negative or non-finite capacity")
-    edge_ids = net.edge_ids
-    pos = {eid: i for i, eid in enumerate(edge_ids)}
-    if len(pos) != len(edge_ids):
-        repeated = sorted({eid for eid in edge_ids if edge_ids.count(eid) > 1})
-        raise InputMismatchError(f"edge ids {repeated} are not unique")
     lops = pools.lops_in(pool_id)
-    inc = np.zeros((len(edge_ids), len(lops)))
+    inc = np.zeros((len(net.edge_ids), len(lops)))
     for p, lop in enumerate(lops):
         line = pools.line(lop, pool_id)
         if not line.edge_ids or len(set(line.edge_ids)) != len(line.edge_ids):
             raise InputMismatchError(f"line ({lop}, {pool_id}) is empty or repeats an edge")
         try:
-            idx = np.array([pos[eid] for eid in line.edge_ids], dtype=int)
+            idx = np.array([net._pos[eid] for eid in line.edge_ids], dtype=int)
         except KeyError as err:
             raise InputMismatchError(f"line ({lop}, {pool_id}) uses unknown edge {err}") from None
         inc[idx, p] = 1.0
     return PoolView(
         pool_id=pool_id,
-        edge_ids=edge_ids,
+        edge_ids=net.edge_ids,
         capacity=capacity,
         lop_ids=lops,
         incidence=inc,

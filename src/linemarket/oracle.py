@@ -318,18 +318,26 @@ def kkt_report(
     for a pool with a positive share, network cost at pool prices equals
     the common cost level; plus the split summing to one with complementary
     cost level, and nonnegativity all around.  Each pool is read through
-    compile_pool, the view the engines run on, so a line or capacity they
-    reject raises InputMismatchError here too.  A caller that holds the
-    views already, as solve_full does, passes them in pools.pool_ids order
-    and nothing is compiled twice.  An empty pool system, or shares keyed
-    by other pools than the system lists, raises InputMismatchError.
+    compile_pool, the view the engines run on, so a line they reject
+    raises InputMismatchError here too.  A caller that holds the views
+    already, as solve_full does, passes them in pools.pool_ids order and
+    nothing is compiled twice.  The candidate must be keyed as the
+    instance is, as the engines require of their input, else
+    InputMismatchError: the valuations by exactly the system's (operator,
+    pool) pairs (utilities.validate_against), the shares by exactly its
+    pools, each frequency by one of its (operator, pool) pairs and each
+    price by an (edge, pool) pair of its edges and pools.  A pair left out
+    reads zero.
     """
-    if not pools.pool_ids:
-        raise InputMismatchError("the pool system lists no pools")
+    utilities.validate_against(pools)
     missing = [k for k in pools.pool_ids if k not in shares]
     extra = sorted(set(shares) - set(pools.pool_ids))
     if missing or extra:
         raise InputMismatchError(f"shares do not match the pools: missing={missing} extra={extra}")
+    stray_freqs = sorted(set(freqs) - set(pools.lines))
+    stray_prices = sorted((eid, k) for eid, k in prices if not (net.has_edge(eid) and k in shares))
+    if stray_freqs or stray_prices:
+        raise InputMismatchError(f"keys the instance lacks: frequencies {stray_freqs}, prices {stray_prices}")
     if views is None:
         views = [compile_pool(net, pools, k) for k in pools.pool_ids]
     elif [view.pool_id for view in views] != list(pools.pool_ids):
@@ -431,11 +439,8 @@ def solve_full(
     pool of value zero, such as one without operators, gets share zero;
     when every pool is worth zero the split is uniform.  converged requires
     every pool solve to converge and the certificate to hold; kkt_report
-    certifies the answer on the views compiled here.  An empty pool system
-    raises InputMismatchError.
+    certifies the answer on the views compiled here.
     """
-    if not pools.pool_ids:
-        raise InputMismatchError("the pool system lists no pools")
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
     coeffs = [utilities.coefficients_for(view) for view in views]

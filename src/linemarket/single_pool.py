@@ -90,7 +90,8 @@ class DynamicsConfig:
     re-bid every bid_refresh_period price updates, a constant of the
     dynamics rather than a field.  The stop test's tolerances are the module
     constants _ABS_TOL and _REL_TOL.  No field describes the instance: what
-    is legal input is decided once, by compile_pool, before any pool runs.
+    is legal input is decided before any pool runs, by the network and pool
+    system when built and by compile_pool.
     """
 
     bid_refresh_period: ClassVar[int] = 10

@@ -205,6 +205,22 @@ def test_recover_command_both_modes(tmp_path, monkeypatch):
     assert [r["mode"] for r in rows2] == ["warm"]
 
 
+def test_recover_exits_2_when_the_disruption_cannot_be_applied(tmp_path, monkeypatch, capsys):
+    """A disruption needing more congested edges than a seed's instance has is bad input, not a
+    failed run: recover exits 2 at that seed and runs none after it."""
+    monkeypatch.chdir(tmp_path)
+    scn = {
+        "name": "mixed40", "grid": {"rows": 4, "cols": 6, "pools": 2, "lines_per_pool": 4},
+        "utilities_gen": {"kind": "uniform", "low": 5, "high": 15}, "engine": {"eta_price": 0.001},
+        "disruption": {"kind": "mixed", "edge_count": 40, "magnitude": 0.1}, "seeds": [0, 1],
+    }
+    (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
+    assert run_cli(["recover", "--scenario", "scn.json", "--out", "out"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: disruption needs 80 congested edges, only 5 available\n"
+    assert captured.out == "" and not (tmp_path / "out" / "records.csv").exists()
+
+
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 run out
@@ -281,8 +297,8 @@ def test_network_file_boundary(tmp_path, monkeypatch, capsys, case, edit, reason
 def test_network_file_without_pools_exits_2(tmp_path, monkeypatch, capsys):
     """Every command rejects a network file that lists no pools, with exit 2."""
     monkeypatch.chdir(tmp_path)
-    net, _, _ = instances.single_edge()
-    dump_network_file(net, lm.PoolSystem([], {}), tmp_path / "net.json")
+    doc = {"nodes": ["u", "v"], "edges": [{"id": "e1", "tail": "u", "head": "v", "capacity": 4.0}], "pools": []}
+    (tmp_path / "net.json").write_text(json.dumps(doc), encoding="utf-8")
     scn = {
         "name": "no-pools", "network_file": "net.json", "utilities": {"utilities": []}, "seeds": [0],
         "disruption": {"kind": "reduce", "edge_count": 1, "magnitude": 0.1},

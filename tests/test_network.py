@@ -17,6 +17,9 @@ def chain2():
     return net, pools
 
 
+BAD_CAPACITY = r"edges \['e1'\] have a negative or non-finite capacity"
+
+
 def violation_kinds(net, pools):
     return {v.kind for v in lm.validate_network(net, pools)}
 
@@ -29,7 +32,8 @@ def compile_error(net, pools):
 
 
 class TestValidation:
-    """validate_network reports what compile_pool never reads; compile_pool raises on the rest."""
+    """Network and PoolSystem reject their own defects when built, compile_pool a line's,
+    and validate_network reports what none of them reads."""
 
     def test_well_formed(self):
         net, pools = chain2()
@@ -42,31 +46,36 @@ class TestValidation:
         assert lm.validate_network(net, pools) == []
 
     def test_nonpositive_capacity(self):
-        # zero closes the edge and is legal in both; below zero is not
+        # zero closes the edge and is legal; below zero is not, however the
+        # network is built
         net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 0.0)])
         pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
         assert lm.validate_network(net, pools) == []
         assert lm.compile_pool(net, pools, "k0").capacity.tolist() == [0.0]
-        assert "e1" in compile_error(net.with_capacities({"e1": -1.0}), pools)
+        with pytest.raises(lm.InputMismatchError, match=BAD_CAPACITY):
+            net.with_capacities({"e1": -1.0})
+        with pytest.raises(lm.InputMismatchError, match=BAD_CAPACITY):
+            lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", -1.0)])
 
     def test_infinite_capacity(self):
-        pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
         for capacity in (float("inf"), float("nan")):
-            net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", capacity)])
-            assert "e1" in compile_error(net, pools)
+            with pytest.raises(lm.InputMismatchError, match=BAD_CAPACITY):
+                lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", capacity)])
 
     def test_duplicate_edge_id(self):
-        net = lm.Network(
-            ["u", "v"],
-            [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e1", "v", "u", 2.0)],
-        )
-        pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
-        assert "not unique" in compile_error(net, pools)
+        with pytest.raises(lm.InputMismatchError, match=r"edge ids \['e1'\] are not unique"):
+            lm.Network(
+                ["u", "v"],
+                [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e1", "v", "u", 2.0)],
+            )
 
     def test_dangling_node(self):
+        # a listed pool may hold no lines; a system without pools is no system
         net = lm.Network(["u"], [lm.Edge("e1", "u", "nowhere", 4.0)])
-        pools = lm.PoolSystem([], {})
+        pools = lm.PoolSystem(["k0"], {})
         assert "unknown-node" in violation_kinds(net, pools)
+        with pytest.raises(lm.InputMismatchError, match="the pool system lists no pools"):
+            lm.PoolSystem([], {})
 
     def test_broken_path(self):
         # e2 does not start where e1 ends once the middle node changes
@@ -84,25 +93,36 @@ class TestValidation:
             assert "empty or repeats an edge" in compile_error(net, pools)
 
     def test_unknown_pool(self):
-        net, _ = chain2()
-        pools = lm.PoolSystem(["k0"], {("lop0", "kX"): lm.Line(("e1",))})
-        assert "unknown-pool" in violation_kinds(net, pools)
+        with pytest.raises(lm.InputMismatchError, match=r"lines \[\('lop0', 'kX'\)\] are filed under pools"):
+            lm.PoolSystem(["k0"], {("lop0", "kX"): lm.Line(("e1",))})
 
 
 def test_repeated_edge_id_is_rejected_by_every_reader():
-    """Lookups keep the first e1, a position map the last: no reader may pick one."""
-    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e1", "u", "v", 1.0)])
-    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
-    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
-    readers = [
-        lambda: lm.compile_pool(net, pools, "k0"),
-        lambda: lm.run_mechanism(net, pools, table),
-        lambda: lm.solve_full(net, pools, table),
-        lambda: lm.kkt_report(net, pools, table, {("lop0", "k0"): 4.0}, {"k0": 1.0}, {("e1", "k0"): 0.5}, 2.0),
-    ]
-    for read in readers:
-        with pytest.raises(lm.InputMismatchError, match="not unique"):
-            read()
+    """Two edges named e1 would leave every reader to pick one: no network holds them."""
+    edges = [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e1", "u", "v", 1.0)]
+    doc = lm.network_to_json(*chain2())
+    doc["edges"] = [{"id": e.id, "tail": e.tail, "head": e.head, "capacity": e.capacity} for e in edges]
+    for build in (lambda: lm.Network(["u", "v"], edges), lambda: lm.network_from_json(doc)):
+        with pytest.raises(lm.InputMismatchError, match=r"edge ids \['e1'\] are not unique"):
+            build()
+
+
+def test_line_under_an_unlisted_pool_is_rejected():
+    """A line filed beside the listed pool's, under one the system does not list, is not dropped."""
+    lines = {("lop0", "k0"): lm.Line(("e1",)), ("lop1", "kX"): lm.Line(("e1",))}
+    with pytest.raises(lm.InputMismatchError, match=r"lines \[\('lop1', 'kX'\)\] are filed under pools"):
+        lm.PoolSystem(["k0"], lines)
+
+
+def test_views_share_the_networks_read_only_capacities():
+    """The network builds its edge ids and capacity vector once; every compiled view reads those same objects."""
+    net, pools, _ = instances.chain_instance(3)
+    caps = net.capacity_vector()
+    assert caps is net.capacity_vector() and not caps.flags.writeable
+    views = [lm.compile_pool(net, pools, k) for k in pools.pool_ids]
+    assert all(view.capacity is caps and view.edge_ids is net.edge_ids for view in views)
+    with pytest.raises(ValueError):
+        caps[0] = 1.0
 
 
 def test_compiled_view_matches_lines():

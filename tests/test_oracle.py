@@ -207,16 +207,11 @@ def test_full_search_pool_without_operators_gets_no_share():
 
 
 def test_empty_pool_system_is_rejected():
-    """No pools is an input error in every reader, not a division by zero deep inside."""
-    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
-    pools, table = lm.PoolSystem([], {}), lm.UtilityTable({})
-    for read in (
-        lambda: lm.run_mechanism(net, pools, table),
-        lambda: lm.solve_full(net, pools, table),
-        lambda: lm.kkt_report(net, pools, table, {}, {}, {}, 0.0),
-    ):
+    """No pools is an input error where the system is built, so no reader divides by zero deep inside."""
+    doc = {"nodes": ["u", "v"], "edges": [{"id": "e1", "tail": "u", "head": "v", "capacity": 4.0}], "pools": []}
+    for build in (lambda: lm.PoolSystem([], {}), lambda: lm.network_from_json(doc)):
         with pytest.raises(lm.InputMismatchError, match="lists no pools"):
-            read()
+            build()
 
 
 def ci_instance(pools: int, seed: int):
@@ -302,6 +297,51 @@ def test_kkt_shares_must_name_the_listed_pools():
         lm.kkt_report(net, pools, table, {}, {"k0": 1.0}, {}, 1.0)
     with pytest.raises(lm.InputMismatchError, match=r"missing=\[\] extra=\['kX'\]"):
         lm.kkt_report(net, pools, table, {}, {"k0": 0.5, "k1": 0.5, "kX": 0.0}, {}, 1.0)
+
+
+def _mechanism_candidate(seed):
+    """Chain `seed`'s instance and the mechanism point it converges to, as kkt_report's arguments."""
+    net, pools, table = instances.chain_instance(seed)
+    return (net, pools, table), _mechanism_point(lm.run_mechanism(net, pools, table).state)
+
+
+def test_kkt_valuations_must_match_the_pools():
+    """A valuation for a pair the system lacks fails here as it fails in run_mechanism and solve_full."""
+    (net, pools, table), candidate = _mechanism_candidate(0)
+    ghost = lm.UtilityTable({**table.entries, ("ghost", "k0"): lm.UtilitySpec(1.0)})
+    for read in (
+        lambda: lm.kkt_report(net, pools, ghost, *candidate),
+        lambda: lm.run_mechanism(net, pools, ghost),
+        lambda: lm.solve_full(net, pools, ghost),
+    ):
+        with pytest.raises(lm.InputMismatchError, match=r"extra=\[\('ghost', 'k0'\)\]"):
+            read()
+
+
+@pytest.mark.parametrize(
+    "freq_key, price_key, named",
+    [
+        (("lopX", "k0"), None, r"frequencies \[\('lopX', 'k0'\)\], prices \[\]"),
+        (("lop0", "kX"), None, r"frequencies \[\('lop0', 'kX'\)\], prices \[\]"),
+        (None, ("eX", "k0"), r"frequencies \[\], prices \[\('eX', 'k0'\)\]"),
+        (None, ("e0", "kX"), r"frequencies \[\], prices \[\('e0', 'kX'\)\]"),
+    ],
+    ids=["unknown-operator", "freq-unknown-pool", "unknown-edge", "price-unknown-pool"],
+)
+def test_kkt_rejects_keys_the_instance_lacks(freq_key, price_key, named):
+    """A frequency or price filed under a pair the instance lacks is named, not silently left out."""
+    (net, pools, table), (freqs, shares, prices, level) = _mechanism_candidate(0)
+    freqs = {**freqs, freq_key: 100.0} if freq_key else freqs
+    prices = {**prices, price_key: 100.0} if price_key else prices
+    with pytest.raises(lm.InputMismatchError, match=named):
+        lm.kkt_report(net, pools, table, freqs, shares, prices, level)
+
+
+def test_mechanism_state_of_another_chain_is_rejected():
+    """Chain 0 runs operators and prices edges chain 1 lacks; its state is not chain 1's candidate."""
+    other = lm.run_mechanism(*instances.chain_instance(0)).state
+    with pytest.raises(lm.InputMismatchError, match="keys the instance lacks"):
+        lm.mechanism_kkt(*instances.chain_instance(1), other)
 
 
 def _inactive_operator_cases():
