@@ -14,8 +14,8 @@ their records to records.csv through one writer (_append_records).
 
 Exit codes: 0 all runs converged, 1 at least one run did not, 2 bad input.
 Bad input met at one seed, such as a disruption that seed's instance has
-too few congested edges for, stops the command there: later seeds do not
-run.
+too few congested edges for, stops the command there: its error line names
+the seed (seed=1 error: ...), and later seeds do not run.
 """
 from __future__ import annotations
 
@@ -443,14 +443,18 @@ def run_cli(argv: Sequence[str]) -> int:
         args = parser.parse_args(argv)
     except SystemExit as err:
         return 2 if err.code not in (0, None) else 0
+    seed = None  # the seed being run, which an error met there names
     try:
         cfg = _load_config(args)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         handler = _COMMANDS[cfg.command]
-        converged = [handler(cfg, seed, *_build_instance(cfg.scenario, seed, Path("."))) for seed in cfg.seeds]
+        converged = []
+        for seed in cfg.seeds:
+            converged.append(handler(cfg, seed, *_build_instance(cfg.scenario, seed, Path("."))))
         return 0 if all(converged) else 1
     except (ValueError, OSError) as err:
-        print(f"error: {err}", file=sys.stderr)
+        where = "" if seed is None else f"seed={seed} "
+        print(f"{where}error: {err}", file=sys.stderr)
         return 2
 
 

@@ -169,37 +169,39 @@ class MechanismResult:
         return out
 
 
-def _check_warm(warm: OuterState, views: Mapping[str, PoolView]) -> None:
+def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "warm state") -> None:
     """Reject a warm state that does not fit the instance or holds values no run can resume.
 
     Its pools, and per pool its edges and operators, must be the instance's
     in order.  Each pool state's prices must be a floating-point array of
     one entry per edge, its bids and freqs one of one entry per operator,
     none of them negative or non-finite, and its share must be finite.
+    what names the state in the error; the certifier checks the states it
+    reads by the same rule (oracle.mechanism_kkt).
     """
     pool_ids = tuple(views)
     if tuple(warm.shares.pool_ids) != pool_ids or set(warm.pool_states) != set(pool_ids):
         raise InputMismatchError(
-            f"warm state covers pools {sorted(warm.pool_states)} with split over "
+            f"{what} covers pools {sorted(warm.pool_states)} with split over "
             f"{list(warm.shares.pool_ids)}; the instance has {list(pool_ids)}"
         )
     for k, view in views.items():
         st = warm.pool_states[k]
         if tuple(st.edge_ids) != view.edge_ids or tuple(st.lop_ids) != view.lop_ids:
-            raise InputMismatchError(f"warm state of pool {k!r} has other edges or operators than the instance")
+            raise InputMismatchError(f"{what} of pool {k!r} has other edges or operators than the instance")
         for name, n in (("prices", view.n_edges), ("bids", view.n_lops), ("freqs", view.n_lops)):
             values = getattr(st, name)
             if np.shape(values) != (n,):
                 raise InputMismatchError(
-                    f"warm state of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)"
+                    f"{what} of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)"
                 )
             dtype = getattr(values, "dtype", None)
             if dtype is None or not np.issubdtype(dtype, np.floating):
-                raise InputMismatchError(f"warm state of pool {k!r}: {name} is not a floating-point array (dtype {dtype})")
+                raise InputMismatchError(f"{what} of pool {k!r}: {name} is not a floating-point array (dtype {dtype})")
             if not (np.isfinite(values) & (values >= 0.0)).all():
-                raise InputMismatchError(f"warm state of pool {k!r}: {name} holds a negative or non-finite entry")
+                raise InputMismatchError(f"{what} of pool {k!r}: {name} holds a negative or non-finite entry")
         if not np.isfinite(st.share):
-            raise InputMismatchError(f"warm state of pool {k!r}: share {st.share} is not finite")
+            raise InputMismatchError(f"{what} of pool {k!r}: share {st.share} is not finite")
 
 
 def _live_split(shares: ProportionVector, live: np.ndarray) -> ProportionVector:

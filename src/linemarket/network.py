@@ -12,6 +12,7 @@ views (compile_pool), which checks only how the lines lie on the network.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -52,7 +53,8 @@ class Network:
 
     Edge order is the construction order; every per-edge vector produced by
     this module is aligned with it.  The constructor rejects, with
-    InputMismatchError, a negative or non-finite capacity (zero is legal and
+    InputMismatchError, a capacity that is not a real number (a string such
+    as "4", or a bool), a negative or non-finite one (zero is legal and
     closes the edge) and a repeated edge id, which would make a line's edge
     ambiguous.  It builds the edge-id tuple, the id-to-position map and the
     read-only capacity vector once, and every pool compiled against the
@@ -64,6 +66,10 @@ class Network:
         self.nodes = frozenset(nodes)
         self.edges = tuple(edges)
         self.edge_ids = tuple(e.id for e in self.edges)
+        # float() would take "4" and True; a capacity must be a number already
+        unreal = [e.id for e in self.edges if isinstance(e.capacity, bool) or not isinstance(e.capacity, numbers.Real)]
+        if unreal:
+            raise InputMismatchError(f"edges {unreal} have a capacity that is not a real number")
         capacity = np.array([e.capacity for e in self.edges], dtype=float)
         valid = np.isfinite(capacity) & (capacity >= 0.0)
         if not valid.all():

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
-from .multi_pool import OuterState
+from .multi_pool import OuterState, _check_warm
 from .single_pool import _clearing_terms, _fair_split, _neck_prices
 from .utility import UtilityTable
 
@@ -396,7 +396,18 @@ def kkt_report(
 def mechanism_kkt(
     net: Network, pools: PoolSystem, utilities: UtilityTable, state: OuterState
 ) -> KKTReport:
-    """kkt_report applied to a mechanism OuterState."""
+    """kkt_report applied to a mechanism OuterState.
+
+    The state must fit the instance as a warm start must (multi_pool's
+    _check_warm, on the views compiled here): its pools in order, per pool
+    its edges and operators in order, and finite, nonnegative
+    floating-point arrays of the instance's lengths, else
+    InputMismatchError.  So a state of another instance is rejected, not
+    certified at a huge residual.  kkt_report reads the same views, so each
+    pool is compiled once.
+    """
+    views = {k: compile_pool(net, pools, k) for k in pools.pool_ids}
+    _check_warm(state, views, what="state")
     freqs: dict[tuple[str, str], float] = {}
     prices: dict[tuple[str, str], float] = {}
     for k, st in state.pool_states.items():
@@ -405,7 +416,9 @@ def mechanism_kkt(
         for eid, lam in zip(st.edge_ids, st.prices):
             if lam != 0.0:
                 prices[(eid, k)] = float(lam)
-    return kkt_report(net, pools, utilities, freqs, state.shares.as_dict(), prices, state.cost_level)
+    return kkt_report(
+        net, pools, utilities, freqs, state.shares.as_dict(), prices, state.cost_level, views=list(views.values())
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -373,6 +373,25 @@ def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMa
     return PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
 
 
+def _reopen(prices: np.ndarray, loads: np.ndarray, supply: np.ndarray) -> None:
+    """Re-price, in place, the edges whose supply moved under a warm state.
+
+    loads are the warm state's loads at its own frequencies.  A state that
+    passes _may_stop against supply was cleared on these capacities and is
+    left alone.  Otherwise each open edge whose load misses its supply by
+    more than _ABS_TOL has its price multiplied by sqrt(load / supply),
+    once: a pool's optimum is 1/2-homogeneous in capacity (prices scale by
+    c**-1/2), so a priced edge that cleared load at its old capacity opens
+    at the price that capacity predicts for its new one, and an unpriced
+    edge stays unpriced.  Every other price, and a closed edge's, is kept.
+    """
+    excess = loads - supply
+    if _may_stop(prices, excess):
+        return
+    moved = (np.abs(excess) > _ABS_TOL) & (supply > 0.0)
+    prices[moved] *= np.sqrt(loads[moved] / supply[moved])
+
+
 @dataclass
 class SinglePoolResult:
     state: PoolMarketState
@@ -394,6 +413,11 @@ def _run_pool(
 
     A warm state is resumed from a copy, rescaled first when it cleared at
     another share, and is never modified; otherwise the pool cold-starts.
+    A warm state resumed at its own share that was not cleared on these
+    capacities, such as one a disruption hit, re-opens each edge whose load
+    at its frequencies misses the edge's supply at the price that supply
+    predicts (_reopen) before the opening allocation; a cleared one opens
+    as it is.
     eta is the price step, which run_mechanism resolves once per pool for
     all of that pool's runs.  Operators re-bid every
     DynamicsConfig.bid_refresh_period price updates.  A run that exhausts
@@ -440,6 +464,8 @@ def _run_pool(
         ratio = share / state.share
         prices *= ratio ** -0.5
         state.bids *= ratio ** 0.5
+    elif not cold:  # at its own share, on capacities that may have moved
+        _reopen(prices, inc.dot(state.freqs), supply)
     state.share = share
     mu = inc_t.dot(prices)
     offers, free = _bid_terms(state.bids, ceil)

@@ -207,7 +207,7 @@ def test_recover_command_both_modes(tmp_path, monkeypatch):
 
 def test_recover_exits_2_when_the_disruption_cannot_be_applied(tmp_path, monkeypatch, capsys):
     """A disruption needing more congested edges than a seed's instance has is bad input, not a
-    failed run: recover exits 2 at that seed and runs none after it."""
+    failed run: recover names that seed, exits 2 there and runs none after it."""
     monkeypatch.chdir(tmp_path)
     scn = {
         "name": "mixed40", "grid": {"rows": 4, "cols": 6, "pools": 2, "lines_per_pool": 4},
@@ -215,10 +215,14 @@ def test_recover_exits_2_when_the_disruption_cannot_be_applied(tmp_path, monkeyp
         "disruption": {"kind": "mixed", "edge_count": 40, "magnitude": 0.1}, "seeds": [0, 1],
     }
     (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
-    assert run_cli(["recover", "--scenario", "scn.json", "--out", "out"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: disruption needs 80 congested edges, only 5 available\n"
-    assert captured.out == "" and not (tmp_path / "out" / "records.csv").exists()
+    # the scenario's seeds, then the same two the other way round; the
+    # first seed's baseline holds 5 or 3 congested edges
+    for flags, first, available in (([], 0, 5), (["--seeds", "1,0"], 1, 3)):
+        out = tmp_path / f"out{first}"
+        assert run_cli(["recover", "--scenario", "scn.json", "--out", str(out), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"seed={first} error: disruption needs 80 congested edges, only {available} available\n"
+        assert captured.out == "" and not (out / "records.csv").exists()
 
 
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):

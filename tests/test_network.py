@@ -62,6 +62,17 @@ class TestValidation:
             with pytest.raises(lm.InputMismatchError, match=BAD_CAPACITY):
                 lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", capacity)])
 
+    def test_capacity_that_is_not_a_number(self):
+        """A numeric string or a bool is not a capacity, though float() would take either; an
+        integer of any type is, and keeps its value for every later reader."""
+        for capacity in ("4", True, np.bool_(True), None, [4.0]):
+            with pytest.raises(lm.InputMismatchError, match=r"edges \['e2'\] have a capacity that is not a real number"):
+                lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", capacity)])
+        net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", np.int64(4))])
+        assert net.capacity_vector().tolist() == [4.0]
+        spec = lm.DisruptionSpec("reduce", 1, 0.5)
+        assert lm.apply_disruption(net, spec, {"e1"}).capacity("e1") == 2.0
+
     def test_duplicate_edge_id(self):
         with pytest.raises(lm.InputMismatchError, match=r"edge ids \['e1'\] are not unique"):
             lm.Network(

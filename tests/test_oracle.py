@@ -1,4 +1,5 @@
 """Reference solver: closed-form pool optima and split, KKT certification."""
+import copy
 import math
 from functools import partial
 from pathlib import Path
@@ -340,8 +341,32 @@ def test_kkt_rejects_keys_the_instance_lacks(freq_key, price_key, named):
 def test_mechanism_state_of_another_chain_is_rejected():
     """Chain 0 runs operators and prices edges chain 1 lacks; its state is not chain 1's candidate."""
     other = lm.run_mechanism(*instances.chain_instance(0)).state
-    with pytest.raises(lm.InputMismatchError, match="keys the instance lacks"):
+    with pytest.raises(lm.InputMismatchError, match="state of pool 'k0' has other edges or operators than the instance"):
         lm.mechanism_kkt(*instances.chain_instance(1), other)
+
+
+def test_mechanism_certificate_checks_the_state_on_its_own_views(monkeypatch):
+    """mechanism_kkt compiles each pool once, for the state check and the certificate alike,
+    and rejects a state no warm start would take instead of certifying it."""
+    compiled = []
+    compile_pool = oracle.compile_pool
+
+    def counted(net, pools, k):
+        compiled.append(k)
+        return compile_pool(net, pools, k)
+
+    net, pools, table = instances.chain_instance(3)
+    state = lm.run_mechanism(net, pools, table).state
+    monkeypatch.setattr(oracle, "compile_pool", counted)
+    report = lm.mechanism_kkt(net, pools, table, state)
+    assert compiled == list(pools.pool_ids)
+    assert report.max_scaled() <= 0.1
+    st = state.pool_states["k1"]
+    for name, bad in (("prices", st.prices[:-1]), ("freqs", np.where(st.freqs > 0.0, np.nan, st.freqs))):
+        broken = copy.deepcopy(state)
+        setattr(broken.pool_states["k1"], name, bad)
+        with pytest.raises(lm.InputMismatchError, match=rf"state of pool 'k1': {name} "):
+            lm.mechanism_kkt(net, pools, table, broken)
 
 
 def _inactive_operator_cases():

@@ -1,4 +1,5 @@
 """In-pool dynamics: price steps, allocation, bid refresh, full runs."""
+import dataclasses
 import itertools
 import json
 import math
@@ -419,7 +420,11 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
 
     A warm state cleared at another share starts from its prices times
     r**-1/2 and its bids times r**1/2, r the ratio of the shares, and may
-    stop no earlier than the first refresh boundary.
+    stop no earlier than the first refresh boundary.  A warm state at its
+    own share that was not cleared on these capacities (its overload or
+    price * |excess| at its own frequencies above _ABS_TOL) starts with each
+    priced edge whose load misses its supply by more than _ABS_TOL at its
+    price times sqrt(load / supply).
     """
     if cfg.price_eta is not None:
         eta = cfg.price_eta
@@ -449,6 +454,14 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         prices = warm.prices * ratio ** -0.5
         bids = warm.bids * ratio ** 0.5
         first_stop = period if ratio != 1.0 else 0
+        if ratio == 1.0:
+            loads = view.incidence @ warm.freqs
+            supply = view.capacity * share
+            excess = loads - supply
+            if excess.max(initial=0.0) > _ABS_TOL or (prices * np.abs(excess)).max(initial=0.0) > _ABS_TOL:
+                for e in range(view.n_edges):
+                    if prices[e] > 0.0 and abs(excess[e]) > _ABS_TOL and supply[e] > 0.0:
+                        prices[e] *= math.sqrt(loads[e] / supply[e])
     freqs, mu = reference_allocate(view, prices, bids, share)
     st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
     iters = bid_updates = 0
@@ -511,6 +524,96 @@ def test_warm_rescaled_loop_matches_eager_reference(scale):
             got = assert_same_run(view, coeffs, 0.5 * scale, cfg, warm=cleared.state)
             assert got.converged and got.iterations >= cfg.bid_refresh_period
             assert cleared.state.share == 0.5  # the warm state itself is untouched
+
+
+def _shocked_grid(k1_baseline, kind, seed=0):
+    """A cleared one-pool 7x12 grid's baseline and the grid after a 50% `kind` shock on one priced edge."""
+    net, pools, table, base = k1_baseline(seed)
+    spec = lm.DisruptionSpec(kind, 1, 0.5, seed=seed * 7 + 1)
+    return net, pools, table, base, lm.apply_disruption(net, spec, lm.congested_edges(base.state))
+
+
+@pytest.mark.parametrize("kind", ["reduce", "increase"])
+def test_warm_state_reopens_a_moved_edge_at_its_half_homogeneous_price(k1_baseline, monkeypatch, kind):
+    """A warm state not cleared on these capacities opens the edge the shock moved at p * sqrt(load / supply),
+    its load at the warm frequencies over its new supply, and every other edge at its warm price."""
+    net, pools, table, base, shocked = _shocked_grid(k1_baseline, kind)
+    (k,) = pools.pool_ids
+    warm = base.state.pool_states[k]
+    view = lm.compile_pool(shocked, pools, k)
+    (moved,) = np.flatnonzero(view.capacity != net.capacity_vector())
+    assert warm.prices[moved] > 0.0
+    openings = []
+
+    def residuals(coefficients, prices, *rest, _fn=single_pool.pool_residuals):
+        openings.append(prices.copy())
+        return _fn(coefficients, prices, *rest)
+
+    monkeypatch.setattr(single_pool, "pool_residuals", residuals)
+    got = run_pool(view, table.coefficients_for(view), warm.share, warm, instances.GRID_CFG.inner)
+    assert got.converged
+    own = view.own_edges
+    opening = np.zeros(view.n_edges)
+    opening[own] = openings[0]
+    loads = np.zeros(view.n_edges)
+    loads[own] = view.incidence[own] @ warm.freqs
+    supply = view.capacity * warm.share
+    expected = warm.prices.copy()
+    expected[moved] *= np.sqrt(loads[moved] / supply[moved])
+    assert opening.tobytes() == expected.tobytes()
+    # a cut raises the price, a rise lowers it, by the square root of the ratio
+    assert (expected[moved] > warm.prices[moved]) == (kind == "reduce")
+    assert expected[moved] / warm.prices[moved] == pytest.approx(1.0 / math.sqrt(view.capacity[moved] / net.capacity_vector()[moved]), rel=0.01)
+
+
+def test_reopen_keeps_the_price_of_an_edge_that_closed():
+    """A priced edge closed under a warm state has no supply to re-price against: it keeps its
+    price, which no load can move, and the pool still clears."""
+    net = lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 2.0)])
+    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e2")), ("lop1", "k0"): lm.Line(("e1",))})
+    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(3.0), ("lop1", "k0"): lm.UtilitySpec(1.0)})
+    warm = lm.run_mechanism(net, pools, table).state
+    assert warm.pool_states["k0"].price_map()["e2"] > 0.0
+    closed = net.with_capacities({"e2": 0.0})
+    res = lm.run_mechanism(closed, pools, table, warm=warm)
+    assert res.converged
+    assert res.state.pool_states["k0"].price_map()["e2"] == warm.pool_states["k0"].price_map()["e2"]
+    assert res.state.pool_states["k0"].freq_map()["lop0"] == 0.0
+    assert lm.mechanism_kkt(closed, pools, table, res.state).max_scaled() <= 0.1
+
+
+@pytest.mark.parametrize("kind", ["reduce", "increase"])
+def test_reopened_warm_loop_matches_eager_reference(k1_baseline, kind):
+    """The warm restart on a shocked grid, from its re-opened prices to its stop, bit for bit."""
+    for seed in instances.GRID_SEEDS_K1[:2]:
+        _, pools, table, base, shocked = _shocked_grid(k1_baseline, kind, seed)
+        (k,) = pools.pool_ids
+        view = lm.compile_pool(shocked, pools, k)
+        got = assert_same_run(view, table.coefficients_for(view), 1.0, instances.GRID_CFG.inner, base.state.pool_states[k])
+        assert got.converged and got.iterations > 0
+
+
+@pytest.mark.parametrize("kind", ["reduce", "increase"])
+def test_reopened_restart_does_not_depend_on_edge_or_line_order(k1_baseline, kind):
+    """The same shocked instance and warm state, with edges and lines in another order, restart alike."""
+    _, pools, table, base, shocked = _shocked_grid(k1_baseline, kind)
+    rng = np.random.default_rng(11)
+    order = rng.permutation(len(shocked.edges))
+    keys = [list(pools.lines)[i] for i in rng.permutation(len(pools.lines))]
+    p_net = lm.Network(shocked.nodes, [shocked.edges[i] for i in order])
+    p_pools = lm.PoolSystem(pools.pool_ids, {key: pools.lines[key] for key in keys})
+    p_warm = dataclasses.replace(base.state, pool_states={
+        k: dataclasses.replace(st, edge_ids=p_net.edge_ids, prices=st.prices[order])
+        for k, st in base.state.pool_states.items()
+    })
+    runs = [
+        lm.run_mechanism(net, ps, table, instances.GRID_CFG, warm=warm)
+        for net, ps, warm in ((shocked, pools, base.state), (p_net, p_pools, p_warm))
+    ]
+    counts = [(r.price_updates, r.bid_updates, r.f_updates, r.converged) for r in runs]
+    assert counts[0] == counts[1]
+    assert counts[0][3]
+    assert 0 < sum(counts[0][0].values())
 
 
 def test_moved_share_runs_to_a_refresh_boundary():
