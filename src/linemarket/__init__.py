@@ -13,13 +13,11 @@ from .network import (
     Network,
     PoolSystem,
     PoolView,
-    Violation,
     compile_pool,
     dump_network_file,
     load_network_file,
     network_from_json,
     network_to_json,
-    validate_network,
 )
 from .utility import UtilitySpec, UtilityTable, best_response_bid
 from .single_pool import (

@@ -34,7 +34,6 @@ from .network import (
     compile_pool,
     dump_network_file,
     load_network_file,
-    validate_network,
 )
 from .oracle import mechanism_kkt, solve_full
 from .scenarios import (
@@ -194,13 +193,10 @@ def _build_instance(
         net, pools = generate_grid(_grid_spec(scn["grid"], seed))
     else:
         net, pools = load_network_file(base / scn["network_file"])
-        # the same checks every engine makes, so generate rejects what solve does
+        # compile each pool, as the engines, the oracle and the certifier
+        # do, so generate rejects what solve does
         for k in pools.pool_ids:
             compile_pool(net, pools, k)
-        problems = validate_network(net, pools)
-        if problems:
-            listing = "; ".join(str(v) for v in problems[:8])
-            raise ValueError(f"network file is structurally invalid: {listing}")
 
     sources = [k for k in ("utilities", "utilities_file", "utilities_gen") if k in scn]
     if len(sources) != 1:

@@ -4,10 +4,12 @@ A network is a directed graph whose edges carry train capacities.  A line is
 a directed path in that graph, and a pool system records which line each
 operator runs inside each line pool.  All structures here are immutable
 after construction, and each checks its own shape once, when it is built:
-a Network its edge ids and capacities, a PoolSystem its pool ids and the
-pools its lines are filed under, raising InputMismatchError.  The engines,
-the reference solver and the certifier compile them into dense per-pool
-views (compile_pool), which checks only how the lines lie on the network.
+a Network its edge ids, endpoints and capacities, a PoolSystem its pool
+ids and the pools its lines are filed under, raising InputMismatchError.
+The engines, the reference solver, the certifier and the CLI compile them
+into dense per-pool views (compile_pool), which checks how the lines lie
+on the network: each line must be a path of its edges.  There is no other
+reader of an instance, so every entry point accepts the same instances.
 """
 from __future__ import annotations
 
@@ -25,8 +27,6 @@ __all__ = [
     "Network",
     "Line",
     "PoolSystem",
-    "Violation",
-    "validate_network",
     "PoolView",
     "compile_pool",
     "network_from_json",
@@ -55,11 +55,12 @@ class Network:
     this module is aligned with it.  The constructor rejects, with
     InputMismatchError, a capacity that is not a real number (a string such
     as "4", or a bool), a negative or non-finite one (zero is legal and
-    closes the edge) and a repeated edge id, which would make a line's edge
-    ambiguous.  It builds the edge-id tuple, the id-to-position map and the
-    read-only capacity vector once, and every pool compiled against the
-    network shares them; with_capacities and network_from_json build
-    through it, so they inherit the checks.
+    closes the edge), a repeated edge id, which would make a line's edge
+    ambiguous, and an edge whose tail or head is not a listed node.  It
+    builds the edge-id tuple, the id-to-position map and the read-only
+    capacity vector once, and every pool compiled against the network
+    shares them; with_capacities and network_from_json build through it,
+    so they inherit the checks.
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge]) -> None:
@@ -79,6 +80,9 @@ class Network:
         if len(self._pos) != len(self.edge_ids):
             repeated = sorted({eid for eid in self.edge_ids if self.edge_ids.count(eid) > 1})
             raise InputMismatchError(f"edge ids {repeated} are not unique")
+        stray = [e.id for e in self.edges if e.tail not in self.nodes or e.head not in self.nodes]
+        if stray:
+            raise InputMismatchError(f"edges {stray} end at a node the network does not list")
         capacity.flags.writeable = False
         self._capacity = capacity
 
@@ -146,7 +150,6 @@ class PoolSystem:
         unlisted = sorted(key for key in self.lines if key[1] not in listed)
         if unlisted:
             raise InputMismatchError(f"lines {unlisted} are filed under pools the system does not list")
-        self.lop_ids = tuple(sorted({lop for lop, _ in self.lines}))
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.lines))
@@ -162,43 +165,6 @@ class PoolSystem:
 
     def __repr__(self) -> str:
         return f"PoolSystem(pools={len(self.pool_ids)}, lines={len(self.lines)})"
-
-
-@dataclass(frozen=True)
-class Violation:
-    """One structural defect found by validate_network."""
-
-    kind: str
-    subject: str
-    detail: str = ""
-
-    def __str__(self) -> str:
-        msg = f"{self.kind}: {self.subject}"
-        return f"{msg} ({self.detail})" if self.detail else msg
-
-
-def validate_network(net: Network, pools: PoolSystem) -> list[Violation]:
-    """Structural checks no constructor and no compiled view makes; [] when sound.
-
-    Network and PoolSystem check their own shapes when built, and
-    compile_pool how each line lies on the network, each raising on the
-    first defect.  What none of them reads is checked here instead, all at
-    once: edge endpoints that are not nodes, and consecutive line edges
-    that do not chain head to tail.  A line edge this network lacks is
-    compile_pool's to report, so it is skipped here.
-    """
-    out: list[Violation] = []
-    for e in net.edges:
-        for node in (e.tail, e.head):
-            if node not in net.nodes:
-                out.append(Violation("unknown-node", node, f"edge {e.id}"))
-
-    for (lop, k), line in sorted(pools.lines.items()):
-        where = f"line ({lop}, {k})"
-        for a, b in zip(line.edge_ids, line.edge_ids[1:]):
-            if net.has_edge(a) and net.has_edge(b) and net.edge(a).head != net.edge(b).tail:
-                out.append(Violation("broken-path", where, f"{a} !-> {b}"))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +211,8 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
     onto the network's stored edge ids, positions and capacities, and
     checks what needs both, raising InputMismatchError: the pool must be
     one the system lists, and each line must be nonempty, use known edges
-    only, and not repeat an edge, which the 0/1 incidence cannot represent.
-    validate_network adds the structural checks this view never reads.
+    only, not repeat an edge, which the 0/1 incidence cannot represent, and
+    be a path, each edge starting where the one before it ends.
     """
     if pool_id not in pools.pool_ids:
         raise InputMismatchError(f"unknown pool {pool_id!r}")
@@ -258,9 +224,15 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
         if not line.edge_ids or len(set(line.edge_ids)) != len(line.edge_ids):
             raise InputMismatchError(f"line ({lop}, {pool_id}) is empty or repeats an edge")
         try:
-            idx = np.array([net._pos[eid] for eid in line.edge_ids], dtype=int)
+            idx = [net._pos[eid] for eid in line.edge_ids]
         except KeyError as err:
             raise InputMismatchError(f"line ({lop}, {pool_id}) uses unknown edge {err}") from None
+        for a, b in zip(idx, idx[1:]):
+            if net.edges[a].head != net.edges[b].tail:
+                raise InputMismatchError(
+                    f"line ({lop}, {pool_id}) is not a path: "
+                    f"{net.edge_ids[a]} does not end where {net.edge_ids[b]} starts"
+                )
         inc[idx, p] = 1.0
     return PoolView(
         pool_id=pool_id,

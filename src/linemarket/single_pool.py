@@ -383,7 +383,7 @@ def _reopen(prices: np.ndarray, loads: np.ndarray, supply: np.ndarray) -> None:
     once: a pool's optimum is 1/2-homogeneous in capacity (prices scale by
     c**-1/2), so a priced edge that cleared load at its old capacity opens
     at the price that capacity predicts for its new one, and an unpriced
-    edge stays unpriced.  Every other price, and a closed edge's, is kept.
+    edge stays unpriced.  Every other price is kept.
     """
     excess = loads - supply
     if _may_stop(prices, excess):
@@ -427,7 +427,9 @@ def _run_pool(
     reads the pool's own edges only (view.own_edges).  Any other edge
     carries no load, which would drive its price to zero and hold it there,
     so the run opens it at zero, whatever a warm state held, and returns it
-    at zero.
+    at zero.  A closed own edge carries no load and has no supply, so no
+    step moves its price: the run opens it at zero too, as cold_start does,
+    and returns it at zero.
 
     The full residuals (pool_residuals) are computed at the opening, at
     each refresh boundary whose worst overload and worst price * |excess|
@@ -454,6 +456,7 @@ def _run_pool(
     )
     state = cold_start(view, coefficients, share) if cold else warm.copy()
     prices = state.prices[own]
+    prices[view.capacity[own] == 0.0] = 0.0
     # a pool's optimum at share f is its share-1 optimum with prices scaled
     # by f**-1/2 and bids by f**1/2, so a warm state cleared at another share
     # is rescaled to it; the allocation below then scales the frequencies.

@@ -95,10 +95,12 @@ class UtilityTable:
     @classmethod
     def from_json(cls, doc: Mapping) -> "UtilityTable":
         try:
-            entries = {
-                (str(row["lop"]), str(row["pool"])): UtilitySpec(float(row["a"]))
-                for row in doc["utilities"]
-            }
+            entries: dict[tuple[str, str], UtilitySpec] = {}
+            for row in doc["utilities"]:
+                key = (str(row["lop"]), str(row["pool"]))
+                if key in entries:
+                    raise ValueError(f"duplicate valuation for {key}")
+                entries[key] = UtilitySpec(float(row["a"]))
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed valuation document: missing or bad field {err}") from None
         return cls(entries)

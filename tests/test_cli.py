@@ -161,7 +161,7 @@ def test_generate_then_solve_from_files(tmp_path, monkeypatch, capsys):
     assert "nodes=12 edges=17" in capsys.readouterr().out
 
     net, pools = lm.load_network_file(tmp_path / "gen" / "network_seed0.json")
-    assert lm.validate_network(net, pools) == []
+    assert [lm.compile_pool(net, pools, k).n_lops for k in pools.pool_ids] == [2]
     table = lm.UtilityTable.load(tmp_path / "gen" / "utilities_seed0.json")
     table.validate_against(pools)
 
@@ -267,12 +267,15 @@ BOUNDARY_CASES = [
     ("repeated-edge", lambda net, util: _long_line(net).update(edges=_long_line(net)["edges"][:1] * 2),
      "empty or repeats an edge"),
     ("unknown-edge", lambda net, util: _long_line(net)["edges"].append("ghost"), "unknown edge 'ghost'"),
-    ("broken-path", lambda net, util: _long_line(net)["edges"].reverse(), "broken-path"),
+    ("broken-path", lambda net, util: _long_line(net)["edges"].reverse(), "is not a path"),
     # a network document files each line under the pool that lists it, so
     # an unknown pool reaches the CLI through the valuations
     ("unknown-pool", lambda net, util: util["utilities"].append({"lop": "lop0", "pool": "kX", "a": 2.0}),
      "'kX'"),
-    ("unknown-node", lambda net, util: net["edges"][0].update(tail="nowhere"), "unknown-node: nowhere"),
+    ("unknown-node", lambda net, util: net["edges"][0].update(tail="nowhere"),
+     "edges ['e0'] end at a node the network does not list"),
+    ("duplicate-valuation", lambda net, util: util["utilities"].append({**util["utilities"][0], "a": 5.0}),
+     "duplicate valuation for ('lop0', 'k0')"),
 ]
 
 

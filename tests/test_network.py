@@ -20,10 +20,6 @@ def chain2():
 BAD_CAPACITY = r"edges \['e1'\] have a negative or non-finite capacity"
 
 
-def violation_kinds(net, pools):
-    return {v.kind for v in lm.validate_network(net, pools)}
-
-
 def compile_error(net, pools):
     """compile_pool's InputMismatchError on the pool k0, as the engines would see it."""
     with pytest.raises(lm.InputMismatchError) as err:
@@ -32,25 +28,23 @@ def compile_error(net, pools):
 
 
 class TestValidation:
-    """Network and PoolSystem reject their own defects when built, compile_pool a line's,
-    and validate_network reports what none of them reads."""
+    """Network and PoolSystem reject their own defects when built, compile_pool a line's."""
 
     def test_well_formed(self):
         net, pools = chain2()
-        assert lm.validate_network(net, pools) == []
+        view = lm.compile_pool(net, pools, "k0")
+        assert view.incidence[:, 0].tolist() == [1.0, 1.0]
 
     def test_missing_edge_reference(self):
         net, _ = chain2()
         pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "ghost"))})
-        assert "ghost" in compile_error(net, pools)
-        assert lm.validate_network(net, pools) == []
+        assert "unknown edge 'ghost'" in compile_error(net, pools)
 
     def test_nonpositive_capacity(self):
         # zero closes the edge and is legal; below zero is not, however the
         # network is built
         net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 0.0)])
         pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
-        assert lm.validate_network(net, pools) == []
         assert lm.compile_pool(net, pools, "k0").capacity.tolist() == [0.0]
         with pytest.raises(lm.InputMismatchError, match=BAD_CAPACITY):
             net.with_capacities({"e1": -1.0})
@@ -81,10 +75,18 @@ class TestValidation:
             )
 
     def test_dangling_node(self):
-        # a listed pool may hold no lines; a system without pools is no system
-        net = lm.Network(["u"], [lm.Edge("e1", "u", "nowhere", 4.0)])
-        pools = lm.PoolSystem(["k0"], {})
-        assert "unknown-node" in violation_kinds(net, pools)
+        # an edge must end at listed nodes, at either end and however the
+        # network is built; a listed pool may hold no lines, but a system
+        # without pools is no system
+        for tail, head in (("u", "nowhere"), ("nowhere", "u")):
+            with pytest.raises(lm.InputMismatchError, match=r"edges \['e1'\] end at a node the network does not list"):
+                lm.Network(["u"], [lm.Edge("e1", tail, head, 4.0)])
+        doc = lm.network_to_json(*chain2())
+        doc["nodes"].remove("w")
+        with pytest.raises(lm.InputMismatchError, match=r"edges \['e2'\] end at a node"):
+            lm.network_from_json(doc)
+        net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
+        assert lm.compile_pool(net, lm.PoolSystem(["k0"], {}), "k0").n_lops == 0
         with pytest.raises(lm.InputMismatchError, match="the pool system lists no pools"):
             lm.PoolSystem([], {})
 
@@ -95,7 +97,10 @@ class TestValidation:
             [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "x", "w", 2.0)],
         )
         pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e2"))})
-        assert "broken-path" in violation_kinds(net, pools)
+        assert compile_error(net, pools) == "line (lop0, k0) is not a path: e1 does not end where e2 starts"
+        # the same edges in the other order do not chain either
+        pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e2", "e1"))})
+        assert "e2 does not end where e1 starts" in compile_error(net, pools)
 
     def test_repeated_edge_and_empty_line(self):
         net, _ = chain2()
@@ -116,6 +121,28 @@ def test_repeated_edge_id_is_rejected_by_every_reader():
     for build in (lambda: lm.Network(["u", "v"], edges), lambda: lm.network_from_json(doc)):
         with pytest.raises(lm.InputMismatchError, match=r"edge ids \['e1'\] are not unique"):
             build()
+
+
+def test_every_entry_point_rejects_a_line_that_is_not_a_path():
+    """Both engines, the certifier and the mechanism certificate reject a line whose edges do
+    not chain, as linemarket solve does; the candidates are the sound chain's, whose e2 starts
+    where e1 ends.  A network whose edge ends at an unlisted node is never built."""
+    net, pools = chain2()
+    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
+    sol = lm.solve_full(net, pools, table)
+    state = lm.run_mechanism(net, pools, table).state
+    broken = lm.Network(["u", "v", "x", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "x", "w", 2.0)])
+    calls = {
+        "run_mechanism": lambda: lm.run_mechanism(broken, pools, table),
+        "solve_full": lambda: lm.solve_full(broken, pools, table),
+        "kkt_report": lambda: lm.kkt_report(broken, pools, table, sol.frequencies, sol.shares, sol.prices, sol.cost_level),
+        "mechanism_kkt": lambda: lm.mechanism_kkt(broken, pools, table, state),
+    }
+    for call in calls.values():
+        with pytest.raises(lm.InputMismatchError, match=r"line \(lop0, k0\) is not a path: e1 does not end where e2 starts"):
+            call()
+    with pytest.raises(lm.InputMismatchError, match=r"edges \['e2'\] end at a node the network does not list"):
+        lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 2.0)])
 
 
 def test_line_under_an_unlisted_pool_is_rejected():

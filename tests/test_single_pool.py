@@ -424,7 +424,8 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     own share that was not cleared on these capacities (its overload or
     price * |excess| at its own frequencies above _ABS_TOL) starts with each
     priced edge whose load misses its supply by more than _ABS_TOL at its
-    price times sqrt(load / supply).
+    price times sqrt(load / supply).  A warm state's closed edges start at
+    zero.
     """
     if cfg.price_eta is not None:
         eta = cfg.price_eta
@@ -452,6 +453,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     else:
         ratio = share / warm.share
         prices = warm.prices * ratio ** -0.5
+        prices[view.capacity == 0.0] = 0.0
         bids = warm.bids * ratio ** 0.5
         first_stop = period if ratio != 1.0 else 0
         if ratio == 1.0:
@@ -566,9 +568,10 @@ def test_warm_state_reopens_a_moved_edge_at_its_half_homogeneous_price(k1_baseli
     assert expected[moved] / warm.prices[moved] == pytest.approx(1.0 / math.sqrt(view.capacity[moved] / net.capacity_vector()[moved]), rel=0.01)
 
 
-def test_reopen_keeps_the_price_of_an_edge_that_closed():
-    """A priced edge closed under a warm state has no supply to re-price against: it keeps its
-    price, which no load can move, and the pool still clears."""
+def test_warm_restart_returns_a_closed_edge_at_price_zero():
+    """A priced edge closed under a warm state has no supply to re-price against and no load to
+    move its price: the restart opens and returns it at zero, as the cold run does, and the pool
+    still clears."""
     net = lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 2.0)])
     pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e2")), ("lop1", "k0"): lm.Line(("e1",))})
     table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(3.0), ("lop1", "k0"): lm.UtilitySpec(1.0)})
@@ -577,7 +580,10 @@ def test_reopen_keeps_the_price_of_an_edge_that_closed():
     closed = net.with_capacities({"e2": 0.0})
     res = lm.run_mechanism(closed, pools, table, warm=warm)
     assert res.converged
-    assert res.state.pool_states["k0"].price_map()["e2"] == warm.pool_states["k0"].price_map()["e2"]
+    assert res.state.pool_states["k0"].price_map()["e2"] == 0.0
+    assert lm.run_mechanism(closed, pools, table).state.pool_states["k0"].price_map()["e2"] == 0.0
+    view = lm.compile_pool(closed, pools, "k0")
+    assert_same_run(view, table.coefficients_for(view), 1.0, lm.DynamicsConfig(), warm.pool_states["k0"])
     assert res.state.pool_states["k0"].freq_map()["lop0"] == 0.0
     assert lm.mechanism_kkt(closed, pools, table, res.state).max_scaled() <= 0.1
 
