@@ -21,12 +21,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
+from .network import InputMismatchError, Network, PoolSystem, PoolView, _check_count, _check_real, compile_pool
 from .single_pool import (
     DynamicsConfig,
     PoolMarketState,
     SinglePoolResult,
-    _check_count,
     _run_pool,
     default_price_eta,
 )
@@ -133,7 +132,7 @@ class MechanismConfig:
     max_outer: int = 200
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.eps_cost < np.inf:
+        if not 0.0 < _check_real("eps_cost", self.eps_cost) < np.inf:
             raise ValueError(f"eps_cost must be positive and finite, got {self.eps_cost}")
         object.__setattr__(self, "max_outer", _check_count("max_outer", self.max_outer))
 

@@ -40,6 +40,33 @@ class InputMismatchError(ValueError):
     """An input is keyed inconsistently with the network or pool system."""
 
 
+def _check_count(name: str, value: object) -> int:
+    """A budget as a Python int; reject one that is not a whole number of at least 1.
+
+    Any integer type passes, numpy's included, and is stored as int, so the
+    counts a budget bounds are Python ints too; bool, though an int, fails.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
+    return int(value)
+
+
+def _check_real(name: str, value: object) -> float:
+    """A real number as a Python float; reject a bool or a non-number such as "4".
+
+    float() would take both, True as 1.0 and "4" as 4.0, so every reader of
+    a real-valued input checks it here first and raises ValueError naming
+    the input.  Any real type passes, numpy's included; NaN and the
+    infinities pass too, and the caller's range check decides on them.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise ValueError(f"{name} is out of the float range") from None
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str
@@ -251,6 +278,9 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
 def network_from_json(doc: Mapping) -> tuple[Network, PoolSystem]:
     """Parse the network document format.
 
+    A capacity must be a JSON number: a bool or a string raises ValueError
+    naming the edge, and Network checks the rest.
+
     Expected shape::
 
         {"nodes": [...],
@@ -260,7 +290,8 @@ def network_from_json(doc: Mapping) -> tuple[Network, PoolSystem]:
     try:
         nodes = [str(n) for n in doc["nodes"]]
         edges = [
-            Edge(str(e["id"]), str(e["tail"]), str(e["head"]), float(e["capacity"]))
+            Edge(str(e["id"]), str(e["tail"]), str(e["head"]),
+                 _check_real(f"capacity of edge {e['id']!r}", e["capacity"]))
             for e in doc["edges"]
         ]
         pool_ids = [str(p["id"]) for p in doc["pools"]]

@@ -33,22 +33,32 @@ full residuals (pool_residuals) only at a boundary whose worst overload and
 worst price * |excess| already pass (_may_stop), or when the budget runs
 out.  When every path is priced, allocate_frequencies and refresh_bids
 skip their zero-price masks, and _bid_terms its zero-bid mask when every
-line bids; the masked paths give the same numbers there.  Each step picks
-its path with _positive, which decides as x.min(initial=inf) > 0 does,
-NaN included, at a third of a reduction's cost.  Both conditions hold at
-every call on the chain, two-pool grid and recovery benchmarks.  Where
-they fail, as in a pool with a closed edge or a line that cannot run, the
-steps take the masked paths.
+line bids; the masked paths give the same numbers there.  refresh_bids
+and _bid_terms pick their path with _positive, which decides as
+x.min(initial=inf) > 0 does, NaN included, at a third of a reduction's
+cost.  The allocation, which runs at every step, decides once per refresh
+pass instead.  No load is negative, so one price step lowers a price by at
+most eta * supply, and a pass of period steps by at most period times
+that.  An own edge priced above floor = 2 * period * eta * supply at a
+pass's start, twice that bound as a margin for rounding, therefore stays
+priced for the whole pass, and so does the path price of every line that
+crosses it.  When every line crosses such an edge the pass is certified
+and its allocations skip their own check; any other pass checks at every
+step, as before.  Certified passes hold 54% of the price steps on the 20
+test chains, and 78% and 99% on the 7x12 one- and two-pool grids at the
+pinned step.  A pool with a closed edge or a line that cannot run, or a
+price falling to zero, takes the masked paths where a path is unpriced.  The
+stop test and the refresh read their maxima through argmax
+(_max_or_zero), which gives what x.max(initial=0.0) gives, bit for bit.
 """
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .network import PoolView
+from .network import PoolView, _check_count, _check_real
 from .utility import best_response_bids
 
 __all__ = [
@@ -99,20 +109,9 @@ class DynamicsConfig:
     max_iters: int = 50_000
 
     def __post_init__(self) -> None:
-        if self.price_eta is not None and not 0.0 < self.price_eta < np.inf:
+        if self.price_eta is not None and not 0.0 < _check_real("price_eta", self.price_eta) < np.inf:
             raise ValueError(f"price_eta must be positive and finite, got {self.price_eta}")
         object.__setattr__(self, "max_iters", _check_count("max_iters", self.max_iters))
-
-
-def _check_count(name: str, value: object) -> int:
-    """A budget as a Python int; reject one that is not a whole number of at least 1.
-
-    Any integer type passes, numpy's included, and is stored as int, so the
-    counts a budget bounds are Python ints too; bool, though an int, fails.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
-    return int(value)
 
 
 def default_price_eta(view: PoolView) -> float:
@@ -205,6 +204,22 @@ def _positive(x: np.ndarray) -> bool:
     return x.size == 0 or x[x.argmin()] > 0.0
 
 
+def _max_or_zero(x: np.ndarray) -> float:
+    """float(x.max(initial=0.0)), bit for bit, read through argmax.
+
+    argmax points at the first NaN when there is one, so a NaN comes back as
+    it does from max, and an empty x or one whose entries are all negative
+    gives 0.0.  Only a zero maximum takes the reduction itself: whether it
+    returns 0.0 or -0.0 then depends on the order it meets the zeros in.
+    """
+    if x.size == 0:
+        return 0.0
+    m = x[x.argmax()]
+    if m < 0.0:
+        return 0.0
+    return float(m) if m != 0.0 else float(x.max(initial=0.0))
+
+
 def _bid_terms(bids: np.ndarray, ceil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bid-dependent inputs of allocate_frequencies, once per bid vector.
 
@@ -224,6 +239,7 @@ def allocate_frequencies(
     offers: np.ndarray,
     free: np.ndarray,
     cap: np.ndarray,
+    priced: bool = False,
 ) -> np.ndarray:
     """Frequencies bought by each bid at the current path prices.
 
@@ -237,9 +253,12 @@ def allocate_frequencies(
     _bid_terms(bids, ceil); the caller holds them, and cap, for as long as
     the bids and the share stay fixed.  When every path is priced the
     division runs unmasked; any other input takes the masked division,
-    which gives the same numbers where both apply.
+    which gives the same numbers where both apply.  priced=True tells the
+    allocation that every path is priced, so it skips its own check; the
+    price loop passes it on a pass its certificate covers, and a caller
+    that cannot vouch for it leaves it False.
     """
-    if _positive(path_prices):
+    if priced or _positive(path_prices):
         return np.minimum(offers / path_prices, cap)
     freqs = free.copy()
     np.divide(offers, path_prices, out=freqs, where=path_prices > 0.0)
@@ -271,9 +290,12 @@ class PoolResiduals:
 def _clearing_terms(prices: np.ndarray, excess: np.ndarray) -> tuple[float, float]:
     """The stop test's absolute terms: worst overload and worst price * |excess|.
 
-    A NaN in either input makes its term NaN, which no tolerance passes.
+    Each is the maximum with a zero floor, read through _max_or_zero.  A NaN
+    in either input makes its term NaN, which no tolerance passes.  The
+    price loop (_may_stop), pool_residuals and the oracle's Newton stop all
+    read these two terms from here.
     """
-    return float(excess.max(initial=0.0)), float((prices * np.abs(excess)).max(initial=0.0))
+    return _max_or_zero(excess), _max_or_zero(prices * np.abs(excess))
 
 
 def _may_stop(prices: np.ndarray, excess: np.ndarray) -> bool:
@@ -310,7 +332,7 @@ def pool_residuals(
     priceless = np.count_nonzero(active) > np.count_nonzero(sel)  # an active path unpriced
     mu = path_prices[sel]
     marg = coefficients[sel] / (2.0 * np.sqrt(freqs[sel]))
-    stat = float((np.abs(marg - mu) / mu).max(initial=0.0))
+    stat = _max_or_zero(np.abs(marg - mu) / mu)
 
     ok = (
         not priceless
@@ -435,6 +457,15 @@ def _run_pool(
     each refresh boundary whose worst overload and worst price * |excess|
     are both within _ABS_TOL (_may_stop), and when the budget runs out;
     any other boundary cannot pass the stop test, so it is not checked.
+
+    Each pass is certified or not at its start (see the module docstring):
+    a certified pass tells each of its allocations that every path is
+    priced (allocate_frequencies' priced), an uncertified one lets each
+    allocation check.  Loads are freqs.dot(inc_t), which numpy computes
+    with the same BLAS call as inc.dot(freqs), on the same buffer, so the
+    bits are those of the matrix-vector product, at less cost.  A copy of
+    the incidence in another memory order would sum in another order and
+    change them.
     """
     eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
     period = cfg.bid_refresh_period
@@ -468,13 +499,13 @@ def _run_pool(
         prices *= ratio ** -0.5
         state.bids *= ratio ** 0.5
     elif not cold:  # at its own share, on capacities that may have moved
-        _reopen(prices, inc.dot(state.freqs), supply)
+        _reopen(prices, state.freqs.dot(inc_t), supply)
     state.share = share
     mu = inc_t.dot(prices)
     offers, free = _bid_terms(state.bids, ceil)
     if not cold:  # cold_start has allocated under these bids
         state.freqs = allocate_frequencies(mu, offers, free, cap)
-    loads = inc.dot(state.freqs)
+    loads = state.freqs.dot(inc_t)
 
     bids, freqs = state.bids, state.freqs
     iters = 0
@@ -487,20 +518,25 @@ def _run_pool(
     # read the residuals.  A pass that ends on a boundary has run a whole
     # period, so only the opening check must hold a rescaled state back
     settled = res.converged and not rescaled
+    # no load is negative, so a step lowers a price by at most eta * supply
+    # and a pass by at most half of floor
+    floor = 2 * period * eta * supply
     while not settled and iters < cfg.max_iters:
         steps = min(period, cfg.max_iters - iters)
+        # the pass is certified when every line crosses an edge priced above
+        # floor: every path then stays priced through the whole pass
+        priced = _positive(inc_t.dot(np.maximum(prices - floor, _ZERO)))
         for step in range(1, steps + 1):
             prices, _ = price_step(prices, loads, supply, eta)
             mu = inc_t.dot(prices)
             if step == period:
                 new_bids = refresh_bids(coefficients, mu, bids)
-                rel_change = np.abs(new_bids - bids) / np.maximum(bids, 1e-300)
-                if float(rel_change.max(initial=0.0)) > _REL_TOL:
+                if _max_or_zero(np.abs(new_bids - bids) / np.maximum(bids, 1e-300)) > _REL_TOL:
                     bid_updates += 1
                 bids = new_bids
                 offers, free = _bid_terms(bids, ceil)
-            freqs = allocate_frequencies(mu, offers, free, cap)
-            loads = inc.dot(freqs)
+            freqs = allocate_frequencies(mu, offers, free, cap, priced)
+            loads = freqs.dot(inc_t)
         iters += steps
         excess = loads - supply
         if iters >= cfg.max_iters or _may_stop(prices, excess):

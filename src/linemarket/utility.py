@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import InputMismatchError, PoolSystem, PoolView
+from .network import InputMismatchError, PoolSystem, PoolView, _check_real
 
 __all__ = [
     "UtilitySpec",
@@ -32,7 +32,7 @@ class UtilitySpec:
     coefficient: float
 
     def __post_init__(self) -> None:
-        if not (self.coefficient > 0 and math.isfinite(self.coefficient)):
+        if not 0.0 < _check_real("valuation coefficient", self.coefficient) < math.inf:
             raise ValueError(f"valuation coefficient must be positive and finite, got {self.coefficient}")
 
 
@@ -100,7 +100,7 @@ class UtilityTable:
                 key = (str(row["lop"]), str(row["pool"]))
                 if key in entries:
                     raise ValueError(f"duplicate valuation for {key}")
-                entries[key] = UtilitySpec(float(row["a"]))
+                entries[key] = UtilitySpec(_check_real(f"valuation 'a' of {key}", row["a"]))
         except (KeyError, TypeError) as err:
             raise ValueError(f"malformed valuation document: missing or bad field {err}") from None
         return cls(entries)

@@ -276,6 +276,17 @@ BOUNDARY_CASES = [
      "edges ['e0'] end at a node the network does not list"),
     ("duplicate-valuation", lambda net, util: util["utilities"].append({**util["utilities"][0], "a": 5.0}),
      "duplicate valuation for ('lop0', 'k0')"),
+    # the readers take JSON numbers only: float() would read true as 1.0 and "4" as 4.0
+    ("bool-capacity", lambda net, util: net["edges"][0].update(capacity=True),
+     "capacity of edge 'e0' must be a real number, got True"),
+    ("string-capacity", lambda net, util: net["edges"][0].update(capacity="4"),
+     "capacity of edge 'e0' must be a real number, got '4'"),
+    ("huge-capacity", lambda net, util: net["edges"][0].update(capacity=10 ** 400),
+     "capacity of edge 'e0' is out of the float range"),
+    ("bool-valuation", lambda net, util: util["utilities"][0].update(a=True),
+     "valuation 'a' of ('lop0', 'k0') must be a real number, got True"),
+    ("string-valuation", lambda net, util: util["utilities"][0].update(a="4"),
+     "valuation 'a' of ('lop0', 'k0') must be a real number, got '4'"),
 ]
 
 
@@ -299,6 +310,21 @@ def test_network_file_boundary(tmp_path, monkeypatch, capsys, case, edit, reason
             assert code == 2 and reason in err, (command, err)
     if reason is None:
         assert read_records(tmp_path / "out" / "records.csv")[0]["status"] == "converged"
+
+
+@pytest.mark.parametrize("a", [True, "4"], ids=["bool", "string"])
+def test_valuation_file_boundary(tmp_path, monkeypatch, capsys, a):
+    """A valuation file read through utilities_file takes JSON numbers only, as an inline table does."""
+    monkeypatch.chdir(tmp_path)
+    net, pools, table = instances.chain_instance(3)
+    lm.dump_network_file(net, pools, tmp_path / "net.json")
+    util = table.to_json()
+    util["utilities"][0]["a"] = a
+    (tmp_path / "util.json").write_text(json.dumps(util), encoding="utf-8")
+    scn = {"name": "valuation-file", "network_file": "net.json", "utilities_file": "util.json", "seeds": [0]}
+    (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
+    assert run_cli(["solve", "--scenario", "scn.json", "--out", "out"]) == 2
+    assert f"valuation 'a' of ('lop0', 'k0') must be a real number, got {a!r}" in capsys.readouterr().err
 
 
 def test_network_file_without_pools_exits_2(tmp_path, monkeypatch, capsys):

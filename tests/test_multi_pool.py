@@ -92,6 +92,13 @@ class TestUpdateProportions:
             np.testing.assert_allclose(out.values, a**2 / np.sum(a**2), rtol=1e-12, err_msg=str(trial))
 
 
+@pytest.mark.parametrize("value", [True, False, "0.05", None], ids=repr)
+def test_equal_cost_tolerance_must_be_a_real_number(value):
+    """A bool or a string is rejected with ValueError, not read as 1.0 or left to fail a comparison."""
+    with pytest.raises(ValueError, match="eps_cost must be a real number"):
+        lm.MechanismConfig(eps_cost=value)
+
+
 def test_config_validation():
     for eps in (0.0, -0.05, math.inf, math.nan):
         with pytest.raises(ValueError, match="eps_cost"):

@@ -10,7 +10,7 @@ import pytest
 import linemarket as lm
 from linemarket import multi_pool, single_pool
 from linemarket.single_pool import (
-    _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _may_stop, _positive, _run_pool, pool_residuals
+    _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _max_or_zero, _may_stop, _positive, _run_pool, pool_residuals
 )
 
 import instances
@@ -180,6 +180,13 @@ def test_config_validation():
     assert lm.DynamicsConfig.bid_refresh_period == lm.DynamicsConfig().bid_refresh_period == 10
     with pytest.raises(TypeError):
         lm.DynamicsConfig(bid_refresh_period=10)
+
+
+@pytest.mark.parametrize("value", [True, False, "0.1", "1e-3"], ids=repr)
+def test_price_step_must_be_a_real_number(value):
+    """A bool or a string is rejected with ValueError, not read as 1.0 or left to fail a comparison."""
+    with pytest.raises(ValueError, match="price_eta must be a real number"):
+        lm.DynamicsConfig(price_eta=value)
 
 
 BAD_BUDGETS = [0, -3, 2.5, 10.0, math.inf, math.nan, True, False, "5", None]
@@ -752,6 +759,95 @@ def test_positivity_check_decides_as_min(case):
     x = np.array(values, dtype=float)
     assert bool(x.min(initial=np.inf) > 0.0) is positive
     assert bool(_positive(x)) is positive
+
+
+MAXIMUM_CASES = {
+    **{case: values for case, (values, _) in POSITIVITY_CASES.items()},
+    "only -0.0": [-0.0],
+    "-0.0 after 0.0": [0.0, -0.0],
+    "0.0 after -0.0": [-0.0, 0.0],
+    "-0.0 among negatives": [-2.0, -0.0, -1.0],
+    "all negative": [-1.0, -3.0, -2.0],
+    "only -inf": [-np.inf],
+    "+inf and -inf": [-np.inf, np.inf],
+}
+
+
+@pytest.mark.parametrize("case", list(MAXIMUM_CASES))
+def test_argmax_maximum_is_max_with_zero_initial(case):
+    """_max_or_zero, which the stop test and the refresh read, is float(x.max(initial=0.0)) bit for bit."""
+    x = np.array(MAXIMUM_CASES[case], dtype=float)
+    got, want = _max_or_zero(x), float(x.max(initial=0.0))
+    assert type(got) is float
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+def _record_allocations(monkeypatch):
+    """Patch the allocation seam to record, per price-loop step, its priced flag and its path prices."""
+    steps = []
+    allocate_frequencies = single_pool.allocate_frequencies
+
+    def recorded(*args):
+        if len(args) == 5:  # a step of the loop; the opening allocation passes no flag
+            steps.append((args[4], args[0].copy()))
+        return allocate_frequencies(*args)
+
+    monkeypatch.setattr(single_pool, "allocate_frequencies", recorded)
+    return steps
+
+
+def test_certified_passes_price_every_path(monkeypatch, k1_baseline, k2_baseline):
+    """Every step of a pass the certificate covers sees every path priced.
+
+    The runs are the 20 chains, the 7x12 one- and two-pool grids at seeds 0
+    to 2 cold, and their warm restarts after criterion 6's 10% shocks (the
+    mixed shock only where two edges are congested).
+    """
+    steps = _record_allocations(monkeypatch)
+    for seed in range(20):
+        lm.run_mechanism(*instances.chain_instance(seed))
+    for baseline in (k1_baseline, k2_baseline):
+        for seed in range(3):
+            net, pools, table, base = baseline(seed)
+            assert lm.run_mechanism(net, pools, table, instances.GRID_CFG).converged
+            mixed = len(lm.congested_edges(base.state)) >= 2
+            for kind in ("reduce", "increase", "mixed") if mixed else ("reduce", "increase"):
+                spec = lm.DisruptionSpec(kind=kind, edge_count=1, magnitude=0.1, seed=seed * 7 + 1)
+                rec = lm.run_recovery_experiment(
+                    net, pools, table, spec, instances.GRID_CFG, baseline=base, modes=("warm",)
+                ).warm
+                assert rec.status == "converged" and rec.total_price_updates > 0
+    certified = [mu for priced, mu in steps if priced]
+    assert all(_positive(mu) for mu in certified)
+    # most steps of these runs are covered
+    assert len(certified) > len(steps) / 2
+
+
+def test_uncertified_pass_takes_the_masked_allocation(monkeypatch):
+    """A pass the certificate cannot cover allocates with the zero-price mask, as the reference does.
+
+    A warm state prices a lone edge at 5 with a bid that buys almost
+    nothing, so the price falls by eta * supply = 0.16 a step.  The first
+    two passes open above floor = 3.2 and are certified; the fourth opens
+    at 0.2 and its price reaches zero on its second step, where the line
+    must get its ceiling, not the overload cap an unmasked division by
+    zero would give.
+    """
+    steps = _record_allocations(monkeypatch)
+    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
+    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
+    view = lm.compile_pool(net, pools, "k0")
+    warm = lm.PoolMarketState("k0", view.edge_ids, view.lop_ids, np.array([5.0]), np.array([0.01]), np.array([4.0]), 1.0)
+    got = assert_same_run(view, np.array([0.1]), 1.0, lm.DynamicsConfig(price_eta=0.04, max_iters=40), warm)
+    assert not got.converged and got.state.freqs[0] == 4.0
+    period = lm.DynamicsConfig.bid_refresh_period
+    passes = [steps[i][0] for i in range(0, len(steps), period)]
+    seen = {
+        "certified pass": passes.count(True),
+        "uncertified pass": passes.count(False),
+        "masked allocation": sum(not priced and not _positive(mu) for priced, mu in steps),
+    }
+    assert passes == [True, True, False, False] and min(seen.values()) > 0, seen
 
 
 def _chain_with_unused_edge(first):

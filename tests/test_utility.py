@@ -117,3 +117,10 @@ def test_table_json_round_trip(tmp_path):
 
     with pytest.raises(ValueError):
         lm.UtilityTable.from_json({"utilities": [{"lop": "a"}]})
+
+
+@pytest.mark.parametrize("value", [True, False, "4", "2.0", None], ids=repr)
+def test_coefficient_must_be_a_real_number(value):
+    """float() would read True as 1.0 and "4" as 4.0; the spec rejects both with ValueError."""
+    with pytest.raises(ValueError, match="valuation coefficient must be a real number"):
+        lm.UtilitySpec(value)
