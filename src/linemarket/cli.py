@@ -68,12 +68,8 @@ class RunConfig:
     mech: MechanismConfig
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _FLOAT_FMT % value
-    return str(value)
+def _fmt(value: float) -> str:
+    return _FLOAT_FMT % value
 
 
 def emit_record(record: ExperimentRecord, sink: IO[str], timing: bool = False) -> None:

@@ -168,6 +168,12 @@ class MechanismResult:
         return out
 
 
+def _check_length(what: str, k: str, name: str, values: np.ndarray, n: int) -> None:
+    """Reject values unless it is one-dimensional with n entries, naming what, pool k and name."""
+    if np.shape(values) != (n,):
+        raise InputMismatchError(f"{what} of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)")
+
+
 def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "warm state") -> None:
     """Reject a warm state that does not fit the instance or holds values no run can resume.
 
@@ -190,10 +196,7 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
             raise InputMismatchError(f"{what} of pool {k!r} has other edges or operators than the instance")
         for name, n in (("prices", view.n_edges), ("bids", view.n_lops), ("freqs", view.n_lops)):
             values = getattr(st, name)
-            if np.shape(values) != (n,):
-                raise InputMismatchError(
-                    f"{what} of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)"
-                )
+            _check_length(what, k, name, values, n)
             dtype = getattr(values, "dtype", None)
             if dtype is None or not np.issubdtype(dtype, np.floating):
                 raise InputMismatchError(f"{what} of pool {k!r}: {name} is not a floating-point array (dtype {dtype})")

@@ -15,19 +15,21 @@ definition, in single_pool.  Square-root valuations make a pool's
 optimum at share f its share-1 optimum with frequencies scaled by f and
 prices by f**-1/2, so its value is sqrt(f) times its value at share 1 and
 the optimal split follows in closed form (see solve_full).  kkt_report
-certifies a candidate point from either solver; solve_full hands it the
-views it compiled, so each pool is compiled once per solve.
+certifies a candidate point from either solver, read as the engines hold
+one: per-pool arrays on the compiled views.  mechanism_kkt and solve_full
+each validate the valuations and compile every pool once, then hand
+kkt_report those views with the point's arrays.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
-from .multi_pool import OuterState, _check_warm
+from .multi_pool import _TINY, OuterState, _check_length, _check_warm
 from .single_pool import _clearing_terms, _fair_split, _neck_prices
 from .utility import UtilityTable
 
@@ -40,7 +42,6 @@ __all__ = [
     "solve_full",
 ]
 
-_TINY = 1e-30
 # solve_full claims convergence only when its own certificate reads at most
 # this; exact answers read about 1e-11
 _CERTIFIED = 1e-6
@@ -300,50 +301,39 @@ class KKTReport:
 
 
 def kkt_report(
-    net: Network,
-    pools: PoolSystem,
-    utilities: UtilityTable,
-    freqs: Mapping[tuple[str, str], float],
-    shares: Mapping[str, float],
-    prices: Mapping[tuple[str, str], float],
+    views: Sequence[PoolView],
+    coefficients: Sequence[np.ndarray],
+    freqs: Sequence[np.ndarray],
+    prices: Sequence[np.ndarray],
+    shares: Sequence[float],
     cost_level: float,
-    *,
-    views: Sequence[PoolView] | None = None,
 ) -> KKTReport:
     """Certify a candidate clearing point against the optimality conditions.
 
+    The candidate is read as the engines hold a point: per pool, in pool
+    order, its compiled view (compile_pool), its valuation coefficients in
+    the view's operator order (UtilityTable.coefficients_for), its
+    frequencies, one per operator of the view, and its edge prices, one per
+    edge of the view; then one share per pool and the common cost level.
     Checks, per pool: marginal value equals path price on running lines
     and no line that could run stands idle,
     priced edges run at share-scaled capacity, loads within capacity, and,
     for a pool with a positive share, network cost at pool prices equals
     the common cost level; plus the split summing to one with complementary
-    cost level, and nonnegativity all around.  Each pool is read through
-    compile_pool, the view the engines run on, so a line they reject
-    raises InputMismatchError here too.  A caller that holds the views
-    already, as solve_full does, passes them in pools.pool_ids order and
-    nothing is compiled twice.  The candidate must be keyed as the
-    instance is, as the engines require of their input, else
-    InputMismatchError: the valuations by exactly the system's (operator,
-    pool) pairs (utilities.validate_against), the shares by exactly its
-    pools, each frequency by one of its (operator, pool) pairs and each
-    price by an (edge, pool) pair of its edges and pools.  A pair left out
-    reads zero.
+    cost level, and nonnegativity all around.  Sequences whose count is not
+    the number of views, or an array that is not one-dimensional of its
+    view's length, raise InputMismatchError naming the pools; a negative
+    entry is not rejected but reported in negativity.  mechanism_kkt and
+    solve_full build these arguments from an instance they have validated
+    and compiled.
     """
-    utilities.validate_against(pools)
-    missing = [k for k in pools.pool_ids if k not in shares]
-    extra = sorted(set(shares) - set(pools.pool_ids))
-    if missing or extra:
-        raise InputMismatchError(f"shares do not match the pools: missing={missing} extra={extra}")
-    stray_freqs = sorted(set(freqs) - set(pools.lines))
-    stray_prices = sorted((eid, k) for eid, k in prices if not (net.has_edge(eid) and k in shares))
-    if stray_freqs or stray_prices:
-        raise InputMismatchError(f"keys the instance lacks: frequencies {stray_freqs}, prices {stray_prices}")
-    if views is None:
-        views = [compile_pool(net, pools, k) for k in pools.pool_ids]
-    elif [view.pool_id for view in views] != list(pools.pool_ids):
-        raise InputMismatchError("views must be the pools' compiled views, in pool order")
+    pool_ids = [view.pool_id for view in views]
+    for name, seq in (("coefficient vectors", coefficients), ("frequency arrays", freqs),
+                      ("price arrays", prices), ("shares", shares)):
+        if len(seq) != len(views):
+            raise InputMismatchError(f"{len(seq)} {name} for the {len(views)} pools {pool_ids}")
     level_scale = max(abs(cost_level), _TINY)
-    share_vec = np.array([float(shares[k]) for k in pools.pool_ids])
+    share_vec = np.asarray(shares, dtype=float)
 
     stat_raw: float | None = None
     stat_rel: float | None = None
@@ -353,14 +343,16 @@ def kkt_report(
     spread_raw = 0.0
     neg = max(0.0, -float(share_vec.min(initial=0.0)))
 
-    for k, view, share in zip(pools.pool_ids, views, share_vec):
-        x = np.array([float(freqs.get((lop, k), 0.0)) for lop in view.lop_ids])
-        lam = np.array([float(prices.get((eid, k), 0.0)) for eid in view.edge_ids])
+    for view, a, x, lam, share in zip(views, coefficients, freqs, prices, share_vec):
+        a, x, lam = np.asarray(a, dtype=float), np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
+        for name, values, n in (("coefficients", a, view.n_lops), ("freqs", x, view.n_lops),
+                                ("prices", lam, view.n_edges)):
+            _check_length("candidate", view.pool_id, name, values, n)
         neg = max(neg, -float(x.min(initial=0.0)), -float(lam.min(initial=0.0)))
         run = x > 0.0
         if run.any():
             mu = (view.incidence.T @ lam)[run]
-            gap = np.abs(utilities.coefficients_for(view)[run] / (2.0 * np.sqrt(x[run])) - mu)
+            gap = np.abs(a[run] / (2.0 * np.sqrt(x[run])) - mu)
             stat_raw = max(stat_raw or 0.0, float(gap.max()))
             stat_rel = max(stat_rel or 0.0, float((gap / np.maximum(mu, _TINY)).max()))
         if (~run & (view.bottleneck * share > 0.0)).any():
@@ -398,26 +390,26 @@ def mechanism_kkt(
 ) -> KKTReport:
     """kkt_report applied to a mechanism OuterState.
 
+    Like the engines, it rejects a valuation table that does not match the
+    pool system (utilities.validate_against) and compiles each pool once.
     The state must fit the instance as a warm start must (multi_pool's
-    _check_warm, on the views compiled here): its pools in order, per pool
-    its edges and operators in order, and finite, nonnegative
-    floating-point arrays of the instance's lengths, else
-    InputMismatchError.  So a state of another instance is rejected, not
-    certified at a huge residual.  kkt_report reads the same views, so each
-    pool is compiled once.
+    _check_warm, on those views): its pools in order, per pool its edges
+    and operators in order, and finite, nonnegative floating-point arrays
+    of the instance's lengths, else InputMismatchError.  So a state of
+    another instance is rejected, not certified at a huge residual.
+    kkt_report reads the state's own arrays on the same views.
     """
+    utilities.validate_against(pools)
     views = {k: compile_pool(net, pools, k) for k in pools.pool_ids}
     _check_warm(state, views, what="state")
-    freqs: dict[tuple[str, str], float] = {}
-    prices: dict[tuple[str, str], float] = {}
-    for k, st in state.pool_states.items():
-        for lop, x in zip(st.lop_ids, st.freqs):
-            freqs[(lop, k)] = float(x)
-        for eid, lam in zip(st.edge_ids, st.prices):
-            if lam != 0.0:
-                prices[(eid, k)] = float(lam)
+    states = [state.pool_states[k] for k in views]
     return kkt_report(
-        net, pools, utilities, freqs, state.shares.as_dict(), prices, state.cost_level, views=list(views.values())
+        list(views.values()),
+        [utilities.coefficients_for(view) for view in views.values()],
+        [st.freqs for st in states],
+        [st.prices for st in states],
+        state.shares.values,
+        state.cost_level,
     )
 
 
@@ -452,7 +444,8 @@ def solve_full(
     pool of value zero, such as one without operators, gets share zero;
     when every pool is worth zero the split is uniform.  converged requires
     every pool solve to converge and the certificate to hold; kkt_report
-    certifies the answer on the views compiled here.
+    certifies the answer's per-pool arrays on the views and coefficient
+    vectors built here, so each pool is compiled once per solve.
     """
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
@@ -465,11 +458,15 @@ def solve_full(
 
     freqs: dict[tuple[str, str], float] = {}
     prices: dict[tuple[str, str], float] = {}
+    xs: list[np.ndarray] = []
+    lams: list[np.ndarray] = []
     costs: list[float] = []
     objective = 0.0
     for k, view, a, sol, share in zip(pools.pool_ids, views, coeffs, sols, split):
         x_k = sol.freqs * share
         lam_k = sol.prices * share ** -0.5 if share > 0.0 else np.zeros_like(sol.prices)
+        xs.append(x_k)
+        lams.append(lam_k)
         for lop, x in zip(view.lop_ids, x_k.tolist()):
             freqs[(lop, k)] = x
         for eid, lam in zip(view.edge_ids, lam_k.tolist()):
@@ -480,11 +477,10 @@ def solve_full(
 
     cost_level = max(costs)
     cost_gap = (max(costs) - float(np.mean(costs))) / max(max(costs), _TINY)
-    shares = {k: float(s) for k, s in zip(pools.pool_ids, split)}
-    report = kkt_report(net, pools, utilities, freqs, shares, prices, cost_level, views=views)
+    report = kkt_report(views, coeffs, xs, lams, split, cost_level)
     return OracleSolution(
         frequencies=freqs,
-        shares=shares,
+        shares={k: float(s) for k, s in zip(pools.pool_ids, split)},
         prices=prices,
         cost_level=cost_level,
         cost_gap=cost_gap,

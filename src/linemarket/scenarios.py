@@ -311,21 +311,18 @@ def run_recovery_experiment(
 
     shocked = apply_disruption(net, disruption, congested_edges(baseline.state))
 
-    cold_res = warm_res = None
-    cold_rec = warm_rec = None
-    if "warm" in wanted:
-        warm_res = run_mechanism(shocked, pools, utilities, cfg, warm=baseline.state)
-        kkt = mechanism_kkt(shocked, pools, utilities, warm_res.state).max_scaled()
-        warm_rec = _record(instance, "warm", warm_res, kkt)
-    if "cold" in wanted:
-        cold_res = run_mechanism(shocked, pools, utilities, cfg)
-        kkt = mechanism_kkt(shocked, pools, utilities, cold_res.state).max_scaled()
-        cold_rec = _record(instance, "cold", cold_res, kkt)
+    runs: dict[str, MechanismResult] = {}
+    records: dict[str, ExperimentRecord] = {}
+    for mode, warm in (("warm", baseline.state), ("cold", None)):
+        if mode in wanted:
+            res = runs[mode] = run_mechanism(shocked, pools, utilities, cfg, warm=warm)
+            kkt = mechanism_kkt(shocked, pools, utilities, res.state).max_scaled()
+            records[mode] = _record(instance, mode, res, kkt)
     return RecoveryResult(
         baseline=baseline,
         disrupted_net=shocked,
-        cold=cold_rec,
-        warm=warm_rec,
-        cold_result=cold_res,
-        warm_result=warm_res,
+        cold=records.get("cold"),
+        warm=records.get("warm"),
+        cold_result=runs.get("cold"),
+        warm_result=runs.get("warm"),
     )

@@ -12,6 +12,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in lines:
             terminalreporter.write_line(line)
+    if report.NOTES:
+        terminalreporter.section("measurements")
+        for line in report.NOTES:
+            terminalreporter.write_line(line)
 
 
 def _baseline_getter(pools: int):

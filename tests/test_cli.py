@@ -109,17 +109,16 @@ def test_solve_summary_matches_recomputed_kkt(tmp_path, monkeypatch):
     assert run_cli(["solve", "--scenario", str(scn), "--out", "out"]) == 0
 
     state = json.loads((tmp_path / "out" / "state_seed0.json").read_text())
-    freqs = {}
-    prices = {}
-    for k, st in state["pools"].items():
-        for lop, x in st["freqs"].items():
-            freqs[(lop, k)] = x
-        for eid, lam in st["prices"].items():
-            if lam != 0.0:
-                prices[(eid, k)] = lam
     net, pools, table = instances.single_edge()
+    views = [lm.compile_pool(net, pools, k) for k in pools.pool_ids]
+    sts = [state["pools"][view.pool_id] for view in views]
     report = lm.kkt_report(
-        net, pools, table, freqs, state["shares"], prices, state["cost_level"]
+        views,
+        [table.coefficients_for(view) for view in views],
+        [np.array([st["freqs"][lop] for lop in view.lop_ids]) for view, st in zip(views, sts)],
+        [np.array([st["prices"][eid] for eid in view.edge_ids]) for view, st in zip(views, sts)],
+        [state["shares"][k] for k in pools.pool_ids],
+        state["cost_level"],
     )
     recorded = float(read_records(tmp_path / "out" / "records.csv")[0]["max_kkt"])
     # CSV numbers carry 6 significant digits

@@ -176,14 +176,16 @@ def test_equal_cost_certificate_at_termination():
 
 
 def test_line_repeating_an_edge_is_rejected():
-    """The 0/1 incidence counts a repeated edge's load once, so engine and certifier refuse it."""
+    """The 0/1 incidence counts a repeated edge's load once, so engine and certifier refuse it;
+    the certified state is the one the line without the repeat converges to."""
     net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
     pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e1"))})
     table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
     with pytest.raises(lm.InputMismatchError, match="repeats an edge"):
         lm.run_mechanism(net, pools, table)
+    state = lm.run_mechanism(net, lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))}), table).state
     with pytest.raises(lm.InputMismatchError, match="repeats an edge"):
-        lm.kkt_report(net, pools, table, {("lop0", "k0"): 1.0}, {"k0": 1.0}, {}, 0.0)
+        lm.mechanism_kkt(net, pools, table, state)
 
 
 def test_repeated_pool_id_is_rejected():

@@ -124,18 +124,16 @@ def test_repeated_edge_id_is_rejected_by_every_reader():
 
 
 def test_every_entry_point_rejects_a_line_that_is_not_a_path():
-    """Both engines, the certifier and the mechanism certificate reject a line whose edges do
-    not chain, as linemarket solve does; the candidates are the sound chain's, whose e2 starts
-    where e1 ends.  A network whose edge ends at an unlisted node is never built."""
+    """Both engines and the mechanism certificate reject a line whose edges do not chain, as
+    linemarket solve does; the certified state is the sound chain's, whose e2 starts where e1
+    ends.  A network whose edge ends at an unlisted node is never built."""
     net, pools = chain2()
     table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
-    sol = lm.solve_full(net, pools, table)
     state = lm.run_mechanism(net, pools, table).state
     broken = lm.Network(["u", "v", "x", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "x", "w", 2.0)])
     calls = {
         "run_mechanism": lambda: lm.run_mechanism(broken, pools, table),
         "solve_full": lambda: lm.solve_full(broken, pools, table),
-        "kkt_report": lambda: lm.kkt_report(broken, pools, table, sol.frequencies, sol.shares, sol.prices, sol.cost_level),
         "mechanism_kkt": lambda: lm.mechanism_kkt(broken, pools, table, state),
     }
     for call in calls.values():

@@ -95,12 +95,25 @@ def test_fixed_bids_on_grid_pool():
     assert float((prices * np.abs(gap)).max()) <= 1e-9 * scale
 
 
+def _views(net, pools, table):
+    """The views of an instance's pools, in pool order, and their coefficient vectors, as kkt_report reads them."""
+    views = [lm.compile_pool(net, pools, k) for k in pools.pool_ids]
+    return views, [table.coefficients_for(view) for view in views]
+
+
+def _view_arrays(views, freqs, prices):
+    """Per-pool frequency and price arrays, in view order, of a point keyed by (operator, pool) and (edge, pool)."""
+    xs = [np.array([freqs.get((lop, view.pool_id), 0.0) for lop in view.lop_ids]) for view in views]
+    lams = [np.array([prices.get((eid, view.pool_id), 0.0) for eid in view.edge_ids]) for view in views]
+    return xs, lams
+
+
 def test_kkt_clean_at_oracle_solution():
     net, pools, table = instances.single_edge()
     sol = lm.solve_full(net, pools, table)
-    report = lm.kkt_report(
-        net, pools, table, sol.frequencies, {"k0": 1.0}, sol.prices, sol.cost_level
-    )
+    views, coeffs = _views(net, pools, table)
+    xs, lams = _view_arrays(views, sol.frequencies, sol.prices)
+    report = lm.kkt_report(views, coeffs, xs, lams, [1.0], sol.cost_level)
     assert report.max_scaled() < 1e-6
 
 
@@ -108,16 +121,18 @@ def test_kkt_sees_price_perturbation():
     """Shifting the binding edge price by +0.1 shows up as a 0.1 stationarity gap."""
     net, pools, table = instances.single_edge()
     sol = lm.solve_full(net, pools, table)
-    bumped = {("e1", "k0"): sol.prices[("e1", "k0")] + 0.1}
-    level = net.capacity("e1") * bumped[("e1", "k0")]
-    report = lm.kkt_report(net, pools, table, sol.frequencies, {"k0": 1.0}, bumped, level)
+    views, coeffs = _views(net, pools, table)
+    xs, lams = _view_arrays(views, sol.frequencies, sol.prices)
+    bumped = lams[0] + 0.1
+    level = net.capacity("e1") * float(bumped[0])
+    report = lm.kkt_report(views, coeffs, xs, [bumped], [1.0], level)
     assert report.stationarity_raw == pytest.approx(0.1, rel=1e-6)
 
 
 def test_kkt_zero_candidate():
     """An idle operator whose line has capacity is not a clearing point."""
-    net, pools, table = instances.single_edge()
-    report = lm.kkt_report(net, pools, table, {("lop0", "k0"): 0.0}, {"k0": 1.0}, {}, 0.0)
+    views, coeffs = _views(*instances.single_edge())
+    report = lm.kkt_report(views, coeffs, [np.zeros(1)], [np.zeros(1)], [1.0], 0.0)
     assert report.stationarity_raw is None
     assert report.stationarity_rel == 1.0
     assert report.overload_raw == 0.0
@@ -128,10 +143,11 @@ def test_kkt_zero_candidate():
 def test_kkt_idle_operator_without_capacity_certifies():
     """x=0 is the answer on a closed line or at share zero: nothing to flag there."""
     net, pools, table = instances.single_edge()
-    report = lm.kkt_report(net, pools, table, {}, {"k0": 0.0}, {}, 0.0)
+    views, coeffs = _views(net, pools, table)
+    report = lm.kkt_report(views, coeffs, [np.zeros(1)], [np.zeros(1)], [0.0], 0.0)
     assert report.stationarity_rel is None
-    closed = net.with_capacities({"e1": 0.0})
-    report = lm.kkt_report(closed, pools, table, {}, {"k0": 1.0}, {}, 0.0)
+    views, coeffs = _views(net.with_capacities({"e1": 0.0}), pools, table)
+    report = lm.kkt_report(views, coeffs, [np.zeros(1)], [np.zeros(1)], [1.0], 0.0)
     assert report.stationarity_rel is None
     assert report.max_scaled() == 0.0
 
@@ -280,38 +296,20 @@ def test_certificate_reuses_the_solve_views(monkeypatch):
         compiled.clear()
         sol = lm.solve_full(net, pools, table)
         assert compiled == list(pools.pool_ids), name
-        fresh = lm.kkt_report(net, pools, table, sol.frequencies, sol.shares, sol.prices, sol.cost_level)
+        views, coeffs = _views(net, pools, table)
+        xs, lams = _view_arrays(views, sol.frequencies, sol.prices)
+        shares = [sol.shares[k] for k in pools.pool_ids]
+        fresh = lm.kkt_report(views, coeffs, xs, lams, shares, sol.cost_level)
         assert sol.kkt == fresh, name
 
 
-def test_certificate_views_must_match_the_pools():
-    net, pools, table = instances.chain_instance(3)
-    views = [lm.compile_pool(net, pools, k) for k in reversed(pools.pool_ids)]
-    with pytest.raises(lm.InputMismatchError, match="in pool order"):
-        lm.kkt_report(net, pools, table, {}, {"k0": 0.5, "k1": 0.5}, {}, 1.0, views=views)
-
-
-def test_kkt_shares_must_name_the_listed_pools():
-    """A share missing for a pool, or filed under a pool the system lacks, is an input error."""
-    net, pools, table = instances.chain_instance(3)
-    with pytest.raises(lm.InputMismatchError, match=r"missing=\['k1'\] extra=\[\]"):
-        lm.kkt_report(net, pools, table, {}, {"k0": 1.0}, {}, 1.0)
-    with pytest.raises(lm.InputMismatchError, match=r"missing=\[\] extra=\['kX'\]"):
-        lm.kkt_report(net, pools, table, {}, {"k0": 0.5, "k1": 0.5, "kX": 0.0}, {}, 1.0)
-
-
-def _mechanism_candidate(seed):
-    """Chain `seed`'s instance and the mechanism point it converges to, as kkt_report's arguments."""
-    net, pools, table = instances.chain_instance(seed)
-    return (net, pools, table), _mechanism_point(lm.run_mechanism(net, pools, table).state)
-
-
 def test_kkt_valuations_must_match_the_pools():
-    """A valuation for a pair the system lacks fails here as it fails in run_mechanism and solve_full."""
-    (net, pools, table), candidate = _mechanism_candidate(0)
+    """A valuation for a pair the system lacks fails the certificate as it fails run_mechanism and solve_full."""
+    net, pools, table = instances.chain_instance(0)
+    state = lm.run_mechanism(net, pools, table).state
     ghost = lm.UtilityTable({**table.entries, ("ghost", "k0"): lm.UtilitySpec(1.0)})
     for read in (
-        lambda: lm.kkt_report(net, pools, ghost, *candidate),
+        lambda: lm.mechanism_kkt(net, pools, ghost, state),
         lambda: lm.run_mechanism(net, pools, ghost),
         lambda: lm.solve_full(net, pools, ghost),
     ):
@@ -320,22 +318,37 @@ def test_kkt_valuations_must_match_the_pools():
 
 
 @pytest.mark.parametrize(
-    "freq_key, price_key, named",
+    "arg, pool, edit, named",
     [
-        (("lopX", "k0"), None, r"frequencies \[\('lopX', 'k0'\)\], prices \[\]"),
-        (("lop0", "kX"), None, r"frequencies \[\('lop0', 'kX'\)\], prices \[\]"),
-        (None, ("eX", "k0"), r"frequencies \[\], prices \[\('eX', 'k0'\)\]"),
-        (None, ("e0", "kX"), r"frequencies \[\], prices \[\('e0', 'kX'\)\]"),
+        ("shares", None, lambda s: s[:1], r"1 shares for the 2 pools \['k0', 'k1'\]"),
+        ("shares", None, lambda s: [*s, 0.0], r"3 shares for the 2 pools \['k0', 'k1'\]"),
+        ("freqs", 1, lambda x: x[:-1], r"candidate of pool 'k1': freqs has shape \(\d+,\); the instance needs"),
+        ("prices", 0, lambda lam: np.append(lam, 1.0), r"candidate of pool 'k0': prices has shape \(\d+,\)"),
+        ("coefficients", 1, lambda a: a[:-1], r"candidate of pool 'k1': coefficients has shape \(\d+,\)"),
     ],
-    ids=["unknown-operator", "freq-unknown-pool", "unknown-edge", "price-unknown-pool"],
+    ids=["missing-pool", "extra-share", "short-freqs", "long-prices", "short-coefficients"],
 )
-def test_kkt_rejects_keys_the_instance_lacks(freq_key, price_key, named):
-    """A frequency or price filed under a pair the instance lacks is named, not silently left out."""
-    (net, pools, table), (freqs, shares, prices, level) = _mechanism_candidate(0)
-    freqs = {**freqs, freq_key: 100.0} if freq_key else freqs
-    prices = {**prices, price_key: 100.0} if price_key else prices
+def test_kkt_rejects_a_candidate_that_does_not_fit_the_views(arg, pool, edit, named):
+    """Per-pool sequences that miss a pool or hold one too many, or an array not of its view's
+    length, are named at the boundary, not certified short or failed inside numpy."""
+    net, pools, table = instances.chain_instance(3)
+    state = lm.run_mechanism(net, pools, table).state
+    views, coeffs = _views(net, pools, table)
+    args = {
+        "views": views,
+        "coefficients": coeffs,
+        "freqs": [state.pool_states[k].freqs for k in pools.pool_ids],
+        "prices": [state.pool_states[k].prices for k in pools.pool_ids],
+        "shares": list(state.shares.values),
+        "cost_level": state.cost_level,
+    }
+    lm.kkt_report(**args)
+    if pool is None:
+        args[arg] = edit(args[arg])
+    else:
+        args[arg][pool] = edit(args[arg][pool])
     with pytest.raises(lm.InputMismatchError, match=named):
-        lm.kkt_report(net, pools, table, freqs, shares, prices, level)
+        lm.kkt_report(**args)
 
 
 def test_mechanism_state_of_another_chain_is_rejected():
@@ -577,15 +590,26 @@ def _mechanism_point(state):
 
 
 def test_certifier_matches_dict_loop_reference(k1_baseline, k2_baseline):
-    """Mechanism and oracle points of 20 chains and two grids certify as before."""
+    """Mechanism and oracle points of 20 chains and two grids certify as before.
+
+    The reference reads each point keyed by (operator, pool) and (edge,
+    pool); the certifier reads the mechanism state's own arrays, and the
+    oracle point's in view order."""
     cases = [(*instances.chain_instance(seed), None) for seed in range(20)]
     cases += [k1_baseline(0), k2_baseline(0)]
     for net, pools, table, mech in cases:
         mech = mech or lm.run_mechanism(net, pools, table)
         sol = lm.solve_full(net, pools, table)
-        points = [_mechanism_point(mech.state), (sol.frequencies, sol.shares, sol.prices, sol.cost_level)]
-        for point in points:
-            new = lm.kkt_report(net, pools, table, *point)
+        views, coeffs = _views(net, pools, table)
+        states = [mech.state.pool_states[k] for k in pools.pool_ids]
+        mech_arrays = ([st.freqs for st in states], [st.prices for st in states], mech.state.shares.values)
+        sol_arrays = (*_view_arrays(views, sol.frequencies, sol.prices), [sol.shares[k] for k in pools.pool_ids])
+        points = [
+            (_mechanism_point(mech.state), mech_arrays),
+            ((sol.frequencies, sol.shares, sol.prices, sol.cost_level), sol_arrays),
+        ]
+        for point, (xs, lams, shares) in points:
+            new = lm.kkt_report(views, coeffs, xs, lams, shares, point[-1])
             ref = _dict_loop_kkt(net, pools, table, *point)
             raw_tol = 1e-12 * max(1.0, abs(point[-1]))
             assert (new.stationarity_raw is None) == (ref.stationarity_raw is None)
