@@ -35,7 +35,7 @@ from .network import (
     dump_network_file,
     load_network_file,
 )
-from .oracle import mechanism_kkt, solve_full
+from .oracle import _state_kkt, solve_full
 from .scenarios import (
     DisruptionSpec,
     ExperimentRecord,
@@ -345,7 +345,7 @@ def _cmd_generate(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, ta
 
 def _cmd_solve(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table: UtilityTable) -> bool:
     res = run_mechanism(net, pools, table, cfg.mech)
-    max_kkt = mechanism_kkt(net, pools, table, res.state).max_scaled()
+    max_kkt = _state_kkt(res.views, res.coefficients, res.state).max_scaled()
     _write_json(cfg.out_dir / f"state_seed{seed}.json", _state_doc(res))
     _write_outer_trace(cfg.out_dir / f"outer_trace_seed{seed}.csv", res)
     _append_records(cfg, [_record(_instance_name(cfg, seed), "cold", res, max_kkt)])

@@ -150,6 +150,14 @@ class OuterState:
 
 @dataclass
 class MechanismResult:
+    """A run's end state, its counts, and the instance it ran on.
+
+    views and coefficients are the compiled pool views and valuation
+    coefficient vectors the run read, in pool order, so the run's state is
+    certified on them (oracle._state_kkt) without a second compile,
+    validation or state check.
+    """
+
     state: OuterState
     converged: bool
     f_updates: int
@@ -158,6 +166,8 @@ class MechanismResult:
     objective: float
     wall_time: float
     outer_trace: list[dict]
+    views: tuple[PoolView, ...] = field(repr=False)
+    coefficients: tuple[np.ndarray, ...] = field(repr=False)
     diagnostics: str = ""
 
     def frequencies(self) -> dict[tuple[str, str], float]:
@@ -350,5 +360,7 @@ def run_mechanism(
         objective=sum(float(coeffs[k] @ np.sqrt(np.maximum(states[k].freqs, 0.0))) for k in pool_ids),
         wall_time=time.perf_counter() - t0,
         outer_trace=outer_trace,
+        views=tuple(views.values()),
+        coefficients=tuple(coeffs.values()),
         diagnostics=diagnostics,
     )

@@ -94,8 +94,10 @@ class Network:
         self.nodes = frozenset(nodes)
         self.edges = tuple(edges)
         self.edge_ids = tuple(e.id for e in self.edges)
-        # float() would take "4" and True; a capacity must be a number already
-        unreal = [e.id for e in self.edges if isinstance(e.capacity, bool) or not isinstance(e.capacity, numbers.Real)]
+        # float() would take "4" and True; a capacity must be a number already.
+        # A float passes at once: the ABC test is the slow half of the check
+        unreal = [e.id for e in self.edges if type(e.capacity) is not float
+                  and (isinstance(e.capacity, bool) or not isinstance(e.capacity, numbers.Real))]
         if unreal:
             raise InputMismatchError(f"edges {unreal} have a capacity that is not a real number")
         capacity = np.array([e.capacity for e in self.edges], dtype=float)
@@ -130,14 +132,22 @@ class Network:
         return self._capacity
 
     def with_capacities(self, new_caps: Mapping[str, float]) -> "Network":
-        """Copy of the network with selected edge capacities replaced."""
-        unknown = set(new_caps) - set(self._pos)
+        """Copy of the network with selected edge capacities replaced.
+
+        Every edge new_caps does not name is the same frozen Edge object in
+        the copy; only the named ones are rebuilt.  Their capacities pass
+        to the constructor as given, so one that is not a real number (a
+        string such as "4", a bool or None), or a negative or non-finite
+        one, raises InputMismatchError as it would in Network(...), and so
+        does an id the network lacks.
+        """
+        unknown = set(new_caps) - self._pos.keys()
         if unknown:
             raise InputMismatchError(f"unknown edges in capacity update: {sorted(unknown)}")
-        edges = [
-            Edge(e.id, e.tail, e.head, float(new_caps.get(e.id, e.capacity)))
-            for e in self.edges
-        ]
+        edges = list(self.edges)
+        for eid, capacity in new_caps.items():
+            e = edges[self._pos[eid]]
+            edges[self._pos[eid]] = Edge(e.id, e.tail, e.head, capacity)
         return Network(self.nodes, edges)
 
     def __repr__(self) -> str:

@@ -18,7 +18,8 @@ the optimal split follows in closed form (see solve_full).  kkt_report
 certifies a candidate point from either solver, read as the engines hold
 one: per-pool arrays on the compiled views.  mechanism_kkt and solve_full
 each validate the valuations and compile every pool once, then hand
-kkt_report those views with the point's arrays.
+kkt_report those views with the point's arrays; a run's own state is
+certified on the views the run compiled (_state_kkt).
 """
 from __future__ import annotations
 
@@ -388,7 +389,7 @@ def kkt_report(
 def mechanism_kkt(
     net: Network, pools: PoolSystem, utilities: UtilityTable, state: OuterState
 ) -> KKTReport:
-    """kkt_report applied to a mechanism OuterState.
+    """kkt_report applied to a mechanism OuterState from anywhere.
 
     Like the engines, it rejects a valuation table that does not match the
     pool system (utilities.validate_against) and compiles each pool once.
@@ -397,15 +398,28 @@ def mechanism_kkt(
     and operators in order, and finite, nonnegative floating-point arrays
     of the instance's lengths, else InputMismatchError.  So a state of
     another instance is rejected, not certified at a huge residual.
-    kkt_report reads the state's own arrays on the same views.
+    kkt_report reads the state's own arrays on the same views.  A run's
+    own state needs none of this: _state_kkt(res.views, res.coefficients,
+    res.state) certifies it on the views the run compiled, to the same
+    report bit for bit.
     """
     utilities.validate_against(pools)
-    views = {k: compile_pool(net, pools, k) for k in pools.pool_ids}
-    _check_warm(state, views, what="state")
-    states = [state.pool_states[k] for k in views]
+    views = [compile_pool(net, pools, k) for k in pools.pool_ids]
+    _check_warm(state, dict(zip(pools.pool_ids, views)), what="state")
+    return _state_kkt(views, [utilities.coefficients_for(view) for view in views], state)
+
+
+def _state_kkt(views: Sequence[PoolView], coefficients: Sequence[np.ndarray], state: OuterState) -> KKTReport:
+    """kkt_report on a state's arrays, pool by pool in the views' order.
+
+    The state is not checked against the views: it must be one a run
+    produced on them (a MechanismResult's state, views and coefficients)
+    or one mechanism_kkt has checked.
+    """
+    states = [state.pool_states[view.pool_id] for view in views]
     return kkt_report(
-        list(views.values()),
-        [utilities.coefficients_for(view) for view in views.values()],
+        views,
+        coefficients,
         [st.freqs for st in states],
         [st.prices for st in states],
         state.shares.values,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .network import Edge, Line, Network, PoolSystem
 from .multi_pool import MechanismConfig, MechanismResult, OuterState, run_mechanism
-from .oracle import mechanism_kkt
+from .oracle import _state_kkt
 from .utility import UtilitySpec, UtilityTable
 
 __all__ = [
@@ -295,8 +295,12 @@ def run_recovery_experiment(
     shock, not leftover slack in the baseline.  A precomputed converged
     `baseline` skips that solve, which matters when several disruptions hit
     the same instance.  The shock hits the edges congested_edges finds at
-    its default threshold.  Non-convergence of a recovery run is recorded in
-    its ExperimentRecord, not raised.
+    its default threshold, and the shocked network keeps every other edge
+    of net as it was (Network.with_capacities).  Each restart is certified
+    on the views and coefficients it compiled (its MechanismResult's), so
+    it compiles its pools once and its state is not checked again.
+    Non-convergence of a recovery run is recorded in its ExperimentRecord,
+    not raised.
     """
     cfg = cfg or MechanismConfig()
     wanted = set(modes)
@@ -316,7 +320,7 @@ def run_recovery_experiment(
     for mode, warm in (("warm", baseline.state), ("cold", None)):
         if mode in wanted:
             res = runs[mode] = run_mechanism(shocked, pools, utilities, cfg, warm=warm)
-            kkt = mechanism_kkt(shocked, pools, utilities, res.state).max_scaled()
+            kkt = _state_kkt(res.views, res.coefficients, res.state).max_scaled()
             records[mode] = _record(instance, mode, res, kkt)
     return RecoveryResult(
         baseline=baseline,

@@ -67,39 +67,24 @@ def ratio_runs():
 
 
 @pytest.fixture(scope="module")
-def k1_recovery(k1_baseline):
-    out = []
-    for seed in instances.GRID_SEEDS_K1:
-        net, pools, table, base = k1_baseline(seed)
-        for kind in DISRUPTION_KINDS:
-            spec = lm.DisruptionSpec(kind=kind, edge_count=1, magnitude=0.1, seed=seed * 7 + 1)
-            out.append(
-                lm.run_recovery_experiment(
-                    net, pools, table, spec, instances.GRID_CFG,
-                    instance=f"grid1-s{seed}-{kind}", baseline=base,
-                )
-            )
-    return out
+def k1_recovery(k1_restart):
+    return [
+        k1_restart(seed, kind, 0.1)
+        for seed in instances.GRID_SEEDS_K1
+        for kind in DISRUPTION_KINDS
+    ]
 
 
 @pytest.fixture(scope="module")
-def k2_recovery(k2_baseline):
-    out = {0.1: [], 0.5: []}
-    for seed in instances.GRID_SEEDS_K2:
-        net, pools, table, base = k2_baseline(seed)
-        for magnitude in out:
-            for kind in DISRUPTION_KINDS:
-                spec = lm.DisruptionSpec(
-                    kind=kind, edge_count=1, magnitude=magnitude, seed=seed * 7 + 1
-                )
-                out[magnitude].append(
-                    lm.run_recovery_experiment(
-                        net, pools, table, spec, instances.GRID_CFG,
-                        instance=f"grid2-s{seed}-{kind}-m{magnitude}", baseline=base,
-                        modes=("warm",),
-                    )
-                )
-    return out
+def k2_recovery(k2_restart):
+    return {
+        magnitude: [
+            k2_restart(seed, kind, magnitude, modes=("warm",))
+            for seed in instances.GRID_SEEDS_K2
+            for kind in DISRUPTION_KINDS
+        ]
+        for magnitude in (0.1, 0.5)
+    }
 
 
 # ---------------------------------------------------------------------------

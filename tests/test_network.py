@@ -188,6 +188,30 @@ def test_with_capacities():
     assert net.capacity("e2") == 2.0
     with pytest.raises(lm.InputMismatchError):
         net.with_capacities({"e9": 1.0})
+    # the new capacity reaches the constructor as given: float() would take "4" and True
+    for capacity in ("4", True, None):
+        with pytest.raises(lm.InputMismatchError, match=r"edges \['e2'\] have a capacity that is not a real number"):
+            net.with_capacities({"e2": capacity})
+    for capacity in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(lm.InputMismatchError, match=r"edges \['e2'\] have a negative or non-finite capacity"):
+            net.with_capacities({"e2": capacity})
+
+
+def test_with_capacities_keeps_untouched_edges():
+    """Only the named edges are rebuilt; every other one is the same frozen Edge object."""
+    net, _, _ = instances.grid_instance(7, 1)
+    moved = {net.edge_ids[3]: 1.5, net.edge_ids[40]: 0.0}
+    bumped = net.with_capacities(moved)
+    assert bumped.edge_ids == net.edge_ids and bumped.nodes == net.nodes
+    for old, new in zip(net.edges, bumped.edges):
+        if old.id in moved:
+            assert new is not old and new.capacity == moved[old.id]
+            assert (new.tail, new.head) == (old.tail, old.head)
+        else:
+            assert new is old
+    expected = net.capacity_vector().copy()
+    expected[[3, 40]] = [1.5, 0.0]
+    assert bumped.capacity_vector().tolist() == expected.tolist()
 
 
 def test_json_round_trip(tmp_path):

@@ -281,21 +281,13 @@ def test_opening_is_cold_start_prices_bytewise(monkeypatch):
     assert pools_seen == 40 + 60 + 40
 
 
-def test_certificate_reuses_the_solve_views(monkeypatch):
+def test_certificate_reuses_the_solve_views(compiles):
     """solve_full compiles each pool once and certifies as a fresh kkt_report on its own point."""
-    compiled = []
-    compile_pool = oracle.compile_pool
-
-    def counted(net, pools, k):
-        compiled.append(k)
-        return compile_pool(net, pools, k)
-
-    monkeypatch.setattr(oracle, "compile_pool", counted)
     for name, make in CERTIFY_CASES:
         net, pools, table = make()
-        compiled.clear()
+        compiles["oracle"].clear()
         sol = lm.solve_full(net, pools, table)
-        assert compiled == list(pools.pool_ids), name
+        assert compiles["oracle"] == list(pools.pool_ids), name
         views, coeffs = _views(net, pools, table)
         xs, lams = _view_arrays(views, sol.frequencies, sol.prices)
         shares = [sol.shares[k] for k in pools.pool_ids]
@@ -358,21 +350,13 @@ def test_mechanism_state_of_another_chain_is_rejected():
         lm.mechanism_kkt(*instances.chain_instance(1), other)
 
 
-def test_mechanism_certificate_checks_the_state_on_its_own_views(monkeypatch):
+def test_mechanism_certificate_checks_the_state_on_its_own_views(compiles):
     """mechanism_kkt compiles each pool once, for the state check and the certificate alike,
     and rejects a state no warm start would take instead of certifying it."""
-    compiled = []
-    compile_pool = oracle.compile_pool
-
-    def counted(net, pools, k):
-        compiled.append(k)
-        return compile_pool(net, pools, k)
-
     net, pools, table = instances.chain_instance(3)
     state = lm.run_mechanism(net, pools, table).state
-    monkeypatch.setattr(oracle, "compile_pool", counted)
     report = lm.mechanism_kkt(net, pools, table, state)
-    assert compiled == list(pools.pool_ids)
+    assert compiles["oracle"] == list(pools.pool_ids)
     assert report.max_scaled() <= 0.1
     st = state.pool_states["k1"]
     for name, bad in (("prices", st.prices[:-1]), ("freqs", np.where(st.freqs > 0.0, np.nan, st.freqs))):
@@ -380,6 +364,34 @@ def test_mechanism_certificate_checks_the_state_on_its_own_views(monkeypatch):
         setattr(broken.pool_states["k1"], name, bad)
         with pytest.raises(lm.InputMismatchError, match=rf"state of pool 'k1': {name} "):
             lm.mechanism_kkt(net, pools, table, broken)
+
+
+def _same_arrays(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# the 20 chains and the README quick start (one edge of capacity 4, valuations 2 and 1)
+RUN_CASES = [(f"chain{seed}", partial(instances.chain_instance, seed)) for seed in range(20)] + [
+    ("readme", partial(instances.shared_edge_two_pools, 0.5))
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in RUN_CASES], ids=[name for name, _ in RUN_CASES])
+def test_run_is_certified_on_its_own_views(make):
+    """A run keeps the views and coefficient vectors it compiled, in pool order, equal to a fresh
+    compile_pool and coefficients_for; its certificate on them is mechanism_kkt's bit for bit."""
+    net, pools, table = make()
+    res = lm.run_mechanism(net, pools, table)
+    assert [view.pool_id for view in res.views] == list(pools.pool_ids)
+    assert len(res.coefficients) == len(res.views)
+    for view, a in zip(res.views, res.coefficients):
+        fresh = lm.compile_pool(net, pools, view.pool_id)
+        assert (view.edge_ids, view.lop_ids) == (fresh.edge_ids, fresh.lop_ids)
+        for name in ("capacity", "incidence", "bottleneck", "own_edges"):
+            assert _same_arrays(getattr(view, name), getattr(fresh, name)), name
+        assert _same_arrays(a, table.coefficients_for(fresh))
+    own = oracle._state_kkt(res.views, res.coefficients, res.state)
+    assert repr(own) == repr(lm.mechanism_kkt(net, pools, table, res.state))
 
 
 def _inactive_operator_cases():

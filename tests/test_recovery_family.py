@@ -4,13 +4,18 @@ The family is the grids of criteria 6 and 7, GRID_SEEDS_K1 and
 GRID_SEEDS_K2, each hit by reduce, increase and mixed shocks of 10% and
 50% at GRID_CFG with shock seed seed*7+1, and restarted warm and cold
 from the baselines conftest.py shares: 120 shocks, two restarts each.
+The restarts come from the session memo in conftest.py, so those that
+test_acceptance.py's criteria 2, 6 and 7 ran are not run again.
 Criterion 2 certifies only the one-pool 10% shocks and the two-pool warm
 restarts; here every restart must converge and certify at 0.1.  No bound
 is set on a warm restart against its cold one yet.  The number of shocks
 whose warm restart takes more price updates than the cold one, and the
 worst warm/cold ratio, are printed in the terminal summary.
 """
+import pytest
+
 import linemarket as lm
+from linemarket.oracle import _state_kkt
 
 import instances
 import report
@@ -19,36 +24,52 @@ KINDS = ("reduce", "increase", "mixed")
 MAGNITUDES = (0.1, 0.5)
 
 
-def test_every_restart_converges_and_certifies(k1_baseline, k2_baseline):
+@pytest.fixture(scope="module")
+def family(k1_baseline, k2_baseline, k1_restart, k2_restart):
+    """Every shock of the family as (family name, pools, valuations, its warm and cold restarts)."""
+    out = []
+    for n_pools, baseline, restart, seeds in (
+        (1, k1_baseline, k1_restart, instances.GRID_SEEDS_K1),
+        (2, k2_baseline, k2_restart, instances.GRID_SEEDS_K2),
+    ):
+        for magnitude in MAGNITUDES:
+            for seed in seeds:
+                _, pools, table, _ = baseline(seed)
+                for kind in KINDS:
+                    out.append((f"k{n_pools} {magnitude:.0%}", pools, table, restart(seed, kind, magnitude)))
+    return out
+
+
+def test_every_restart_converges_and_certifies(family):
     failures = []
     losses = {}  # per family: shocks whose warm restart took more price updates, and shocks
-    shocks = 0
     worst_ratio = 0.0
     worst_kkt = 0.0
-    for n_pools, baseline, seeds in ((1, k1_baseline, instances.GRID_SEEDS_K1), (2, k2_baseline, instances.GRID_SEEDS_K2)):
-        for magnitude in MAGNITUDES:
-            family = f"k{n_pools} {magnitude:.0%}"
-            losses[family] = [0, len(seeds) * len(KINDS)]
-            for seed in seeds:
-                net, pools, table, base = baseline(seed)
-                for kind in KINDS:
-                    spec = lm.DisruptionSpec(kind=kind, edge_count=1, magnitude=magnitude, seed=seed * 7 + 1)
-                    rr = lm.run_recovery_experiment(
-                        net, pools, table, spec, instances.GRID_CFG,
-                        instance=f"grid{n_pools}-s{seed}-{kind}-m{magnitude}", baseline=base,
-                    )
-                    shocks += 1
-                    for rec in rr.records():
-                        worst_kkt = max(worst_kkt, rec.max_kkt)
-                        if rec.status != "converged" or not rec.max_kkt <= 0.1:
-                            failures.append(f"{rec.instance}-{rec.mode}: {rec.status}, scaled residual {rec.max_kkt:.3g}")
-                    warm, cold = rr.warm.total_price_updates, rr.cold.total_price_updates
-                    losses[family][0] += warm > cold
-                    worst_ratio = max(worst_ratio, warm / max(cold, 1))
-    per_family = ", ".join(f"{family} {lost} of {n}" for family, (lost, n) in losses.items())
+    for name, _, _, rr in family:
+        losses.setdefault(name, [0, 0])[1] += 1
+        for rec in rr.records():
+            worst_kkt = max(worst_kkt, rec.max_kkt)
+            if rec.status != "converged" or not rec.max_kkt <= 0.1:
+                failures.append(f"{rec.instance}-{rec.mode}: {rec.status}, scaled residual {rec.max_kkt:.3g}")
+        warm, cold = rr.warm.total_price_updates, rr.cold.total_price_updates
+        losses[name][0] += warm > cold
+        worst_ratio = max(worst_ratio, warm / max(cold, 1))
+    per_family = ", ".join(f"{name} {lost} of {n}" for name, (lost, n) in losses.items())
     report.note(
-        f"recovery family: {shocks} shocks restarted warm and cold, {len(failures)} restarts failed; "
+        f"recovery family: {len(family)} shocks restarted warm and cold, {len(failures)} restarts failed; "
         f"warm > cold price updates on {sum(lost for lost, _ in losses.values())} ({per_family}), worst warm/cold {worst_ratio:.2f}, "
         f"worst scaled residual {worst_kkt:.4f}"
     )
     assert not failures, "; ".join(failures)
+
+
+def test_every_restart_is_certified_on_its_own_views(family):
+    """A restart's record reads its run's own certificate, on the views and coefficients the run
+    compiled, and that certificate is mechanism_kkt's on a fresh compile of the shocked instance,
+    bit for bit."""
+    for _, pools, table, rr in family:
+        for rec, res in ((rr.warm, rr.warm_result), (rr.cold, rr.cold_result)):
+            own = _state_kkt(res.views, res.coefficients, res.state)
+            fresh = lm.mechanism_kkt(rr.disrupted_net, pools, table, res.state)
+            assert repr(own) == repr(fresh), f"{rec.instance}-{rec.mode}"
+            assert rec.max_kkt == own.max_scaled(), f"{rec.instance}-{rec.mode}"

@@ -240,3 +240,15 @@ class TestRecoveryExperiment:
         out = lm.run_recovery_experiment(net, pools, table, dis)
         assert out.disrupted_net.capacity("e1") == pytest.approx(2.0)
         assert net.capacity("e1") == 4.0
+
+    def test_restart_compiles_its_pools_once(self, compiles, k2_baseline):
+        """Each restart compiles each pool once, for its run, and its certificate reads those views:
+        nothing compiles through the certifier, and the disrupted network keeps every untouched edge."""
+        net, pools, table, base = k2_baseline(0)
+        compiles["multi_pool"].clear()
+        dis = lm.DisruptionSpec("increase", 1, 0.1, seed=1)
+        out = lm.run_recovery_experiment(net, pools, table, dis, instances.GRID_CFG, baseline=base)
+        assert compiles == {"multi_pool": list(pools.pool_ids) * 2, "oracle": []}
+        assert sum(new is not old for old, new in zip(net.edges, out.disrupted_net.edges)) == 1
+        for rec, res in ((out.warm, out.warm_result), (out.cold, out.cold_result)):
+            assert rec.max_kkt == lm.mechanism_kkt(out.disrupted_net, pools, table, res.state).max_scaled()
