@@ -2,13 +2,16 @@
 
 The market mechanism is decentralized; this module solves the same
 allocation problem directly so tests can compare the two.  There is one
-solve path: each pool is solved once, at share 1, by minimizing the explicit
-convex dual of its concave program over edge prices with a projected,
-Levenberg-damped Newton method (see _clearing_prices).  That solver knows
-one demand law, x = (scale / path price)**power: a valuation a*sqrt(x) is
-power 2 at scale a/2, and a frozen bid w (solve_fixed_bids) is power 1 at
-scale w.  Newton opens where the engine opens, at single_pool.cold_start's
-share-1 prices, which it computes from the same two single_pool helpers
+solve path: all pools are solved once, stacked, at share 1, by minimizing
+the explicit convex dual of their concave program over edge prices with a
+projected, Levenberg-damped Newton method (see _clearing_prices).  At share
+1 the pools' duals are separable, so the stack is one pool with the pools'
+incidences on its diagonal (_stack_pools), and one Newton solve per
+instance minimizes their sum.  That solver knows one demand law,
+x = (scale / path price)**power: a valuation a*sqrt(x) is power 2 at scale
+a/2, and a frozen bid w (solve_fixed_bids) is power 1 at scale w.  Newton
+opens where the engine opens, at single_pool.cold_start's share-1 prices,
+which it computes from the same two single_pool helpers
 (_fair_split and _neck_prices), and stops on the engine's own overload and
 complementarity terms (_clearing_terms), so each of these has one
 definition, in single_pool.  Square-root valuations make a pool's
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -226,11 +230,14 @@ def _clearing_prices(
 def _solve_one_pool(view: PoolView, coefficients: np.ndarray) -> _PoolSolve:
     """One pool's optimum at share 1, the only share the oracle solves at.
 
-    Newton opens at the engine's own share-1 opening, the prices of
+    solve_full hands it all of an instance's pools once, stacked into one
+    pool (_stack_pools), or a one-pool instance's own view.  Newton opens
+    at the engine's own share-1 opening, the prices of
     cold_start(view, coefficients, 1.0), computed here from the same two
     single_pool helpers without the opening frequencies, which Newton never
-    reads.  A valuation a*sqrt(x) demands x = (a / 2 mu)**2, scale a/2 at
-    power 2, and opens at the bid a/2 * sqrt(fair ratio).
+    reads; on a stack that is each pool's opening, block by block.  A
+    valuation a*sqrt(x) demands x = (a / 2 mu)**2, scale a/2 at power 2,
+    and opens at the bid a/2 * sqrt(fair ratio).
 
     solve_full reaches every other share by 1/2-homogeneity: frequencies
     scale by the share, prices by its inverse square root.
@@ -239,6 +246,38 @@ def _solve_one_pool(view: PoolView, coefficients: np.ndarray) -> _PoolSolve:
     fair_ratio, neck = _fair_split(view)
     opening = _neck_prices(neck, scale * np.sqrt(fair_ratio), view.capacity)
     return _clearing_prices(view.incidence, view.capacity, scale, 2, opening)
+
+
+def _stack_pools(views: Sequence[PoolView], coefficients: Sequence[np.ndarray]) -> tuple[PoolView, np.ndarray]:
+    """All pools as one pool at share 1, for one Newton solve of their duals.
+
+    At share 1 the pools' duals are separable, so their sum is the dual of
+    one pool: the pools' incidences on the diagonal, the capacity vector
+    once per pool, the coefficient vectors concatenated, all in pool order.
+    Row p*n_edges + e of the stack is edge e in pool p, and the columns are
+    the pools' operators in turn, so the answer splits back at those
+    offsets.  No two rows of different pools cross a common operator, so
+    _clearing_prices never groups them together, and each block's fair
+    split and neck are its pool's.  A single view passes as it is.
+    """
+    if len(views) == 1:
+        return views[0], coefficients[0]
+    n_edges = views[0].n_edges
+    inc = np.zeros((len(views) * n_edges, sum(view.n_lops for view in views)))
+    col = 0
+    for p, view in enumerate(views):
+        inc[p * n_edges:(p + 1) * n_edges, col:col + view.n_lops] = view.incidence
+        col += view.n_lops
+    stacked = PoolView(
+        pool_id="+".join(view.pool_id for view in views),
+        edge_ids=views[0].edge_ids * len(views),
+        capacity=np.concatenate([views[0].capacity] * len(views)),
+        lop_ids=tuple(lop for view in views for lop in view.lop_ids),
+        incidence=inc,
+        bottleneck=np.concatenate([view.bottleneck for view in views]),
+        own_edges=np.flatnonzero(inc.any(axis=1)),
+    )
+    return stacked, np.concatenate(coefficients)
 
 
 def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarray:
@@ -454,18 +493,25 @@ def solve_full(
     f**-0.5 and value V_k by sqrt(f).  Maximizing sum_k sqrt(f_k) V_k(1)
     over the split simplex then gives f_k = V_k(1)^2 / sum_j V_j(1)^2, at
     which every pool's network cost is the same (the envelope condition of
-    primal decomposition).  So each pool is solved once, at share 1.  A
-    pool of value zero, such as one without operators, gets share zero;
-    when every pool is worth zero the split is uniform.  converged requires
-    every pool solve to converge and the certificate to hold; kkt_report
-    certifies the answer's per-pool arrays on the views and coefficient
-    vectors built here, so each pool is compiled once per solve.
+    primal decomposition).  So all pools are solved once, stacked, at share
+    1: their share-1 duals are separable, so one Newton solve of the
+    block-diagonal stack (_stack_pools) minimizes them all, and its prices
+    and frequencies split back per pool at the views' offsets; a one-pool
+    instance is solved on its own view.  A pool of value zero, such as one
+    without operators, gets share zero; when every pool is worth zero the
+    split is uniform.  converged requires the solve to converge and the
+    certificate to hold; kkt_report certifies the answer's per-pool arrays
+    on the views and coefficient vectors built here, so each pool is
+    compiled once per solve.
     """
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
     coeffs = [utilities.coefficients_for(view) for view in views]
-    sols = [_solve_one_pool(view, a) for view, a in zip(views, coeffs)]
-    values = np.array([float(a @ np.sqrt(np.maximum(sol.freqs, 0.0))) for a, sol in zip(coeffs, sols)])
+    sol = _solve_one_pool(*_stack_pools(views, coeffs))
+    pool_prices = sol.prices.reshape(len(views), -1)
+    ends = list(accumulate(view.n_lops for view in views))
+    pool_freqs = [sol.freqs[end - view.n_lops:end] for view, end in zip(views, ends)]
+    values = np.array([float(a @ np.sqrt(np.maximum(x, 0.0))) for a, x in zip(coeffs, pool_freqs)])
     weights = values ** 2
     total = float(weights.sum())
     split = weights / total if total > 0.0 else np.full(len(views), 1.0 / len(views))
@@ -476,9 +522,9 @@ def solve_full(
     lams: list[np.ndarray] = []
     costs: list[float] = []
     objective = 0.0
-    for k, view, a, sol, share in zip(pools.pool_ids, views, coeffs, sols, split):
-        x_k = sol.freqs * share
-        lam_k = sol.prices * share ** -0.5 if share > 0.0 else np.zeros_like(sol.prices)
+    for k, view, a, x_1, lam_1, share in zip(pools.pool_ids, views, coeffs, pool_freqs, pool_prices, split):
+        x_k = x_1 * share
+        lam_k = lam_1 * share ** -0.5 if share > 0.0 else np.zeros_like(lam_1)
         xs.append(x_k)
         lams.append(lam_k)
         for lop, x in zip(view.lop_ids, x_k.tolist()):
@@ -500,5 +546,5 @@ def solve_full(
         cost_gap=cost_gap,
         objective=objective,
         kkt=report,
-        converged=all(sol.converged for sol in sols) and report.max_scaled() <= _CERTIFIED,
+        converged=sol.converged and report.max_scaled() <= _CERTIFIED,
     )

@@ -9,13 +9,14 @@ hit.
 """
 from __future__ import annotations
 
+import numbers
 import zlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .network import Edge, Line, Network, PoolSystem
+from .network import Edge, Line, Network, PoolSystem, _check_count, _check_real
 from .multi_pool import MechanismConfig, MechanismResult, OuterState, run_mechanism
 from .oracle import _state_kkt
 from .utility import UtilitySpec, UtilityTable
@@ -180,7 +181,11 @@ class DisruptionSpec:
     kind "reduce" scales capacity by (1 - magnitude) on edge_count congested
     edges, "increase" by (1 + magnitude), and "mixed" does both on disjoint
     sets of edge_count edges each.  magnitude may be zero (a null shock used
-    as a control).
+    as a control).  Each field is checked here, so a bad one raises
+    ValueError naming it rather than failing inside numpy when the shock is
+    applied: edge_count must be a whole number of at least 1, magnitude a
+    real number in [0, 1], seed a whole number of at least 0; a bool passes
+    for none of them.
     """
 
     kind: str
@@ -193,10 +198,11 @@ class DisruptionSpec:
     def __post_init__(self) -> None:
         if self.kind not in self._KINDS:
             raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
-        if self.edge_count < 1:
-            raise ValueError("edge_count must be positive")
-        if not 0.0 <= self.magnitude <= 1.0:
+        _check_count("edge_count", self.edge_count)
+        if not 0.0 <= _check_real("magnitude", self.magnitude) <= 1.0:
             raise ValueError(f"magnitude must lie in [0, 1], got {self.magnitude}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be a whole number of at least 0, got {self.seed!r}")
 
 
 def congested_edges(state: OuterState, threshold: float = 0.1) -> set[str]:

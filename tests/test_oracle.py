@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket import cli, oracle
+from linemarket import cli, oracle, single_pool
 
 import instances
 
@@ -293,6 +293,120 @@ def test_certificate_reuses_the_solve_views(compiles):
         shares = [sol.shares[k] for k in pools.pool_ids]
         fresh = lm.kkt_report(views, coeffs, xs, lams, shares, sol.cost_level)
         assert sol.kkt == fresh, name
+
+
+def lopsided_instance(scales, seed: int):
+    """The CI lopsided scenario's 4x6 family: pool k valued at 10 * scales[k], built as the CLI builds it."""
+    scn = {
+        "grid": {"rows": 4, "cols": 6, "pools": len(scales), "lines_per_pool": 4},
+        "utilities_gen": {"kind": "pool_scale", "base": 10, "scales": scales},
+    }
+    return cli._build_instance(scn, seed, Path("."))
+
+
+LOPSIDED_SCALES = ([1, 1, 0.003], [1, 0.01], [1, 1e-4, 1e4])
+STACK_CASES = CERTIFY_CASES + [
+    (f"lopsided{scales}_s{seed}", partial(lopsided_instance, scales, seed))
+    for scales in LOPSIDED_SCALES for seed in range(3)
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in STACK_CASES], ids=[name for name, _ in STACK_CASES])
+def test_stacked_solve_is_the_pool_by_pool_solve(make, monkeypatch):
+    """One Newton solve of all pools stacked gives each pool the optimum its own solve gives.
+
+    solve_full calls _solve_one_pool once per instance.  Its objective,
+    shares and share-1 prices and frequencies match separate solves of each
+    pool's view, combined by the closed-form split, to 1e-9 relative, and it
+    certifies.
+    """
+    net, pools, table = make()
+    views, coeffs = _views(net, pools, table)
+    own = [oracle._solve_one_pool(view, a) for view, a in zip(views, coeffs)]
+    values = np.array([a @ np.sqrt(sol.freqs) for a, sol in zip(coeffs, own)])
+    split = values ** 2 / (values ** 2).sum()
+
+    solve = oracle._solve_one_pool
+    stacked = []
+
+    def recorded(view, coefficients):
+        stacked.append(solve(view, coefficients))
+        return stacked[-1]
+
+    monkeypatch.setattr(oracle, "_solve_one_pool", recorded)
+    sol = lm.solve_full(net, pools, table)
+    assert len(stacked) == 1
+    assert sol.converged and sol.kkt.max_scaled() <= 1e-6
+    assert sol.objective == pytest.approx(float(np.sqrt(split) @ values), rel=1e-9)
+    np.testing.assert_allclose([sol.shares[k] for k in pools.pool_ids], split, rtol=1e-9, atol=0.0)
+    start = 0
+    for p, (view, pool_sol) in enumerate(zip(views, own)):
+        lam = stacked[0].prices[p * view.n_edges:(p + 1) * view.n_edges]
+        x = stacked[0].freqs[start:start + view.n_lops]
+        start += view.n_lops
+        np.testing.assert_allclose(lam, pool_sol.prices, rtol=1e-9, atol=1e-9 * pool_sol.prices.max(initial=0.0))
+        np.testing.assert_allclose(x, pool_sol.freqs, rtol=1e-9, atol=1e-9 * pool_sol.freqs.max(initial=0.0))
+    assert start == len(stacked[0].freqs)
+
+
+ONE_POOL_CASES = [instances.single_edge, instances.two_lops_one_edge] + [
+    partial(instances.grid_instance, seed, 1) for seed in range(20)
+]
+
+
+def test_one_pool_instance_is_its_pool_solve_bit_for_bit(monkeypatch):
+    """A one-pool instance is solved on its own view, and its answer is that solve's to the bit."""
+    solve = oracle._solve_one_pool
+    passed = []
+
+    def recorded(view, coefficients):
+        passed.append((view, coefficients))
+        return solve(view, coefficients)
+
+    monkeypatch.setattr(oracle, "_solve_one_pool", recorded)
+    for make in ONE_POOL_CASES:
+        net, pools, table = make()
+        (view,), (a,) = _views(net, pools, table)
+        passed.clear()
+        sol = lm.solve_full(net, pools, table)
+        ((seen, seen_a),) = passed
+        stacked, stacked_a = oracle._stack_pools([seen], [seen_a])
+        assert stacked is seen and stacked_a is seen_a
+        assert (seen.pool_id, seen.incidence.tobytes(), seen_a.tobytes()) == (view.pool_id, view.incidence.tobytes(), a.tobytes())
+        own = solve(view, a)
+        assert sol.shares == {view.pool_id: 1.0}
+        assert sol.frequencies == {(lop, view.pool_id): x for lop, x in zip(view.lop_ids, own.freqs.tolist())}
+        assert sol.prices == {(eid, view.pool_id): lam for eid, lam in zip(view.edge_ids, own.prices.tolist()) if lam != 0.0}
+        assert sol.objective == float(a @ np.sqrt(np.maximum(own.freqs, 0.0)))
+        assert sol.converged == own.converged
+
+
+def test_stack_holds_each_pool_on_its_diagonal():
+    """The stack's blocks are the pools' incidences, capacities, coefficients, fair splits and necks; nothing lies off them."""
+    multi = 0
+    for name, make in STACK_CASES:
+        views, coeffs = _views(*make())
+        if len(views) == 1:
+            continue
+        multi += 1
+        stacked, a = oracle._stack_pools(views, coeffs)
+        n_edges = views[0].n_edges
+        assert stacked.incidence.shape == (len(views) * n_edges, sum(view.n_lops for view in views)), name
+        np.testing.assert_array_equal(stacked.own_edges, np.flatnonzero(stacked.incidence.any(axis=1)))
+        ratio, neck = single_pool._fair_split(stacked)
+        start = 0
+        for p, (view, pool_a) in enumerate(zip(views, coeffs)):
+            rows, cols = slice(p * n_edges, (p + 1) * n_edges), slice(start, start + view.n_lops)
+            start += view.n_lops
+            assert stacked.incidence[rows, cols].tobytes() == view.incidence.tobytes(), name
+            assert stacked.incidence[rows].sum() == view.incidence.sum(), name
+            assert stacked.capacity[rows].tobytes() == view.capacity.tobytes(), name
+            assert a[cols].tobytes() == pool_a.tobytes(), name
+            assert stacked.bottleneck[cols].tobytes() == view.bottleneck.tobytes(), name
+            pool_ratio, pool_neck = single_pool._fair_split(view)
+            assert ratio[cols].tobytes() == pool_ratio.tobytes(), name
+            assert (neck[rows, cols] == pool_neck).all() and neck[rows].sum() == pool_neck.sum(), name
+    assert multi == 20 + 20 + 10 + 9
 
 
 def test_kkt_valuations_must_match_the_pools():

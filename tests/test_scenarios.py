@@ -104,6 +104,37 @@ def test_disruption_spec_validation():
         lm.DisruptionSpec("reduce", 1, -0.1)
 
 
+# (field, value) pairs a DisruptionSpec must reject when built; each used to
+# build, then fail with a TypeError inside numpy or run as another number
+BAD_DISRUPTION_FIELDS = [
+    ("edge_count", 1.5),      # rng.choice
+    ("edge_count", True),     # rng.choice
+    ("edge_count", "1"),
+    ("magnitude", "0.1"),     # a str/float TypeError
+    ("magnitude", True),      # ran as 1.0
+    ("magnitude", None),
+    ("seed", 1.5),            # default_rng
+    ("seed", True),
+    ("seed", -1),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_DISRUPTION_FIELDS, ids=[f"{f}={v!r}" for f, v in BAD_DISRUPTION_FIELDS])
+def test_disruption_spec_checks_its_fields_when_built(field, value):
+    fields = {"kind": "reduce", "edge_count": 1, "magnitude": 0.1, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=field):
+        lm.DisruptionSpec(**fields)
+
+
+def test_disruption_spec_takes_numpy_numbers():
+    """Any integer or real type passes, numpy's included, and the shock is the same."""
+    net = lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 4.0)])
+    spec = lm.DisruptionSpec("reduce", np.int64(1), np.float64(0.5), seed=np.int32(3))
+    plain = lm.DisruptionSpec("reduce", 1, 0.5, seed=3)
+    out, ref = (lm.apply_disruption(net, s, ["e1", "e2"]) for s in (spec, plain))
+    assert out.capacity_vector().tolist() == ref.capacity_vector().tolist()
+
+
 class TestCongestedEdges:
     def test_saturated_edge_is_congested(self):
         net, pools, table = instances.single_edge()
