@@ -355,25 +355,26 @@ def _cmd_solve(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table
 
 def _cmd_oracle(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table: UtilityTable) -> bool:
     sol = solve_full(net, pools, table)
+    st = sol.state
+    shares = st.shares.as_dict()
+    pool_states = st.pool_states.items()
+    freqs = sorted((lop, k, x) for k, ps in pool_states for lop, x in zip(ps.lop_ids, ps.freqs.tolist()))
+    prices = sorted((e, k, v) for k, ps in pool_states for e, v in zip(ps.edge_ids, ps.prices.tolist()) if v != 0.0)
     doc = {
         "objective": sol.objective,
-        "shares": sol.shares,
-        "cost_level": sol.cost_level,
+        "shares": shares,
+        "cost_level": st.cost_level,
         "cost_gap": sol.cost_gap,
         "converged": sol.converged,
-        "frequencies": [
-            {"lop": lop, "pool": k, "x": x} for (lop, k), x in sorted(sol.frequencies.items())
-        ],
-        "prices": [
-            {"edge": e, "pool": k, "price": v} for (e, k), v in sorted(sol.prices.items())
-        ],
+        "frequencies": [{"lop": lop, "pool": k, "x": x} for lop, k, x in freqs],
+        "prices": [{"edge": e, "pool": k, "price": v} for e, k, v in prices],
         "max_kkt": sol.kkt.max_scaled(),
     }
     _write_json(cfg.out_dir / f"oracle_seed{seed}.json", doc)
     print(
         f"seed={seed} objective={_fmt(sol.objective)} "
-        f"shares={';'.join(f'{k}:{_fmt(v)}' for k, v in sorted(sol.shares.items()))} "
-        f"cost_level={_fmt(sol.cost_level)}"
+        f"shares={';'.join(f'{k}:{_fmt(v)}' for k, v in sorted(shares.items()))} "
+        f"cost_level={_fmt(st.cost_level)}"
     )
     return sol.converged
 

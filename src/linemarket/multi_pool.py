@@ -47,7 +47,7 @@ _TINY = 1e-30
 
 @dataclass(frozen=True)
 class ProportionVector:
-    """Capacity split across pools: finite, nonnegative, sums to one.
+    """Capacity split across pools: one value per pool id, finite, nonnegative, sums to one.
 
     values is the split's own read-only copy of the array it was given, so
     no two splits, nor a split and its caller, share writable memory.
@@ -60,8 +60,9 @@ class ProportionVector:
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if len(self.pool_ids) != len(self.values):
-            raise ValueError("pool ids and values differ in length")
+        n = len(self.pool_ids)
+        if values.shape != (n,):
+            raise ValueError(f"proportions have shape {values.shape}; the {n} pool ids need ({n},)")
         if not np.isfinite(self.values).all():
             raise ValueError(f"proportions must be finite, got {self.values}")
         if np.any(self.values < -1e-12):
@@ -144,7 +145,9 @@ class OuterState:
     shares: ProportionVector
     pool_states: dict[str, PoolMarketState]
     pool_costs: dict[str, float]
-    cost_level: float      # mean pool cost at the last measurement
+    # a run's: the mean cost over live pools at its last measurement;
+    # solve_full's: the largest pool cost
+    cost_level: float
     outer_iter: int
 
 
@@ -169,13 +172,6 @@ class MechanismResult:
     views: tuple[PoolView, ...] = field(repr=False)
     coefficients: tuple[np.ndarray, ...] = field(repr=False)
     diagnostics: str = ""
-
-    def frequencies(self) -> dict[tuple[str, str], float]:
-        out: dict[tuple[str, str], float] = {}
-        for k, st in self.state.pool_states.items():
-            for lop, x in zip(st.lop_ids, st.freqs):
-                out[(lop, k)] = float(x)
-        return out
 
 
 def _check_length(what: str, k: str, name: str, values: np.ndarray, n: int) -> None:

@@ -5,7 +5,8 @@ a directed path in that graph, and a pool system records which line each
 operator runs inside each line pool.  All structures here are immutable
 after construction, and each checks its own shape once, when it is built:
 a Network its edge ids, endpoints and capacities, a PoolSystem its pool
-ids and the pools its lines are filed under, raising InputMismatchError.
+ids, the pools its lines are filed under and that each line is a Line,
+raising InputMismatchError.
 The engines, the reference solver, the certifier and the CLI compile them
 into dense per-pool views (compile_pool), which checks how the lines lie
 on the network: each line must be a path of its edges.  There is no other
@@ -115,9 +116,6 @@ class Network:
         capacity.flags.writeable = False
         self._capacity = capacity
 
-    def has_edge(self, edge_id: str) -> bool:
-        return edge_id in self._pos
-
     def edge(self, edge_id: str) -> Edge:
         try:
             return self.edges[self._pos[edge_id]]
@@ -171,8 +169,9 @@ class PoolSystem:
     the pair is present; participation with more than one line per pool is
     impossible by construction.  The constructor rejects, with
     InputMismatchError, an empty pool list, a repeated pool id (two pools
-    would read one set of lines under one split entry) and a line filed
-    under a pool the list does not name.  A listed pool may hold no lines.
+    would read one set of lines under one split entry), a line filed
+    under a pool the list does not name and a line that is not a Line,
+    such as a bare tuple of edge ids.  A listed pool may hold no lines.
     """
 
     def __init__(self, pool_ids: Iterable[str], lines: Mapping[tuple[str, str], Line]) -> None:
@@ -187,6 +186,9 @@ class PoolSystem:
         unlisted = sorted(key for key in self.lines if key[1] not in listed)
         if unlisted:
             raise InputMismatchError(f"lines {unlisted} are filed under pools the system does not list")
+        not_lines = sorted(key for key, line in self.lines.items() if not isinstance(line, Line))
+        if not_lines:
+            raise InputMismatchError(f"lines {not_lines} are not Line objects")
 
     def pairs(self) -> tuple[tuple[str, str], ...]:
         return tuple(sorted(self.lines))

@@ -17,12 +17,13 @@ complementarity terms (_clearing_terms), so each of these has one
 definition, in single_pool.  Square-root valuations make a pool's
 optimum at share f its share-1 optimum with frequencies scaled by f and
 prices by f**-1/2, so its value is sqrt(f) times its value at share 1 and
-the optimal split follows in closed form (see solve_full).  kkt_report
-certifies a candidate point from either solver, read as the engines hold
-one: per-pool arrays on the compiled views.  mechanism_kkt and solve_full
-each validate the valuations and compile every pool once, then hand
-kkt_report those views with the point's arrays; a run's own state is
-certified on the views the run compiled (_state_kkt).
+the optimal split follows in closed form (see solve_full).  Both solvers
+answer in one format, run_mechanism's OuterState of per-pool states on
+the compiled views, so the optimum can warm-start a run.  kkt_report
+certifies a point read as the engines hold one, per-pool arrays on those
+views; _state_kkt reads a run's or solve_full's state on the views it was
+computed on, and mechanism_kkt a state from elsewhere, once it has
+compiled every pool and checked the state against those views.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from typing import Sequence
 import numpy as np
 
 from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
-from .multi_pool import _TINY, OuterState, _check_length, _check_warm
-from .single_pool import _clearing_terms, _fair_split, _neck_prices
+from .multi_pool import _TINY, OuterState, ProportionVector, _check_length, _check_warm, pool_cost
+from .single_pool import PoolMarketState, _clearing_terms, _fair_split, _neck_prices
 from .utility import UtilityTable
 
 __all__ = [
@@ -471,12 +472,16 @@ def _state_kkt(views: Sequence[PoolView], coefficients: Sequence[np.ndarray], st
 
 @dataclass
 class OracleSolution:
-    """Reference optimum of the joint allocation-and-split problem."""
+    """Reference optimum of the joint allocation-and-split problem.
 
-    frequencies: dict[tuple[str, str], float]
-    shares: dict[str, float]
-    prices: dict[tuple[str, str], float]
-    cost_level: float
+    state is the optimum in run_mechanism's format: per pool, on its
+    compiled view, prices, frequencies, share and bids x * (incidence.T @
+    prices), the payments that buy those frequencies, which at the optimum
+    are the best responses; then the split, the pool costs, the largest of
+    them as cost level, and outer_iter 0.
+    """
+
+    state: OuterState
     cost_gap: float        # (max - mean) / max over pool costs, diagnostic
     objective: float
     kkt: KKTReport
@@ -499,10 +504,10 @@ def solve_full(
     and frequencies split back per pool at the views' offsets; a one-pool
     instance is solved on its own view.  A pool of value zero, such as one
     without operators, gets share zero; when every pool is worth zero the
-    split is uniform.  converged requires the solve to converge and the
-    certificate to hold; kkt_report certifies the answer's per-pool arrays
-    on the views and coefficient vectors built here, so each pool is
-    compiled once per solve.
+    split is uniform.  The answer is an OuterState on the views compiled
+    here, each pool compiled once per solve, and it is certified as a
+    run's state is, by _state_kkt on those views and coefficient vectors;
+    converged requires the solve to converge and that certificate to hold.
     """
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
@@ -516,34 +521,23 @@ def solve_full(
     total = float(weights.sum())
     split = weights / total if total > 0.0 else np.full(len(views), 1.0 / len(views))
 
-    freqs: dict[tuple[str, str], float] = {}
-    prices: dict[tuple[str, str], float] = {}
-    xs: list[np.ndarray] = []
-    lams: list[np.ndarray] = []
-    costs: list[float] = []
+    states: dict[str, PoolMarketState] = {}
+    costs: dict[str, float] = {}
     objective = 0.0
-    for k, view, a, x_1, lam_1, share in zip(pools.pool_ids, views, coeffs, pool_freqs, pool_prices, split):
-        x_k = x_1 * share
-        lam_k = lam_1 * share ** -0.5 if share > 0.0 else np.zeros_like(lam_1)
-        xs.append(x_k)
-        lams.append(lam_k)
-        for lop, x in zip(view.lop_ids, x_k.tolist()):
-            freqs[(lop, k)] = x
-        for eid, lam in zip(view.edge_ids, lam_k.tolist()):
-            if lam != 0.0:
-                prices[(eid, k)] = lam
-        costs.append(float(view.capacity @ lam_k))
-        objective += float(a @ np.sqrt(np.maximum(x_k, 0.0)))
+    for view, a, x_1, lam_1, share in zip(views, coeffs, pool_freqs, pool_prices, split):
+        x = x_1 * share
+        lam = lam_1 * share ** -0.5 if share > 0.0 else np.zeros_like(lam_1)
+        bids = x * (view.incidence.T @ lam)
+        states[view.pool_id] = PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, lam, bids, x, float(share))
+        costs[view.pool_id] = pool_cost(view.capacity, lam)
+        objective += float(a @ np.sqrt(np.maximum(x, 0.0)))
 
-    cost_level = max(costs)
-    cost_gap = (max(costs) - float(np.mean(costs))) / max(max(costs), _TINY)
-    report = kkt_report(views, coeffs, xs, lams, split, cost_level)
+    level = max(costs.values())
+    state = OuterState(ProportionVector(pools.pool_ids, split), states, costs, level, 0)
+    report = _state_kkt(views, coeffs, state)
     return OracleSolution(
-        frequencies=freqs,
-        shares={k: float(s) for k, s in zip(pools.pool_ids, split)},
-        prices=prices,
-        cost_level=cost_level,
-        cost_gap=cost_gap,
+        state=state,
+        cost_gap=(level - float(np.mean(list(costs.values())))) / max(level, _TINY),
         objective=objective,
         kkt=report,
         converged=sol.converged and report.max_scaled() <= _CERTIFIED,

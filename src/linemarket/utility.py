@@ -61,10 +61,16 @@ def best_response_bids(coefficients: np.ndarray, prices: np.ndarray) -> np.ndarr
 
 
 class UtilityTable:
-    """Valuation specs keyed exactly by the (operator, pool) pairs of a pool system."""
+    """Valuation specs keyed exactly by the (operator, pool) pairs of a pool system.
+
+    An entry that is not a UtilitySpec, such as a bare number, raises InputMismatchError.
+    """
 
     def __init__(self, entries: Mapping[tuple[str, str], UtilitySpec]) -> None:
         self.entries = dict(entries)
+        bad = sorted(key for key, spec in self.entries.items() if not isinstance(spec, UtilitySpec))
+        if bad:
+            raise InputMismatchError(f"valuations {bad} are not UtilitySpec objects")
 
     def spec(self, lop: str, pool_id: str) -> UtilitySpec:
         try:

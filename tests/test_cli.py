@@ -199,6 +199,35 @@ def test_oracle_command(tmp_path, monkeypatch, capsys):
     assert doc["objective"] == pytest.approx(4.0, rel=1e-6)
     assert doc["max_kkt"] < 1e-6
 
+    # two pools, listed against sorted order, each pricing e1 and e3; no load
+    # fills e2, so no optimum prices it
+    net = lm.Network(["u", "v", "w", "z"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 50.0),
+                                            lm.Edge("e3", "w", "z", 1.0)])
+    lines = {(lop, k): lm.Line(edges) for k in ("k1", "k0") for lop, edges in (("lop0", ("e1",)), ("lop1", ("e2", "e3")))}
+    pools = lm.PoolSystem(["k1", "k0"], lines)
+    table = lm.UtilityTable({key: lm.UtilitySpec(a) for key, a in zip(lines, (2.0, 1.0, 3.0, 1.5))})
+    scn = write_instance_scenario(tmp_path, "two", net, pools, table)
+    assert run_cli(["oracle", "--scenario", str(scn), "--out", "two"]) == 0
+    assert "shares=k0:" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "two" / "oracle_seed0.json").read_text())
+    state = lm.solve_full(net, pools, table).state
+    assert [(row["lop"], row["pool"]) for row in doc["frequencies"]] == [
+        ("lop0", "k0"), ("lop0", "k1"), ("lop1", "k0"), ("lop1", "k1")
+    ]
+    assert [row["x"] for row in doc["frequencies"]] == [
+        state.pool_states[row["pool"]].freq_map()[row["lop"]] for row in doc["frequencies"]
+    ]
+    assert [(row["edge"], row["pool"]) for row in doc["prices"]] == [
+        ("e1", "k0"), ("e1", "k1"), ("e3", "k0"), ("e3", "k1")
+    ]
+    assert all(row["price"] > 0.0 for row in doc["prices"])
+    assert [row["price"] for row in doc["prices"]] == [
+        state.pool_states[row["pool"]].price_map()[row["edge"]] for row in doc["prices"]
+    ]
+    assert all(st.price_map()["e2"] == 0.0 for st in state.pool_states.values())
+    assert doc["shares"] == state.shares.as_dict()
+    assert doc["cost_level"] == state.cost_level
+
 
 def test_recover_command_both_modes(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -37,6 +37,9 @@ class TestProportionVector:
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
             lm.ProportionVector(("k0",), np.array([0.5, 0.5]))
+        # one value per pool id, not one row: a column of the right length is refused
+        with pytest.raises(ValueError, match=r"proportions have shape \(2, 1\)"):
+            lm.ProportionVector(("a", "b"), [[0.5], [0.5]])
 
     def test_as_dict(self):
         assert shares2(0.3, 0.7).as_dict() == {"k0": 0.3, "k1": 0.7}
@@ -142,7 +145,8 @@ def test_objective_is_sum_of_valuations():
     net, pools, table = instances.symmetric_two_pool()
     res = lm.run_mechanism(net, pools, table)
     expect = sum(
-        lm.utility.utility(table.spec(lop, k), x) for (lop, k), x in res.frequencies().items()
+        lm.utility.utility(table.spec(lop, k), x)
+        for k, st in res.state.pool_states.items() for lop, x in st.freq_map().items()
     )
     assert res.objective == pytest.approx(expect, rel=1e-12)
 
@@ -227,7 +231,7 @@ def test_lopsided_pools_reach_the_oracle_split(scales):
     res = lm.run_mechanism(net, pools, table)
     assert res.converged, res.diagnostics
     assert res.f_updates == 1
-    np.testing.assert_allclose(res.state.shares.values, list(oracle.shares.values()), rtol=1e-9)
+    np.testing.assert_allclose(res.state.shares.values, oracle.state.shares.values, rtol=1e-9)
     assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 1e-6
 
 
@@ -415,7 +419,7 @@ DEAD_HELD = [1e-4, 0.0]
 def test_pool_whose_lines_cannot_run_holds_no_capacity(case, held):
     """Such a pool gets share 0 outright instead of 200 split updates toward it, cold or warm."""
     net, pools, table = dead_pool_instances()[case]
-    assert lm.solve_full(net, pools, table).shares == {"k0": 1.0, "k1": 0.0}
+    assert lm.solve_full(net, pools, table).state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
     cold = lm.run_mechanism(net, pools, table)
     warm = lm.run_mechanism(net, pools, table, warm=holding(cold.state, [1.0 - held, held]))
     for res in (cold, warm):
@@ -481,7 +485,7 @@ def test_pool_that_cannot_run_leaves_the_split_update_to_the_others(held):
     """
     net, pools, table = three_pool_instance()
     oracle = lm.solve_full(net, pools, table)
-    np.testing.assert_allclose(list(oracle.shares.values()), [4 / 13, 9 / 13, 0.0], atol=1e-9)
+    np.testing.assert_allclose(oracle.state.shares.values, [4 / 13, 9 / 13, 0.0], atol=1e-9)
     cold = lm.run_mechanism(net, pools, table)
     even = (1.0 - held) / 2
     warm = lm.run_mechanism(net, pools, table, warm=holding(cold.state, [even, even, held]))
@@ -492,7 +496,7 @@ def test_pool_that_cannot_run_leaves_the_split_update_to_the_others(held):
         shares = res.state.shares.values
         assert np.isfinite(shares).all() and shares.sum() == pytest.approx(1.0, abs=1e-12)
         assert res.state.shares.share("k2") == 0.0
-        np.testing.assert_allclose(shares, list(oracle.shares.values()), atol=0.02)
+        np.testing.assert_allclose(shares, oracle.state.shares.values, atol=0.02)
         assert res.price_updates["k2"] == 0
         dead = res.state.pool_states["k2"]  # pinned with an empty market, never priced at 1e300
         assert dead.share == 0.0 and not dead.prices.any() and not dead.freqs.any()
@@ -507,7 +511,7 @@ def test_no_pool_can_run_gives_the_uniform_split():
     closed = net.with_capacities({e.id: 0.0 for e in net.edges})
     res = lm.run_mechanism(closed, pools, table)
     assert res.converged and res.f_updates == 0
-    assert res.state.shares.as_dict() == lm.solve_full(closed, pools, table).shares == {"k0": 0.5, "k1": 0.5}
+    assert res.state.shares.as_dict() == lm.solve_full(closed, pools, table).state.shares.as_dict() == {"k0": 0.5, "k1": 0.5}
     assert sum(res.price_updates.values()) == 0
     assert all(not st.prices.any() for st in res.state.pool_states.values())
 

@@ -112,6 +112,11 @@ class TestValidation:
         with pytest.raises(lm.InputMismatchError, match=r"lines \[\('lop0', 'kX'\)\] are filed under pools"):
             lm.PoolSystem(["k0"], {("lop0", "kX"): lm.Line(("e1",))})
 
+    def test_line_that_is_not_a_line(self):
+        """A bare tuple of edge ids is not a Line: the system refuses it, not compile_pool later."""
+        with pytest.raises(lm.InputMismatchError, match=r"lines \[\('lop0', 'k0'\)\] are not Line objects"):
+            lm.PoolSystem(["k0"], {("lop0", "k0"): ("e1",)})
+
 
 def test_repeated_edge_id_is_rejected_by_every_reader():
     """Two edges named e1 would leave every reader to pick one: no network holds them."""

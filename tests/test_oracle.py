@@ -18,18 +18,20 @@ ROOT2 = float(np.sqrt(2.0))
 def test_single_edge_closed_form():
     net, pools, table = instances.single_edge()
     sol = lm.solve_full(net, pools, table)
+    st = sol.state.pool_states["k0"]
     assert sol.converged
-    assert sol.frequencies[("lop0", "k0")] == pytest.approx(4.0, rel=1e-8)
-    assert sol.prices[("e1", "k0")] == pytest.approx(0.5, rel=1e-8)
+    assert st.freq_map()["lop0"] == pytest.approx(4.0, rel=1e-8)
+    assert st.price_map()["e1"] == pytest.approx(0.5, rel=1e-8)
     assert sol.objective == pytest.approx(4.0, rel=1e-8)
-    assert sol.cost_level == pytest.approx(2.0, rel=1e-8)
+    assert sol.state.cost_level == pytest.approx(2.0, rel=1e-8)
 
 
 def test_two_identical_operators_closed_form():
     net, pools, table = instances.two_lops_one_edge()
     sol = lm.solve_full(net, pools, table)
-    assert sol.frequencies[("lop0", "k0")] == pytest.approx(2.0, rel=1e-8)
-    assert sol.frequencies[("lop1", "k0")] == pytest.approx(2.0, rel=1e-8)
+    freqs = sol.state.pool_states["k0"].freq_map()
+    assert freqs["lop0"] == pytest.approx(2.0, rel=1e-8)
+    assert freqs["lop1"] == pytest.approx(2.0, rel=1e-8)
     assert sol.objective == pytest.approx(4.0 * ROOT2, rel=1e-8)
 
 
@@ -37,8 +39,9 @@ def test_sqrt_utilities_always_saturate():
     """Even huge capacities bind at the optimum; x lands on c * f."""
     net, pools, table = instances.single_edge(capacity=1e9)
     sol = lm.solve_full(net, pools, table)
-    assert sol.frequencies[("lop0", "k0")] == pytest.approx(1e9, rel=1e-6)
-    assert sol.prices[("e1", "k0")] > 0.0
+    st = sol.state.pool_states["k0"]
+    assert st.freq_map()["lop0"] == pytest.approx(1e9, rel=1e-6)
+    assert st.price_map()["e1"] > 0.0
 
 
 def test_bottleneck_edge_carries_the_price():
@@ -50,9 +53,10 @@ def test_bottleneck_edge_carries_the_price():
     pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e2"))})
     table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
     sol = lm.solve_full(net, pools, table)
-    assert sol.frequencies[("lop0", "k0")] == pytest.approx(4.0, rel=1e-8)
-    assert sol.prices[("e1", "k0")] == pytest.approx(0.5, rel=1e-8)
-    assert ("e2", "k0") not in sol.prices
+    st = sol.state.pool_states["k0"]
+    assert st.freq_map()["lop0"] == pytest.approx(4.0, rel=1e-8)
+    assert st.price_map()["e1"] == pytest.approx(0.5, rel=1e-8)
+    assert st.price_map()["e2"] == 0.0
 
 
 def test_fixed_bids_single_edge():
@@ -101,19 +105,12 @@ def _views(net, pools, table):
     return views, [table.coefficients_for(view) for view in views]
 
 
-def _view_arrays(views, freqs, prices):
-    """Per-pool frequency and price arrays, in view order, of a point keyed by (operator, pool) and (edge, pool)."""
-    xs = [np.array([freqs.get((lop, view.pool_id), 0.0) for lop in view.lop_ids]) for view in views]
-    lams = [np.array([prices.get((eid, view.pool_id), 0.0) for eid in view.edge_ids]) for view in views]
-    return xs, lams
-
-
 def test_kkt_clean_at_oracle_solution():
     net, pools, table = instances.single_edge()
     sol = lm.solve_full(net, pools, table)
     views, coeffs = _views(net, pools, table)
-    xs, lams = _view_arrays(views, sol.frequencies, sol.prices)
-    report = lm.kkt_report(views, coeffs, xs, lams, [1.0], sol.cost_level)
+    st = sol.state.pool_states["k0"]
+    report = lm.kkt_report(views, coeffs, [st.freqs], [st.prices], [1.0], sol.state.cost_level)
     assert report.max_scaled() < 1e-6
 
 
@@ -122,10 +119,10 @@ def test_kkt_sees_price_perturbation():
     net, pools, table = instances.single_edge()
     sol = lm.solve_full(net, pools, table)
     views, coeffs = _views(net, pools, table)
-    xs, lams = _view_arrays(views, sol.frequencies, sol.prices)
-    bumped = lams[0] + 0.1
+    st = sol.state.pool_states["k0"]
+    bumped = st.prices + 0.1
     level = net.capacity("e1") * float(bumped[0])
-    report = lm.kkt_report(views, coeffs, xs, [bumped], [1.0], level)
+    report = lm.kkt_report(views, coeffs, [st.freqs], [bumped], [1.0], level)
     assert report.stationarity_raw == pytest.approx(0.1, rel=1e-6)
 
 
@@ -159,7 +156,7 @@ def test_full_search_single_pool_degenerates():
     view = lm.compile_pool(net, pools, "k0")
     coeffs = table.coefficients_for(view)
     fixed = oracle._solve_one_pool(view, coeffs)
-    assert sol.shares == {"k0": 1.0}
+    assert sol.state.shares.as_dict() == {"k0": 1.0}
     assert sol.objective == pytest.approx(float(coeffs @ np.sqrt(fixed.freqs)), rel=1e-12)
 
 
@@ -167,7 +164,7 @@ def test_full_search_symmetric_split():
     net, pools, table = instances.symmetric_two_pool()
     sol = lm.solve_full(net, pools, table)
     assert sol.converged
-    assert sol.shares["k0"] == pytest.approx(0.5, abs=1e-6)
+    assert sol.state.shares.share("k0") == pytest.approx(0.5, abs=1e-6)
     assert sol.objective == pytest.approx(4.0 * ROOT2, rel=1e-9)
     assert sol.cost_gap <= 1e-9
 
@@ -177,7 +174,7 @@ def test_full_search_asymmetric_splits():
         net, pools, table = instances.shared_edge_two_pools(ratio)
         sol = lm.solve_full(net, pools, table)
         assert sol.converged
-        assert abs(sol.shares["k0"] - target) <= 1e-6, (ratio, sol.shares)
+        assert abs(sol.state.shares.share("k0") - target) <= 1e-6, (ratio, sol.state.shares)
 
 
 def test_full_search_three_pools():
@@ -188,7 +185,7 @@ def test_full_search_three_pools():
     sol = lm.solve_full(net, pools, table)
     assert sol.converged
     for k in pool_ids:
-        assert sol.shares[k] == pytest.approx(1.0 / 3.0, abs=1e-6)
+        assert sol.state.shares.share(k) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
 
 def test_full_search_five_pools_closed_form():
@@ -201,7 +198,7 @@ def test_full_search_five_pools_closed_form():
     assert sol.converged
     total = sum(a * a for a in coeffs.values())
     for k, a in coeffs.items():
-        assert sol.shares[k] == pytest.approx(a * a / total, abs=1e-9)
+        assert sol.state.shares.share(k) == pytest.approx(a * a / total, abs=1e-9)
     assert sol.cost_gap <= 1e-9
 
 
@@ -212,15 +209,15 @@ def test_full_search_pool_without_operators_gets_no_share():
     table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)})
     sol = lm.solve_full(net, pools, table)
     assert sol.converged
-    assert sol.shares == {"k0": 1.0, "k1": 0.0}
+    assert sol.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
     assert sol.objective == pytest.approx(4.0, rel=1e-12)
-    assert all(k == "k0" for _, k in sol.prices)
+    assert not sol.state.pool_states["k1"].prices.any()
     # k1 holds no capacity, so its cost of 0 need not meet the level
     assert sol.kkt.max_scaled() <= 1e-8
 
     idle = lm.solve_full(net, lm.PoolSystem(["k0", "k1"], {}), lm.UtilityTable({}))
-    assert idle.shares == {"k0": 0.5, "k1": 0.5}
-    assert idle.objective == 0.0 and idle.prices == {}
+    assert idle.state.shares.as_dict() == {"k0": 0.5, "k1": 0.5}
+    assert idle.objective == 0.0 and not any(st.prices.any() for st in idle.state.pool_states.values())
 
 
 def test_empty_pool_system_is_rejected():
@@ -289,9 +286,9 @@ def test_certificate_reuses_the_solve_views(compiles):
         sol = lm.solve_full(net, pools, table)
         assert compiles["oracle"] == list(pools.pool_ids), name
         views, coeffs = _views(net, pools, table)
-        xs, lams = _view_arrays(views, sol.frequencies, sol.prices)
-        shares = [sol.shares[k] for k in pools.pool_ids]
-        fresh = lm.kkt_report(views, coeffs, xs, lams, shares, sol.cost_level)
+        states = [sol.state.pool_states[k] for k in pools.pool_ids]
+        xs, lams = [st.freqs for st in states], [st.prices for st in states]
+        fresh = lm.kkt_report(views, coeffs, xs, lams, sol.state.shares.values, sol.state.cost_level)
         assert sol.kkt == fresh, name
 
 
@@ -338,7 +335,7 @@ def test_stacked_solve_is_the_pool_by_pool_solve(make, monkeypatch):
     assert len(stacked) == 1
     assert sol.converged and sol.kkt.max_scaled() <= 1e-6
     assert sol.objective == pytest.approx(float(np.sqrt(split) @ values), rel=1e-9)
-    np.testing.assert_allclose([sol.shares[k] for k in pools.pool_ids], split, rtol=1e-9, atol=0.0)
+    np.testing.assert_allclose(sol.state.shares.values, split, rtol=1e-9, atol=0.0)
     start = 0
     for p, (view, pool_sol) in enumerate(zip(views, own)):
         lam = stacked[0].prices[p * view.n_edges:(p + 1) * view.n_edges]
@@ -374,9 +371,10 @@ def test_one_pool_instance_is_its_pool_solve_bit_for_bit(monkeypatch):
         assert stacked is seen and stacked_a is seen_a
         assert (seen.pool_id, seen.incidence.tobytes(), seen_a.tobytes()) == (view.pool_id, view.incidence.tobytes(), a.tobytes())
         own = solve(view, a)
-        assert sol.shares == {view.pool_id: 1.0}
-        assert sol.frequencies == {(lop, view.pool_id): x for lop, x in zip(view.lop_ids, own.freqs.tolist())}
-        assert sol.prices == {(eid, view.pool_id): lam for eid, lam in zip(view.edge_ids, own.prices.tolist()) if lam != 0.0}
+        st = sol.state.pool_states[view.pool_id]
+        assert sol.state.shares.as_dict() == {view.pool_id: 1.0}
+        assert st.freqs.tolist() == own.freqs.tolist()
+        assert st.prices.tolist() == own.prices.tolist()
         assert sol.objective == float(a @ np.sqrt(np.maximum(own.freqs, 0.0)))
         assert sol.converged == own.converged
 
@@ -506,6 +504,34 @@ def test_run_is_certified_on_its_own_views(make):
         assert _same_arrays(a, table.coefficients_for(fresh))
     own = oracle._state_kkt(res.views, res.coefficients, res.state)
     assert repr(own) == repr(lm.mechanism_kkt(net, pools, table, res.state))
+
+
+FIXED_POINT_CASES = [(f"chain{seed}", partial(instances.chain_instance, seed)) for seed in range(20)] + [
+    (f"grid{seed}_k{k}", partial(instances.grid_instance, seed, k)) for k in (1, 2) for seed in range(5)
+]
+
+
+@pytest.mark.parametrize("make", [make for _, make in FIXED_POINT_CASES], ids=[name for name, _ in FIXED_POINT_CASES])
+def test_optimum_is_the_mechanism_fixed_point(make):
+    """The oracle answers as a run does, so its state is one the mechanism rests at.
+
+    A run warm-started at solve_full's state stops at once, with no price or
+    split update, and mechanism_kkt certifies that state to solve_full's own
+    report bit for bit.  Its bids are the best responses to its path prices,
+    to twice the certificate's stationarity bound.
+    """
+    net, pools, table = make()
+    sol = lm.solve_full(net, pools, table)
+    res = lm.run_mechanism(net, pools, table, warm=sol.state)
+    assert res.converged, res.diagnostics
+    assert (res.f_updates, sum(res.price_updates.values())) == (0, 0)
+    assert repr(lm.mechanism_kkt(net, pools, table, sol.state)) == repr(sol.kkt)
+    views, coeffs = _views(net, pools, table)
+    for view, a in zip(views, coeffs):
+        st = sol.state.pool_states[view.pool_id]
+        run = st.freqs > 0.0
+        mu = (view.incidence.T @ st.prices)[run]
+        np.testing.assert_allclose(st.bids[run], lm.utility.best_response_bids(a[run], mu), rtol=2e-8, atol=0.0)
 
 
 def _inactive_operator_cases():
@@ -639,8 +665,8 @@ def test_closed_edge_oracle_is_certified():
     for k in pools.pool_ids:
         for lop in pools.lops_in(k):
             if "e5" in pools.line(lop, k).edge_ids:
-                assert sol.frequencies[(lop, k)] == 0.0
-    assert not any(eid == "e5" for eid, _ in sol.prices)
+                assert sol.state.pool_states[k].freq_map()[lop] == 0.0
+    assert all(st.price_map()["e5"] == 0.0 for st in sol.state.pool_states.values())
 
 
 def test_failed_certificate_is_not_converged(monkeypatch):
@@ -707,7 +733,8 @@ def _dict_loop_kkt(net, pools, utilities, freqs, shares, prices, cost_level):
     )
 
 
-def _mechanism_point(state):
+def _keyed_point(state):
+    """A state's point keyed by (operator, pool) and (edge, pool), zero prices left out, as the reference reads it."""
     freqs, prices = {}, {}
     for k, st in state.pool_states.items():
         freqs.update({(lop, k): float(x) for lop, x in zip(st.lop_ids, st.freqs)})
@@ -718,24 +745,19 @@ def _mechanism_point(state):
 def test_certifier_matches_dict_loop_reference(k1_baseline, k2_baseline):
     """Mechanism and oracle points of 20 chains and two grids certify as before.
 
-    The reference reads each point keyed by (operator, pool) and (edge,
-    pool); the certifier reads the mechanism state's own arrays, and the
-    oracle point's in view order."""
+    Both points are states; the reference reads each keyed by (operator,
+    pool) and (edge, pool), the certifier reads the state's own arrays."""
     cases = [(*instances.chain_instance(seed), None) for seed in range(20)]
     cases += [k1_baseline(0), k2_baseline(0)]
     for net, pools, table, mech in cases:
         mech = mech or lm.run_mechanism(net, pools, table)
         sol = lm.solve_full(net, pools, table)
         views, coeffs = _views(net, pools, table)
-        states = [mech.state.pool_states[k] for k in pools.pool_ids]
-        mech_arrays = ([st.freqs for st in states], [st.prices for st in states], mech.state.shares.values)
-        sol_arrays = (*_view_arrays(views, sol.frequencies, sol.prices), [sol.shares[k] for k in pools.pool_ids])
-        points = [
-            (_mechanism_point(mech.state), mech_arrays),
-            ((sol.frequencies, sol.shares, sol.prices, sol.cost_level), sol_arrays),
-        ]
-        for point, (xs, lams, shares) in points:
-            new = lm.kkt_report(views, coeffs, xs, lams, shares, point[-1])
+        for state in (mech.state, sol.state):
+            states = [state.pool_states[k] for k in pools.pool_ids]
+            xs, lams = [st.freqs for st in states], [st.prices for st in states]
+            point = _keyed_point(state)
+            new = lm.kkt_report(views, coeffs, xs, lams, state.shares.values, point[-1])
             ref = _dict_loop_kkt(net, pools, table, *point)
             raw_tol = 1e-12 * max(1.0, abs(point[-1]))
             assert (new.stationarity_raw is None) == (ref.stationarity_raw is None)
@@ -750,9 +772,10 @@ def test_cost_level_is_max_pool_cost():
     net, pools, table = instances.shared_edge_two_pools(0.5)
     sol = lm.solve_full(net, pools, table)
     by_pool = {k: 0.0 for k in pools.pool_ids}
-    for (eid, k), lam in sol.prices.items():
-        by_pool[k] += net.capacity(eid) * lam
-    assert sol.cost_level == pytest.approx(max(by_pool.values()), rel=1e-12)
+    for k, st in sol.state.pool_states.items():
+        for eid, lam in st.price_map().items():
+            by_pool[k] += net.capacity(eid) * lam
+    assert sol.state.cost_level == pytest.approx(max(by_pool.values()), rel=1e-12)
 
 
 def _feasible_objective(net, pools, table, mech):

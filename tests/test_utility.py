@@ -87,6 +87,9 @@ def test_table_keying_is_exact():
         ).validate_against(pools)
     with pytest.raises(lm.InputMismatchError):
         good.spec("ghost", "k0")
+    # a bare coefficient is not a spec: refused when the table is built
+    with pytest.raises(lm.InputMismatchError, match=r"valuations \[\('lop0', 'k0'\)\] are not UtilitySpec objects"):
+        lm.UtilityTable({("lop0", "k0"): 2.0})
 
 
 def test_coefficients_follow_view_order():
