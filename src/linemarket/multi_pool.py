@@ -26,6 +26,7 @@ from .single_pool import (
     DynamicsConfig,
     PoolMarketState,
     SinglePoolResult,
+    _max_or_zero,
     _run_pool,
     default_price_eta,
 )
@@ -63,10 +64,14 @@ class ProportionVector:
         n = len(self.pool_ids)
         if values.shape != (n,):
             raise ValueError(f"proportions have shape {values.shape}; the {n} pool ids need ({n},)")
-        if not np.isfinite(self.values).all():
-            raise ValueError(f"proportions must be finite, got {self.values}")
-        if np.any(self.values < -1e-12):
-            raise ValueError("proportions must be nonnegative")
+        if n:
+            # argmin and argmax point at the first NaN when there is one, so
+            # the smallest and largest entries decide what isfinite would
+            low, high = values[values.argmin()], values[values.argmax()]
+            if not -np.inf < low <= high < np.inf:
+                raise ValueError(f"proportions must be finite, got {self.values}")
+            if low < -1e-12:
+                raise ValueError("proportions must be nonnegative")
         if abs(float(self.values.sum()) - 1.0) > 1e-9:
             raise ValueError(f"proportions must sum to 1, got {self.values.sum()}")
 
@@ -82,6 +87,15 @@ class ProportionVector:
         return {k: float(v) for k, v in zip(self.pool_ids, self.values)}
 
 
+def _mean(x: np.ndarray) -> float:
+    """float(x.mean()) of a nonempty float array, bit for bit.
+
+    np.mean divides the same sum by the same count, behind a Python wrapper
+    that costs more than the sum.
+    """
+    return float(x.sum() / len(x))
+
+
 def pool_cost(capacity: np.ndarray, prices: np.ndarray) -> float:
     """Cost of the whole network at one pool's prices (capacity dot prices)."""
     return float(capacity @ prices)
@@ -95,7 +109,7 @@ def costs_equal(costs: np.ndarray, eps_cost: float) -> bool:
     if len(costs) <= 1:
         return True
     spread = float(costs.max() - costs.min())
-    return spread / max(float(costs.mean()), _TINY) <= eps_cost
+    return spread / max(_mean(costs), _TINY) <= eps_cost
 
 
 def update_proportions(shares: ProportionVector, costs: np.ndarray) -> ProportionVector:
@@ -111,7 +125,7 @@ def update_proportions(shares: ProportionVector, costs: np.ndarray) -> Proportio
     nonpositive mean cost makes the step undefined; the split is returned
     unchanged.
     """
-    level = float(costs.mean())
+    level = _mean(costs)
     if not level > 0.0:
         return shares
     raw = shares.values * (costs / level) ** 2
@@ -176,7 +190,7 @@ class MechanismResult:
 
 def _check_length(what: str, k: str, name: str, values: np.ndarray, n: int) -> None:
     """Reject values unless it is one-dimensional with n entries, naming what, pool k and name."""
-    if np.shape(values) != (n,):
+    if (values.shape if isinstance(values, np.ndarray) else np.shape(values)) != (n,):
         raise InputMismatchError(f"{what} of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)")
 
 
@@ -204,9 +218,12 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
             values = getattr(st, name)
             _check_length(what, k, name, values, n)
             dtype = getattr(values, "dtype", None)
-            if dtype is None or not np.issubdtype(dtype, np.floating):
+            # kind "f" is every floating-point dtype, as np.issubdtype(dtype, np.floating) reads it
+            if getattr(dtype, "kind", None) != "f":
                 raise InputMismatchError(f"{what} of pool {k!r}: {name} is not a floating-point array (dtype {dtype})")
-            if not (np.isfinite(values) & (values >= 0.0)).all():
+            # argmin and argmax point at the first NaN when there is one, so the
+            # two reads reject what (np.isfinite(values) & (values >= 0.0)).all() rejects
+            if values.size and not (values[values.argmin()] >= 0.0 and values[values.argmax()] < np.inf):
                 raise InputMismatchError(f"{what} of pool {k!r}: {name} holds a negative or non-finite entry")
         if not np.isfinite(st.share):
             raise InputMismatchError(f"{what} of pool {k!r}: share {st.share} is not finite")
@@ -222,7 +239,7 @@ def _live_split(shares: ProportionVector, live: np.ndarray) -> ProportionVector:
     """
     if not live.any():
         return ProportionVector.uniform(shares.pool_ids)
-    if np.array_equal(shares.values > 0.0, live):
+    if not np.count_nonzero((shares.values > 0.0) != live):
         return shares
     values = np.where(live, shares.values, 0.0)
     kept = values > 0.0
@@ -275,8 +292,9 @@ def run_mechanism(
     # each crosses a closed edge) holds no capacity: it is pinned at share
     # zero with an empty market and cost zero, which the split update keeps
     # at zero; the pool runs and the equal-cost test see only the others
-    live = np.array([views[k].bottleneck.max(initial=0.0) > 0.0 for k in pool_ids])
+    live = np.array([_max_or_zero(views[k].bottleneck) > 0.0 for k in pool_ids])
     live_ids = tuple(k for k, on in zip(pool_ids, live) if on)
+    every_pool_live = len(live_ids) == len(pool_ids)
     shares = _live_split(shares, live)
     for k, on in zip(pool_ids, live):
         if not on:
@@ -315,7 +333,8 @@ def run_mechanism(
                 )
         pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pool_ids}
         costs = np.array([pool_costs[k] for k in pool_ids])
-        level = float(costs[live].mean()) if live_ids else 0.0
+        live_costs = costs if every_pool_live else costs[live]
+        level = _mean(live_costs) if live_ids else 0.0
         outer_trace.append(
             {
                 "outer_iter": outer,
@@ -327,7 +346,7 @@ def run_mechanism(
         )
         if not inner_ok:
             break
-        if costs_equal(costs[live], cfg.eps_cost):
+        if costs_equal(live_costs, cfg.eps_cost):
             converged = True
             break
         if not level > 0.0:

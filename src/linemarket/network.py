@@ -4,9 +4,11 @@ A network is a directed graph whose edges carry train capacities.  A line is
 a directed path in that graph, and a pool system records which line each
 operator runs inside each line pool.  All structures here are immutable
 after construction, and each checks its own shape once, when it is built:
-a Network its edge ids, endpoints and capacities, a PoolSystem its pool
-ids, the pools its lines are filed under and that each line is a Line,
-raising InputMismatchError.
+a Network that its edges are Edges and their ids, endpoints and
+capacities, a Line that its edge ids are a tuple of strings, a PoolSystem
+its pool ids, that each key is an (operator, pool) pair of strings, the
+pools its lines are filed under and that each line is a Line, raising
+InputMismatchError.
 The engines, the reference solver, the certifier and the CLI compile them
 into dense per-pool views (compile_pool), which checks how the lines lie
 on the network: each line must be a path of its edges.  There is no other
@@ -81,7 +83,8 @@ class Network:
 
     Edge order is the construction order; every per-edge vector produced by
     this module is aligned with it.  The constructor rejects, with
-    InputMismatchError, a capacity that is not a real number (a string such
+    InputMismatchError, an entry of edges that is not an Edge (such as a
+    bare tuple), a capacity that is not a real number (a string such
     as "4", or a bool), a negative or non-finite one (zero is legal and
     closes the edge), a repeated edge id, which would make a line's edge
     ambiguous, and an edge whose tail or head is not a listed node.  It
@@ -94,6 +97,9 @@ class Network:
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge]) -> None:
         self.nodes = frozenset(nodes)
         self.edges = tuple(edges)
+        not_edges = [e for e in self.edges if not isinstance(e, Edge)]
+        if not_edges:
+            raise InputMismatchError(f"edges {not_edges} are not Edge objects")
         self.edge_ids = tuple(e.id for e in self.edges)
         # float() would take "4" and True; a capacity must be a number already.
         # A float passes at once: the ABC test is the slow half of the check
@@ -154,9 +160,17 @@ class Network:
 
 @dataclass(frozen=True)
 class Line:
-    """A directed path, stored as the ordered tuple of edge ids."""
+    """A directed path, stored as the ordered tuple of edge ids.
+
+    edge_ids must be a tuple of strings, else InputMismatchError: a bare
+    string such as "e1" would read as the edges "e" and "1".
+    """
 
     edge_ids: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.edge_ids, tuple) or not all(isinstance(eid, str) for eid in self.edge_ids):
+            raise InputMismatchError(f"a line's edge ids must be a tuple of strings, got {self.edge_ids!r}")
 
     def __len__(self) -> int:
         return len(self.edge_ids)
@@ -168,7 +182,8 @@ class PoolSystem:
     Keys are (operator id, pool id).  An operator participates in a pool iff
     the pair is present; participation with more than one line per pool is
     impossible by construction.  The constructor rejects, with
-    InputMismatchError, an empty pool list, a repeated pool id (two pools
+    InputMismatchError, an empty pool list, a key that is not an
+    (operator, pool) pair of strings, a repeated pool id (two pools
     would read one set of lines under one split entry), a line filed
     under a pool the list does not name and a line that is not a Line,
     such as a bare tuple of edge ids.  A listed pool may hold no lines.
@@ -179,6 +194,10 @@ class PoolSystem:
         self.lines = dict(lines)
         if not self.pool_ids:
             raise InputMismatchError("the pool system lists no pools")
+        bad_keys = [key for key in self.lines
+                    if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(part, str) for part in key))]
+        if bad_keys:
+            raise InputMismatchError(f"line keys {bad_keys} are not (operator, pool) pairs of strings")
         listed = set(self.pool_ids)
         if len(listed) != len(self.pool_ids):
             repeated = sorted({k for k in self.pool_ids if self.pool_ids.count(k) > 1})
@@ -257,22 +276,30 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
         raise InputMismatchError(f"unknown pool {pool_id!r}")
     capacity = net.capacity_vector()
     lops = pools.lops_in(pool_id)
-    inc = np.zeros((len(net.edge_ids), len(lops)))
+    pos, edges = net._pos, net.edges
+    n = len(lops)
+    # the edges the lines use, and the incidence's nonzero entries as flat
+    # positions, set in one call
+    rows: list[int] = []
+    cells: list[int] = []
     for p, lop in enumerate(lops):
-        line = pools.line(lop, pool_id)
-        if not line.edge_ids or len(set(line.edge_ids)) != len(line.edge_ids):
+        ids = pools.lines[(lop, pool_id)].edge_ids
+        if not ids or len(set(ids)) != len(ids):
             raise InputMismatchError(f"line ({lop}, {pool_id}) is empty or repeats an edge")
         try:
-            idx = [net._pos[eid] for eid in line.edge_ids]
+            idx = [pos[eid] for eid in ids]
         except KeyError as err:
             raise InputMismatchError(f"line ({lop}, {pool_id}) uses unknown edge {err}") from None
         for a, b in zip(idx, idx[1:]):
-            if net.edges[a].head != net.edges[b].tail:
+            if edges[a].head != edges[b].tail:
                 raise InputMismatchError(
                     f"line ({lop}, {pool_id}) is not a path: "
                     f"{net.edge_ids[a]} does not end where {net.edge_ids[b]} starts"
                 )
-        inc[idx, p] = 1.0
+        rows += idx
+        cells += [i * n + p for i in idx]
+    inc = np.zeros((len(net.edge_ids), n))
+    inc.put(cells, 1.0)
     return PoolView(
         pool_id=pool_id,
         edge_ids=net.edge_ids,
@@ -280,7 +307,7 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
         lop_ids=lops,
         incidence=inc,
         bottleneck=np.where(inc > 0.0, capacity[:, None], np.inf).min(axis=0, initial=np.inf),
-        own_edges=np.flatnonzero(inc.any(axis=1)),
+        own_edges=np.array(sorted(set(rows)), dtype=np.intp),
     )
 
 

@@ -33,10 +33,11 @@ from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .network import InputMismatchError, Network, PoolSystem, PoolView, compile_pool
-from .multi_pool import _TINY, OuterState, ProportionVector, _check_length, _check_warm, pool_cost
-from .single_pool import PoolMarketState, _clearing_terms, _fair_split, _neck_prices
+from .multi_pool import _TINY, OuterState, ProportionVector, _check_length, _check_warm, _mean, pool_cost
+from .single_pool import PoolMarketState, _clearing_terms, _fair_split, _max_or_zero, _neck_prices, _positive
 from .utility import UtilityTable
 
 __all__ = [
@@ -66,13 +67,37 @@ def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """First occurrences and group ids of equal rows of a 0/1 matrix.
 
     The answer of np.unique(rows, axis=0, return_index=True,
-    return_inverse=True), without its structured-dtype sort: rows holding
-    only 0.0 and 1.0 compare byte by byte as they compare by value, so one
-    sort of each row's bytes, as one opaque item, orders them the same way.
+    return_inverse=True), without its array sort: rows holding only 0.0
+    and 1.0 compare byte by byte as they compare by value, so the sorted
+    distinct byte strings of the rows order the groups the same way, and
+    two dicts read off each group's first row and each row's group.
     """
-    keys = np.ascontiguousarray(rows).view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
-    return first, group
+    data = np.ascontiguousarray(rows).tobytes()
+    width = rows.itemsize * rows.shape[1]
+    keys = [data[i:i + width] for i in range(0, len(data), width)]
+    first: dict[bytes, int] = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    order = sorted(first)
+    group = {key: g for g, key in enumerate(order)}
+    return (np.array([first[key] for key in order], dtype=np.intp),
+            np.array([group[key] for key in keys], dtype=np.intp))
+
+
+def _raise_singular(err: str, flag: int) -> None:
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _newton_step(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(hess, rhs) for a float64 matrix and vector, bit for bit.
+
+    It is the same LAPACK gufunc under the same error state, which raises
+    LinAlgError on a singular matrix, without the wrapper's argument
+    conversion and type checks, which cost more than solving the small
+    systems the Newton steps pose.
+    """
+    return _umath_linalg.solve1(hess, rhs, signature="dd->d")
 
 
 def _clearing_prices(
@@ -124,15 +149,21 @@ def _clearing_prices(
     run at budget.  No argument is modified.
     """
     n_edges, n_lops = incidence.shape
-    # an operator whose line crosses a closed edge can run nothing; left
-    # active, it would price that edge without bound and stall the descent
-    act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
-    if not act.any():
-        return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0, 0)
+    if n_lops and _positive(scale) and _positive(budget):
+        # no edge is closed and every scale is positive: every operator is
+        # active, and the active columns are all of them
+        act = None
+        rows, s = incidence, scale
+    else:
+        # an operator whose line crosses a closed edge can run nothing; left
+        # active, it would price that edge without bound and stall the descent
+        act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
+        if not act.any():
+            return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0, 0)
+        rows, s = incidence[:, act], scale[act]
 
     # group the edges active lines cross by their active rows, scarcest edge
     # first, so each group's first edge is its representative
-    rows = incidence[:, act]
     edges = rows.any(axis=1).nonzero()[0]
     edges = edges[np.argsort(budget[edges], kind="stable")]
     first, group = _row_groups(rows[edges])
@@ -141,26 +172,26 @@ def _clearing_prices(
     sub_budget = budget[reps]
     prices = np.bincount(group, weights=opening[edges], minlength=len(reps))
     scale_b = max(1.0, float(sub_budget.max()))
-    s = scale[act]
     s_sq = s ** 2
     evals = 0
 
-    def demand(mu: np.ndarray) -> np.ndarray:
-        return (s / np.maximum(mu, _TINY)) ** power
-
     def dual_value(pr: np.ndarray) -> tuple[float, np.ndarray]:
-        """The dual value at edge prices pr, and the path prices there."""
+        """The dual value at edge prices pr, and the path prices there, floored at _TINY.
+
+        The demand and the Hessian read the path prices through the same
+        floor, so it is taken once per accepted point.
+        """
         nonlocal evals
         evals += 1
         mu = sub_inc.T @ pr
-        if (mu <= 0.0).any():
-            return np.inf, mu
         m = np.maximum(mu, _TINY)
+        if np.count_nonzero(mu <= 0.0):
+            return np.inf, m
         value = s_sq / m if power == 2 else s * (np.log(s / m) - 1.0)
-        return float(value.sum() + pr @ sub_budget), mu
+        return float(value.sum() + pr @ sub_budget), m
 
     cur, mu = dual_value(prices)
-    x = demand(mu)
+    x = (s / mu) ** power
     load = sub_inc @ x
     converged = False
     iters = 0
@@ -175,13 +206,13 @@ def _clearing_prices(
         fset = ((prices > 0.0) | (grad < 0.0)).nonzero()[0]
         gf = grad[fset]
         sub = sub_inc[fset]
-        hess = (sub * (power * x / np.maximum(mu, _TINY))) @ sub.T
+        hess = (sub * (power * x / mu)) @ sub.T
         lev = max(1e-14 * float(hess.trace()) / len(fset),
-                  1e-8 * float(np.abs(gf).max()) / scale_b)
+                  1e-8 * _max_or_zero(np.abs(gf)) / scale_b)
         hess.flat[:: len(fset) + 1] += lev
         try:
-            newton = np.linalg.solve(hess, -gf)
-        except np.linalg.LinAlgError:
+            newton = _newton_step(hess, -gf)
+        except LinAlgError:
             newton = None
 
         accepted = False
@@ -199,7 +230,7 @@ def _clearing_prices(
                 # Armijo, with room for the rounding of the dual value itself
                 slack = 1e-4 * min(0.0, float(gf @ (moved_to - base))) + 4e-16 * abs(cur)
                 if math.isfinite(value) and value <= cur + slack:
-                    if (moved_to == base).all():
+                    if not np.count_nonzero(moved_to != base):
                         break
                     prices, cur, mu = trial, value, trial_mu
                     accepted = True
@@ -209,7 +240,7 @@ def _clearing_prices(
                 break
         if not accepted:
             break
-        x = demand(mu)
+        x = (s / mu) ** power
         load = sub_inc @ x
 
     over = load > sub_budget
@@ -221,8 +252,11 @@ def _clearing_prices(
             x = x / ratio
     out = np.zeros(n_edges)
     out[reps] = prices
-    freqs = np.zeros(n_lops)
-    freqs[act] = x
+    if act is None:
+        freqs = x
+    else:
+        freqs = np.zeros(n_lops)
+        freqs[act] = x
     return _PoolSolve(out, freqs, converged, iters, evals)
 
 # ---------------------------------------------------------------------------
@@ -366,7 +400,9 @@ def kkt_report(
     view's length, raise InputMismatchError naming the pools; a negative
     entry is not rejected but reported in negativity.  mechanism_kkt and
     solve_full build these arguments from an instance they have validated
-    and compiled.
+    and compiled.  A pool all of whose operators run, as at a cleared
+    state, is read without the masks that select running operators; the
+    masked reading gives the same bytes there.
     """
     pool_ids = [view.pool_id for view in views]
     for name, seq in (("coefficient vectors", coefficients), ("frequency arrays", freqs),
@@ -389,19 +425,28 @@ def kkt_report(
         for name, values, n in (("coefficients", a, view.n_lops), ("freqs", x, view.n_lops),
                                 ("prices", lam, view.n_edges)):
             _check_length("candidate", view.pool_id, name, values, n)
-        neg = max(neg, -float(x.min(initial=0.0)), -float(lam.min(initial=0.0)))
-        run = x > 0.0
-        if run.any():
+        idle = False
+        if x.size and _positive(x):
+            # every operator runs: the masks below would select every entry,
+            # no operator stands idle, and x adds nothing to negativity
+            neg = max(neg, -float(lam.min(initial=0.0)))
+            mu = view.incidence.T @ lam
+            gap = np.abs(a / (2.0 * np.sqrt(x)) - mu)
+        else:
+            neg = max(neg, -float(x.min(initial=0.0)), -float(lam.min(initial=0.0)))
+            run = x > 0.0
             mu = (view.incidence.T @ lam)[run]
             gap = np.abs(a[run] / (2.0 * np.sqrt(x[run])) - mu)
-            stat_raw = max(stat_raw or 0.0, float(gap.max()))
-            stat_rel = max(stat_rel or 0.0, float((gap / np.maximum(mu, _TINY)).max()))
-        if (~run & (view.bottleneck * share > 0.0)).any():
+            idle = bool((~run & (view.bottleneck * share > 0.0)).any())
+        if gap.size:
+            stat_raw = max(stat_raw or 0.0, _max_or_zero(gap))
+            stat_rel = max(stat_rel or 0.0, _max_or_zero(gap / np.maximum(mu, _TINY)))
+        if idle:
             stat_rel = max(stat_rel or 0.0, 1.0)
         slack = view.incidence @ x - view.capacity * share
-        comp_raw = max(comp_raw, float(np.abs(lam * slack).max(initial=0.0)))
-        over_raw = max(over_raw, float(slack.max(initial=0.0)))
-        over_rel = max(over_rel, float((slack / np.maximum(view.capacity, _TINY)).max(initial=0.0)))
+        comp_raw = max(comp_raw, _max_or_zero(np.abs(lam * slack)))
+        over_raw = max(over_raw, _max_or_zero(slack))
+        over_rel = max(over_rel, _max_or_zero(slack / np.maximum(view.capacity, _TINY)))
         if share > 0.0:
             # the split's condition binds only pools that hold capacity
             spread_raw = max(spread_raw, abs(float(view.capacity @ lam) - cost_level))
@@ -513,31 +558,36 @@ def solve_full(
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
     coeffs = [utilities.coefficients_for(view) for view in views]
     sol = _solve_one_pool(*_stack_pools(views, coeffs))
-    pool_prices = sol.prices.reshape(len(views), -1)
-    ends = list(accumulate(view.n_lops for view in views))
-    pool_freqs = [sol.freqs[end - view.n_lops:end] for view, end in zip(views, ends)]
-    values = np.array([float(a @ np.sqrt(np.maximum(x, 0.0))) for a, x in zip(coeffs, pool_freqs)])
+    # the answer splits back per pool at the views' offsets: each
+    # elementwise step runs once over the stack, each sum over one block
+    n_lops = [view.n_lops for view in views]
+    bounds = [0, *accumulate(n_lops)]
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    roots = np.sqrt(np.maximum(sol.freqs, 0.0))
+    values = np.array([a @ roots[block] for a, block in zip(coeffs, blocks)])
     weights = values ** 2
     total = float(weights.sum())
     split = weights / total if total > 0.0 else np.full(len(views), 1.0 / len(views))
+    freqs = sol.freqs * split.repeat(n_lops)
+    roots = np.sqrt(np.maximum(freqs, 0.0))
 
     states: dict[str, PoolMarketState] = {}
     costs: dict[str, float] = {}
     objective = 0.0
-    for view, a, x_1, lam_1, share in zip(views, coeffs, pool_freqs, pool_prices, split):
-        x = x_1 * share
+    for view, a, block, lam_1, share in zip(views, coeffs, blocks, sol.prices.reshape(len(views), -1), split):
+        x = freqs[block]
         lam = lam_1 * share ** -0.5 if share > 0.0 else np.zeros_like(lam_1)
         bids = x * (view.incidence.T @ lam)
         states[view.pool_id] = PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, lam, bids, x, float(share))
         costs[view.pool_id] = pool_cost(view.capacity, lam)
-        objective += float(a @ np.sqrt(np.maximum(x, 0.0)))
+        objective += float(a @ roots[block])
 
     level = max(costs.values())
     state = OuterState(ProportionVector(pools.pool_ids, split), states, costs, level, 0)
     report = _state_kkt(views, coeffs, state)
     return OracleSolution(
         state=state,
-        cost_gap=(level - float(np.mean(list(costs.values())))) / max(level, _TINY),
+        cost_gap=(level - _mean(np.array(list(costs.values())))) / max(level, _TINY),
         objective=objective,
         kkt=report,
         converged=sol.converged and report.max_scaled() <= _CERTIFIED,

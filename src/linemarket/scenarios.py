@@ -206,12 +206,14 @@ class DisruptionSpec:
 
 
 def congested_edges(state: OuterState, threshold: float = 0.1) -> set[str]:
-    """Edges priced above the threshold in at least one pool."""
+    """Edges priced above the threshold in at least one pool.
+
+    One comparison per pool finds its edges; a NaN price is not above any
+    threshold.
+    """
     out: set[str] = set()
     for st in state.pool_states.values():
-        for eid, lam in zip(st.edge_ids, st.prices):
-            if lam > threshold:
-                out.add(eid)
+        out.update(st.edge_ids[i] for i in np.flatnonzero(np.asarray(st.prices) > threshold))
     return out
 
 

@@ -33,23 +33,27 @@ full residuals (pool_residuals) only at a boundary whose worst overload and
 worst price * |excess| already pass (_may_stop), or when the budget runs
 out.  When every path is priced, allocate_frequencies and refresh_bids
 skip their zero-price masks, and _bid_terms its zero-bid mask when every
-line bids; the masked paths give the same numbers there.  refresh_bids
-and _bid_terms pick their path with _positive, which decides as
-x.min(initial=inf) > 0 does, NaN included, at a third of a reduction's
-cost.  The allocation, which runs at every step, decides once per refresh
-pass instead.  No load is negative, so one price step lowers a price by at
-most eta * supply, and a pass of period steps by at most period times
-that.  An own edge priced above floor = 2 * period * eta * supply at a
-pass's start, twice that bound as a margin for rounding, therefore stays
-priced for the whole pass, and so does the path price of every line that
-crosses it.  When every line crosses such an edge the pass is certified
-and its allocations skip their own check; any other pass checks at every
-step, as before.  Certified passes hold 54% of the price steps on the 20
-test chains, and 78% and 99% on the 7x12 one- and two-pool grids at the
-pinned step.  A pool with a closed edge or a line that cannot run, or a
-price falling to zero, takes the masked paths where a path is unpriced.  The
-stop test and the refresh read their maxima through argmax
-(_max_or_zero), which gives what x.max(initial=0.0) gives, bit for bit.
+line bids; pool_residuals skips its selection of active, priced lines
+when every line is both; a run's opening skips the closed-edge reset when
+no own edge is closed, and the silent-line test of a warm state when
+every line bids; default_price_eta reads the capacities unfiltered when
+no edge is closed.  The masked paths give the same numbers there.  These
+paths are picked with _positive, which decides as x.min(initial=inf) > 0
+does, NaN included, at a third of a reduction's cost.  The allocation,
+which runs at every step, decides once per refresh pass instead.  No load
+is negative, so one price step lowers a price by at most eta * supply, and
+a pass of period steps by at most period times that.  An own edge priced
+above floor = 2 * period * eta * supply at a pass's start, twice that
+bound as a margin for rounding, therefore stays priced for the whole pass,
+and so does the path price of every line that crosses it.  When every
+line crosses such an edge the pass is certified and its allocations skip
+their own check; any other pass checks at every step, as before.
+Certified passes hold 54% of the price steps on the 20 test chains, and
+78% and 99% on the 7x12 one- and two-pool grids at the pinned step.  A
+pool with a closed edge or a line that cannot run, or a price falling to
+zero, takes the masked paths where a path is unpriced.  The stop test and
+the refresh read their maxima through argmax (_max_or_zero), which gives
+what x.max(initial=0.0) gives, bit for bit.
 """
 from __future__ import annotations
 
@@ -122,7 +126,8 @@ def default_price_eta(view: PoolView) -> float:
     the step is irrelevant and the scale falls back to one.
     """
     crowd = view.lines_per_edge().max() if view.n_lops else 1.0
-    open_caps = view.capacity[view.capacity > 0.0]
+    # when no edge is closed, every capacity is an open one
+    open_caps = view.capacity if _positive(view.capacity) else view.capacity[view.capacity > 0.0]
     scale = float(open_caps.min()) if open_caps.size else 1.0
     return 0.01 * scale / max(1.0, float(crowd))
 
@@ -323,15 +328,22 @@ def pool_residuals(
     active line on an unpriced path fails it.  Its overload and
     complementarity terms come from _clearing_terms, as _may_stop's do.  The
     price loop calls this at a run's opening, at each refresh boundary that
-    passes _may_stop, and on the exit that spends the budget.
+    passes _may_stop, and on the exit that spends the budget.  When every
+    line is active and priced the selection of such lines is skipped.
     """
     feas, comp = _clearing_terms(prices, excess)
 
-    active = freqs > 0.0
-    sel = active & (path_prices > 0.0)
-    priceless = np.count_nonzero(active) > np.count_nonzero(sel)  # an active path unpriced
-    mu = path_prices[sel]
-    marg = coefficients[sel] / (2.0 * np.sqrt(freqs[sel]))
+    if _positive(freqs) and _positive(path_prices):
+        # every line is active and priced: the selection below takes every entry
+        priceless = False
+        mu = path_prices
+        marg = coefficients / (2.0 * np.sqrt(freqs))
+    else:
+        active = freqs > 0.0
+        sel = active & (path_prices > 0.0)
+        priceless = np.count_nonzero(active) > np.count_nonzero(sel)  # an active path unpriced
+        mu = path_prices[sel]
+        marg = coefficients[sel] / (2.0 * np.sqrt(freqs[sel]))
     stat = _max_or_zero(np.abs(marg - mu) / mu)
 
     ok = (
@@ -367,6 +379,8 @@ def _neck_prices(neck: np.ndarray, bids: np.ndarray, supply: np.ndarray) -> np.n
     An edge no line's neck includes, and a closed edge, stays unpriced.
     """
     mass = (neck / neck.sum(axis=0)).dot(bids)
+    if _positive(supply):  # no edge is closed: the masked division divides everywhere
+        return mass / supply
     return np.divide(mass, supply, out=np.zeros(len(supply)), where=supply > 0.0)
 
 
@@ -467,27 +481,33 @@ def _run_pool(
     the incidence in another memory order would sum in another order and
     change them.
     """
-    eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
     period = cfg.bid_refresh_period
     # fixed for the whole run: the step and the allocation read these, not
     # the view, on every price update
     own = view.own_edges
     inc = view.incidence[own]
     inc_t = inc.T
-    supply = view.capacity[own] * share
+    own_caps = view.capacity[own]
+    supply = own_caps * share
     ceil = view.bottleneck * share
     cap = _OVERLOAD * ceil
+    # no load is negative, so a step lowers a price by at most eta * supply
+    # and a pass by at most half of floor
+    floor = 2 * period * eta * supply
+    eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
     # a state cleared at share zero holds nothing to rescale, and a line
     # that can run but holds no bid would never bid again: its path may
-    # stay unpriced, and an idle line passes the residual check
+    # stay unpriced, and an idle line passes the residual check; when every
+    # line bids, no line is such a line
     cold = (
         warm is None
         or not warm.share > 0.0
-        or bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any())
+        or not _positive(warm.bids) and bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any())
     )
     state = cold_start(view, coefficients, share) if cold else warm.copy()
     prices = state.prices[own]
-    prices[view.capacity[own] == 0.0] = 0.0
+    if not _positive(own_caps):
+        prices[own_caps == 0.0] = 0.0
     # a pool's optimum at share f is its share-1 optimum with prices scaled
     # by f**-1/2 and bids by f**1/2, so a warm state cleared at another share
     # is rescaled to it; the allocation below then scales the frequencies.
@@ -518,9 +538,6 @@ def _run_pool(
     # read the residuals.  A pass that ends on a boundary has run a whole
     # period, so only the opening check must hold a rescaled state back
     settled = res.converged and not rescaled
-    # no load is negative, so a step lowers a price by at most eta * supply
-    # and a pass by at most half of floor
-    floor = 2 * period * eta * supply
     while not settled and iters < cfg.max_iters:
         steps = min(period, cfg.max_iters - iters)
         # the pass is certified when every line crosses an edge priced above

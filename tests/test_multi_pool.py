@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
+from linemarket import multi_pool
 
 import instances
 
@@ -30,9 +31,14 @@ class TestProportionVector:
             lm.ProportionVector(("k0", "k1"), np.array([0.5, 0.6]))
 
     def test_rejects_non_finite(self):
-        for values in ([np.nan, np.nan], [np.inf, -np.inf], [np.nan, 1.0]):
+        # a non-finite entry is named before a negative one, NaN after a negative included
+        for values in ([np.nan, np.nan], [np.inf, -np.inf], [np.nan, 1.0],
+                       [1.0, -np.inf], [-0.5, np.nan], [np.inf, 1.0]):
             with pytest.raises(ValueError, match="finite"):
                 lm.ProportionVector(("k0", "k1"), np.array(values))
+        with pytest.raises(ValueError, match="nonnegative"):
+            lm.ProportionVector(("k0", "k1"), np.array([-0.5, 1.5]))
+        assert lm.ProportionVector(("k0", "k1"), np.array([-0.0, 1.0])).share("k1") == 1.0
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -297,7 +303,53 @@ MALFORMED_WARM = {
     "int64 prices": ("prices", lambda values, own: values.astype(np.int64)),
     "object bids": ("bids", lambda values, own: values.astype(object)),
     "bool freqs": ("freqs", lambda values, own: values > 0.0),
+    "-inf bid": ("bids", _with_entry(-np.inf)),
+    "NaN price after a negative one": ("prices", lambda values, own: np.append(-1.0, np.append(values[1:-1], np.nan))),
 }
+
+
+def _warm_values_pass(values):
+    """The warm check's rule for one array, as np.issubdtype and np.isfinite state it."""
+    return np.issubdtype(values.dtype, np.floating) and bool((np.isfinite(values) & (values >= 0.0)).all())
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16, np.int64, np.bool_, object])
+def test_warm_value_check_decides_as_isfinite(dtype):
+    """_check_warm reads the dtype's kind and each array's least and largest entry; it passes and
+    rejects what np.issubdtype(dtype, np.floating) and (np.isfinite(v) & (v >= 0)).all() pass and reject."""
+    net, pools, table = instances.chain_instance(0)
+    warm = lm.run_mechanism(net, pools, table).state
+    rng = np.random.default_rng(9)
+    specials = np.array([0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e-300, 5.0])
+    st = warm.pool_states["k1"]
+    original = st.freqs
+    verdicts = set()
+    for _ in range(200):
+        values = specials[rng.integers(0, len(specials), size=len(original))]
+        if dtype is not object and not np.issubdtype(dtype, np.floating):
+            values = np.nan_to_num(values, posinf=2.0, neginf=-2.0)
+        st.freqs = values.astype(dtype)
+        passes = _warm_values_pass(st.freqs)
+        verdicts.add(passes)
+        if passes:
+            multi_pool._check_warm(warm, {k: lm.compile_pool(net, pools, k) for k in pools.pool_ids})
+        else:
+            with pytest.raises(lm.InputMismatchError, match="warm state of pool 'k1': freqs "):
+                multi_pool._check_warm(warm, {k: lm.compile_pool(net, pools, k) for k in pools.pool_ids})
+    assert verdicts == ({True, False} if np.issubdtype(dtype, np.floating) else {False})
+
+
+def test_mean_is_numpy_mean_bit_for_bit():
+    """The mean the split reads is np.mean's, to the byte."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 40):
+        for scale in (1e-300, 1.0, 1e300):
+            x = rng.uniform(0.0, 1.0, n) * scale
+            assert np.float64(multi_pool._mean(x)).tobytes() == np.float64(np.mean(x)).tobytes()
+    for special in ([np.nan, 1.0], [np.inf, 1.0], [np.inf, -np.inf], [-0.0], [-0.0, -0.0]):
+        x = np.array(special)
+        with np.errstate(invalid="ignore"):
+            assert np.float64(multi_pool._mean(x)).tobytes() == np.float64(np.mean(x)).tobytes()
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_WARM))

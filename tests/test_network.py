@@ -1,4 +1,6 @@
 """Structure layer: networks, pools, loads, path prices, JSON round trip."""
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,23 @@ class TestValidation:
         """A bare tuple of edge ids is not a Line: the system refuses it, not compile_pool later."""
         with pytest.raises(lm.InputMismatchError, match=r"lines \[\('lop0', 'k0'\)\] are not Line objects"):
             lm.PoolSystem(["k0"], {("lop0", "k0"): ("e1",)})
+
+    def test_edge_that_is_not_an_edge(self):
+        """A bare tuple is not an Edge: the network refuses it by name, not with an AttributeError."""
+        with pytest.raises(lm.InputMismatchError, match=r"edges \[\('e1', 'u', 'v', 4.0\)\] are not Edge objects"):
+            lm.Network(["u", "v"], [("e1", "u", "v", 4.0)])
+
+    @pytest.mark.parametrize("edge_ids", ["e1", ["e1"], ("e1", 2), ("e1", None)])
+    def test_line_edges_must_be_a_tuple_of_strings(self, edge_ids):
+        """A bare string would read as the edges "e" and "1"; a line refuses it when built."""
+        with pytest.raises(lm.InputMismatchError, match="a line's edge ids must be a tuple of strings"):
+            lm.Line(edge_ids)
+
+    @pytest.mark.parametrize("key", [("lop0", "k0", "x"), ("lop0",), ("lop0", 0), "lop0"])
+    def test_line_key_must_be_an_operator_pool_pair(self, key):
+        """A key of another shape fails when the system is built, not inside lops_in later."""
+        with pytest.raises(lm.InputMismatchError, match=r"line keys \[.*\] are not \(operator, pool\) pairs"):
+            lm.PoolSystem(["k0"], {key: lm.Line(("e1",))})
 
 
 def test_repeated_edge_id_is_rejected_by_every_reader():
@@ -240,3 +259,27 @@ def test_malformed_document_rejected():
         lm.network_from_json({"nodes": ["u"], "edges": [{"id": "e1"}], "pools": []})
     with pytest.raises(ValueError):
         lm.network_from_json({"edges": [], "pools": []})
+
+
+def _reversed_edges(net, pools, table):
+    """The same instance with its edges listed in reverse order."""
+    return lm.Network(net.nodes, net.edges[::-1]), pools, table
+
+
+@pytest.mark.parametrize("make", [partial(instances.chain_instance, seed) for seed in range(20)]
+                         + [partial(instances.grid_instance, seed, k) for seed, k in ((0, 1), (0, 2), (5, 2))])
+@pytest.mark.parametrize("order", ["listed", "reversed"])
+def test_compiled_view_matches_a_per_line_reference(make, order):
+    """The incidence, own edges and bottlenecks, set from flat positions in one call, are the per-line loop's bytes."""
+    net, pools, _ = make() if order == "listed" else _reversed_edges(*make())
+    pos = {eid: i for i, eid in enumerate(net.edge_ids)}
+    for k in pools.pool_ids:
+        view = lm.compile_pool(net, pools, k)
+        inc = np.zeros((len(net.edge_ids), view.n_lops))
+        for p, lop in enumerate(view.lop_ids):
+            inc[[pos[eid] for eid in pools.line(lop, k).edge_ids], p] = 1.0
+        own = np.flatnonzero(inc.any(axis=1))
+        bottleneck = np.where(inc > 0.0, net.capacity_vector()[:, None], np.inf).min(axis=0, initial=np.inf)
+        assert view.incidence.tobytes() == inc.tobytes() and view.incidence.shape == inc.shape
+        assert view.own_edges.dtype == own.dtype and view.own_edges.tobytes() == own.tobytes()
+        assert view.bottleneck.tobytes() == bottleneck.tobytes()

@@ -768,6 +768,95 @@ def test_certifier_matches_dict_loop_reference(k1_baseline, k2_baseline):
             assert abs(new.max_scaled() - ref.max_scaled()) <= 1e-12
 
 
+def reference_kkt(views, coefficients, freqs, prices, shares, cost_level):
+    """kkt_report as the masked formulas read it: every selection by mask, every maximum by max(initial=0.0)."""
+    level_scale = max(abs(cost_level), 1e-30)
+    share_vec = np.asarray(shares, dtype=float)
+    stat_raw = stat_rel = None
+    comp_raw = over_raw = over_rel = spread_raw = 0.0
+    neg = max(0.0, -float(share_vec.min(initial=0.0)))
+    for view, a, x, lam, share in zip(views, coefficients, freqs, prices, share_vec):
+        neg = max(neg, -float(x.min(initial=0.0)), -float(lam.min(initial=0.0)))
+        run = x > 0.0
+        if run.any():
+            mu = (view.incidence.T @ lam)[run]
+            gap = np.abs(a[run] / (2.0 * np.sqrt(x[run])) - mu)
+            stat_raw = max(stat_raw or 0.0, float(gap.max()))
+            stat_rel = max(stat_rel or 0.0, float((gap / np.maximum(mu, 1e-30)).max()))
+        if (~run & (view.bottleneck * share > 0.0)).any():
+            stat_rel = max(stat_rel or 0.0, 1.0)
+        slack = view.incidence @ x - view.capacity * share
+        comp_raw = max(comp_raw, float(np.abs(lam * slack).max(initial=0.0)))
+        over_raw = max(over_raw, float(slack.max(initial=0.0)))
+        over_rel = max(over_rel, float((slack / np.maximum(view.capacity, 1e-30)).max(initial=0.0)))
+        if share > 0.0:
+            spread_raw = max(spread_raw, abs(float(view.capacity @ lam) - cost_level))
+    total_share = float(share_vec.sum())
+    split_comp_raw = abs(cost_level * (total_share - 1.0))
+    return lm.KKTReport(
+        stat_raw, stat_rel, spread_raw, spread_raw / level_scale, comp_raw, comp_raw / level_scale,
+        split_comp_raw, split_comp_raw / level_scale, over_raw, over_rel, max(0.0, total_share - 1.0), neg,
+    )
+
+
+def test_certifier_matches_masked_reference_bitwise():
+    """kkt_report gives the masked formulas' bytes, on points where every operator runs and on points where some do not.
+
+    The points are random, on the views of five chains, of chain 3 with
+    an edge closed and of a 7x12 two-pool grid: some give every operator a
+    positive frequency, which kkt_report reads without its masks, and the
+    others take the masked side, with zero frequencies, idle lines that
+    could run, zero path prices and a line over the closed edge.  Every
+    third point has negative entries, which only negativity reports.
+    """
+    rng = np.random.default_rng(27)
+    cases = [instances.chain_instance(seed) for seed in range(5)]
+    net, pools, table = instances.chain_instance(3)
+    cases.append((net.with_capacities({"e5": 0.0}), pools, table))
+    cases.append(instances.grid_instance(0, 2))
+    instance_views = [_views(*case) for case in cases]
+    seen = {"every operator runs": 0, "zero frequency": 0, "idle line that could run": 0,
+            "zero path price": 0, "line over a closed edge": 0, "negative price": 0, "negative frequency": 0}
+    for trial in range(1500):
+        views, coeffs = instance_views[trial % len(instance_views)]
+        running = trial % 2 == 0
+        xs = [rng.uniform(0.01, 5.0, v.n_lops) * (1.0 if running else rng.random(v.n_lops) < 0.7) for v in views]
+        lams = [rng.uniform(0.0, 2.0, v.n_edges) * (rng.random(v.n_edges) < rng.random()) for v in views]
+        if trial % 3 == 0:
+            lams = [lam * np.where(rng.random(len(lam)) < 0.2, -1.0, 1.0) for lam in lams]
+            if not running:
+                xs = [x * np.where(rng.random(len(x)) < 0.2, -1.0, 1.0) for x in xs]
+        shares = rng.dirichlet(np.ones(len(views)))
+        level = float(rng.uniform(0.5, 50.0))
+        got = lm.kkt_report(views, coeffs, xs, lams, shares, level)
+        assert repr(got) == repr(reference_kkt(views, coeffs, xs, lams, shares, level)), trial
+        for view, x, lam, share in zip(views, xs, lams, shares):
+            seen["every operator runs"] += int(bool(np.all(x > 0.0)))
+            seen["zero frequency"] += int(np.sum(x == 0.0))
+            seen["idle line that could run"] += int(np.sum((x == 0.0) & (view.bottleneck * share > 0.0)))
+            seen["zero path price"] += int(np.sum(view.incidence.T @ lam == 0.0))
+            seen["line over a closed edge"] += int(np.sum(view.bottleneck == 0.0))
+            seen["negative price"] += int(np.sum(lam < 0.0))
+            seen["negative frequency"] += int(np.sum(x < 0.0))
+    assert min(seen.values()) > 0, seen
+
+
+def test_newton_step_is_numpy_solve_bit_for_bit():
+    """The Newton step solves as np.linalg.solve does, to the byte, and raises LinAlgError where it does."""
+    rng = np.random.default_rng(382)
+    for n in range(1, 9):
+        for _ in range(50):
+            rows = rng.random((n, n + 2)) < 0.6
+            hess = (rows * rng.uniform(0.1, 5.0, n + 2)) @ rows.T.astype(float)
+            hess.flat[:: n + 1] += 1e-9
+            rhs = rng.normal(size=n)
+            assert oracle._newton_step(hess, rhs).tobytes() == np.linalg.solve(hess, rhs).tobytes()
+    singular = np.array([[1.0, 2.0], [2.0, 4.0]])
+    for solve in (np.linalg.solve, oracle._newton_step):
+        with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+            solve(singular, np.array([1.0, 0.0]))
+
+
 def test_cost_level_is_max_pool_cost():
     net, pools, table = instances.shared_edge_two_pools(0.5)
     sol = lm.solve_full(net, pools, table)

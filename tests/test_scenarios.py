@@ -157,6 +157,17 @@ class TestCongestedEdges:
         assert lm.congested_edges(state) == {"e2"}
         assert lm.congested_edges(state, threshold=0.6) == set()
 
+    @pytest.mark.parametrize("pools, seed", [(1, seed) for seed in instances.GRID_SEEDS_K1[:4]]
+                             + [(2, seed) for seed in instances.GRID_SEEDS_K2[:2]])
+    def test_matches_the_edge_loop_on_grid_baselines(self, pools, seed, k1_baseline, k2_baseline):
+        """One comparison per pool finds the set an edge-by-edge loop finds, at several thresholds."""
+        base = (k1_baseline if pools == 1 else k2_baseline)(seed)[3]
+        for threshold in (0.0, 0.1, 0.5, 2.0):
+            loop = {eid for st in base.state.pool_states.values()
+                    for eid, lam in zip(st.edge_ids, st.prices) if lam > threshold}
+            assert lm.congested_edges(base.state, threshold) == loop, threshold
+        assert len(lm.congested_edges(base.state)) >= 2
+
     def test_only_the_bottleneck_prices(self):
         net = lm.Network(
             ["u", "v", "w"],

@@ -10,7 +10,8 @@ import pytest
 import linemarket as lm
 from linemarket import multi_pool, single_pool
 from linemarket.single_pool import (
-    _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _max_or_zero, _may_stop, _positive, _run_pool, pool_residuals
+    _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _max_or_zero, _may_stop, _neck_prices, _positive, _run_pool,
+    pool_residuals,
 )
 
 import instances
@@ -593,6 +594,13 @@ def test_warm_restart_returns_a_closed_edge_at_price_zero():
     assert_same_run(view, table.coefficients_for(view), 1.0, lm.DynamicsConfig(), warm.pool_states["k0"])
     assert res.state.pool_states["k0"].freq_map()["lop0"] == 0.0
     assert lm.mechanism_kkt(closed, pools, table, res.state).max_scaled() <= 0.1
+    # a line that cannot run is not a silent one: with lop0's bid zeroed the
+    # restart still resumes the state warm, as the reference does, with no
+    # update
+    dead = res.state.pool_states["k0"].copy()
+    dead.bids[dead.lop_ids.index("lop0")] = 0.0
+    again = assert_same_run(view, table.coefficients_for(view), res.state.shares.share("k0"), lm.DynamicsConfig(), dead)
+    assert again.converged and again.iterations == 0
 
 
 @pytest.mark.parametrize("kind", ["reduce", "increase"])
@@ -706,9 +714,11 @@ def test_allocation_matches_reference_bitwise():
 
 
 def test_bid_refresh_and_bid_terms_match_reference_bitwise():
-    """Both the unmasked and the masked paths give the reference formulas' bytes."""
+    """Both the unmasked and the masked paths give the reference formulas' bytes: the bid refresh,
+    the bid terms and the neck charge, which divides unmasked when no edge is closed."""
     rng = np.random.default_rng(2025)
-    seen = {"every path priced": 0, "unpriced path": 0, "every line bids": 0, "zero bid": 0, "negative bid": 0}
+    seen = {"every path priced": 0, "unpriced path": 0, "every line bids": 0, "zero bid": 0, "negative bid": 0,
+            "every edge open": 0, "closed edge": 0}
     for trial in range(2000):
         n = int(rng.integers(1, 12))
         coeffs = rng.uniform(0.5, 20.0, n)
@@ -729,10 +739,20 @@ def test_bid_refresh_and_bid_terms_match_reference_bitwise():
         assert offers.tobytes() == np.where(bids > 0.0, bids, 0.0).tobytes(), trial
         assert free.tobytes() == np.where(bids > 0.0, ceil, 0.0).tobytes(), trial
 
+        # the neck charge: some trials close edges, whose supply is zero
+        edges = int(rng.integers(1, 8))
+        neck = rng.random((edges, n)) < 0.4
+        neck[rng.integers(0, edges, n), np.arange(n)] = True
+        supply = rng.uniform(0.1, 5.0, edges) * (rng.random(edges) < (0.7 if mixed else 2.0))
+        mass = (neck / neck.sum(axis=0)).dot(ceil)
+        want = np.where(supply > 0.0, mass / np.where(supply > 0.0, supply, 1.0), 0.0)
+        assert _neck_prices(neck, ceil, supply).tobytes() == want.tobytes(), trial
+
         seen["every path priced" if np.all(mu > 0.0) else "unpriced path"] += 1
         seen["every line bids"] += int(bool(np.all(bids > 0.0)))
         seen["zero bid"] += int(np.sum(bids == 0.0))
         seen["negative bid"] += int(np.sum(bids < 0.0))
+        seen["every edge open" if np.all(supply > 0.0) else "closed edge"] += 1
     assert min(seen.values()) > 0, seen
 
 
@@ -944,7 +964,8 @@ def test_residuals_match_reference_on_random_states(monkeypatch):
     net, pools, table = instances.grid_instance(0, 2)
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
     views.append((view, table.coefficients_for(view)))
-    seen = {"active on unpriced path": 0, "zero frequency": 0, "converged": 0, "not converged": 0}
+    seen = {"active on unpriced path": 0, "zero frequency": 0, "every line active and priced": 0,
+            "converged": 0, "not converged": 0}
     for trial in range(2000):
         view, coeffs = views[trial % len(views)]
         prices = rng.uniform(0.0, 2.0, view.n_edges) * (rng.random(view.n_edges) < rng.random())
@@ -962,6 +983,8 @@ def test_residuals_match_reference_on_random_states(monkeypatch):
         mu = view.incidence.T @ prices
         seen["active on unpriced path"] += int(np.sum((freqs > 0.0) & (mu == 0.0)))
         seen["zero frequency"] += int(np.sum(freqs == 0.0))
+        # pool_residuals reads such a state without its masks
+        seen["every line active and priced"] += int(bool(np.all(freqs > 0.0) and np.all(mu > 0.0)))
         seen["converged" if got.converged else "not converged"] += 1
     assert min(seen.values()) > 0, seen
 
