@@ -43,14 +43,15 @@ class InputMismatchError(ValueError):
     """An input is keyed inconsistently with the network or pool system."""
 
 
-def _check_count(name: str, value: object) -> int:
-    """A budget as a Python int; reject one that is not a whole number of at least 1.
+def _check_count(name: str, value: object, least: int = 1) -> int:
+    """A budget as a Python int; reject one that is not a whole number of at least `least`.
 
     Any integer type passes, numpy's included, and is stored as int, so the
     counts a budget bounds are Python ints too; bool, though an int, fails.
+    A seed or a lattice coordinate passes the same test at least 0.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{name} must be a whole number of at least 1, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be a whole number of at least {least}, got {value!r}")
     return int(value)
 
 

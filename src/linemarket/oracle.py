@@ -7,7 +7,10 @@ the explicit convex dual of their concave program over edge prices with a
 projected, Levenberg-damped Newton method (see _clearing_prices).  At share
 1 the pools' duals are separable, so the stack is one pool with the pools'
 incidences on its diagonal (_stack_pools), and one Newton solve per
-instance minimizes their sum.  That solver knows one demand law,
+instance minimizes their sum.  It solves on the rows no other row implies
+(one-row dominance, a standard LP presolve step): an edge whose lines all
+cross another edge of no larger capacity never binds alone, so it is left
+unpriced.  That solver knows one demand law,
 x = (scale / path price)**power: a valuation a*sqrt(x) is power 2 at scale
 a/2, and a frozen bid w (solve_fixed_bids) is power 1 at scale w.  Newton
 opens where the engine opens, at single_pool.cold_start's share-1 prices,
@@ -63,25 +66,27 @@ class _PoolSolve:
     dual_evals: int   # dual values computed: the opening's and each trial step's
 
 
-def _row_groups(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First occurrences and group ids of equal rows of a 0/1 matrix.
+def _implied_rows(rows: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges the columns of `rows` cross, in presolve order, and each one's first cover.
 
-    The answer of np.unique(rows, axis=0, return_index=True,
-    return_inverse=True), without its array sort: rows holding only 0.0
-    and 1.0 compare byte by byte as they compare by value, so the sorted
-    distinct byte strings of the rows order the groups the same way, and
-    two dicts read off each group's first row and each row's group.
+    A cover of an edge crosses every line that edge crosses.  The edges are
+    sorted by budget, ties broken by more lines crossed first and then by
+    the rows themselves, so only equal rows at equal budgets keep the order
+    they are listed in, and they stand for each other.  first[i] is the
+    position of the first edge in that order that covers edge i; edge i
+    covers itself, so first[i] <= i and the cover's budget is no larger.
+    An edge whose first cover is another edge is implied: its load never
+    exceeds the cover's, which never exceeds the cover's budget, so pricing
+    it at zero loses no optimum (one-row dominance, a standard LP presolve
+    step; Andersen & Andersen 1995).  A cover is its own first cover, as
+    an edge covering it would cover edge i earlier, so it is kept.
     """
-    data = np.ascontiguousarray(rows).tobytes()
-    width = rows.itemsize * rows.shape[1]
-    keys = [data[i:i + width] for i in range(0, len(data), width)]
-    first: dict[bytes, int] = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    order = sorted(first)
-    group = {key: g for g, key in enumerate(order)}
-    return (np.array([first[key] for key in order], dtype=np.intp),
-            np.array([group[key] for key in keys], dtype=np.intp))
+    edges = rows.any(axis=1).nonzero()[0]
+    used = rows[edges]
+    crossing = used.sum(axis=1)
+    order = np.lexsort((*used.T, -crossing, budget[edges]))
+    used, crossing = used[order], crossing[order]
+    return edges[order], (used @ used.T == crossing[:, None]).argmax(axis=1)
 
 
 def _raise_singular(err: str, flag: int) -> None:
@@ -123,22 +128,24 @@ def _clearing_prices(
     Minimizes the dual of  max sum(values) s.t. incidence @ x <= budget
     over nonnegative prices with a projected, Levenberg-damped Newton
     method.  The solve runs on a reduced system: the active operators'
-    columns only, and of their rows one per group.  Edges crossed by
-    exactly the same set of active operators are collapsed by grouping
-    their active incidence rows (see _row_groups): within such a group only
-    the scarcest edge, its representative, can carry a positive price, and
-    the collapse removes the flat directions that would otherwise make the
-    Newton system singular.  An inactive operator never enters the system,
-    so the solve is the one of the same pool with its column deleted; at
-    the exit the prices are scattered onto the representatives and the
-    frequencies onto the active columns, every other entry zero.
+    columns only, and of their rows the ones no other row implies.  An
+    edge is implied when another edge of no larger budget crosses every
+    active line it crosses, its cover (see _implied_rows): its load never
+    exceeds its budget while the cover's holds, so it never binds alone and
+    stays unpriced.  Dropping the implied rows, equal rows among them,
+    removes flat directions that would otherwise make the Newton system
+    singular.  An inactive operator never enters the system, so the solve
+    is the one of the same pool with its column deleted; at the exit the
+    prices are scattered onto the kept edges and the frequencies onto the
+    active columns, every other entry zero.
 
     Newton opens at `opening`, the engine's fair-share opening prices
-    (single_pool's neck charge), summed onto each group's representative;
-    the sum keeps every active path price, so the dual value is finite from
-    the start.  The dual value blows up whenever an active operator's path
-    turns free of charge, so descent steps keep every such path priced
-    without explicit bookkeeping.  The stop test reads the engine's own
+    (single_pool's neck charge), each implied edge's moved onto its first
+    cover; every line crossing the implied edge crosses the cover, so no
+    active path price falls and the dual value is finite from the start.
+    The dual value blows up whenever an active operator's path turns free
+    of charge, so descent steps keep every such path priced without
+    explicit bookkeeping.  The stop test reads the engine's own
     overload and complementarity terms (single_pool._clearing_terms) at
     `tol` times the largest budget.  The Armijo test allows for the dual
     value's own rounding (a few ulps of it), else a step the rounding hides
@@ -162,15 +169,14 @@ def _clearing_prices(
             return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0, 0)
         rows, s = incidence[:, act], scale[act]
 
-    # group the edges active lines cross by their active rows, scarcest edge
-    # first, so each group's first edge is its representative
-    edges = rows.any(axis=1).nonzero()[0]
-    edges = edges[np.argsort(budget[edges], kind="stable")]
-    first, group = _row_groups(rows[edges])
-    reps = edges[first]
+    # keep the edges no other edge implies; each implied edge's opening
+    # price moves to its cover, which every line crossing it crosses
+    edges, first = _implied_rows(rows, budget)
+    keep = first == np.arange(len(first))
+    reps = edges[keep]
     sub_inc = rows[reps]
     sub_budget = budget[reps]
-    prices = np.bincount(group, weights=opening[edges], minlength=len(reps))
+    prices = np.bincount(first, weights=opening[edges], minlength=len(edges))[keep]
     scale_b = max(1.0, float(sub_budget.max()))
     s_sq = s ** 2
     evals = 0
@@ -291,9 +297,10 @@ def _stack_pools(views: Sequence[PoolView], coefficients: Sequence[np.ndarray]) 
     once per pool, the coefficient vectors concatenated, all in pool order.
     Row p*n_edges + e of the stack is edge e in pool p, and the columns are
     the pools' operators in turn, so the answer splits back at those
-    offsets.  No two rows of different pools cross a common operator, so
-    _clearing_prices never groups them together, and each block's fair
-    split and neck are its pool's.  A single view passes as it is.
+    offsets.  No two rows of different pools cross a common operator, so a
+    row of one pool never implies a row of another in _clearing_prices,
+    and each block's fair split and neck are its pool's.  A single view
+    passes as it is.
     """
     if len(views) == 1:
         return views[0], coefficients[0]
@@ -335,6 +342,15 @@ def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarr
 # ---------------------------------------------------------------------------
 # Optimality certification.
 
+def _worst(acc: float, term: float) -> float:
+    """max(acc, term), except that a NaN on either side wins.
+
+    Python's max keeps acc when term is NaN, which would certify a NaN
+    residual as zero; otherwise this is max's answer, acc on a tie.
+    """
+    return acc if acc >= term or acc != acc else term
+
+
 @dataclass(frozen=True)
 class KKTReport:
     """Residuals of the clearing conditions, raw and scale-free.
@@ -346,7 +362,8 @@ class KKTReport:
     price meets it; stationarity_raw covers running operators only.  Scaled
     values divide by the natural magnitude of the condition: path price for
     stationarity, cost level for the cost and complementarity rows,
-    per-edge capacity for overloads.
+    per-edge capacity for overloads.  A NaN residual makes max_scaled NaN,
+    which no bound certifies.
     """
 
     stationarity_raw: float | None
@@ -372,7 +389,7 @@ class KKTReport:
             self.split_excess,
             self.negativity,
         ]
-        return max(vals)
+        return math.nan if any(map(math.isnan, vals)) else max(vals)
 
 
 def kkt_report(
@@ -418,7 +435,7 @@ def kkt_report(
     over_raw = 0.0
     over_rel = 0.0
     spread_raw = 0.0
-    neg = max(0.0, -float(share_vec.min(initial=0.0)))
+    neg = _worst(0.0, -float(share_vec.min(initial=0.0)))
 
     for view, a, x, lam, share in zip(views, coefficients, freqs, prices, share_vec):
         a, x, lam = np.asarray(a, dtype=float), np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
@@ -429,30 +446,30 @@ def kkt_report(
         if x.size and _positive(x):
             # every operator runs: the masks below would select every entry,
             # no operator stands idle, and x adds nothing to negativity
-            neg = max(neg, -float(lam.min(initial=0.0)))
+            neg = _worst(neg, -float(lam.min(initial=0.0)))
             mu = view.incidence.T @ lam
             gap = np.abs(a / (2.0 * np.sqrt(x)) - mu)
         else:
-            neg = max(neg, -float(x.min(initial=0.0)), -float(lam.min(initial=0.0)))
+            neg = _worst(_worst(neg, -float(x.min(initial=0.0))), -float(lam.min(initial=0.0)))
             run = x > 0.0
             mu = (view.incidence.T @ lam)[run]
             gap = np.abs(a[run] / (2.0 * np.sqrt(x[run])) - mu)
             idle = bool((~run & (view.bottleneck * share > 0.0)).any())
         if gap.size:
-            stat_raw = max(stat_raw or 0.0, _max_or_zero(gap))
-            stat_rel = max(stat_rel or 0.0, _max_or_zero(gap / np.maximum(mu, _TINY)))
+            stat_raw = _worst(stat_raw or 0.0, _max_or_zero(gap))
+            stat_rel = _worst(stat_rel or 0.0, _max_or_zero(gap / np.maximum(mu, _TINY)))
         if idle:
-            stat_rel = max(stat_rel or 0.0, 1.0)
+            stat_rel = _worst(stat_rel or 0.0, 1.0)
         slack = view.incidence @ x - view.capacity * share
-        comp_raw = max(comp_raw, _max_or_zero(np.abs(lam * slack)))
-        over_raw = max(over_raw, _max_or_zero(slack))
-        over_rel = max(over_rel, _max_or_zero(slack / np.maximum(view.capacity, _TINY)))
+        comp_raw = _worst(comp_raw, _max_or_zero(np.abs(lam * slack)))
+        over_raw = _worst(over_raw, _max_or_zero(slack))
+        over_rel = _worst(over_rel, _max_or_zero(slack / np.maximum(view.capacity, _TINY)))
         if share > 0.0:
             # the split's condition binds only pools that hold capacity
-            spread_raw = max(spread_raw, abs(float(view.capacity @ lam) - cost_level))
+            spread_raw = _worst(spread_raw, abs(float(view.capacity @ lam) - cost_level))
 
     total_share = float(share_vec.sum())
-    split_excess = max(0.0, total_share - 1.0)
+    split_excess = _worst(0.0, total_share - 1.0)
     split_comp_raw = abs(cost_level * (total_share - 1.0))
 
     return KKTReport(

@@ -9,7 +9,6 @@ hit.
 """
 from __future__ import annotations
 
-import numbers
 import zlib
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
@@ -55,7 +54,13 @@ class GridSpec:
 
     Lines run from the head of shared_first_edge by rightward/downward moves
     to a random interior target, so every generated line starts with the
-    same edge and has at least min_line_len edges.
+    same edge and has at least min_line_len edges.  Each field is checked
+    here, as DisruptionSpec checks its own, so a bad one raises ValueError
+    naming it rather than failing inside range or numpy when the grid is
+    generated: rows, cols, pools, lines_per_pool and min_line_len must be
+    whole numbers of at least 1, the capacity range two real numbers, the
+    shared first edge's coordinates and the seed whole numbers of at least
+    0; a bool passes for none of them.
     """
 
     rows: int
@@ -68,14 +73,17 @@ class GridSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("rows", "cols", "pools", "lines_per_pool", "min_line_len"):
+            _check_count(name, getattr(self, name))
+        _check_count("seed", self.seed, 0)
         if self.rows < 2 or self.cols < 2:
             raise ValueError("grid needs at least 2 rows and 2 cols")
-        if self.pools < 1 or self.lines_per_pool < 1:
-            raise ValueError("need at least one pool and one line per pool")
-        lo, hi = self.capacity_range
+        lo, hi = (_check_real("capacity_range", v) for v in self.capacity_range)
         if not (0 < lo < hi < np.inf):
             raise ValueError(f"bad capacity range {self.capacity_range}")
         (r0, c0), (r1, c1) = self.shared_first_edge
+        for coord in (r0, c0, r1, c1):
+            _check_count("shared_first_edge", coord, 0)
         down = (r1 == r0 + 1 and c1 == c0)
         right = (r1 == r0 and c1 == c0 + 1)
         inside = 0 <= r0 < self.rows and 0 <= r1 < self.rows and 0 <= c0 < self.cols and 0 <= c1 < self.cols
@@ -201,8 +209,7 @@ class DisruptionSpec:
         _check_count("edge_count", self.edge_count)
         if not 0.0 <= _check_real("magnitude", self.magnitude) <= 1.0:
             raise ValueError(f"magnitude must lie in [0, 1], got {self.magnitude}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) or self.seed < 0:
-            raise ValueError(f"seed must be a whole number of at least 0, got {self.seed!r}")
+        _check_count("seed", self.seed, 0)
 
 
 def congested_edges(state: OuterState, threshold: float = 0.1) -> set[str]:

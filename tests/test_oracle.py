@@ -1,5 +1,6 @@
 """Reference solver: closed-form pool optima and split, KKT certification."""
 import copy
+import dataclasses
 import math
 from functools import partial
 from pathlib import Path
@@ -147,6 +148,45 @@ def test_kkt_idle_operator_without_capacity_certifies():
     report = lm.kkt_report(views, coeffs, [np.zeros(1)], [np.zeros(1)], [1.0], 0.0)
     assert report.stationarity_rel is None
     assert report.max_scaled() == 0.0
+
+
+def test_nan_is_never_certified():
+    """A NaN in a candidate makes max_scaled NaN, through kkt_report and through _state_kkt.
+
+    Python's max keeps its running value when the next term is NaN, so each
+    pool's NaN term and each NaN field must win where max would pass over
+    it, in the first pool or a later one.
+    """
+    net, pools, table = instances.chain_instance(0)
+    res = lm.run_mechanism(net, pools, table)
+    assert 0.0 < oracle._state_kkt(res.views, res.coefficients, res.state).max_scaled() < 0.1
+    nan_state = copy.deepcopy(res.state)
+    for st in nan_state.pool_states.values():
+        st.prices[:] = np.nan
+    assert math.isnan(oracle._state_kkt(res.views, res.coefficients, nan_state).max_scaled())
+
+    states = [res.state.pool_states[view.pool_id] for view in res.views]
+    xs, lams = [st.freqs for st in states], [st.prices for st in states]
+    shares, level = res.state.shares.values, res.state.cost_level
+
+    def report(xs=xs, lams=lams, shares=shares, level=level):
+        return lm.kkt_report(res.views, res.coefficients, xs, lams, shares, level)
+
+    for p in range(len(res.views)):
+        for name, arrays, i in (("price", lams, 0), ("price", lams, -1), ("frequency", xs, 0)):
+            edited = [a.copy() for a in arrays]
+            edited[p][i] = np.nan
+            got = report(**{"lams" if name == "price" else "xs": edited})
+            assert math.isnan(got.max_scaled()), (p, name, i, got)
+        some_idle = [x.copy() for x in xs]
+        some_idle[p][0] = 0.0
+        some_idle[p][-1] = np.nan
+        assert math.isnan(report(xs=some_idle).max_scaled()), p
+    assert math.isnan(report(shares=[np.nan, 0.5]).max_scaled())
+    assert math.isnan(report(level=np.nan).max_scaled())
+    fields = [f.name for f in dataclasses.fields(lm.KKTReport)]
+    for name in (f for f in fields if not f.endswith("_raw")):  # the terms max_scaled reads
+        assert math.isnan(lm.KKTReport(**{f: math.nan if f == name else 0.0 for f in fields}).max_scaled()), name
 
 
 def test_full_search_single_pool_degenerates():
@@ -587,62 +627,126 @@ def test_dual_evaluations_cover_every_iteration():
     assert (idle.iterations, idle.dual_evals) == (0, 0)
 
 
-def test_row_groups_match_unique_over_rows():
-    """The byte-keyed grouping gives np.unique(axis=0)'s representatives and group ids."""
-    rng = np.random.default_rng(16)
-    mats = [
-        np.array([[1.0, 0.0, 1.0]]),                     # a single row
-        np.ones((5, 3)),                                 # all rows equal
-        np.zeros((4, 2)),
-        np.ones((6, 1)),
-        np.tile([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], (7, 1)),  # many duplicates
-    ]
-    for trial in range(3000):
+def _cover_cases():
+    """(incidence, budget) pairs: every STACK_CASES stack, then random 0/1 matrices with tied budgets."""
+    for _, make in STACK_CASES:
+        stacked, _ = oracle._stack_pools(*_views(*make()))
+        yield stacked.incidence, stacked.capacity
+    rng = np.random.default_rng(28)
+    for trial in range(2000):
         m, k = int(rng.integers(1, 30)), int(rng.integers(1, 10))
         rows = (rng.random((m, k)) < rng.random()).astype(float)
-        # every other matrix draws its rows from a few, so duplicates abound
-        mats.append(rows[rng.integers(0, max(1, m // 4), size=m)] if trial % 2 else rows)
-    for rows in mats:
-        _, first, group = np.unique(rows, axis=0, return_index=True, return_inverse=True)
-        got_first, got_group = oracle._row_groups(rows)
-        np.testing.assert_array_equal(got_first, first)
-        np.testing.assert_array_equal(got_group, group.ravel())
+        # every other matrix draws its rows from a few, so equal rows abound
+        if trial % 2:
+            rows = rows[rng.integers(0, max(1, m // 4), size=m)]
+        rows[rng.integers(m), rng.integers(k)] = 1.0  # some edge is crossed
+        yield rows, rng.integers(1, 4, size=m).astype(float)
+
+
+def test_each_implied_row_keeps_a_cover():
+    """Each dropped row's cover crosses all of its lines at no larger budget, and no kept row covers another.
+
+    The first is what makes pricing the dropped row at zero lose no optimum;
+    the second, that one-row dominance drops every row it can, whatever
+    order the rows are listed in.
+    """
+    dropped = strict = 0
+    for rows, budget in _cover_cases():
+        edges, first = oracle._implied_rows(rows, budget)
+        n = len(edges)
+        np.testing.assert_array_equal(np.sort(edges), np.flatnonzero(rows.any(axis=1)))
+        lines = rows[edges] > 0.0
+        assert (first <= np.arange(n)).all()
+        assert (first[first] == first).all()  # a cover is kept
+        assert (lines[first] | ~lines).all()  # and crosses every line of the row it covers
+        assert (budget[edges[first]] <= budget[edges]).all()
+        kept = np.flatnonzero(first == np.arange(n))
+        for i in kept:
+            covers = (lines[kept] | ~lines[i]).all(axis=1) & (budget[edges[kept]] <= budget[edges[i]])
+            assert np.flatnonzero(covers).tolist() == [np.searchsorted(kept, i)]
+        dropped += n - len(kept)
+        strict += int(np.count_nonzero(lines[first].sum(axis=1) > lines.sum(axis=1)))
+    assert dropped > 0 and strict > 0
+
+
+def test_newton_counts_do_not_read_the_edge_order(monkeypatch):
+    """Listing a tied-capacity grid's edges and lines in another order leaves the Newton counts as they are.
+
+    Each 7x12 grid's capacities are rounded up to multiples of 20, so
+    edges tie in capacity while one crosses more lines than the other.
+    The presolve must break such ties by the rows, not by the order the
+    edges are listed in, else another order keeps other rows.
+    """
+    solve = oracle._solve_one_pool
+    counts = []
+
+    def recorded(view, coefficients):
+        sol = solve(view, coefficients)
+        counts.append((sol.iterations, sol.dual_evals))
+        return sol
+
+    monkeypatch.setattr(oracle, "_solve_one_pool", recorded)
+    for k in (1, 2):
+        for seed in range(20):
+            net, pools, table = instances.grid_instance(seed, k)
+            net = net.with_capacities({e.id: 20.0 * math.ceil(e.capacity / 20.0) for e in net.edges})
+            rng = np.random.default_rng(seed)
+            counts.clear()
+            for trial in range(3):
+                edges = [net.edges[i] for i in rng.permutation(len(net.edges))] if trial else net.edges
+                keys = list(pools.lines)
+                keys = [keys[i] for i in rng.permutation(len(keys))] if trial == 2 else keys
+                reordered = lm.PoolSystem(pools.pool_ids, {key: pools.lines[key] for key in keys})
+                assert lm.solve_full(lm.Network(net.nodes, edges), reordered, table).converged
+            assert counts.count(counts[0]) == 3, (seed, k, counts)
 
 
 def test_oracle_opens_at_cold_start(monkeypatch):
-    """Newton opens at cold_start's share-1 prices, summed onto each edge group.
+    """Newton opens at cold_start's share-1 prices, each implied edge's moved onto its first cover.
 
-    A group is the edges crossed by the same lines, represented by its
-    scarcest edge; the grouping here is restated with a loop over edges.
-    The 20 chains merge edges into groups, and the tied pair splits one
-    line's opening bid over two edges of one group, which the sum rejoins.
+    The rule is restated with a loop over edges: the edges are ordered by
+    capacity, more lines crossed first, then by their incidence rows read
+    from the last operator, then as listed, and an edge's cover is the
+    first edge in that order crossing all of its lines.  The chains give
+    covers of several edges, the tied pair splits one line's opening bid
+    over two equal rows, which the sum rejoins, and the nested pair and
+    the grids drop edges whose lines are a strict subset of their cover's.
     """
     tied = (
         lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 4.0)]),
         lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e2"))}),
         lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0)}),
     )
+    nested = (
+        lm.Network(["u", "v", "w", "x"], [lm.Edge("e1", "u", "v", 5.0), lm.Edge("e2", "v", "w", 4.0),
+                                          lm.Edge("e3", "w", "x", 4.0)]),
+        lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e2")), ("lop1", "k0"): lm.Line(("e2", "e3"))}),
+        lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0), ("lop1", "k0"): lm.UtilitySpec(1.0)}),
+    )
+    grids = [instances.grid_instance(seed, 1) for seed in range(2)]
     monkeypatch.setattr(oracle, "_clearing_prices", partial(oracle._clearing_prices, max_iters=0))
-    merged = summed = 0
-    for net, pools, table in [instances.chain_instance(seed) for seed in range(20)] + [tied]:
+    merged = summed = strict = 0
+    for net, pools, table in [instances.chain_instance(seed) for seed in range(20)] + [tied, nested] + grids:
         for k in pools.pool_ids:
             view = lm.compile_pool(net, pools, k)
             coeffs = table.coefficients_for(view)
             opening = lm.cold_start(view, coeffs, 1.0).prices
-            groups: dict[tuple, list[int]] = {}
-            for e in range(view.n_edges):
-                if view.incidence[e].any():
-                    groups.setdefault(tuple(view.incidence[e]), []).append(e)
+            lines = {e: set(np.flatnonzero(view.incidence[e])) for e in range(view.n_edges) if view.incidence[e].any()}
+            order = sorted(lines, key=lambda e: (view.capacity[e], -len(lines[e]), tuple(view.incidence[e][::-1]), e))
+            members: dict[int, list[int]] = {}
+            for e in order:
+                cover = next(c for c in order if lines[c] >= lines[e])
+                members.setdefault(cover, []).append(e)
+                strict += lines[cover] > lines[e]
             expected = np.zeros(view.n_edges)
-            for members in groups.values():
-                rep = min(members, key=lambda e: view.capacity[e])
-                expected[rep] = sum(opening[e] for e in members)
-                merged += len(members) > 1
-                summed += sum(opening[e] > 0.0 for e in members) > 1
+            for cover, group in members.items():
+                expected[cover] = sum(opening[e] for e in group)
+                merged += len(group) > 1
+                summed += sum(opening[e] > 0.0 for e in group) > 1
             sol = oracle._solve_one_pool(view, coeffs)
             assert sol.iterations == 0
             np.testing.assert_allclose(sol.prices, expected, rtol=1e-15, atol=0.0)
-    assert merged > 1 and summed > 0
+    assert merged > 1 and summed > 0 and strict > 0
 
 
 def test_closed_edge_is_certified_not_crashed():

@@ -65,6 +65,43 @@ class TestGridGeneration:
                         capacity_range=(5.0, 5.0))
 
 
+# (field, value) pairs a GridSpec must reject, naming the field, when built;
+# each used to build, then fail inside range or numpy, or run as another number
+BAD_GRID_FIELDS = [
+    ("rows", 7.5),                      # range
+    ("cols", "12"),
+    ("pools", True),                    # built a one-pool grid
+    ("lines_per_pool", 2.0),            # range
+    ("lines_per_pool", 0),              # rejected without naming the field
+    ("min_line_len", 10.5),
+    ("seed", -1),                       # default_rng
+    ("seed", 1.5),
+    ("seed", True),                     # ran as seed 1
+    ("capacity_range", ("10", 110.0)),  # a str/int TypeError
+    ("capacity_range", (True, 110.0)),
+    ("shared_first_edge", ((0, 3.0), (1, 3.0))),  # node names no edge has
+    ("shared_first_edge", ((0, True), (1, True))),
+]
+
+
+@pytest.mark.parametrize("field, value", BAD_GRID_FIELDS, ids=[f"{f}={v!r}" for f, v in BAD_GRID_FIELDS])
+def test_grid_spec_checks_its_fields_when_built(field, value):
+    fields = {"rows": 7, "cols": 12, "pools": 2, "lines_per_pool": 10, "min_line_len": 10, "seed": 0, field: value}
+    with pytest.raises(ValueError, match=field):
+        lm.GridSpec(**fields)
+
+
+def test_grid_spec_takes_numpy_numbers():
+    """Any integer or real type passes, numpy's included, and the grid is the same."""
+    spec = lm.GridSpec(rows=np.int64(7), cols=np.int32(12), pools=np.int64(2), lines_per_pool=np.int64(10),
+                       capacity_range=(np.float64(10.0), np.int64(110)), shared_first_edge=((np.int64(0), 3), (1, 3)),
+                       min_line_len=np.int64(10), seed=np.uint8(4))
+    net, ps = lm.generate_grid(spec)
+    ref_net, ref_ps = lm.generate_grid(instances.grid_spec(4, 2))
+    assert net.capacity_vector().tolist() == ref_net.capacity_vector().tolist()
+    assert ps.lines == ref_ps.lines
+
+
 def test_uniform_utilities():
     _, ps = lm.generate_grid(instances.grid_spec(0, 2))
     table = lm.uniform_utilities(ps, 5.0, 15.0, seed=42)
