@@ -30,6 +30,7 @@ from .single_pool import (
     price_step,
     refresh_bids,
     run_price_dynamics,
+    solve_fixed_bids,
 )
 from .multi_pool import (
     MechanismConfig,
@@ -46,7 +47,6 @@ from .oracle import (
     OracleSolution,
     kkt_report,
     mechanism_kkt,
-    solve_fixed_bids,
     solve_full,
 )
 from .scenarios import (

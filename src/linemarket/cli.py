@@ -31,6 +31,7 @@ from .multi_pool import MechanismConfig, MechanismResult, run_mechanism
 from .network import (
     Network,
     PoolSystem,
+    _check_count,
     compile_pool,
     dump_network_file,
     load_network_file,
@@ -257,6 +258,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     seeds = _parse_seeds(args.seeds) if args.seeds is not None else scn.get("seeds", (0,))
     if not seeds:
         raise ValueError("no seeds given")
+    # a negative seed is bad input before any seed runs, not numpy's error at its own
+    seeds = tuple(_check_count("seeds", seed, least=0) for seed in seeds)
     return RunConfig(
         command=args.command,
         scenario=scn,

@@ -21,11 +21,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import InputMismatchError, Network, PoolSystem, PoolView, _check_count, _check_real, compile_pool
+from .network import (InputMismatchError, Network, PoolSystem, PoolView, _check_count, _check_length, _check_real,
+                      compile_pool)
 from .single_pool import (
     DynamicsConfig,
     PoolMarketState,
     SinglePoolResult,
+    _TINY,
     _max_or_zero,
     _run_pool,
     default_price_eta,
@@ -42,9 +44,6 @@ __all__ = [
     "update_proportions",
     "run_mechanism",
 ]
-
-_TINY = 1e-30
-
 
 @dataclass(frozen=True)
 class ProportionVector:
@@ -188,12 +187,6 @@ class MechanismResult:
     diagnostics: str = ""
 
 
-def _check_length(what: str, k: str, name: str, values: np.ndarray, n: int) -> None:
-    """Reject values unless it is one-dimensional with n entries, naming what, pool k and name."""
-    if (values.shape if isinstance(values, np.ndarray) else np.shape(values)) != (n,):
-        raise InputMismatchError(f"{what} of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)")
-
-
 def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "warm state") -> None:
     """Reject a warm state that does not fit the instance or holds values no run can resume.
 
@@ -294,7 +287,6 @@ def run_mechanism(
     # at zero; the pool runs and the equal-cost test see only the others
     live = np.array([_max_or_zero(views[k].bottleneck) > 0.0 for k in pool_ids])
     live_ids = tuple(k for k, on in zip(pool_ids, live) if on)
-    every_pool_live = len(live_ids) == len(pool_ids)
     shares = _live_split(shares, live)
     for k, on in zip(pool_ids, live):
         if not on:
@@ -333,7 +325,7 @@ def run_mechanism(
                 )
         pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pool_ids}
         costs = np.array([pool_costs[k] for k in pool_ids])
-        live_costs = costs if every_pool_live else costs[live]
+        live_costs = costs[live]
         level = _mean(live_costs) if live_ids else 0.0
         outer_trace.append(
             {

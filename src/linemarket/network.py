@@ -71,6 +71,12 @@ def _check_real(name: str, value: object) -> float:
         raise ValueError(f"{name} is out of the float range") from None
 
 
+def _check_length(what: str, k: str, name: str, values: np.ndarray, n: int) -> None:
+    """Reject values unless it is one-dimensional with n entries, naming what, pool k and name."""
+    if (values.shape if isinstance(values, np.ndarray) else np.shape(values)) != (n,):
+        raise InputMismatchError(f"{what} of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)")
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str

@@ -34,18 +34,19 @@ worst price * |excess| already pass (_may_stop), or when the budget runs
 out.  When every path is priced, allocate_frequencies and refresh_bids
 skip their zero-price masks, and _bid_terms its zero-bid mask when every
 line bids; pool_residuals skips its selection of active, priced lines
-when every line is both; a run's opening skips the closed-edge reset when
-no own edge is closed, and the silent-line test of a warm state when
-every line bids; default_price_eta reads the capacities unfiltered when
-no edge is closed.  The masked paths give the same numbers there.  These
-paths are picked with _positive, which decides as x.min(initial=inf) > 0
-does, NaN included, at a third of a reduction's cost.  The allocation,
-which runs at every step, decides once per refresh pass instead.  No load
-is negative, so one price step lowers a price by at most eta * supply, and
-a pass of period steps by at most period times that.  An own edge priced
-above floor = 2 * period * eta * supply at a pass's start, twice that
-bound as a margin for rounding, therefore stays priced for the whole pass,
-and so does the path price of every line that crosses it.  When every
+when every line is both.  The masked paths give the same numbers there.
+What runs once per run or per opening (the closed-edge reset, the
+silent-line test of a warm state, default_price_eta, _neck_prices) has
+the masked path only: a second path there would save a few microseconds
+per run.  The per-step paths are picked with _positive, which decides as
+x.min(initial=inf) > 0 does, NaN included, at a third of a reduction's
+cost.  The allocation, which runs at every step, decides once per refresh
+pass instead.  No load is negative, so one price step lowers a price by
+at most eta * supply, and a pass of period steps by at most period times
+that.  An own edge priced above floor = 2 * period * eta * supply at a
+pass's start, twice that bound as a margin for rounding, therefore stays
+priced for the whole pass, and so does the path price of every line that
+crosses it.  When every
 line crosses such an edge the pass is certified and its allocations skip
 their own check; any other pass checks at every step, as before.
 Certified passes hold 54% of the price steps on the 20 test chains, and
@@ -54,15 +55,30 @@ pool with a closed edge or a line that cannot run, or a price falling to
 zero, takes the masked paths where a path is unpriced.  The stop test and
 the refresh read their maxima through argmax (_max_or_zero), which gives
 what x.max(initial=0.0) gives, bit for bit.
+
+Exact clearing.  The module also computes the clearing point the dynamics
+approach, in closed form up to one Newton solve: _clearing_prices
+minimizes the pool's explicit convex dual over edge prices with a
+projected, Levenberg-damped Newton method, on the rows no other row
+implies (_implied_rows).  It knows one demand law,
+x = (scale / path price)**power: a valuation a*sqrt(x) is power 2 at scale
+a/2, and a frozen bid w is power 1 at scale w.  solve_fixed_bids is the
+fixed point of run_price_dynamics; the oracle solves all of an
+instance's pools in one call, stacked block-diagonally (_stack_pools).
+Newton opens at neck prices (_fair_split, _neck_prices) and stops on the
+price loop's own overload and complementarity terms (_clearing_terms),
+so the engine and the exact solver share one definition of each.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
-from .network import PoolView, _check_count, _check_real
+from .network import InputMismatchError, PoolView, _check_count, _check_length, _check_real
 from .utility import best_response_bids
 
 __all__ = [
@@ -76,7 +92,11 @@ __all__ = [
     "refresh_bids",
     "pool_residuals",
     "run_price_dynamics",
+    "solve_fixed_bids",
 ]
+
+# the floor under a divisor or a path price that may be zero
+_TINY = 1e-30
 
 # Allocations at a positive path price are truncated at this multiple of the
 # line's physical ceiling.  Any factor above one keeps the excess signal
@@ -126,8 +146,7 @@ def default_price_eta(view: PoolView) -> float:
     the step is irrelevant and the scale falls back to one.
     """
     crowd = view.lines_per_edge().max() if view.n_lops else 1.0
-    # when no edge is closed, every capacity is an open one
-    open_caps = view.capacity if _positive(view.capacity) else view.capacity[view.capacity > 0.0]
+    open_caps = view.capacity[view.capacity > 0.0]
     scale = float(open_caps.min()) if open_caps.size else 1.0
     return 0.01 * scale / max(1.0, float(crowd))
 
@@ -355,18 +374,19 @@ def pool_residuals(
     return PoolResiduals(feas, comp, stat, ok)
 
 
-def _fair_split(view: PoolView) -> tuple[np.ndarray, np.ndarray]:
+def _fair_split(incidence: np.ndarray, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each line's fair ratio and its neck, the one definition of both.
 
     The fair ratio of a line is the smallest even split of capacity along
     it, min over its edges of capacity / lines crossing; its neck (a boolean
     edges x lines mask) is the edge or edges where that minimum is reached.
     Both are share-free: at share f the fair share is f times the ratio and
-    the neck is the same.
+    the neck is the same.  It reads a pool's incidence (edges x lines) and
+    capacity, a view's or a stack's (_stack_pools).
     """
     # capacity / lines crossing at each edge of each line (columns), inf off
     # the line
-    ratio = np.where(view.incidence > 0.0, (view.capacity / np.maximum(view.lines_per_edge(), 1.0))[:, None], np.inf)
+    ratio = np.where(incidence > 0.0, (capacity / np.maximum(incidence.sum(axis=1), 1.0))[:, None], np.inf)
     fair_ratio = ratio.min(axis=0)
     return fair_ratio, ratio == fair_ratio
 
@@ -379,8 +399,6 @@ def _neck_prices(neck: np.ndarray, bids: np.ndarray, supply: np.ndarray) -> np.n
     An edge no line's neck includes, and a closed edge, stays unpriced.
     """
     mass = (neck / neck.sum(axis=0)).dot(bids)
-    if _positive(supply):  # no edge is closed: the masked division divides everywhere
-        return mass / supply
     return np.divide(mass, supply, out=np.zeros(len(supply)), where=supply > 0.0)
 
 
@@ -400,7 +418,7 @@ def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMa
     Newton solve at this state's share-1 prices.
     """
     supply = view.capacity * share
-    fair_ratio, neck = _fair_split(view)
+    fair_ratio, neck = _fair_split(view.incidence, view.capacity)
     bids = 0.5 * coefficients * np.sqrt(share * fair_ratio)
     prices = _neck_prices(neck, bids, supply)
     ceil = view.bottleneck * share
@@ -497,17 +515,11 @@ def _run_pool(
     eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
     # a state cleared at share zero holds nothing to rescale, and a line
     # that can run but holds no bid would never bid again: its path may
-    # stay unpriced, and an idle line passes the residual check; when every
-    # line bids, no line is such a line
-    cold = (
-        warm is None
-        or not warm.share > 0.0
-        or not _positive(warm.bids) and bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any())
-    )
+    # stay unpriced, and an idle line passes the residual check
+    cold = warm is None or not warm.share > 0.0 or bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any())
     state = cold_start(view, coefficients, share) if cold else warm.copy()
     prices = state.prices[own]
-    if not _positive(own_caps):
-        prices[own_caps == 0.0] = 0.0
+    prices[own_caps == 0.0] = 0.0
     # a pool's optimum at share f is its share-1 optimum with prices scaled
     # by f**-1/2 and bids by f**1/2, so a warm state cleared at another share
     # is rescaled to it; the allocation below then scales the frequencies.
@@ -594,3 +606,262 @@ def run_price_dynamics(
         hist[t + 1] = cur
         exc[t] = excess
     return hist, exc
+
+
+# ---------------------------------------------------------------------------
+# Exact clearing.
+
+@dataclass
+class _PoolSolve:
+    prices: np.ndarray
+    freqs: np.ndarray
+    converged: bool
+    iterations: int
+    dual_evals: int   # dual values computed: the opening's and each trial step's
+
+
+def _implied_rows(rows: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges the columns of `rows` cross, in presolve order, and each one's first cover.
+
+    A cover of an edge crosses every line that edge crosses.  The edges are
+    sorted by budget, ties broken by more lines crossed first and then by
+    the rows themselves, so only equal rows at equal budgets keep the order
+    they are listed in, and they stand for each other.  first[i] is the
+    position of the first edge in that order that covers edge i; edge i
+    covers itself, so first[i] <= i and the cover's budget is no larger.
+    An edge whose first cover is another edge is implied: its load never
+    exceeds the cover's, which never exceeds the cover's budget, so pricing
+    it at zero loses no optimum (one-row dominance, a standard LP presolve
+    step; Andersen & Andersen 1995).  A cover is its own first cover, as
+    an edge covering it would cover edge i earlier, so it is kept.
+    """
+    edges = rows.any(axis=1).nonzero()[0]
+    used = rows[edges]
+    crossing = used.sum(axis=1)
+    order = np.lexsort((*used.T, -crossing, budget[edges]))
+    used, crossing = used[order], crossing[order]
+    return edges[order], (used @ used.T == crossing[:, None]).argmax(axis=1)
+
+
+def _raise_singular(err: str, flag: int) -> None:
+    raise LinAlgError("Singular matrix")
+
+
+@np.errstate(call=_raise_singular, invalid="call", over="ignore", divide="ignore", under="ignore")
+def _newton_step(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """np.linalg.solve(hess, rhs) for a float64 matrix and vector, bit for bit.
+
+    It is the same LAPACK gufunc under the same error state, which raises
+    LinAlgError on a singular matrix, without the wrapper's argument
+    conversion and type checks, which cost more than solving the small
+    systems the Newton steps pose.
+    """
+    return _umath_linalg.solve1(hess, rhs, signature="dd->d")
+
+
+def _clearing_prices(
+    incidence: np.ndarray,
+    budget: np.ndarray,
+    scale: np.ndarray,
+    power: int,
+    opening: np.ndarray,
+    max_iters: int = 300,
+    tol: float = 1e-11,
+) -> _PoolSolve:
+    """Edge prices clearing one pool at capacity budget `budget`.
+
+    Every operator has one isoelastic demand law: at path price mu it runs
+    x = (scale / mu)**power.  Power 2 with scale a/2 is the valuation
+    a*sqrt(x); power 1 with scale w is a frozen bid w, the valuation
+    w*log(x) of proportional fairness (Kelly, Maulloo & Tan 1998).  The
+    dual term sup_x value(x) - mu*x is scale**2/mu for power 2 and
+    scale*(log(scale/mu) - 1) for power 1.  An operator is active when its
+    scale is positive and its line crosses no closed edge; the others run
+    nothing.
+
+    Minimizes the dual of  max sum(values) s.t. incidence @ x <= budget
+    over nonnegative prices with a projected, Levenberg-damped Newton
+    method.  The solve runs on a reduced system: the active operators'
+    columns only, and of their rows the ones no other row implies.  An
+    edge is implied when another edge of no larger budget crosses every
+    active line it crosses, its cover (see _implied_rows): its load never
+    exceeds its budget while the cover's holds, so it never binds alone and
+    stays unpriced.  Dropping the implied rows, equal rows among them,
+    removes flat directions that would otherwise make the Newton system
+    singular.  An inactive operator never enters the system, so the solve
+    is the one of the same pool with its column deleted; at the exit the
+    prices are scattered onto the kept edges and the frequencies onto the
+    active columns, every other entry zero.
+
+    Newton opens at `opening`, the engine's fair-share opening prices
+    (_neck_prices), each implied edge's moved onto its first
+    cover; every line crossing the implied edge crosses the cover, so no
+    active path price falls and the dual value is finite from the start.
+    The dual value blows up whenever an active operator's path turns free
+    of charge, so descent steps keep every such path priced without
+    explicit bookkeeping.  The stop test reads the engine's own
+    overload and complementarity terms (_clearing_terms) at
+    `tol` times the largest budget.  The Armijo test allows for the dual
+    value's own rounding (a few ulps of it), else a step the rounding hides
+    stalls the descent short of `tol`.  Each accepted step's path prices,
+    demand and loads carry over to the next iteration and to the exit.  At
+    the returned point every active operator sits on her demand curve,
+    loads never exceed the budget beyond solver precision, and priced edges
+    run at budget.  No argument is modified.
+    """
+    n_edges, n_lops = incidence.shape
+    if n_lops and _positive(scale) and _positive(budget):
+        # no edge is closed and every scale is positive: every operator is
+        # active, and the active columns are all of them
+        act = None
+        rows, s = incidence, scale
+    else:
+        # an operator whose line crosses a closed edge can run nothing; left
+        # active, it would price that edge without bound and stall the descent
+        act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
+        if not act.any():
+            return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0, 0)
+        rows, s = incidence[:, act], scale[act]
+
+    # keep the edges no other edge implies; each implied edge's opening
+    # price moves to its cover, which every line crossing it crosses
+    edges, first = _implied_rows(rows, budget)
+    keep = first == np.arange(len(first))
+    reps = edges[keep]
+    sub_inc = rows[reps]
+    sub_budget = budget[reps]
+    prices = np.bincount(first, weights=opening[edges], minlength=len(edges))[keep]
+    scale_b = max(1.0, float(sub_budget.max()))
+    s_sq = s ** 2
+    evals = 0
+
+    def dual_value(pr: np.ndarray) -> tuple[float, np.ndarray]:
+        """The dual value at edge prices pr, and the path prices there, floored at _TINY.
+
+        The demand and the Hessian read the path prices through the same
+        floor, so it is taken once per accepted point.
+        """
+        nonlocal evals
+        evals += 1
+        mu = sub_inc.T @ pr
+        m = np.maximum(mu, _TINY)
+        if np.count_nonzero(mu <= 0.0):
+            return np.inf, m
+        value = s_sq / m if power == 2 else s * (np.log(s / m) - 1.0)
+        return float(value.sum() + pr @ sub_budget), m
+
+    cur, mu = dual_value(prices)
+    x = (s / mu) ** power
+    load = sub_inc @ x
+    converged = False
+    iters = 0
+    for _ in range(max_iters):
+        iters += 1
+        gap = load - sub_budget
+        if max(_clearing_terms(prices, gap)) <= tol * scale_b:
+            converged = True
+            break
+
+        grad = -gap  # dual gradient: budget - load
+        fset = ((prices > 0.0) | (grad < 0.0)).nonzero()[0]
+        gf = grad[fset]
+        sub = sub_inc[fset]
+        hess = (sub * (power * x / mu)) @ sub.T
+        lev = max(1e-14 * float(hess.trace()) / len(fset),
+                  1e-8 * _max_or_zero(np.abs(gf)) / scale_b)
+        hess.flat[:: len(fset) + 1] += lev
+        try:
+            newton = _newton_step(hess, -gf)
+        except LinAlgError:
+            newton = None
+
+        accepted = False
+        base = prices[fset]
+        candidates = [newton, -gf] if newton is not None else [-gf]
+        for step in candidates:
+            if float(gf @ step) >= 0.0:
+                continue
+            t_step = 1.0
+            for _ in range(60):
+                moved_to = np.maximum(0.0, base + t_step * step)
+                trial = prices.copy()
+                trial[fset] = moved_to
+                value, trial_mu = dual_value(trial)
+                # Armijo, with room for the rounding of the dual value itself
+                slack = 1e-4 * min(0.0, float(gf @ (moved_to - base))) + 4e-16 * abs(cur)
+                if math.isfinite(value) and value <= cur + slack:
+                    if not np.count_nonzero(moved_to != base):
+                        break
+                    prices, cur, mu = trial, value, trial_mu
+                    accepted = True
+                    break
+                t_step *= 0.5
+            if accepted:
+                break
+        if not accepted:
+            break
+        x = (s / mu) ** power
+        load = sub_inc @ x
+
+    over = load > sub_budget
+    if over.any():
+        # uniform shrink onto the feasible set; perturbation is at solver
+        # precision when the descent converged
+        ratio = float(np.max(load[over] / np.maximum(sub_budget[over], _TINY)))
+        if ratio > 1.0:
+            x = x / ratio
+    out = np.zeros(n_edges)
+    out[reps] = prices
+    if act is None:
+        freqs = x
+    else:
+        freqs = np.zeros(n_lops)
+        freqs[act] = x
+    return _PoolSolve(out, freqs, converged, iters, evals)
+
+
+def _stack_pools(views: Sequence[PoolView], coefficients: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All pools as one pool at share 1: its incidence, capacity and coefficients.
+
+    At share 1 the pools' duals are separable, so their sum is the dual of
+    one pool: the pools' incidences on the diagonal, the capacity vector
+    once per pool, the coefficient vectors concatenated, all in pool order.
+    Row p*n_edges + e of the stack is edge e in pool p, and the columns are
+    the pools' operators in turn, so the answer splits back at those
+    offsets.  No two rows of different pools cross a common operator, so a
+    row of one pool never implies a row of another in _clearing_prices,
+    and each block's fair split and neck are its pool's.
+    """
+    inc = np.zeros((len(views), views[0].n_edges, sum(view.n_lops for view in views)))
+    col = 0
+    for block, view in zip(inc, views):  # inc[p] is pool p's rows of the stack
+        block[:, col:col + view.n_lops] = view.incidence
+        col += view.n_lops
+    return np.concatenate(inc), np.tile(views[0].capacity, len(views)), np.concatenate(coefficients)
+
+
+def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarray:
+    """Clearing prices of one pool under frozen bids.
+
+    This is the stationary point of the frozen-bid price dynamics
+    (run_price_dynamics); the descent tests measure distance to it.  A bid
+    w buys x = w / mu, scale w at power 1; a zero bid, or a line over a
+    closed edge, gets nothing.  Newton opens at the bids charged to each
+    line's neck, as cold_start charges its own.  The bids are read as
+    floats and must be one per operator of the view, finite and
+    nonnegative, else InputMismatchError; the share must be a finite real
+    of at least 0, else ValueError.
+    """
+    bids = np.asarray(bids, dtype=float)
+    _check_length("frozen bids", view.pool_id, "bids", bids, view.n_lops)
+    # argmin and argmax point at the first NaN when there is one, as in multi_pool._check_warm
+    if bids.size and not (bids[bids.argmin()] >= 0.0 and bids[bids.argmax()] < np.inf):
+        raise InputMismatchError(f"frozen bids of pool {view.pool_id!r} hold a negative or non-finite entry")
+    if not 0.0 <= _check_real("share", share) < np.inf:
+        raise ValueError(f"share must be finite and nonnegative, got {share}")
+    supply = view.capacity * share
+    opening = _neck_prices(_fair_split(view.incidence, view.capacity)[1], bids, supply)
+    sol = _clearing_prices(view.incidence, supply, bids, 1, opening)
+    if not sol.converged:
+        raise RuntimeError("frozen-bid clearing prices did not reach solver precision")
+    return sol.prices

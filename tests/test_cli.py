@@ -424,6 +424,19 @@ class TestBadInput:
         scn = write_single_edge_scenario(tmp_path)
         assert run_cli(["solve", "--scenario", str(scn), "--out", "o", "--seeds", "a,b"]) == 2
 
+    @pytest.mark.parametrize("command", ["generate", "solve"])
+    @pytest.mark.parametrize("source", ["flag", "scenario"])
+    def test_negative_seed_names_the_seeds(self, tmp_path, monkeypatch, capsys, command, source):
+        """A negative seed, from --seeds or the scenario's seeds, is bad input met before any seed runs."""
+        monkeypatch.chdir(tmp_path)
+        scn = write_single_edge_scenario(tmp_path, seeds=[0, -1] if source == "scenario" else [0])
+        flags = ["--seeds", "0,-2"] if source == "flag" else []
+        assert run_cli([command, "--scenario", str(scn), "--out", "o", *flags]) == 2
+        out, err = capsys.readouterr()
+        bad = -2 if source == "flag" else -1
+        assert (out, err) == ("", f"error: seeds must be a whole number of at least 0, got {bad}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_flag_value(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         scn = write_single_edge_scenario(tmp_path, engine={"eta_price": -1})

@@ -67,6 +67,42 @@ def test_fixed_bids_single_edge():
     np.testing.assert_allclose(prices, [0.5], atol=1e-9)
 
 
+def test_fixed_bids_read_a_list_as_floats():
+    """Bids pass as kkt_report reads its arrays: any sequence of reals, converted to floats."""
+    net, pools, _ = instances.two_lops_one_edge()
+    view = lm.compile_pool(net, pools, "k0")
+    want = lm.solve_fixed_bids(view, np.array([1.0, 3.0]), 1.0).tobytes()
+    assert lm.solve_fixed_bids(view, [1, 3], 1).tobytes() == want
+
+
+def test_fixed_bids_reject_a_wrong_length():
+    """One bid per operator of the view, else InputMismatchError naming the pool, not numpy's shape error."""
+    net, pools, _ = instances.two_lops_one_edge()
+    view = lm.compile_pool(net, pools, "k0")
+    for bids in (np.array([1.3]), np.array([1.3, 0.7, 1.0]), np.array([[1.3, 0.7]]), np.float64(1.3)):
+        with pytest.raises(lm.InputMismatchError, match=r"frozen bids of pool 'k0': bids has shape"):
+            lm.solve_fixed_bids(view, bids, 1.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+def test_fixed_bids_reject_a_negative_or_non_finite_bid(bad):
+    """A NaN, negative or infinite bid is bad input, not a free set emptied deep inside the solve."""
+    net, pools, _ = instances.two_lops_one_edge()
+    view = lm.compile_pool(net, pools, "k0")
+    with pytest.raises(lm.InputMismatchError, match="negative or non-finite"):
+        lm.solve_fixed_bids(view, np.array([1.3, bad]), 1.0)
+
+
+@pytest.mark.parametrize("share", [np.nan, -1.0, np.inf, True, "1"])
+def test_fixed_bids_reject_a_bad_share(share):
+    """The share must be a finite real of at least 0; share 0 clears nothing and stays legal."""
+    net, pools, _ = instances.two_lops_one_edge()
+    view = lm.compile_pool(net, pools, "k0")
+    with pytest.raises(ValueError, match="share"):
+        lm.solve_fixed_bids(view, np.array([1.3, 0.7]), share)
+    assert lm.solve_fixed_bids(view, np.array([1.3, 0.7]), 0.0).tolist() == [0.0]
+
+
 @pytest.mark.parametrize("closed", [False, True], ids=["zero_bid", "closed_edge"])
 def test_fixed_bids_idle_line_gets_nothing(closed):
     """A zero bid, or a bid on a line over a closed edge, buys nothing; the other line clears alone."""
@@ -195,7 +231,7 @@ def test_full_search_single_pool_degenerates():
     sol = lm.solve_full(net, pools, table)
     view = lm.compile_pool(net, pools, "k0")
     coeffs = table.coefficients_for(view)
-    fixed = oracle._solve_one_pool(view, coeffs)
+    fixed = oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
     assert sol.state.shares.as_dict() == {"k0": 1.0}
     assert sol.objective == pytest.approx(float(coeffs @ np.sqrt(fixed.freqs)), rel=1e-12)
 
@@ -312,7 +348,7 @@ def test_opening_is_cold_start_prices_bytewise(monkeypatch):
     for name, make in CERTIFY_CASES:
         for view, coeffs in _pool_views(make):
             openings.clear()
-            oracle._solve_one_pool(view, coeffs)
+            oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
             assert openings == [lm.cold_start(view, coeffs, 1.0).prices.tobytes()], (name, view.pool_id)
             pools_seen += 1
     assert pools_seen == 40 + 60 + 40
@@ -359,15 +395,15 @@ def test_stacked_solve_is_the_pool_by_pool_solve(make, monkeypatch):
     """
     net, pools, table = make()
     views, coeffs = _views(net, pools, table)
-    own = [oracle._solve_one_pool(view, a) for view, a in zip(views, coeffs)]
+    own = [oracle._solve_one_pool(view.incidence, view.capacity, a) for view, a in zip(views, coeffs)]
     values = np.array([a @ np.sqrt(sol.freqs) for a, sol in zip(coeffs, own)])
     split = values ** 2 / (values ** 2).sum()
 
     solve = oracle._solve_one_pool
     stacked = []
 
-    def recorded(view, coefficients):
-        stacked.append(solve(view, coefficients))
+    def recorded(incidence, capacity, coefficients):
+        stacked.append(solve(incidence, capacity, coefficients))
         return stacked[-1]
 
     monkeypatch.setattr(oracle, "_solve_one_pool", recorded)
@@ -392,13 +428,13 @@ ONE_POOL_CASES = [instances.single_edge, instances.two_lops_one_edge] + [
 
 
 def test_one_pool_instance_is_its_pool_solve_bit_for_bit(monkeypatch):
-    """A one-pool instance is solved on its own view, and its answer is that solve's to the bit."""
+    """A one-pool instance is solved on its own view's arrays, and its answer is that solve's to the bit."""
     solve = oracle._solve_one_pool
     passed = []
 
-    def recorded(view, coefficients):
-        passed.append((view, coefficients))
-        return solve(view, coefficients)
+    def recorded(incidence, capacity, coefficients):
+        passed.append((incidence, capacity, coefficients))
+        return solve(incidence, capacity, coefficients)
 
     monkeypatch.setattr(oracle, "_solve_one_pool", recorded)
     for make in ONE_POOL_CASES:
@@ -406,11 +442,11 @@ def test_one_pool_instance_is_its_pool_solve_bit_for_bit(monkeypatch):
         (view,), (a,) = _views(net, pools, table)
         passed.clear()
         sol = lm.solve_full(net, pools, table)
-        ((seen, seen_a),) = passed
-        stacked, stacked_a = oracle._stack_pools([seen], [seen_a])
-        assert stacked is seen and stacked_a is seen_a
-        assert (seen.pool_id, seen.incidence.tobytes(), seen_a.tobytes()) == (view.pool_id, view.incidence.tobytes(), a.tobytes())
-        own = solve(view, a)
+        ((seen_inc, seen_cap, seen_a),) = passed
+        assert seen_inc.shape == view.incidence.shape
+        seen = (seen_inc.tobytes(), seen_cap.tobytes(), seen_a.tobytes())
+        assert seen == (view.incidence.tobytes(), view.capacity.tobytes(), a.tobytes())
+        own = solve(view.incidence, view.capacity, a)
         st = sol.state.pool_states[view.pool_id]
         assert sol.state.shares.as_dict() == {view.pool_id: 1.0}
         assert st.freqs.tolist() == own.freqs.tolist()
@@ -427,21 +463,19 @@ def test_stack_holds_each_pool_on_its_diagonal():
         if len(views) == 1:
             continue
         multi += 1
-        stacked, a = oracle._stack_pools(views, coeffs)
+        inc, capacity, a = single_pool._stack_pools(views, coeffs)
         n_edges = views[0].n_edges
-        assert stacked.incidence.shape == (len(views) * n_edges, sum(view.n_lops for view in views)), name
-        np.testing.assert_array_equal(stacked.own_edges, np.flatnonzero(stacked.incidence.any(axis=1)))
-        ratio, neck = single_pool._fair_split(stacked)
+        assert inc.shape == (len(views) * n_edges, sum(view.n_lops for view in views)), name
+        ratio, neck = single_pool._fair_split(inc, capacity)
         start = 0
         for p, (view, pool_a) in enumerate(zip(views, coeffs)):
             rows, cols = slice(p * n_edges, (p + 1) * n_edges), slice(start, start + view.n_lops)
             start += view.n_lops
-            assert stacked.incidence[rows, cols].tobytes() == view.incidence.tobytes(), name
-            assert stacked.incidence[rows].sum() == view.incidence.sum(), name
-            assert stacked.capacity[rows].tobytes() == view.capacity.tobytes(), name
+            assert inc[rows, cols].tobytes() == view.incidence.tobytes(), name
+            assert inc[rows].sum() == view.incidence.sum(), name
+            assert capacity[rows].tobytes() == view.capacity.tobytes(), name
             assert a[cols].tobytes() == pool_a.tobytes(), name
-            assert stacked.bottleneck[cols].tobytes() == view.bottleneck.tobytes(), name
-            pool_ratio, pool_neck = single_pool._fair_split(view)
+            pool_ratio, pool_neck = single_pool._fair_split(view.incidence, view.capacity)
             assert ratio[cols].tobytes() == pool_ratio.tobytes(), name
             assert (neck[rows, cols] == pool_neck).all() and neck[rows].sum() == pool_neck.sum(), name
     assert multi == 20 + 20 + 10 + 9
@@ -586,7 +620,7 @@ def _inactive_operator_cases():
     makes += [partial(instances.grid_instance, seed, k) for k in (1, 2) for seed in range(5)]
     for make in makes:
         for view, coeffs in _pool_views(make):
-            fair_ratio, neck = oracle._fair_split(view)
+            fair_ratio, neck = oracle._fair_split(view.incidence, view.capacity)
             bids = 0.5 * coeffs * np.sqrt(fair_ratio)
             bids[::2] = 0.0
             yield view.incidence, view.capacity, bids, 1, oracle._neck_prices(neck, bids, view.capacity), bids > 0.0
@@ -617,7 +651,7 @@ def test_dual_evaluations_cover_every_iteration():
     """Each iteration evaluates at least its accepted trial; the opening is evaluated once."""
     for name, make in CERTIFY_CASES:
         for view, coeffs in _pool_views(make):
-            sol = oracle._solve_one_pool(view, coeffs)
+            sol = oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
             assert sol.converged and sol.dual_evals >= sol.iterations >= 1, (name, view.pool_id)
     view, coeffs = next(_pool_views(partial(instances.chain_instance, 0)))
     opening = lm.cold_start(view, coeffs, 1.0).prices
@@ -630,8 +664,8 @@ def test_dual_evaluations_cover_every_iteration():
 def _cover_cases():
     """(incidence, budget) pairs: every STACK_CASES stack, then random 0/1 matrices with tied budgets."""
     for _, make in STACK_CASES:
-        stacked, _ = oracle._stack_pools(*_views(*make()))
-        yield stacked.incidence, stacked.capacity
+        inc, capacity, _ = single_pool._stack_pools(*_views(*make()))
+        yield inc, capacity
     rng = np.random.default_rng(28)
     for trial in range(2000):
         m, k = int(rng.integers(1, 30)), int(rng.integers(1, 10))
@@ -652,7 +686,7 @@ def test_each_implied_row_keeps_a_cover():
     """
     dropped = strict = 0
     for rows, budget in _cover_cases():
-        edges, first = oracle._implied_rows(rows, budget)
+        edges, first = single_pool._implied_rows(rows, budget)
         n = len(edges)
         np.testing.assert_array_equal(np.sort(edges), np.flatnonzero(rows.any(axis=1)))
         lines = rows[edges] > 0.0
@@ -680,8 +714,8 @@ def test_newton_counts_do_not_read_the_edge_order(monkeypatch):
     solve = oracle._solve_one_pool
     counts = []
 
-    def recorded(view, coefficients):
-        sol = solve(view, coefficients)
+    def recorded(incidence, capacity, coefficients):
+        sol = solve(incidence, capacity, coefficients)
         counts.append((sol.iterations, sol.dual_evals))
         return sol
 
@@ -743,7 +777,7 @@ def test_oracle_opens_at_cold_start(monkeypatch):
                 expected[cover] = sum(opening[e] for e in group)
                 merged += len(group) > 1
                 summed += sum(opening[e] > 0.0 for e in group) > 1
-            sol = oracle._solve_one_pool(view, coeffs)
+            sol = oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
             assert sol.iterations == 0
             np.testing.assert_allclose(sol.prices, expected, rtol=1e-15, atol=0.0)
     assert merged > 1 and summed > 0 and strict > 0
@@ -777,8 +811,8 @@ def test_failed_certificate_is_not_converged(monkeypatch):
     """A pool solve that claims convergence at a wrong point fails the certificate."""
     solve = oracle._solve_one_pool
 
-    def halved(view, coefficients):
-        sol = solve(view, coefficients)
+    def halved(incidence, capacity, coefficients):
+        sol = solve(incidence, capacity, coefficients)
         sol.freqs = sol.freqs * 0.5
         return sol
 
@@ -954,9 +988,9 @@ def test_newton_step_is_numpy_solve_bit_for_bit():
             hess = (rows * rng.uniform(0.1, 5.0, n + 2)) @ rows.T.astype(float)
             hess.flat[:: n + 1] += 1e-9
             rhs = rng.normal(size=n)
-            assert oracle._newton_step(hess, rhs).tobytes() == np.linalg.solve(hess, rhs).tobytes()
+            assert single_pool._newton_step(hess, rhs).tobytes() == np.linalg.solve(hess, rhs).tobytes()
     singular = np.array([[1.0, 2.0], [2.0, 4.0]])
-    for solve in (np.linalg.solve, oracle._newton_step):
+    for solve in (np.linalg.solve, single_pool._newton_step):
         with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
             solve(singular, np.array([1.0, 0.0]))
 
