@@ -223,26 +223,16 @@ def _disruption(scn: Mapping, seed: int) -> DisruptionSpec:
     return DisruptionSpec(**doc)
 
 
-# Scenario "engine" keys: (config field, type).  The engine block is the one
-# place a run's engine settings come from; an absent key keeps the config's
-# own default.
-_INNER_KEYS = {
-    "eta_price": ("price_eta", float),
-    "max_inner": ("max_iters", int),
-}
-_OUTER_KEYS = {
-    "eps_cost": ("eps_cost", float),
-    "max_outer": ("max_outer", int),
-}
+# Scenario "engine" keys: the price step (DynamicsConfig.price_eta) and the
+# equal-cost tolerance (MechanismConfig.eps_cost).  The engine block is the
+# one place a run's engine settings come from; an absent key keeps the
+# config's own default.  The run budgets are engine constants, not keys.
+_ENGINE = {"eta_price": float, "eps_cost": float}
 
 
 def _mech_config(scn: Mapping) -> MechanismConfig:
-    eng = _read(scn.get("engine", {}), "engine", {key: kind for key, (_, kind) in {**_INNER_KEYS, **_OUTER_KEYS}.items()})
-
-    def given(keys: Mapping[str, tuple]) -> dict:
-        return {name: eng[key] for key, (name, _) in keys.items() if key in eng}
-
-    return MechanismConfig(inner=DynamicsConfig(**given(_INNER_KEYS)), **given(_OUTER_KEYS))
+    eng = _read(scn.get("engine", {}), "engine", _ENGINE)
+    return MechanismConfig(DynamicsConfig(eng.get("eta_price")), eng.get("eps_cost", MechanismConfig.eps_cost))
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -258,8 +248,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     seeds = _parse_seeds(args.seeds) if args.seeds is not None else scn.get("seeds", (0,))
     if not seeds:
         raise ValueError("no seeds given")
-    # a negative seed is bad input before any seed runs, not numpy's error at its own
+    # a negative or repeated seed is bad input before any seed runs, not
+    # numpy's error at its own or a second run of the same seed
     seeds = tuple(_check_count("seeds", seed, least=0) for seed in seeds)
+    repeated = next((seed for i, seed in enumerate(seeds) if seed in seeds[:i]), None)
+    if repeated is not None:
+        raise ValueError(f"seeds must not repeat, got {repeated} more than once")
     return RunConfig(
         command=args.command,
         scenario=scn,

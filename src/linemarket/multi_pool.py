@@ -21,8 +21,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import (InputMismatchError, Network, PoolSystem, PoolView, _check_count, _check_length, _check_real,
-                      compile_pool)
+from .network import (InputMismatchError, Network, PoolSystem, PoolView, _check_length, _check_nonnegative,
+                      _check_real, compile_pool)
 from .single_pool import (
     DynamicsConfig,
     PoolMarketState,
@@ -44,6 +44,12 @@ __all__ = [
     "update_proportions",
     "run_mechanism",
 ]
+
+# The split updates one run_mechanism call may spend.  A run that spends
+# them all returns converged=False with diagnostics; no configuration sets
+# the budget.
+_MAX_OUTER = 200
+
 
 @dataclass(frozen=True)
 class ProportionVector:
@@ -133,22 +139,20 @@ def update_proportions(shares: ProportionVector, costs: np.ndarray) -> Proportio
 
 @dataclass(frozen=True)
 class MechanismConfig:
-    """Outer-loop tuning: the inner dynamics, the equal-cost test, the split budget.
+    """Outer-loop tuning: the inner dynamics and the equal-cost test.
 
     The split needs no lower bound: the split update keeps every positive
     share positive, so a pool may end at as small a share as the optimum
-    gives it.  max_outer, like DynamicsConfig.max_iters, is a whole number
-    of at least 1, stored as a Python int.
+    gives it.  The split updates a run may spend are the module constant
+    _MAX_OUTER, as a pool run's price updates are single_pool._MAX_ITERS.
     """
 
     inner: DynamicsConfig = field(default_factory=DynamicsConfig)
     eps_cost: float = 0.05
-    max_outer: int = 200
 
     def __post_init__(self) -> None:
         if not 0.0 < _check_real("eps_cost", self.eps_cost) < np.inf:
             raise ValueError(f"eps_cost must be positive and finite, got {self.eps_cost}")
-        object.__setattr__(self, "max_outer", _check_count("max_outer", self.max_outer))
 
 
 @dataclass
@@ -214,10 +218,7 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
             # kind "f" is every floating-point dtype, as np.issubdtype(dtype, np.floating) reads it
             if getattr(dtype, "kind", None) != "f":
                 raise InputMismatchError(f"{what} of pool {k!r}: {name} is not a floating-point array (dtype {dtype})")
-            # argmin and argmax point at the first NaN when there is one, so the
-            # two reads reject what (np.isfinite(values) & (values >= 0.0)).all() rejects
-            if values.size and not (values[values.argmin()] >= 0.0 and values[values.argmax()] < np.inf):
-                raise InputMismatchError(f"{what} of pool {k!r}: {name} holds a negative or non-finite entry")
+            _check_nonnegative(what, k, name, values)
         if not np.isfinite(st.share):
             raise InputMismatchError(f"{what} of pool {k!r}: share {st.share} is not finite")
 
@@ -259,8 +260,10 @@ def run_mechanism(
     frequencies of the instance's lengths and a finite share (see
     _check_warm), else InputMismatchError.  The warm state itself is left
     as it was, and the result holds its own copy of the split.  The result
-    reports convergence honestly: an exhausted budget or a stalled inner
-    market yields converged=False plus diagnostics, never an exception.
+    reports convergence honestly: a pool run that spends
+    single_pool._MAX_ITERS price updates, or a run that spends _MAX_OUTER
+    split updates, yields converged=False plus diagnostics, never an
+    exception.
     """
     cfg = cfg or MechanismConfig()
     utilities.validate_against(pools)
@@ -302,11 +305,9 @@ def run_mechanism(
     outer_trace: list[dict] = []
     diagnostics = ""
     converged = False
-    pool_costs = {k: 0.0 for k in pool_ids}
-    level = 0.0
-    outer = 0
 
-    for outer in range(cfg.max_outer + 1):
+    # the loop runs at least once, and its first pass sets pool_costs and level
+    for outer in range(_MAX_OUTER + 1):
         inner_ok = True
         for k in live_ids:
             res: SinglePoolResult = _run_pool(
@@ -344,22 +345,20 @@ def run_mechanism(
         if not level > 0.0:
             diagnostics = "mean pool cost is zero; split update undefined"
             break
-        if outer == cfg.max_outer:
-            diagnostics = f"equal-cost test still failing after {cfg.max_outer} split updates"
+        if outer == _MAX_OUTER:
+            diagnostics = f"equal-cost test still failing after {_MAX_OUTER} split updates"
             break
         shares = update_proportions(shares, costs)
         f_updates += 1
 
-    final_states = {k: states[k] for k in pool_ids}
-    out = OuterState(
-        shares=shares,
-        pool_states=final_states,
-        pool_costs=pool_costs,
-        cost_level=level,
-        outer_iter=outer,
-    )
     return MechanismResult(
-        state=out,
+        state=OuterState(
+            shares=shares,
+            pool_states=states,
+            pool_costs=pool_costs,
+            cost_level=level,
+            outer_iter=outer,
+        ),
         converged=converged,
         f_updates=f_updates,
         price_updates=price_updates,

@@ -77,6 +77,16 @@ def _check_length(what: str, k: str, name: str, values: np.ndarray, n: int) -> N
         raise InputMismatchError(f"{what} of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)")
 
 
+def _check_nonnegative(what: str, k: str, name: str, values: np.ndarray) -> None:
+    """Reject a float array holding a negative or non-finite entry, naming what, pool k and name.
+
+    argmin and argmax point at the first NaN when there is one, so the two
+    reads reject what (np.isfinite(values) & (values >= 0.0)).all() rejects.
+    """
+    if values.size and not (values[values.argmin()] >= 0.0 and values[values.argmax()] < np.inf):
+        raise InputMismatchError(f"{what} of pool {k!r}: {name} holds a negative or non-finite entry")
+
+
 @dataclass(frozen=True)
 class Edge:
     id: str

@@ -78,7 +78,7 @@ from typing import ClassVar, Sequence
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .network import InputMismatchError, PoolView, _check_count, _check_length, _check_real
+from .network import PoolView, _check_count, _check_length, _check_nonnegative, _check_real
 from .utility import best_response_bids
 
 __all__ = [
@@ -112,30 +112,31 @@ _OVERLOAD = 1.25
 _ABS_TOL = 0.1
 _REL_TOL = 0.1
 
+# The price updates one pool run may spend.  A run that spends them all
+# returns converged=False; no configuration sets the budget.
+_MAX_ITERS = 50_000
+
 
 @dataclass(frozen=True)
 class DynamicsConfig:
-    """Tuning knobs for the in-pool dynamics: the price step and the budget.
+    """The one tuning knob of the in-pool dynamics: the price step.
 
     price_eta of None means the capacity-scaled default: one percent of the
     smallest open edge capacity divided by the largest number of lines
-    sharing an edge.  max_iters, the price updates one pool run may spend,
-    is a whole number of at least 1, stored as a Python int.  Operators
-    re-bid every bid_refresh_period price updates, a constant of the
-    dynamics rather than a field.  The stop test's tolerances are the module
-    constants _ABS_TOL and _REL_TOL.  No field describes the instance: what
-    is legal input is decided before any pool runs, by the network and pool
-    system when built and by compile_pool.
+    sharing an edge.  Operators re-bid every bid_refresh_period price
+    updates, a constant of the dynamics rather than a field.  The stop
+    test's tolerances and the price updates one pool run may spend are the
+    module constants _ABS_TOL, _REL_TOL and _MAX_ITERS.  No field describes
+    the instance: what is legal input is decided before any pool runs, by
+    the network and pool system when built and by compile_pool.
     """
 
     bid_refresh_period: ClassVar[int] = 10
     price_eta: float | None = None
-    max_iters: int = 50_000
 
     def __post_init__(self) -> None:
         if self.price_eta is not None and not 0.0 < _check_real("price_eta", self.price_eta) < np.inf:
             raise ValueError(f"price_eta must be positive and finite, got {self.price_eta}")
-        object.__setattr__(self, "max_iters", _check_count("max_iters", self.max_iters))
 
 
 def default_price_eta(view: PoolView) -> float:
@@ -472,10 +473,11 @@ def _run_pool(
     at its frequencies misses the edge's supply at the price that supply
     predicts (_reopen) before the opening allocation; a cleared one opens
     as it is.
-    eta is the price step, which run_mechanism resolves once per pool for
-    all of that pool's runs.  Operators re-bid every
-    DynamicsConfig.bid_refresh_period price updates.  A run that exhausts
-    max_iters returns converged=False rather than raising.
+    eta is the price step, which run_mechanism resolves once per pool from
+    cfg.price_eta for all of that pool's runs, so the run reads cfg only
+    for its refresh period: operators re-bid every
+    cfg.bid_refresh_period price updates.  A run that spends _MAX_ITERS
+    price updates returns converged=False rather than raising.
 
     Every price step, product with the incidence, excess and stop test
     reads the pool's own edges only (view.own_edges).  Any other edge
@@ -550,8 +552,8 @@ def _run_pool(
     # read the residuals.  A pass that ends on a boundary has run a whole
     # period, so only the opening check must hold a rescaled state back
     settled = res.converged and not rescaled
-    while not settled and iters < cfg.max_iters:
-        steps = min(period, cfg.max_iters - iters)
+    while not settled and iters < _MAX_ITERS:
+        steps = min(period, _MAX_ITERS - iters)
         # the pass is certified when every line crosses an edge priced above
         # floor: every path then stays priced through the whole pass
         priced = _positive(inc_t.dot(np.maximum(prices - floor, _ZERO)))
@@ -568,7 +570,7 @@ def _run_pool(
             loads = freqs.dot(inc_t)
         iters += steps
         excess = loads - supply
-        if iters >= cfg.max_iters or _may_stop(prices, excess):
+        if iters >= _MAX_ITERS or _may_stop(prices, excess):
             res = pool_residuals(coefficients, prices, freqs, mu, excess)
             settled = res.converged and steps == period
 
@@ -591,20 +593,34 @@ def run_price_dynamics(
     Returns (price history with steps+1 rows, excess history with steps
     rows).  This is the inner subsystem whose distance to the frozen-bid
     clearing prices is a descent function; tests exercise exactly that.
+    The prices and bids are read as floats and must be one per edge and one
+    per operator of the view, finite and nonnegative, else
+    InputMismatchError; steps must be a whole number of at least 0, eta
+    positive and finite, and the share a finite real of at least 0, else
+    ValueError.  No argument is modified.
     """
+    prices = np.asarray(prices, dtype=float)
+    bids = np.asarray(bids, dtype=float)
+    for name, values, n in (("prices", prices, view.n_edges), ("bids", bids, view.n_lops)):
+        _check_length("price dynamics", view.pool_id, name, values, n)
+        _check_nonnegative("price dynamics", view.pool_id, name, values)
+    steps = _check_count("steps", steps, least=0)
+    if not 0.0 < _check_real("eta", eta) < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if not 0.0 <= _check_real("share", share) < np.inf:
+        raise ValueError(f"share must be finite and nonnegative, got {share}")
     hist = np.zeros((steps + 1, view.n_edges))
     exc = np.zeros((steps, view.n_edges))
     supply = view.capacity * share
     ceil = view.bottleneck * share
     cap = _OVERLOAD * ceil
     offers, free = _bid_terms(bids, ceil)
-    cur = prices.astype(float).copy()
-    hist[0] = cur
+    # price_step returns new prices, so the caller's array is never written
+    hist[0] = prices
     for t in range(steps):
-        freqs = allocate_frequencies(view.incidence.T @ cur, offers, free, cap)
-        cur, excess = price_step(cur, view.incidence @ freqs, supply, eta)
-        hist[t + 1] = cur
-        exc[t] = excess
+        freqs = allocate_frequencies(view.incidence.T @ prices, offers, free, cap)
+        prices, exc[t] = price_step(prices, view.incidence @ freqs, supply, eta)
+        hist[t + 1] = prices
     return hist, exc
 
 
@@ -854,9 +870,7 @@ def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarr
     """
     bids = np.asarray(bids, dtype=float)
     _check_length("frozen bids", view.pool_id, "bids", bids, view.n_lops)
-    # argmin and argmax point at the first NaN when there is one, as in multi_pool._check_warm
-    if bids.size and not (bids[bids.argmin()] >= 0.0 and bids[bids.argmax()] < np.inf):
-        raise InputMismatchError(f"frozen bids of pool {view.pool_id!r} hold a negative or non-finite entry")
+    _check_nonnegative("frozen bids", view.pool_id, "bids", bids)
     if not 0.0 <= _check_real("share", share) < np.inf:
         raise ValueError(f"share must be finite and nonnegative, got {share}")
     supply = view.capacity * share

@@ -149,6 +149,48 @@ def grid_instance(seed: int, pools: int):
     return net, ps, table
 
 
+HUB_SPOKES, HUB_RINGS = 6, 3
+
+
+def hub_instance(seed: int):
+    """The hub-and-spoke family: 6 spokes of 3 rings around one hub, 2 pools of 10 lines.
+
+    Each spoke has an inbound leg (ring 3 to 2 to 1 to the hub) and an
+    outbound leg (the hub to ring 1 to 2 to 3), so the graph has 37 nodes
+    and 36 edges and no cycle.  A line boards at a station of one spoke's
+    inbound leg, runs through the hub and leaves along another spoke's
+    outbound leg to one of its stations, so lines from every direction meet
+    at the hub.  Capacities are U(10, 110) and valuations U(5, 15).  Draw
+    order is frozen: the capacities, inbound legs first, then per pool and
+    line its boarding spoke, boarding ring, leaving spoke and leaving ring;
+    the valuations come from uniform_utilities at seed + 100.
+    """
+    rng = np.random.default_rng(seed)
+
+    def station(leg: str, spoke: int, ring: int) -> str:
+        return "hub" if ring == 0 else f"{leg}{spoke}_{ring}"
+
+    legs = [(leg, s, r) for leg in ("in", "out") for s in range(HUB_SPOKES) for r in range(1, HUB_RINGS + 1)]
+    caps = rng.uniform(10.0, 110.0, len(legs))
+    edges = []
+    for (leg, s, r), cap in zip(legs, caps):
+        # edge (leg, s, r) joins rings r and r - 1 of spoke s; inbound edges point towards the hub
+        outer, inner = station(leg, s, r), station(leg, s, r - 1)
+        tail, head = (outer, inner) if leg == "in" else (inner, outer)
+        edges.append(lm.Edge(f"{leg}{s}_{r}", tail, head, float(cap)))
+    nodes = ["hub"] + [station(leg, s, r) for leg, s, r in legs]
+    lines = {}
+    for k in ("pool0", "pool1"):
+        for p in range(10):
+            board, board_ring = int(rng.integers(HUB_SPOKES)), int(rng.integers(1, HUB_RINGS + 1))
+            leave = (board + int(rng.integers(1, HUB_SPOKES))) % HUB_SPOKES
+            leave_ring = int(rng.integers(1, HUB_RINGS + 1))
+            path = [f"in{board}_{r}" for r in range(board_ring, 0, -1)] + [f"out{leave}_{r}" for r in range(1, leave_ring + 1)]
+            lines[(f"lop{p}", k)] = lm.Line(tuple(path))
+    pools = lm.PoolSystem(["pool0", "pool1"], lines)
+    return lm.Network(nodes, edges), pools, lm.uniform_utilities(pools, 5.0, 15.0, seed=seed + 100)
+
+
 def brute_force_tiny(net, pools, table, res: float = 1e-3) -> float:
     """Exhaustive objective over (x, f) grids for tiny_instance outputs.
 

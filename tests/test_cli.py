@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket import cli
+from linemarket import cli, single_pool
 from linemarket.cli import emit_record, run_cli
 from linemarket.network import dump_network_file
 from linemarket.scenarios import ExperimentRecord
@@ -70,7 +70,7 @@ BAD_SCENARIO_VALUES = [
     ("disruption", "edge_count", 1.9, "disruption field 'edge_count' must be an integer, got 1.9"),
     ("disruption", "kind", DROP, "missing disruption fields: ['kind']"),
     ("disruption", "seed", True, "disruption field 'seed' must be an integer, got True"),
-    ("engine", "max_inner", 2.5, "engine field 'max_inner' must be an integer, got 2.5"),
+    ("engine", "max_inner", 2.5, "unknown engine fields: ['max_inner']"),  # the run budgets are engine constants
 ]
 
 
@@ -271,7 +271,8 @@ def test_recover_exits_2_when_the_disruption_cannot_be_applied(tmp_path, monkeyp
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 run out
-    scn = write_instance_scenario(tmp_path, "chain0", *instances.chain_instance(0), engine={"max_inner": 3})
+    monkeypatch.setattr(single_pool, "_MAX_ITERS", 3)
+    scn = write_instance_scenario(tmp_path, "chain0", *instances.chain_instance(0))
     assert run_cli(["solve", "--scenario", str(scn), "--out", "out"]) == 1
     row = read_records(tmp_path / "out" / "records.csv")[0]
     assert row["status"] == "nonconverged"
@@ -399,11 +400,12 @@ class TestBadInput:
         monkeypatch.chdir(tmp_path)
         # a retired option's key is rejected like any unknown one
         retired = ({"normalized_f_update": False}, {"overload_factor": 1.25}, {"abs_tol": 0.1},
-                   {"rel_tol": 0.1}, {"trace_stride": 50}, {"f_floor": 1e-4}, {"bid_refresh_period": 10})
+                   {"rel_tol": 0.1}, {"trace_stride": 50}, {"f_floor": 1e-4}, {"bid_refresh_period": 10},
+                   {"max_inner": 3}, {"max_outer": 5})
         for engine in ({"warp": 9},) + retired:
             scn = write_single_edge_scenario(tmp_path, engine=engine)
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
-            assert "unknown engine fields" in capsys.readouterr().err
+            assert f"unknown engine fields: {sorted(engine)}" in capsys.readouterr().err
 
     def test_retired_split_step_is_rejected(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -437,17 +439,28 @@ class TestBadInput:
         assert (out, err) == ("", f"error: seeds must be a whole number of at least 0, got {bad}\n")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "solve"])
+    @pytest.mark.parametrize("source", ["flag", "scenario"])
+    def test_repeated_seed_names_the_seed(self, tmp_path, monkeypatch, capsys, command, source):
+        """A seed given twice, in --seeds or the scenario's seeds, is bad input met before any seed runs."""
+        monkeypatch.chdir(tmp_path)
+        scn = write_single_edge_scenario(tmp_path, seeds=[3, 0, 3] if source == "scenario" else [0])
+        flags = ["--seeds", "1,0,1"] if source == "flag" else []
+        assert run_cli([command, "--scenario", str(scn), "--out", "o", *flags]) == 2
+        out, err = capsys.readouterr()
+        again = 1 if source == "flag" else 3
+        assert (out, err) == ("", f"error: seeds must not repeat, got {again} more than once\n")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_flag_value(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         scn = write_single_edge_scenario(tmp_path, engine={"eta_price": -1})
         assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
         assert "price_eta must be positive" in capsys.readouterr().err
-        # engine values are JSON numbers, integral for the integer keys; the
-        # error names the key
+        # engine values are JSON numbers; the error names the key
         for key, value in (
             ("eta_price", [0.001]), ("eta_price", {"v": 0.001}), ("eps_cost", "0.05"), ("eps_cost", True),
-            ("max_inner", 3.9), ("max_inner", True), ("max_outer", "5"), ("max_outer", 2.5),
-            ("max_outer", float("inf")), ("eta_price", 10**400),
+            ("eta_price", 10**400),
         ):
             scn = write_single_edge_scenario(tmp_path, engine={key: value})
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2, (key, value)
@@ -543,7 +556,7 @@ def test_scenario_blocks_read_typed_values():
 def test_empty_engine_block_keeps_config_defaults():
     assert cli._mech_config({"engine": {}}) == lm.MechanismConfig()
     assert cli._mech_config({}) == lm.MechanismConfig()
-    # an integral float is an integer, and an integer is a number
-    cfg = cli._mech_config({"engine": {"max_inner": 3.0, "eta_price": 1}})
-    assert cfg.inner.max_iters == 3 and type(cfg.inner.max_iters) is int
+    # an integer is a number
+    cfg = cli._mech_config({"engine": {"eps_cost": 1, "eta_price": 1}})
     assert cfg.inner.price_eta == 1.0 and type(cfg.inner.price_eta) is float
+    assert cfg.eps_cost == 1.0 and type(cfg.eps_cost) is float

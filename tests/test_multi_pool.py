@@ -112,8 +112,8 @@ def test_config_validation():
     for eps in (0.0, -0.05, math.inf, math.nan):
         with pytest.raises(ValueError, match="eps_cost"):
             lm.MechanismConfig(eps_cost=eps)
-    with pytest.raises(ValueError):
-        lm.MechanismConfig(max_outer=0)
+    with pytest.raises(TypeError):
+        lm.MechanismConfig(max_outer=200)  # the split budget is the engine constant _MAX_OUTER
     with pytest.raises(TypeError):
         lm.MechanismConfig(eta_f=0.1)  # the additive split step is retired
     with pytest.raises(TypeError):
@@ -157,10 +157,11 @@ def test_objective_is_sum_of_valuations():
     assert res.objective == pytest.approx(expect, rel=1e-12)
 
 
-def test_outer_budget_exhaustion_reports_diagnostics():
+def test_outer_budget_exhaustion_reports_diagnostics(monkeypatch):
     # at eps_cost 0.005 chain 6 needs two split updates, so a budget of one runs out
     net, pools, table = instances.chain_instance(6)
-    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(eps_cost=0.005, max_outer=1))
+    monkeypatch.setattr(multi_pool, "_MAX_OUTER", 1)
+    res = lm.run_mechanism(net, pools, table, lm.MechanismConfig(eps_cost=0.005))
     assert not res.converged
     assert res.diagnostics != ""
     assert res.f_updates == 1

@@ -317,6 +317,7 @@ CERTIFY_CASES = (
     [(f"chain{seed}", partial(instances.chain_instance, seed)) for seed in range(20)]
     + [(f"grid{seed}_k{k}", partial(instances.grid_instance, seed, k)) for k in (1, 2) for seed in range(20)]
     + [(f"ci{seed}_k{k}", partial(ci_instance, k, seed)) for k in (3, 5) for seed in range(5)]
+    + [(f"hub{seed}", partial(instances.hub_instance, seed)) for seed in range(10)]
 )
 
 
@@ -351,7 +352,7 @@ def test_opening_is_cold_start_prices_bytewise(monkeypatch):
             oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
             assert openings == [lm.cold_start(view, coeffs, 1.0).prices.tobytes()], (name, view.pool_id)
             pools_seen += 1
-    assert pools_seen == 40 + 60 + 40
+    assert pools_seen == 40 + 60 + 40 + 20
 
 
 def test_certificate_reuses_the_solve_views(compiles):
@@ -478,7 +479,7 @@ def test_stack_holds_each_pool_on_its_diagonal():
             pool_ratio, pool_neck = single_pool._fair_split(view.incidence, view.capacity)
             assert ratio[cols].tobytes() == pool_ratio.tobytes(), name
             assert (neck[rows, cols] == pool_neck).all() and neck[rows].sum() == pool_neck.sum(), name
-    assert multi == 20 + 20 + 10 + 9
+    assert multi == 20 + 20 + 10 + 10 + 9
 
 
 def test_kkt_valuations_must_match_the_pools():
@@ -783,12 +784,12 @@ def test_oracle_opens_at_cold_start(monkeypatch):
     assert merged > 1 and summed > 0 and strict > 0
 
 
-def test_closed_edge_is_certified_not_crashed():
+def test_closed_edge_is_certified_not_crashed(monkeypatch):
     """A zero-capacity edge is legal input; the overload row scales by a floor."""
     net, pools, table = instances.chain_instance(3)
     closed = net.with_capacities({"e5": 0.0})
-    cfg = lm.MechanismConfig(inner=lm.DynamicsConfig(max_iters=500))
-    mech = lm.run_mechanism(closed, pools, table, cfg)
+    monkeypatch.setattr(single_pool, "_MAX_ITERS", 500)
+    mech = lm.run_mechanism(closed, pools, table)
     for report in (lm.mechanism_kkt(closed, pools, table, mech.state), lm.solve_full(closed, pools, table).kkt):
         assert np.isfinite(report.max_scaled())
 

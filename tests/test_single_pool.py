@@ -163,11 +163,11 @@ def test_two_identical_operators_split_evenly():
         assert abs(x - 2.0) / 2.0 <= 0.1
 
 
-def test_nonconvergence_is_reported_not_raised():
+def test_nonconvergence_is_reported_not_raised(monkeypatch):
     # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 run out
     net, pools, table = instances.chain_instance(0)
-    cfg = lm.DynamicsConfig(max_iters=3)
-    res = run_one_pool(net, pools, "k1", table, 0.5, cfg=cfg)
+    monkeypatch.setattr(single_pool, "_MAX_ITERS", 3)
+    res = run_one_pool(net, pools, "k1", table, 0.5)
     assert not res.converged
     assert res.iterations == 3
     assert res.residuals is not None
@@ -195,24 +195,22 @@ BAD_BUDGETS = [0, -3, 2.5, 10.0, math.inf, math.nan, True, False, "5", None]
 
 @pytest.mark.parametrize("value", BAD_BUDGETS, ids=repr)
 def test_budgets_are_whole_numbers(value):
-    """max_iters and max_outer take an integer of at least 1, numpy's included, and no bool."""
-    with pytest.raises(ValueError, match="max_iters must be a whole number of at least 1"):
+    """The run budgets are whole-number engine constants, and no config field sets them, whatever the value."""
+    assert type(single_pool._MAX_ITERS) is int and single_pool._MAX_ITERS == 50_000
+    assert type(multi_pool._MAX_OUTER) is int and multi_pool._MAX_OUTER == 200
+    with pytest.raises(TypeError, match="max_iters"):
         lm.DynamicsConfig(max_iters=value)
-    with pytest.raises(ValueError, match="max_outer must be a whole number of at least 1"):
+    with pytest.raises(TypeError, match="max_outer"):
         lm.MechanismConfig(max_outer=value)
 
 
-def test_numpy_integer_budgets_run():
-    cfg = lm.MechanismConfig(inner=lm.DynamicsConfig(max_iters=np.int64(50_000)), max_outer=np.int32(200))
-    res = lm.run_mechanism(*instances.chain_instance(0), cfg)
-    want = lm.run_mechanism(*instances.chain_instance(0))
-    assert res.converged and res.price_updates == want.price_updates and res.objective == want.objective
-    # a budget that runs out leaves its own value in the counts, which stay Python ints
-    short = lm.MechanismConfig(inner=lm.DynamicsConfig(max_iters=np.int64(37)), max_outer=np.int32(3))
-    assert type(short.inner.max_iters) is int and type(short.max_outer) is int
-    for res in (res, lm.run_mechanism(*instances.chain_instance(0), short)):
-        json.dumps([res.price_updates, res.f_updates, res.bid_updates])
-        assert all(type(v) is int for v in [*res.price_updates.values(), res.f_updates, res.bid_updates])
+def test_budget_exit_counts_are_python_ints(monkeypatch):
+    """A run that spends a budget leaves its value in the counts, which stay Python ints."""
+    monkeypatch.setattr(single_pool, "_MAX_ITERS", 37)
+    res = lm.run_mechanism(*instances.chain_instance(0))
+    assert not res.converged and max(res.price_updates.values()) == 37
+    json.dumps([res.price_updates, res.f_updates, res.bid_updates])
+    assert all(type(v) is int for v in [*res.price_updates.values(), res.f_updates, res.bid_updates])
 
 
 def test_default_step_scales_with_capacity_and_crowding():
@@ -369,6 +367,67 @@ def test_fixed_bid_descent_toward_clearing_prices():
     assert v[-1] <= v[0] / 10.0
 
 
+def _frozen_bid_view():
+    net, pools, _ = instances.two_lops_one_edge()
+    return lm.compile_pool(net, pools, "k0")
+
+
+def test_price_dynamics_read_lists_as_floats():
+    """Prices and bids pass as any sequence of reals; the caller's arrays are not written."""
+    view = _frozen_bid_view()
+    prices, bids = np.array([0.0]), np.array([1.0, 3.0])
+    want = lm.run_price_dynamics(view, prices, bids, 1.0, 0.05, 5)
+    got = lm.run_price_dynamics(view, [0], [1, 3], 1, 0.05, np.int64(5))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    assert prices.tolist() == [0.0] and bids.tolist() == [1.0, 3.0]
+    hist, exc = lm.run_price_dynamics(view, prices, bids, 1.0, 0.05, 0)
+    assert hist.tolist() == [[0.0]] and exc.shape == (0, 1)
+
+
+@pytest.mark.parametrize("name, prices, bids", [
+    ("bids", [0.0], [1.3]),  # one bid for two lines would broadcast
+    ("bids", [0.0], [1.3, 0.7, 1.0]),
+    ("bids", [0.0], [[1.3, 0.7]]),
+    ("prices", [0.0, 0.0, 0.0], [1.3, 0.7]),
+    ("prices", 0.0, [1.3, 0.7]),
+])
+def test_price_dynamics_reject_a_wrong_length(name, prices, bids):
+    """One price per edge and one bid per operator of the view, else InputMismatchError, not numpy's error."""
+    with pytest.raises(lm.InputMismatchError, match=rf"price dynamics of pool 'k0': {name} has shape"):
+        lm.run_price_dynamics(_frozen_bid_view(), prices, bids, 1.0, 0.05, 5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+@pytest.mark.parametrize("name", ["prices", "bids"])
+def test_price_dynamics_reject_a_negative_or_non_finite_entry(name, bad):
+    """A NaN, negative or infinite price or bid is bad input, not a run that returns zeros."""
+    args = {"prices": np.array([0.0]), "bids": np.array([1.3, 0.7])}
+    args[name][-1] = bad
+    with pytest.raises(lm.InputMismatchError, match=rf"{name} holds a negative or non-finite entry"):
+        lm.run_price_dynamics(_frozen_bid_view(), args["prices"], args["bids"], 1.0, 0.05, 5)
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("steps", -1, "steps must be a whole number of at least 0"),
+    ("steps", 2.5, "steps must be a whole number of at least 0"),
+    ("steps", True, "steps must be a whole number of at least 0"),
+    ("eta", -0.05, "eta must be positive and finite"),
+    ("eta", 0.0, "eta must be positive and finite"),
+    ("eta", np.inf, "eta must be positive and finite"),
+    ("eta", np.nan, "eta must be positive and finite"),
+    ("eta", "0.05", "eta must be a real number"),
+    ("share", -1.0, "share must be finite and nonnegative"),
+    ("share", np.nan, "share must be finite and nonnegative"),
+    ("share", np.inf, "share must be finite and nonnegative"),
+    ("share", True, "share must be a real number"),
+])
+def test_price_dynamics_reject_a_bad_scalar(name, value, message):
+    """steps is a whole number of at least 0, eta positive and finite, the share finite and at least 0."""
+    args = {"share": 1.0, "eta": 0.05, "steps": 5, name: value}
+    with pytest.raises(ValueError, match=message):
+        lm.run_price_dynamics(_frozen_bid_view(), np.zeros(1), np.array([1.3, 0.7]), **args)
+
+
 def test_empty_pool_converges_trivially():
     net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
     pools = lm.PoolSystem(["k0", "k1"], {("lop0", "k0"): lm.Line(("e1",))})
@@ -476,7 +535,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
     iters = bid_updates = 0
     res = reference_residuals(view, coefficients, st)
-    while not (res.converged and iters % period == 0 and iters >= first_stop) and iters < cfg.max_iters:
+    while not (res.converged and iters % period == 0 and iters >= first_stop) and iters < single_pool._MAX_ITERS:
         excess = view.incidence @ st.freqs - view.capacity * share
         st.prices = np.maximum(0.0, st.prices + eta * excess)
         iters += 1
@@ -673,12 +732,12 @@ def test_warm_state_with_a_silent_line_cold_starts_the_pool():
     assert got.state.bids.tobytes() == cleared.state.bids.tobytes()
 
 
-def test_budget_exit_off_a_refresh_boundary_reports_final_residuals():
+def test_budget_exit_off_a_refresh_boundary_reports_final_residuals(monkeypatch):
     net, pools, table = instances.grid_instance(0, 2)
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
     coeffs = table.coefficients_for(view)
-    cfg = lm.DynamicsConfig(price_eta=1e-3, max_iters=37)
-    got = assert_same_run(view, coeffs, 0.5, cfg)
+    monkeypatch.setattr(single_pool, "_MAX_ITERS", 37)
+    got = assert_same_run(view, coeffs, 0.5, lm.DynamicsConfig(price_eta=1e-3))
     assert got.iterations == 37 and not got.converged
     assert got.residuals == residuals_of(view, coeffs, got.state)
 
@@ -858,7 +917,8 @@ def test_uncertified_pass_takes_the_masked_allocation(monkeypatch):
     pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
     view = lm.compile_pool(net, pools, "k0")
     warm = lm.PoolMarketState("k0", view.edge_ids, view.lop_ids, np.array([5.0]), np.array([0.01]), np.array([4.0]), 1.0)
-    got = assert_same_run(view, np.array([0.1]), 1.0, lm.DynamicsConfig(price_eta=0.04, max_iters=40), warm)
+    monkeypatch.setattr(single_pool, "_MAX_ITERS", 40)
+    got = assert_same_run(view, np.array([0.1]), 1.0, lm.DynamicsConfig(price_eta=0.04), warm)
     assert not got.converged and got.state.freqs[0] == 4.0
     period = lm.DynamicsConfig.bid_refresh_period
     passes = [steps[i][0] for i in range(0, len(steps), period)]
@@ -1055,7 +1115,7 @@ def test_seams_run_once_per_use(monkeypatch):
 
     def run_pool(view, coefficients, share, warm, cfg, eta):
         res = _run_pool(view, coefficients, share, warm, cfg, eta)
-        runs.append((view.n_lops, res.iterations, res.iterations == cfg.max_iters))
+        runs.append((view.n_lops, res.iterations, res.iterations == single_pool._MAX_ITERS))
         moved.append(warm is not None and warm.share != share)
         return res
 
@@ -1073,8 +1133,8 @@ def test_seams_run_once_per_use(monkeypatch):
     net, pools, table = instances.grid_instance(0, 2)
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
     for max_iters in (37, 40):
-        cfg = lm.DynamicsConfig(price_eta=1e-3, max_iters=max_iters)
-        multi_pool._run_pool(view, table.coefficients_for(view), 0.5, None, cfg, 1e-3)
+        monkeypatch.setattr(single_pool, "_MAX_ITERS", max_iters)
+        multi_pool._run_pool(view, table.coefficients_for(view), 0.5, None, lm.DynamicsConfig(price_eta=1e-3), 1e-3)
     updates = sum(n for _, n, _ in runs)
     boundaries = sum(n // period for _, n, _ in runs)
     budget_exits = sum(spent for _, _, spent in runs)
