@@ -46,15 +46,16 @@ at most eta * supply, and a pass of period steps by at most period times
 that.  An own edge priced above floor = 2 * period * eta * supply at a
 pass's start, twice that bound as a margin for rounding, therefore stays
 priced for the whole pass, and so does the path price of every line that
-crosses it.  When every
-line crosses such an edge the pass is certified and its allocations skip
-their own check; any other pass checks at every step, as before.
-Certified passes hold 54% of the price steps on the 20 test chains, and
-78% and 99% on the 7x12 one- and two-pool grids at the pinned step.  A
-pool with a closed edge or a line that cannot run, or a price falling to
-zero, takes the masked paths where a path is unpriced.  The stop test and
-the refresh read their maxima through argmax (_max_or_zero), which gives
-what x.max(initial=0.0) gives, bit for bit.
+crosses it.  When every line crosses such an edge the pass is certified:
+its allocations and the re-bid at its boundary skip their own checks (the
+priced flag of allocate_frequencies and refresh_bids).  Any other pass
+checks at every step and at its re-bid.  Certified passes hold 54% of the
+price steps and re-bids of the 20 test chains, and 99% of those of the
+7x12 one- and two-pool grids at seeds 0 to 4 at the pinned step.  A pool
+with a closed edge or a line that cannot run, or a price falling to zero,
+takes the masked paths where a path is unpriced.  The stop test and the
+refresh read their maxima through argmax (_max_or_zero), which gives what
+x.max(initial=0.0) gives, bit for bit.
 
 Exact clearing.  The module also computes the clearing point the dynamics
 approach, in closed form up to one Newton solve: _clearing_prices
@@ -290,13 +291,17 @@ def allocate_frequencies(
     return np.minimum(freqs, cap, out=freqs)
 
 
-def refresh_bids(coefficients: np.ndarray, path_prices: np.ndarray, bids: np.ndarray) -> np.ndarray:
+def refresh_bids(coefficients: np.ndarray, path_prices: np.ndarray, bids: np.ndarray, priced: bool = False) -> np.ndarray:
     """Re-bid optimally where the path price is positive; return the new bids.
 
     An entry with a zero path price keeps its old bid.  When every path is
-    priced the best responses are returned unmasked.
+    priced the best responses are returned unmasked.  priced=True tells the
+    refresh that every path is priced, so it skips its own check, as
+    allocate_frequencies' priced does: the price loop passes it at the
+    boundary of a pass its certificate covers, and a caller that cannot
+    vouch for it leaves it False.
     """
-    if _positive(path_prices):
+    if priced or _positive(path_prices):
         return best_response_bids(coefficients, path_prices)
     skipped = ~(path_prices > 0.0)
     return np.where(skipped, bids, best_response_bids(coefficients, np.where(skipped, 1.0, path_prices)))
@@ -316,9 +321,9 @@ def _clearing_terms(prices: np.ndarray, excess: np.ndarray) -> tuple[float, floa
     """The stop test's absolute terms: worst overload and worst price * |excess|.
 
     Each is the maximum with a zero floor, read through _max_or_zero.  A NaN
-    in either input makes its term NaN, which no tolerance passes.  The
-    price loop (_may_stop), pool_residuals and the oracle's Newton stop all
-    read these two terms from here.
+    in either input makes its term NaN, which no tolerance passes.
+    pool_residuals and the oracle's Newton stop read these two terms from
+    here; _may_stop reads the same two, one at a time.
     """
     return _max_or_zero(excess), _max_or_zero(prices * np.abs(excess))
 
@@ -326,11 +331,15 @@ def _clearing_terms(prices: np.ndarray, excess: np.ndarray) -> tuple[float, floa
 def _may_stop(prices: np.ndarray, excess: np.ndarray) -> bool:
     """Whether both absolute terms are within _ABS_TOL: the cheap half of the stop test.
 
+    It decides as the two terms of _clearing_terms tested with <= do, NaN
+    included, but it computes price * |excess| only once the worst overload
+    has passed.  The overload fails at 1,063 of the 1,460 boundaries of the
+    7x12 two-pool grids at seeds 0 to 4 at the pinned step, and at 37 of
+    the 178 of the 20 test chains.
     pool_residuals(...).converged implies it, so the price loop computes the
     full residuals only at a boundary that passes it.
     """
-    feas, comp = _clearing_terms(prices, excess)
-    return feas <= _ABS_TOL and comp <= _ABS_TOL
+    return _max_or_zero(excess) <= _ABS_TOL and _max_or_zero(prices * np.abs(excess)) <= _ABS_TOL
 
 
 def pool_residuals(
@@ -472,7 +481,15 @@ def _run_pool(
     capacities, such as one a disruption hit, re-opens each edge whose load
     at its frequencies misses the edge's supply at the price that supply
     predicts (_reopen) before the opening allocation; a cleared one opens
-    as it is.
+    as it is.  A warm state can leave a line that can run and bids on a
+    path no edge prices, as a closed edge that opens again does: the run
+    returned that edge at zero.  Allocated its ceiling, such a line loads
+    its neck exactly to supply when it runs there alone, so no price step
+    would ever price its path, and the stop test rejects an active line on
+    an unpriced path.  So the opening charges each such line's bid to its
+    neck, on top of the neck's price (_fair_split, _neck_prices), as
+    cold_start charges every bid; a warm opening with every path priced
+    only pays the check.
     eta is the price step, which run_mechanism resolves once per pool from
     cfg.price_eta for all of that pool's runs, so the run reads cfg only
     for its refresh period: operators re-bid every
@@ -492,10 +509,13 @@ def _run_pool(
     are both within _ABS_TOL (_may_stop), and when the budget runs out;
     any other boundary cannot pass the stop test, so it is not checked.
 
-    Each pass is certified or not at its start (see the module docstring):
-    a certified pass tells each of its allocations that every path is
-    priced (allocate_frequencies' priced), an uncertified one lets each
-    allocation check.  Loads are freqs.dot(inc_t), which numpy computes
+    Each pass runs its steps but the last as plain steps, and re-bids in
+    its last step only when that step ends on a refresh boundary, so no
+    step tests for the boundary.  Each pass is certified or not at its
+    start (see the module docstring): a certified pass tells each of its
+    allocations and its re-bid that every path is priced (the priced flag
+    of allocate_frequencies and refresh_bids), an uncertified one lets
+    each of them check.  Loads are freqs.dot(inc_t), which numpy computes
     with the same BLAS call as inc.dot(freqs), on the same buffer, so the
     bits are those of the matrix-vector product, at less cost.  A copy of
     the incidence in another memory order would sum in another order and
@@ -536,6 +556,13 @@ def _run_pool(
         _reopen(prices, state.freqs.dot(inc_t), supply)
     state.share = share
     mu = inc_t.dot(prices)
+    if not cold and not _positive(mu):
+        # lines that can run and bid on an unpriced path, which no step
+        # may ever price (see above), are charged to their necks
+        idle = (state.bids > 0.0) & (view.bottleneck > 0.0) & ~(mu > 0.0)
+        if idle.any():
+            prices += _neck_prices(_fair_split(inc, own_caps)[1], np.where(idle, state.bids, 0.0), supply)
+            mu = inc_t.dot(prices)
     offers, free = _bid_terms(state.bids, ceil)
     if not cold:  # cold_start has allocated under these bids
         state.freqs = allocate_frequencies(mu, offers, free, cap)
@@ -555,19 +582,25 @@ def _run_pool(
     while not settled and iters < _MAX_ITERS:
         steps = min(period, _MAX_ITERS - iters)
         # the pass is certified when every line crosses an edge priced above
-        # floor: every path then stays priced through the whole pass
+        # floor: every path then stays priced through the whole pass, its
+        # boundary included
         priced = _positive(inc_t.dot(np.maximum(prices - floor, _ZERO)))
-        for step in range(1, steps + 1):
+        for _ in range(steps - 1):
             prices, _ = price_step(prices, loads, supply, eta)
             mu = inc_t.dot(prices)
-            if step == period:
-                new_bids = refresh_bids(coefficients, mu, bids)
-                if _max_or_zero(np.abs(new_bids - bids) / np.maximum(bids, 1e-300)) > _REL_TOL:
-                    bid_updates += 1
-                bids = new_bids
-                offers, free = _bid_terms(bids, ceil)
             freqs = allocate_frequencies(mu, offers, free, cap, priced)
             loads = freqs.dot(inc_t)
+        # the pass's last step, the only one that may end on a boundary
+        prices, _ = price_step(prices, loads, supply, eta)
+        mu = inc_t.dot(prices)
+        if steps == period:
+            new_bids = refresh_bids(coefficients, mu, bids, priced)
+            if _max_or_zero(np.abs(new_bids - bids) / np.maximum(bids, 1e-300)) > _REL_TOL:
+                bid_updates += 1
+            bids = new_bids
+            offers, free = _bid_terms(bids, ceil)
+        freqs = allocate_frequencies(mu, offers, free, cap, priced)
+        loads = freqs.dot(inc_t)
         iters += steps
         excess = loads - supply
         if iters >= _MAX_ITERS or _may_stop(prices, excess):

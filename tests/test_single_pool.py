@@ -10,8 +10,8 @@ import pytest
 import linemarket as lm
 from linemarket import multi_pool, single_pool
 from linemarket.single_pool import (
-    _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _max_or_zero, _may_stop, _neck_prices, _positive, _run_pool,
-    pool_residuals,
+    _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _clearing_terms, _max_or_zero, _may_stop, _neck_prices, _positive,
+    _run_pool, pool_residuals,
 )
 
 import instances
@@ -492,7 +492,9 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     price * |excess| at its own frequencies above _ABS_TOL) starts with each
     priced edge whose load misses its supply by more than _ABS_TOL at its
     price times sqrt(load / supply).  A warm state's closed edges start at
-    zero.
+    zero.  Then each line of a warm state that can run and bids, on a path
+    no edge prices, has its bid charged to its neck, as a cold start
+    charges every bid.
     """
     if cfg.price_eta is not None:
         eta = cfg.price_eta
@@ -501,18 +503,19 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         scale = float(open_caps.min()) if open_caps.size else 1.0
         eta = 0.01 * scale / max(1.0, float(view.incidence.sum(axis=1).max()))
     period = cfg.bid_refresh_period
+    # each line's bid is charged evenly to the edges of its line with the
+    # smallest capacity / crowd, its neck
+    supply = view.capacity * share
+    crowd = view.incidence.sum(axis=1)
+    charge = np.zeros((view.n_edges, view.n_lops))
+    fair = np.zeros(view.n_lops)
+    for p, idx in enumerate(line_edges(view)):
+        ratio = view.capacity[idx] / crowd[idx]
+        fair[p] = ratio.min()
+        neck = idx[ratio == fair[p]]
+        charge[neck, p] = 1.0 / len(neck)
     if warm is None:
-        # each line's bid is charged evenly to the edges of its line with the
-        # smallest capacity / crowd; every other edge opens unpriced
-        supply = view.capacity * share
-        crowd = view.incidence.sum(axis=1)
-        charge = np.zeros((view.n_edges, view.n_lops))
-        fair = np.zeros(view.n_lops)
-        for p, idx in enumerate(line_edges(view)):
-            ratio = view.capacity[idx] / crowd[idx]
-            fair[p] = ratio.min()
-            neck = idx[ratio == fair[p]]
-            charge[neck, p] = 1.0 / len(neck)
+        # every edge no neck includes opens unpriced
         bids = coefficients / 2.0 * np.sqrt(share * fair)
         mass = charge @ bids
         prices = np.where(mass > 0.0, mass / np.where(mass > 0.0, supply, 1.0), 0.0)
@@ -525,12 +528,15 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         first_stop = period if ratio != 1.0 else 0
         if ratio == 1.0:
             loads = view.incidence @ warm.freqs
-            supply = view.capacity * share
             excess = loads - supply
             if excess.max(initial=0.0) > _ABS_TOL or (prices * np.abs(excess)).max(initial=0.0) > _ABS_TOL:
                 for e in range(view.n_edges):
                     if prices[e] > 0.0 and abs(excess[e]) > _ABS_TOL and supply[e] > 0.0:
                         prices[e] *= math.sqrt(loads[e] / supply[e])
+        idle = (bids > 0.0) & (fair > 0.0) & ~(view.incidence.T @ prices > 0.0)
+        if idle.any():
+            mass = charge @ np.where(idle, bids, 0.0)
+            prices = prices + np.where(supply > 0.0, mass / np.where(supply > 0.0, supply, 1.0), 0.0)
     freqs, mu = reference_allocate(view, prices, bids, share)
     st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
     iters = bid_updates = 0
@@ -660,6 +666,40 @@ def test_warm_restart_returns_a_closed_edge_at_price_zero():
     dead.bids[dead.lop_ids.index("lop0")] = 0.0
     again = assert_same_run(view, table.coefficients_for(view), res.state.shares.share("k0"), lm.DynamicsConfig(), dead)
     assert again.converged and again.iterations == 0
+
+
+@pytest.mark.parametrize("case", ["three edges", "chain 1 e0"])
+def test_reopened_edge_charges_its_waiting_bids_to_their_necks(case):
+    """A closed edge returns at price zero, and a line through it keeps its bid, so reopening the
+    edge leaves that line bidding on an unpriced path.  Allocated its ceiling, a line alone on its
+    neck loads it exactly to supply, and no price step would ever price its path.  The warm
+    opening charges each such bid to its line's neck, as the cold start does: the restart clears
+    and certifies, as the reference does, bit for bit.  In "three edges" lop0 runs over e1 and the
+    wider e2, so its neck is e1 alone, and lop1 on e3 keeps the pool's share while e1 is closed."""
+    if case == "three edges":
+        net = lm.Network(["u", "v", "w", "x"], [
+            lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 8.0), lm.Edge("e3", "w", "x", 2.0)
+        ])
+        pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1", "e2")), ("lop1", "k0"): lm.Line(("e3",))})
+        table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(3.0), ("lop1", "k0"): lm.UtilitySpec(1.0)})
+        edge = "e1"
+    else:
+        (net, pools, table), edge = instances.chain_instance(1), "e0"
+    base = lm.run_mechanism(net, pools, table)
+    closed = lm.run_mechanism(net.with_capacities({edge: 0.0}), pools, table, warm=base.state)
+    assert closed.converged
+    idle = 0
+    for k in pools.pool_ids:
+        view = lm.compile_pool(net, pools, k)
+        st = closed.state.pool_states[k]
+        mu = view.incidence.T @ st.prices
+        idle += int(np.sum((st.bids > 0.0) & (view.bottleneck > 0.0) & (mu == 0.0)))
+        got = assert_same_run(view, table.coefficients_for(view), closed.state.shares.share(k), lm.DynamicsConfig(), st)
+        assert got.converged
+    assert idle > 0
+    reopened = lm.run_mechanism(net, pools, table, warm=closed.state)
+    assert reopened.converged
+    assert lm.mechanism_kkt(net, pools, table, reopened.state).max_scaled() <= 0.1
 
 
 @pytest.mark.parametrize("kind", ["reduce", "increase"])
@@ -793,6 +833,9 @@ def test_bid_refresh_and_bid_terms_match_reference_bitwise():
         skipped = ~(mu > 0.0)
         want_bids = np.where(skipped, bids, coeffs ** 2 / (4.0 * np.where(skipped, 1.0, mu)))
         assert new_bids.tobytes() == want_bids.tobytes(), trial
+        if np.all(mu > 0.0):
+            # a caller that vouches for every path priced gets the same bytes
+            assert lm.refresh_bids(coeffs, mu, bids, True).tobytes() == want_bids.tobytes(), trial
 
         offers, free = _bid_terms(bids, ceil)
         assert offers.tobytes() == np.where(bids > 0.0, bids, 0.0).tobytes(), trial
@@ -876,13 +919,21 @@ def _record_allocations(monkeypatch):
 
 
 def test_certified_passes_price_every_path(monkeypatch, k1_baseline, k2_baseline):
-    """Every step of a pass the certificate covers sees every path priced.
+    """Every step and every re-bid of a pass the certificate covers sees every path priced.
 
     The runs are the 20 chains, the 7x12 one- and two-pool grids at seeds 0
     to 2 cold, and their warm restarts after criterion 6's 10% shocks (the
     mixed shock only where two edges are congested).
     """
     steps = _record_allocations(monkeypatch)
+    rebids = []  # each boundary re-bid's priced flag and path prices
+    refresh_bids = single_pool.refresh_bids
+
+    def recorded(*args):
+        rebids.append((args[3], args[1].copy()))
+        return refresh_bids(*args)
+
+    monkeypatch.setattr(single_pool, "refresh_bids", recorded)
     for seed in range(20):
         lm.run_mechanism(*instances.chain_instance(seed))
     for baseline in (k1_baseline, k2_baseline):
@@ -898,8 +949,11 @@ def test_certified_passes_price_every_path(monkeypatch, k1_baseline, k2_baseline
                 assert rec.status == "converged" and rec.total_price_updates > 0
     certified = [mu for priced, mu in steps if priced]
     assert all(_positive(mu) for mu in certified)
-    # most steps of these runs are covered
+    certified_rebids = [mu for priced, mu in rebids if priced]
+    assert all(_positive(mu) for mu in certified_rebids)
+    # most steps and most re-bids of these runs are covered
     assert len(certified) > len(steps) / 2
+    assert len(certified_rebids) > len(rebids) / 2
 
 
 def test_uncertified_pass_takes_the_masked_allocation(monkeypatch):
@@ -1050,7 +1104,11 @@ def test_residuals_match_reference_on_random_states(monkeypatch):
 
 
 def test_boundary_precheck_is_necessary_for_the_stop_test(monkeypatch):
-    """Whenever pool_residuals converges, _may_stop holds; a NaN or an inf fails both."""
+    """Whenever pool_residuals converges, _may_stop holds; a NaN or an inf fails both.
+
+    _may_stop decides as the two terms of _clearing_terms tested with <= do,
+    though it skips the second term once the first fails.
+    """
     rng = np.random.default_rng(78)
     views = []
     for seed in range(5):
@@ -1084,6 +1142,8 @@ def test_boundary_precheck_is_necessary_for_the_stop_test(monkeypatch):
         with np.errstate(invalid="ignore"):
             full = pool_residuals(coeffs, prices, freqs, mu, excess)
             cheap = _may_stop(prices, excess)
+            feas, comp = _clearing_terms(prices, excess)
+        assert cheap is (feas <= tol and comp <= tol), trial
         assert cheap or not full.converged, trial
         if bad in (1, 2, 3):
             assert not cheap and not full.converged, trial
