@@ -5,7 +5,9 @@ allocation problem directly so tests can compare the two, and certifies a
 point against the optimality conditions.  Those are its two jobs.  The
 exact clearing solver it calls (single_pool._clearing_prices) lives with
 the engine, whose opening (_fair_split, _neck_prices) and stop terms
-(_clearing_terms) it reads, so each of these has one definition.
+(_clearing_terms) it reads, and the certificate reads each pool's raw
+terms through the stop test's own kernel (single_pool._pool_terms), so
+each of these has one definition.
 
 The reference optimum: solve_full solves all pools once, stacked, at
 share 1.  There the pools' duals are separable, so the stack is one pool
@@ -37,7 +39,7 @@ import numpy as np
 from .network import InputMismatchError, Network, PoolSystem, PoolView, _check_length, compile_pool
 from .multi_pool import OuterState, ProportionVector, _check_warm, _mean, pool_cost
 from .single_pool import (_TINY, PoolMarketState, _PoolSolve, _clearing_prices, _fair_split, _max_or_zero,
-                          _neck_prices, _positive, _stack_pools)
+                          _neck_prices, _pool_terms, _stack_pools)
 from .utility import UtilityTable
 
 __all__ = [
@@ -155,9 +157,12 @@ def kkt_report(
     view's length, raise InputMismatchError naming the pools; a negative
     entry is not rejected but reported in negativity.  mechanism_kkt and
     solve_full build these arguments from an instance they have validated
-    and compiled.  A pool all of whose operators run, as at a cleared
-    state, is read without the masks that select running operators; the
-    masked reading gives the same bytes there.
+    and compiled.  Each pool's overload, complementarity and per-operator
+    gaps between marginal value and path price come from the stop test's
+    kernel (single_pool._pool_terms), so they are the stop test's raw terms
+    bit for bit; this report scales them by capacity, cost level and the
+    path price floored at _TINY.  The kernel reads a pool all of whose
+    operators run without the mask that selects running operators.
     """
     pool_ids = [view.pool_id for view in views]
     for name, seq in (("coefficient vectors", coefficients), ("frequency arrays", freqs),
@@ -180,31 +185,22 @@ def kkt_report(
         for name, values, n in (("coefficients", a, view.n_lops), ("freqs", x, view.n_lops),
                                 ("prices", lam, view.n_edges)):
             _check_length("candidate", view.pool_id, name, values, n)
-        idle = False
-        if x.size and _positive(x):
-            # every operator runs: the masks below would select every entry,
-            # no operator stands idle, and x adds nothing to negativity
-            neg = _worst(neg, -float(lam.min(initial=0.0)))
-            mu = view.incidence.T @ lam
-            gap = np.abs(a / (2.0 * np.sqrt(x)) - mu)
-        else:
-            neg = _worst(_worst(neg, -float(x.min(initial=0.0))), -float(lam.min(initial=0.0)))
-            run = x > 0.0
-            mu = (view.incidence.T @ lam)[run]
-            gap = np.abs(a[run] / (2.0 * np.sqrt(x[run])) - mu)
-            idle = bool((~run & (view.bottleneck * share > 0.0)).any())
+        slack = view.incidence @ x - view.capacity * share
+        over, comp, gap, mu = _pool_terms(a, lam, x, view.incidence.T @ lam, slack)
+        neg = _worst(_worst(neg, -float(x.min(initial=0.0))), -float(lam.min(initial=0.0)))
+        # fewer gaps than operators: some operator runs nothing, and may stand idle
+        idle = gap.size < x.size and bool((~(x > 0.0) & (view.bottleneck * share > 0.0)).any())
         if gap.size:
             stat_raw = _worst(stat_raw or 0.0, _max_or_zero(gap))
             stat_rel = _worst(stat_rel or 0.0, _max_or_zero(gap / np.maximum(mu, _TINY)))
         if idle:
             stat_rel = _worst(stat_rel or 0.0, 1.0)
-        slack = view.incidence @ x - view.capacity * share
-        comp_raw = _worst(comp_raw, _max_or_zero(np.abs(lam * slack)))
-        over_raw = _worst(over_raw, _max_or_zero(slack))
+        comp_raw = _worst(comp_raw, comp)
+        over_raw = _worst(over_raw, over)
         over_rel = _worst(over_rel, _max_or_zero(slack / np.maximum(view.capacity, _TINY)))
         if share > 0.0:
             # the split's condition binds only pools that hold capacity
-            spread_raw = _worst(spread_raw, abs(float(view.capacity @ lam) - cost_level))
+            spread_raw = _worst(spread_raw, abs(pool_cost(view.capacity, lam) - cost_level))
 
     total_share = float(share_vec.sum())
     split_excess = _worst(0.0, total_share - 1.0)

@@ -30,11 +30,12 @@ test: the loop holds it at zero and never steps it.
 
 The loop checks its stop test only at refresh boundaries, and computes the
 full residuals (pool_residuals) only at a boundary whose worst overload and
-worst price * |excess| already pass (_may_stop), or when the budget runs
+worst |price * excess| already pass (_may_stop), or when the budget runs
 out.  When every path is priced, allocate_frequencies and refresh_bids
 skip their zero-price masks, and _bid_terms its zero-bid mask when every
-line bids; pool_residuals skips its selection of active, priced lines
-when every line is both.  The masked paths give the same numbers there.
+line bids; the residual kernel (_pool_terms) skips its selection of
+running lines when every line runs.  The masked paths give the same
+numbers there.
 What runs once per run or per opening (the closed-edge reset, the
 silent-line test of a warm state, default_price_eta, _neck_prices) has
 the masked path only: a second path there would save a few microseconds
@@ -56,6 +57,17 @@ with a closed edge or a line that cannot run, or a price falling to zero,
 takes the masked paths where a path is unpriced.  The stop test and the
 refresh read their maxima through argmax (_max_or_zero), which gives what
 x.max(initial=0.0) gives, bit for bit.
+
+The stop test and the certifier read one kernel.  _pool_terms returns a
+pool's raw clearing terms: the worst overload, the worst |price * excess|
+(_clearing_terms), and each running line's gap between its marginal value
+a / (2 sqrt(x)) and its path price, with that price.  pool_residuals
+scales the gaps by the path price and rejects an active line on an
+unpriced path; oracle.kkt_report scales them by the path price floored at
+_TINY and the overload by capacity, and adds its own rows (idle lines,
+negativity, the cost spread).  So the two agree, bit for bit, on the raw
+terms, and on the scaled gaps wherever every running path is priced at
+_TINY or more and no line that could run stands idle.
 
 Exact clearing.  The module also computes the clearing point the dynamics
 approach, in closed form up to one Newton solve: _clearing_prices
@@ -107,7 +119,7 @@ _TINY = 1e-30
 _OVERLOAD = 1.25
 
 # The stop test's tolerances: a pool has cleared when neither its worst
-# overload nor its worst price * |excess| exceeds _ABS_TOL and every active
+# overload nor its worst |price * excess| exceeds _ABS_TOL and every active
 # line's marginal value is within _REL_TOL of its path price, relatively.  A
 # refresh that moves some bid by more than _REL_TOL counts as a bid update.
 _ABS_TOL = 0.1
@@ -318,28 +330,49 @@ class PoolResiduals:
 
 
 def _clearing_terms(prices: np.ndarray, excess: np.ndarray) -> tuple[float, float]:
-    """The stop test's absolute terms: worst overload and worst price * |excess|.
+    """The stop test's absolute terms: worst overload and worst |price * excess|.
 
     Each is the maximum with a zero floor, read through _max_or_zero.  A NaN
-    in either input makes its term NaN, which no tolerance passes.
-    pool_residuals and the oracle's Newton stop read these two terms from
+    in either input makes its term NaN, which no tolerance passes.  The
+    complementarity is written as kkt_report reads it, for any sign of
+    price; for prices of at least +0 it is price * |excess|, bit for bit.
+    _pool_terms and the oracle's Newton stop read these two terms from
     here; _may_stop reads the same two, one at a time.
     """
-    return _max_or_zero(excess), _max_or_zero(prices * np.abs(excess))
+    return _max_or_zero(excess), _max_or_zero(np.abs(prices * excess))
 
 
 def _may_stop(prices: np.ndarray, excess: np.ndarray) -> bool:
     """Whether both absolute terms are within _ABS_TOL: the cheap half of the stop test.
 
     It decides as the two terms of _clearing_terms tested with <= do, NaN
-    included, but it computes price * |excess| only once the worst overload
+    included, but it computes |price * excess| only once the worst overload
     has passed.  The overload fails at 1,063 of the 1,460 boundaries of the
     7x12 two-pool grids at seeds 0 to 4 at the pinned step, and at 37 of
     the 178 of the 20 test chains.
     pool_residuals(...).converged implies it, so the price loop computes the
     full residuals only at a boundary that passes it.
     """
-    return _max_or_zero(excess) <= _ABS_TOL and _max_or_zero(prices * np.abs(excess)) <= _ABS_TOL
+    return _max_or_zero(excess) <= _ABS_TOL and _max_or_zero(np.abs(prices * excess)) <= _ABS_TOL
+
+
+def _pool_terms(coefficients: np.ndarray, prices: np.ndarray, freqs: np.ndarray, path_prices: np.ndarray,
+                excess: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """A pool's raw clearing terms, the one reading of them the stop test and the certifier share.
+
+    Returns the worst overload and the worst |price * excess|
+    (_clearing_terms), then, for each running line (positive frequency), the
+    gap |a / (2 sqrt(x)) - mu| between its marginal value and its path price
+    mu, and that mu.  These are the first-order conditions of proportional
+    fairness (Kelly, Maulloo & Tan 1998).  The terms are raw: pool_residuals
+    and kkt_report each divide by their own scales.  When every line runs,
+    the selection of running lines is skipped; it would take every entry.
+    """
+    overload, comp = _clearing_terms(prices, excess)
+    if not _positive(freqs):
+        run = freqs > 0.0
+        coefficients, freqs, path_prices = coefficients[run], freqs[run], path_prices[run]
+    return overload, comp, np.abs(coefficients / (2.0 * np.sqrt(freqs)) - path_prices), path_prices
 
 
 def pool_residuals(
@@ -349,39 +382,25 @@ def pool_residuals(
     path_prices: np.ndarray,
     excess: np.ndarray,
 ) -> PoolResiduals:
-    """Clearing residuals of one pool state.
+    """Clearing residuals of one pool state: the stop test.
 
     path_prices (incidence.T @ prices) and excess (incidence @ freqs minus
     the share-scaled capacity) are the state's own, which the price loop
-    already holds.  converged is the stop test at _ABS_TOL and _REL_TOL; an
-    active line on an unpriced path fails it.  Its overload and
-    complementarity terms come from _clearing_terms, as _may_stop's do.  The
-    price loop calls this at a run's opening, at each refresh boundary that
-    passes _may_stop, and on the exit that spends the budget.  When every
-    line is active and priced the selection of such lines is skipped.
+    already holds.  It reads the raw terms of _pool_terms, as kkt_report
+    does, and scales the gap of each running line by its path price.
+    converged is the stop test at _ABS_TOL and _REL_TOL; an active line on
+    an unpriced path fails it, and only then are the unpriced entries
+    dropped before the gaps are scaled.  The price loop calls this at a
+    run's opening, at each refresh boundary that passes _may_stop, and on
+    the exit that spends the budget.
     """
-    feas, comp = _clearing_terms(prices, excess)
-
-    if _positive(freqs) and _positive(path_prices):
-        # every line is active and priced: the selection below takes every entry
-        priceless = False
-        mu = path_prices
-        marg = coefficients / (2.0 * np.sqrt(freqs))
-    else:
-        active = freqs > 0.0
-        sel = active & (path_prices > 0.0)
-        priceless = np.count_nonzero(active) > np.count_nonzero(sel)  # an active path unpriced
-        mu = path_prices[sel]
-        marg = coefficients[sel] / (2.0 * np.sqrt(freqs[sel]))
-    stat = _max_or_zero(np.abs(marg - mu) / mu)
-
-    ok = (
-        not priceless
-        and feas <= _ABS_TOL
-        and comp <= _ABS_TOL
-        and stat <= _REL_TOL
-    )
-    return PoolResiduals(feas, comp, stat, ok)
+    feas, comp, gap, mu = _pool_terms(coefficients, prices, freqs, path_prices, excess)
+    priceless = not _positive(mu)  # an active line on an unpriced path
+    if priceless:
+        priced = mu > 0.0
+        gap, mu = gap[priced], mu[priced]
+    stat = _max_or_zero(gap / mu)
+    return PoolResiduals(feas, comp, stat, not priceless and feas <= _ABS_TOL and comp <= _ABS_TOL and stat <= _REL_TOL)
 
 
 def _fair_split(incidence: np.ndarray, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -456,6 +475,24 @@ def _reopen(prices: np.ndarray, loads: np.ndarray, supply: np.ndarray) -> None:
     prices[moved] *= np.sqrt(loads[moved] / supply[moved])
 
 
+def _charge_waiting(prices: np.ndarray, mu: np.ndarray, bids: np.ndarray, coefficients: np.ndarray, inc: np.ndarray,
+                    caps: np.ndarray, supply: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Charge each waiting line's bid to its neck; return the new prices and path prices.
+
+    A line waits when it can run, bids, and sits on an unpriced path; the
+    price loop values a line that cannot run at zero, so a positive
+    coefficient marks one that can.  Its bid is added to its neck's price
+    (_fair_split, _neck_prices), as cold_start charges every bid.  With no
+    line waiting the inputs come back as they are.  The callers call it
+    only when some path is unpriced.
+    """
+    waiting = (bids > 0.0) & (coefficients > 0.0) & ~(mu > 0.0)
+    if not waiting.any():
+        return prices, mu
+    prices = prices + _neck_prices(_fair_split(inc, caps)[1], np.where(waiting, bids, 0.0), supply)
+    return prices, inc.T.dot(prices)
+
+
 @dataclass
 class SinglePoolResult:
     state: PoolMarketState
@@ -487,9 +524,16 @@ def _run_pool(
     its neck exactly to supply when it runs there alone, so no price step
     would ever price its path, and the stop test rejects an active line on
     an unpriced path.  So the opening charges each such line's bid to its
-    neck, on top of the neck's price (_fair_split, _neck_prices), as
-    cold_start charges every bid; a warm opening with every path priced
-    only pays the check.
+    neck, on top of the neck's price (_charge_waiting), as cold_start
+    charges every bid; a warm opening with every path priced only pays the
+    check.  A price can also fall to zero within a pass, when a step
+    overshoots, and leave such a line behind, so the boundary of a pass
+    that is not certified charges the same lines after its re-bid; a
+    certified pass ends with every path priced.  A line that cannot run (a
+    closed edge on it, view.bottleneck 0) is valued at zero for the whole
+    run, so each re-bid on its priced path sets its bid to 0: it never buys
+    anything, and a bid it kept growing against a falling path price would
+    be charged to its neck when its edge reopens.
     eta is the price step, which run_mechanism resolves once per pool from
     cfg.price_eta for all of that pool's runs, so the run reads cfg only
     for its refresh period: operators re-bid every
@@ -505,7 +549,7 @@ def _run_pool(
     and returns it at zero.
 
     The full residuals (pool_residuals) are computed at the opening, at
-    each refresh boundary whose worst overload and worst price * |excess|
+    each refresh boundary whose worst overload and worst |price * excess|
     are both within _ABS_TOL (_may_stop), and when the budget runs out;
     any other boundary cannot pass the stop test, so it is not checked.
 
@@ -535,6 +579,9 @@ def _run_pool(
     # and a pass by at most half of floor
     floor = 2 * period * eta * supply
     eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
+    # a line that cannot run re-bids as if valued at zero, so its best
+    # response is 0, not a bid against a path it never buys anything on
+    coefficients = np.where(view.bottleneck > 0.0, coefficients, 0.0)
     # a state cleared at share zero holds nothing to rescale, and a line
     # that can run but holds no bid would never bid again: its path may
     # stay unpriced, and an idle line passes the residual check
@@ -557,12 +604,7 @@ def _run_pool(
     state.share = share
     mu = inc_t.dot(prices)
     if not cold and not _positive(mu):
-        # lines that can run and bid on an unpriced path, which no step
-        # may ever price (see above), are charged to their necks
-        idle = (state.bids > 0.0) & (view.bottleneck > 0.0) & ~(mu > 0.0)
-        if idle.any():
-            prices += _neck_prices(_fair_split(inc, own_caps)[1], np.where(idle, state.bids, 0.0), supply)
-            mu = inc_t.dot(prices)
+        prices, mu = _charge_waiting(prices, mu, state.bids, coefficients, inc, own_caps, supply)
     offers, free = _bid_terms(state.bids, ceil)
     if not cold:  # cold_start has allocated under these bids
         state.freqs = allocate_frequencies(mu, offers, free, cap)
@@ -599,6 +641,8 @@ def _run_pool(
                 bid_updates += 1
             bids = new_bids
             offers, free = _bid_terms(bids, ceil)
+            if not priced and not _positive(mu):
+                prices, mu = _charge_waiting(prices, mu, bids, coefficients, inc, own_caps, supply)
         freqs = allocate_frequencies(mu, offers, free, cap, priced)
         loads = freqs.dot(inc_t)
         iters += steps

@@ -191,6 +191,49 @@ def hub_instance(seed: int):
     return lm.Network(nodes, edges), pools, lm.uniform_utilities(pools, 5.0, 15.0, seed=seed + 100)
 
 
+def arbitrary_states(net, pools, table, rng: np.random.Generator, count: int) -> list[lm.OuterState]:
+    """count random warm states of an instance: the paper's "arbitrary initial state (to be solved)".
+
+    Each state takes a Dirichlet(1) split and, per pool in order, on the
+    pool's view: prices U(0, 2 x the pool's largest price in solve_full's
+    optimum) on exactly half of the edges (the first n_edges // 2 of a
+    random permutation) and 0 on the rest; bids the optimum's bids, floored
+    at 1e-3, times exp(N(0, 1)); frequencies U(0, 1) times the line's
+    share-scaled ceiling (bottleneck * share).  Draw order is frozen: per
+    state the split, then per pool the permutation, the prices, the bid
+    factors and the frequency factors.  A family draws its states from one
+    generator, instance after instance.
+    """
+    opt = lm.solve_full(net, pools, table).state
+    views = [lm.compile_pool(net, pools, k) for k in pools.pool_ids]
+    states = []
+    for _ in range(count):
+        split = rng.dirichlet(np.ones(len(views)))
+        pool_states = {}
+        for view, share in zip(views, split):
+            best = opt.pool_states[view.pool_id]
+            prices = np.zeros(view.n_edges)
+            priced = rng.permutation(view.n_edges)[: view.n_edges // 2]
+            prices[priced] = rng.uniform(0.0, 2.0 * best.prices.max(), len(priced))
+            bids = np.maximum(best.bids, 1e-3) * np.exp(rng.normal(0.0, 1.0, view.n_lops))
+            freqs = rng.uniform(0.0, 1.0, view.n_lops) * view.bottleneck * share
+            pool_states[view.pool_id] = lm.PoolMarketState(
+                view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, float(share)
+            )
+        states.append(replace(opt, shares=lm.ProportionVector(pools.pool_ids, split), pool_states=pool_states))
+    return states
+
+
+def unpriced_active(res) -> list[str]:
+    """The pools of a run's end state in which an active line's path carries no price."""
+    pools = []
+    for view in res.views:
+        st = res.state.pool_states[view.pool_id]
+        if np.any((st.freqs > 0.0) & ~(view.incidence.T @ st.prices > 0.0)):
+            pools.append(view.pool_id)
+    return pools
+
+
 def brute_force_tiny(net, pools, table, res: float = 1e-3) -> float:
     """Exhaustive objective over (x, f) grids for tiny_instance outputs.
 

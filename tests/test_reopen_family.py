@@ -15,24 +15,12 @@ default step's slow or divergent kind, an open finding for the step rule,
 and is counted, not failed: the counts are printed in the terminal
 summary's measurements section.
 """
-import numpy as np
-
 import linemarket as lm
 from linemarket.oracle import _state_kkt
 from linemarket.single_pool import _MAX_ITERS
 
 import instances
 import report
-
-
-def _unpriced_active(res):
-    """The pools of a run's end state in which an active line's path carries no price."""
-    pools = []
-    for view in res.views:
-        st = res.state.pool_states[view.pool_id]
-        if np.any((st.freqs > 0.0) & ~(view.incidence.T @ st.prices > 0.0)):
-            pools.append(view.pool_id)
-    return pools
 
 
 def test_close_and_reopen_every_chain_edge():
@@ -51,7 +39,7 @@ def test_close_and_reopen_every_chain_edge():
                 run = f"chain {seed} {eid} {name}"
                 counts[name][0] += res.converged
                 counts[name][1] += 1
-                unpriced = _unpriced_active(res)
+                unpriced = instances.unpriced_active(res)
                 if unpriced:
                     failures.append(f"{run}: an active line on an unpriced path in {unpriced}")
                 if res.converged:

@@ -9,9 +9,10 @@ import pytest
 
 import linemarket as lm
 from linemarket import multi_pool, single_pool
+from linemarket.oracle import kkt_report
 from linemarket.single_pool import (
-    _ABS_TOL, _REL_TOL, PoolResiduals, _bid_terms, _clearing_terms, _max_or_zero, _may_stop, _neck_prices, _positive,
-    _run_pool, pool_residuals,
+    _ABS_TOL, _REL_TOL, _TINY, PoolResiduals, _bid_terms, _clearing_terms, _max_or_zero, _may_stop, _neck_prices,
+    _positive, _run_pool, pool_residuals,
 )
 
 import instances
@@ -494,7 +495,8 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     price times sqrt(load / supply).  A warm state's closed edges start at
     zero.  Then each line of a warm state that can run and bids, on a path
     no edge prices, has its bid charged to its neck, as a cold start
-    charges every bid.
+    charges every bid, and so has each such line at every refresh boundary,
+    after the re-bid.  A line that cannot run re-bids as if valued at zero.
     """
     if cfg.price_eta is not None:
         eta = cfg.price_eta
@@ -514,6 +516,15 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         fair[p] = ratio.min()
         neck = idx[ratio == fair[p]]
         charge[neck, p] = 1.0 / len(neck)
+    coefficients = np.where(fair > 0.0, coefficients, 0.0)
+
+    def charge_waiting(prices, bids):
+        waiting = (bids > 0.0) & (fair > 0.0) & ~(view.incidence.T @ prices > 0.0)
+        if not waiting.any():
+            return prices
+        mass = charge @ np.where(waiting, bids, 0.0)
+        return prices + np.where(supply > 0.0, mass / np.where(supply > 0.0, supply, 1.0), 0.0)
+
     if warm is None:
         # every edge no neck includes opens unpriced
         bids = coefficients / 2.0 * np.sqrt(share * fair)
@@ -533,10 +544,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
                 for e in range(view.n_edges):
                     if prices[e] > 0.0 and abs(excess[e]) > _ABS_TOL and supply[e] > 0.0:
                         prices[e] *= math.sqrt(loads[e] / supply[e])
-        idle = (bids > 0.0) & (fair > 0.0) & ~(view.incidence.T @ prices > 0.0)
-        if idle.any():
-            mass = charge @ np.where(idle, bids, 0.0)
-            prices = prices + np.where(supply > 0.0, mass / np.where(supply > 0.0, supply, 1.0), 0.0)
+        prices = charge_waiting(prices, bids)
     freqs, mu = reference_allocate(view, prices, bids, share)
     st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
     iters = bid_updates = 0
@@ -554,6 +562,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
             if float(rel_change.max(initial=0.0)) > _REL_TOL:
                 bid_updates += 1
             st.bids = new_bids
+            st.prices = charge_waiting(st.prices, st.bids)
             st.freqs, mu = reference_allocate(view, st.prices, st.bids, share)
         res = reference_residuals(view, coefficients, st)
     converged = res.converged and iters % period == 0 and iters >= first_stop
@@ -700,6 +709,43 @@ def test_reopened_edge_charges_its_waiting_bids_to_their_necks(case):
     reopened = lm.run_mechanism(net, pools, table, warm=closed.state)
     assert reopened.converged
     assert lm.mechanism_kkt(net, pools, table, reopened.state).max_scaled() <= 0.1
+
+
+def test_a_line_that_cannot_run_bids_nothing():
+    """A line through a closed edge buys nothing, so it re-bids as if valued at zero.  On chain 7
+    with e0 closed, lop1 and lop2 of k0 cross e0 and e2, and e2's price decays while they wait; a
+    re-bid against it would grow their bids without bound (to 252 and 274 at the closed run's
+    end), and the reopened restart would charge those bids to e2 and spend k0's whole budget
+    working the price down.  Their bids fall to 0 at the first re-bid instead, as the reference
+    loop's do, bit for bit, and the reopened restart clears."""
+    net, pools, table = instances.chain_instance(7)
+    base = lm.run_mechanism(net, pools, table)
+    shut = net.with_capacities({"e0": 0.0})
+    closed = lm.run_mechanism(shut, pools, table, warm=base.state)
+    assert closed.converged and closed.bid_updates == 1
+    view = lm.compile_pool(shut, pools, "k0")
+    dead = view.bottleneck == 0.0
+    assert [view.lop_ids[p] for p in np.flatnonzero(dead)] == ["lop1", "lop2"]
+    assert (closed.state.pool_states["k0"].bids[dead] == 0.0).all()
+    warm = base.state.pool_states["k0"]
+    got = assert_same_run(view, table.coefficients_for(view), warm.share, lm.DynamicsConfig(), warm)
+    assert got.converged and (got.state.bids[dead] == 0.0).all()
+    reopened = lm.run_mechanism(net, pools, table, warm=closed.state)
+    assert reopened.converged
+    assert lm.mechanism_kkt(net, pools, table, reopened.state).max_scaled() <= 0.1
+
+
+def test_a_path_that_falls_unpriced_is_charged_at_the_next_boundary():
+    """A price can fall to zero within a pass.  On a lone edge whose bid buys almost nothing, the
+    price steps 0.2 -> 0.042 -> 0, and the line, allocated its ceiling, then loads the edge exactly
+    to supply: no price step would ever price its path again, and the line keeps its bid there.
+    The boundary charges that bid to the edge, as a warm opening does, so the run clears, as the
+    reference loop does, bit for bit."""
+    net, pools, _ = instances.single_edge()
+    view = lm.compile_pool(net, pools, "k0")
+    warm = lm.PoolMarketState("k0", view.edge_ids, view.lop_ids, np.array([0.2]), np.array([0.01]), np.array([4.0]), 1.0)
+    got = assert_same_run(view, np.array([2.0]), 1.0, lm.DynamicsConfig(price_eta=0.04), warm)
+    assert got.converged and got.state.prices[0] > 0.0
 
 
 @pytest.mark.parametrize("kind", ["reduce", "increase"])
@@ -964,7 +1010,8 @@ def test_uncertified_pass_takes_the_masked_allocation(monkeypatch):
     two passes open above floor = 3.2 and are certified; the fourth opens
     at 0.2 and its price reaches zero on its second step, where the line
     must get its ceiling, not the overload cap an unmasked division by
-    zero would give.
+    zero would give.  At the pass's boundary the line, bidding on an
+    unpriced path, is charged to its edge.
     """
     steps = _record_allocations(monkeypatch)
     net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
@@ -1070,6 +1117,14 @@ def test_residuals_match_reference_on_final_states():
 
 
 def test_residuals_match_reference_on_random_states(monkeypatch):
+    """The stop test against its reference, and against the certificate on the same state.
+
+    pool_residuals and kkt_report read one kernel (_pool_terms), so the stop
+    test's overload and complementarity are the certificate's raw ones, bit
+    for bit, and its stationarity is the certificate's scaled one whenever
+    their scales agree: every running line's path price at least _TINY,
+    and no line that could run idle.
+    """
     rng = np.random.default_rng(77)
     views = []
     for seed in range(5):
@@ -1078,8 +1133,15 @@ def test_residuals_match_reference_on_random_states(monkeypatch):
     net, pools, table = instances.grid_instance(0, 2)
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
     views.append((view, table.coefficients_for(view)))
+    # lop1 and lop2 of chain 7's k0 cross e0: closed, it leaves them lines
+    # that cannot run, so the certificate may compare a state in which some
+    # line runs nothing
+    net, pools, table = instances.chain_instance(7)
+    view = lm.compile_pool(net.with_capacities({"e0": 0.0}), pools, "k0")
+    views.append((view, table.coefficients_for(view)))
     seen = {"active on unpriced path": 0, "zero frequency": 0, "every line active and priced": 0,
-            "converged": 0, "not converged": 0}
+            "converged": 0, "not converged": 0, "stationarity compared": 0,
+            "stationarity compared with a line running nothing": 0}
     for trial in range(2000):
         view, coeffs = views[trial % len(views)]
         prices = rng.uniform(0.0, 2.0, view.n_edges) * (rng.random(view.n_edges) < rng.random())
@@ -1095,6 +1157,14 @@ def test_residuals_match_reference_on_random_states(monkeypatch):
         want = reference_residuals(view, coeffs, state, tol, tol)
         assert got == want, trial
         mu = view.incidence.T @ prices
+        kkt = kkt_report([view], [coeffs], [freqs], [prices], [share], 1.0)
+        assert repr(got.max_excess) == repr(kkt.overload_raw), trial
+        assert repr(got.max_complementarity) == repr(kkt.complementarity_raw), trial
+        run = freqs > 0.0
+        if np.all(mu[run] >= _TINY) and not np.any(~run & (view.bottleneck * share > 0.0)):
+            assert repr(got.max_stationarity) == repr(kkt.stationarity_rel), trial
+            seen["stationarity compared"] += 1
+            seen["stationarity compared with a line running nothing"] += int(not run.all())
         seen["active on unpriced path"] += int(np.sum((freqs > 0.0) & (mu == 0.0)))
         seen["zero frequency"] += int(np.sum(freqs == 0.0))
         # pool_residuals reads such a state without its masks
