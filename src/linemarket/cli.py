@@ -3,14 +3,18 @@
 A scenario JSON names an instance (either a lattice recipe or a network
 file), its valuations, optional disruption, and engine settings.  Every
 command takes one or more seeds; all randomness of a run flows from its
-seed, split deterministically per component, so reruns with the same
-scenario and seed write byte-identical files (wall-clock timings are
-disabled by default for exactly that reason; --timing turns them on).
+seed, split deterministically per component, and no output holds a
+wall-clock time, so reruns with the same scenario and seed write
+byte-identical files.
 
 run_cli has one loop over the seeds: it builds each seed's instance and
 hands it to the command's per-seed handler, which writes that seed's files
 and line and returns whether its runs converged.  solve and recover append
-their records to records.csv through one writer (_append_records).
+their records to records.csv through one writer (_append_records).  solve's
+end state and oracle's optimum are both an OuterState, and one writer
+(_state_doc) writes both in one schema: the split, the pool costs, the cost
+level and per pool its prices, bids and frequencies, plus each command's
+own scalars.
 
 Exit codes: 0 all runs converged, 1 at least one run did not, 2 bad input.
 Bad input met at one seed, such as a disruption that seed's instance has
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
-from .multi_pool import MechanismConfig, MechanismResult, run_mechanism
+from .multi_pool import MechanismConfig, MechanismResult, OuterState, run_mechanism
 from .network import (
     Network,
     PoolSystem,
@@ -65,7 +69,6 @@ class RunConfig:
     out_dir: Path
     seeds: tuple[int, ...]
     mode: str       # recover's restarts: cold, warm or both
-    timing: bool    # solve and recover fill the wall-time column
     mech: MechanismConfig
 
 
@@ -73,12 +76,10 @@ def _fmt(value: float) -> str:
     return _FLOAT_FMT % value
 
 
-def emit_record(record: ExperimentRecord, sink: IO[str], timing: bool = False) -> None:
+def emit_record(record: ExperimentRecord, sink: IO[str]) -> None:
     """Append one experiment record as a CSV row, header exactly once.
 
-    The header is written when the sink is at offset zero.  Wall time is
-    left blank unless timing is requested, keeping default outputs
-    deterministic.
+    The header is written when the sink is at offset zero.
     """
     writer = csv.writer(sink, lineterminator="\n")
     if sink.tell() == 0:
@@ -90,7 +91,6 @@ def emit_record(record: ExperimentRecord, sink: IO[str], timing: bool = False) -
                 "price_updates_total",
                 "price_updates",
                 "bid_updates",
-                "wall_time",
                 "max_kkt",
                 "status",
             ]
@@ -104,7 +104,6 @@ def emit_record(record: ExperimentRecord, sink: IO[str], timing: bool = False) -
             record.total_price_updates,
             per_pool,
             record.bid_updates,
-            _fmt(record.wall_time) if timing else "",
             _fmt(record.max_kkt),
             record.status,
         ]
@@ -260,7 +259,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         out_dir=Path(args.out),
         seeds=seeds,
         mode=args.mode,
-        timing=args.timing,
         mech=_mech_config(scn),
     )
 
@@ -272,19 +270,14 @@ def _write_json(path: Path, doc) -> None:
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _state_doc(res: MechanismResult) -> dict:
-    st = res.state
+def _state_doc(state: OuterState, **fields) -> dict:
+    """A state's JSON document: its split, costs and per-pool maps, plus the caller's fields."""
     return {
-        "converged": res.converged,
-        "diagnostics": res.diagnostics,
-        "shares": st.shares.as_dict(),
-        "pool_costs": {k: v for k, v in sorted(st.pool_costs.items())},
-        "cost_level": st.cost_level,
-        "objective": res.objective,
-        "f_updates": res.f_updates,
-        "price_updates": dict(sorted(res.price_updates.items())),
-        "bid_updates": res.bid_updates,
-        "pools": {k: s.to_json() for k, s in sorted(st.pool_states.items())},
+        "shares": state.shares.as_dict(),
+        "pool_costs": state.pool_costs,
+        "cost_level": state.cost_level,
+        "pools": {k: s.to_json() for k, s in state.pool_states.items()},
+        **fields,
     }
 
 
@@ -323,7 +316,7 @@ def _summary(seed: int, res: MechanismResult, max_kkt: float) -> str:
 def _append_records(cfg: RunConfig, records: Sequence[ExperimentRecord]) -> None:
     with (cfg.out_dir / "records.csv").open("a", newline="", encoding="utf-8") as fh:
         for record in records:
-            emit_record(record, fh, timing=cfg.timing)
+            emit_record(record, fh)
 
 
 def _instance_name(cfg: RunConfig, seed: int) -> str:
@@ -343,7 +336,9 @@ def _cmd_generate(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, ta
 def _cmd_solve(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table: UtilityTable) -> bool:
     res = run_mechanism(net, pools, table, cfg.mech)
     max_kkt = _state_kkt(res.views, res.coefficients, res.state).max_scaled()
-    _write_json(cfg.out_dir / f"state_seed{seed}.json", _state_doc(res))
+    doc = _state_doc(res.state, converged=res.converged, diagnostics=res.diagnostics, objective=res.objective,
+                     f_updates=res.f_updates, price_updates=res.price_updates, bid_updates=res.bid_updates)
+    _write_json(cfg.out_dir / f"state_seed{seed}.json", doc)
     _write_outer_trace(cfg.out_dir / f"outer_trace_seed{seed}.csv", res)
     _append_records(cfg, [_record(_instance_name(cfg, seed), "cold", res, max_kkt)])
     print(_summary(seed, res, max_kkt))
@@ -353,24 +348,12 @@ def _cmd_solve(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table
 def _cmd_oracle(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table: UtilityTable) -> bool:
     sol = solve_full(net, pools, table)
     st = sol.state
-    shares = st.shares.as_dict()
-    pool_states = st.pool_states.items()
-    freqs = sorted((lop, k, x) for k, ps in pool_states for lop, x in zip(ps.lop_ids, ps.freqs.tolist()))
-    prices = sorted((e, k, v) for k, ps in pool_states for e, v in zip(ps.edge_ids, ps.prices.tolist()) if v != 0.0)
-    doc = {
-        "objective": sol.objective,
-        "shares": shares,
-        "cost_level": st.cost_level,
-        "cost_gap": sol.cost_gap,
-        "converged": sol.converged,
-        "frequencies": [{"lop": lop, "pool": k, "x": x} for lop, k, x in freqs],
-        "prices": [{"edge": e, "pool": k, "price": v} for e, k, v in prices],
-        "max_kkt": sol.kkt.max_scaled(),
-    }
+    doc = _state_doc(st, converged=sol.converged, objective=sol.objective, cost_gap=sol.cost_gap,
+                     max_kkt=sol.kkt.max_scaled())
     _write_json(cfg.out_dir / f"oracle_seed{seed}.json", doc)
     print(
         f"seed={seed} objective={_fmt(sol.objective)} "
-        f"shares={';'.join(f'{k}:{_fmt(v)}' for k, v in sorted(shares.items()))} "
+        f"shares={';'.join(f'{k}:{_fmt(v)}' for k, v in sorted(doc['shares'].items()))} "
         f"cost_level={_fmt(st.cost_level)}"
     )
     return sol.converged
@@ -416,14 +399,12 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=helptext)
         # each flag only on the commands that read it; the others run with
         # these values
-        p.set_defaults(mode="both", timing=False)
+        p.set_defaults(mode="both")
         p.add_argument("--scenario", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seeds", default=None, help="comma-separated seeds, overrides the scenario")
         if name == "recover":
             p.add_argument("--mode", choices=["cold", "warm", "both"], help="restarts to run (default: both)")
-        if name in ("solve", "recover"):
-            p.add_argument("--timing", action="store_true", help="record wall-clock times (breaks byte reproducibility)")
     return parser
 
 

@@ -15,7 +15,6 @@ certificate for the split.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -157,13 +156,19 @@ class MechanismConfig:
 
 @dataclass
 class OuterState:
-    """Joint state of the mechanism between outer iterations."""
+    """Joint state of the mechanism between outer iterations.
+
+    A run's end state and solve_full's optimum are both one of these, and
+    the CLI writes both in one format (solve's state_seed*.json, oracle's
+    oracle_seed*.json).  cost_level has one meaning for both: the mean
+    cost over the pools that hold capacity, a run's live pools at its last
+    measurement and the optimum's pools of positive share, 0 when there
+    are none.
+    """
 
     shares: ProportionVector
     pool_states: dict[str, PoolMarketState]
     pool_costs: dict[str, float]
-    # a run's: the mean cost over live pools at its last measurement;
-    # solve_full's: the largest pool cost
     cost_level: float
     outer_iter: int
 
@@ -175,7 +180,9 @@ class MechanismResult:
     views and coefficients are the compiled pool views and valuation
     coefficient vectors the run read, in pool order, so the run's state is
     certified on them (oracle._state_kkt) without a second compile,
-    validation or state check.
+    validation or state check.  It holds no wall-clock time, so every
+    field is the same on a rerun; a caller that wants the time measures
+    the call.
     """
 
     state: OuterState
@@ -184,7 +191,6 @@ class MechanismResult:
     price_updates: dict[str, int]
     bid_updates: int
     objective: float
-    wall_time: float
     outer_trace: list[dict]
     views: tuple[PoolView, ...] = field(repr=False)
     coefficients: tuple[np.ndarray, ...] = field(repr=False)
@@ -298,7 +304,6 @@ def run_mechanism(
                 k, v.edge_ids, v.lop_ids, np.zeros(v.n_edges), np.zeros(v.n_lops), np.zeros(v.n_lops), 0.0
             )
 
-    t0 = time.perf_counter()
     f_updates = 0
     price_updates = {k: 0 for k in pool_ids}
     bid_updates = 0
@@ -364,7 +369,6 @@ def run_mechanism(
         price_updates=price_updates,
         bid_updates=bid_updates,
         objective=sum(float(coeffs[k] @ np.sqrt(np.maximum(states[k].freqs, 0.0))) for k in pool_ids),
-        wall_time=time.perf_counter() - t0,
         outer_trace=outer_trace,
         views=tuple(views.values()),
         coefficients=tuple(coeffs.values()),

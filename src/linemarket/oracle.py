@@ -273,12 +273,14 @@ class OracleSolution:
     state is the optimum in run_mechanism's format: per pool, on its
     compiled view, prices, frequencies, share and bids x * (incidence.T @
     prices), the payments that buy those frequencies, which at the optimum
-    are the best responses; then the split, the pool costs, the largest of
-    them as cost level, and outer_iter 0.
+    are the best responses; then the split, the pool costs, the cost level
+    as a run sets it, the mean cost of the pools holding a positive share,
+    and outer_iter 0.  cost_gap is (largest - level) / largest over those
+    same pools, a diagnostic that reads zero at an exactly balanced split.
     """
 
     state: OuterState
-    cost_gap: float        # (max - mean) / max over pool costs, diagnostic
+    cost_gap: float
     objective: float
     kkt: KKTReport
     converged: bool
@@ -293,16 +295,18 @@ def solve_full(
     optimum at share 1 with frequencies scaled by f, edge prices by
     f**-0.5 and value V_k by sqrt(f).  Maximizing sum_k sqrt(f_k) V_k(1)
     over the split simplex then gives f_k = V_k(1)^2 / sum_j V_j(1)^2, at
-    which every pool's network cost is the same (the envelope condition of
-    primal decomposition).  So all pools are solved once, stacked, at share
-    1: their share-1 duals are separable, so one Newton solve of the
-    block-diagonal stack (_stack_pools) minimizes them all, and its prices
-    and frequencies split back per pool at the views' offsets.  A pool of
-    value zero, such as one without operators, gets share zero; when every
-    pool is worth zero the split is uniform.  The answer is an OuterState on the views compiled
-    here, each pool compiled once per solve, and it is certified as a
-    run's state is, by _state_kkt on those views and coefficient vectors;
-    converged requires the solve to converge and that certificate to hold.
+    which every pool holding a share has the same network cost (the
+    envelope condition of primal decomposition); its mean over those pools
+    is the answer's cost level, as it is a run's.  So all pools are solved
+    once, stacked, at share 1: their share-1 duals are separable, so one
+    Newton solve of the block-diagonal stack (_stack_pools) minimizes them
+    all, and its prices and frequencies split back per pool at the views'
+    offsets.  A pool of value zero, such as one without operators, gets
+    share zero; when every pool is worth zero the split is uniform.  The
+    answer is an OuterState on the views compiled here, each pool compiled
+    once per solve, and it is certified as a run's state is, by _state_kkt
+    on those views and coefficient vectors; converged requires the solve to
+    converge and that certificate to hold.
     """
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
@@ -332,12 +336,16 @@ def solve_full(
         costs[view.pool_id] = pool_cost(view.capacity, lam)
         objective += float(a @ roots[block])
 
-    level = max(costs.values())
+    # the cost level as a run reads it: the mean cost of the pools that hold
+    # capacity, of which the split always has one
+    held = np.array(list(costs.values()))[split > 0.0]
+    level = _mean(held)
+    top = float(held.max())
     state = OuterState(ProportionVector(pools.pool_ids, split), states, costs, level, 0)
     report = _state_kkt(views, coeffs, state)
     return OracleSolution(
         state=state,
-        cost_gap=(level - _mean(np.array(list(costs.values())))) / max(level, _TINY),
+        cost_gap=(top - level) / max(top, _TINY),
         objective=objective,
         kkt=report,
         converged=sol.converged and report.max_scaled() <= _CERTIFIED,

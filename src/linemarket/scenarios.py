@@ -257,7 +257,6 @@ class ExperimentRecord:
     f_updates: int
     price_updates: dict[str, int]
     bid_updates: int
-    wall_time: float
     max_kkt: float
     status: str                  # "converged" or "nonconverged"
 
@@ -286,7 +285,6 @@ def _record(instance: str, mode: str, res: MechanismResult, max_kkt: float) -> E
         f_updates=res.f_updates,
         price_updates=dict(res.price_updates),
         bid_updates=res.bid_updates,
-        wall_time=res.wall_time,
         max_kkt=max_kkt,
         status="converged" if res.converged else "nonconverged",
     )

@@ -37,9 +37,9 @@ line bids; the residual kernel (_pool_terms) skips its selection of
 running lines when every line runs.  The masked paths give the same
 numbers there.
 What runs once per run or per opening (the closed-edge reset, the
-silent-line test of a warm state, default_price_eta, _neck_prices) has
-the masked path only: a second path there would save a few microseconds
-per run.  The per-step paths are picked with _positive, which decides as
+silent-line test of a warm state, default_price_eta, _neck_prices, the
+active columns of an exact solve) has the masked path only: a second path
+there would save a few microseconds per run.  The per-step paths are picked with _positive, which decides as
 x.min(initial=inf) > 0 does, NaN included, at a third of a reduction's
 cost.  The allocation, which runs at every step, decides once per refresh
 pass instead.  No load is negative, so one price step lowers a price by
@@ -803,18 +803,12 @@ def _clearing_prices(
     run at budget.  No argument is modified.
     """
     n_edges, n_lops = incidence.shape
-    if n_lops and _positive(scale) and _positive(budget):
-        # no edge is closed and every scale is positive: every operator is
-        # active, and the active columns are all of them
-        act = None
-        rows, s = incidence, scale
-    else:
-        # an operator whose line crosses a closed edge can run nothing; left
-        # active, it would price that edge without bound and stall the descent
-        act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
-        if not act.any():
-            return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0, 0)
-        rows, s = incidence[:, act], scale[act]
+    # an operator whose line crosses a closed edge can run nothing; left
+    # active, it would price that edge without bound and stall the descent
+    act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
+    if not act.any():
+        return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0, 0)
+    rows, s = incidence[:, act], scale[act]
 
     # keep the edges no other edge implies; each implied edge's opening
     # price moves to its cover, which every line crossing it crosses
@@ -905,11 +899,8 @@ def _clearing_prices(
             x = x / ratio
     out = np.zeros(n_edges)
     out[reps] = prices
-    if act is None:
-        freqs = x
-    else:
-        freqs = np.zeros(n_lops)
-        freqs[act] = x
+    freqs = np.zeros(n_lops)
+    freqs[act] = x
     return _PoolSolve(out, freqs, converged, iters, evals)
 
 

@@ -93,7 +93,6 @@ def test_solve_single_edge(tmp_path, monkeypatch, capsys):
     assert row["instance"] == "single-s0"
     assert row["mode"] == "cold"
     assert row["status"] == "converged"
-    assert row["wall_time"] == ""
     assert float(row["max_kkt"]) <= 0.1
 
     state = json.loads((tmp_path / "out" / "state_seed0.json").read_text())
@@ -149,13 +148,14 @@ def test_outputs_are_byte_identical_across_reruns(tmp_path, monkeypatch):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_timing_flag_fills_wall_time(tmp_path, monkeypatch):
+def test_timing_flag_is_retired(tmp_path, monkeypatch, capsys):
+    """No output holds a wall-clock time, so no command takes --timing."""
     monkeypatch.chdir(tmp_path)
     scn = write_single_edge_scenario(tmp_path)
-    assert run_cli(["solve", "--scenario", str(scn), "--out", "out", "--timing"]) == 0
-    row = read_records(tmp_path / "out" / "records.csv")[0]
-    assert row["wall_time"] != ""
-    assert float(row["wall_time"]) >= 0.0
+    for command in ("solve", "recover"):
+        assert run_cli([command, "--scenario", str(scn), "--out", "out", "--timing"]) == 2, command
+        assert "unrecognized arguments: --timing" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "records.csv").exists()
 
 
 def test_generate_then_solve_from_files(tmp_path, monkeypatch, capsys):
@@ -211,22 +211,61 @@ def test_oracle_command(tmp_path, monkeypatch, capsys):
     assert "shares=k0:" in capsys.readouterr().out
     doc = json.loads((tmp_path / "two" / "oracle_seed0.json").read_text())
     state = lm.solve_full(net, pools, table).state
-    assert [(row["lop"], row["pool"]) for row in doc["frequencies"]] == [
-        ("lop0", "k0"), ("lop0", "k1"), ("lop1", "k0"), ("lop1", "k1")
-    ]
-    assert [row["x"] for row in doc["frequencies"]] == [
-        state.pool_states[row["pool"]].freq_map()[row["lop"]] for row in doc["frequencies"]
-    ]
-    assert [(row["edge"], row["pool"]) for row in doc["prices"]] == [
-        ("e1", "k0"), ("e1", "k1"), ("e3", "k0"), ("e3", "k1")
-    ]
-    assert all(row["price"] > 0.0 for row in doc["prices"])
-    assert [row["price"] for row in doc["prices"]] == [
-        state.pool_states[row["pool"]].price_map()[row["edge"]] for row in doc["prices"]
-    ]
-    assert all(st.price_map()["e2"] == 0.0 for st in state.pool_states.values())
+    # per pool, every edge's price and every operator's bid and frequency,
+    # unpriced edges included, as solve writes a run's state
+    assert list(doc["pools"]) == ["k0", "k1"]
+    for k, st in state.pool_states.items():
+        assert doc["pools"][k] == st.to_json()
+        assert [doc["pools"][k]["prices"][e] > 0.0 for e in ("e1", "e2", "e3")] == [True, False, True]
     assert doc["shares"] == state.shares.as_dict()
+    assert doc["pool_costs"] == state.pool_costs
     assert doc["cost_level"] == state.cost_level
+
+
+# the README's demo scenario
+DEMO_SCENARIO = {
+    "name": "demo",
+    "grid": {"rows": 7, "cols": 12, "pools": 2, "lines_per_pool": 10, "capacity_range": [10, 110], "min_line_len": 10},
+    "utilities_gen": {"kind": "uniform", "low": 5, "high": 15},
+    "engine": {"eta_price": 0.001},
+    "seeds": [0],
+}
+
+
+def read_state(doc, net, pools):
+    """The OuterState a state document holds, on the instance's compiled views."""
+    states = {}
+    for k in pools.pool_ids:
+        view, st = lm.compile_pool(net, pools, k), doc["pools"][k]
+        states[k] = lm.PoolMarketState(
+            k, view.edge_ids, view.lop_ids, np.array([st["prices"][e] for e in view.edge_ids]),
+            np.array([st["bids"][lop] for lop in view.lop_ids]), np.array([st["freqs"][lop] for lop in view.lop_ids]),
+            st["share"],
+        )
+    shares = lm.ProportionVector(tuple(pools.pool_ids), np.array([doc["shares"][k] for k in pools.pool_ids]))
+    return lm.OuterState(shares, states, doc["pool_costs"], doc["cost_level"], 0)
+
+
+def test_oracle_file_holds_the_whole_optimum(tmp_path, monkeypatch):
+    """The oracle writes solve's state schema, and what it writes is solve_full's optimum:
+    read back, it certifies to the oracle's own report and a warm run stops at once."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "scn.json").write_text(json.dumps(DEMO_SCENARIO), encoding="utf-8")
+    assert run_cli(["oracle", "--scenario", "scn.json", "--out", "out"]) == 0
+    assert run_cli(["solve", "--scenario", "scn.json", "--out", "out"]) == 0
+    doc = json.loads((tmp_path / "out" / "oracle_seed0.json").read_text())
+    run_doc = json.loads((tmp_path / "out" / "state_seed0.json").read_text())
+    def ids(d):
+        return [list(d[key]) for key in ("shares", "pool_costs", "pools")] + [
+            list(st[m]) for st in d["pools"].values() for m in ("prices", "bids", "freqs")]
+    assert ids(doc) == ids(run_doc)
+
+    net, pools, table = cli._build_instance(DEMO_SCENARIO, 0, tmp_path)
+    state = read_state(doc, net, pools)
+    assert repr(lm.mechanism_kkt(net, pools, table, state)) == repr(lm.solve_full(net, pools, table).kkt)
+    res = lm.run_mechanism(net, pools, table, cli._mech_config(DEMO_SCENARIO), warm=state)
+    assert res.converged
+    assert (res.f_updates, sum(res.price_updates.values())) == (0, 0)
 
 
 def test_recover_command_both_modes(tmp_path, monkeypatch):
@@ -479,8 +518,7 @@ class TestBadInput:
         for flag in ("--eta-price", "--abs-tol", "--rel-tol", "--eps-cost", "--max-inner", "--max-outer", "--trace-stride"):
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o", flag, "1"]) == 2
             assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-        # each command takes only the flags it reads: --mode picks recover's
-        # restarts, and --timing fills solve's and recover's wall-time column
+        # each command takes only the flags it reads: --mode picks recover's restarts
         for command, flags in (
             ("solve", ["--mode", "warm"]), ("generate", ["--mode", "cold"]), ("oracle", ["--mode", "both"]),
             ("oracle", ["--timing"]), ("generate", ["--timing"]),
@@ -519,23 +557,22 @@ def test_emit_record_header_once():
     rec = ExperimentRecord(
         instance="x", mode="cold", f_updates=1,
         price_updates={"k0": 10, "k1": 4}, bid_updates=2,
-        wall_time=0.5, max_kkt=0.01, status="converged",
+        max_kkt=0.01, status="converged",
     )
     bad = ExperimentRecord(
         instance="y", mode="warm", f_updates=0,
         price_updates={"k0": 1, "k1": 1}, bid_updates=0,
-        wall_time=0.1, max_kkt=0.9, status="nonconverged",
+        max_kkt=0.9, status="nonconverged",
     )
     sink = io.StringIO()
     emit_record(rec, sink)
-    emit_record(bad, sink, timing=True)
+    emit_record(bad, sink)
     lines = sink.getvalue().strip().splitlines()
-    assert len(lines) == 3
-    assert lines[0].startswith("instance,mode,")
-    assert "k0:10;k1:4" in lines[1]
-    assert lines[1].split(",")[6] == ""  # wall_time blank without timing
-    assert "nonconverged" in lines[2]
-    assert "0.1" in lines[2].split(",")[6]
+    assert lines == [
+        "instance,mode,f_updates,price_updates_total,price_updates,bid_updates,max_kkt,status",
+        "x,cold,1,14,k0:10;k1:4,2,0.01,converged",
+        "y,warm,0,2,k0:1;k1:1,0,0.9,nonconverged",
+    ]
 
 
 def test_scenario_blocks_read_typed_values():

@@ -296,6 +296,27 @@ def test_full_search_pool_without_operators_gets_no_share():
     assert idle.objective == 0.0 and not any(st.prices.any() for st in idle.state.pool_states.values())
 
 
+def test_cost_level_and_gap_read_only_pools_holding_capacity():
+    """The optimum's cost level is a run's: the mean cost of the pools holding a share.
+
+    k1's only line crosses the closed edge e2, so k1 holds no capacity and
+    its cost of 0 is no imbalance: the gap at the exactly balanced optimum
+    reads 0, and the level is k0's cost, as the run's is.
+    """
+    net = lm.Network(["u", "v", "w"], [lm.Edge("e1", "u", "v", 4.0), lm.Edge("e2", "v", "w", 0.0)])
+    pools = lm.PoolSystem(["k0", "k1"], {("lop0", "k0"): lm.Line(("e1",)), ("lop0", "k1"): lm.Line(("e1", "e2"))})
+    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0), ("lop0", "k1"): lm.UtilitySpec(2.0)})
+    sol = lm.solve_full(net, pools, table)
+    assert sol.converged
+    assert sol.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
+    assert sol.state.pool_costs["k1"] == 0.0
+    assert sol.cost_gap == 0.0
+    assert sol.state.cost_level == sol.state.pool_costs["k0"] > 0.0
+    res = lm.run_mechanism(net, pools, table)
+    assert res.converged
+    assert res.state.cost_level == pytest.approx(sol.state.cost_level, rel=1e-6)
+
+
 def test_empty_pool_system_is_rejected():
     """No pools is an input error where the system is built, so no reader divides by zero deep inside."""
     doc = {"nodes": ["u", "v"], "edges": [{"id": "e1", "tail": "u", "head": "v", "capacity": 4.0}], "pools": []}
