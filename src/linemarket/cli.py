@@ -36,6 +36,7 @@ from .network import (
     Network,
     PoolSystem,
     _check_count,
+    _write_json,
     compile_pool,
     dump_network_file,
     load_network_file,
@@ -222,16 +223,16 @@ def _disruption(scn: Mapping, seed: int) -> DisruptionSpec:
     return DisruptionSpec(**doc)
 
 
-# Scenario "engine" keys: the price step (DynamicsConfig.price_eta) and the
-# equal-cost tolerance (MechanismConfig.eps_cost).  The engine block is the
-# one place a run's engine settings come from; an absent key keeps the
-# config's own default.  The run budgets are engine constants, not keys.
-_ENGINE = {"eta_price": float, "eps_cost": float}
+# The scenario "engine" key: the price step (DynamicsConfig.price_eta).  The
+# engine block is the one place a run's engine settings come from; an
+# absent key keeps the config's own default.  The run budgets are engine
+# constants, and the equal-cost tolerance keeps MechanismConfig's default.
+_ENGINE = {"eta_price": float}
 
 
 def _mech_config(scn: Mapping) -> MechanismConfig:
     eng = _read(scn.get("engine", {}), "engine", _ENGINE)
-    return MechanismConfig(DynamicsConfig(eng.get("eta_price")), eng.get("eps_cost", MechanismConfig.eps_cost))
+    return MechanismConfig(DynamicsConfig(eng.get("eta_price")))
 
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
@@ -265,10 +266,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 # ---------------------------------------------------------------------------
 # Output writers.
-
-def _write_json(path: Path, doc) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-
 
 def _state_doc(state: OuterState, **fields) -> dict:
     """A state's JSON document: its split, costs and per-pool maps, plus the caller's fields."""

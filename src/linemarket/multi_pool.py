@@ -143,7 +143,7 @@ class MechanismConfig:
     The split needs no lower bound: the split update keeps every positive
     share positive, so a pool may end at as small a share as the optimum
     gives it.  The split updates a run may spend are the module constant
-    _MAX_OUTER, as a pool run's price updates are single_pool._MAX_ITERS.
+    _MAX_OUTER, as a pool run's refresh passes are single_pool._MAX_PASSES.
     """
 
     inner: DynamicsConfig = field(default_factory=DynamicsConfig)
@@ -203,7 +203,8 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
     Its pools, and per pool its edges and operators, must be the instance's
     in order.  Each pool state's prices must be a floating-point array of
     one entry per edge, its bids and freqs one of one entry per operator,
-    none of them negative or non-finite, and its share must be finite.
+    none of them negative or non-finite, and its share a real number (not
+    a bool), finite and at least 0.
     what names the state in the error; the certifier checks the states it
     reads by the same rule (oracle.mechanism_kkt).
     """
@@ -225,8 +226,11 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
             if getattr(dtype, "kind", None) != "f":
                 raise InputMismatchError(f"{what} of pool {k!r}: {name} is not a floating-point array (dtype {dtype})")
             _check_nonnegative(what, k, name, values)
-        if not np.isfinite(st.share):
-            raise InputMismatchError(f"{what} of pool {k!r}: share {st.share} is not finite")
+        try:
+            if not 0.0 <= _check_real("share", st.share) < np.inf:
+                raise ValueError(f"share must be finite and at least 0, got {st.share!r}")
+        except ValueError as err:
+            raise InputMismatchError(f"{what} of pool {k!r}: {err}") from None
 
 
 def _live_split(shares: ProportionVector, live: np.ndarray) -> ProportionVector:
@@ -263,13 +267,13 @@ def run_mechanism(
     split moves when that set changes).  A warm state must carry the
     instance's pools in order and, per pool, its edges and operators in
     order, with finite, nonnegative floating-point prices, bids and
-    frequencies of the instance's lengths and a finite share (see
-    _check_warm), else InputMismatchError.  The warm state itself is left
-    as it was, and the result holds its own copy of the split.  The result
-    reports convergence honestly: a pool run that spends
-    single_pool._MAX_ITERS price updates, or a run that spends _MAX_OUTER
-    split updates, yields converged=False plus diagnostics, never an
-    exception.
+    frequencies of the instance's lengths and a share that is a finite,
+    nonnegative real number (see _check_warm), else InputMismatchError.
+    The warm state itself is left as it was, and the result holds its own
+    copy of the split.  The result reports convergence honestly: a pool
+    run that spends single_pool._MAX_PASSES refresh passes, or a run that
+    spends _MAX_OUTER split updates, yields converged=False plus
+    diagnostics, never an exception.
     """
     cfg = cfg or MechanismConfig()
     utilities.validate_against(pools)

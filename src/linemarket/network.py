@@ -383,12 +383,15 @@ def network_to_json(net: Network, pools: PoolSystem) -> dict:
     }
 
 
+def _write_json(path: str | Path, doc) -> None:
+    """Write a JSON document as every file the package writes: indent 2, sorted keys, a final newline, UTF-8."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def load_network_file(path: str | Path) -> tuple[Network, PoolSystem]:
     with open(path, encoding="utf-8") as fh:
         return network_from_json(json.load(fh))
 
 
 def dump_network_file(net: Network, pools: PoolSystem, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_json(net, pools), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, network_to_json(net, pools))

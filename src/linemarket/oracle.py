@@ -231,9 +231,10 @@ def mechanism_kkt(
     pool system (utilities.validate_against) and compiles each pool once.
     The state must fit the instance as a warm start must (multi_pool's
     _check_warm, on those views): its pools in order, per pool its edges
-    and operators in order, and finite, nonnegative floating-point arrays
-    of the instance's lengths, else InputMismatchError.  So a state of
-    another instance is rejected, not certified at a huge residual.
+    and operators in order, finite, nonnegative floating-point arrays of
+    the instance's lengths and a finite, nonnegative real share, else
+    InputMismatchError.  So a state of another instance is rejected, not
+    certified at a huge residual.
     kkt_report reads the state's own arrays on the same views.  A run's
     own state needs none of this: _state_kkt(res.views, res.coefficients,
     res.state) certifies it on the views the run compiled, to the same

@@ -60,7 +60,11 @@ class GridSpec:
     generated: rows, cols, pools, lines_per_pool and min_line_len must be
     whole numbers of at least 1, the capacity range two real numbers, the
     shared first edge's coordinates and the seed whole numbers of at least
-    0; a bool passes for none of them.
+    0; a bool passes for none of them.  A line can run at most
+    (rows - 1 - r1) + (cols - 1 - c1) edges past the shared edge's head
+    (r1, c1), so a min_line_len longer than that plus the shared edge is
+    rejected here too, and generation never searches for a line that
+    cannot exist.
     """
 
     rows: int
@@ -89,8 +93,11 @@ class GridSpec:
         inside = 0 <= r0 < self.rows and 0 <= r1 < self.rows and 0 <= c0 < self.cols and 0 <= c1 < self.cols
         if not (inside and (down or right)):
             raise ValueError(f"shared first edge {self.shared_first_edge} is not a grid move")
-        if self.min_line_len < 2:
-            raise ValueError("lines must have at least two edges")
+        # the shared edge, then every move from its head to the far corner
+        longest = 1 + (self.rows - 1 - r1) + (self.cols - 1 - c1)
+        if not 2 <= self.min_line_len <= longest:
+            raise ValueError(f"min_line_len {self.min_line_len} is unreachable: a line has at least 2 edges, and one "
+                             f"from the shared first edge {self.shared_first_edge} at most {longest}")
 
 
 def _grid_edges(rows: int, cols: int) -> list[tuple[str, str]]:
@@ -105,17 +112,19 @@ def _grid_edges(rows: int, cols: int) -> list[tuple[str, str]]:
 
 
 def _monotone_path(spec: GridSpec, rng: np.random.Generator) -> Line:
-    """Random rightward/downward path opening with the shared first edge."""
+    """Random rightward/downward path opening with the shared first edge.
+
+    Targets are drawn until one lies far enough from the shared edge's
+    head; GridSpec has checked that the farthest corner does.
+    """
     (r0, c0), (r1, c1) = spec.shared_first_edge
     first = _edge_id(_node(r0, c0), _node(r1, c1))
     need = spec.min_line_len - 1  # edges after the shared one
-    for _ in range(10_000):
+    while True:
         rt = int(rng.integers(r1, spec.rows))
         ct = int(rng.integers(c1, spec.cols))
         if (rt - r1) + (ct - c1) >= need:
             break
-    else:
-        raise ValueError("grid too small for the requested line length")
     moves = ["D"] * (rt - r1) + ["R"] * (ct - c1)
     perm = rng.permutation(len(moves))
     r, c = r1, c1
@@ -182,6 +191,11 @@ def pool_scaled_utilities(
 # ---------------------------------------------------------------------------
 # Disruptions.
 
+# An edge is congested, and a disruption may hit it, when some pool prices
+# it above this
+_CONGESTED = 0.1
+
+
 @dataclass(frozen=True)
 class DisruptionSpec:
     """Capacity shock recipe applied to already congested edges.
@@ -212,15 +226,14 @@ class DisruptionSpec:
         _check_count("seed", self.seed, 0)
 
 
-def congested_edges(state: OuterState, threshold: float = 0.1) -> set[str]:
-    """Edges priced above the threshold in at least one pool.
+def congested_edges(state: OuterState) -> set[str]:
+    """Edges priced above _CONGESTED in at least one pool.
 
-    One comparison per pool finds its edges; a NaN price is not above any
-    threshold.
+    One comparison per pool finds its edges; a NaN price is not above it.
     """
     out: set[str] = set()
     for st in state.pool_states.values():
-        out.update(st.edge_ids[i] for i in np.flatnonzero(np.asarray(st.prices) > threshold))
+        out.update(st.edge_ids[i] for i in np.flatnonzero(np.asarray(st.prices) > _CONGESTED))
     return out
 
 
@@ -307,11 +320,12 @@ def run_recovery_experiment(
     recovery runs, eps_cost at most 0.02, so warm restarts measure the
     shock, not leftover slack in the baseline.  A precomputed converged
     `baseline` skips that solve, which matters when several disruptions hit
-    the same instance.  The shock hits the edges congested_edges finds at
-    its default threshold, and the shocked network keeps every other edge
-    of net as it was (Network.with_capacities).  Each restart is certified
-    on the views and coefficients it compiled (its MechanismResult's), so
-    it compiles its pools once and its state is not checked again.
+    the same instance.  The shock hits the edges congested_edges finds,
+    those priced above _CONGESTED, and the shocked network keeps every
+    other edge of net as it was (Network.with_capacities).  Each restart
+    is certified on the views and coefficients it compiled (its
+    MechanismResult's), so it compiles its pools once and its state is not
+    checked again.
     Non-convergence of a recovery run is recorded in its ExperimentRecord,
     not raised.
     """

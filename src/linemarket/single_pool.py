@@ -28,7 +28,10 @@ pool uses (PoolView.own_edges).  No load ever reaches another edge, so its
 price is zero at every clearing point and it adds nothing to the stop
 test: the loop holds it at zero and never steps it.
 
-The loop checks its stop test only at refresh boundaries, and computes the
+A run is made of whole refresh passes: each runs one refresh period of
+price steps and ends with a re-bid, and the budget counts passes
+(_MAX_PASSES), so a run's price updates are a multiple of the period.
+The loop checks its stop test only at those boundaries, and computes the
 full residuals (pool_residuals) only at a boundary whose worst overload and
 worst |price * excess| already pass (_may_stop), or when the budget runs
 out.  When every path is priced, allocate_frequencies and refresh_bids
@@ -125,9 +128,11 @@ _OVERLOAD = 1.25
 _ABS_TOL = 0.1
 _REL_TOL = 0.1
 
-# The price updates one pool run may spend.  A run that spends them all
-# returns converged=False; no configuration sets the budget.
-_MAX_ITERS = 50_000
+# The refresh passes one pool run may spend, each of
+# DynamicsConfig.bid_refresh_period price updates: 50,000 price updates.  A
+# run that spends them all returns converged=False; no configuration sets
+# the budget.
+_MAX_PASSES = 5_000
 
 
 @dataclass(frozen=True)
@@ -138,8 +143,8 @@ class DynamicsConfig:
     smallest open edge capacity divided by the largest number of lines
     sharing an edge.  Operators re-bid every bid_refresh_period price
     updates, a constant of the dynamics rather than a field.  The stop
-    test's tolerances and the price updates one pool run may spend are the
-    module constants _ABS_TOL, _REL_TOL and _MAX_ITERS.  No field describes
+    test's tolerances and the refresh passes one pool run may spend are the
+    module constants _ABS_TOL, _REL_TOL and _MAX_PASSES.  No field describes
     the instance: what is legal input is decided before any pool runs, by
     the network and pool system when built and by compile_pool.
     """
@@ -537,8 +542,10 @@ def _run_pool(
     eta is the price step, which run_mechanism resolves once per pool from
     cfg.price_eta for all of that pool's runs, so the run reads cfg only
     for its refresh period: operators re-bid every
-    cfg.bid_refresh_period price updates.  A run that spends _MAX_ITERS
-    price updates returns converged=False rather than raising.
+    cfg.bid_refresh_period price updates.  The run is made of whole
+    passes: each runs one refresh period and ends with a re-bid, so its
+    price updates are always a multiple of the period.  A run that spends
+    _MAX_PASSES passes returns converged=False rather than raising.
 
     Every price step, product with the incidence, excess and stop test
     reads the pool's own edges only (view.own_edges).  Any other edge
@@ -553,17 +560,16 @@ def _run_pool(
     are both within _ABS_TOL (_may_stop), and when the budget runs out;
     any other boundary cannot pass the stop test, so it is not checked.
 
-    Each pass runs its steps but the last as plain steps, and re-bids in
-    its last step only when that step ends on a refresh boundary, so no
-    step tests for the boundary.  Each pass is certified or not at its
-    start (see the module docstring): a certified pass tells each of its
-    allocations and its re-bid that every path is priced (the priced flag
-    of allocate_frequencies and refresh_bids), an uncertified one lets
-    each of them check.  Loads are freqs.dot(inc_t), which numpy computes
-    with the same BLAS call as inc.dot(freqs), on the same buffer, so the
-    bits are those of the matrix-vector product, at less cost.  A copy of
-    the incidence in another memory order would sum in another order and
-    change them.
+    Each pass runs its steps but the last as plain steps and re-bids in
+    its last step, so no step tests for the boundary.  Each pass is
+    certified or not at its start (see the module docstring): a certified
+    pass tells each of its allocations and its re-bid that every path is
+    priced (the priced flag of allocate_frequencies and refresh_bids), an
+    uncertified one lets each of them check.  Loads are freqs.dot(inc_t),
+    which numpy computes with the same BLAS call as inc.dot(freqs), on the
+    same buffer, so the bits are those of the matrix-vector product, at
+    less cost.  A copy of the incidence in another memory order would sum
+    in another order and change them.
     """
     period = cfg.bid_refresh_period
     # fixed for the whole run: the step and the allocation read these, not
@@ -611,50 +617,47 @@ def _run_pool(
     loads = state.freqs.dot(inc_t)
 
     bids, freqs = state.bids, state.freqs
-    iters = 0
+    passes = 0
     bid_updates = 0
     res = pool_residuals(coefficients, prices, freqs, mu, loads - supply)
     # convergence is only declared at bid-consistent states, i.e. right after
     # a refresh, so every clearing condition holds at one coherent state.
-    # Each pass of the loop runs one refresh period (or what is left of the
-    # budget); its end is the only point where the stop test and the result
-    # read the residuals.  A pass that ends on a boundary has run a whole
-    # period, so only the opening check must hold a rescaled state back
+    # Each pass of the loop runs one refresh period and ends with a re-bid;
+    # its end is the only point where the stop test and the result read the
+    # residuals.  So only the opening check must hold a rescaled state back
     settled = res.converged and not rescaled
-    while not settled and iters < _MAX_ITERS:
-        steps = min(period, _MAX_ITERS - iters)
+    while not settled and passes < _MAX_PASSES:
         # the pass is certified when every line crosses an edge priced above
         # floor: every path then stays priced through the whole pass, its
         # boundary included
         priced = _positive(inc_t.dot(np.maximum(prices - floor, _ZERO)))
-        for _ in range(steps - 1):
+        for _ in range(period - 1):
             prices, _ = price_step(prices, loads, supply, eta)
             mu = inc_t.dot(prices)
             freqs = allocate_frequencies(mu, offers, free, cap, priced)
             loads = freqs.dot(inc_t)
-        # the pass's last step, the only one that may end on a boundary
+        # the pass's last step, which ends on the refresh boundary
         prices, _ = price_step(prices, loads, supply, eta)
         mu = inc_t.dot(prices)
-        if steps == period:
-            new_bids = refresh_bids(coefficients, mu, bids, priced)
-            if _max_or_zero(np.abs(new_bids - bids) / np.maximum(bids, 1e-300)) > _REL_TOL:
-                bid_updates += 1
-            bids = new_bids
-            offers, free = _bid_terms(bids, ceil)
-            if not priced and not _positive(mu):
-                prices, mu = _charge_waiting(prices, mu, bids, coefficients, inc, own_caps, supply)
+        new_bids = refresh_bids(coefficients, mu, bids, priced)
+        if _max_or_zero(np.abs(new_bids - bids) / np.maximum(bids, 1e-300)) > _REL_TOL:
+            bid_updates += 1
+        bids = new_bids
+        offers, free = _bid_terms(bids, ceil)
+        if not priced and not _positive(mu):
+            prices, mu = _charge_waiting(prices, mu, bids, coefficients, inc, own_caps, supply)
         freqs = allocate_frequencies(mu, offers, free, cap, priced)
         loads = freqs.dot(inc_t)
-        iters += steps
+        passes += 1
         excess = loads - supply
-        if iters >= _MAX_ITERS or _may_stop(prices, excess):
+        if passes == _MAX_PASSES or _may_stop(prices, excess):
             res = pool_residuals(coefficients, prices, freqs, mu, excess)
-            settled = res.converged and steps == period
+            settled = res.converged
 
     state.prices = np.zeros(view.n_edges)
     state.prices[own] = prices
     state.bids, state.freqs = bids, freqs
-    return SinglePoolResult(state, iters, bid_updates, settled, res)
+    return SinglePoolResult(state, passes * period, bid_updates, settled, res)
 
 
 def run_price_dynamics(

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import InputMismatchError, PoolSystem, PoolView, _check_real
+from .network import InputMismatchError, PoolSystem, PoolView, _check_real, _write_json
 
 __all__ = [
     "UtilitySpec",
@@ -117,9 +117,7 @@ class UtilityTable:
             return cls.from_json(json.load(fh))
 
     def dump(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, self.to_json())
 
     def __len__(self) -> int:
         return len(self.entries)

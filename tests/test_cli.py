@@ -309,8 +309,8 @@ def test_recover_exits_2_when_the_disruption_cannot_be_applied(tmp_path, monkeyp
 
 def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 run out
-    monkeypatch.setattr(single_pool, "_MAX_ITERS", 3)
+    # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 passes run out
+    monkeypatch.setattr(single_pool, "_MAX_PASSES", 3)
     scn = write_instance_scenario(tmp_path, "chain0", *instances.chain_instance(0))
     assert run_cli(["solve", "--scenario", str(scn), "--out", "out"]) == 1
     row = read_records(tmp_path / "out" / "records.csv")[0]
@@ -440,7 +440,7 @@ class TestBadInput:
         # a retired option's key is rejected like any unknown one
         retired = ({"normalized_f_update": False}, {"overload_factor": 1.25}, {"abs_tol": 0.1},
                    {"rel_tol": 0.1}, {"trace_stride": 50}, {"f_floor": 1e-4}, {"bid_refresh_period": 10},
-                   {"max_inner": 3}, {"max_outer": 5})
+                   {"max_inner": 3}, {"max_outer": 5}, {"eps_cost": 0.02})
         for engine in ({"warp": 9},) + retired:
             scn = write_single_edge_scenario(tmp_path, engine=engine)
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
@@ -498,17 +498,16 @@ class TestBadInput:
         assert "price_eta must be positive" in capsys.readouterr().err
         # engine values are JSON numbers; the error names the key
         for key, value in (
-            ("eta_price", [0.001]), ("eta_price", {"v": 0.001}), ("eps_cost", "0.05"), ("eps_cost", True),
+            ("eta_price", [0.001]), ("eta_price", {"v": 0.001}), ("eta_price", "0.05"), ("eta_price", True),
             ("eta_price", 10**400),
         ):
             scn = write_single_edge_scenario(tmp_path, engine={key: value})
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2, (key, value)
             assert f"engine field {key!r}" in capsys.readouterr().err
-        # JSON Infinity is a number, and the configs reject it
-        for key, field in (("eta_price", "price_eta"), ("eps_cost", "eps_cost")):
-            scn = write_single_edge_scenario(tmp_path, engine={key: float("inf")})
-            assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
-            assert f"{field} must be positive and finite" in capsys.readouterr().err
+        # JSON Infinity is a number, and the config rejects it
+        scn = write_single_edge_scenario(tmp_path, engine={"eta_price": float("inf")})
+        assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
+        assert "price_eta must be positive and finite" in capsys.readouterr().err
         for engine in ([0.001], "eta_price", 5):
             scn = write_single_edge_scenario(tmp_path, engine=engine)
             assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2, engine
@@ -593,7 +592,7 @@ def test_scenario_blocks_read_typed_values():
 def test_empty_engine_block_keeps_config_defaults():
     assert cli._mech_config({"engine": {}}) == lm.MechanismConfig()
     assert cli._mech_config({}) == lm.MechanismConfig()
-    # an integer is a number
-    cfg = cli._mech_config({"engine": {"eps_cost": 1, "eta_price": 1}})
+    # an integer is a number; the equal-cost tolerance is the config's own
+    cfg = cli._mech_config({"engine": {"eta_price": 1}})
     assert cfg.inner.price_eta == 1.0 and type(cfg.inner.price_eta) is float
-    assert cfg.eps_cost == 1.0 and type(cfg.eps_cost) is float
+    assert cfg == lm.MechanismConfig(lm.DynamicsConfig(1.0))

@@ -368,6 +368,26 @@ def test_malformed_warm_pool_state_is_rejected(seed, pool, case):
         lm.run_mechanism(net, pools, table, warm=warm)
 
 
+# shares no run can resume: each escaped as a bare TypeError from np.isfinite,
+# crashed the run after the certifier passed it, or was taken as a share
+BAD_SHARES = ["0.5", None, [0.5], True, -0.3]
+
+
+@pytest.mark.parametrize("entry", ["run_mechanism", "mechanism_kkt"])
+@pytest.mark.parametrize("share", BAD_SHARES, ids=repr)
+def test_state_share_must_be_a_finite_nonnegative_real(share, entry):
+    """A pool state's share is read as a real number, not a bool, finite and at least 0, at both entry points."""
+    net, pools, table = instances.chain_instance(3)
+    state = lm.run_mechanism(net, pools, table).state
+    state.pool_states["k1"].share = share
+    what = "warm state" if entry == "run_mechanism" else "state"
+    with pytest.raises(lm.InputMismatchError, match=rf"^{what} of pool 'k1': share "):
+        if entry == "run_mechanism":
+            lm.run_mechanism(net, pools, table, warm=state)
+        else:
+            lm.mechanism_kkt(net, pools, table, state)
+
+
 @pytest.mark.parametrize("seed", [0, 3, 7])
 def test_valid_warm_restart_returns_its_fixed_point_bit_for_bit(seed):
     """The boundary check passes a cleared state, which restarts at its own bytes with no update."""

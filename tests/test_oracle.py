@@ -809,7 +809,7 @@ def test_closed_edge_is_certified_not_crashed(monkeypatch):
     """A zero-capacity edge is legal input; the overload row scales by a floor."""
     net, pools, table = instances.chain_instance(3)
     closed = net.with_capacities({"e5": 0.0})
-    monkeypatch.setattr(single_pool, "_MAX_ITERS", 500)
+    monkeypatch.setattr(single_pool, "_MAX_PASSES", 50)
     mech = lm.run_mechanism(closed, pools, table)
     for report in (lm.mechanism_kkt(closed, pools, table, mech.state), lm.solve_full(closed, pools, table).kkt):
         assert np.isfinite(report.max_scaled())
@@ -1017,14 +1017,18 @@ def test_newton_step_is_numpy_solve_bit_for_bit():
             solve(singular, np.array([1.0, 0.0]))
 
 
-def test_cost_level_is_max_pool_cost():
-    net, pools, table = instances.shared_edge_two_pools(0.5)
-    sol = lm.solve_full(net, pools, table)
-    by_pool = {k: 0.0 for k in pools.pool_ids}
-    for k, st in sol.state.pool_states.items():
-        for eid, lam in st.price_map().items():
-            by_pool[k] += net.capacity(eid) * lam
-    assert sol.state.cost_level == pytest.approx(max(by_pool.values()), rel=1e-12)
+def test_cost_level_is_mean_cost_of_pools_holding_a_share():
+    """The oracle's cost level is a run's: the mean network cost over the pools of positive share, exactly."""
+    cases = [instances.shared_edge_two_pools(0.5)] + [instances.chain_instance(seed) for seed in range(5)]
+    for net, pools, table in cases:
+        sol = lm.solve_full(net, pools, table)
+        by_pool = {k: 0.0 for k in pools.pool_ids}
+        for k, st in sol.state.pool_states.items():
+            for eid, lam in st.price_map().items():
+                by_pool[k] += net.capacity(eid) * lam
+        assert sol.state.pool_costs == pytest.approx(by_pool, rel=1e-12)
+        held = [sol.state.pool_costs[k] for k in pools.pool_ids if sol.state.shares.share(k) > 0.0]
+        assert sol.state.cost_level == float(np.mean(held))
 
 
 def _feasible_objective(net, pools, table, mech):

@@ -17,7 +17,7 @@ summary's measurements section.
 """
 import linemarket as lm
 from linemarket.oracle import _state_kkt
-from linemarket.single_pool import _MAX_ITERS
+from linemarket.single_pool import _MAX_PASSES
 
 import instances
 import report
@@ -28,6 +28,7 @@ def test_close_and_reopen_every_chain_edge():
     counts = {"closed": [0, 0], "reopened": [0, 0]}  # per restart: converged, runs
     spent = []
     worst_kkt = 0.0
+    budget = _MAX_PASSES * lm.DynamicsConfig.bid_refresh_period
     for seed in range(20):
         net, pools, table = instances.chain_instance(seed)
         base = lm.run_mechanism(net, pools, table)
@@ -48,7 +49,7 @@ def test_close_and_reopen_every_chain_edge():
                     if not kkt <= 0.1:
                         failures.append(f"{run}: converged at scaled residual {kkt:.3g}")
                 else:
-                    spent.append(f"{run} ({', '.join(k for k, n in res.price_updates.items() if n >= _MAX_ITERS)})")
+                    spent.append(f"{run} ({', '.join(k for k, n in res.price_updates.items() if n >= budget)})")
     report.note(
         f"close-and-reopen family: closed restarts converged {counts['closed'][0]} of {counts['closed'][1]}, "
         f"reopened {counts['reopened'][0]} of {counts['reopened'][1]}, worst scaled residual {worst_kkt:.4f}; "

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
+from linemarket import scenarios
 
 import instances
 
@@ -102,6 +103,29 @@ def test_grid_spec_takes_numpy_numbers():
     assert ps.lines == ref_ps.lines
 
 
+def test_grid_spec_rejects_an_unreachable_line_length():
+    """A line from the shared edge's head (r1, c1) has at most 1 + (rows-1-r1) + (cols-1-c1) edges."""
+    first = ((0, 0), (0, 1))
+    for rows, cols, longest in ((3, 3, 4), (7, 12, 17)):
+        assert lm.GridSpec(rows, cols, 1, 1, shared_first_edge=first, min_line_len=longest).min_line_len == longest
+        for length in (longest + 1, 10 * longest):
+            with pytest.raises(ValueError, match=f"min_line_len {length} is unreachable"):
+                lm.GridSpec(rows, cols, 1, 1, shared_first_edge=first, min_line_len=length)
+
+
+def test_longest_line_generates_on_every_seed():
+    """A min_line_len only the far corner meets generates, however many draws it takes.
+
+    On a 100x100 grid, 198 edges from ((0, 0), (0, 1)) leave one target of
+    9,900; a cap of 10,000 draws rejected 11 of these 40 seeds.
+    """
+    for seed in range(40):
+        spec = lm.GridSpec(100, 100, 1, 1, shared_first_edge=((0, 0), (0, 1)), min_line_len=198, seed=seed)
+        _, ps = lm.generate_grid(spec)
+        (line,) = ps.lines.values()
+        assert len(line) == 198 and line.edge_ids[-1].endswith("->99,99")
+
+
 def test_uniform_utilities():
     _, ps = lm.generate_grid(instances.grid_spec(0, 2))
     table = lm.uniform_utilities(ps, 5.0, 15.0, seed=42)
@@ -184,26 +208,26 @@ class TestCongestedEdges:
             pool_states={
                 "k0": lm.PoolMarketState(
                     "k0", ("e1", "e2"), ("lop0",),
-                    np.array([0.01, 0.5]), np.array([1.0]), np.array([1.0]), 1.0,
+                    np.array([0.1, np.nextafter(0.1, 1.0)]), np.array([1.0]), np.array([1.0]), 1.0,
                 )
             },
             pool_costs={"k0": 0.0},
             cost_level=0.0,
             outer_iter=0,
         )
+        # congested means priced above 0.1, strictly
+        assert scenarios._CONGESTED == 0.1
         assert lm.congested_edges(state) == {"e2"}
-        assert lm.congested_edges(state, threshold=0.6) == set()
 
     @pytest.mark.parametrize("pools, seed", [(1, seed) for seed in instances.GRID_SEEDS_K1[:4]]
                              + [(2, seed) for seed in instances.GRID_SEEDS_K2[:2]])
     def test_matches_the_edge_loop_on_grid_baselines(self, pools, seed, k1_baseline, k2_baseline):
-        """One comparison per pool finds the set an edge-by-edge loop finds, at several thresholds."""
+        """One comparison per pool finds the set an edge-by-edge loop finds."""
         base = (k1_baseline if pools == 1 else k2_baseline)(seed)[3]
-        for threshold in (0.0, 0.1, 0.5, 2.0):
-            loop = {eid for st in base.state.pool_states.values()
-                    for eid, lam in zip(st.edge_ids, st.prices) if lam > threshold}
-            assert lm.congested_edges(base.state, threshold) == loop, threshold
-        assert len(lm.congested_edges(base.state)) >= 2
+        loop = {eid for st in base.state.pool_states.values()
+                for eid, lam in zip(st.edge_ids, st.prices) if lam > 0.1}
+        assert lm.congested_edges(base.state) == loop
+        assert len(loop) >= 2
 
     def test_only_the_bottleneck_prices(self):
         net = lm.Network(

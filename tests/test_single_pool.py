@@ -165,12 +165,12 @@ def test_two_identical_operators_split_evenly():
 
 
 def test_nonconvergence_is_reported_not_raised(monkeypatch):
-    # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 run out
+    # chain 0's pool k1 clears at share 0.5 in 360 updates, so 3 passes run out
     net, pools, table = instances.chain_instance(0)
-    monkeypatch.setattr(single_pool, "_MAX_ITERS", 3)
+    monkeypatch.setattr(single_pool, "_MAX_PASSES", 3)
     res = run_one_pool(net, pools, "k1", table, 0.5)
     assert not res.converged
-    assert res.iterations == 3
+    assert res.iterations == 3 * lm.DynamicsConfig.bid_refresh_period
     assert res.residuals is not None
 
 
@@ -197,7 +197,9 @@ BAD_BUDGETS = [0, -3, 2.5, 10.0, math.inf, math.nan, True, False, "5", None]
 @pytest.mark.parametrize("value", BAD_BUDGETS, ids=repr)
 def test_budgets_are_whole_numbers(value):
     """The run budgets are whole-number engine constants, and no config field sets them, whatever the value."""
-    assert type(single_pool._MAX_ITERS) is int and single_pool._MAX_ITERS == 50_000
+    # a pool run spends whole refresh passes: 5,000 of 10 price updates each
+    assert type(single_pool._MAX_PASSES) is int
+    assert single_pool._MAX_PASSES * lm.DynamicsConfig.bid_refresh_period == 50_000
     assert type(multi_pool._MAX_OUTER) is int and multi_pool._MAX_OUTER == 200
     with pytest.raises(TypeError, match="max_iters"):
         lm.DynamicsConfig(max_iters=value)
@@ -207,9 +209,9 @@ def test_budgets_are_whole_numbers(value):
 
 def test_budget_exit_counts_are_python_ints(monkeypatch):
     """A run that spends a budget leaves its value in the counts, which stay Python ints."""
-    monkeypatch.setattr(single_pool, "_MAX_ITERS", 37)
+    monkeypatch.setattr(single_pool, "_MAX_PASSES", 4)
     res = lm.run_mechanism(*instances.chain_instance(0))
-    assert not res.converged and max(res.price_updates.values()) == 37
+    assert not res.converged and max(res.price_updates.values()) == 4 * lm.DynamicsConfig.bid_refresh_period
     json.dumps([res.price_updates, res.f_updates, res.bid_updates])
     assert all(type(v) is int for v in [*res.price_updates.values(), res.f_updates, res.bid_updates])
 
@@ -549,7 +551,8 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     st = lm.PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, prices, bids, freqs, share)
     iters = bid_updates = 0
     res = reference_residuals(view, coefficients, st)
-    while not (res.converged and iters % period == 0 and iters >= first_stop) and iters < single_pool._MAX_ITERS:
+    budget = single_pool._MAX_PASSES * period
+    while not (res.converged and iters % period == 0 and iters >= first_stop) and iters < budget:
         excess = view.incidence @ st.freqs - view.capacity * share
         st.prices = np.maximum(0.0, st.prices + eta * excess)
         iters += 1
@@ -818,13 +821,14 @@ def test_warm_state_with_a_silent_line_cold_starts_the_pool():
     assert got.state.bids.tobytes() == cleared.state.bids.tobytes()
 
 
-def test_budget_exit_off_a_refresh_boundary_reports_final_residuals(monkeypatch):
+def test_budget_exit_reports_final_residuals(monkeypatch):
+    """A run that spends its passes stops on a refresh boundary, after its re-bid, and reports that state."""
     net, pools, table = instances.grid_instance(0, 2)
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
     coeffs = table.coefficients_for(view)
-    monkeypatch.setattr(single_pool, "_MAX_ITERS", 37)
+    monkeypatch.setattr(single_pool, "_MAX_PASSES", 4)
     got = assert_same_run(view, coeffs, 0.5, lm.DynamicsConfig(price_eta=1e-3))
-    assert got.iterations == 37 and not got.converged
+    assert got.iterations == 4 * lm.DynamicsConfig.bid_refresh_period and not got.converged
     assert got.residuals == residuals_of(view, coeffs, got.state)
 
 
@@ -1018,7 +1022,7 @@ def test_uncertified_pass_takes_the_masked_allocation(monkeypatch):
     pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
     view = lm.compile_pool(net, pools, "k0")
     warm = lm.PoolMarketState("k0", view.edge_ids, view.lop_ids, np.array([5.0]), np.array([0.01]), np.array([4.0]), 1.0)
-    monkeypatch.setattr(single_pool, "_MAX_ITERS", 40)
+    monkeypatch.setattr(single_pool, "_MAX_PASSES", 4)
     got = assert_same_run(view, np.array([0.1]), 1.0, lm.DynamicsConfig(price_eta=0.04), warm)
     assert not got.converged and got.state.freqs[0] == 4.0
     period = lm.DynamicsConfig.bid_refresh_period
@@ -1245,35 +1249,36 @@ def test_seams_run_once_per_use(monkeypatch):
 
     def run_pool(view, coefficients, share, warm, cfg, eta):
         res = _run_pool(view, coefficients, share, warm, cfg, eta)
-        runs.append((view.n_lops, res.iterations, res.iterations == single_pool._MAX_ITERS))
+        runs.append((view.n_lops, res.iterations, res.iterations == single_pool._MAX_PASSES * period))
         moved.append(warm is not None and warm.share != share)
         return res
 
     monkeypatch.setattr(multi_pool, "_run_pool", run_pool)
-    res = lm.run_mechanism(*instances.chain_instance(3))
     period = lm.DynamicsConfig().bid_refresh_period
+    res = lm.run_mechanism(*instances.chain_instance(3))
     assert all(n_lops for n_lops, _, _ in runs)
     # two cold runs, one split update, two warm runs rescaled to the new split
     assert res.f_updates == 1 and moved == [False, False, True, True]
     assert all(n >= period for (_, n, _), m in zip(runs, moved) if m)
     assert sum(n for _, n, _ in runs) == sum(res.price_updates.values())
     # chain 0 reaches boundaries whose overload or complementarity still
-    # fails, and two grid runs spend their budget, off and on a boundary
+    # fails, and two grid runs spend their budgets of 3 and 4 passes
     lm.run_mechanism(*instances.chain_instance(0))
     net, pools, table = instances.grid_instance(0, 2)
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
-    for max_iters in (37, 40):
-        monkeypatch.setattr(single_pool, "_MAX_ITERS", max_iters)
+    for max_passes in (3, 4):
+        monkeypatch.setattr(single_pool, "_MAX_PASSES", max_passes)
         multi_pool._run_pool(view, table.coefficients_for(view), 0.5, None, lm.DynamicsConfig(price_eta=1e-3), 1e-3)
     updates = sum(n for _, n, _ in runs)
     boundaries = sum(n // period for _, n, _ in runs)
     budget_exits = sum(spent for _, _, spent in runs)
     assert budget_exits == 2
+    assert all(n % period == 0 for _, n, _ in runs)
     assert calls["price_step"] == updates
     assert calls["refresh_bids"] == boundaries
-    # each pass of a loop ends at a boundary or on the budget; the pass that
-    # spends the budget skips the pre-check
-    assert len(checks) == sum(-(-n // period) for _, n, _ in runs) - budget_exits
+    # each pass of a loop ends at a boundary; the pass that spends the
+    # budget skips the pre-check
+    assert len(checks) == boundaries - budget_exits
     assert not all(checks)
     # one full check before the first update of each run, moved or not, one
     # per boundary whose pre-check passes, one more on a budget exit
