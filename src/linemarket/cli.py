@@ -190,8 +190,9 @@ def _build_instance(
         net, pools = generate_grid(_grid_spec(scn["grid"], seed))
     else:
         net, pools = load_network_file(base / scn["network_file"])
-        # compile each pool, as the engines, the oracle and the certifier
-        # do, so generate rejects what solve does
+        # compile each pool, so generate rejects what solve does; the views
+        # stay filed with the pool system, and the run, the oracle and the
+        # certifier of this instance read them without compiling again
         for k in pools.pool_ids:
             compile_pool(net, pools, k)
 

@@ -55,13 +55,20 @@ class ProportionVector:
     """Capacity split across pools: one value per pool id, finite, nonnegative, sums to one.
 
     values is the split's own read-only copy of the array it was given, so
-    no two splits, nor a split and its caller, share writable memory.
+    no two splits, nor a split and its caller, share writable memory.  Each
+    entry must be a real number by _check_real's rule, else ValueError: a
+    bool or a string such as "0.5" is no share, though float() would take
+    it.  An array of floating-point or integer dtype passes on its dtype
+    alone.
     """
 
     pool_ids: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if getattr(getattr(self.values, "dtype", None), "kind", None) not in ("f", "i", "u"):
+            for value in np.ravel(np.array(self.values, dtype=object)):
+                _check_real("proportion", value)
         values = np.array(self.values, dtype=float)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
@@ -180,7 +187,9 @@ class MechanismResult:
     views and coefficients are the compiled pool views and valuation
     coefficient vectors the run read, in pool order, so the run's state is
     certified on them (oracle._state_kkt) without a second compile,
-    validation or state check.  It holds no wall-clock time, so every
+    validation or state check.  The views are compile_pool's shared ones,
+    the same objects every other call on the instance reads, so their
+    arrays are read-only.  It holds no wall-clock time, so every
     field is the same on a rerun; a caller that wants the time measures
     the call.
     """
@@ -204,7 +213,8 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
     in order.  Each pool state's prices must be a floating-point array of
     one entry per edge, its bids and freqs one of one entry per operator,
     none of them negative or non-finite, and its share a real number (not
-    a bool), finite and at least 0.
+    a bool), finite and at least 0.  The state's cost_level must be a
+    finite real number too.
     what names the state in the error; the certifier checks the states it
     reads by the same rule (oracle.mechanism_kkt).
     """
@@ -231,6 +241,11 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
                 raise ValueError(f"share must be finite and at least 0, got {st.share!r}")
         except ValueError as err:
             raise InputMismatchError(f"{what} of pool {k!r}: {err}") from None
+    try:
+        if not -np.inf < _check_real("cost_level", warm.cost_level) < np.inf:
+            raise ValueError(f"cost_level must be finite, got {warm.cost_level!r}")
+    except ValueError as err:
+        raise InputMismatchError(f"{what}: {err}") from None
 
 
 def _live_split(shares: ProportionVector, live: np.ndarray) -> ProportionVector:
@@ -268,7 +283,8 @@ def run_mechanism(
     instance's pools in order and, per pool, its edges and operators in
     order, with finite, nonnegative floating-point prices, bids and
     frequencies of the instance's lengths and a share that is a finite,
-    nonnegative real number (see _check_warm), else InputMismatchError.
+    nonnegative real number, and its cost level must be a finite real
+    number (see _check_warm), else InputMismatchError.
     The warm state itself is left as it was, and the result holds its own
     copy of the split.  The result reports convergence honestly: a pool
     run that spends single_pool._MAX_PASSES refresh passes, or a run that

@@ -3,7 +3,9 @@
 A network is a directed graph whose edges carry train capacities.  A line is
 a directed path in that graph, and a pool system records which line each
 operator runs inside each line pool.  All structures here are immutable
-after construction, and each checks its own shape once, when it is built:
+after construction (a pool system's lines are a read-only mapping, and
+every array a network or a view holds refuses writes), and each checks its
+own shape once, when it is built:
 a Network that its edges are Edges and their ids, endpoints and
 capacities, a Line that its edge ids are a tuple of strings, a PoolSystem
 its pool ids, that each key is an (operator, pool) pair of strings, the
@@ -13,13 +15,18 @@ The engines, the reference solver, the certifier and the CLI compile them
 into dense per-pool views (compile_pool), which checks how the lines lie
 on the network: each line must be a path of its edges.  There is no other
 reader of an instance, so every entry point accepts the same instances.
+A pool is compiled once per network it is read against: the pool system
+keeps each view it has compiled, keyed weakly by the network, and every
+later call, from any entry point, returns that same shared view.
 """
 from __future__ import annotations
 
 import json
 import numbers
+import weakref
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -204,11 +211,17 @@ class PoolSystem:
     would read one set of lines under one split entry), a line filed
     under a pool the list does not name and a line that is not a Line,
     such as a bare tuple of edge ids.  A listed pool may hold no lines.
+
+    lines is a read-only mapping over the system's own copy of the table.
+    The system also holds the views compile_pool has built from it, per
+    network, in a map keyed weakly by the network, so an entry goes with
+    its network.
     """
 
     def __init__(self, pool_ids: Iterable[str], lines: Mapping[tuple[str, str], Line]) -> None:
         self.pool_ids = tuple(pool_ids)
-        self.lines = dict(lines)
+        self.lines = MappingProxyType(dict(lines))
+        self._views: weakref.WeakKeyDictionary[Network, dict[str, PoolView]] = weakref.WeakKeyDictionary()
         if not self.pool_ids:
             raise InputMismatchError("the pool system lists no pools")
         bad_keys = [key for key in self.lines
@@ -255,6 +268,10 @@ class PoolView:
     order, the positions of the pool's own edges, those some line of the
     pool uses; no load ever reaches any other edge.  compile_pool computes
     both once, since every run of the pool's price loop reads them.
+
+    A view is shared: every caller that compiles the pool against the same
+    network gets this one object, so its arrays, capacity included, refuse
+    writes.
     """
 
     pool_id: str
@@ -278,16 +295,36 @@ class PoolView:
 
 
 def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
-    """Build the dense incidence view of one pool.
+    """The dense incidence view of one pool, built on the first call and shared after it.
 
     The engines, the reference solver and the certifier all read an
-    instance through this view.  The network and the pool system have
-    checked their own shapes when built, so this only lays the pool's lines
-    onto the network's stored edge ids, positions and capacities, and
-    checks what needs both, raising InputMismatchError: the pool must be
-    one the system lists, and each line must be nonempty, use known edges
-    only, not repeat an edge, which the 0/1 incidence cannot represent, and
-    be a path, each edge starting where the one before it ends.
+    instance through this view.  The first call for a (network, pool)
+    pair builds it (_build_view) and files it in the pool system's map
+    for that network; every later call returns the same object, so a run,
+    its reference optimum, its certificate and its warm restarts compile
+    each pool once.  A build that fails is not filed, so the same call
+    raises again.  The network and the pool system are immutable, so a
+    filed view stays what a fresh build would give, array for array.
+    """
+    views = pools._views.get(net)
+    if views is None:
+        views = pools._views[net] = {}
+    view = views.get(pool_id)
+    if view is None:
+        view = views[pool_id] = _build_view(net, pools, pool_id)
+    return view
+
+
+def _build_view(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
+    """Build the dense incidence view of one pool, with read-only arrays.
+
+    The network and the pool system have checked their own shapes when
+    built, so this only lays the pool's lines onto the network's stored
+    edge ids, positions and capacities, and checks what needs both,
+    raising InputMismatchError: the pool must be one the system lists,
+    and each line must be nonempty, use known edges only, not repeat an
+    edge, which the 0/1 incidence cannot represent, and be a path, each
+    edge starting where the one before it ends.
     """
     if pool_id not in pools.pool_ids:
         raise InputMismatchError(f"unknown pool {pool_id!r}")
@@ -317,14 +354,18 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
         cells += [i * n + p for i in idx]
     inc = np.zeros((len(net.edge_ids), n))
     inc.put(cells, 1.0)
+    bottleneck = np.where(inc > 0.0, capacity[:, None], np.inf).min(axis=0, initial=np.inf)
+    own_edges = np.array(sorted(set(rows)), dtype=np.intp)
+    for values in (inc, bottleneck, own_edges):
+        values.flags.writeable = False
     return PoolView(
         pool_id=pool_id,
         edge_ids=net.edge_ids,
         capacity=capacity,
         lop_ids=lops,
         incidence=inc,
-        bottleneck=np.where(inc > 0.0, capacity[:, None], np.inf).min(axis=0, initial=np.inf),
-        own_edges=np.array(sorted(set(rows)), dtype=np.intp),
+        bottleneck=bottleneck,
+        own_edges=own_edges,
     )
 
 

@@ -228,13 +228,14 @@ def mechanism_kkt(
     """kkt_report applied to a mechanism OuterState from anywhere.
 
     Like the engines, it rejects a valuation table that does not match the
-    pool system (utilities.validate_against) and compiles each pool once.
+    pool system (utilities.validate_against) and reads each pool's view
+    from compile_pool, the one a run or solve_full on the instance read.
     The state must fit the instance as a warm start must (multi_pool's
     _check_warm, on those views): its pools in order, per pool its edges
     and operators in order, finite, nonnegative floating-point arrays of
-    the instance's lengths and a finite, nonnegative real share, else
-    InputMismatchError.  So a state of another instance is rejected, not
-    certified at a huge residual.
+    the instance's lengths, a finite, nonnegative real share and a finite
+    real cost level, else InputMismatchError.  So a state of another
+    instance is rejected, not certified at a huge residual.
     kkt_report reads the state's own arrays on the same views.  A run's
     own state needs none of this: _state_kkt(res.views, res.coefficients,
     res.state) certifies it on the views the run compiled, to the same
@@ -304,10 +305,10 @@ def solve_full(
     all, and its prices and frequencies split back per pool at the views'
     offsets.  A pool of value zero, such as one without operators, gets
     share zero; when every pool is worth zero the split is uniform.  The
-    answer is an OuterState on the views compiled here, each pool compiled
-    once per solve, and it is certified as a run's state is, by _state_kkt
-    on those views and coefficient vectors; converged requires the solve to
-    converge and that certificate to hold.
+    answer is an OuterState on compile_pool's views of the instance, shared
+    with every run and certificate on it, and it is certified as a run's
+    state is, by _state_kkt on those views and coefficient vectors;
+    converged requires the solve to converge and that certificate to hold.
     """
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]

@@ -3,7 +3,7 @@ from dataclasses import replace
 import pytest
 
 import linemarket as lm
-from linemarket import multi_pool, oracle
+from linemarket import multi_pool, network, oracle
 
 import instances
 import report
@@ -92,7 +92,8 @@ def k2_restart(k2_baseline):
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """The pools compiled while the test runs, through multi_pool's and oracle's compile_pool bindings."""
+    """The pools asked for while the test runs, through multi_pool's and oracle's compile_pool bindings,
+    whether compile_pool builds the view or returns the one it holds (builds counts the builds)."""
     calls: dict[str, list[str]] = {}
     for name, module in (("multi_pool", multi_pool), ("oracle", oracle)):
         calls[name] = []
@@ -104,3 +105,17 @@ def compiles(monkeypatch):
 
         monkeypatch.setattr(module, "compile_pool", counted)
     return calls
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """The pools built while the test runs: compile_pool's cache misses, which compiles counts among its calls."""
+    seen: list[str] = []
+    build_view = network._build_view
+
+    def counted(net, pools, k):
+        seen.append(k)
+        return build_view(net, pools, k)
+
+    monkeypatch.setattr(network, "_build_view", counted)
+    return seen

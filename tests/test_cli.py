@@ -410,6 +410,16 @@ def test_valuation_file_boundary(tmp_path, monkeypatch, capsys, a):
     assert f"valuation 'a' of ('lop0', 'k0') must be a real number, got {a!r}" in capsys.readouterr().err
 
 
+def test_network_file_run_reuses_the_validating_compile(tmp_path, monkeypatch, builds):
+    """The compile that validates a network file is the one solve and oracle read: each pool builds once a seed."""
+    write_instance_scenario(tmp_path, "chain", *instances.chain_instance(3))
+    monkeypatch.chdir(tmp_path)
+    for command in ("solve", "oracle"):
+        builds.clear()
+        assert run_cli([command, "--scenario", "scn.json", "--out", "out"]) == 0
+        assert builds == ["k0", "k1"]
+
+
 def test_network_file_without_pools_exits_2(tmp_path, monkeypatch, capsys):
     """Every command rejects a network file that lists no pools, with exit 2."""
     monkeypatch.chdir(tmp_path)

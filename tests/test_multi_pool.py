@@ -47,6 +47,17 @@ class TestProportionVector:
         with pytest.raises(ValueError, match=r"proportions have shape \(2, 1\)"):
             lm.ProportionVector(("a", "b"), [[0.5], [0.5]])
 
+    @pytest.mark.parametrize("values", [np.array(["0.5", "0.5"]), [True, False], np.array([True, False]),
+                                        [0.5, "0.5"], [None, 1.0]], ids=repr)
+    def test_rejects_entries_that_are_not_real(self, values):
+        """A split is read by _check_real's rule: float() would take "0.5" and True, a split does not."""
+        with pytest.raises(ValueError, match="proportion must be a real number"):
+            lm.ProportionVector(("k0", "k1"), values)
+
+    def test_takes_any_real_entries(self):
+        for values in ([0.5, 0.5], (np.float32(0.25), 0.75), np.array([1, 0]), np.array([0.5, 0.5], dtype=object)):
+            assert lm.ProportionVector(("k0", "k1"), values).values.dtype == np.float64
+
     def test_as_dict(self):
         assert shares2(0.3, 0.7).as_dict() == {"k0": 0.3, "k1": 0.7}
 
@@ -382,6 +393,26 @@ def test_state_share_must_be_a_finite_nonnegative_real(share, entry):
     state.pool_states["k1"].share = share
     what = "warm state" if entry == "run_mechanism" else "state"
     with pytest.raises(lm.InputMismatchError, match=rf"^{what} of pool 'k1': share "):
+        if entry == "run_mechanism":
+            lm.run_mechanism(net, pools, table, warm=state)
+        else:
+            lm.mechanism_kkt(net, pools, table, state)
+
+
+# cost levels no state holds: "3" escaped the certifier as a bare TypeError,
+# True and the non-finite ones were taken, and NaN certified as NaN
+BAD_COST_LEVELS = ["3", True, None, math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("entry", ["run_mechanism", "mechanism_kkt"])
+@pytest.mark.parametrize("level", BAD_COST_LEVELS, ids=repr)
+def test_state_cost_level_must_be_a_finite_real(level, entry):
+    """A state's cost level is read as a finite real number, not a bool, at both entry points."""
+    net, pools, table = instances.chain_instance(3)
+    state = lm.run_mechanism(net, pools, table).state
+    state.cost_level = level
+    what = "warm state" if entry == "run_mechanism" else "state"
+    with pytest.raises(lm.InputMismatchError, match=rf"^{what}: cost_level "):
         if entry == "run_mechanism":
             lm.run_mechanism(net, pools, table, warm=state)
         else:

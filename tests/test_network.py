@@ -1,4 +1,5 @@
 """Structure layer: networks, pools, loads, path prices, JSON round trip."""
+import gc
 from functools import partial
 
 import numpy as np
@@ -183,6 +184,95 @@ def test_views_share_the_networks_read_only_capacities():
     assert all(view.capacity is caps and view.edge_ids is net.edge_ids for view in views)
     with pytest.raises(ValueError):
         caps[0] = 1.0
+
+
+def test_one_instance_builds_each_pool_once(compiles, builds):
+    """A run, its oracle, the certificates of both and a warm restart share one view per pool:
+    every call goes through compile_pool, and only the first per pool builds."""
+    net, pools, table = instances.chain_instance(3)
+    res = lm.run_mechanism(net, pools, table)
+    sol = lm.solve_full(net, pools, table)
+    for state in (res.state, sol.state):
+        assert lm.mechanism_kkt(net, pools, table, state).max_scaled() <= 0.1
+    again = lm.run_mechanism(net, pools, table, warm=res.state)
+    ids = list(pools.pool_ids)
+    assert builds == ids
+    assert compiles == {"multi_pool": ids * 2, "oracle": ids * 3}
+    for k, view, other in zip(ids, res.views, again.views):
+        assert view is other is lm.compile_pool(net, pools, k)
+    assert builds == ids
+
+
+def test_views_and_lines_refuse_writes():
+    """A view is shared by every caller, so none of its arrays takes a write, nor does the line table."""
+    net, pools, _ = instances.chain_instance(3)
+    view = lm.compile_pool(net, pools, "k0")
+    for name in ("capacity", "incidence", "bottleneck", "own_edges"):
+        values = getattr(view, name)
+        assert not values.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            values[0] = 0
+    key = pools.pairs()[0]
+    with pytest.raises(TypeError):
+        pools.lines[key] = lm.Line(("e0",))
+    with pytest.raises(TypeError):
+        del pools.lines[key]
+
+
+def test_line_table_is_the_systems_own_copy():
+    """Editing the mapping a pool system was built from changes neither its lines nor its views."""
+    net, _ = chain2()
+    table = {("lop0", "k0"): lm.Line(("e1", "e2"))}
+    pools = lm.PoolSystem(["k0"], table)
+    before = lm.compile_pool(net, pools, "k0")
+    table[("lop1", "k0")] = lm.Line(("e2",))
+    assert list(pools.lines) == [("lop0", "k0")]
+    assert lm.compile_pool(net, pools, "k0") is before and before.lop_ids == ("lop0",)
+
+
+def test_with_capacities_network_gets_its_own_views(builds):
+    """A shocked copy of a network is another network: its views are built at its own capacities,
+    and the original's stay filed beside them."""
+    net, pools, _ = instances.chain_instance(3)
+    first = lm.compile_pool(net, pools, "k0")
+    closed = net.with_capacities({net.edge_ids[0]: 0.0})
+    shocked = lm.compile_pool(closed, pools, "k0")
+    assert shocked is not first and builds == ["k0", "k0"]
+    assert shocked.capacity is closed.capacity_vector() and shocked.capacity[0] == 0.0
+    assert first.capacity is net.capacity_vector() and first.capacity[0] > 0.0
+    on_first = first.incidence[0] > 0.0
+    assert (shocked.bottleneck[on_first] == 0.0).all() and (first.bottleneck > 0.0).all()
+    assert lm.compile_pool(net, pools, "k0") is first and lm.compile_pool(closed, pools, "k0") is shocked
+    assert builds == ["k0", "k0"]
+
+
+def test_failing_compile_raises_again(builds):
+    """A compile that fails files nothing: the same call builds and raises again."""
+    net, pools = chain2()
+    broken = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e2", "e1"))})
+    for _ in range(2):
+        with pytest.raises(lm.InputMismatchError, match="is not a path"):
+            lm.compile_pool(net, broken, "k0")
+        with pytest.raises(lm.InputMismatchError, match="unknown pool 'k9'"):
+            lm.compile_pool(net, pools, "k9")
+    assert builds == ["k0", "k9"] * 2
+    assert lm.compile_pool(net, pools, "k0").n_lops == 1
+
+
+def test_views_go_with_their_network():
+    """The pool system keys its views weakly by network: once the network is gone, so is its entry,
+    while a view a caller still holds stays whole."""
+    net, pools, _ = instances.chain_instance(3)
+    shocked = net.with_capacities({net.edge_ids[0]: 1.0})
+    views = [lm.compile_pool(other, pools, "k0") for other in (net, shocked)]
+    assert len(pools._views) == 2
+    del shocked
+    gc.collect()
+    assert list(pools._views.keys()) == [net]
+    assert views[1].incidence.shape == views[0].incidence.shape and views[1].capacity[0] == 1.0
+    del net
+    gc.collect()
+    assert len(pools._views) == 0
 
 
 def test_compiled_view_matches_lines():
