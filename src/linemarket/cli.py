@@ -1,7 +1,8 @@
 """Command line front end: generate, solve, oracle, recover.
 
 A scenario JSON names an instance (either a lattice recipe or a network
-file), its valuations, optional disruption, and engine settings.  Every
+file), its valuations, optional disruption, and engine settings; the files
+it names are read relative to the scenario file's directory.  Every
 command takes one or more seeds; all randomness of a run flows from its
 seed, split deterministically per component, and no output holds a
 wall-clock time, so reruns with the same scenario and seed write
@@ -417,9 +418,11 @@ def run_cli(argv: Sequence[str]) -> int:
         cfg = _load_config(args)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         handler = _COMMANDS[cfg.command]
+        # a scenario's network_file and utilities_file sit beside it, wherever the command runs
+        base = Path(args.scenario).parent
         converged = []
         for seed in cfg.seeds:
-            converged.append(handler(cfg, seed, *_build_instance(cfg.scenario, seed, Path("."))))
+            converged.append(handler(cfg, seed, *_build_instance(cfg.scenario, seed, base)))
         return 0 if all(converged) else 1
     except (ValueError, OSError) as err:
         where = "" if seed is None else f"seed={seed} "

@@ -10,6 +10,7 @@ hit.
 from __future__ import annotations
 
 import zlib
+from collections.abc import Sized
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
@@ -163,10 +164,16 @@ def generate_grid(spec: GridSpec) -> tuple[Network, PoolSystem]:
 def uniform_utilities(
     pools: PoolSystem, low: float, high: float, seed: int
 ) -> UtilityTable:
-    """Independent uniform coefficients per (operator, pool)."""
+    """Independent uniform coefficients per (operator, pool).
+
+    low and high must be real numbers with 0 < low <= high < inf, and seed a
+    whole number of at least 0; a bool passes for none of them, and a bad
+    one raises ValueError naming it.
+    """
+    low, high = _check_real("low", low), _check_real("high", high)
     if not 0 < low <= high < np.inf:
         raise ValueError(f"bad coefficient range [{low}, {high}]")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_check_count("seed", seed, 0))
     entries = {
         key: UtilitySpec(float(rng.uniform(low, high)))
         for key in sorted(pools.lines)
@@ -177,12 +184,20 @@ def uniform_utilities(
 def pool_scaled_utilities(
     pools: PoolSystem, base: float, scales: Sequence[float]
 ) -> UtilityTable:
-    """One coefficient per pool: base times that pool's scale, same for all operators."""
-    if len(scales) != len(pools.pool_ids):
-        raise ValueError("need exactly one scale per pool")
-    by_pool = dict(zip(pools.pool_ids, scales))
+    """One coefficient per pool: base times that pool's scale, same for all operators.
+
+    base and each scale must be positive real numbers, and scales a sequence
+    of one per pool; a bool or a string passes for none of them, and a bad
+    one raises ValueError naming it.
+    """
+    base = _check_real("base", base)
+    if isinstance(scales, str) or not isinstance(scales, Sized) or len(scales) != len(pools.pool_ids):
+        raise ValueError(f"need exactly one scale per pool, got {scales!r}")
+    by_pool = {k: _check_real(f"scale of pool {k!r}", scale) for k, scale in zip(pools.pool_ids, scales)}
+    if not (base > 0 and all(scale > 0 for scale in by_pool.values())):
+        raise ValueError(f"base and scales must be positive, got {base} and {list(by_pool.values())}")
     entries = {
-        (lop, k): UtilitySpec(float(base * by_pool[k]))
+        (lop, k): UtilitySpec(base * by_pool[k])
         for (lop, k) in sorted(pools.lines)
     }
     return UtilityTable(entries)

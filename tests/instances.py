@@ -6,11 +6,23 @@ seed alone.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
 import linemarket as lm
+
+# The committed CLI scenarios, one file each: the README demo (demo), CI's
+# 4x6 five-pool grid (ci5), and the lopsided, closing and mixed40 runs
+SCENARIOS = Path(__file__).parent / "scenarios"
+
+
+def scenario(name: str) -> dict:
+    """A fresh copy of the committed CLI scenario SCENARIOS/<name>.json, as a document to edit."""
+    return json.loads((SCENARIOS / f"{name}.json").read_text(encoding="utf-8"))
+
 
 # Grid experiments run at an explicit small price step: the capacity-scaled
 # default is tuned for desk-size chains and overshoots on 7x12 lattices.

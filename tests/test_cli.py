@@ -1,7 +1,10 @@
 """Command line front end: commands, exit codes, deterministic outputs."""
+import ast
 import csv
 import io
 import json
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -159,35 +162,44 @@ def test_timing_flag_is_retired(tmp_path, monkeypatch, capsys):
 
 
 def test_generate_then_solve_from_files(tmp_path, monkeypatch, capsys):
+    """The files generate writes for ci5, read back under the same scenario name, give the grid run's
+    oracle, solve and recover files byte for byte; each command exits 0, so every run converges."""
     monkeypatch.chdir(tmp_path)
-    scn = {
-        "name": "grid",
-        "grid": {
-            "rows": 3, "cols": 4, "pools": 1, "lines_per_pool": 2,
-            "capacity_range": [4, 8], "shared_first_edge": [[0, 0], [1, 0]],
-            "min_line_len": 2, "seed": 5,
-        },
-        "utilities_gen": {"kind": "uniform", "low": 1, "high": 2, "seed": 7},
-        "seeds": [0],
-    }
-    (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
-    assert run_cli(["generate", "--scenario", "scn.json", "--out", "gen"]) == 0
-    assert "nodes=12 edges=17" in capsys.readouterr().out
+    grid = str(instances.SCENARIOS / "ci5.json")
+    assert run_cli(["generate", "--scenario", grid, "--out", "gen"]) == 0
+    assert "nodes=24 edges=38 pools=5 lines=20" in capsys.readouterr().out
 
     net, pools = lm.load_network_file(tmp_path / "gen" / "network_seed0.json")
-    assert [lm.compile_pool(net, pools, k).n_lops for k in pools.pool_ids] == [2]
+    assert [lm.compile_pool(net, pools, k).n_lops for k in pools.pool_ids] == [4] * 5
     table = lm.UtilityTable.load(tmp_path / "gen" / "utilities_seed0.json")
     table.validate_against(pools)
 
-    scn2 = {
-        "name": "fromfiles",
-        "network_file": "gen/network_seed0.json",
-        "utilities_file": "gen/utilities_seed0.json",
-        "seeds": [0],
-    }
-    (tmp_path / "scn2.json").write_text(json.dumps(scn2), encoding="utf-8")
-    assert run_cli(["solve", "--scenario", "scn2.json", "--out", "out"]) == 0
-    assert read_records(tmp_path / "out" / "records.csv")[0]["status"] == "converged"
+    scn = instances.scenario("ci5")
+    del scn["grid"], scn["utilities_gen"]
+    scn.update(network_file="gen/network_seed0.json", utilities_file="gen/utilities_seed0.json")
+    (tmp_path / "files.json").write_text(json.dumps(scn), encoding="utf-8")
+    for command in ("oracle", "solve", "recover"):
+        assert run_cli([command, "--scenario", grid, "--out", "grid"]) == 0, command
+        assert run_cli([command, "--scenario", "files.json", "--out", "files"]) == 0, command
+    written = sorted(path.name for path in (tmp_path / "grid").iterdir())
+    assert written == ["oracle_seed0.json", "outer_trace_seed0.csv", "records.csv", "state_seed0.json"]
+    for name in written:
+        assert (tmp_path / "files" / name).read_bytes() == (tmp_path / "grid" / name).read_bytes(), name
+
+
+def test_scenario_files_are_read_beside_the_scenario(tmp_path, monkeypatch):
+    """A scenario's network_file and utilities_file are read from its own directory, wherever the command runs."""
+    (tmp_path / "rel").mkdir()
+    net, pools, table = instances.chain_instance(3)
+    lm.dump_network_file(net, pools, tmp_path / "rel" / "net.json")
+    table.dump(tmp_path / "rel" / "util.json")
+    scn = {"name": "rel", "network_file": "net.json", "utilities_file": "util.json", "seeds": [0]}
+    (tmp_path / "rel" / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
+    for cwd, path, out in ((tmp_path, "rel/scn.json", "above"), (tmp_path / "rel", "scn.json", "beside")):
+        monkeypatch.chdir(cwd)
+        assert run_cli(["solve", "--scenario", path, "--out", str(tmp_path / out)]) == 0, out
+    for name in ("records.csv", "state_seed0.json", "outer_trace_seed0.csv"):
+        assert (tmp_path / "above" / name).read_bytes() == (tmp_path / "beside" / name).read_bytes(), name
 
 
 def test_oracle_command(tmp_path, monkeypatch, capsys):
@@ -222,14 +234,16 @@ def test_oracle_command(tmp_path, monkeypatch, capsys):
     assert doc["cost_level"] == state.cost_level
 
 
-# the README's demo scenario
-DEMO_SCENARIO = {
-    "name": "demo",
-    "grid": {"rows": 7, "cols": 12, "pools": 2, "lines_per_pool": 10, "capacity_range": [10, 110], "min_line_len": 10},
-    "utilities_gen": {"kind": "uniform", "low": 5, "high": 15},
-    "engine": {"eta_price": 0.001},
-    "seeds": [0],
-}
+def test_demo_scenario_has_one_definition():
+    """The README's demo and the benchmark's grid2_cold scenario are the committed demo.json."""
+    root = instances.SCENARIOS.parents[1]
+    demo = instances.scenario("demo")
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    assert json.loads(re.findall(r"^```json\n(.*?)^```", readme, re.S | re.M)[0]) == demo
+    workloads = ast.parse((root / "bench" / "workloads.py").read_text(encoding="utf-8"))
+    (bench,) = [node.value for node in workloads.body if isinstance(node, ast.Assign)
+                and [getattr(target, "id", None) for target in node.targets] == ["DEMO_SCENARIO"]]
+    assert ast.literal_eval(bench) == demo
 
 
 def read_state(doc, net, pools):
@@ -250,9 +264,9 @@ def test_oracle_file_holds_the_whole_optimum(tmp_path, monkeypatch):
     """The oracle writes solve's state schema, and what it writes is solve_full's optimum:
     read back, it certifies to the oracle's own report and a warm run stops at once."""
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "scn.json").write_text(json.dumps(DEMO_SCENARIO), encoding="utf-8")
-    assert run_cli(["oracle", "--scenario", "scn.json", "--out", "out"]) == 0
-    assert run_cli(["solve", "--scenario", "scn.json", "--out", "out"]) == 0
+    demo = str(instances.SCENARIOS / "demo.json")
+    for command in ("oracle", "solve"):
+        assert run_cli([command, "--scenario", demo, "--out", "out", "--seeds", "0"]) == 0
     doc = json.loads((tmp_path / "out" / "oracle_seed0.json").read_text())
     run_doc = json.loads((tmp_path / "out" / "state_seed0.json").read_text())
     def ids(d):
@@ -260,10 +274,11 @@ def test_oracle_file_holds_the_whole_optimum(tmp_path, monkeypatch):
             list(st[m]) for st in d["pools"].values() for m in ("prices", "bids", "freqs")]
     assert ids(doc) == ids(run_doc)
 
-    net, pools, table = cli._build_instance(DEMO_SCENARIO, 0, tmp_path)
+    scn = instances.scenario("demo")
+    net, pools, table = cli._build_instance(scn, 0, instances.SCENARIOS)
     state = read_state(doc, net, pools)
     assert repr(lm.mechanism_kkt(net, pools, table, state)) == repr(lm.solve_full(net, pools, table).kkt)
-    res = lm.run_mechanism(net, pools, table, cli._mech_config(DEMO_SCENARIO), warm=state)
+    res = lm.run_mechanism(net, pools, table, cli._mech_config(scn), warm=state)
     assert res.converged
     assert (res.f_updates, sum(res.price_updates.values())) == (0, 0)
 
@@ -287,21 +302,15 @@ def test_recover_command_both_modes(tmp_path, monkeypatch):
     assert [r["mode"] for r in rows2] == ["warm"]
 
 
-def test_recover_exits_2_when_the_disruption_cannot_be_applied(tmp_path, monkeypatch, capsys):
+def test_recover_exits_2_when_the_disruption_cannot_be_applied(tmp_path, capsys):
     """A disruption needing more congested edges than a seed's instance has is bad input, not a
     failed run: recover names that seed, exits 2 there and runs none after it."""
-    monkeypatch.chdir(tmp_path)
-    scn = {
-        "name": "mixed40", "grid": {"rows": 4, "cols": 6, "pools": 2, "lines_per_pool": 4},
-        "utilities_gen": {"kind": "uniform", "low": 5, "high": 15}, "engine": {"eta_price": 0.001},
-        "disruption": {"kind": "mixed", "edge_count": 40, "magnitude": 0.1}, "seeds": [0, 1],
-    }
-    (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
+    scn = str(instances.SCENARIOS / "mixed40.json")
     # the scenario's seeds, then the same two the other way round; the
     # first seed's baseline holds 5 or 3 congested edges
     for flags, first, available in (([], 0, 5), (["--seeds", "1,0"], 1, 3)):
         out = tmp_path / f"out{first}"
-        assert run_cli(["recover", "--scenario", "scn.json", "--out", str(out), *flags]) == 2
+        assert run_cli(["recover", "--scenario", scn, "--out", str(out), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.err == f"seed={first} error: disruption needs 80 congested edges, only {available} available\n"
         assert captured.out == "" and not (out / "records.csv").exists()
@@ -317,18 +326,23 @@ def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert row["status"] == "nonconverged"
 
 
-def test_solve_gives_a_lopsided_pool_its_tiny_share(tmp_path, monkeypatch, capsys):
+def test_solve_gives_a_lopsided_pool_its_tiny_share(tmp_path, capsys):
     """A pool valued at 0.003 of the others is owed a share below 1e-5; every seed clears."""
-    monkeypatch.chdir(tmp_path)
-    scn = {
-        "name": "lopsided", "grid": {"rows": 4, "cols": 6, "pools": 3, "lines_per_pool": 4},
-        "utilities_gen": {"kind": "pool_scale", "base": 10, "scales": [1, 1, 0.003]},
-        "engine": {"eta_price": 0.001}, "seeds": [0, 1, 2],
-    }
-    (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
-    assert run_cli(["solve", "--scenario", "scn.json", "--out", "out"]) == 0, capsys.readouterr().out
-    rows = read_records(tmp_path / "out" / "records.csv")
+    scn = str(instances.SCENARIOS / "lopsided.json")
+    assert run_cli(["solve", "--scenario", scn, "--out", str(tmp_path)]) == 0, capsys.readouterr().out
+    rows = read_records(tmp_path / "records.csv")
     assert [r["instance"] for r in rows] == ["lopsided-s0", "lopsided-s1", "lopsided-s2"]
+    assert all(r["status"] == "converged" for r in rows)
+
+
+def test_recover_restarts_every_seed_after_an_edge_closes(tmp_path):
+    """A shock of magnitude 1 closes an edge, so the lines through it cannot run; yet every cold and warm
+    restart of the closing scenario's five seeds converges."""
+    scn = str(instances.SCENARIOS / "closing.json")
+    assert run_cli(["recover", "--scenario", scn, "--out", str(tmp_path)]) == 0
+    rows = read_records(tmp_path / "records.csv")
+    assert [(r["instance"], r["mode"]) for r in rows] == [
+        (f"closing-s{seed}", mode) for seed in range(5) for mode in ("cold", "warm")]
     assert all(r["status"] == "converged" for r in rows)
 
 
@@ -597,6 +611,11 @@ def test_scenario_blocks_read_typed_values():
     net, pools, table = cli._build_instance(top, 0, Path("."))
     assert len(pools.pool_ids) == 1 and len(table.entries) == 2
     assert cli._disruption(top, 0) == lm.DisruptionSpec("reduce", 1, 0.1, cli.child_seed(0, "disruption"))
+    # a seed the scenario gives replaces the one derived from the run's seed
+    scn["grid"]["seed"], scn["utilities_gen"]["seed"] = 5, 7
+    net, pools, table = cli._build_instance(scn, 0, Path("."))
+    assert lm.network_to_json(net, pools) == lm.network_to_json(*lm.generate_grid(replace(spec, seed=5)))
+    assert table.to_json() == lm.uniform_utilities(pools, 5.0, 15.0, 7).to_json()
 
 
 def test_empty_engine_block_keeps_config_defaults():

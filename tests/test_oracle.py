@@ -3,7 +3,6 @@ import copy
 import dataclasses
 import math
 from functools import partial
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,19 +325,28 @@ def test_empty_pool_system_is_rejected():
 
 
 def ci_instance(pools: int, seed: int):
-    """The CI scenario's 4x6 family at `pools` pools, built as the CLI builds it."""
-    scn = {
-        "grid": {"rows": 4, "cols": 6, "pools": pools, "lines_per_pool": 4},
-        "utilities_gen": {"kind": "uniform", "low": 5, "high": 15},
-    }
-    return cli._build_instance(scn, seed, Path("."))
+    """The ci5 scenario's 4x6 family at `pools` pools, built as the CLI builds it."""
+    scn = instances.scenario("ci5")
+    scn["grid"]["pools"] = pools
+    return cli._build_instance(scn, seed, instances.SCENARIOS)
 
 
+def lopsided_instance(scales, seed: int):
+    """The lopsided scenario's 4x6 family: pool k valued at 10 * scales[k], built as the CLI builds it."""
+    scn = instances.scenario("lopsided")
+    scn["grid"]["pools"] = len(scales)
+    scn["utilities_gen"]["scales"] = scales
+    return cli._build_instance(scn, seed, instances.SCENARIOS)
+
+
+# the lopsided scenario as committed: a pool valued at 0.003 of the others
+LOPSIDED = instances.scenario("lopsided")["utilities_gen"]["scales"]
 CERTIFY_CASES = (
     [(f"chain{seed}", partial(instances.chain_instance, seed)) for seed in range(20)]
     + [(f"grid{seed}_k{k}", partial(instances.grid_instance, seed, k)) for k in (1, 2) for seed in range(20)]
     + [(f"ci{seed}_k{k}", partial(ci_instance, k, seed)) for k in (3, 5) for seed in range(5)]
     + [(f"hub{seed}", partial(instances.hub_instance, seed)) for seed in range(10)]
+    + [(f"lopsided{LOPSIDED}_s{seed}", partial(lopsided_instance, LOPSIDED, seed)) for seed in range(3)]
 )
 
 
@@ -373,7 +381,7 @@ def test_opening_is_cold_start_prices_bytewise(monkeypatch):
             oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
             assert openings == [lm.cold_start(view, coeffs, 1.0).prices.tobytes()], (name, view.pool_id)
             pools_seen += 1
-    assert pools_seen == 40 + 60 + 40 + 20
+    assert pools_seen == 40 + 60 + 40 + 20 + 9
 
 
 def test_certificate_reuses_the_solve_views(compiles):
@@ -390,19 +398,9 @@ def test_certificate_reuses_the_solve_views(compiles):
         assert sol.kkt == fresh, name
 
 
-def lopsided_instance(scales, seed: int):
-    """The CI lopsided scenario's 4x6 family: pool k valued at 10 * scales[k], built as the CLI builds it."""
-    scn = {
-        "grid": {"rows": 4, "cols": 6, "pools": len(scales), "lines_per_pool": 4},
-        "utilities_gen": {"kind": "pool_scale", "base": 10, "scales": scales},
-    }
-    return cli._build_instance(scn, seed, Path("."))
-
-
-LOPSIDED_SCALES = ([1, 1, 0.003], [1, 0.01], [1, 1e-4, 1e4])
 STACK_CASES = CERTIFY_CASES + [
     (f"lopsided{scales}_s{seed}", partial(lopsided_instance, scales, seed))
-    for scales in LOPSIDED_SCALES for seed in range(3)
+    for scales in ([1, 0.01], [1, 1e-4, 1e4]) for seed in range(3)
 ]
 
 

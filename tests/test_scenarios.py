@@ -148,6 +148,33 @@ def test_pool_scaled_utilities():
         lm.pool_scaled_utilities(ps, 10.0, [1.0])
 
 
+# (generator, its arguments after chain 0's pools, the error it must raise)
+BAD_VALUATION_INPUTS = [
+    ("pool_scaled_utilities", ("10", [1, 2]), "base must be a real number, got '10'"),
+    ("pool_scaled_utilities", (10, ["1", "2"]), "scale of pool 'k0' must be a real number, got '1'"),
+    ("pool_scaled_utilities", (True, [1, 2]), "base must be a real number, got True"),
+    ("pool_scaled_utilities", (10, [1, True]), "scale of pool 'k1' must be a real number, got True"),
+    ("pool_scaled_utilities", (10, "12"), "need exactly one scale per pool, got '12'"),
+    ("pool_scaled_utilities", (10, 5), "need exactly one scale per pool, got 5"),
+    ("pool_scaled_utilities", (-10, [-1, -2]), "base and scales must be positive, got -10.0 and [-1.0, -2.0]"),
+    ("uniform_utilities", ("5", 15, 0), "low must be a real number, got '5'"),
+    ("uniform_utilities", (5, "15", 0), "high must be a real number, got '15'"),
+    ("uniform_utilities", (True, 15, 0), "low must be a real number, got True"),
+    ("uniform_utilities", (5, 15, -1), "seed must be a whole number of at least 0, got -1"),
+    ("uniform_utilities", (5, 15, 1.5), "seed must be a whole number of at least 0, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("generator, args, message", BAD_VALUATION_INPUTS,
+                         ids=[f"{gen}{args!r}" for gen, args, _ in BAD_VALUATION_INPUTS])
+def test_valuation_generators_check_their_inputs(generator, args, message):
+    """Each input is checked by the rule the other readers use: no repeated string, bool or bare TypeError."""
+    _, pools, _ = instances.chain_instance(0)
+    with pytest.raises(ValueError) as err:
+        getattr(lm, generator)(pools, *args)
+    assert str(err.value) == message
+
+
 def test_child_seed_is_stable_and_tag_sensitive():
     assert lm.scenarios.child_seed(7, "grid") == lm.scenarios.child_seed(7, "grid")
     assert lm.scenarios.child_seed(7, "grid") != lm.scenarios.child_seed(7, "disruption")
