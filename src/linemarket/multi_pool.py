@@ -367,6 +367,10 @@ def run_mechanism(
         if costs_equal(live_costs, cfg.eps_cost):
             converged = True
             break
+        # a live pool's cost is capacity @ prices, both nonnegative, and a
+        # converged run's prices are finite, so a level of zero means every
+        # live cost is zero, which the equal-cost test has just accepted:
+        # the exit guards the split update against a level no run reaches
         if not level > 0.0:
             diagnostics = "mean pool cost is zero; split update undefined"
             break

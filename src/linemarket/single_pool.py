@@ -31,35 +31,48 @@ test: the loop holds it at zero and never steps it.
 A run is made of whole refresh passes: each runs one refresh period of
 price steps and ends with a re-bid, and the budget counts passes
 (_MAX_PASSES), so a run's price updates are a multiple of the period.
-The loop checks its stop test only at those boundaries, and computes the
-full residuals (pool_residuals) only at a boundary whose worst overload and
-worst |price * excess| already pass (_may_stop), or when the budget runs
-out.  When every path is priced, allocate_frequencies and refresh_bids
-skip their zero-price masks, and _bid_terms its zero-bid mask when every
-line bids; the residual kernel (_pool_terms) skips its selection of
-running lines when every line runs.  The masked paths give the same
-numbers there.
+The loop checks its stop test only at those boundaries and at a run's
+opening, and computes the full residuals (pool_residuals) only where the
+worst overload and worst |price * excess| already pass (_may_stop), or
+when the budget runs out; the opening of a state rescaled to a new share,
+which may not stop there, computes none.  When every path is priced,
+allocate_frequencies and refresh_bids skip their zero-price masks, and
+_bid_terms its zero-bid mask when every line bids; the residual kernel
+(_pool_terms) skips its selection of running lines when every line runs.
+The masked paths give the same numbers there.
 What runs once per run or per opening (the closed-edge reset, the
 silent-line test of a warm state, default_price_eta, _neck_prices, the
 active columns of an exact solve) has the masked path only: a second path
 there would save a few microseconds per run.  The per-step paths are picked with _positive, which decides as
 x.min(initial=inf) > 0 does, NaN included, at a third of a reduction's
 cost.  The allocation, which runs at every step, decides once per refresh
-pass instead.  No load is negative, so one price step lowers a price by
-at most eta * supply, and a pass of period steps by at most period times
-that.  An own edge priced above floor = 2 * period * eta * supply at a
-pass's start, twice that bound as a margin for rounding, therefore stays
-priced for the whole pass, and so does the path price of every line that
-crosses it.  When every line crosses such an edge the pass is certified:
-its allocations and the re-bid at its boundary skip their own checks (the
-priced flag of allocate_frequencies and refresh_bids).  Any other pass
-checks at every step and at its re-bid.  Certified passes hold 54% of the
-price steps and re-bids of the 20 test chains, and 99% of those of the
-7x12 one- and two-pool grids at seeds 0 to 4 at the pinned step.  A pool
-with a closed edge or a line that cannot run, or a price falling to zero,
-takes the masked paths where a path is unpriced.  The stop test and the
-refresh read their maxima through argmax (_max_or_zero), which gives what
-x.max(initial=0.0) gives, bit for bit.
+pass instead, on its mask and on its cap.  No load is negative, so one
+price step lowers a price by at most eta * supply, and a pass of period
+steps by at most period * eta * supply.  Rounding is monotone, so the
+rounded steps keep that bound but for one rounding of the new price a
+step; a path price, a sum over at most the pool's own edges, and an
+allocation, a quotient, add one rounding a term.  A rounding in the normal
+range moves a value by a relative 2**-53 at most, so margin = 4 * (own
+edges + period) * 2**-52 covers all of them four times over.  An own edge
+priced p above floor = period * eta * supply * (1 + margin) at a pass's
+start thus stays priced at least (p - floor) * (1 - margin) through the
+whole pass, its boundary included, and each line's path price at least
+its lower, the sum of max(p - floor, 0) over its edges, times
+(1 - margin) squared.  When every lower is positive the pass is
+certified: its allocations and the re-bid at its boundary skip their own
+checks (the priced flag of allocate_frequencies and refresh_bids).  When
+every line's offer is below its lower times cap * (1 - margin) squared,
+which needs every lower positive, no allocation of the pass's plain steps
+can reach its cap either, and they skip the truncation too
+(allocate_frequencies with cap None): the pass is uncapped.  The allocation after the re-bid, under new offers,
+keeps its cap, and any other pass checks at every step and at its re-bid.
+Of the plain steps of the 20 test chains 92% run certified and 47%
+uncapped; of those of the 7x12 one- and two-pool grids at seeds 0 to 4 at
+the pinned step, 99.7% and 82%.  A pool with a closed edge or a line that
+cannot run, or a price falling to zero, takes the masked paths where a
+path is unpriced.  The stop test and the refresh read their maxima
+through argmax (_max_or_zero), which gives what x.max(initial=0.0) gives,
+bit for bit.
 
 The stop test and the certifier read one kernel.  _pool_terms returns a
 pool's raw clearing terms: the worst overload, the worst |price * excess|
@@ -281,7 +294,7 @@ def allocate_frequencies(
     path_prices: np.ndarray,
     offers: np.ndarray,
     free: np.ndarray,
-    cap: np.ndarray,
+    cap: np.ndarray | None,
     priced: bool = False,
 ) -> np.ndarray:
     """Frequencies bought by each bid at the current path prices.
@@ -299,13 +312,17 @@ def allocate_frequencies(
     which gives the same numbers where both apply.  priced=True tells the
     allocation that every path is priced, so it skips its own check; the
     price loop passes it on a pass its certificate covers, and a caller
-    that cannot vouch for it leaves it False.
+    that cannot vouch for it leaves it False.  cap=None tells it that no
+    allocation reaches its cap, so it skips the truncation: the price loop
+    passes it, with priced=True, on the plain steps of an uncapped pass
+    (see the module docstring), and any other caller passes the cap.
     """
     if priced or _positive(path_prices):
-        return np.minimum(offers / path_prices, cap)
-    freqs = free.copy()
-    np.divide(offers, path_prices, out=freqs, where=path_prices > 0.0)
-    return np.minimum(freqs, cap, out=freqs)
+        freqs = offers / path_prices
+    else:
+        freqs = free.copy()
+        np.divide(offers, path_prices, out=freqs, where=path_prices > 0.0)
+    return freqs if cap is None else np.minimum(freqs, cap, out=freqs)
 
 
 def refresh_bids(coefficients: np.ndarray, path_prices: np.ndarray, bids: np.ndarray, priced: bool = False) -> np.ndarray:
@@ -356,7 +373,7 @@ def _may_stop(prices: np.ndarray, excess: np.ndarray) -> bool:
     7x12 two-pool grids at seeds 0 to 4 at the pinned step, and at 37 of
     the 178 of the 20 test chains.
     pool_residuals(...).converged implies it, so the price loop computes the
-    full residuals only at a boundary that passes it.
+    full residuals only at an opening or a boundary that passes it.
     """
     return _max_or_zero(excess) <= _ABS_TOL and _max_or_zero(np.abs(prices * excess)) <= _ABS_TOL
 
@@ -395,9 +412,9 @@ def pool_residuals(
     does, and scales the gap of each running line by its path price.
     converged is the stop test at _ABS_TOL and _REL_TOL; an active line on
     an unpriced path fails it, and only then are the unpriced entries
-    dropped before the gaps are scaled.  The price loop calls this at a
-    run's opening, at each refresh boundary that passes _may_stop, and on
-    the exit that spends the budget.
+    dropped before the gaps are scaled.  The price loop calls this at an
+    opening not rescaled to a new share and at each refresh boundary, where
+    either passes _may_stop, and on the exit that spends the budget.
     """
     feas, comp, gap, mu = _pool_terms(coefficients, prices, freqs, path_prices, excess)
     priceless = not _positive(mu)  # an active line on an unpriced path
@@ -555,20 +572,26 @@ def _run_pool(
     step moves its price: the run opens it at zero too, as cold_start does,
     and returns it at zero.
 
-    The full residuals (pool_residuals) are computed at the opening, at
-    each refresh boundary whose worst overload and worst |price * excess|
-    are both within _ABS_TOL (_may_stop), and when the budget runs out;
-    any other boundary cannot pass the stop test, so it is not checked.
+    The full residuals (pool_residuals) are computed at the opening of a
+    run whose share did not move and at each refresh boundary, where the
+    worst overload and worst |price * excess| are both within _ABS_TOL
+    (_may_stop), and when the budget runs out; any other opening or
+    boundary cannot pass the stop test, so it is not checked.  Nor is a
+    rescaled opening, which may not stop: the run goes on to a boundary,
+    and returns the residuals of its last one.
 
     Each pass runs its steps but the last as plain steps and re-bids in
     its last step, so no step tests for the boundary.  Each pass is
-    certified or not at its start (see the module docstring): a certified
-    pass tells each of its allocations and its re-bid that every path is
-    priced (the priced flag of allocate_frequencies and refresh_bids), an
-    uncertified one lets each of them check.  Loads are freqs.dot(inc_t),
-    which numpy computes with the same BLAS call as inc.dot(freqs), on the
-    same buffer, so the bits are those of the matrix-vector product, at
-    less cost.  A copy of the incidence in another memory order would sum
+    certified or not, and uncapped or not, at its start (see the module
+    docstring): a certified pass tells each of its allocations and its
+    re-bid that every path is priced (the priced flag of
+    allocate_frequencies and refresh_bids), an uncertified one lets each of
+    them check; an uncapped pass also tells the allocations of its plain
+    steps that none reaches its cap (cap None), and any other allocation
+    truncates at the cap.  Loads are freqs.dot(inc_t), which numpy
+    computes with the same BLAS call as inc.dot(freqs), on the same
+    buffer, so the bits are those of the matrix-vector product, at less
+    cost.  A copy of the incidence in another memory order would sum
     in another order and change them.
     """
     period = cfg.bid_refresh_period
@@ -582,8 +605,11 @@ def _run_pool(
     ceil = view.bottleneck * share
     cap = _OVERLOAD * ceil
     # no load is negative, so a step lowers a price by at most eta * supply
-    # and a pass by at most half of floor
-    floor = 2 * period * eta * supply
+    # and a pass by at most period times that; margin covers the pass's
+    # roundings (see the module docstring)
+    margin = 4 * (len(inc) + period) * math.ulp(1.0)
+    floor = period * eta * supply * (1.0 + margin)
+    below_cap = cap * (1.0 - margin) ** 2
     eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
     # a line that cannot run re-bids as if valued at zero, so its best
     # response is 0, not a bid against a path it never buys anything on
@@ -619,22 +645,30 @@ def _run_pool(
     bids, freqs = state.bids, state.freqs
     passes = 0
     bid_updates = 0
-    res = pool_residuals(coefficients, prices, freqs, mu, loads - supply)
     # convergence is only declared at bid-consistent states, i.e. right after
     # a refresh, so every clearing condition holds at one coherent state.
     # Each pass of the loop runs one refresh period and ends with a re-bid;
     # its end is the only point where the stop test and the result read the
-    # residuals.  So only the opening check must hold a rescaled state back
-    settled = res.converged and not rescaled
+    # residuals.  A rescaled state may not stop at its opening, and any other
+    # stops there only past the same pre-check as a boundary
+    excess = loads - supply
+    res = None
+    if not rescaled and _may_stop(prices, excess):
+        res = pool_residuals(coefficients, prices, freqs, mu, excess)
+    settled = res is not None and res.converged
     while not settled and passes < _MAX_PASSES:
-        # the pass is certified when every line crosses an edge priced above
-        # floor: every path then stays priced through the whole pass, its
-        # boundary included
-        priced = _positive(inc_t.dot(np.maximum(prices - floor, _ZERO)))
+        # each path price stays at least lower through the whole pass, its
+        # boundary included: the pass is certified when every lower is
+        # positive, and its plain steps skip the cap when no offer reaches
+        # its lower times the cap, which needs every lower positive too
+        lower = inc_t.dot(np.maximum(prices - floor, _ZERO))
+        uncapped = _positive(below_cap * lower - offers)
+        priced = uncapped or _positive(lower)
+        step_cap = None if uncapped else cap
         for _ in range(period - 1):
             prices, _ = price_step(prices, loads, supply, eta)
             mu = inc_t.dot(prices)
-            freqs = allocate_frequencies(mu, offers, free, cap, priced)
+            freqs = allocate_frequencies(mu, offers, free, step_cap, priced)
             loads = freqs.dot(inc_t)
         # the pass's last step, which ends on the refresh boundary
         prices, _ = price_step(prices, loads, supply, eta)
@@ -860,6 +894,9 @@ def _clearing_prices(
         lev = max(1e-14 * float(hess.trace()) / len(fset),
                   1e-8 * _max_or_zero(np.abs(gf)) / scale_b)
         hess.flat[:: len(fset) + 1] += lev
+        # hess is positive definite, sub W sub.T with W > 0 plus lev > 0 on
+        # its diagonal, so LAPACK can meet a zero pivot only through
+        # rounding; the gradient step then remains
         try:
             newton = _newton_step(hess, -gf)
         except LinAlgError:
@@ -869,6 +906,9 @@ def _clearing_prices(
         base = prices[fset]
         candidates = [newton, -gf] if newton is not None else [-gf]
         for step in candidates:
+            # the Newton step descends, gf @ step = -gf hess^-1 gf < 0, and so
+            # does -gf, as gf = 0 would have passed the stop test: only a step
+            # rounding spoiled is passed over
             if float(gf @ step) >= 0.0:
                 continue
             t_step = 1.0

@@ -68,6 +68,7 @@ BAD_SCENARIO_VALUES = [
     ("utilities_gen", "lo", 5, "unknown utilities_gen fields: ['lo']"),
     ("utilities_gen", "base", 5, "unknown utilities_gen fields: ['base']"),  # another kind's key
     ("utilities_gen", "kind", DROP, "missing utilities_gen fields: ['kind']"),
+    ("utilities_gen", "kind", "normal", "unknown utilities_gen kind 'normal'"),
     ("utilities_gen", "high", float("inf"), "bad coefficient range [5.0, inf]"),
     ("disruption", "edge_count", [1], "disruption field 'edge_count' must be an integer, got [1]"),
     ("disruption", "edge_count", 1.9, "disruption field 'edge_count' must be an integer, got 1.9"),
@@ -326,6 +327,19 @@ def test_nonconvergence_exit_code(tmp_path, monkeypatch):
     assert row["status"] == "nonconverged"
 
 
+def test_recover_exits_1_when_the_baseline_does_not_converge(tmp_path, monkeypatch, capsys):
+    """A baseline that spends its budget leaves nothing to restart from: recover names the seed
+    and exits 1, as a run that does not converge does, and writes no record."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(single_pool, "_MAX_PASSES", 3)  # chain 0's pool k1 needs 36 passes
+    scn = write_instance_scenario(tmp_path, "chain0", *instances.chain_instance(0),
+                                  disruption={"kind": "reduce", "edge_count": 1, "magnitude": 0.1})
+    assert run_cli(["recover", "--scenario", str(scn), "--out", "out"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("seed=0 error: baseline run failed to converge: pool ")
+    assert not (tmp_path / "out" / "records.csv").exists()
+
+
 def test_solve_gives_a_lopsided_pool_its_tiny_share(tmp_path, capsys):
     """A pool valued at 0.003 of the others is owed a share below 1e-5; every seed clears."""
     scn = str(instances.SCENARIOS / "lopsided.json")
@@ -488,6 +502,29 @@ class TestBadInput:
         monkeypatch.chdir(tmp_path)
         scn = write_single_edge_scenario(tmp_path)
         assert run_cli(["solve", "--scenario", str(scn), "--out", "o", "--seeds", "a,b"]) == 2
+
+    @pytest.mark.parametrize("source", ["flag", "scenario"])
+    def test_empty_seed_list(self, tmp_path, monkeypatch, capsys, source):
+        """--seeds "," and a scenario's empty seed list name no seed to run."""
+        monkeypatch.chdir(tmp_path)
+        scn = write_single_edge_scenario(tmp_path, seeds=[] if source == "scenario" else [0])
+        flags = ["--seeds", ","] if source == "flag" else []
+        assert run_cli(["solve", "--scenario", str(scn), "--out", "o", *flags]) == 2
+        assert capsys.readouterr() == ("", "error: no seeds given\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sources", [(), ("utilities", "utilities_gen")], ids=["none", "two"])
+    def test_utilities_need_exactly_one_source(self, tmp_path, monkeypatch, capsys, sources):
+        monkeypatch.chdir(tmp_path)
+        scn = write_single_edge_scenario(tmp_path, utilities_gen={"kind": "uniform", "low": 5, "high": 15})
+        doc = json.loads(scn.read_text(encoding="utf-8"))
+        for key in ("utilities", "utilities_gen"):
+            if key not in sources:
+                del doc[key]
+        scn.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", "--scenario", str(scn), "--out", "o"]) == 2
+        err = "seed=0 error: scenario needs exactly one of 'utilities', 'utilities_file', 'utilities_gen'\n"
+        assert capsys.readouterr() == ("", err)
 
     @pytest.mark.parametrize("command", ["generate", "solve"])
     @pytest.mark.parametrize("source", ["flag", "scenario"])

@@ -1,5 +1,6 @@
 """Structure layer: networks, pools, loads, path prices, JSON round trip."""
 import gc
+import re
 from functools import partial
 
 import numpy as np
@@ -342,6 +343,23 @@ def test_json_round_trip(tmp_path):
     dump_network_file(net, pools, path)
     net3, pools3 = lm.load_network_file(path)
     assert lm.network_to_json(net3, pools3) == doc
+
+
+def test_unknown_edge_and_line_are_named():
+    net, pools, _ = instances.single_edge()
+    for read in (net.edge, net.capacity):
+        with pytest.raises(lm.InputMismatchError, match="unknown edge 'e9'"):
+            read("e9")
+    with pytest.raises(lm.InputMismatchError, match="no line for operator 'lop0' in pool 'k9'"):
+        pools.line("lop0", "k9")
+
+
+def test_document_that_repeats_a_line_is_rejected():
+    doc = lm.network_to_json(*instances.single_edge()[:2])
+    lines = doc["pools"][0]["lines"]
+    lines.append(dict(lines[0]))
+    with pytest.raises(ValueError, match=re.escape("duplicate line for ('lop0', 'k0')")):
+        lm.network_from_json(doc)
 
 
 def test_malformed_document_rejected():

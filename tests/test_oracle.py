@@ -1015,6 +1015,64 @@ def test_newton_step_is_numpy_solve_bit_for_bit():
             solve(singular, np.array([1.0, 0.0]))
 
 
+def _frozen_bid_pool(seed, pool):
+    """A chain pool's incidence, capacity, frozen bids (half the coefficients) and cold-start prices."""
+    net, pools, table = instances.chain_instance(seed)
+    view = lm.compile_pool(net, pools, pool)
+    coeffs = table.coefficients_for(view)
+    return view.incidence, view.capacity, 0.5 * coeffs, lm.cold_start(view, coeffs, 1.0).prices
+
+
+@pytest.mark.parametrize("seed, pool", [(7, "k0"), (15, "k1")])
+def test_descent_stops_where_no_step_moves_the_prices(seed, pool):
+    """At tol 0 only exact clearing passes the stop test.  On these two pools the descent reaches a
+    point where every trial step the Armijo test accepts leaves the prices as they are, so that trial
+    is not taken (the zero-move break), no candidate is accepted, and the solve returns, unconverged,
+    long before its iteration budget (the no-accept break), next to the point the default tol
+    accepts.  Without either break it would repeat that point to the budget."""
+    incidence, capacity, bids, opening = _frozen_bid_pool(seed, pool)
+    stuck = oracle._clearing_prices(incidence, capacity, bids, 1, opening, tol=0.0)
+    cleared = oracle._clearing_prices(incidence, capacity, bids, 1, opening)
+    assert cleared.converged and not stuck.converged
+    assert cleared.iterations < stuck.iterations < 300
+    np.testing.assert_allclose(stuck.prices, cleared.prices, rtol=1e-9)
+
+
+def test_newton_fallbacks_take_the_gradient(monkeypatch):
+    """A Newton system LAPACK calls singular, and a Newton step that does not descend, both leave the
+    iteration its projected gradient step.
+
+    The damped system is positive definite, so neither happens but through
+    rounding, and no solve of the suite meets either.  Forced at every
+    iteration, both give the same gradient-only descent, bit for bit,
+    which lowers chain 0's clearing terms from the opening's, though not
+    to solver precision in 300 iterations.
+    """
+    incidence, capacity, scale, opening = _frozen_bid_pool(0, "k0")
+    scale = 2.0 * scale  # the valuations' a / 2, at power 2
+
+    def singular(hess, rhs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def ascent(hess, rhs):
+        return -rhs
+
+    newton = oracle._clearing_prices(incidence, capacity, scale, 2, opening)
+    runs = []
+    for step in (singular, ascent):
+        monkeypatch.setattr(single_pool, "_newton_step", step)
+        runs.append(oracle._clearing_prices(incidence, capacity, scale, 2, opening))
+    assert newton.converged and newton.iterations < 10
+    assert runs[0].prices.tobytes() == runs[1].prices.tobytes() and runs[0].freqs.tobytes() == runs[1].freqs.tobytes()
+    assert (runs[0].converged, runs[0].iterations, runs[0].dual_evals) == (False, 300, runs[1].dual_evals)
+
+    def terms(prices):
+        mu = np.maximum(incidence.T @ prices, single_pool._TINY)
+        return max(single_pool._clearing_terms(prices, incidence @ ((scale / mu) ** 2) - capacity))
+
+    assert terms(runs[0].prices) < terms(opening)
+
+
 def test_cost_level_is_mean_cost_of_pools_holding_a_share():
     """The oracle's cost level is a run's: the mean network cost over the pools of positive share, exactly."""
     cases = [instances.shared_edge_two_pools(0.5)] + [instances.chain_instance(seed) for seed in range(5)]

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket import scenarios
+from linemarket import scenarios, single_pool
 
 import instances
 
@@ -363,6 +363,16 @@ class TestRecoveryExperiment:
         assert out.baseline is base
         assert out.warm.status == "converged"
         assert out.warm.total_price_updates == sum(out.warm.price_updates.values())
+
+    def test_unconverged_baseline_is_refused(self, monkeypatch):
+        """A baseline that did not converge is no state to restart from: the experiment raises."""
+        net, pools, table = instances.chain_instance(0)
+        monkeypatch.setattr(single_pool, "_MAX_PASSES", 3)  # chain 0's pool k1 needs 36 passes
+        base = lm.run_mechanism(net, pools, table)
+        assert not base.converged
+        dis = lm.DisruptionSpec("reduce", 1, 0.1, seed=2)
+        with pytest.raises(RuntimeError, match="baseline run failed to converge: pool k1 hit the iteration budget"):
+            lm.run_recovery_experiment(net, pools, table, dis, baseline=base)
 
     def test_disrupted_capacity_recorded(self):
         net, pools, table = instances.single_edge()

@@ -16,6 +16,7 @@ from linemarket.single_pool import (
 )
 
 import instances
+import report
 
 
 class TestPriceStep:
@@ -630,15 +631,15 @@ def test_warm_state_reopens_a_moved_edge_at_its_half_homogeneous_price(k1_baseli
     view = lm.compile_pool(shocked, pools, k)
     (moved,) = np.flatnonzero(view.capacity != net.capacity_vector())
     assert warm.prices[moved] > 0.0
-    openings = []
+    openings = []  # the own-edge prices each price step starts from; the first is the opening's
 
-    def residuals(coefficients, prices, *rest, _fn=single_pool.pool_residuals):
+    def step(prices, *rest, _fn=single_pool.price_step):
         openings.append(prices.copy())
-        return _fn(coefficients, prices, *rest)
+        return _fn(prices, *rest)
 
-    monkeypatch.setattr(single_pool, "pool_residuals", residuals)
+    monkeypatch.setattr(single_pool, "price_step", step)
     got = run_pool(view, table.coefficients_for(view), warm.share, warm, instances.GRID_CFG.inner)
-    assert got.converged
+    assert got.converged and got.iterations > 0
     own = view.own_edges
     opening = np.zeros(view.n_edges)
     opening[own] = openings[0]
@@ -955,26 +956,43 @@ def test_argmax_maximum_is_max_with_zero_initial(case):
 
 
 def _record_allocations(monkeypatch):
-    """Patch the allocation seam to record, per price-loop step, its priced flag and its path prices."""
+    """Patch the allocation seam to record each price-loop step.
+
+    A step is recorded as (priced, uncapped, path prices, allocation, cap):
+    its priced flag, whether it skipped the cap (cap=None), and the cap its
+    run allocates under, the one the run's opening allocation passed.  The
+    steps of a run come in passes of bid_refresh_period: its plain steps,
+    then the allocation after its re-bid, which always passes the cap.
+    """
     steps = []
+    run_cap = [None]
     allocate_frequencies = single_pool.allocate_frequencies
 
     def recorded(*args):
+        freqs = allocate_frequencies(*args)
+        if args[3] is not None:
+            run_cap[0] = args[3]
         if len(args) == 5:  # a step of the loop; the opening allocation passes no flag
-            steps.append((args[4], args[0].copy()))
-        return allocate_frequencies(*args)
+            steps.append((args[4], args[3] is None, args[0].copy(), freqs.copy(), run_cap[0]))
+        return freqs
 
     monkeypatch.setattr(single_pool, "allocate_frequencies", recorded)
     return steps
 
 
 def test_certified_passes_price_every_path(monkeypatch, k1_baseline, k2_baseline):
-    """Every step and every re-bid of a pass the certificate covers sees every path priced.
+    """Every step and every re-bid of a pass the certificate covers sees every path priced, and
+    every step of an uncapped pass allocates below its cap.
 
     The runs are the 20 chains, the 7x12 one- and two-pool grids at seeds 0
     to 2 cold, and their warm restarts after criterion 6's 10% shocks (the
-    mixed shock only where two edges are congested).
+    mixed shock only where two edges are congested).  The shares of plain
+    steps that ran certified, and certified and uncapped, are printed in the
+    terminal summary, so a change that narrows either certificate shows.
     """
+    # the baselines first, so the steps recorded are the same whichever test
+    # ran them before
+    baselines = [baseline(seed) for baseline in (k1_baseline, k2_baseline) for seed in range(3)]
     steps = _record_allocations(monkeypatch)
     rebids = []  # each boundary re-bid's priced flag and path prices
     refresh_bids = single_pool.refresh_bids
@@ -986,24 +1004,37 @@ def test_certified_passes_price_every_path(monkeypatch, k1_baseline, k2_baseline
     monkeypatch.setattr(single_pool, "refresh_bids", recorded)
     for seed in range(20):
         lm.run_mechanism(*instances.chain_instance(seed))
-    for baseline in (k1_baseline, k2_baseline):
-        for seed in range(3):
-            net, pools, table, base = baseline(seed)
-            assert lm.run_mechanism(net, pools, table, instances.GRID_CFG).converged
-            mixed = len(lm.congested_edges(base.state)) >= 2
-            for kind in ("reduce", "increase", "mixed") if mixed else ("reduce", "increase"):
-                spec = lm.DisruptionSpec(kind=kind, edge_count=1, magnitude=0.1, seed=seed * 7 + 1)
-                rec = lm.run_recovery_experiment(
-                    net, pools, table, spec, instances.GRID_CFG, baseline=base, modes=("warm",)
-                ).warm
-                assert rec.status == "converged" and rec.total_price_updates > 0
-    certified = [mu for priced, mu in steps if priced]
+    chain_steps = len(steps)
+    for seed, (net, pools, table, base) in zip(itertools.cycle(range(3)), baselines):
+        assert lm.run_mechanism(net, pools, table, instances.GRID_CFG).converged
+        mixed = len(lm.congested_edges(base.state)) >= 2
+        for kind in ("reduce", "increase", "mixed") if mixed else ("reduce", "increase"):
+            spec = lm.DisruptionSpec(kind=kind, edge_count=1, magnitude=0.1, seed=seed * 7 + 1)
+            rec = lm.run_recovery_experiment(
+                net, pools, table, spec, instances.GRID_CFG, baseline=base, modes=("warm",)
+            ).warm
+            assert rec.status == "converged" and rec.total_price_updates > 0
+    certified = [mu for priced, _, mu, _, _ in steps if priced]
     assert all(_positive(mu) for mu in certified)
     certified_rebids = [mu for priced, mu in rebids if priced]
     assert all(_positive(mu) for mu in certified_rebids)
+    # a step skips the cap only in a certified pass, and its allocation stays
+    # below the cap it skipped
+    uncapped = [(priced, freqs, cap) for priced, skipped, _, freqs, cap in steps if skipped]
+    assert all(priced and np.all(freqs < cap) for priced, freqs, cap in uncapped)
     # most steps and most re-bids of these runs are covered
     assert len(certified) > len(steps) / 2
     assert len(certified_rebids) > len(rebids) / 2
+    assert uncapped
+
+    period = lm.DynamicsConfig.bid_refresh_period
+    shares = []
+    for name, part in (("20 chains", steps[:chain_steps]), ("7x12 grids", steps[chain_steps:])):
+        plain = [(priced, skipped) for i, (priced, skipped, *_) in enumerate(part) if i % period != period - 1]
+        shares.append(f"{name} {sum(p for p, _ in plain) / len(plain):.1%} / {sum(u for _, u in plain) / len(plain):.1%} "
+                      f"of {len(plain):,}")
+    report.note(f"refresh-pass certificates, plain steps certified / uncapped: {', '.join(shares)} "
+                "(grids at seeds 0-2, cold and warm after 10% shocks)")
 
 
 def test_uncertified_pass_takes_the_masked_allocation(monkeypatch):
@@ -1011,11 +1042,11 @@ def test_uncertified_pass_takes_the_masked_allocation(monkeypatch):
 
     A warm state prices a lone edge at 5 with a bid that buys almost
     nothing, so the price falls by eta * supply = 0.16 a step.  The first
-    two passes open above floor = 3.2 and are certified; the fourth opens
-    at 0.2 and its price reaches zero on its second step, where the line
-    must get its ceiling, not the overload cap an unmasked division by
-    zero would give.  At the pass's boundary the line, bidding on an
-    unpriced path, is charged to its edge.
+    three passes open at 5, 3.4 and 1.8, above floor = period * eta * supply
+    = 1.6, and are certified; the fourth opens at 0.2 and its price reaches
+    zero on its second step, where the line must get its ceiling, not the
+    overload cap an unmasked division by zero would give.  At the pass's
+    boundary the line, bidding on an unpriced path, is charged to its edge.
     """
     steps = _record_allocations(monkeypatch)
     net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
@@ -1030,9 +1061,79 @@ def test_uncertified_pass_takes_the_masked_allocation(monkeypatch):
     seen = {
         "certified pass": passes.count(True),
         "uncertified pass": passes.count(False),
-        "masked allocation": sum(not priced and not _positive(mu) for priced, mu in steps),
+        "masked allocation": sum(not priced and not _positive(mu) for priced, _, mu, _, _ in steps),
     }
-    assert passes == [True, True, False, False] and min(seen.values()) > 0, seen
+    assert passes == [True, True, True, False] and min(seen.values()) > 0, seen
+
+
+def test_pass_certificates_hold_at_their_bounds(monkeypatch):
+    """Passes that open at the bounds of either certificate run as the eager reference does, bit for bit.
+
+    Each trial draws a pool on a path of 2 to 8 edges with 2 to 5 lines, each
+    a run of consecutive edges, and a warm state cleared at a quarter of the
+    share, so the run rescales it exactly (prices by 1/2, bids by 2) and
+    runs at least one pass.  Each own edge opens within a relative 1e-12 of
+    floor = period * eta * supply, or up to three times floor; each line's
+    offer opens within a relative 1e-12 of cap * lower, lower being the sum
+    of price minus floor over the line's edges priced above floor, or well
+    below it.  So the first pass falls on either side of both certificates,
+    and the run must still give the bytes of the reference loop, which
+    masks and caps every allocation.
+    """
+    rng = np.random.default_rng(37)
+    steps = _record_allocations(monkeypatch)
+    monkeypatch.setattr(single_pool, "_MAX_PASSES", 2)
+    period = lm.DynamicsConfig.bid_refresh_period
+    share = 0.5
+    seen = {"certified": 0, "uncertified": 0, "uncapped": 0, "certified and capped": 0,
+            "certified by a line whose edges are all within 1e-12 of floor": 0,
+            "uncapped with an offer within 1e-12 of cap * lower": 0}
+    for trial in range(300):
+        used = []
+        while len(used) < 2:
+            starts = rng.integers(0, 8, int(rng.integers(2, 6)))
+            spans = [(int(i), int(rng.integers(i + 1, 9))) for i in starts]
+            used = sorted(set().union(*(range(i, j) for i, j in spans)))
+        # the network holds the pool's own edges only: the engine sums a path
+        # price over those, the reference over every edge of the view
+        net = lm.Network([f"n{t}" for t in range(9)],
+                         [lm.Edge(f"e{t}", f"n{t}", f"n{t + 1}", float(rng.uniform(2.0, 10.0))) for t in used])
+        lines = {(f"lop{p}", "k0"): lm.Line(tuple(f"e{t}" for t in range(i, j))) for p, (i, j) in enumerate(spans)}
+        view = lm.compile_pool(net, lm.PoolSystem(["k0"], lines), "k0")
+        n_edges = view.n_edges
+        eta = float(rng.uniform(0.005, 0.05))
+        floor = period * eta * (view.capacity * share)
+        # an edge opens within 1e-12 of floor, half of those within 256 ulps,
+        # or at 1 to 3 times floor, or so far above it that a pass moves its
+        # price by a relative 1e-10 or less
+        kind = rng.integers(0, 4, n_edges)
+        near = kind < 2
+        prices = floor * np.choose(kind, [1.0 + rng.uniform(-1e-12, 1e-12, n_edges),
+                                          1.0 + rng.integers(-256, 257, n_edges) * np.finfo(float).eps,
+                                          rng.uniform(1.0, 3.0, n_edges), 10.0 ** rng.uniform(9.0, 13.0, n_edges)])
+        lower = view.incidence.T @ np.maximum(prices - floor, 0.0)
+        cap = 1.25 * view.bottleneck * share
+        # a line offers within 1e-12 of cap * lower, or well below it, or a
+        # trace of 1e-20, whose load no price step sees, so that its edges'
+        # prices fall by the whole of period * eta * supply in a pass; a line
+        # with no edge above floor offers the trace too, since a warm line
+        # without a bid would cold-start the pool
+        close = rng.random(view.n_lops) < 0.5
+        offers = cap * lower * np.where(close, 1.0 + rng.uniform(-1e-12, 1e-12, view.n_lops),
+                                        rng.uniform(0.2, 0.9, view.n_lops))
+        offers = np.where((offers > 0.0) & (rng.random(view.n_lops) < 0.8), offers, 1e-20)
+        warm = lm.PoolMarketState("k0", view.edge_ids, view.lop_ids, 2.0 * prices, 0.5 * offers,
+                                  np.zeros(view.n_lops), share / 4)
+        first = len(steps)
+        assert_same_run(view, rng.uniform(2.0, 5.0, view.n_lops), share, lm.DynamicsConfig(price_eta=eta), warm)
+        priced, uncapped = steps[first][:2]
+        near_only = ~np.any((view.incidence > 0.0) & ~near[:, None], axis=0)
+        seen["certified" if priced else "uncertified"] += 1
+        seen["uncapped"] += int(uncapped)
+        seen["certified and capped"] += int(priced and not uncapped)
+        seen["certified by a line whose edges are all within 1e-12 of floor"] += int(priced and near_only.any())
+        seen["uncapped with an offer within 1e-12 of cap * lower"] += int(uncapped and (close & (lower > 0.0)).any())
+    assert min(seen.values()) > 0, seen
 
 
 def _chain_with_unused_edge(first):
@@ -1276,12 +1377,12 @@ def test_seams_run_once_per_use(monkeypatch):
     assert all(n % period == 0 for _, n, _ in runs)
     assert calls["price_step"] == updates
     assert calls["refresh_bids"] == boundaries
-    # each pass of a loop ends at a boundary; the pass that spends the
-    # budget skips the pre-check
-    assert len(checks) == boundaries - budget_exits
+    # each pass of a loop ends at a boundary, and the pass that spends the
+    # budget skips the pre-check; a run whose share did not move pre-checks
+    # its opening too, and a rescaled run, which may not stop there, does not
+    assert len(checks) == boundaries - budget_exits + moved.count(False)
     assert not all(checks)
-    # one full check before the first update of each run, moved or not, one
-    # per boundary whose pre-check passes, one more on a budget exit
-    assert calls["pool_residuals"] == len(runs) + sum(checks) + budget_exits
+    # one full check per pre-check that passes, one more on a budget exit
+    assert calls["pool_residuals"] == sum(checks) + budget_exits
     # one allocation per price update, and one per run before the first
     assert calls["allocate_frequencies"] == updates + len(runs)
