@@ -19,7 +19,7 @@ from .network import (
     network_from_json,
     network_to_json,
 )
-from .utility import UtilitySpec, UtilityTable, best_response_bid
+from .utility import UtilitySpec, UtilityTable
 from .single_pool import (
     DynamicsConfig,
     PoolMarketState,

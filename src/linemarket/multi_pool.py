@@ -56,20 +56,15 @@ class ProportionVector:
 
     values is the split's own read-only copy of the array it was given, so
     no two splits, nor a split and its caller, share writable memory.  Each
-    entry must be a real number by _check_real's rule, else ValueError: a
-    bool or a string such as "0.5" is no share, though float() would take
-    it.  An array of floating-point or integer dtype passes on its dtype
-    alone.
+    entry must be a real number (_real_values), else ValueError: a bool or
+    a string such as "0.5" is no share, though float() would take it.
     """
 
     pool_ids: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if getattr(getattr(self.values, "dtype", None), "kind", None) not in ("f", "i", "u"):
-            for value in np.ravel(np.array(self.values, dtype=object)):
-                _check_real("proportion", value)
-        values = np.array(self.values, dtype=float)
+        values = np.array(_real_values("proportion", self.values))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         n = len(self.pool_ids)
@@ -92,10 +87,28 @@ class ProportionVector:
         return cls(pool_ids, np.full(n, 1.0 / n))
 
     def share(self, pool_id: str) -> float:
-        return float(self.values[self.pool_ids.index(pool_id)])
+        """The share of pool_id; a pool the split does not cover raises InputMismatchError."""
+        try:
+            return float(self.values[self.pool_ids.index(pool_id)])
+        except ValueError:
+            raise InputMismatchError(f"the split has no share for pool {pool_id!r}; it covers "
+                                     f"{list(self.pool_ids)}") from None
 
     def as_dict(self) -> dict[str, float]:
         return {k: float(v) for k, v in zip(self.pool_ids, self.values)}
+
+
+def _real_values(name: str, values) -> np.ndarray:
+    """values as a float array whose every entry is a real number by _check_real's rule.
+
+    np.asarray(values, dtype=float) would take "0.5" and True; here either
+    raises ValueError naming name.  An array of floating-point or integer
+    dtype passes on its dtype alone.
+    """
+    if getattr(getattr(values, "dtype", None), "kind", None) not in ("f", "i", "u"):
+        for value in np.ravel(np.array(values, dtype=object)):
+            _check_real(name, value)
+    return np.asarray(values, dtype=float)
 
 
 def _mean(x: np.ndarray) -> float:
@@ -132,10 +145,15 @@ def update_proportions(shares: ProportionVector, costs: np.ndarray) -> Proportio
     one that cannot run) stays zero.  A pool's cost at share f is its cost
     at share 1 over sqrt(f), so fed exactly cleared costs the step lands on
     the optimal split at once, however lopsided.  The warm states are
-    rescaled to the new split by the pool runs, not overwritten here.  A
-    nonpositive mean cost makes the step undefined; the split is returned
-    unchanged.
+    rescaled to the new split by the pool runs, not overwritten here.  costs
+    must hold one real number per pool of the split (_real_values), else
+    ValueError, and each must be finite and nonnegative, else
+    InputMismatchError.  A mean cost of zero makes the step undefined; the
+    split is returned unchanged.
     """
+    costs = _real_values("cost", costs)
+    _check_length("split update", "costs", costs, len(shares.pool_ids))
+    _check_nonnegative("split update", "costs", costs)
     level = _mean(costs)
     if not level > 0.0:
         return shares
@@ -157,8 +175,7 @@ class MechanismConfig:
     eps_cost: float = 0.05
 
     def __post_init__(self) -> None:
-        if not 0.0 < _check_real("eps_cost", self.eps_cost) < np.inf:
-            raise ValueError(f"eps_cost must be positive and finite, got {self.eps_cost}")
+        _check_real("eps_cost", self.eps_cost, "(0, inf)")
 
 
 @dataclass
@@ -226,26 +243,19 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
         )
     for k, view in views.items():
         st = warm.pool_states[k]
+        where = f"{what} of pool {k!r}"
         if tuple(st.edge_ids) != view.edge_ids or tuple(st.lop_ids) != view.lop_ids:
-            raise InputMismatchError(f"{what} of pool {k!r} has other edges or operators than the instance")
+            raise InputMismatchError(f"{where} has other edges or operators than the instance")
         for name, n in (("prices", view.n_edges), ("bids", view.n_lops), ("freqs", view.n_lops)):
             values = getattr(st, name)
-            _check_length(what, k, name, values, n)
+            _check_length(where, name, values, n)
             dtype = getattr(values, "dtype", None)
             # kind "f" is every floating-point dtype, as np.issubdtype(dtype, np.floating) reads it
             if getattr(dtype, "kind", None) != "f":
-                raise InputMismatchError(f"{what} of pool {k!r}: {name} is not a floating-point array (dtype {dtype})")
-            _check_nonnegative(what, k, name, values)
-        try:
-            if not 0.0 <= _check_real("share", st.share) < np.inf:
-                raise ValueError(f"share must be finite and at least 0, got {st.share!r}")
-        except ValueError as err:
-            raise InputMismatchError(f"{what} of pool {k!r}: {err}") from None
-    try:
-        if not -np.inf < _check_real("cost_level", warm.cost_level) < np.inf:
-            raise ValueError(f"cost_level must be finite, got {warm.cost_level!r}")
-    except ValueError as err:
-        raise InputMismatchError(f"{what}: {err}") from None
+                raise InputMismatchError(f"{where}: {name} is not a floating-point array (dtype {dtype})")
+            _check_nonnegative(where, name, values)
+        _check_real(f"{where}: share", st.share, "[0, inf)", InputMismatchError)
+    _check_real(f"{what}: cost_level", warm.cost_level, "(-inf, inf)", InputMismatchError)
 
 
 def _live_split(shares: ProportionVector, live: np.ndarray) -> ProportionVector:
@@ -366,13 +376,6 @@ def run_mechanism(
             break
         if costs_equal(live_costs, cfg.eps_cost):
             converged = True
-            break
-        # a live pool's cost is capacity @ prices, both nonnegative, and a
-        # converged run's prices are finite, so a level of zero means every
-        # live cost is zero, which the equal-cost test has just accepted:
-        # the exit guards the split update against a level no run reaches
-        if not level > 0.0:
-            diagnostics = "mean pool cost is zero; split update undefined"
             break
         if outer == _MAX_OUTER:
             diagnostics = f"equal-cost test still failing after {_MAX_OUTER} split updates"

@@ -62,36 +62,47 @@ def _check_count(name: str, value: object, least: int = 1) -> int:
     return int(value)
 
 
-def _check_real(name: str, value: object) -> float:
-    """A real number as a Python float; reject a bool or a non-number such as "4".
+def _check_real(name: str, value: object, interval: str | None = None,
+                error: type[ValueError] = ValueError) -> float:
+    """A real number as a Python float; reject a bool, a non-number such as "4", or one out of range.
 
     float() would take both, True as 1.0 and "4" as 4.0, so every reader of
-    a real-valued input checks it here first and raises ValueError naming
-    the input.  Any real type passes, numpy's included; NaN and the
-    infinities pass too, and the caller's range check decides on them.
+    a real-valued input checks it here first.  Any real type passes, numpy's
+    included.  interval is the range the value must lie in, written as the
+    message states it, such as "(0, inf)" or "[0, 1]": a parenthesis leaves
+    its end open, a bracket closes it.  NaN lies in no interval.  A value
+    that is no real number, or lies outside the interval, raises one
+    message, which names the input and the interval, as error, ValueError
+    or a subclass such as InputMismatchError; without an interval NaN and
+    the infinities pass, and the caller decides on them.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise ValueError(f"{name} is out of the float range") from None
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            raise error(f"{name} is out of the float range") from None
+        if interval is None:
+            return x
+        low, high = (float(end) for end in interval[1:-1].split(","))
+        if (low <= x if interval[0] == "[" else low < x) and (x <= high if interval[-1] == "]" else x < high):
+            return x
+    raise error(f"{name} must be a real number{'' if interval is None else ' in ' + interval}, got {value!r}")
 
 
-def _check_length(what: str, k: str, name: str, values: np.ndarray, n: int) -> None:
-    """Reject values unless it is one-dimensional with n entries, naming what, pool k and name."""
+def _check_length(where: str, name: str, values: np.ndarray, n: int) -> None:
+    """Reject values unless it is one-dimensional with n entries, naming where it was read and name."""
     if (values.shape if isinstance(values, np.ndarray) else np.shape(values)) != (n,):
-        raise InputMismatchError(f"{what} of pool {k!r}: {name} has shape {np.shape(values)}; the instance needs ({n},)")
+        raise InputMismatchError(f"{where}: {name} has shape {np.shape(values)}; the instance needs ({n},)")
 
 
-def _check_nonnegative(what: str, k: str, name: str, values: np.ndarray) -> None:
-    """Reject a float array holding a negative or non-finite entry, naming what, pool k and name.
+def _check_nonnegative(where: str, name: str, values: np.ndarray) -> None:
+    """Reject a float array holding a negative or non-finite entry, naming where it was read and name.
 
     argmin and argmax point at the first NaN when there is one, so the two
     reads reject what (np.isfinite(values) & (values >= 0.0)).all() rejects.
     """
     if values.size and not (values[values.argmin()] >= 0.0 and values[values.argmax()] < np.inf):
-        raise InputMismatchError(f"{what} of pool {k!r}: {name} holds a negative or non-finite entry")
+        raise InputMismatchError(f"{where}: {name} holds a negative or non-finite entry")
 
 
 @dataclass(frozen=True)
@@ -239,9 +250,6 @@ class PoolSystem:
         if not_lines:
             raise InputMismatchError(f"lines {not_lines} are not Line objects")
 
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.lines))
-
     def lops_in(self, pool_id: str) -> tuple[str, ...]:
         return tuple(sorted(lop for lop, k in self.lines if k == pool_id))
 
@@ -289,9 +297,6 @@ class PoolView:
     @property
     def n_lops(self) -> int:
         return len(self.lop_ids)
-
-    def lines_per_edge(self) -> np.ndarray:
-        return self.incidence.sum(axis=1)
 
 
 def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:

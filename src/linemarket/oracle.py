@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import InputMismatchError, Network, PoolSystem, PoolView, _check_length, compile_pool
+from .network import InputMismatchError, Network, PoolSystem, PoolView, _check_length, _check_real, compile_pool
 from .multi_pool import OuterState, ProportionVector, _check_warm, _mean, pool_cost
 from .single_pool import (_TINY, PoolMarketState, _PoolSolve, _clearing_prices, _fair_split, _max_or_zero,
                           _neck_prices, _pool_terms, _stack_pools)
@@ -146,7 +146,8 @@ def kkt_report(
     order, its compiled view (compile_pool), its valuation coefficients in
     the view's operator order (UtilityTable.coefficients_for), its
     frequencies, one per operator of the view, and its edge prices, one per
-    edge of the view; then one share per pool and the common cost level.
+    edge of the view; then one share per pool and the common cost level,
+    a real number (a bool or a string such as "3" raises ValueError).
     Checks, per pool: marginal value equals path price on running lines
     and no line that could run stands idle,
     priced edges run at share-scaled capacity, loads within capacity, and,
@@ -169,6 +170,7 @@ def kkt_report(
                       ("price arrays", prices), ("shares", shares)):
         if len(seq) != len(views):
             raise InputMismatchError(f"{len(seq)} {name} for the {len(views)} pools {pool_ids}")
+    _check_real("cost_level", cost_level)
     level_scale = max(abs(cost_level), _TINY)
     share_vec = np.asarray(shares, dtype=float)
 
@@ -184,7 +186,7 @@ def kkt_report(
         a, x, lam = np.asarray(a, dtype=float), np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
         for name, values, n in (("coefficients", a, view.n_lops), ("freqs", x, view.n_lops),
                                 ("prices", lam, view.n_edges)):
-            _check_length("candidate", view.pool_id, name, values, n)
+            _check_length(f"candidate of pool {view.pool_id!r}", name, values, n)
         slack = view.incidence @ x - view.capacity * share
         over, comp, gap, mu = _pool_terms(a, lam, x, view.incidence.T @ lam, slack)
         neg = _worst(_worst(neg, -float(x.min(initial=0.0))), -float(lam.min(initial=0.0)))

@@ -166,13 +166,12 @@ def uniform_utilities(
 ) -> UtilityTable:
     """Independent uniform coefficients per (operator, pool).
 
-    low and high must be real numbers with 0 < low <= high < inf, and seed a
+    low must be a real number in (0, inf), high one in [low, inf), and seed a
     whole number of at least 0; a bool passes for none of them, and a bad
     one raises ValueError naming it.
     """
-    low, high = _check_real("low", low), _check_real("high", high)
-    if not 0 < low <= high < np.inf:
-        raise ValueError(f"bad coefficient range [{low}, {high}]")
+    low = _check_real("low", low, "(0, inf)")
+    high = _check_real("high", high, f"[{low!r}, inf)")
     rng = np.random.default_rng(_check_count("seed", seed, 0))
     entries = {
         key: UtilitySpec(float(rng.uniform(low, high)))
@@ -186,16 +185,14 @@ def pool_scaled_utilities(
 ) -> UtilityTable:
     """One coefficient per pool: base times that pool's scale, same for all operators.
 
-    base and each scale must be positive real numbers, and scales a sequence
-    of one per pool; a bool or a string passes for none of them, and a bad
-    one raises ValueError naming it.
+    base and each scale must be real numbers in (0, inf), and scales a
+    sequence of one per pool; a bool or a string passes for none of them,
+    and a bad one raises ValueError naming it.
     """
-    base = _check_real("base", base)
+    base = _check_real("base", base, "(0, inf)")
     if isinstance(scales, str) or not isinstance(scales, Sized) or len(scales) != len(pools.pool_ids):
         raise ValueError(f"need exactly one scale per pool, got {scales!r}")
-    by_pool = {k: _check_real(f"scale of pool {k!r}", scale) for k, scale in zip(pools.pool_ids, scales)}
-    if not (base > 0 and all(scale > 0 for scale in by_pool.values())):
-        raise ValueError(f"base and scales must be positive, got {base} and {list(by_pool.values())}")
+    by_pool = {k: _check_real(f"scale of pool {k!r}", scale, "(0, inf)") for k, scale in zip(pools.pool_ids, scales)}
     entries = {
         (lop, k): UtilitySpec(base * by_pool[k])
         for (lop, k) in sorted(pools.lines)
@@ -236,8 +233,7 @@ class DisruptionSpec:
         if self.kind not in self._KINDS:
             raise ValueError(f"kind must be one of {self._KINDS}, got {self.kind!r}")
         _check_count("edge_count", self.edge_count)
-        if not 0.0 <= _check_real("magnitude", self.magnitude) <= 1.0:
-            raise ValueError(f"magnitude must lie in [0, 1], got {self.magnitude}")
+        _check_real("magnitude", self.magnitude, "[0, 1]")
         _check_count("seed", self.seed, 0)
 
 

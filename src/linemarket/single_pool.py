@@ -64,11 +64,13 @@ checks (the priced flag of allocate_frequencies and refresh_bids).  When
 every line's offer is below its lower times cap * (1 - margin) squared,
 which needs every lower positive, no allocation of the pass's plain steps
 can reach its cap either, and they skip the truncation too
-(allocate_frequencies with cap None): the pass is uncapped.  The allocation after the re-bid, under new offers,
-keeps its cap, and any other pass checks at every step and at its re-bid.
-Of the plain steps of the 20 test chains 92% run certified and 47%
-uncapped; of those of the 7x12 one- and two-pool grids at seeds 0 to 4 at
-the pinned step, 99.7% and 82%.  A pool with a closed edge or a line that
+(allocate_frequencies with cap None): the pass is uncapped.  The
+allocation after the re-bid, under new offers, keeps its cap, and any
+other pass checks at every step and at its re-bid.  Most plain steps run
+certified, and many uncapped, since a pool nearing its clearing point
+holds its prices well above floor; the "refresh-pass certificates" line
+of the tier-1 suite's measurements section gives both shares on the 20
+test chains and the 7x12 grids.  A pool with a closed edge or a line that
 cannot run, or a price falling to zero, takes the masked paths where a
 path is unpriced.  The stop test and the refresh read their maxima
 through argmax (_max_or_zero), which gives what x.max(initial=0.0) gives,
@@ -137,7 +139,8 @@ _OVERLOAD = 1.25
 # The stop test's tolerances: a pool has cleared when neither its worst
 # overload nor its worst |price * excess| exceeds _ABS_TOL and every active
 # line's marginal value is within _REL_TOL of its path price, relatively.  A
-# refresh that moves some bid by more than _REL_TOL counts as a bid update.
+# refresh that moves some bid by more than _REL_TOL times that bid counts as
+# a bid update.
 _ABS_TOL = 0.1
 _REL_TOL = 0.1
 
@@ -147,6 +150,13 @@ _REL_TOL = 0.1
 # the budget.
 _MAX_PASSES = 5_000
 
+# The exact clearing solve (_clearing_prices) stops when its worst overload
+# and worst |price * excess| are within _NEWTON_TOL times the largest
+# budget, and spends at most _NEWTON_ITERS Newton iterations; no caller sets
+# either.
+_NEWTON_ITERS = 300
+_NEWTON_TOL = 1e-11
+
 
 @dataclass(frozen=True)
 class DynamicsConfig:
@@ -154,10 +164,12 @@ class DynamicsConfig:
 
     price_eta of None means the capacity-scaled default: one percent of the
     smallest open edge capacity divided by the largest number of lines
-    sharing an edge.  Operators re-bid every bid_refresh_period price
+    sharing an edge; a price_eta given must be a real number in (0, inf),
+    else ValueError.  Operators re-bid every bid_refresh_period price
     updates, a constant of the dynamics rather than a field.  The stop
     test's tolerances and the refresh passes one pool run may spend are the
-    module constants _ABS_TOL, _REL_TOL and _MAX_PASSES.  No field describes
+    module constants _ABS_TOL, _REL_TOL and _MAX_PASSES, as the exact
+    solve's are _NEWTON_TOL and _NEWTON_ITERS.  No field describes
     the instance: what is legal input is decided before any pool runs, by
     the network and pool system when built and by compile_pool.
     """
@@ -166,8 +178,8 @@ class DynamicsConfig:
     price_eta: float | None = None
 
     def __post_init__(self) -> None:
-        if self.price_eta is not None and not 0.0 < _check_real("price_eta", self.price_eta) < np.inf:
-            raise ValueError(f"price_eta must be positive and finite, got {self.price_eta}")
+        if self.price_eta is not None:
+            _check_real("price_eta", self.price_eta, "(0, inf)")
 
 
 def default_price_eta(view: PoolView) -> float:
@@ -177,7 +189,7 @@ def default_price_eta(view: PoolView) -> float:
     and freeze every price.  When every edge is closed no load can move, so
     the step is irrelevant and the scale falls back to one.
     """
-    crowd = view.lines_per_edge().max() if view.n_lops else 1.0
+    crowd = view.incidence.sum(axis=1).max() if view.n_lops else 1.0
     open_caps = view.capacity[view.capacity > 0.0]
     scale = float(open_caps.min()) if open_caps.size else 1.0
     return 0.01 * scale / max(1.0, float(crowd))
@@ -369,9 +381,9 @@ def _may_stop(prices: np.ndarray, excess: np.ndarray) -> bool:
 
     It decides as the two terms of _clearing_terms tested with <= do, NaN
     included, but it computes |price * excess| only once the worst overload
-    has passed.  The overload fails at 1,063 of the 1,460 boundaries of the
-    7x12 two-pool grids at seeds 0 to 4 at the pinned step, and at 37 of
-    the 178 of the 20 test chains.
+    has passed, and a pool still clearing fails on its overload at many
+    checks, as the "refresh-pass certificates" line of the tier-1 suite's
+    measurements section counts on the test chains and grids.
     pool_residuals(...).converged implies it, so the price loop computes the
     full residuals only at an opening or a boundary that passes it.
     """
@@ -466,8 +478,10 @@ def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMa
     is: bids scale by sqrt(share), prices by 1/sqrt(share).  A line through
     a closed edge opens at bid zero, so a closed edge carries no price.  The
     opening frequencies are allocated at those prices.  The oracle opens its
-    Newton solve at this state's share-1 prices.
+    Newton solve at this state's share-1 prices.  The share must be a real
+    number in [0, inf), else ValueError.
     """
+    _check_real("share", share, "[0, inf)")
     supply = view.capacity * share
     fair_ratio, neck = _fair_split(view.incidence, view.capacity)
     bids = 0.5 * coefficients * np.sqrt(share * fair_ratio)
@@ -674,7 +688,7 @@ def _run_pool(
         prices, _ = price_step(prices, loads, supply, eta)
         mu = inc_t.dot(prices)
         new_bids = refresh_bids(coefficients, mu, bids, priced)
-        if _max_or_zero(np.abs(new_bids - bids) / np.maximum(bids, 1e-300)) > _REL_TOL:
+        if np.count_nonzero(np.abs(new_bids - bids) > _REL_TOL * bids):
             bid_updates += 1
         bids = new_bids
         offers, free = _bid_terms(bids, ceil)
@@ -715,14 +729,13 @@ def run_price_dynamics(
     """
     prices = np.asarray(prices, dtype=float)
     bids = np.asarray(bids, dtype=float)
+    where = f"price dynamics of pool {view.pool_id!r}"
     for name, values, n in (("prices", prices, view.n_edges), ("bids", bids, view.n_lops)):
-        _check_length("price dynamics", view.pool_id, name, values, n)
-        _check_nonnegative("price dynamics", view.pool_id, name, values)
+        _check_length(where, name, values, n)
+        _check_nonnegative(where, name, values)
     steps = _check_count("steps", steps, least=0)
-    if not 0.0 < _check_real("eta", eta) < np.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
-    if not 0.0 <= _check_real("share", share) < np.inf:
-        raise ValueError(f"share must be finite and nonnegative, got {share}")
+    _check_real("eta", eta, "(0, inf)")
+    _check_real("share", share, "[0, inf)")
     hist = np.zeros((steps + 1, view.n_edges))
     exc = np.zeros((steps, view.n_edges))
     supply = view.capacity * share
@@ -795,8 +808,6 @@ def _clearing_prices(
     scale: np.ndarray,
     power: int,
     opening: np.ndarray,
-    max_iters: int = 300,
-    tol: float = 1e-11,
 ) -> _PoolSolve:
     """Edge prices clearing one pool at capacity budget `budget`.
 
@@ -830,10 +841,12 @@ def _clearing_prices(
     The dual value blows up whenever an active operator's path turns free
     of charge, so descent steps keep every such path priced without
     explicit bookkeeping.  The stop test reads the engine's own
-    overload and complementarity terms (_clearing_terms) at
-    `tol` times the largest budget.  The Armijo test allows for the dual
-    value's own rounding (a few ulps of it), else a step the rounding hides
-    stalls the descent short of `tol`.  Each accepted step's path prices,
+    overload and complementarity terms (_clearing_terms) at _NEWTON_TOL
+    times the largest budget, and the solve spends at most _NEWTON_ITERS
+    iterations; both are module constants, as a pool run's budget is.  The
+    Armijo test allows for the dual value's own rounding (a few ulps of
+    it), else a step the rounding hides stalls the descent short of the
+    tolerance.  Each accepted step's path prices,
     demand and loads carry over to the next iteration and to the exit.  At
     the returned point every active operator sits on her demand curve,
     loads never exceed the budget beyond solver precision, and priced edges
@@ -879,10 +892,10 @@ def _clearing_prices(
     load = sub_inc @ x
     converged = False
     iters = 0
-    for _ in range(max_iters):
+    for _ in range(_NEWTON_ITERS):
         iters += 1
         gap = load - sub_budget
-        if max(_clearing_terms(prices, gap)) <= tol * scale_b:
+        if max(_clearing_terms(prices, gap)) <= _NEWTON_TOL * scale_b:
             converged = True
             break
 
@@ -980,10 +993,10 @@ def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarr
     of at least 0, else ValueError.
     """
     bids = np.asarray(bids, dtype=float)
-    _check_length("frozen bids", view.pool_id, "bids", bids, view.n_lops)
-    _check_nonnegative("frozen bids", view.pool_id, "bids", bids)
-    if not 0.0 <= _check_real("share", share) < np.inf:
-        raise ValueError(f"share must be finite and nonnegative, got {share}")
+    where = f"frozen bids of pool {view.pool_id!r}"
+    _check_length(where, "bids", bids, view.n_lops)
+    _check_nonnegative(where, "bids", bids)
+    _check_real("share", share, "[0, inf)")
     supply = view.capacity * share
     opening = _neck_prices(_fair_split(view.incidence, view.capacity)[1], bids, supply)
     sol = _clearing_prices(view.incidence, supply, bids, 1, opening)

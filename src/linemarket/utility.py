@@ -1,13 +1,15 @@
 """Operator valuations and the truthful bid response.
 
 Valuations follow the scaled square-root family a*sqrt(x): strictly
-increasing, strictly concave, zero at zero.  The coefficient is private to
-the operator; the market only ever sees the bid it induces.
+increasing, strictly concave, zero at zero, so the valuation of
+frequencies x under coefficients a is a @ sqrt(x).  The coefficient is
+private to the operator; the market only ever sees the bid it induces,
+best_response_bids, the one definition of that bid, which the engine's
+re-bid reads.
 """
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -19,8 +21,6 @@ from .network import InputMismatchError, PoolSystem, PoolView, _check_real, _wri
 __all__ = [
     "UtilitySpec",
     "UtilityTable",
-    "utility",
-    "best_response_bid",
     "best_response_bids",
 ]
 
@@ -32,31 +32,16 @@ class UtilitySpec:
     coefficient: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < _check_real("valuation coefficient", self.coefficient) < math.inf:
-            raise ValueError(f"valuation coefficient must be positive and finite, got {self.coefficient}")
-
-
-def utility(spec: UtilitySpec, freq: float) -> float:
-    """Value of running freq trains, a*sqrt(freq)."""
-    if freq < 0:
-        raise ValueError(f"frequency must be nonnegative, got {freq}")
-    return spec.coefficient * math.sqrt(freq)
-
-
-def best_response_bid(spec: UtilitySpec, price: float) -> float:
-    """Payment that maximizes an operator's surplus at a given path price.
-
-    Maximizing value(bid / price) - bid over the bid gives a unique optimum
-    for this family; the implied frequency then satisfies marginal value =
-    price exactly.
-    """
-    if not price > 0:
-        raise ValueError(f"path price must be positive, got {price}")
-    return spec.coefficient ** 2 / (4.0 * price)
+        _check_real("valuation coefficient", self.coefficient, "(0, inf)")
 
 
 def best_response_bids(coefficients: np.ndarray, prices: np.ndarray) -> np.ndarray:
-    """Vectorized best_response_bid; caller guarantees positive prices."""
+    """Each operator's surplus-maximizing bid at its path price: a**2 / (4 mu).
+
+    Maximizing a*sqrt(w / mu) - w over the bid w gives this unique optimum,
+    and the frequency it buys, w / mu, is where the marginal value
+    a / (2 sqrt(x)) meets mu.  The caller guarantees positive prices.
+    """
     return coefficients ** 2 / (4.0 * prices)
 
 

@@ -61,6 +61,11 @@ class TestProportionVector:
     def test_as_dict(self):
         assert shares2(0.3, 0.7).as_dict() == {"k0": 0.3, "k1": 0.7}
 
+    def test_share_of_an_unknown_pool_is_named(self):
+        """A pool the split does not cover is named, not left to tuple.index's bare error."""
+        with pytest.raises(lm.InputMismatchError, match=r"no share for pool 'unknown'; it covers \['k0', 'k1'\]"):
+            shares2().share("unknown")
+
 
 def test_pool_cost_is_capacity_dot_prices():
     caps = np.array([4.0, 2.0])
@@ -110,6 +115,21 @@ class TestUpdateProportions:
             a = rng.uniform(1.0, 3.0, n)
             out = lm.update_proportions(start, a / np.sqrt(values))
             np.testing.assert_allclose(out.values, a**2 / np.sum(a**2), rtol=1e-12, err_msg=str(trial))
+
+    @pytest.mark.parametrize("costs, named", [
+        ([6.0, 2.0, 1.0], r"split update: costs has shape \(3,\); the instance needs \(2,\)"),
+        ([np.nan, 2.0], "split update: costs holds a negative or non-finite entry"),
+        ([-2.0, 2.0], "split update: costs holds a negative or non-finite entry"),
+        ([np.inf, 2.0], "split update: costs holds a negative or non-finite entry"),
+        (["6", "2"], "cost must be a real number, got '6'"),
+        ([True, False], "cost must be a real number, got True"),
+    ], ids=["wrong-length", "nan", "negative", "infinite", "strings", "bools"])
+    def test_rejects_costs_no_pool_can_have(self, costs, named):
+        """One finite, nonnegative real cost per pool: numpy's broadcast error, a NaN that left the split as
+        it was, a -2 read as 2 and a "6" or a True read as 6 or 1 are all refused at the boundary, naming
+        the costs."""
+        with pytest.raises(ValueError, match=named):
+            lm.update_proportions(shares2(), costs)
 
 
 @pytest.mark.parametrize("value", [True, False, "0.05", None], ids=repr)
@@ -162,7 +182,7 @@ def test_objective_is_sum_of_valuations():
     net, pools, table = instances.symmetric_two_pool()
     res = lm.run_mechanism(net, pools, table)
     expect = sum(
-        lm.utility.utility(table.spec(lop, k), x)
+        table.spec(lop, k).coefficient * math.sqrt(x)
         for k, st in res.state.pool_states.items() for lop, x in st.freq_map().items()
     )
     assert res.objective == pytest.approx(expect, rel=1e-12)

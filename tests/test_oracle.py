@@ -371,9 +371,10 @@ def test_opening_is_cold_start_prices_bytewise(monkeypatch):
 
     def opened(incidence, budget, scale, power, opening):
         openings.append(opening.tobytes())
-        return solve(incidence, budget, scale, power, opening, max_iters=0)
+        return solve(incidence, budget, scale, power, opening)
 
     monkeypatch.setattr(oracle, "_clearing_prices", opened)
+    monkeypatch.setattr(single_pool, "_NEWTON_ITERS", 0)
     pools_seen = 0
     for name, make in CERTIFY_CASES:
         for view, coeffs in _pool_views(make):
@@ -549,6 +550,17 @@ def test_kkt_rejects_a_candidate_that_does_not_fit_the_views(arg, pool, edit, na
         lm.kkt_report(**args)
 
 
+@pytest.mark.parametrize("level", ["3", True, None], ids=repr)
+def test_kkt_cost_level_must_be_a_real_number(level):
+    """A cost level that is no real number is named at the boundary, not failed inside abs or read as 1."""
+    net, pools, table = instances.chain_instance(3)
+    state = lm.run_mechanism(net, pools, table).state
+    views, coeffs = _views(net, pools, table)
+    with pytest.raises(ValueError, match=rf"cost_level must be a real number, got {level!r}"):
+        lm.kkt_report(views, coeffs, [state.pool_states[k].freqs for k in pools.pool_ids],
+                      [state.pool_states[k].prices for k in pools.pool_ids], list(state.shares.values), level)
+
+
 def test_mechanism_state_of_another_chain_is_rejected():
     """Chain 0 runs operators and prices edges chain 1 lacks; its state is not chain 1's candidate."""
     other = lm.run_mechanism(*instances.chain_instance(0)).state
@@ -667,7 +679,7 @@ def test_inactive_operator_is_invisible_to_the_newton_solve():
     assert partly >= 100
 
 
-def test_dual_evaluations_cover_every_iteration():
+def test_dual_evaluations_cover_every_iteration(monkeypatch):
     """Each iteration evaluates at least its accepted trial; the opening is evaluated once."""
     for name, make in CERTIFY_CASES:
         for view, coeffs in _pool_views(make):
@@ -675,7 +687,9 @@ def test_dual_evaluations_cover_every_iteration():
             assert sol.converged and sol.dual_evals >= sol.iterations >= 1, (name, view.pool_id)
     view, coeffs = next(_pool_views(partial(instances.chain_instance, 0)))
     opening = lm.cold_start(view, coeffs, 1.0).prices
-    start = oracle._clearing_prices(view.incidence, view.capacity, 0.5 * coeffs, 2, opening, max_iters=0)
+    with monkeypatch.context() as m:
+        m.setattr(single_pool, "_NEWTON_ITERS", 0)
+        start = oracle._clearing_prices(view.incidence, view.capacity, 0.5 * coeffs, 2, opening)
     assert (start.iterations, start.dual_evals) == (0, 1)
     idle = oracle._clearing_prices(view.incidence, view.capacity, 0.0 * coeffs, 2, opening)
     assert (idle.iterations, idle.dual_evals) == (0, 0)
@@ -778,7 +792,7 @@ def test_oracle_opens_at_cold_start(monkeypatch):
         lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0), ("lop1", "k0"): lm.UtilitySpec(1.0)}),
     )
     grids = [instances.grid_instance(seed, 1) for seed in range(2)]
-    monkeypatch.setattr(oracle, "_clearing_prices", partial(oracle._clearing_prices, max_iters=0))
+    monkeypatch.setattr(single_pool, "_NEWTON_ITERS", 0)
     merged = summed = strict = 0
     for net, pools, table in [instances.chain_instance(seed) for seed in range(20)] + [tied, nested] + grids:
         for k in pools.pool_ids:
@@ -1024,17 +1038,18 @@ def _frozen_bid_pool(seed, pool):
 
 
 @pytest.mark.parametrize("seed, pool", [(7, "k0"), (15, "k1")])
-def test_descent_stops_where_no_step_moves_the_prices(seed, pool):
-    """At tol 0 only exact clearing passes the stop test.  On these two pools the descent reaches a
-    point where every trial step the Armijo test accepts leaves the prices as they are, so that trial
-    is not taken (the zero-move break), no candidate is accepted, and the solve returns, unconverged,
-    long before its iteration budget (the no-accept break), next to the point the default tol
-    accepts.  Without either break it would repeat that point to the budget."""
+def test_descent_stops_where_no_step_moves_the_prices(seed, pool, monkeypatch):
+    """At a _NEWTON_TOL of 0 only exact clearing passes the stop test.  On these two pools the
+    descent reaches a point where every trial step the Armijo test accepts leaves the prices as they
+    are, so that trial is not taken (the zero-move break), no candidate is accepted, and the solve
+    returns, unconverged, long before its iteration budget (the no-accept break), next to the point
+    the default _NEWTON_TOL accepts.  Without either break it would repeat that point to the budget."""
     incidence, capacity, bids, opening = _frozen_bid_pool(seed, pool)
-    stuck = oracle._clearing_prices(incidence, capacity, bids, 1, opening, tol=0.0)
     cleared = oracle._clearing_prices(incidence, capacity, bids, 1, opening)
+    monkeypatch.setattr(single_pool, "_NEWTON_TOL", 0.0)
+    stuck = oracle._clearing_prices(incidence, capacity, bids, 1, opening)
     assert cleared.converged and not stuck.converged
-    assert cleared.iterations < stuck.iterations < 300
+    assert cleared.iterations < stuck.iterations < single_pool._NEWTON_ITERS
     np.testing.assert_allclose(stuck.prices, cleared.prices, rtol=1e-9)
 
 

@@ -36,7 +36,7 @@ class TestGridGeneration:
         for k in ps.pool_ids:
             lm.compile_pool(net, ps, k)  # every line is a path of the lattice
         first = "0,3->1,3"
-        for key in ps.pairs():
+        for key in ps.lines:
             line = ps.lines[key]
             assert line.edge_ids[0] == first
             assert len(line) >= spec.min_line_len
@@ -150,16 +150,16 @@ def test_pool_scaled_utilities():
 
 # (generator, its arguments after chain 0's pools, the error it must raise)
 BAD_VALUATION_INPUTS = [
-    ("pool_scaled_utilities", ("10", [1, 2]), "base must be a real number, got '10'"),
-    ("pool_scaled_utilities", (10, ["1", "2"]), "scale of pool 'k0' must be a real number, got '1'"),
-    ("pool_scaled_utilities", (True, [1, 2]), "base must be a real number, got True"),
-    ("pool_scaled_utilities", (10, [1, True]), "scale of pool 'k1' must be a real number, got True"),
+    ("pool_scaled_utilities", ("10", [1, 2]), "base must be a real number in (0, inf), got '10'"),
+    ("pool_scaled_utilities", (10, ["1", "2"]), "scale of pool 'k0' must be a real number in (0, inf), got '1'"),
+    ("pool_scaled_utilities", (True, [1, 2]), "base must be a real number in (0, inf), got True"),
+    ("pool_scaled_utilities", (10, [1, True]), "scale of pool 'k1' must be a real number in (0, inf), got True"),
     ("pool_scaled_utilities", (10, "12"), "need exactly one scale per pool, got '12'"),
     ("pool_scaled_utilities", (10, 5), "need exactly one scale per pool, got 5"),
-    ("pool_scaled_utilities", (-10, [-1, -2]), "base and scales must be positive, got -10.0 and [-1.0, -2.0]"),
-    ("uniform_utilities", ("5", 15, 0), "low must be a real number, got '5'"),
-    ("uniform_utilities", (5, "15", 0), "high must be a real number, got '15'"),
-    ("uniform_utilities", (True, 15, 0), "low must be a real number, got True"),
+    ("pool_scaled_utilities", (-10, [-1, -2]), "base must be a real number in (0, inf), got -10"),
+    ("uniform_utilities", ("5", 15, 0), "low must be a real number in (0, inf), got '5'"),
+    ("uniform_utilities", (5, "15", 0), "high must be a real number in [5.0, inf), got '15'"),
+    ("uniform_utilities", (True, 15, 0), "low must be a real number in (0, inf), got True"),
     ("uniform_utilities", (5, 15, -1), "seed must be a whole number of at least 0, got -1"),
     ("uniform_utilities", (5, 15, 1.5), "seed must be a whole number of at least 0, got 1.5"),
 ]

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -371,6 +372,14 @@ def test_fixed_bid_descent_toward_clearing_prices():
     assert v[-1] <= v[0] / 10.0
 
 
+@pytest.mark.parametrize("share", [-1.0, np.nan, np.inf, "0.5", True], ids=repr)
+def test_cold_start_rejects_a_share_no_pool_holds(share):
+    """A negative share failed inside sqrt with a RuntimeWarning, and NaN opened a state of NaNs."""
+    view, coeffs = _two_edge_pool()
+    with pytest.raises(ValueError, match=rf"share must be a real number in \[0, inf\), got {share!r}"):
+        lm.cold_start(view, coeffs, share)
+
+
 def _frozen_bid_view():
     net, pools, _ = instances.two_lops_one_edge()
     return lm.compile_pool(net, pools, "k0")
@@ -426,8 +435,13 @@ def test_price_dynamics_reject_a_negative_or_non_finite_entry(name, bad):
     ("share", True, "share must be a real number"),
 ])
 def test_price_dynamics_reject_a_bad_scalar(name, value, message):
-    """steps is a whole number of at least 0, eta positive and finite, the share finite and at least 0."""
+    """steps is a whole number of at least 0, eta positive and finite, the share finite and at least 0.
+
+    A bad eta or share raises one message for either fault, naming the input and its interval.
+    """
     args = {"share": 1.0, "eta": 0.05, "steps": 5, name: value}
+    if name != "steps":
+        message = re.escape(f"{name} must be a real number in {'(0, inf)' if name == 'eta' else '[0, inf)'}, got {value!r}")
     with pytest.raises(ValueError, match=message):
         lm.run_price_dynamics(_frozen_bid_view(), np.zeros(1), np.array([1.3, 0.7]), **args)
 
@@ -500,6 +514,10 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     no edge prices, has its bid charged to its neck, as a cold start
     charges every bid, and so has each such line at every refresh boundary,
     after the re-bid.  A line that cannot run re-bids as if valued at zero.
+
+    The loop runs on the view restricted to the pool's own rows, the edges
+    some line uses, so it sums path prices and loads over those rows, as the
+    engine does; every other edge is returned at price zero.
     """
     if cfg.price_eta is not None:
         eta = cfg.price_eta
@@ -507,6 +525,10 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         open_caps = view.capacity[view.capacity > 0.0]
         scale = float(open_caps.min()) if open_caps.size else 1.0
         eta = 0.01 * scale / max(1.0, float(view.incidence.sum(axis=1).max()))
+    full = view
+    own = np.flatnonzero(view.incidence.any(axis=1))
+    view = dataclasses.replace(view, edge_ids=tuple(view.edge_ids[e] for e in own), capacity=view.capacity[own],
+                               incidence=view.incidence[own], own_edges=np.arange(len(own)))
     period = cfg.bid_refresh_period
     # each line's bid is charged evenly to the edges of its line with the
     # smallest capacity / crowd, its neck
@@ -536,7 +558,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
         first_stop = 0
     else:
         ratio = share / warm.share
-        prices = warm.prices * ratio ** -0.5
+        prices = warm.prices[own] * ratio ** -0.5
         prices[view.capacity == 0.0] = 0.0
         bids = warm.bids * ratio ** 0.5
         first_stop = period if ratio != 1.0 else 0
@@ -562,14 +584,15 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
             skip_mask = ~(mu > 0.0)
             best = coefficients ** 2 / (4.0 * np.where(skip_mask, 1.0, mu))
             new_bids = np.where(skip_mask, st.bids, best)
-            rel_change = np.abs(new_bids - st.bids) / np.maximum(st.bids, 1e-300)
-            if float(rel_change.max(initial=0.0)) > _REL_TOL:
+            if np.any(np.abs(new_bids - st.bids) > _REL_TOL * st.bids):
                 bid_updates += 1
             st.bids = new_bids
             st.prices = charge_waiting(st.prices, st.bids)
             st.freqs, mu = reference_allocate(view, st.prices, st.bids, share)
         res = reference_residuals(view, coefficients, st)
     converged = res.converged and iters % period == 0 and iters >= first_stop
+    prices, st.edge_ids, st.prices = st.prices, full.edge_ids, np.zeros(full.n_edges)
+    st.prices[own] = prices
     return st, iters, bid_updates, converged, res
 
 
@@ -581,6 +604,27 @@ def assert_same_run(view, coefficients, share, cfg, warm=None):
         assert getattr(got.state, name).tobytes() == getattr(st, name).tobytes(), name
     assert got.residuals == res
     return got
+
+
+def test_tiny_warm_bid_counts_its_update_without_overflow():
+    """A re-bid from a bid of 1e-200 counts as a bid update, and nothing overflows.
+
+    Each edge is priced 1e-130 and cleared by the line running on it alone,
+    so no step moves a price in the first pass, and the line of bid 1e-200
+    crossing both re-bids 2**2 / (4 * 2e-130) = 5e129 at its boundary, about
+    5e329 times its old bid, past the float range: the count compares the
+    change with _REL_TOL times the old bid and divides by nothing.
+    """
+    net = lm.Network(["n0", "n1", "n2"], [lm.Edge("e0", "n0", "n1", 5.0), lm.Edge("e1", "n1", "n2", 5.0)])
+    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e0", "e1")), ("lop1", "k0"): lm.Line(("e0",)),
+                                   ("lop2", "k0"): lm.Line(("e1",))})
+    view = lm.compile_pool(net, pools, "k0")
+    price = 1e-130
+    bids = np.array([1e-200, 5.0 * price, 5.0 * price])
+    warm = lm.PoolMarketState("k0", view.edge_ids, view.lop_ids, np.full(2, price), bids,
+                              bids / view.incidence.T.dot(np.full(2, price)), 1.0)
+    got = assert_same_run(view, np.array([2.0, 3.0, 3.0]), 1.0, lm.DynamicsConfig(), warm)
+    assert got.converged and got.bid_updates >= 1
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -1002,9 +1046,17 @@ def test_certified_passes_price_every_path(monkeypatch, k1_baseline, k2_baseline
         return refresh_bids(*args)
 
     monkeypatch.setattr(single_pool, "refresh_bids", recorded)
+    overloads = []  # whether each stop pre-check, at an opening or a boundary, met an overload
+    may_stop = single_pool._may_stop
+
+    def checked(prices, excess):
+        overloads.append(single_pool._max_or_zero(excess) > single_pool._ABS_TOL)
+        return may_stop(prices, excess)
+
+    monkeypatch.setattr(single_pool, "_may_stop", checked)
     for seed in range(20):
         lm.run_mechanism(*instances.chain_instance(seed))
-    chain_steps = len(steps)
+    chain_steps, chain_checks = len(steps), len(overloads)
     for seed, (net, pools, table, base) in zip(itertools.cycle(range(3)), baselines):
         assert lm.run_mechanism(net, pools, table, instances.GRID_CFG).converged
         mixed = len(lm.congested_edges(base.state)) >= 2
@@ -1028,12 +1080,15 @@ def test_certified_passes_price_every_path(monkeypatch, k1_baseline, k2_baseline
     assert uncapped
 
     period = lm.DynamicsConfig.bid_refresh_period
-    shares = []
-    for name, part in (("20 chains", steps[:chain_steps]), ("7x12 grids", steps[chain_steps:])):
+    shares, failed = [], []
+    for name, part, checks in (("20 chains", steps[:chain_steps], overloads[:chain_checks]),
+                               ("7x12 grids", steps[chain_steps:], overloads[chain_checks:])):
         plain = [(priced, skipped) for i, (priced, skipped, *_) in enumerate(part) if i % period != period - 1]
         shares.append(f"{name} {sum(p for p, _ in plain) / len(plain):.1%} / {sum(u for _, u in plain) / len(plain):.1%} "
                       f"of {len(plain):,}")
-    report.note(f"refresh-pass certificates, plain steps certified / uncapped: {', '.join(shares)} "
+        failed.append(f"{name} {sum(checks):,} of {len(checks):,}")
+    report.note(f"refresh-pass certificates, plain steps certified / uncapped: {', '.join(shares)}; "
+                f"stop pre-checks failed by the overload: {', '.join(failed)} "
                 "(grids at seeds 0-2, cold and warm after 10% shocks)")
 
 
@@ -1094,10 +1149,8 @@ def test_pass_certificates_hold_at_their_bounds(monkeypatch):
             starts = rng.integers(0, 8, int(rng.integers(2, 6)))
             spans = [(int(i), int(rng.integers(i + 1, 9))) for i in starts]
             used = sorted(set().union(*(range(i, j) for i, j in spans)))
-        # the network holds the pool's own edges only: the engine sums a path
-        # price over those, the reference over every edge of the view
         net = lm.Network([f"n{t}" for t in range(9)],
-                         [lm.Edge(f"e{t}", f"n{t}", f"n{t + 1}", float(rng.uniform(2.0, 10.0))) for t in used])
+                         [lm.Edge(f"e{t}", f"n{t}", f"n{t + 1}", float(rng.uniform(2.0, 10.0))) for t in range(8)])
         lines = {(f"lop{p}", "k0"): lm.Line(tuple(f"e{t}" for t in range(i, j))) for p, (i, j) in enumerate(spans)}
         view = lm.compile_pool(net, lm.PoolSystem(["k0"], lines), "k0")
         n_edges = view.n_edges
@@ -1133,6 +1186,44 @@ def test_pass_certificates_hold_at_their_bounds(monkeypatch):
         seen["certified and capped"] += int(priced and not uncapped)
         seen["certified by a line whose edges are all within 1e-12 of floor"] += int(priced and near_only.any())
         seen["uncapped with an offer within 1e-12 of cap * lower"] += int(uncapped and (close & (lower > 0.0)).any())
+    assert min(seen.values()) > 0, seen
+
+
+def test_pool_loop_matches_eager_reference_with_unused_edges(monkeypatch):
+    """Pools with an edge no line uses before or among their own edges run as the eager reference does.
+
+    Each trial draws a path of 3 to 9 edges, one of them, not the last,
+    unused: every line is a run of consecutive edges on one side of it.
+    The pool runs cold at share 0.5, then warm from that state at share
+    0.4, for at most 30 refresh passes each.  The engine sums path prices
+    and loads over the pool's own edges, and so does the reference, so
+    the runs agree byte for byte however the unused edges lie.
+    """
+    rng = np.random.default_rng(38)
+    monkeypatch.setattr(single_pool, "_MAX_PASSES", 30)
+    seen = {"unused edge before the own edges": 0, "unused edge among the own edges": 0,
+            "converged": 0, "not converged": 0}
+    for trial in range(200):
+        n = int(rng.integers(3, 10))
+        gap = int(rng.integers(0, n - 1))
+        sides = [side for side in ((0, gap), (gap + 1, n)) if side[1] > side[0]]
+        spans = []
+        for _ in range(int(rng.integers(2, 6))):
+            lo, hi = sides[int(rng.integers(0, len(sides)))]
+            i = int(rng.integers(lo, hi))
+            spans.append((i, int(rng.integers(i + 1, hi + 1))))
+        net = lm.Network([f"n{t}" for t in range(n + 1)],
+                         [lm.Edge(f"e{t}", f"n{t}", f"n{t + 1}", float(rng.uniform(2.0, 10.0))) for t in range(n)])
+        lines = {(f"lop{p}", "k0"): lm.Line(tuple(f"e{t}" for t in range(i, j))) for p, (i, j) in enumerate(spans)}
+        view = lm.compile_pool(net, lm.PoolSystem(["k0"], lines), "k0")
+        assert gap not in view.own_edges
+        coeffs = rng.uniform(2.0, 5.0, view.n_lops)
+        cfg = lm.DynamicsConfig(price_eta=float(rng.uniform(0.005, 0.05)))
+        cold = assert_same_run(view, coeffs, 0.5, cfg)
+        warm = assert_same_run(view, coeffs, 0.4, cfg, cold.state)
+        seen["unused edge before the own edges" if gap < view.own_edges[0] else "unused edge among the own edges"] += 1
+        for got in (cold, warm):
+            seen["converged" if got.converged else "not converged"] += 1
     assert min(seen.values()) > 0, seen
 
 

@@ -8,58 +8,46 @@ from linemarket.utility import best_response_bids
 A = lm.UtilitySpec(2.0)
 
 
-def test_utility_values():
-    assert lm.utility.utility(lm.UtilitySpec(1e4), 4.0) == 2e4
-    assert lm.utility.utility(A, 0.0) == 0.0
-    assert lm.utility.utility(A, 1.0) == 2.0
-
-
-def test_utility_negative_frequency_rejected():
-    with pytest.raises(ValueError):
-        lm.utility.utility(A, -0.1)
-
-
 def test_best_response_values():
-    assert lm.best_response_bid(A, 1.0) == 1.0
-    assert lm.best_response_bid(A, 0.5) == 2.0
-    assert lm.best_response_bid(lm.UtilitySpec(1e4), 50.0) == 5e5
+    bids = best_response_bids(np.array([2.0, 2.0, 1e4]), np.array([1.0, 0.5, 50.0]))
+    assert bids.tolist() == [1.0, 2.0, 5e5]
 
 
 def test_best_response_rejects_nonpositive_price():
-    with pytest.raises(ValueError):
-        lm.best_response_bid(A, 0.0)
-    with pytest.raises(ValueError):
-        lm.best_response_bid(A, -1.0)
+    """No operator bids against a path price that is not positive: the re-bid keeps its old bid there."""
+    coeffs = np.array([2.0, 2.0, 2.0])
+    old = np.array([0.3, 0.4, 0.5])
+    bids = lm.refresh_bids(coeffs, np.array([1.0, 0.0, -1.0]), old)
+    assert bids.tolist() == [1.0, 0.4, 0.5]
 
 
 def test_best_response_first_order_condition():
     """The implied frequency w/mu sits where marginal value equals mu."""
-    for a in (0.5, 2.0, 31.0):
-        spec = lm.UtilitySpec(a)
-        for mu in (0.01, 0.7, 4.0, 250.0):
-            w = lm.best_response_bid(spec, mu)
-            assert a / (2.0 * np.sqrt(w / mu)) == pytest.approx(mu, rel=1e-9)
+    a = np.repeat([0.5, 2.0, 31.0], 4)
+    mu = np.tile([0.01, 0.7, 4.0, 250.0], 3)
+    w = best_response_bids(a, mu)
+    np.testing.assert_allclose(a / (2.0 * np.sqrt(w / mu)), mu, rtol=1e-9)
 
 
 def test_best_response_monotonicity_and_scaling():
     mus = np.linspace(0.1, 5.0, 25)
-    bids = [lm.best_response_bid(A, float(m)) for m in mus]
-    assert all(hi > lo for hi, lo in zip(bids, bids[1:]))  # decreasing in price
+    bids = best_response_bids(np.full(25, A.coefficient), mus)
+    assert (np.diff(bids) < 0.0).all()  # decreasing in price
 
-    raised = [lm.best_response_bid(lm.UtilitySpec(a), 1.0) for a in np.linspace(1, 9, 9)]
-    assert all(lo < hi for lo, hi in zip(raised, raised[1:]))  # increasing in a
+    raised = best_response_bids(np.linspace(1, 9, 9), np.ones(9))
+    assert (np.diff(raised) > 0.0).all()  # increasing in a
 
     c = 3.0
-    assert lm.best_response_bid(lm.UtilitySpec(c * 2.0), 0.7) == pytest.approx(
-        c**2 * lm.best_response_bid(A, 0.7), rel=1e-12
-    )
+    scaled, base = best_response_bids(np.array([c * 2.0, 2.0]), np.array([0.7, 0.7]))
+    assert scaled == pytest.approx(c**2 * base, rel=1e-12)
 
 
 def test_vectorized_bids_match_scalar():
+    """Each operator's bid reads its own coefficient and price only: the vector is its one-entry bids."""
     coeffs = np.array([1.0, 2.0, 5.0])
     prices = np.array([0.5, 1.0, 2.5])
-    expected = [lm.best_response_bid(lm.UtilitySpec(a), p) for a, p in zip(coeffs, prices)]
-    np.testing.assert_allclose(best_response_bids(coeffs, prices), expected)
+    expected = [best_response_bids(coeffs[i:i + 1], prices[i:i + 1])[0] for i in range(3)]
+    assert best_response_bids(coeffs, prices).tolist() == expected
 
 
 def test_spec_requires_positive_coefficient():
