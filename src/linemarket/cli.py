@@ -42,7 +42,7 @@ from .network import (
     dump_network_file,
     load_network_file,
 )
-from .oracle import _state_kkt, solve_full
+from .oracle import mechanism_kkt, solve_full
 from .scenarios import (
     DisruptionSpec,
     ExperimentRecord,
@@ -334,7 +334,7 @@ def _cmd_generate(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, ta
 
 def _cmd_solve(cfg: RunConfig, seed: int, net: Network, pools: PoolSystem, table: UtilityTable) -> bool:
     res = run_mechanism(net, pools, table, cfg.mech)
-    max_kkt = _state_kkt(res.views, res.coefficients, res.state).max_scaled()
+    max_kkt = mechanism_kkt(net, pools, table, res.state).max_scaled()
     doc = _state_doc(res.state, converged=res.converged, diagnostics=res.diagnostics, objective=res.objective,
                      f_updates=res.f_updates, price_updates=res.price_updates, bid_updates=res.bid_updates)
     _write_json(cfg.out_dir / f"state_seed{seed}.json", doc)

@@ -199,16 +199,12 @@ class OuterState:
 
 @dataclass
 class MechanismResult:
-    """A run's end state, its counts, and the instance it ran on.
+    """A run's end state and its counts.
 
-    views and coefficients are the compiled pool views and valuation
-    coefficient vectors the run read, in pool order, so the run's state is
-    certified on them (oracle._state_kkt) without a second compile,
-    validation or state check.  The views are compile_pool's shared ones,
-    the same objects every other call on the instance reads, so their
-    arrays are read-only.  It holds no wall-clock time, so every
-    field is the same on a rerun; a caller that wants the time measures
-    the call.
+    It holds no wall-clock time, so every field is the same on a rerun; a
+    caller that wants the time measures the call.  The state is certified
+    as any state is, by oracle.mechanism_kkt on the instance, which reads
+    the views the run read (compile_pool's shared ones).
     """
 
     state: OuterState
@@ -218,8 +214,6 @@ class MechanismResult:
     bid_updates: int
     objective: float
     outer_trace: list[dict]
-    views: tuple[PoolView, ...] = field(repr=False)
-    coefficients: tuple[np.ndarray, ...] = field(repr=False)
     diagnostics: str = ""
 
 
@@ -289,7 +283,11 @@ def run_mechanism(
     OuterState resumes with its split, prices, and bids intact, each pool
     state rescaled if it cleared at another share.  Either way a pool none
     of whose lines can run holds share zero (see _live_split for how the
-    split moves when that set changes).  A warm state must carry the
+    split moves when that set changes).  Every pool runs through
+    _run_pool, such a pool at share 0.0, where its cold start is an empty
+    market (zero prices, bids and frequencies, share 0.0) that takes no
+    update, also when no pool can run and the split is uniform.  A warm
+    state must carry the
     instance's pools in order and, per pool, its edges and operators in
     order, with finite, nonnegative floating-point prices, bids and
     frequencies of the instance's lengths and a share that is a finite,
@@ -321,18 +319,12 @@ def run_mechanism(
         shares = ProportionVector.uniform(pool_ids)
         states = {k: None for k in pool_ids}
     # as in solve_full, a pool none of whose lines can run (it has none, or
-    # each crosses a closed edge) holds no capacity: it is pinned at share
-    # zero with an empty market and cost zero, which the split update keeps
-    # at zero; the pool runs and the equal-cost test see only the others
+    # each crosses a closed edge) holds no capacity: it runs at share zero,
+    # where it cold-starts to an empty market of cost zero in no update, and
+    # the split update keeps its share at zero; the equal-cost test sees
+    # only the others
     live = np.array([_max_or_zero(views[k].bottleneck) > 0.0 for k in pool_ids])
-    live_ids = tuple(k for k, on in zip(pool_ids, live) if on)
     shares = _live_split(shares, live)
-    for k, on in zip(pool_ids, live):
-        if not on:
-            v = views[k]
-            states[k] = PoolMarketState(
-                k, v.edge_ids, v.lop_ids, np.zeros(v.n_edges), np.zeros(v.n_lops), np.zeros(v.n_lops), 0.0
-            )
 
     f_updates = 0
     price_updates = {k: 0 for k in pool_ids}
@@ -344,9 +336,9 @@ def run_mechanism(
     # the loop runs at least once, and its first pass sets pool_costs and level
     for outer in range(_MAX_OUTER + 1):
         inner_ok = True
-        for k in live_ids:
+        for k, on in zip(pool_ids, live):
             res: SinglePoolResult = _run_pool(
-                views[k], coeffs[k], shares.share(k), states[k], cfg.inner, etas[k]
+                views[k], coeffs[k], shares.share(k) if on else 0.0, states[k], cfg.inner, etas[k]
             )
             states[k] = res.state
             price_updates[k] += res.iterations
@@ -362,7 +354,7 @@ def run_mechanism(
         pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pool_ids}
         costs = np.array([pool_costs[k] for k in pool_ids])
         live_costs = costs[live]
-        level = _mean(live_costs) if live_ids else 0.0
+        level = _mean(live_costs) if live.any() else 0.0
         outer_trace.append(
             {
                 "outer_iter": outer,
@@ -397,7 +389,5 @@ def run_mechanism(
         bid_updates=bid_updates,
         objective=sum(float(coeffs[k] @ np.sqrt(np.maximum(states[k].freqs, 0.0))) for k in pool_ids),
         outer_trace=outer_trace,
-        views=tuple(views.values()),
-        coefficients=tuple(coeffs.values()),
         diagnostics=diagnostics,
     )

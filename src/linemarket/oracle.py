@@ -22,10 +22,11 @@ OuterState of per-pool states on the compiled views, so it can
 warm-start a run.
 
 The certificate: kkt_report certifies a point read as the engines hold
-one, per-pool arrays on those views; _state_kkt reads a run's or
-solve_full's state on the views it was computed on, and mechanism_kkt a
-state from elsewhere, once it has compiled every pool and checked the
-state against those views.
+one, per-pool arrays on those views.  mechanism_kkt certifies a state, a
+run's or one from elsewhere: it reads each pool's view from compile_pool,
+the shared one the run read, checks the state against those views and
+hands the state's arrays to kkt_report.  solve_full hands kkt_report the
+arrays it built.
 """
 from __future__ import annotations
 
@@ -238,33 +239,16 @@ def mechanism_kkt(
     the instance's lengths, a finite, nonnegative real share and a finite
     real cost level, else InputMismatchError.  So a state of another
     instance is rejected, not certified at a huge residual.
-    kkt_report reads the state's own arrays on the same views.  A run's
-    own state needs none of this: _state_kkt(res.views, res.coefficients,
-    res.state) certifies it on the views the run compiled, to the same
-    report bit for bit.
+    kkt_report reads the state's own arrays on the same views.  This is
+    the one certificate of a state, a run's, solve_full's or one from
+    elsewhere; the CLI and run_recovery_experiment certify each run by it.
     """
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
     _check_warm(state, dict(zip(pools.pool_ids, views)), what="state")
-    return _state_kkt(views, [utilities.coefficients_for(view) for view in views], state)
-
-
-def _state_kkt(views: Sequence[PoolView], coefficients: Sequence[np.ndarray], state: OuterState) -> KKTReport:
-    """kkt_report on a state's arrays, pool by pool in the views' order.
-
-    The state is not checked against the views: it must be one a run
-    produced on them (a MechanismResult's state, views and coefficients)
-    or one mechanism_kkt has checked.
-    """
-    states = [state.pool_states[view.pool_id] for view in views]
-    return kkt_report(
-        views,
-        coefficients,
-        [st.freqs for st in states],
-        [st.prices for st in states],
-        state.shares.values,
-        state.cost_level,
-    )
+    states = [state.pool_states[k] for k in pools.pool_ids]
+    return kkt_report(views, [utilities.coefficients_for(view) for view in views], [st.freqs for st in states],
+                      [st.prices for st in states], state.shares.values, state.cost_level)
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +292,10 @@ def solve_full(
     offsets.  A pool of value zero, such as one without operators, gets
     share zero; when every pool is worth zero the split is uniform.  The
     answer is an OuterState on compile_pool's views of the instance, shared
-    with every run and certificate on it, and it is certified as a run's
-    state is, by _state_kkt on those views and coefficient vectors;
-    converged requires the solve to converge and that certificate to hold.
+    with every run and certificate on it, and kkt_report certifies the
+    arrays it built on those views, to mechanism_kkt's report on the state
+    bit for bit; converged requires the solve to converge and that
+    certificate to hold.
     """
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
@@ -345,10 +330,10 @@ def solve_full(
     held = np.array(list(costs.values()))[split > 0.0]
     level = _mean(held)
     top = float(held.max())
-    state = OuterState(ProportionVector(pools.pool_ids, split), states, costs, level, 0)
-    report = _state_kkt(views, coeffs, state)
+    report = kkt_report(views, coeffs, [st.freqs for st in states.values()], [st.prices for st in states.values()],
+                        split, level)
     return OracleSolution(
-        state=state,
+        state=OuterState(ProportionVector(pools.pool_ids, split), states, costs, level, 0),
         cost_gap=(top - level) / max(top, _TINY),
         objective=objective,
         kkt=report,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .network import Edge, Line, Network, PoolSystem, _check_count, _check_real
 from .multi_pool import MechanismConfig, MechanismResult, OuterState, run_mechanism
-from .oracle import _state_kkt
+from .oracle import mechanism_kkt
 from .utility import UtilitySpec, UtilityTable
 
 __all__ = [
@@ -334,9 +334,9 @@ def run_recovery_experiment(
     the same instance.  The shock hits the edges congested_edges finds,
     those priced above _CONGESTED, and the shocked network keeps every
     other edge of net as it was (Network.with_capacities).  Each restart
-    is certified on the views and coefficients it compiled (its
-    MechanismResult's), so it compiles its pools once and its state is not
-    checked again.
+    is certified by mechanism_kkt on the shocked network, which reads the
+    views the restart read, so the shocked network builds each pool's view
+    once.
     Non-convergence of a recovery run is recorded in its ExperimentRecord,
     not raised.
     """
@@ -358,7 +358,7 @@ def run_recovery_experiment(
     for mode, warm in (("warm", baseline.state), ("cold", None)):
         if mode in wanted:
             res = runs[mode] = run_mechanism(shocked, pools, utilities, cfg, warm=warm)
-            kkt = _state_kkt(res.views, res.coefficients, res.state).max_scaled()
+            kkt = mechanism_kkt(shocked, pools, utilities, res.state).max_scaled()
             records[mode] = _record(instance, mode, res, kkt)
     return RecoveryResult(
         baseline=baseline,

@@ -550,6 +550,9 @@ def _run_pool(
 
     A warm state is resumed from a copy, rescaled first when it cleared at
     another share, and is never modified; otherwise the pool cold-starts.
+    It cold-starts whenever the run's share or the warm state's is zero:
+    at share zero that is the pool's empty market, zero prices, bids and
+    frequencies, which passes the stop test at its opening, in no update.
     A warm state resumed at its own share that was not cleared on these
     capacities, such as one a disruption hit, re-opens each edge whose load
     at its frequencies misses the edge's supply at the price that supply
@@ -602,7 +605,10 @@ def _run_pool(
     allocate_frequencies and refresh_bids), an uncertified one lets each of
     them check; an uncapped pass also tells the allocations of its plain
     steps that none reaches its cap (cap None), and any other allocation
-    truncates at the cap.  Loads are freqs.dot(inc_t), which numpy
+    truncates at the cap.  The allocation after an uncertified re-bid reads
+    a positive path price below the offer over 2**1000 as that quotient:
+    the offer buys its cap either way, and divided by the price itself it
+    could overflow.  Loads are freqs.dot(inc_t), which numpy
     computes with the same BLAS call as inc.dot(freqs), on the same
     buffer, so the bits are those of the matrix-vector product, at less
     cost.  A copy of the incidence in another memory order would sum
@@ -628,10 +634,12 @@ def _run_pool(
     # a line that cannot run re-bids as if valued at zero, so its best
     # response is 0, not a bid against a path it never buys anything on
     coefficients = np.where(view.bottleneck > 0.0, coefficients, 0.0)
-    # a state cleared at share zero holds nothing to rescale, and a line
-    # that can run but holds no bid would never bid again: its path may
-    # stay unpriced, and an idle line passes the residual check
-    cold = warm is None or not warm.share > 0.0 or bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any())
+    # a state cleared at share zero holds nothing to rescale, a run at share
+    # zero opens cleared at zero, and a line that can run but holds no bid
+    # would never bid again: its path may stay unpriced, and an idle line
+    # passes the residual check
+    cold = (warm is None or not warm.share > 0.0 or not share > 0.0
+            or bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any()))
     state = cold_start(view, coefficients, share) if cold else warm.copy()
     prices = state.prices[own]
     prices[own_caps == 0.0] = 0.0
@@ -640,7 +648,7 @@ def _run_pool(
     # is rescaled to it; the allocation below then scales the frequencies.
     # The rescaled state is a prediction, not a certificate: the run must
     # reach one refresh boundary at the new share before it may stop.
-    rescaled = state.share != share and share > 0.0
+    rescaled = state.share != share
     if rescaled:
         ratio = share / state.share
         prices *= ratio ** -0.5
@@ -694,7 +702,10 @@ def _run_pool(
         offers, free = _bid_terms(bids, ceil)
         if not priced and not _positive(mu):
             prices, mu = _charge_waiting(prices, mu, bids, coefficients, inc, own_caps, supply)
-        freqs = allocate_frequencies(mu, offers, free, cap, priced)
+        # an uncertified offer over a vanishing path price may overflow, far
+        # past its cap: such a price reads as offer / 2**1000, which buys the cap
+        guarded = mu if priced else np.maximum(mu, offers * 2.0 ** -1000, out=mu.copy(), where=mu > 0.0)
+        freqs = allocate_frequencies(guarded, offers, free, cap, priced)
         loads = freqs.dot(inc_t)
         passes += 1
         excess = loads - supply

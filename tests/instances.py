@@ -236,14 +236,26 @@ def arbitrary_states(net, pools, table, rng: np.random.Generator, count: int) ->
     return states
 
 
-def unpriced_active(res) -> list[str]:
-    """The pools of a run's end state in which an active line's path carries no price."""
-    pools = []
-    for view in res.views:
-        st = res.state.pool_states[view.pool_id]
+def certificate(net, pools, table, state) -> lm.KKTReport:
+    """mechanism_kkt's report on a state, once it is asserted to be kkt_report's on the state's own
+    arrays and compile_pool's views, bit for bit."""
+    views = [lm.compile_pool(net, pools, k) for k in pools.pool_ids]
+    states = [state.pool_states[k] for k in pools.pool_ids]
+    report = lm.mechanism_kkt(net, pools, table, state)
+    direct = lm.kkt_report(views, [table.coefficients_for(view) for view in views], [st.freqs for st in states],
+                           [st.prices for st in states], state.shares.values, state.cost_level)
+    assert repr(report) == repr(direct)
+    return report
+
+
+def unpriced_active(net, pools, state) -> list[str]:
+    """The pools of a state on an instance in which an active line's path carries no price."""
+    out = []
+    for k in pools.pool_ids:
+        view, st = lm.compile_pool(net, pools, k), state.pool_states[k]
         if np.any((st.freqs > 0.0) & ~(view.incidence.T @ st.prices > 0.0)):
-            pools.append(view.pool_id)
-    return pools
+            out.append(k)
+    return out
 
 
 def brute_force_tiny(net, pools, table, res: float = 1e-3) -> float:

@@ -14,14 +14,16 @@ removes.
 No run may end with an active line on an unpriced path, and every run
 that converges must certify at 0.1.  A run that spends its budget is the
 default step's slow or divergent kind, an open finding for the step rule,
-and is counted, not failed: the counts are printed in the terminal
-summary's measurements section.
+and is counted, not failed: the counts, and the certificates of those
+runs, are printed in the terminal summary's measurements section.  Every
+run, converged or not, is certified by mechanism_kkt, whose report must
+be kkt_report's on the run's own arrays bit for bit
+(instances.certificate).
 """
 import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket.oracle import _state_kkt
 
 import instances
 import report
@@ -39,6 +41,7 @@ def test_runs_from_arbitrary_states(family):
     failures = []
     converged = runs = 0
     spent = []
+    spent_kkt = []
     worst_kkt = 0.0
     for seed in seeds:
         net, pools, table = build(seed)
@@ -47,19 +50,21 @@ def test_runs_from_arbitrary_states(family):
             run = f"{family} {seed} state {i}"
             runs += 1
             converged += res.converged
-            unpriced = instances.unpriced_active(res)
+            unpriced = instances.unpriced_active(net, pools, res.state)
             if unpriced:
                 failures.append(f"{run}: an active line on an unpriced path in {unpriced}")
+            kkt = instances.certificate(net, pools, table, res.state).max_scaled()
             if res.converged:
-                kkt = _state_kkt(res.views, res.coefficients, res.state).max_scaled()
                 worst_kkt = max(worst_kkt, kkt)
                 if not kkt <= 0.1:
                     failures.append(f"{run}: converged at scaled residual {kkt:.3g}")
             else:
                 spent.append(f"({seed}, {i})")
+                spent_kkt.append(kkt)
     report.note(
         f"arbitrary-states family, {family}: converged {converged} of {runs}, worst scaled residual "
         f"{worst_kkt:.4f}; not converged (seed, state): {', '.join(spent) or 'none'}"
+        + (f", certified at {min(spent_kkt):.2f}-{max(spent_kkt):.2f}" if spent else "")
     )
     assert runs == len(seeds) * count
     assert not failures, "; ".join(failures)

@@ -127,21 +127,6 @@ def test_solve_summary_matches_recomputed_kkt(tmp_path, monkeypatch):
     assert report.max_scaled() == pytest.approx(recorded, rel=1e-4)
 
 
-def test_solve_certifies_the_run_on_its_own_views(tmp_path, monkeypatch, compiles):
-    """solve compiles each pool once, for the run, and records the run's own certificate:
-    mechanism_kkt's on a fresh compile, to the digits the record carries."""
-    monkeypatch.chdir(tmp_path)
-    scn = json.loads(json.dumps(GRID_SCENARIO))
-    scn["grid"]["pools"] = 2
-    (tmp_path / "scn.json").write_text(json.dumps(scn), encoding="utf-8")
-    assert run_cli(["solve", "--scenario", "scn.json", "--out", "out"]) == 0
-    assert compiles == {"multi_pool": ["pool0", "pool1"], "oracle": []}
-    net, pools, table = cli._build_instance(scn, 0, tmp_path)
-    res = lm.run_mechanism(net, pools, table, cli._mech_config(scn))
-    recorded = read_records(tmp_path / "out" / "records.csv")[0]["max_kkt"]
-    assert recorded == cli._fmt(lm.mechanism_kkt(net, pools, table, res.state).max_scaled())
-
-
 def test_outputs_are_byte_identical_across_reruns(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     scn = write_single_edge_scenario(tmp_path)

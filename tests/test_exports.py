@@ -1,9 +1,15 @@
 """The package surface: every declared export exists where it is declared, and the knobs stay few."""
 import argparse
+import ast
 import dataclasses
+import io
+import tokenize
+from pathlib import Path
 
 import linemarket as lm
 from linemarket import cli, multi_pool, network, oracle, scenarios, single_pool, utility
+
+import report
 
 MODULES = (network, utility, single_pool, multi_pool, oracle, scenarios, cli)
 
@@ -42,3 +48,37 @@ def test_settable_values_stay_within_the_ceiling():
               "engine keys": len(cli._ENGINE),
               "linemarket solve options": len(options)}
     assert sum(counts.values()) <= 6, counts
+
+
+def _code_lines(text: str) -> int:
+    """The lines of a source file that hold a token, less comments, and lie in no docstring."""
+    doc = set()
+    for node in ast.walk(ast.parse(text)):
+        body = getattr(node, "body", None)
+        if (isinstance(body, list) and body and isinstance(body[0], ast.Expr)
+                and isinstance(body[0].value, ast.Constant) and isinstance(body[0].value.value, str)):
+            doc.update(range(body[0].lineno, body[0].end_lineno + 1))
+    skip = (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER)
+    code = set()
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type not in skip:
+            code.update(range(tok.start[0], tok.end[0] + 1))
+    return len(code - doc)
+
+
+def test_source_lines_are_counted():
+    """Each module's lines and code lines, and their totals, in the measurements section.
+
+    They are the figures a change's net line count cites.  A code line is
+    one that is neither blank, a comment nor part of a docstring.
+    """
+    package = Path(lm.__file__).parent
+    counts = {}
+    for path in sorted(package.rglob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        counts[path.relative_to(package).with_suffix("").as_posix()] = (text.count("\n"), _code_lines(text))
+    assert set(counts) >= {module.__name__.rpartition(".")[2] for module in MODULES}
+    lines, code = (sum(c[i] for c in counts.values()) for i in (0, 1))
+    assert 0 < code < lines
+    per_module = ", ".join(f"{name} {n:,} / {c:,}" for name, (n, c) in counts.items())
+    report.note(f"source lines / code lines: {per_module}; total {lines:,} / {code:,}")

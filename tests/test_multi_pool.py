@@ -533,6 +533,33 @@ def holding(state, values):
     return dataclasses.replace(state, shares=lm.ProportionVector(state.shares.pool_ids, np.array(values)))
 
 
+@pytest.fixture
+def pool_runs(monkeypatch):
+    """(pool id, result) of every pool run while the test runs, through multi_pool's _run_pool binding."""
+    seen = []
+    run_pool = multi_pool._run_pool
+
+    def spy(view, *args):
+        res = run_pool(view, *args)
+        seen.append((view.pool_id, res))
+        return res
+
+    monkeypatch.setattr(multi_pool, "_run_pool", spy)
+    return seen
+
+
+def assert_holds_nothing(res, k, pool_runs):
+    """Pool k ends with the bytes of np.zeros for its prices, bids and freqs and the share 0.0,
+    and adds no price or bid update to the run's counts."""
+    st = res.state.pool_states[k]
+    for name, n in (("prices", len(st.edge_ids)), ("bids", len(st.lop_ids)), ("freqs", len(st.lop_ids))):
+        values = getattr(st, name)
+        assert (values.dtype, values.shape, values.tobytes()) == (np.float64, (n,), np.zeros(n).tobytes()), name
+    assert (type(st.share), repr(st.share)) == (float, "0.0")
+    assert res.price_updates[k] == 0
+    assert all(run.iterations == run.bid_updates == 0 for pool, run in pool_runs if pool == k)
+
+
 # the share a pool that cannot run still holds in a warm state: what a
 # lower bound on the split, as the engine once kept, would have left it, or none
 DEAD_HELD = [1e-4, 0.0]
@@ -540,8 +567,9 @@ DEAD_HELD = [1e-4, 0.0]
 
 @pytest.mark.parametrize("held", DEAD_HELD)
 @pytest.mark.parametrize("case", [0, 1], ids=["no-operators", "closed-line"])
-def test_pool_whose_lines_cannot_run_holds_no_capacity(case, held):
-    """Such a pool gets share 0 outright instead of 200 split updates toward it, cold or warm."""
+def test_pool_whose_lines_cannot_run_holds_no_capacity(case, held, pool_runs):
+    """Such a pool gets share 0 outright instead of 200 split updates toward it, cold or warm,
+    and an empty market."""
     net, pools, table = dead_pool_instances()[case]
     assert lm.solve_full(net, pools, table).state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
     cold = lm.run_mechanism(net, pools, table)
@@ -550,20 +578,22 @@ def test_pool_whose_lines_cannot_run_holds_no_capacity(case, held):
         assert res.converged
         assert res.f_updates == 0
         assert res.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
-        assert res.price_updates["k1"] == 0
+        assert_holds_nothing(res, "k1", pool_runs)
         assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
 
 
-def test_warm_restart_drops_a_pool_whose_lines_closed():
-    """Closing the edge k1's only line crosses moves its whole share to k0 without split updates."""
+def test_warm_restart_drops_a_pool_whose_lines_closed(pool_runs):
+    """Closing the edge k1's only line crosses moves its whole share to k0 without split updates,
+    and empties k1's market: nothing to re-clear at share 0."""
     closed, pools, table = dead_pool_instances()[1]
     base = lm.run_mechanism(closed.with_capacities({"e2": 4.0}), pools, table)
     assert base.converged and base.state.shares.share("k1") > 0.4
+    pool_runs.clear()
     res = lm.run_mechanism(closed, pools, table, warm=base.state)
     assert res.converged
     assert res.f_updates == 0
     assert res.state.shares.as_dict() == {"k0": 1.0, "k1": 0.0}
-    assert res.price_updates["k1"] == 0  # nothing to re-clear at share 0
+    assert_holds_nothing(res, "k1", pool_runs)
     assert lm.mechanism_kkt(closed, pools, table, res.state).max_scaled() <= 0.1
 
 
@@ -629,15 +659,20 @@ def test_pool_that_cannot_run_leaves_the_split_update_to_the_others(held):
         assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
 
 
-def test_no_pool_can_run_gives_the_uniform_split():
-    """With every line closed nothing is priced or run, and the split is uniform as in solve_full."""
+def test_no_pool_can_run_gives_the_uniform_split(pool_runs):
+    """With every line closed nothing is priced or run, and the split is uniform as in solve_full,
+    cold or warm; each pool's state holds share 0.0 all the same."""
     net, pools, table = instances.chain_instance(3)
     closed = net.with_capacities({e.id: 0.0 for e in net.edges})
-    res = lm.run_mechanism(closed, pools, table)
-    assert res.converged and res.f_updates == 0
-    assert res.state.shares.as_dict() == lm.solve_full(closed, pools, table).state.shares.as_dict() == {"k0": 0.5, "k1": 0.5}
-    assert sum(res.price_updates.values()) == 0
-    assert all(not st.prices.any() for st in res.state.pool_states.values())
+    cleared = lm.run_mechanism(net, pools, table).state
+    pool_runs.clear()
+    cold = lm.run_mechanism(closed, pools, table)
+    warm = lm.run_mechanism(closed, pools, table, warm=cleared)
+    for res in (cold, warm):
+        assert res.converged and res.f_updates == 0
+        assert res.state.shares.as_dict() == lm.solve_full(closed, pools, table).state.shares.as_dict() == {"k0": 0.5, "k1": 0.5}
+        for k in pools.pool_ids:
+            assert_holds_nothing(res, k, pool_runs)
 
 
 def test_warm_restart_keeps_the_surviving_proportions():

@@ -186,7 +186,7 @@ def test_kkt_idle_operator_without_capacity_certifies():
 
 
 def test_nan_is_never_certified():
-    """A NaN in a candidate makes max_scaled NaN, through kkt_report and through _state_kkt.
+    """A NaN in a candidate makes kkt_report's max_scaled NaN.
 
     Python's max keeps its running value when the next term is NaN, so each
     pool's NaN term and each NaN field must win where max would pass over
@@ -194,20 +194,16 @@ def test_nan_is_never_certified():
     """
     net, pools, table = instances.chain_instance(0)
     res = lm.run_mechanism(net, pools, table)
-    assert 0.0 < oracle._state_kkt(res.views, res.coefficients, res.state).max_scaled() < 0.1
-    nan_state = copy.deepcopy(res.state)
-    for st in nan_state.pool_states.values():
-        st.prices[:] = np.nan
-    assert math.isnan(oracle._state_kkt(res.views, res.coefficients, nan_state).max_scaled())
-
-    states = [res.state.pool_states[view.pool_id] for view in res.views]
+    views, coeffs = _views(net, pools, table)
+    states = [res.state.pool_states[view.pool_id] for view in views]
     xs, lams = [st.freqs for st in states], [st.prices for st in states]
     shares, level = res.state.shares.values, res.state.cost_level
 
     def report(xs=xs, lams=lams, shares=shares, level=level):
-        return lm.kkt_report(res.views, res.coefficients, xs, lams, shares, level)
+        return lm.kkt_report(views, coeffs, xs, lams, shares, level)
 
-    for p in range(len(res.views)):
+    assert 0.0 < report().max_scaled() < 0.1
+    for p in range(len(views)):
         for name, arrays, i in (("price", lams, 0), ("price", lams, -1), ("frequency", xs, 0)):
             edited = [a.copy() for a in arrays]
             edited[p][i] = np.nan
@@ -596,20 +592,28 @@ RUN_CASES = [(f"chain{seed}", partial(instances.chain_instance, seed)) for seed 
 
 @pytest.mark.parametrize("make", [make for _, make in RUN_CASES], ids=[name for name, _ in RUN_CASES])
 def test_run_is_certified_on_its_own_views(make):
-    """A run keeps the views and coefficient vectors it compiled, in pool order, equal to a fresh
-    compile_pool and coefficients_for; its certificate on them is mechanism_kkt's bit for bit."""
+    """A run reads compile_pool's shared views, so mechanism_kkt, the one certificate of a run,
+    reads the views the run ran on: its report is kkt_report's on the run's arrays bit for bit."""
     net, pools, table = make()
     res = lm.run_mechanism(net, pools, table)
-    assert [view.pool_id for view in res.views] == list(pools.pool_ids)
-    assert len(res.coefficients) == len(res.views)
-    for view, a in zip(res.views, res.coefficients):
-        fresh = lm.compile_pool(net, pools, view.pool_id)
-        assert (view.edge_ids, view.lop_ids) == (fresh.edge_ids, fresh.lop_ids)
-        for name in ("capacity", "incidence", "bottleneck", "own_edges"):
-            assert _same_arrays(getattr(view, name), getattr(fresh, name)), name
-        assert _same_arrays(a, table.coefficients_for(fresh))
-    own = oracle._state_kkt(res.views, res.coefficients, res.state)
-    assert repr(own) == repr(lm.mechanism_kkt(net, pools, table, res.state))
+    assert res.converged
+    assert instances.certificate(net, pools, table, res.state).max_scaled() <= 0.1
+
+
+# the lopsided 4x6 grids, at a pool_scale and a seed, whose runs spend a pool's budget at the default step
+SPENT_LOPSIDED = (([1, 0.01], 0), ([1, 1, 0.003], 0), ([1, 1, 0.003], 1), ([1, 1, 0.003], 4))
+
+
+@pytest.mark.parametrize("scales, seed", SPENT_LOPSIDED, ids=[f"{scales}-s{seed}" for scales, seed in SPENT_LOPSIDED])
+def test_lopsided_run_that_spends_its_budget_is_certified_not_raised(scales, seed):
+    """The one certification path reports on a run that spends its budget, and does not raise.
+
+    The arbitrary-states family certifies its runs that spend theirs the same way.
+    """
+    net, pools, table = lopsided_instance(scales, seed)
+    res = lm.run_mechanism(net, pools, table)
+    assert not res.converged
+    assert 0.1 < instances.certificate(net, pools, table, res.state).max_scaled() < math.inf
 
 
 FIXED_POINT_CASES = [(f"chain{seed}", partial(instances.chain_instance, seed)) for seed in range(20)] + [

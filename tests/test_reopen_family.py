@@ -16,7 +16,6 @@ and is counted, not failed: the counts are printed in the terminal
 summary's measurements section.
 """
 import linemarket as lm
-from linemarket.oracle import _state_kkt
 from linemarket.single_pool import _MAX_PASSES
 
 import instances
@@ -34,17 +33,18 @@ def test_close_and_reopen_every_chain_edge():
         base = lm.run_mechanism(net, pools, table)
         assert base.converged, seed
         for eid in net.edge_ids:
-            closed = lm.run_mechanism(net.with_capacities({eid: 0.0}), pools, table, warm=base.state)
+            shut = net.with_capacities({eid: 0.0})
+            closed = lm.run_mechanism(shut, pools, table, warm=base.state)
             reopened = lm.run_mechanism(net, pools, table, warm=closed.state)
-            for name, res in (("closed", closed), ("reopened", reopened)):
+            for name, res, on in (("closed", closed, shut), ("reopened", reopened, net)):
                 run = f"chain {seed} {eid} {name}"
                 counts[name][0] += res.converged
                 counts[name][1] += 1
-                unpriced = instances.unpriced_active(res)
+                unpriced = instances.unpriced_active(on, pools, res.state)
                 if unpriced:
                     failures.append(f"{run}: an active line on an unpriced path in {unpriced}")
                 if res.converged:
-                    kkt = _state_kkt(res.views, res.coefficients, res.state).max_scaled()
+                    kkt = lm.mechanism_kkt(on, pools, table, res.state).max_scaled()
                     worst_kkt = max(worst_kkt, kkt)
                     if not kkt <= 0.1:
                         failures.append(f"{run}: converged at scaled residual {kkt:.3g}")

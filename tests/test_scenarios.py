@@ -381,14 +381,17 @@ class TestRecoveryExperiment:
         assert out.disrupted_net.capacity("e1") == pytest.approx(2.0)
         assert net.capacity("e1") == 4.0
 
-    def test_restart_compiles_its_pools_once(self, compiles, k2_baseline):
-        """Each restart compiles each pool once, for its run, and its certificate reads those views:
-        nothing compiles through the certifier, and the disrupted network keeps every untouched edge."""
+    def test_restart_compiles_its_pools_once(self, compiles, builds, k2_baseline):
+        """The shocked network builds each pool once: both restarts and their certificates read those
+        views, and the disrupted network keeps every untouched edge."""
         net, pools, table, base = k2_baseline(0)
         compiles["multi_pool"].clear()
+        builds.clear()
         dis = lm.DisruptionSpec("increase", 1, 0.1, seed=1)
         out = lm.run_recovery_experiment(net, pools, table, dis, instances.GRID_CFG, baseline=base)
-        assert compiles == {"multi_pool": list(pools.pool_ids) * 2, "oracle": []}
+        ids = list(pools.pool_ids)
+        assert builds == ids
+        assert compiles == {"multi_pool": ids * 2, "oracle": ids * 2}
         assert sum(new is not old for old, new in zip(net.edges, out.disrupted_net.edges)) == 1
         for rec, res in ((out.warm, out.warm_result), (out.cold, out.cold_result)):
             assert rec.max_kkt == lm.mechanism_kkt(out.disrupted_net, pools, table, res.state).max_scaled()

@@ -1,4 +1,5 @@
 """In-pool dynamics: price steps, allocation, bid refresh, full runs."""
+import copy
 import dataclasses
 import itertools
 import json
@@ -625,6 +626,29 @@ def test_tiny_warm_bid_counts_its_update_without_overflow():
                               bids / view.incidence.T.dot(np.full(2, price)), 1.0)
     got = assert_same_run(view, np.array([2.0, 3.0, 3.0]), 1.0, lm.DynamicsConfig(), warm)
     assert got.converged and got.bid_updates >= 1
+
+
+def test_rebid_against_a_vanishing_path_price_allocates_without_overflow():
+    """An uncertified re-bid against a path price near zero is allocated its cap, not an overflow.
+
+    A warm state at its own share, every price 0 and both bids 1e-200, on a
+    path a-b-c-d whose two lines share e1: the opening charges both bids to
+    e1, so each path opens priced at about 3e-201, and the first pass's
+    re-bid offers 3e200 and 6.75e200 against it.  Divided unguarded, that offer
+    overflows (the suite fails on the warning); the quotient was clipped to
+    the cap, so the run is unchanged: it converges in 120 price updates.
+    """
+    net = lm.Network(["a", "b", "c", "d"], [lm.Edge("e0", "a", "b", 4.0), lm.Edge("e1", "b", "c", 6.0),
+                                            lm.Edge("e2", "c", "d", 5.0)])
+    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e0", "e1")), ("lop1", "k0"): lm.Line(("e1", "e2"))})
+    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0), ("lop1", "k0"): lm.UtilitySpec(3.0)})
+    warm = copy.deepcopy(lm.run_mechanism(net, pools, table).state)
+    st = warm.pool_states["k0"]
+    st.prices[:] = 0.0
+    st.bids[:] = 1e-200
+    res = lm.run_mechanism(net, pools, table, warm=warm)
+    assert res.converged and res.price_updates == {"k0": 120}
+    assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
 
 
 @pytest.mark.parametrize("seed", range(20))
