@@ -326,7 +326,6 @@ def run_mechanism(
     live = np.array([_max_or_zero(views[k].bottleneck) > 0.0 for k in pool_ids])
     shares = _live_split(shares, live)
 
-    f_updates = 0
     price_updates = {k: 0 for k in pool_ids}
     bid_updates = 0
     outer_trace: list[dict] = []
@@ -373,7 +372,6 @@ def run_mechanism(
             diagnostics = f"equal-cost test still failing after {_MAX_OUTER} split updates"
             break
         shares = update_proportions(shares, costs)
-        f_updates += 1
 
     return MechanismResult(
         state=OuterState(
@@ -384,7 +382,7 @@ def run_mechanism(
             outer_iter=outer,
         ),
         converged=converged,
-        f_updates=f_updates,
+        f_updates=outer,  # one split update per outer step before the last
         price_updates=price_updates,
         bid_updates=bid_updates,
         objective=sum(float(coeffs[k] @ np.sqrt(np.maximum(states[k].freqs, 0.0))) for k in pool_ids),

@@ -31,11 +31,14 @@ test: the loop holds it at zero and never steps it.
 A run is made of whole refresh passes: each runs one refresh period of
 price steps and ends with a re-bid, and the budget counts passes
 (_MAX_PASSES), so a run's price updates are a multiple of the period.
-The loop checks its stop test only at those boundaries and at a run's
-opening, and computes the full residuals (pool_residuals) only where the
-worst overload and worst |price * excess| already pass (_may_stop), or
-when the budget runs out; the opening of a state rescaled to a new share,
-which may not stop there, computes none.  When every path is priced,
+A run's opening is its first boundary, and every boundary, the opening
+included, takes one path: it charges any line waiting on an unpriced
+path, allocates under the current bids, and tests the stop.  The loop
+checks its stop test only there, and computes the full residuals
+(pool_residuals) only where the worst overload and worst |price * excess|
+already pass (_may_stop), or when the budget runs out; the opening of a
+state rescaled to a new share, which may not stop there, computes none.
+When every path is priced,
 allocate_frequencies and refresh_bids skip their zero-price masks, and
 _bid_terms its zero-bid mask when every line bids; the residual kernel
 (_pool_terms) skips its selection of running lines when every line runs.
@@ -337,6 +340,18 @@ def allocate_frequencies(
     return freqs if cap is None else np.minimum(freqs, cap, out=freqs)
 
 
+def _overflow_safe(path_prices: np.ndarray, offers: np.ndarray) -> np.ndarray:
+    """A copy of path_prices in which a positive price below its offer over 2**1000 reads as that quotient.
+
+    An allocation divides each offer by its path price, and an offer over a
+    vanishing price may overflow there, far past its cap.  Divided by the
+    quotient instead, the offer buys 2**1000, which the cap truncates as it
+    would have truncated the overflow.  Zero prices stay zero, for the
+    allocation's zero-price mask.
+    """
+    return np.maximum(path_prices, offers * 2.0 ** -1000, out=path_prices.copy(), where=path_prices > 0.0)
+
+
 def refresh_bids(coefficients: np.ndarray, path_prices: np.ndarray, bids: np.ndarray, priced: bool = False) -> np.ndarray:
     """Re-bid optimally where the path price is positive; return the new bids.
 
@@ -385,7 +400,7 @@ def _may_stop(prices: np.ndarray, excess: np.ndarray) -> bool:
     checks, as the "refresh-pass certificates" line of the tier-1 suite's
     measurements section counts on the test chains and grids.
     pool_residuals(...).converged implies it, so the price loop computes the
-    full residuals only at an opening or a boundary that passes it.
+    full residuals only at a boundary, its opening included, that passes it.
     """
     return _max_or_zero(excess) <= _ABS_TOL and _max_or_zero(np.abs(prices * excess)) <= _ABS_TOL
 
@@ -424,9 +439,9 @@ def pool_residuals(
     does, and scales the gap of each running line by its path price.
     converged is the stop test at _ABS_TOL and _REL_TOL; an active line on
     an unpriced path fails it, and only then are the unpriced entries
-    dropped before the gaps are scaled.  The price loop calls this at an
-    opening not rescaled to a new share and at each refresh boundary, where
-    either passes _may_stop, and on the exit that spends the budget.
+    dropped before the gaps are scaled.  The price loop calls this at each
+    refresh boundary that passes _may_stop, but a rescaled opening, and at
+    the boundary that spends the budget.
     """
     feas, comp, gap, mu = _pool_terms(coefficients, prices, freqs, path_prices, excess)
     priceless = not _positive(mu)  # an active line on an unpriced path
@@ -556,23 +571,11 @@ def _run_pool(
     A warm state resumed at its own share that was not cleared on these
     capacities, such as one a disruption hit, re-opens each edge whose load
     at its frequencies misses the edge's supply at the price that supply
-    predicts (_reopen) before the opening allocation; a cleared one opens
-    as it is.  A warm state can leave a line that can run and bids on a
-    path no edge prices, as a closed edge that opens again does: the run
-    returned that edge at zero.  Allocated its ceiling, such a line loads
-    its neck exactly to supply when it runs there alone, so no price step
-    would ever price its path, and the stop test rejects an active line on
-    an unpriced path.  So the opening charges each such line's bid to its
-    neck, on top of the neck's price (_charge_waiting), as cold_start
-    charges every bid; a warm opening with every path priced only pays the
-    check.  A price can also fall to zero within a pass, when a step
-    overshoots, and leave such a line behind, so the boundary of a pass
-    that is not certified charges the same lines after its re-bid; a
-    certified pass ends with every path priced.  A line that cannot run (a
-    closed edge on it, view.bottleneck 0) is valued at zero for the whole
-    run, so each re-bid on its priced path sets its bid to 0: it never buys
-    anything, and a bid it kept growing against a falling path price would
-    be charged to its neck when its edge reopens.
+    predicts (_reopen); a cleared one opens as it is.  A line that cannot
+    run (a closed edge on it, view.bottleneck 0) is valued at zero for the
+    whole run, so each re-bid on its priced path sets its bid to 0: it
+    never buys anything, and a bid it kept growing against a falling path
+    price would be charged to its neck when its edge reopens.
     eta is the price step, which run_mechanism resolves once per pool from
     cfg.price_eta for all of that pool's runs, so the run reads cfg only
     for its refresh period: operators re-bid every
@@ -589,27 +592,40 @@ def _run_pool(
     step moves its price: the run opens it at zero too, as cold_start does,
     and returns it at zero.
 
-    The full residuals (pool_residuals) are computed at the opening of a
-    run whose share did not move and at each refresh boundary, where the
-    worst overload and worst |price * excess| are both within _ABS_TOL
-    (_may_stop), and when the budget runs out; any other opening or
-    boundary cannot pass the stop test, so it is not checked.  Nor is a
-    rescaled opening, which may not stop: the run goes on to a boundary,
-    and returns the residuals of its last one.
+    The run's opening is its first refresh boundary, and every boundary
+    takes one path: charge, allocate, stop test.  A line that can run and
+    bids may wait on a path no edge prices: a warm state leaves one where
+    a closed edge opens again, since the run returned that edge at zero,
+    and a step that overshoots to zero within a pass leaves one behind.
+    Allocated its ceiling, such a line loads its neck exactly to supply
+    when it runs there alone, so no price step would ever price its path,
+    and the stop test rejects an active line on an unpriced path.  So a
+    boundary not covered by a pass's certificate, the opening included,
+    charges each such line's bid to its neck, on top of the neck's price
+    (_charge_waiting), as cold_start charges every bid; with every path
+    priced it only pays the check, and a certified pass ends with every
+    path priced.  The boundary then allocates under the current bids, but
+    at a cold opening, which cold_start has allocated.  Outside a certified
+    pass it reads a positive path price below the offer over 2**1000 as
+    that quotient (_overflow_safe): the offer buys its cap either way, and
+    divided by the price itself it could overflow.  Last, it computes the
+    full residuals (pool_residuals) where the worst overload and worst
+    |price * excess| are both within _ABS_TOL (_may_stop), or when the
+    budget runs out, and stops when they pass; a boundary failing the
+    pre-check cannot pass the stop test.  A rescaled opening is a
+    prediction, not a certificate, and may not stop: it reads no residuals.
+    The run returns the residuals of the boundary it stopped at.
 
     Each pass runs its steps but the last as plain steps and re-bids in
     its last step, so no step tests for the boundary.  Each pass is
     certified or not, and uncapped or not, at its start (see the module
-    docstring): a certified pass tells each of its allocations and its
-    re-bid that every path is priced (the priced flag of
-    allocate_frequencies and refresh_bids), an uncertified one lets each of
-    them check; an uncapped pass also tells the allocations of its plain
-    steps that none reaches its cap (cap None), and any other allocation
-    truncates at the cap.  The allocation after an uncertified re-bid reads
-    a positive path price below the offer over 2**1000 as that quotient:
-    the offer buys its cap either way, and divided by the price itself it
-    could overflow.  Loads are freqs.dot(inc_t), which numpy
-    computes with the same BLAS call as inc.dot(freqs), on the same
+    docstring): a certified pass tells each of its allocations, its re-bid
+    and its boundary's allocation that every path is priced (the priced
+    flag of allocate_frequencies and refresh_bids), an uncertified one lets
+    each of them check; an uncapped pass also tells the allocations of its
+    plain steps that none reaches its cap (cap None), and any other
+    allocation truncates at the cap.  Loads are freqs.dot(inc_t), which
+    numpy computes with the same BLAS call as inc.dot(freqs), on the same
     buffer, so the bits are those of the matrix-vector product, at less
     cost.  A copy of the incidence in another memory order would sum
     in another order and change them.
@@ -657,28 +673,27 @@ def _run_pool(
         _reopen(prices, state.freqs.dot(inc_t), supply)
     state.share = share
     mu = inc_t.dot(prices)
-    if not cold and not _positive(mu):
-        prices, mu = _charge_waiting(prices, mu, state.bids, coefficients, inc, own_caps, supply)
-    offers, free = _bid_terms(state.bids, ceil)
-    if not cold:  # cold_start has allocated under these bids
-        state.freqs = allocate_frequencies(mu, offers, free, cap)
-    loads = state.freqs.dot(inc_t)
-
     bids, freqs = state.bids, state.freqs
-    passes = 0
-    bid_updates = 0
-    # convergence is only declared at bid-consistent states, i.e. right after
-    # a refresh, so every clearing condition holds at one coherent state.
-    # Each pass of the loop runs one refresh period and ends with a re-bid;
-    # its end is the only point where the stop test and the result read the
-    # residuals.  A rescaled state may not stop at its opening, and any other
-    # stops there only past the same pre-check as a boundary
-    excess = loads - supply
-    res = None
-    if not rescaled and _may_stop(prices, excess):
-        res = pool_residuals(coefficients, prices, freqs, mu, excess)
-    settled = res is not None and res.converged
-    while not settled and passes < _MAX_PASSES:
+    passes = bid_updates = 0
+    priced = False  # no certificate covers the opening
+    # each turn of the loop opens at a refresh boundary, the run's opening
+    # the first, and runs one pass to the next; convergence is only declared
+    # at a boundary, a bid-consistent state, so every clearing condition
+    # holds at one coherent state
+    while True:
+        offers, free = _bid_terms(bids, ceil)
+        if not priced and not _positive(mu):
+            prices, mu = _charge_waiting(prices, mu, bids, coefficients, inc, own_caps, supply)
+        if passes or not cold:  # cold_start has allocated the opening
+            freqs = allocate_frequencies(mu if priced else _overflow_safe(mu, offers), offers, free, cap, priced)
+        loads = freqs.dot(inc_t)
+        excess = loads - supply
+        spent = passes == _MAX_PASSES
+        # a rescaled opening may not stop, so it reads no residuals
+        if spent or (passes or not rescaled) and _may_stop(prices, excess):
+            res = pool_residuals(coefficients, prices, freqs, mu, excess)
+            if spent or res.converged:
+                break
         # each path price stays at least lower through the whole pass, its
         # boundary included: the pass is certified when every lower is
         # positive, and its plain steps skip the cap when no offer reaches
@@ -699,24 +714,12 @@ def _run_pool(
         if np.count_nonzero(np.abs(new_bids - bids) > _REL_TOL * bids):
             bid_updates += 1
         bids = new_bids
-        offers, free = _bid_terms(bids, ceil)
-        if not priced and not _positive(mu):
-            prices, mu = _charge_waiting(prices, mu, bids, coefficients, inc, own_caps, supply)
-        # an uncertified offer over a vanishing path price may overflow, far
-        # past its cap: such a price reads as offer / 2**1000, which buys the cap
-        guarded = mu if priced else np.maximum(mu, offers * 2.0 ** -1000, out=mu.copy(), where=mu > 0.0)
-        freqs = allocate_frequencies(guarded, offers, free, cap, priced)
-        loads = freqs.dot(inc_t)
         passes += 1
-        excess = loads - supply
-        if passes == _MAX_PASSES or _may_stop(prices, excess):
-            res = pool_residuals(coefficients, prices, freqs, mu, excess)
-            settled = res.converged
 
     state.prices = np.zeros(view.n_edges)
     state.prices[own] = prices
     state.bids, state.freqs = bids, freqs
-    return SinglePoolResult(state, passes * period, bid_updates, settled, res)
+    return SinglePoolResult(state, passes * period, bid_updates, res.converged, res)
 
 
 def run_price_dynamics(
@@ -756,7 +759,7 @@ def run_price_dynamics(
     # price_step returns new prices, so the caller's array is never written
     hist[0] = prices
     for t in range(steps):
-        freqs = allocate_frequencies(view.incidence.T @ prices, offers, free, cap)
+        freqs = allocate_frequencies(_overflow_safe(view.incidence.T @ prices, offers), offers, free, cap)
         prices, exc[t] = price_step(prices, view.incidence @ freqs, supply, eta)
         hist[t + 1] = prices
     return hist, exc
@@ -858,10 +861,16 @@ def _clearing_prices(
     Armijo test allows for the dual value's own rounding (a few ulps of
     it), else a step the rounding hides stalls the descent short of the
     tolerance.  Each accepted step's path prices,
-    demand and loads carry over to the next iteration and to the exit.  At
-    the returned point every active operator sits on her demand curve,
-    loads never exceed the budget beyond solver precision, and priced edges
-    run at budget.  No argument is modified.
+    demand and loads carry over to the next iteration and to the exit.  The
+    iterations reported count each one begun, the one whose stop test
+    passes included.  At the exit the frequencies shrink uniformly onto the
+    feasible set when some kept row's load exceeds its budget: they are
+    divided by the largest load-to-budget ratio over the kept rows, one
+    reduction, as an active line crosses no closed edge and so every kept
+    row's budget is positive.  At the returned point every active operator
+    sits on her demand curve up to that shrink, which is at solver
+    precision when the descent converged, loads never exceed the budget
+    beyond a rounding, and priced edges run at budget.  No argument is modified.
     """
     n_edges, n_lops = incidence.shape
     # an operator whose line crosses a closed edge can run nothing; left
@@ -903,8 +912,7 @@ def _clearing_prices(
     load = sub_inc @ x
     converged = False
     iters = 0
-    for _ in range(_NEWTON_ITERS):
-        iters += 1
+    for iters in range(1, _NEWTON_ITERS + 1):
         gap = load - sub_budget
         if max(_clearing_terms(prices, gap)) <= _NEWTON_TOL * scale_b:
             converged = True
@@ -957,13 +965,10 @@ def _clearing_prices(
         x = (s / mu) ** power
         load = sub_inc @ x
 
-    over = load > sub_budget
-    if over.any():
-        # uniform shrink onto the feasible set; perturbation is at solver
-        # precision when the descent converged
-        ratio = float(np.max(load[over] / np.maximum(sub_budget[over], _TINY)))
-        if ratio > 1.0:
-            x = x / ratio
+    # the uniform shrink onto the feasible set (see the docstring)
+    ratio = float(np.max(load / sub_budget))
+    if ratio > 1.0:
+        x = x / ratio
     out = np.zeros(n_edges)
     out[reps] = prices
     freqs = np.zeros(n_lops)

@@ -353,6 +353,29 @@ def test_full_search_certifies_at_solver_precision(make):
     assert sol.kkt.max_scaled() <= 1e-8
 
 
+# the units family: (capacity factor, valuation factor)
+UNITS = [(c, 1.0) for c in (1e-6, 1e-4, 1e-2, 1e4)] + [(1.0, u) for u in (1e-3, 1e3)]
+
+
+@pytest.mark.parametrize("cap, val", UNITS, ids=[f"cap{c:g}-val{u:g}" for c, u in UNITS])
+def test_oracle_reads_the_instance_in_its_own_units(cap, val):
+    """solve_full on the 20 chains at capacities times c and valuations times u is the unscaled optimum, mapped.
+
+    The problem is 1/2-homogeneous in the capacities and 1-homogeneous in
+    the valuations, so each scaled solve must converge, certify at solver
+    precision, and return the unscaled objective times u * sqrt(c).
+    """
+    for seed in range(20):
+        net, pools, table = instances.chain_instance(seed)
+        want = lm.solve_full(net, pools, table).objective * val * math.sqrt(cap)
+        scaled_net = net.with_capacities({eid: net.capacity(eid) * cap for eid in net.edge_ids})
+        scaled_table = lm.UtilityTable({key: lm.UtilitySpec(spec.coefficient * val)
+                                        for key, spec in table.entries.items()})
+        sol = lm.solve_full(scaled_net, pools, scaled_table)
+        assert sol.converged and sol.kkt.max_scaled() <= 1e-6, seed
+        assert sol.objective == pytest.approx(want, rel=1e-9, abs=0.0), seed
+
+
 def _pool_views(make):
     net, pools, table = make()
     for k in pools.pool_ids:

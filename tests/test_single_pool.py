@@ -628,6 +628,15 @@ def test_tiny_warm_bid_counts_its_update_without_overflow():
     assert got.converged and got.bid_updates >= 1
 
 
+def _two_line_path():
+    """The path a-b-c-d, capacities 4, 6 and 5, with lines (e0, e1) and (e1, e2) valued 2 and 3."""
+    net = lm.Network(["a", "b", "c", "d"], [lm.Edge("e0", "a", "b", 4.0), lm.Edge("e1", "b", "c", 6.0),
+                                            lm.Edge("e2", "c", "d", 5.0)])
+    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e0", "e1")), ("lop1", "k0"): lm.Line(("e1", "e2"))})
+    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0), ("lop1", "k0"): lm.UtilitySpec(3.0)})
+    return net, pools, table
+
+
 def test_rebid_against_a_vanishing_path_price_allocates_without_overflow():
     """An uncertified re-bid against a path price near zero is allocated its cap, not an overflow.
 
@@ -638,10 +647,7 @@ def test_rebid_against_a_vanishing_path_price_allocates_without_overflow():
     overflows (the suite fails on the warning); the quotient was clipped to
     the cap, so the run is unchanged: it converges in 120 price updates.
     """
-    net = lm.Network(["a", "b", "c", "d"], [lm.Edge("e0", "a", "b", 4.0), lm.Edge("e1", "b", "c", 6.0),
-                                            lm.Edge("e2", "c", "d", 5.0)])
-    pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e0", "e1")), ("lop1", "k0"): lm.Line(("e1", "e2"))})
-    table = lm.UtilityTable({("lop0", "k0"): lm.UtilitySpec(2.0), ("lop1", "k0"): lm.UtilitySpec(3.0)})
+    net, pools, table = _two_line_path()
     warm = copy.deepcopy(lm.run_mechanism(net, pools, table).state)
     st = warm.pool_states["k0"]
     st.prices[:] = 0.0
@@ -649,6 +655,57 @@ def test_rebid_against_a_vanishing_path_price_allocates_without_overflow():
     res = lm.run_mechanism(net, pools, table, warm=warm)
     assert res.converged and res.price_updates == {"k0": 120}
     assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
+
+
+def test_warm_opening_against_a_vanishing_path_price_allocates_without_overflow():
+    """A warm opening allocates through the boundary's guard: offers of 1e200 over prices of 1e-200 buy their cap.
+
+    The cleared state of the path a-b-c-d, every price set to 1e-200
+    and both bids to 1e200, restarts warm at its own share.  The opening
+    divides each offer by a path price of 2e-200; unguarded, that overflows
+    (the suite fails on the warning), while the guard reads the price as
+    the offer over 2**1000, so the offer buys its cap.  The run converges
+    in 110 price updates and certifies.
+    """
+    net, pools, table = _two_line_path()
+    warm = copy.deepcopy(lm.run_mechanism(net, pools, table).state)
+    st = warm.pool_states["k0"]
+    st.prices[:] = 1e-200
+    st.bids[:] = 1e200
+    res = lm.run_mechanism(net, pools, table, warm=warm)
+    assert res.converged and res.price_updates == {"k0": 110}
+    assert lm.mechanism_kkt(net, pools, table, res.state).max_scaled() <= 0.1
+
+
+def _one_edge_view():
+    """One edge of capacity 4 carrying one line."""
+    net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 4.0)])
+    return lm.compile_pool(net, lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))}), "k0")
+
+
+def test_one_edge_warm_opening_at_a_vanishing_price_converges():
+    """A lone edge priced 1e-300 under a bid of 1e10 opens at its cap and converges, with no overflow.
+
+    The state is cleared at its own share (load 4 on supply 4), so it opens
+    as it is, and 1e10 / 1e-300 would overflow at the opening allocation.
+    """
+    view = _one_edge_view()
+    warm = lm.PoolMarketState("k0", view.edge_ids, view.lop_ids, np.array([1e-300]), np.array([1e10]),
+                              np.array([4.0]), 1.0)
+    got = run_pool(view, np.array([2.0]), 1.0, warm, lm.DynamicsConfig(price_eta=0.01))
+    assert got.converged and got.iterations == 50
+
+
+def test_price_dynamics_against_a_vanishing_price_allocate_without_overflow():
+    """run_price_dynamics reads its path prices through the pool run's guard.
+
+    A lone edge of capacity 4 priced 1e-300 under a frozen bid of 1e10: the
+    line buys its cap, 1.25 times the capacity, at both steps, so the excess
+    is 1 and the price rises by eta a step, where 1e10 / 1e-300 would
+    overflow.
+    """
+    hist, exc = lm.run_price_dynamics(_one_edge_view(), [1e-300], [1e10], 1.0, 0.01, 2)
+    assert hist[:, 0].tolist() == [1e-300, 0.01, 0.02] and exc[:, 0].tolist() == [1.0, 1.0]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -1031,20 +1088,30 @@ def _record_allocations(monkeypatch):
     run allocates under, the one the run's opening allocation passed.  The
     steps of a run come in passes of bid_refresh_period: its plain steps,
     then the allocation after its re-bid, which always passes the cap.
+    Each allocation of a step follows a price step; the opening's, cold
+    (cold_start's) or warm (the price loop's), follows none since the last
+    allocation, so it is not recorded.
     """
     steps = []
     run_cap = [None]
-    allocate_frequencies = single_pool.allocate_frequencies
+    stepped = [False]  # whether a price step ran since the last allocation
+    allocate_frequencies, price_step = single_pool.allocate_frequencies, single_pool.price_step
 
     def recorded(*args):
         freqs = allocate_frequencies(*args)
         if args[3] is not None:
             run_cap[0] = args[3]
-        if len(args) == 5:  # a step of the loop; the opening allocation passes no flag
+        if stepped[0]:
             steps.append((args[4], args[3] is None, args[0].copy(), freqs.copy(), run_cap[0]))
+        stepped[0] = False
         return freqs
 
+    def stepping(*args):
+        stepped[0] = True
+        return price_step(*args)
+
     monkeypatch.setattr(single_pool, "allocate_frequencies", recorded)
+    monkeypatch.setattr(single_pool, "price_step", stepping)
     return steps
 
 
