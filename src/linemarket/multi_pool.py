@@ -27,9 +27,7 @@ from .single_pool import (
     PoolMarketState,
     SinglePoolResult,
     _TINY,
-    _max_or_zero,
     _run_pool,
-    default_price_eta,
 )
 from .utility import UtilityTable
 
@@ -304,10 +302,9 @@ def run_mechanism(
     pool_ids = tuple(pools.pool_ids)
     views: dict[str, PoolView] = {k: compile_pool(net, pools, k) for k in pool_ids}
     coeffs = {k: utilities.coefficients_for(views[k]) for k in pool_ids}
-    # the price step reads only the view, so each pool's is set once for all
-    # of its runs
+    # the default price step reads only the view, which holds it
     eta = cfg.inner.price_eta
-    etas = {k: default_price_eta(views[k]) if eta is None else eta for k in pool_ids}
+    etas = {k: views[k].price_eta if eta is None else eta for k in pool_ids}
     capacity = net.capacity_vector()
 
     if warm is not None:
@@ -323,7 +320,7 @@ def run_mechanism(
     # where it cold-starts to an empty market of cost zero in no update, and
     # the split update keeps its share at zero; the equal-cost test sees
     # only the others
-    live = np.array([_max_or_zero(views[k].bottleneck) > 0.0 for k in pool_ids])
+    live = np.array([views[k].runs.any() for k in pool_ids])
     shares = _live_split(shares, live)
 
     price_updates = {k: 0 for k in pool_ids}

@@ -17,7 +17,12 @@ on the network: each line must be a path of its edges.  There is no other
 reader of an instance, so every entry point accepts the same instances.
 A pool is compiled once per network it is read against: the pool system
 keeps each view it has compiled, keyed weakly by the network, and every
-later call, from any entry point, returns that same shared view.
+later call, from any entry point, returns that same shared view.  So the
+view also files what the engines, the oracle and the certifier would
+otherwise derive from its incidence and capacities on every call: the
+pool's own edges and their rows, the lines that can run, each line's fair
+ratio and neck (_fair_split), the default price step, and, on first use,
+the exact solver's one-row-dominance presolve (_implied_rows, _presolve).
 """
 from __future__ import annotations
 
@@ -25,6 +30,7 @@ import json
 import numbers
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -156,6 +162,9 @@ class Network:
             raise InputMismatchError(f"edges {stray} end at a node the network does not list")
         capacity.flags.writeable = False
         self._capacity = capacity
+        # the network this one was copied from by with_capacities, whose
+        # edges, order and endpoints it shares; None for an original
+        self._original: Network | None = None
 
     def edge(self, edge_id: str) -> Edge:
         try:
@@ -178,7 +187,9 @@ class Network:
         to the constructor as given, so one that is not a real number (a
         string such as "4", a bool or None), or a negative or non-finite
         one, raises InputMismatchError as it would in Network(...), and so
-        does an id the network lacks.
+        does an id the network lacks.  The copy remembers the original it
+        shares its layout with (the first network of a chain of copies), so
+        compile_pool lays a pool's lines once for all of them.
         """
         unknown = set(new_caps) - self._pos.keys()
         if unknown:
@@ -187,7 +198,9 @@ class Network:
         for eid, capacity in new_caps.items():
             e = edges[self._pos[eid]]
             edges[self._pos[eid]] = Edge(e.id, e.tail, e.head, capacity)
-        return Network(self.nodes, edges)
+        copy = Network(self.nodes, edges)
+        copy._original = self._original or self
+        return copy
 
     def __repr__(self) -> str:
         return f"Network(nodes={len(self.nodes)}, edges={len(self.edges)})"
@@ -267,6 +280,23 @@ class PoolSystem:
 # Compiled per-pool view used by the engines and the reference solver.
 
 @dataclass(frozen=True)
+class _Presolve:
+    """The one-row-dominance presolve of a pool's rows over its active lines (_presolve).
+
+    lines marks the active lines, the columns the reduced system keeps.
+    edges are the edges those lines cross, in presolve order, and first[i]
+    is the position in edges of edge i's first cover (_implied_rows).  block
+    is the reduced incidence: the rows of the kept edges, each its own first
+    cover, in presolve order, over the active lines.
+    """
+
+    lines: np.ndarray
+    edges: np.ndarray
+    first: np.ndarray
+    block: np.ndarray
+
+
+@dataclass(frozen=True)
 class PoolView:
     """Dense numeric view of one pool against a fixed edge ordering.
 
@@ -274,8 +304,22 @@ class PoolView:
     is the smallest raw capacity along p's line (scale by the pool's capacity
     share to get the physical frequency ceiling).  own_edges holds, in edge
     order, the positions of the pool's own edges, those some line of the
-    pool uses; no load ever reaches any other edge.  compile_pool computes
-    both once, since every run of the pool's price loop reads them.
+    pool uses; no load ever reaches any other edge.  own_incidence and
+    own_capacity are the incidence's rows and the capacities at those
+    edges, and own_closed marks the closed ones among them (capacity 0).
+    runs marks the lines that can run, those crossing no closed edge
+    (bottleneck > 0).  fair_ratio and neck are each line's fair ratio and
+    its column-normalised neck (_fair_split), and price_eta is the default
+    price step, 0.01 times the smallest open capacity of the network over
+    the most lines sharing an edge (1 when every edge is closed, where no
+    load can move).  None of these depends on a share or a valuation, so
+    _build_view computes them once, with the view, and the price loop, its
+    cold start and run_mechanism read them on every run.
+
+    presolve, the exact solver's one-row-dominance presolve of the lines
+    that can run (_presolve), is the one array set filed lazily: the first
+    read computes it and every later read returns the same object, so a
+    run or a restart that never calls the oracle never pays for it.
 
     A view is shared: every caller that compiles the pool against the same
     network gets this one object, so its arrays, capacity included, refuse
@@ -289,6 +333,13 @@ class PoolView:
     incidence: np.ndarray
     bottleneck: np.ndarray
     own_edges: np.ndarray
+    own_incidence: np.ndarray
+    own_capacity: np.ndarray
+    own_closed: np.ndarray
+    runs: np.ndarray
+    fair_ratio: np.ndarray
+    neck: np.ndarray
+    price_eta: float
 
     @property
     def n_edges(self) -> int:
@@ -297,6 +348,11 @@ class PoolView:
     @property
     def n_lops(self) -> int:
         return len(self.lop_ids)
+
+    @cached_property
+    def presolve(self) -> _Presolve:
+        """The presolve of the lines that can run at the pool's capacities, computed on first read."""
+        return _presolve(self.incidence, self.capacity, self.runs)
 
 
 def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
@@ -323,17 +379,56 @@ def compile_pool(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
 def _build_view(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
     """Build the dense incidence view of one pool, with read-only arrays.
 
-    The network and the pool system have checked their own shapes when
-    built, so this only lays the pool's lines onto the network's stored
-    edge ids, positions and capacities, and checks what needs both,
-    raising InputMismatchError: the pool must be one the system lists,
-    and each line must be nonempty, use known edges only, not repeat an
-    edge, which the 0/1 incidence cannot represent, and be a path, each
-    edge starting where the one before it ends.
+    The pool's lines are laid on the network first (_lay_lines), unless
+    the network is a copy made by with_capacities whose original already
+    has the pool's view filed: a copy has its original's edge ids, order
+    and endpoints, so the lines lie on it as on the original, and the
+    build takes that view's operators, incidence and own rows as they are.
+
+    Then it files every share- and valuation-free array the view's readers
+    need that reads the capacities (see PoolView): the bottlenecks, the own
+    edges' capacities and closed-edge mask, the lines that can run, the
+    fair ratios and the normalised neck (_fair_split), and the default
+    price step.  Each reads the own rows, which give what the whole
+    incidence gives, as no other row carries a line.  The presolve is left
+    to its first reader (PoolView.presolve).
     """
     if pool_id not in pools.pool_ids:
         raise InputMismatchError(f"unknown pool {pool_id!r}")
+    base = None if net._original is None else pools._views.get(net._original, {}).get(pool_id)
+    if base is None:
+        lops, inc, own_edges, own_inc = _lay_lines(net, pools, pool_id)
+    else:
+        lops, inc, own_edges, own_inc = base.lop_ids, base.incidence, base.own_edges, base.own_incidence
     capacity = net.capacity_vector()
+    own_caps = capacity[own_edges]
+    bottleneck = np.where(own_inc > 0.0, own_caps[:, None], np.inf).min(axis=0, initial=np.inf)
+    fair_ratio, own_neck = _fair_split(own_inc, own_caps)
+    neck = np.zeros(inc.shape)
+    neck[own_edges] = own_neck
+    crowd = float(own_inc.sum(axis=1).max()) if len(lops) else 1.0
+    open_caps = capacity[capacity > 0.0]
+    price_eta = 0.01 * (float(open_caps.min()) if open_caps.size else 1.0) / max(1.0, crowd)
+    arrays = dict(bottleneck=bottleneck, own_capacity=own_caps, own_closed=own_caps == 0.0, runs=bottleneck > 0.0,
+                  fair_ratio=fair_ratio, neck=neck)
+    for values in arrays.values():
+        values.flags.writeable = False
+    return PoolView(pool_id=pool_id, edge_ids=net.edge_ids, capacity=capacity, lop_ids=lops, incidence=inc,
+                    own_edges=own_edges, own_incidence=own_inc, price_eta=price_eta, **arrays)
+
+
+def _lay_lines(net: Network, pools: PoolSystem, pool_id: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray,
+                                                                         np.ndarray]:
+    """A listed pool's operators, incidence, own edges and own rows on the network, read-only.
+
+    The network and the pool system have checked their own shapes when
+    built, so this only lays the pool's lines onto the network's stored
+    edge ids and positions, and checks what needs both, raising
+    InputMismatchError: each line must be nonempty, use known edges only,
+    not repeat an edge, which the 0/1 incidence cannot represent, and be a
+    path, each edge starting where the one before it ends.  None of this
+    reads a capacity.
+    """
     lops = pools.lops_in(pool_id)
     pos, edges = net._pos, net.edges
     n = len(lops)
@@ -359,19 +454,75 @@ def _build_view(net: Network, pools: PoolSystem, pool_id: str) -> PoolView:
         cells += [i * n + p for i in idx]
     inc = np.zeros((len(net.edge_ids), n))
     inc.put(cells, 1.0)
-    bottleneck = np.where(inc > 0.0, capacity[:, None], np.inf).min(axis=0, initial=np.inf)
     own_edges = np.array(sorted(set(rows)), dtype=np.intp)
-    for values in (inc, bottleneck, own_edges):
+    own_inc = inc[own_edges]
+    for values in (inc, own_edges, own_inc):
         values.flags.writeable = False
-    return PoolView(
-        pool_id=pool_id,
-        edge_ids=net.edge_ids,
-        capacity=capacity,
-        lop_ids=lops,
-        incidence=inc,
-        bottleneck=bottleneck,
-        own_edges=own_edges,
-    )
+    return lops, inc, own_edges, own_inc
+
+
+def _fair_split(incidence: np.ndarray, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each line's fair ratio and its column-normalised neck, the one definition of both.
+
+    The fair ratio of a line is the smallest even split of capacity along
+    it, min over its edges of capacity / lines crossing; its neck is the
+    edge or edges where that minimum is reached, returned as an edges x
+    lines array that holds 1 / (neck edges of the line) on them and 0
+    elsewhere, so each line's column sums to one and a bid vector's product
+    with it charges each bid evenly over its neck.  Both are share-free: at
+    share f the fair share is f times the ratio and the neck is the same.
+    _build_view computes both once per view, on the pool's own rows.
+    """
+    # capacity / lines crossing at each edge of each line (columns), inf off
+    # the line
+    ratio = np.where(incidence > 0.0, (capacity / np.maximum(incidence.sum(axis=1), 1.0))[:, None], np.inf)
+    fair_ratio = ratio.min(axis=0, initial=np.inf)
+    neck = ratio == fair_ratio
+    return fair_ratio, neck / neck.sum(axis=0)
+
+
+def _implied_rows(rows: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The edges the columns of `rows` cross, in presolve order, and each one's first cover.
+
+    A cover of an edge crosses every line that edge crosses.  The edges are
+    sorted by budget, ties broken by more lines crossed first and then by
+    the rows themselves, so only equal rows at equal budgets keep the order
+    they are listed in, and they stand for each other.  first[i] is the
+    position of the first edge in that order that covers edge i; edge i
+    covers itself, so first[i] <= i and the cover's budget is no larger.
+    An edge whose first cover is another edge is implied: its load never
+    exceeds the cover's, which never exceeds the cover's budget, so pricing
+    it at zero loses no optimum (one-row dominance, a standard LP presolve
+    step; Andersen & Andersen 1995).  A cover is its own first cover, as
+    an edge covering it would cover edge i earlier, so it is kept.  Rows
+    that cross nothing, such as a pool's whose lines cannot run, give two
+    empty arrays.
+    """
+    edges = rows.any(axis=1).nonzero()[0]
+    used = rows[edges]
+    crossing = used.sum(axis=1)
+    order = np.lexsort((*used.T, -crossing, budget[edges]))
+    used, crossing = used[order], crossing[order]
+    covers = used @ used.T == crossing[:, None]
+    return edges[order], covers.argmax(axis=1) if covers.size else np.zeros(0, dtype=np.intp)
+
+
+def _presolve(incidence: np.ndarray, budget: np.ndarray, lines: np.ndarray) -> _Presolve:
+    """The one-row-dominance presolve of a pool's rows over the lines `lines` marks, with read-only arrays.
+
+    It reads the incidence's columns of those lines; _implied_rows drops
+    every row they leave empty before it forms its product of rows, then
+    orders and covers the rest, and the kept rows make the block.  The exact
+    solver (single_pool._clearing_prices) solves on what this returns: a
+    view's presolve, of its lines that can run at its capacities, for the
+    oracle, and one of the lines that bid, per call, for solve_fixed_bids.
+    """
+    rows = incidence[:, lines]
+    edges, first = _implied_rows(rows, budget)
+    presolve = _Presolve(lines, edges, first, rows[edges[first == np.arange(len(first))]])
+    for values in (edges, first, presolve.block):
+        values.flags.writeable = False
+    return presolve
 
 
 # ---------------------------------------------------------------------------

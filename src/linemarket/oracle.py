@@ -4,16 +4,17 @@ The market mechanism is decentralized; this module solves the same
 allocation problem directly so tests can compare the two, and certifies a
 point against the optimality conditions.  Those are its two jobs.  The
 exact clearing solver it calls (single_pool._clearing_prices) lives with
-the engine, whose opening (_fair_split, _neck_prices) and stop terms
-(_clearing_terms) it reads, and the certificate reads each pool's raw
-terms through the stop test's own kernel (single_pool._pool_terms), so
-each of these has one definition.
+the engine, whose opening (the view's fair ratios and neck, _neck_prices)
+and stop terms (_clearing_terms) it reads, and the certificate reads each
+pool's raw terms through the stop test's own kernel
+(single_pool._pool_terms), so each of these has one definition.
 
 The reference optimum: solve_full solves all pools once, stacked, at
 share 1.  There the pools' duals are separable, so the stack is one pool
-with the pools' incidences on its diagonal (single_pool._stack_pools),
-and one Newton solve per instance (_solve_one_pool) minimizes their sum,
-opening where the engine opens, at cold_start's share-1 prices.
+whose reduced system holds the views' presolved blocks on its diagonal
+(PoolView.presolve), and one Newton solve per instance (_solve_one_pool)
+minimizes their sum, opening where the engine opens, at cold_start's
+share-1 prices.
 Square-root valuations make a pool's optimum at share f its share-1
 optimum with frequencies scaled by f and prices by f**-1/2, so its value
 is sqrt(f) times its value at share 1 and the optimal split follows in
@@ -37,10 +38,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import InputMismatchError, Network, PoolSystem, PoolView, _check_length, _check_real, compile_pool
+from .network import (InputMismatchError, Network, PoolSystem, PoolView, _check_length, _check_real, _Presolve,
+                      compile_pool)
 from .multi_pool import OuterState, ProportionVector, _check_warm, _mean, pool_cost
-from .single_pool import (_TINY, PoolMarketState, _PoolSolve, _clearing_prices, _fair_split, _max_or_zero,
-                          _neck_prices, _pool_terms, _stack_pools)
+from .single_pool import _TINY, PoolMarketState, _PoolSolve, _clearing_prices, _max_or_zero, _neck_prices, _pool_terms
 from .utility import UtilityTable
 
 __all__ = [
@@ -59,25 +60,43 @@ _CERTIFIED = 1e-6
 # ---------------------------------------------------------------------------
 # Pool solves.
 
-def _solve_one_pool(incidence: np.ndarray, capacity: np.ndarray, coefficients: np.ndarray) -> _PoolSolve:
-    """One pool's optimum at share 1, the only share the oracle solves at.
+def _solve_one_pool(views: Sequence[PoolView], coefficients: Sequence[np.ndarray]) -> _PoolSolve:
+    """All of an instance's pools at share 1, the only share the oracle solves at, in one Newton solve.
 
-    solve_full hands it all of an instance's pools once, stacked into one
-    pool's incidence, capacity and coefficients (_stack_pools).  Newton
-    opens at the engine's own share-1 opening, the prices of
-    cold_start(view, coefficients, 1.0), computed here from the same two
-    single_pool helpers without the opening frequencies, which Newton never
-    reads; on a stack that is each pool's opening, block by block.  A
-    valuation a*sqrt(x) demands x = (a / 2 mu)**2, scale a/2 at power 2,
-    and opens at the bid a/2 * sqrt(fair ratio).
+    At share 1 the pools' duals are separable, so their sum is the dual of
+    one pool: the capacity vector once per pool, the coefficient vectors
+    concatenated, and, as its reduced system, the views' presolved blocks
+    (PoolView.presolve) on the diagonal.  Row p*n_edges + e of the stack is
+    edge e in pool p and the columns are the pools' operators in turn, so
+    the answer splits back at those offsets.  No row of one pool crosses an
+    operator of another, so none covers a row of another pool, and each
+    block's order and covers are its pool's own: the stack keeps what each
+    view keeps, block by block, and forms no product across blocks.  One
+    pool's stack is its view's presolve, copied.
 
+    Newton opens at the engine's own share-1 opening, the prices of
+    cold_start(view, coefficients, 1.0), computed per pool from the view's
+    fair ratios and neck without the opening frequencies, which Newton
+    never reads.  A valuation a*sqrt(x) demands x = (a / 2 mu)**2, scale
+    a/2 at power 2, and opens at the bid a/2 * sqrt(fair ratio).
     solve_full reaches every other share by 1/2-homogeneity: frequencies
     scale by the share, prices by its inverse square root.
     """
-    scale = 0.5 * coefficients
-    fair_ratio, neck = _fair_split(incidence, capacity)
-    opening = _neck_prices(neck, scale * np.sqrt(fair_ratio), capacity)
-    return _clearing_prices(incidence, capacity, scale, 2, opening)
+    presolves = [view.presolve for view in views]
+    block = np.zeros((sum(p.block.shape[0] for p in presolves), sum(p.block.shape[1] for p in presolves)))
+    row = col = 0
+    for p in presolves:
+        block[row:row + p.block.shape[0], col:col + p.block.shape[1]] = p.block
+        row, col = row + p.block.shape[0], col + p.block.shape[1]
+    n_edges = views[0].n_edges
+    shifts = accumulate((len(p.edges) for p in presolves[:-1]), initial=0)
+    stack = _Presolve(np.concatenate([p.lines for p in presolves]),
+                      np.concatenate([p.edges + k * n_edges for k, p in enumerate(presolves)]),
+                      np.concatenate([p.first + shift for p, shift in zip(presolves, shifts)]), block)
+    opening = np.concatenate([_neck_prices(view.neck, 0.5 * a * np.sqrt(view.fair_ratio), view.capacity)
+                              for view, a in zip(views, coefficients)])
+    return _clearing_prices(stack, np.concatenate([view.capacity for view in views]),
+                            0.5 * np.concatenate(coefficients), 2, opening)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +306,11 @@ def solve_full(
     envelope condition of primal decomposition); its mean over those pools
     is the answer's cost level, as it is a run's.  So all pools are solved
     once, stacked, at share 1: their share-1 duals are separable, so one
-    Newton solve of the block-diagonal stack (_stack_pools) minimizes them
-    all, and its prices and frequencies split back per pool at the views'
-    offsets.  A pool of value zero, such as one without operators, gets
-    share zero; when every pool is worth zero the split is uniform.  The
+    Newton solve of the block-diagonal stack of the views' presolves
+    (_solve_one_pool) minimizes them all, and its prices and frequencies
+    split back per pool at the views' offsets.  A pool of value zero, such
+    as one without operators, gets share zero; when every pool is worth
+    zero the split is uniform.  The
     answer is an OuterState on compile_pool's views of the instance, shared
     with every run and certificate on it, and kkt_report certifies the
     arrays it built on those views, to mechanism_kkt's report on the state
@@ -300,7 +320,7 @@ def solve_full(
     utilities.validate_against(pools)
     views = [compile_pool(net, pools, k) for k in pools.pool_ids]
     coeffs = [utilities.coefficients_for(view) for view in views]
-    sol = _solve_one_pool(*_stack_pools(views, coeffs))
+    sol = _solve_one_pool(views, coeffs)
     # the answer splits back per pool at the views' offsets: each
     # elementwise step runs once over the stack, each sum over one block
     n_lops = [view.n_lops for view in views]

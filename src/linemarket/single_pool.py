@@ -43,12 +43,15 @@ allocate_frequencies and refresh_bids skip their zero-price masks, and
 _bid_terms its zero-bid mask when every line bids; the residual kernel
 (_pool_terms) skips its selection of running lines when every line runs.
 The masked paths give the same numbers there.
-What runs once per run or per opening (the closed-edge reset, the
-silent-line test of a warm state, default_price_eta, _neck_prices, the
-active columns of an exact solve) has the masked path only: a second path
-there would save a few microseconds per run.  The per-step paths are picked with _positive, which decides as
-x.min(initial=inf) > 0 does, NaN included, at a third of a reduction's
-cost.  The allocation, which runs at every step, decides once per refresh
+What the view determines is compiled with it, once per pool and network
+(compile_pool): the own rows, their capacities and closed edges, the lines
+that can run, the fair ratios and the neck, the default price step, and,
+on first use, the exact solver's presolve.  A run reads them and derives
+none.  What runs once per run or per opening (the closed-edge reset, the
+silent-line test of a warm state, _neck_prices) has the masked path only:
+a second path there would save a few microseconds per run.  The per-step
+paths are picked with _positive, which decides as x.min(initial=inf) > 0
+does, NaN included, at a third of a reduction's cost.  The allocation, which runs at every step, decides once per refresh
 pass instead, on its mask and on its cap.  No load is negative, so one
 price step lowers a price by at most eta * supply, and a pass of period
 steps by at most period * eta * supply.  Rounding is monotone, so the
@@ -94,25 +97,26 @@ Exact clearing.  The module also computes the clearing point the dynamics
 approach, in closed form up to one Newton solve: _clearing_prices
 minimizes the pool's explicit convex dual over edge prices with a
 projected, Levenberg-damped Newton method, on the rows no other row
-implies (_implied_rows).  It knows one demand law,
-x = (scale / path price)**power: a valuation a*sqrt(x) is power 2 at scale
-a/2, and a frozen bid w is power 1 at scale w.  solve_fixed_bids is the
-fixed point of run_price_dynamics; the oracle solves all of an
-instance's pools in one call, stacked block-diagonally (_stack_pools).
-Newton opens at neck prices (_fair_split, _neck_prices) and stops on the
-price loop's own overload and complementarity terms (_clearing_terms),
-so the engine and the exact solver share one definition of each.
+implies, which its caller's presolve holds (network._presolve).  It knows
+one demand law, x = (scale / path price)**power: a valuation a*sqrt(x) is
+power 2 at scale a/2, and a frozen bid w is power 1 at scale w.
+solve_fixed_bids is the fixed point of run_price_dynamics, on a presolve
+of the lines that bid; the oracle solves all of an instance's pools in one
+call, on the block-diagonal stack of their views' presolves.  Newton opens
+at neck prices (PoolView.neck, _neck_prices) and stops on the price loop's
+own overload and complementarity terms (_clearing_terms), so the engine
+and the exact solver share one definition of each.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from typing import ClassVar
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .network import PoolView, _check_count, _check_length, _check_nonnegative, _check_real
+from .network import PoolView, _Presolve, _check_count, _check_length, _check_nonnegative, _check_real, _presolve
 from .utility import best_response_bids
 
 __all__ = [
@@ -190,12 +194,11 @@ def default_price_eta(view: PoolView) -> float:
 
     A closed (zero-capacity) edge sets no scale: it would make the step zero
     and freeze every price.  When every edge is closed no load can move, so
-    the step is irrelevant and the scale falls back to one.
+    the step is irrelevant and the scale falls back to one.  The step reads
+    only the view, so compile_pool computes it once, with the view
+    (PoolView.price_eta), and this returns it.
     """
-    crowd = view.incidence.sum(axis=1).max() if view.n_lops else 1.0
-    open_caps = view.capacity[view.capacity > 0.0]
-    scale = float(open_caps.min()) if open_caps.size else 1.0
-    return 0.01 * scale / max(1.0, float(crowd))
+    return view.price_eta
 
 
 @dataclass
@@ -452,41 +455,25 @@ def pool_residuals(
     return PoolResiduals(feas, comp, stat, not priceless and feas <= _ABS_TOL and comp <= _ABS_TOL and stat <= _REL_TOL)
 
 
-def _fair_split(incidence: np.ndarray, capacity: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each line's fair ratio and its neck, the one definition of both.
-
-    The fair ratio of a line is the smallest even split of capacity along
-    it, min over its edges of capacity / lines crossing; its neck (a boolean
-    edges x lines mask) is the edge or edges where that minimum is reached.
-    Both are share-free: at share f the fair share is f times the ratio and
-    the neck is the same.  It reads a pool's incidence (edges x lines) and
-    capacity, a view's or a stack's (_stack_pools).
-    """
-    # capacity / lines crossing at each edge of each line (columns), inf off
-    # the line
-    ratio = np.where(incidence > 0.0, (capacity / np.maximum(incidence.sum(axis=1), 1.0))[:, None], np.inf)
-    fair_ratio = ratio.min(axis=0)
-    return fair_ratio, ratio == fair_ratio
-
-
 def _neck_prices(neck: np.ndarray, bids: np.ndarray, supply: np.ndarray) -> np.ndarray:
     """Edge prices at which each line's bid is charged only to its neck.
 
-    A bid is split evenly over tied neck edges, so the prices do not depend
-    on edge order; each edge prices the bids charged to it over its supply.
-    An edge no line's neck includes, and a closed edge, stays unpriced.
+    neck is a view's column-normalised neck (PoolView.neck, network's
+    _fair_split), or its own rows: a bid is split evenly over tied neck
+    edges, so the prices do not depend on edge order; each edge prices the
+    bids charged to it over its supply.  An edge no line's neck includes,
+    and a closed edge, stays unpriced.
     """
-    mass = (neck / neck.sum(axis=0)).dot(bids)
-    return np.divide(mass, supply, out=np.zeros(len(supply)), where=supply > 0.0)
+    return np.divide(neck.dot(bids), supply, out=np.zeros(len(supply)), where=supply > 0.0)
 
 
 def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMarketState:
     """Fair-share opening state: each operator bids what its even split is worth.
 
     An operator's fair share is share times its line's fair ratio (see
-    _fair_split).  It opens at the bid (a/2)*sqrt(fair share), at which its
-    marginal value meets the path price that allocates it exactly that
-    share, and the bid is charged only to the line's neck (see
+    PoolView.fair_ratio).  It opens at the bid (a/2)*sqrt(fair share), at
+    which its marginal value meets the path price that allocates it exactly
+    that share, and the bid is charged only to the line's neck (see
     _neck_prices), so each edge opens at the bids charged to it over its
     share-scaled capacity.  On one edge with one operator this is the
     optimum, and the state is 1/2-homogeneous in the share as the optimum
@@ -498,9 +485,8 @@ def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMa
     """
     _check_real("share", share, "[0, inf)")
     supply = view.capacity * share
-    fair_ratio, neck = _fair_split(view.incidence, view.capacity)
-    bids = 0.5 * coefficients * np.sqrt(share * fair_ratio)
-    prices = _neck_prices(neck, bids, supply)
+    bids = 0.5 * coefficients * np.sqrt(share * view.fair_ratio)
+    prices = _neck_prices(view.neck, bids, supply)
     ceil = view.bottleneck * share
     offers, free = _bid_terms(bids, ceil)
     freqs = allocate_frequencies(view.incidence.T.dot(prices), offers, free, _OVERLOAD * ceil)
@@ -526,22 +512,23 @@ def _reopen(prices: np.ndarray, loads: np.ndarray, supply: np.ndarray) -> None:
     prices[moved] *= np.sqrt(loads[moved] / supply[moved])
 
 
-def _charge_waiting(prices: np.ndarray, mu: np.ndarray, bids: np.ndarray, coefficients: np.ndarray, inc: np.ndarray,
-                    caps: np.ndarray, supply: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _charge_waiting(prices: np.ndarray, mu: np.ndarray, bids: np.ndarray, coefficients: np.ndarray, view: PoolView,
+                    supply: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Charge each waiting line's bid to its neck; return the new prices and path prices.
 
-    A line waits when it can run, bids, and sits on an unpriced path; the
+    prices and supply are the price loop's, on the view's own edges.  A
+    line waits when it can run, bids, and sits on an unpriced path; the
     price loop values a line that cannot run at zero, so a positive
     coefficient marks one that can.  Its bid is added to its neck's price
-    (_fair_split, _neck_prices), as cold_start charges every bid.  With no
-    line waiting the inputs come back as they are.  The callers call it
-    only when some path is unpriced.
+    (the view's neck on its own rows, _neck_prices), as cold_start charges
+    every bid.  With no line waiting the inputs come back as they are.  The
+    callers call it only when some path is unpriced.
     """
     waiting = (bids > 0.0) & (coefficients > 0.0) & ~(mu > 0.0)
     if not waiting.any():
         return prices, mu
-    prices = prices + _neck_prices(_fair_split(inc, caps)[1], np.where(waiting, bids, 0.0), supply)
-    return prices, inc.T.dot(prices)
+    prices = prices + _neck_prices(view.neck[view.own_edges], np.where(waiting, bids, 0.0), supply)
+    return prices, view.own_incidence.T.dot(prices)
 
 
 @dataclass
@@ -631,13 +618,12 @@ def _run_pool(
     in another order and change them.
     """
     period = cfg.bid_refresh_period
-    # fixed for the whole run: the step and the allocation read these, not
-    # the view, on every price update
+    # the view's own rows, compiled once: the step and the allocation read
+    # these, not the whole view, on every price update
     own = view.own_edges
-    inc = view.incidence[own]
+    inc = view.own_incidence
     inc_t = inc.T
-    own_caps = view.capacity[own]
-    supply = own_caps * share
+    supply = view.own_capacity * share
     ceil = view.bottleneck * share
     cap = _OVERLOAD * ceil
     # no load is negative, so a step lowers a price by at most eta * supply
@@ -649,16 +635,16 @@ def _run_pool(
     eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
     # a line that cannot run re-bids as if valued at zero, so its best
     # response is 0, not a bid against a path it never buys anything on
-    coefficients = np.where(view.bottleneck > 0.0, coefficients, 0.0)
+    coefficients = np.where(view.runs, coefficients, 0.0)
     # a state cleared at share zero holds nothing to rescale, a run at share
     # zero opens cleared at zero, and a line that can run but holds no bid
     # would never bid again: its path may stay unpriced, and an idle line
     # passes the residual check
     cold = (warm is None or not warm.share > 0.0 or not share > 0.0
-            or bool(((warm.bids <= 0.0) & (view.bottleneck > 0.0)).any()))
+            or bool(((warm.bids <= 0.0) & view.runs).any()))
     state = cold_start(view, coefficients, share) if cold else warm.copy()
     prices = state.prices[own]
-    prices[own_caps == 0.0] = 0.0
+    prices[view.own_closed] = 0.0
     # a pool's optimum at share f is its share-1 optimum with prices scaled
     # by f**-1/2 and bids by f**1/2, so a warm state cleared at another share
     # is rescaled to it; the allocation below then scales the frequencies.
@@ -683,7 +669,7 @@ def _run_pool(
     while True:
         offers, free = _bid_terms(bids, ceil)
         if not priced and not _positive(mu):
-            prices, mu = _charge_waiting(prices, mu, bids, coefficients, inc, own_caps, supply)
+            prices, mu = _charge_waiting(prices, mu, bids, coefficients, view, supply)
         if passes or not cold:  # cold_start has allocated the opening
             freqs = allocate_frequencies(mu if priced else _overflow_safe(mu, offers), offers, free, cap, priced)
         loads = freqs.dot(inc_t)
@@ -777,29 +763,6 @@ class _PoolSolve:
     dual_evals: int   # dual values computed: the opening's and each trial step's
 
 
-def _implied_rows(rows: np.ndarray, budget: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The edges the columns of `rows` cross, in presolve order, and each one's first cover.
-
-    A cover of an edge crosses every line that edge crosses.  The edges are
-    sorted by budget, ties broken by more lines crossed first and then by
-    the rows themselves, so only equal rows at equal budgets keep the order
-    they are listed in, and they stand for each other.  first[i] is the
-    position of the first edge in that order that covers edge i; edge i
-    covers itself, so first[i] <= i and the cover's budget is no larger.
-    An edge whose first cover is another edge is implied: its load never
-    exceeds the cover's, which never exceeds the cover's budget, so pricing
-    it at zero loses no optimum (one-row dominance, a standard LP presolve
-    step; Andersen & Andersen 1995).  A cover is its own first cover, as
-    an edge covering it would cover edge i earlier, so it is kept.
-    """
-    edges = rows.any(axis=1).nonzero()[0]
-    used = rows[edges]
-    crossing = used.sum(axis=1)
-    order = np.lexsort((*used.T, -crossing, budget[edges]))
-    used, crossing = used[order], crossing[order]
-    return edges[order], (used @ used.T == crossing[:, None]).argmax(axis=1)
-
-
 def _raise_singular(err: str, flag: int) -> None:
     raise LinAlgError("Singular matrix")
 
@@ -817,7 +780,7 @@ def _newton_step(hess: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _clearing_prices(
-    incidence: np.ndarray,
+    presolve: _Presolve,
     budget: np.ndarray,
     scale: np.ndarray,
     power: int,
@@ -830,23 +793,28 @@ def _clearing_prices(
     a*sqrt(x); power 1 with scale w is a frozen bid w, the valuation
     w*log(x) of proportional fairness (Kelly, Maulloo & Tan 1998).  The
     dual term sup_x value(x) - mu*x is scale**2/mu for power 2 and
-    scale*(log(scale/mu) - 1) for power 1.  An operator is active when its
-    scale is positive and its line crosses no closed edge; the others run
-    nothing.
+    scale*(log(scale/mu) - 1) for power 1.  The active operators, those of
+    positive scale whose lines cross no closed edge, are the lines the
+    presolve marks; the others run nothing.
 
     Minimizes the dual of  max sum(values) s.t. incidence @ x <= budget
     over nonnegative prices with a projected, Levenberg-damped Newton
-    method.  The solve runs on a reduced system: the active operators'
-    columns only, and of their rows the ones no other row implies.  An
-    edge is implied when another edge of no larger budget crosses every
-    active line it crosses, its cover (see _implied_rows): its load never
-    exceeds its budget while the cover's holds, so it never binds alone and
-    stays unpriced.  Dropping the implied rows, equal rows among them,
-    removes flat directions that would otherwise make the Newton system
-    singular.  An inactive operator never enters the system, so the solve
-    is the one of the same pool with its column deleted; at the exit the
-    prices are scattered onto the kept edges and the frequencies onto the
-    active columns, every other entry zero.
+    method.  The solve runs on the reduced system the caller's presolve
+    holds (network._presolve): the active operators' columns only, and of
+    their rows the ones no other row implies.  An edge is implied when
+    another edge of no larger budget crosses every active line it crosses,
+    its cover (see network._implied_rows): its load never exceeds its
+    budget while the cover's holds, so it never binds alone and stays
+    unpriced.  Dropping the implied rows, equal rows among them, removes
+    flat directions that would otherwise make the Newton system singular.
+    The order and covers are share-free, so the oracle passes each view's
+    presolve (PoolView.presolve), computed once, its blocks on a stack's
+    diagonal, and solve_fixed_bids one of its bidding lines, per call.  An
+    inactive operator never enters the system, so the solve is the one of
+    the same pool with its column deleted; at the exit the prices are
+    scattered onto the kept edges and the frequencies onto the active
+    columns, every other entry zero: budget and opening hold one entry per
+    edge, scale one per operator.
 
     Newton opens at `opening`, the engine's fair-share opening prices
     (_neck_prices), each implied edge's moved onto its first
@@ -872,20 +840,17 @@ def _clearing_prices(
     precision when the descent converged, loads never exceed the budget
     beyond a rounding, and priced edges run at budget.  No argument is modified.
     """
-    n_edges, n_lops = incidence.shape
-    # an operator whose line crosses a closed edge can run nothing; left
-    # active, it would price that edge without bound and stall the descent
-    act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
+    n_edges, n_lops = len(budget), len(scale)
+    act = presolve.lines
     if not act.any():
         return _PoolSolve(np.zeros(n_edges), np.zeros(n_lops), True, 0, 0)
-    rows, s = incidence[:, act], scale[act]
+    s = scale[act]
 
-    # keep the edges no other edge implies; each implied edge's opening
-    # price moves to its cover, which every line crossing it crosses
-    edges, first = _implied_rows(rows, budget)
+    # the edges no other edge implies; each implied edge's opening price
+    # moves to its cover, which every line crossing it crosses
+    edges, first, sub_inc = presolve.edges, presolve.first, presolve.block
     keep = first == np.arange(len(first))
     reps = edges[keep]
-    sub_inc = rows[reps]
     sub_budget = budget[reps]
     prices = np.bincount(first, weights=opening[edges], minlength=len(edges))[keep]
     scale_b = max(1.0, float(sub_budget.max()))
@@ -976,34 +941,16 @@ def _clearing_prices(
     return _PoolSolve(out, freqs, converged, iters, evals)
 
 
-def _stack_pools(views: Sequence[PoolView], coefficients: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All pools as one pool at share 1: its incidence, capacity and coefficients.
-
-    At share 1 the pools' duals are separable, so their sum is the dual of
-    one pool: the pools' incidences on the diagonal, the capacity vector
-    once per pool, the coefficient vectors concatenated, all in pool order.
-    Row p*n_edges + e of the stack is edge e in pool p, and the columns are
-    the pools' operators in turn, so the answer splits back at those
-    offsets.  No two rows of different pools cross a common operator, so a
-    row of one pool never implies a row of another in _clearing_prices,
-    and each block's fair split and neck are its pool's.
-    """
-    inc = np.zeros((len(views), views[0].n_edges, sum(view.n_lops for view in views)))
-    col = 0
-    for block, view in zip(inc, views):  # inc[p] is pool p's rows of the stack
-        block[:, col:col + view.n_lops] = view.incidence
-        col += view.n_lops
-    return np.concatenate(inc), np.tile(views[0].capacity, len(views)), np.concatenate(coefficients)
-
-
 def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarray:
     """Clearing prices of one pool under frozen bids.
 
     This is the stationary point of the frozen-bid price dynamics
     (run_price_dynamics); the descent tests measure distance to it.  A bid
     w buys x = w / mu, scale w at power 1; a zero bid, or a line over a
-    closed edge, gets nothing.  Newton opens at the bids charged to each
-    line's neck, as cold_start charges its own.  The bids are read as
+    closed edge, gets nothing, so the presolve (network._presolve) is of
+    the lines that bid and cross no edge of zero budget, computed per call,
+    since the bids choose those lines.  Newton opens at the bids charged to
+    each line's neck, as cold_start charges its own.  The bids are read as
     floats and must be one per operator of the view, finite and
     nonnegative, else InputMismatchError; the share must be a finite real
     of at least 0, else ValueError.
@@ -1014,8 +961,11 @@ def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarr
     _check_nonnegative(where, "bids", bids)
     _check_real("share", share, "[0, inf)")
     supply = view.capacity * share
-    opening = _neck_prices(_fair_split(view.incidence, view.capacity)[1], bids, supply)
-    sol = _clearing_prices(view.incidence, supply, bids, 1, opening)
+    opening = _neck_prices(view.neck, bids, supply)
+    # a line over a closed edge runs nothing; left active, it would price
+    # that edge without bound and stall the descent
+    act = (bids > 0.0) & ~view.incidence[supply <= 0.0].any(axis=0)
+    sol = _clearing_prices(_presolve(view.incidence, supply, act), supply, bids, 1, opening)
     if not sol.converged:
         raise RuntimeError("frozen-bid clearing prices did not reach solver precision")
     return sol.prices

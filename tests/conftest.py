@@ -1,3 +1,5 @@
+import hashlib
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -119,3 +121,26 @@ def builds(monkeypatch):
 
     monkeypatch.setattr(network, "_build_view", counted)
     return seen
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """The compile kernels run while the test runs, per view: _fair_split and _implied_rows calls.
+
+    Each kernel reads a view's rows and budgets, so each call is counted
+    under a digest of those, which names the view it ran for: a kernel run
+    twice on one view counts 2 under one key.  Two pools with the same
+    lines on one network would share a key; no instance the tests count
+    kernels on has such pools.
+    """
+    calls: dict[str, Counter] = {}
+    for name in ("_fair_split", "_implied_rows"):
+        seen = calls[name] = Counter()
+        kernel = getattr(network, name)
+
+        def counted(rows, budget, seen=seen, kernel=kernel):
+            seen[hashlib.sha256(repr(rows.shape).encode() + rows.tobytes() + budget.tobytes()).hexdigest()] += 1
+            return kernel(rows, budget)
+
+        monkeypatch.setattr(network, name, counted)
+    return calls

@@ -1,4 +1,5 @@
 """Structure layer: networks, pools, loads, path prices, JSON round trip."""
+import dataclasses
 import gc
 import re
 from functools import partial
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
+from linemarket import network
 from linemarket.network import dump_network_file
 
 import instances
@@ -187,9 +189,10 @@ def test_views_share_the_networks_read_only_capacities():
         caps[0] = 1.0
 
 
-def test_one_instance_builds_each_pool_once(compiles, builds):
+def test_one_instance_builds_each_pool_once(compiles, builds, kernels):
     """A run, its oracle, the certificates of both and a warm restart share one view per pool:
-    every call goes through compile_pool, and only the first per pool builds."""
+    every call goes through compile_pool, and only the first per pool builds.  So each view's fair
+    split runs once, when it is built, and its presolve once, at the oracle's first use."""
     net, pools, table = instances.chain_instance(3)
     res = lm.run_mechanism(net, pools, table)
     sol = lm.solve_full(net, pools, table)
@@ -202,22 +205,121 @@ def test_one_instance_builds_each_pool_once(compiles, builds):
     for k in ids:
         assert lm.compile_pool(net, pools, k) is lm.compile_pool(net, pools, k)
     assert builds == ids
+    for name, seen in kernels.items():
+        assert len(seen) == len(ids) and set(seen.values()) == {1}, (name, seen)
 
 
 def test_views_and_lines_refuse_writes():
     """A view is shared by every caller, so none of its arrays takes a write, nor does the line table."""
     net, pools, _ = instances.chain_instance(3)
     view = lm.compile_pool(net, pools, "k0")
-    for name in ("capacity", "incidence", "bottleneck", "own_edges"):
-        values = getattr(view, name)
+    arrays = {name: getattr(view, name) for name in ("capacity", "incidence", "bottleneck", "own_edges",
+                                                     "own_incidence", "own_capacity", "own_closed", "runs",
+                                                     "fair_ratio", "neck")}
+    arrays.update({f"presolve.{f.name}": getattr(view.presolve, f.name) for f in dataclasses.fields(view.presolve)})
+    for name, values in arrays.items():
         assert not values.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             values[0] = 0
+    for name in ("price_eta", "presolve"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(view, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        view.presolve.block = None
     key = next(iter(pools.lines))
     with pytest.raises(TypeError):
         pools.lines[key] = lm.Line(("e0",))
     with pytest.raises(TypeError):
         del pools.lines[key]
+
+
+def _fresh_arrays(view):
+    """Every array compile_pool files on a view, computed afresh from its incidence and capacity alone.
+
+    The fair ratios and the neck are computed line by line: a line's fair
+    ratio is the least capacity / lines crossing over its edges, and its
+    neck column holds 1 / (edges reaching it) on the edges that reach it.
+    """
+    inc, cap = view.incidence, view.capacity
+    own = np.flatnonzero(inc.any(axis=1))
+    runs = ~inc[cap <= 0.0].any(axis=0)
+    crowd = inc.sum(axis=1)
+    fair_ratio = np.zeros(view.n_lops)
+    neck = np.zeros(inc.shape)
+    for p in range(view.n_lops):
+        crossed = np.flatnonzero(inc[:, p])
+        ratios = [cap[e] / crowd[e] for e in crossed]
+        fair_ratio[p] = min(ratios)
+        tied = [e for e, ratio in zip(crossed, ratios) if ratio == fair_ratio[p]]
+        neck[tied, p] = 1.0 / len(tied)
+    open_caps = cap[cap > 0.0]
+    most = float(crowd.max()) if view.n_lops else 1.0
+    edges, first = network._implied_rows(inc[:, runs], cap)
+    return {
+        "own_edges": own, "own_incidence": inc[own], "own_capacity": cap[own], "own_closed": cap[own] == 0.0,
+        "runs": runs, "fair_ratio": fair_ratio, "neck": neck,
+        "price_eta": 0.01 * (float(open_caps.min()) if open_caps.size else 1.0) / max(1.0, most),
+        "presolve.lines": runs, "presolve.edges": edges, "presolve.first": first,
+        "presolve.block": inc[:, runs][edges[first == np.arange(len(first))]],
+    }
+
+
+def _filed_arrays(view):
+    filed = {name: getattr(view, name) for name in ("own_edges", "own_incidence", "own_capacity", "own_closed",
+                                                    "runs", "fair_ratio", "neck", "price_eta")}
+    return filed | {f"presolve.{f.name}": getattr(view.presolve, f.name) for f in dataclasses.fields(view.presolve)}
+
+
+def _closed_chain():
+    net, pools, table = instances.chain_instance(3)
+    return net.with_capacities({"e5": 0.0}), pools, table
+
+
+FRESH_CASES = (
+    [(f"chain{seed}", partial(instances.chain_instance, seed)) for seed in range(20)]
+    + [(f"grid{seed}_k{k}", partial(instances.grid_instance, seed, k)) for k in (1, 2) for seed in range(20)]
+    + [(f"hub{seed}", partial(instances.hub_instance, seed)) for seed in range(10)]
+    + [("chain3_e5_closed", _closed_chain)]
+)
+
+
+@pytest.mark.parametrize("make", [make for _, make in FRESH_CASES], ids=[name for name, _ in FRESH_CASES])
+def test_compiled_arrays_are_their_fresh_computation(make):
+    """Each array a view files equals, bit for bit, its computation from the view's incidence and capacity.
+
+    The fresh fair split reads the whole incidence line by line, where the
+    build reads the own rows, and the fresh presolve skips _presolve.  Then
+    one of the pool's edges that is not yet the neck of a line that crosses
+    it and can run is narrowed to a hundredth of the smallest capacity,
+    which moves that line's neck: the shocked network's view files its own
+    fair split, neck, price step and presolve, each again its fresh
+    computation.
+    """
+    net, pools, _ = make()
+    for k in pools.pool_ids:
+        view = lm.compile_pool(net, pools, k)
+        views = [view]
+        # a crossed edge off the neck of some line that crosses it and can
+        # run; a pool whose every such edge is a neck has none to move
+        off_neck = np.flatnonzero(((view.incidence > 0.0) & (view.neck == 0.0) & view.runs).any(axis=1))
+        if off_neck.size:
+            narrow = net.capacity_vector()[net.capacity_vector() > 0.0].min() / 100.0
+            shocked = lm.compile_pool(net.with_capacities({view.edge_ids[off_neck[0]]: narrow}), pools, k)
+            assert not np.array_equal(shocked.neck, view.neck) and shocked.price_eta < view.price_eta
+            assert not np.array_equal(shocked.fair_ratio, view.fair_ratio)
+            assert shocked.presolve is not view.presolve
+            views.append(shocked)
+        for v in views:
+            fresh, filed = _fresh_arrays(v), _filed_arrays(v)
+            assert filed.keys() == fresh.keys()
+            for name, want in fresh.items():
+                got = filed[name]
+                if name == "price_eta":
+                    assert got == want and type(got) is float, name
+                else:
+                    assert got.dtype == want.dtype and got.shape == want.shape, name
+                    assert got.tobytes() == want.tobytes(), name
+            assert v.presolve is v.presolve
 
 
 def test_line_table_is_the_systems_own_copy():
@@ -245,6 +347,22 @@ def test_with_capacities_network_gets_its_own_views(builds):
     assert (shocked.bottleneck[on_first] == 0.0).all() and (first.bottleneck > 0.0).all()
     assert lm.compile_pool(net, pools, "k0") is first and lm.compile_pool(closed, pools, "k0") is shocked
     assert builds == ["k0", "k0"]
+
+
+def test_capacity_copy_takes_its_original_layout():
+    """A with_capacities copy, or a copy of a copy, takes a pool's layout from its original's filed view:
+    the same operators, incidence, own edges and own rows, so no line is laid twice; a copy compiled
+    before its original lays the lines itself, to the same bytes."""
+    net, pools, _ = instances.chain_instance(3)
+    early = lm.compile_pool(net.with_capacities({net.edge_ids[0]: 1.0}), pools, "k0")
+    first = lm.compile_pool(net, pools, "k0")
+    assert early.incidence is not first.incidence and early.incidence.tobytes() == first.incidence.tobytes()
+    closed = net.with_capacities({net.edge_ids[0]: 0.0})
+    for copy in (closed, closed.with_capacities({net.edge_ids[1]: 2.0})):
+        view = lm.compile_pool(copy, pools, "k0")
+        for name in ("lop_ids", "incidence", "own_edges", "own_incidence"):
+            assert getattr(view, name) is getattr(first, name), name
+        assert view.capacity is copy.capacity_vector() and view is not first
 
 
 def test_failing_compile_raises_again(builds):

@@ -8,11 +8,18 @@ import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket import cli, oracle, single_pool
+from linemarket import cli, network, oracle, single_pool
 
 import instances
+import report
 
 ROOT2 = float(np.sqrt(2.0))
+
+
+def _clear(incidence, budget, scale, power, opening):
+    """_clearing_prices on the presolve solve_fixed_bids builds: of the lines of positive scale crossing no closed edge."""
+    act = (scale > 0.0) & ~incidence[budget <= 0.0].any(axis=0)
+    return oracle._clearing_prices(network._presolve(incidence, budget, act), budget, scale, power, opening)
 
 
 def test_single_edge_closed_form():
@@ -112,7 +119,7 @@ def test_fixed_bids_idle_line_gets_nothing(closed):
     bids = np.array([1.3, 2.0 if closed else 0.0])
     np.testing.assert_allclose(lm.solve_fixed_bids(view, bids, 1.0), [1.3 / 4.0, 0.0], rtol=1e-12)
     # from an opening off the answer, the solver must still idle the line
-    sol = oracle._clearing_prices(view.incidence, view.capacity, bids, 1, np.ones(2))
+    sol = _clear(view.incidence, view.capacity, bids, 1, np.ones(2))
     assert sol.converged
     np.testing.assert_allclose(sol.prices, [1.3 / 4.0, 0.0], rtol=1e-12)
     np.testing.assert_allclose(sol.freqs, [4.0, 0.0], rtol=1e-12)
@@ -226,7 +233,7 @@ def test_full_search_single_pool_degenerates():
     sol = lm.solve_full(net, pools, table)
     view = lm.compile_pool(net, pools, "k0")
     coeffs = table.coefficients_for(view)
-    fixed = oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
+    fixed = oracle._solve_one_pool([view], [coeffs])
     assert sol.state.shares.as_dict() == {"k0": 1.0}
     assert sol.objective == pytest.approx(float(coeffs @ np.sqrt(fixed.freqs)), rel=1e-12)
 
@@ -388,9 +395,9 @@ def test_opening_is_cold_start_prices_bytewise(monkeypatch):
     solve = oracle._clearing_prices
     openings = []
 
-    def opened(incidence, budget, scale, power, opening):
+    def opened(presolve, budget, scale, power, opening):
         openings.append(opening.tobytes())
-        return solve(incidence, budget, scale, power, opening)
+        return solve(presolve, budget, scale, power, opening)
 
     monkeypatch.setattr(oracle, "_clearing_prices", opened)
     monkeypatch.setattr(single_pool, "_NEWTON_ITERS", 0)
@@ -398,7 +405,7 @@ def test_opening_is_cold_start_prices_bytewise(monkeypatch):
     for name, make in CERTIFY_CASES:
         for view, coeffs in _pool_views(make):
             openings.clear()
-            oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
+            oracle._solve_one_pool([view], [coeffs])
             assert openings == [lm.cold_start(view, coeffs, 1.0).prices.tobytes()], (name, view.pool_id)
             pools_seen += 1
     assert pools_seen == 40 + 60 + 40 + 20 + 9
@@ -435,15 +442,15 @@ def test_stacked_solve_is_the_pool_by_pool_solve(make, monkeypatch):
     """
     net, pools, table = make()
     views, coeffs = _views(net, pools, table)
-    own = [oracle._solve_one_pool(view.incidence, view.capacity, a) for view, a in zip(views, coeffs)]
+    own = [oracle._solve_one_pool([view], [a]) for view, a in zip(views, coeffs)]
     values = np.array([a @ np.sqrt(sol.freqs) for a, sol in zip(coeffs, own)])
     split = values ** 2 / (values ** 2).sum()
 
     solve = oracle._solve_one_pool
     stacked = []
 
-    def recorded(incidence, capacity, coefficients):
-        stacked.append(solve(incidence, capacity, coefficients))
+    def recorded(views, coefficients):
+        stacked.append(solve(views, coefficients))
         return stacked[-1]
 
     monkeypatch.setattr(oracle, "_solve_one_pool", recorded)
@@ -468,13 +475,13 @@ ONE_POOL_CASES = [instances.single_edge, instances.two_lops_one_edge] + [
 
 
 def test_one_pool_instance_is_its_pool_solve_bit_for_bit(monkeypatch):
-    """A one-pool instance is solved on its own view's arrays, and its answer is that solve's to the bit."""
+    """A one-pool instance is solved on its own view, and its answer is that solve's to the bit."""
     solve = oracle._solve_one_pool
     passed = []
 
-    def recorded(incidence, capacity, coefficients):
-        passed.append((incidence, capacity, coefficients))
-        return solve(incidence, capacity, coefficients)
+    def recorded(views, coefficients):
+        passed.append((views, coefficients))
+        return solve(views, coefficients)
 
     monkeypatch.setattr(oracle, "_solve_one_pool", recorded)
     for make in ONE_POOL_CASES:
@@ -482,11 +489,9 @@ def test_one_pool_instance_is_its_pool_solve_bit_for_bit(monkeypatch):
         (view,), (a,) = _views(net, pools, table)
         passed.clear()
         sol = lm.solve_full(net, pools, table)
-        ((seen_inc, seen_cap, seen_a),) = passed
-        assert seen_inc.shape == view.incidence.shape
-        seen = (seen_inc.tobytes(), seen_cap.tobytes(), seen_a.tobytes())
-        assert seen == (view.incidence.tobytes(), view.capacity.tobytes(), a.tobytes())
-        own = solve(view.incidence, view.capacity, a)
+        (((seen_view,), (seen_a,)),) = passed
+        assert seen_view is view and seen_a.tobytes() == a.tobytes()
+        own = solve([view], [a])
         st = sol.state.pool_states[view.pool_id]
         assert sol.state.shares.as_dict() == {view.pool_id: 1.0}
         assert st.freqs.tolist() == own.freqs.tolist()
@@ -495,30 +500,101 @@ def test_one_pool_instance_is_its_pool_solve_bit_for_bit(monkeypatch):
         assert sol.converged == own.converged
 
 
-def test_stack_holds_each_pool_on_its_diagonal():
-    """The stack's blocks are the pools' incidences, capacities, coefficients, fair splits and necks; nothing lies off them."""
+def _stack(views):
+    """The dense block-diagonal stack of an instance's pools at share 1: incidence and capacity, every column kept."""
+    inc = np.zeros((len(views), views[0].n_edges, sum(view.n_lops for view in views)))
+    col = 0
+    for block, view in zip(inc, views):
+        block[:, col:col + view.n_lops] = view.incidence
+        col += view.n_lops
+    return np.concatenate(inc), np.tile(views[0].capacity, len(views))
+
+
+def test_stack_holds_each_pool_on_its_diagonal(monkeypatch):
+    """The oracle's reduced stack holds each view's presolve on its diagonal, and nothing lies off it.
+
+    Its budget is the capacity once per pool, its scales the halved
+    coefficients in pool order, its lines, edges and covers each view's,
+    offset by the pools before it, and its block the views' blocks.
+    """
+    solve = oracle._clearing_prices
+    seen = []
+
+    def recorded(presolve, budget, scale, power, opening):
+        seen.append((presolve, budget, scale, power))
+        return solve(presolve, budget, scale, power, opening)
+
+    monkeypatch.setattr(oracle, "_clearing_prices", recorded)
     multi = 0
     for name, make in STACK_CASES:
         views, coeffs = _views(*make())
-        if len(views) == 1:
-            continue
-        multi += 1
-        inc, capacity, a = single_pool._stack_pools(views, coeffs)
+        seen.clear()
+        oracle._solve_one_pool(views, coeffs)
+        ((stack, budget, scale, power),) = seen
+        multi += len(views) > 1
         n_edges = views[0].n_edges
-        assert inc.shape == (len(views) * n_edges, sum(view.n_lops for view in views)), name
-        ratio, neck = single_pool._fair_split(inc, capacity)
-        start = 0
-        for p, (view, pool_a) in enumerate(zip(views, coeffs)):
-            rows, cols = slice(p * n_edges, (p + 1) * n_edges), slice(start, start + view.n_lops)
-            start += view.n_lops
-            assert inc[rows, cols].tobytes() == view.incidence.tobytes(), name
-            assert inc[rows].sum() == view.incidence.sum(), name
-            assert capacity[rows].tobytes() == view.capacity.tobytes(), name
-            assert a[cols].tobytes() == pool_a.tobytes(), name
-            pool_ratio, pool_neck = single_pool._fair_split(view.incidence, view.capacity)
-            assert ratio[cols].tobytes() == pool_ratio.tobytes(), name
-            assert (neck[rows, cols] == pool_neck).all() and neck[rows].sum() == pool_neck.sum(), name
+        assert power == 2 and budget.tobytes() == np.tile(views[0].capacity, len(views)).tobytes(), name
+        assert scale.tobytes() == np.concatenate([0.5 * a for a in coeffs]).tobytes(), name
+        row = col = act = pos = 0
+        for p, view in enumerate(views):
+            own = view.presolve
+            (height, width), n_edged = own.block.shape, len(own.edges)
+            assert stack.lines[col:col + view.n_lops].tobytes() == own.lines.tobytes(), name
+            assert stack.edges[pos:pos + n_edged].tolist() == (own.edges + p * n_edges).tolist(), name
+            assert stack.first[pos:pos + n_edged].tolist() == (own.first + pos).tolist(), name
+            assert stack.block[row:row + height, act:act + width].tobytes() == own.block.tobytes(), name
+            assert stack.block[row:row + height].sum() == own.block.sum(), name
+            row, col, act, pos = row + height, col + view.n_lops, act + width, pos + n_edged
+        assert (row, act, col, pos) == (*stack.block.shape, len(stack.lines), len(stack.edges)), name
     assert multi == 20 + 20 + 10 + 10 + 9
+
+
+@pytest.mark.parametrize("make", [make for _, make in CERTIFY_CASES], ids=[name for name, _ in CERTIFY_CASES])
+def test_each_block_keeps_what_the_whole_stack_keeps(make):
+    """One-row dominance block by block keeps, per pool, exactly the edges it keeps on the whole stack.
+
+    The whole stack is every pool's incidence over its lines that can run,
+    on the diagonal, at the capacity once per pool; its kept rows, read
+    back as (pool, edge id) pairs, are the views' kept edges.
+    """
+    views, _ = _views(*make())
+    inc, capacity = _stack(views)
+    edges, first = network._implied_rows(inc[:, np.concatenate([view.runs for view in views])], capacity)
+    n_edges = views[0].n_edges
+    whole = {(int(e) // n_edges, views[0].edge_ids[int(e) % n_edges]) for e in edges[first == np.arange(len(first))]}
+    blocks = set()
+    for p, view in enumerate(views):
+        own = view.presolve
+        blocks |= {(p, view.edge_ids[e]) for e in own.edges[own.first == np.arange(len(own.first))]}
+    assert blocks == whole
+
+
+def test_large_grids_presolve_block_by_block(monkeypatch):
+    """The 20x30 four-pool grids, seeds 0-2: solve_full certifies at solver precision.
+
+    The measurements section reports, per seed, the rows each pool's block
+    keeps, the Newton iterations and dual evaluations of the one solve, and
+    the worst certificate, counts only.
+    """
+    solve = oracle._solve_one_pool
+    counts = []
+
+    def recorded(views, coefficients):
+        sol = solve(views, coefficients)
+        counts.append((sol.iterations, sol.dual_evals))
+        return sol
+
+    monkeypatch.setattr(oracle, "_solve_one_pool", recorded)
+    kept, worst = [], 0.0
+    for seed in range(3):
+        spec = lm.GridSpec(rows=20, cols=30, pools=4, lines_per_pool=40, min_line_len=25, seed=seed)
+        net, pools = lm.generate_grid(spec)
+        sol = lm.solve_full(net, pools, lm.uniform_utilities(pools, 5.0, 15.0, seed=seed + 100))
+        assert sol.converged and sol.kkt.max_scaled() <= 1e-8, seed
+        kept.append("/".join(str(len(lm.compile_pool(net, pools, k).presolve.block)) for k in pools.pool_ids))
+        worst = max(worst, sol.kkt.max_scaled())
+    report.note(f"20x30 four-pool grids, seeds 0-2: kept rows per block {', '.join(kept)}; Newton iterations / "
+                f"dual evaluations {', '.join(f'{i} / {e}' for i, e in counts)}; worst certificate {worst:.2g}")
 
 
 def test_kkt_valuations_must_match_the_pools():
@@ -679,15 +755,15 @@ def _inactive_operator_cases():
     makes += [partial(instances.grid_instance, seed, k) for k in (1, 2) for seed in range(5)]
     for make in makes:
         for view, coeffs in _pool_views(make):
-            fair_ratio, neck = oracle._fair_split(view.incidence, view.capacity)
+            fair_ratio, neck = network._fair_split(view.incidence, view.capacity)
             bids = 0.5 * coeffs * np.sqrt(fair_ratio)
             bids[::2] = 0.0
-            yield view.incidence, view.capacity, bids, 1, oracle._neck_prices(neck, bids, view.capacity), bids > 0.0
+            yield view.incidence, view.capacity, bids, 1, single_pool._neck_prices(neck, bids, view.capacity), bids > 0.0
             crossing = view.incidence.sum(axis=1)
             closed = view.capacity.copy()
             closed[np.argmin(np.where(crossing > 0.0, crossing, np.inf))] = 0.0
             scale = 0.5 * coeffs
-            opening = oracle._neck_prices(neck, scale * np.sqrt(fair_ratio), view.capacity)
+            opening = single_pool._neck_prices(neck, scale * np.sqrt(fair_ratio), view.capacity)
             yield view.incidence, closed, scale, 2, opening, ~view.incidence[closed <= 0.0].any(axis=0)
 
 
@@ -695,8 +771,8 @@ def test_inactive_operator_is_invisible_to_the_newton_solve():
     """A solve with inactive operators is, bit for bit, the solve with their columns deleted."""
     partly = 0
     for incidence, budget, scale, power, opening, act in _inactive_operator_cases():
-        full = oracle._clearing_prices(incidence, budget, scale, power, opening)
-        cut = oracle._clearing_prices(incidence[:, act], budget, scale[act], power, opening)
+        full = _clear(incidence, budget, scale, power, opening)
+        cut = _clear(incidence[:, act], budget, scale[act], power, opening)
         assert full.prices.tobytes() == cut.prices.tobytes()
         assert full.freqs[act].tobytes() == cut.freqs.tobytes()
         assert full.freqs[~act].tobytes() == np.zeros(np.count_nonzero(~act)).tobytes()
@@ -710,23 +786,22 @@ def test_dual_evaluations_cover_every_iteration(monkeypatch):
     """Each iteration evaluates at least its accepted trial; the opening is evaluated once."""
     for name, make in CERTIFY_CASES:
         for view, coeffs in _pool_views(make):
-            sol = oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
+            sol = oracle._solve_one_pool([view], [coeffs])
             assert sol.converged and sol.dual_evals >= sol.iterations >= 1, (name, view.pool_id)
     view, coeffs = next(_pool_views(partial(instances.chain_instance, 0)))
     opening = lm.cold_start(view, coeffs, 1.0).prices
     with monkeypatch.context() as m:
         m.setattr(single_pool, "_NEWTON_ITERS", 0)
-        start = oracle._clearing_prices(view.incidence, view.capacity, 0.5 * coeffs, 2, opening)
+        start = oracle._clearing_prices(view.presolve, view.capacity, 0.5 * coeffs, 2, opening)
     assert (start.iterations, start.dual_evals) == (0, 1)
-    idle = oracle._clearing_prices(view.incidence, view.capacity, 0.0 * coeffs, 2, opening)
+    idle = _clear(view.incidence, view.capacity, 0.0 * coeffs, 2, opening)
     assert (idle.iterations, idle.dual_evals) == (0, 0)
 
 
 def _cover_cases():
     """(incidence, budget) pairs: every STACK_CASES stack, then random 0/1 matrices with tied budgets."""
     for _, make in STACK_CASES:
-        inc, capacity, _ = single_pool._stack_pools(*_views(*make()))
-        yield inc, capacity
+        yield _stack(_views(*make())[0])
     rng = np.random.default_rng(28)
     for trial in range(2000):
         m, k = int(rng.integers(1, 30)), int(rng.integers(1, 10))
@@ -747,7 +822,7 @@ def test_each_implied_row_keeps_a_cover():
     """
     dropped = strict = 0
     for rows, budget in _cover_cases():
-        edges, first = single_pool._implied_rows(rows, budget)
+        edges, first = network._implied_rows(rows, budget)
         n = len(edges)
         np.testing.assert_array_equal(np.sort(edges), np.flatnonzero(rows.any(axis=1)))
         lines = rows[edges] > 0.0
@@ -775,8 +850,8 @@ def test_newton_counts_do_not_read_the_edge_order(monkeypatch):
     solve = oracle._solve_one_pool
     counts = []
 
-    def recorded(incidence, capacity, coefficients):
-        sol = solve(incidence, capacity, coefficients)
+    def recorded(views, coefficients):
+        sol = solve(views, coefficients)
         counts.append((sol.iterations, sol.dual_evals))
         return sol
 
@@ -838,7 +913,7 @@ def test_oracle_opens_at_cold_start(monkeypatch):
                 expected[cover] = sum(opening[e] for e in group)
                 merged += len(group) > 1
                 summed += sum(opening[e] > 0.0 for e in group) > 1
-            sol = oracle._solve_one_pool(view.incidence, view.capacity, coeffs)
+            sol = oracle._solve_one_pool([view], [coeffs])
             assert sol.iterations == 0
             np.testing.assert_allclose(sol.prices, expected, rtol=1e-15, atol=0.0)
     assert merged > 1 and summed > 0 and strict > 0
@@ -872,8 +947,8 @@ def test_failed_certificate_is_not_converged(monkeypatch):
     """A pool solve that claims convergence at a wrong point fails the certificate."""
     solve = oracle._solve_one_pool
 
-    def halved(incidence, capacity, coefficients):
-        sol = solve(incidence, capacity, coefficients)
+    def halved(views, coefficients):
+        sol = solve(views, coefficients)
         sol.freqs = sol.freqs * 0.5
         return sol
 
@@ -1072,9 +1147,9 @@ def test_descent_stops_where_no_step_moves_the_prices(seed, pool, monkeypatch):
     returns, unconverged, long before its iteration budget (the no-accept break), next to the point
     the default _NEWTON_TOL accepts.  Without either break it would repeat that point to the budget."""
     incidence, capacity, bids, opening = _frozen_bid_pool(seed, pool)
-    cleared = oracle._clearing_prices(incidence, capacity, bids, 1, opening)
+    cleared = _clear(incidence, capacity, bids, 1, opening)
     monkeypatch.setattr(single_pool, "_NEWTON_TOL", 0.0)
-    stuck = oracle._clearing_prices(incidence, capacity, bids, 1, opening)
+    stuck = _clear(incidence, capacity, bids, 1, opening)
     assert cleared.converged and not stuck.converged
     assert cleared.iterations < stuck.iterations < single_pool._NEWTON_ITERS
     np.testing.assert_allclose(stuck.prices, cleared.prices, rtol=1e-9)
@@ -1099,11 +1174,11 @@ def test_newton_fallbacks_take_the_gradient(monkeypatch):
     def ascent(hess, rhs):
         return -rhs
 
-    newton = oracle._clearing_prices(incidence, capacity, scale, 2, opening)
+    newton = _clear(incidence, capacity, scale, 2, opening)
     runs = []
     for step in (singular, ascent):
         monkeypatch.setattr(single_pool, "_newton_step", step)
-        runs.append(oracle._clearing_prices(incidence, capacity, scale, 2, opening))
+        runs.append(_clear(incidence, capacity, scale, 2, opening))
     assert newton.converged and newton.iterations < 10
     assert runs[0].prices.tobytes() == runs[1].prices.tobytes() and runs[0].freqs.tobytes() == runs[1].freqs.tobytes()
     assert (runs[0].converged, runs[0].iterations, runs[0].dual_evals) == (False, 300, runs[1].dual_evals)

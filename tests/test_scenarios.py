@@ -381,16 +381,20 @@ class TestRecoveryExperiment:
         assert out.disrupted_net.capacity("e1") == pytest.approx(2.0)
         assert net.capacity("e1") == 4.0
 
-    def test_restart_compiles_its_pools_once(self, compiles, builds, k2_baseline):
+    def test_restart_compiles_its_pools_once(self, compiles, builds, kernels, k2_baseline):
         """The shocked network builds each pool once: both restarts and their certificates read those
-        views, and the disrupted network keeps every untouched edge."""
+        views, and the disrupted network keeps every untouched edge.  Each build runs its fair split
+        once, and no restart calls the oracle, so none computes a presolve."""
         net, pools, table, base = k2_baseline(0)
         compiles["multi_pool"].clear()
         builds.clear()
+        kernels["_fair_split"].clear()
         dis = lm.DisruptionSpec("increase", 1, 0.1, seed=1)
         out = lm.run_recovery_experiment(net, pools, table, dis, instances.GRID_CFG, baseline=base)
         ids = list(pools.pool_ids)
         assert builds == ids
+        assert len(kernels["_fair_split"]) == len(ids) and set(kernels["_fair_split"].values()) == {1}
+        assert not kernels["_implied_rows"]
         assert compiles == {"multi_pool": ids * 2, "oracle": ids * 2}
         assert sum(new is not old for old, new in zip(net.edges, out.disrupted_net.edges)) == 1
         for rec, res in ((out.warm, out.warm_result), (out.cold, out.cold_result)):

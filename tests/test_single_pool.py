@@ -1024,7 +1024,7 @@ def test_bid_refresh_and_bid_terms_match_reference_bitwise():
         supply = rng.uniform(0.1, 5.0, edges) * (rng.random(edges) < (0.7 if mixed else 2.0))
         mass = (neck / neck.sum(axis=0)).dot(ceil)
         want = np.where(supply > 0.0, mass / np.where(supply > 0.0, supply, 1.0), 0.0)
-        assert _neck_prices(neck, ceil, supply).tobytes() == want.tobytes(), trial
+        assert _neck_prices(neck / neck.sum(axis=0), ceil, supply).tobytes() == want.tobytes(), trial
 
         seen["every path priced" if np.all(mu > 0.0) else "unpriced path"] += 1
         seen["every line bids"] += int(bool(np.all(bids > 0.0)))
