@@ -26,7 +26,6 @@ from .single_pool import (
     SinglePoolResult,
     allocate_frequencies,
     cold_start,
-    default_price_eta,
     price_step,
     refresh_bids,
     run_price_dynamics,

@@ -302,9 +302,6 @@ def run_mechanism(
     pool_ids = tuple(pools.pool_ids)
     views: dict[str, PoolView] = {k: compile_pool(net, pools, k) for k in pool_ids}
     coeffs = {k: utilities.coefficients_for(views[k]) for k in pool_ids}
-    # the default price step reads only the view, which holds it
-    eta = cfg.inner.price_eta
-    etas = {k: views[k].price_eta if eta is None else eta for k in pool_ids}
     capacity = net.capacity_vector()
 
     if warm is not None:
@@ -333,9 +330,7 @@ def run_mechanism(
     for outer in range(_MAX_OUTER + 1):
         inner_ok = True
         for k, on in zip(pool_ids, live):
-            res: SinglePoolResult = _run_pool(
-                views[k], coeffs[k], shares.share(k) if on else 0.0, states[k], cfg.inner, etas[k]
-            )
+            res: SinglePoolResult = _run_pool(views[k], coeffs[k], shares.share(k) if on else 0.0, states[k], cfg.inner)
             states[k] = res.state
             price_updates[k] += res.iterations
             bid_updates += res.bid_updates

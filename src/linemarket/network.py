@@ -310,11 +310,13 @@ class PoolView:
     runs marks the lines that can run, those crossing no closed edge
     (bottleneck > 0).  fair_ratio and neck are each line's fair ratio and
     its column-normalised neck (_fair_split), and price_eta is the default
-    price step, 0.01 times the smallest open capacity of the network over
-    the most lines sharing an edge (1 when every edge is closed, where no
-    load can move).  None of these depends on a share or a valuation, so
-    _build_view computes them once, with the view, and the price loop, its
-    cold start and run_mechanism read them on every run.
+    price step (DynamicsConfig.price_eta None), 0.01 times the smallest
+    open capacity of the network over the most lines sharing an edge: a
+    closed edge sets no scale, as it would freeze every price, and when
+    every edge is closed, where no load can move, the scale is 1.  None of
+    these depends on a share or a valuation, so _build_view computes them
+    once, with the view, and the price loop and its cold start read them
+    on every run.
 
     presolve, the exact solver's one-row-dominance presolve of the lines
     that can run (_presolve), is the one array set filed lazily: the first

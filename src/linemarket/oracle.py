@@ -4,17 +4,16 @@ The market mechanism is decentralized; this module solves the same
 allocation problem directly so tests can compare the two, and certifies a
 point against the optimality conditions.  Those are its two jobs.  The
 exact clearing solver it calls (single_pool._clearing_prices) lives with
-the engine, whose opening (the view's fair ratios and neck, _neck_prices)
-and stop terms (_clearing_terms) it reads, and the certificate reads each
-pool's raw terms through the stop test's own kernel
-(single_pool._pool_terms), so each of these has one definition.
+the engine, whose fair-share opening (_fair_opening) and stop terms
+(_clearing_terms) it reads, and the certificate reads each pool's raw
+terms through the stop test's own kernel (single_pool._pool_terms), so
+each of these has one definition.
 
 The reference optimum: solve_full solves all pools once, stacked, at
 share 1.  There the pools' duals are separable, so the stack is one pool
 whose reduced system holds the views' presolved blocks on its diagonal
 (PoolView.presolve), and one Newton solve per instance (_solve_one_pool)
-minimizes their sum, opening where the engine opens, at cold_start's
-share-1 prices.
+minimizes their sum.
 Square-root valuations make a pool's optimum at share f its share-1
 optimum with frequencies scaled by f and prices by f**-1/2, so its value
 is sqrt(f) times its value at share 1 and the optimal split follows in
@@ -41,7 +40,7 @@ import numpy as np
 from .network import (InputMismatchError, Network, PoolSystem, PoolView, _check_length, _check_real, _Presolve,
                       compile_pool)
 from .multi_pool import OuterState, ProportionVector, _check_warm, _mean, pool_cost
-from .single_pool import _TINY, PoolMarketState, _PoolSolve, _clearing_prices, _max_or_zero, _neck_prices, _pool_terms
+from .single_pool import _TINY, PoolMarketState, _PoolSolve, _clearing_prices, _fair_opening, _max_or_zero, _pool_terms
 from .utility import UtilityTable
 
 __all__ = [
@@ -74,13 +73,11 @@ def _solve_one_pool(views: Sequence[PoolView], coefficients: Sequence[np.ndarray
     view keeps, block by block, and forms no product across blocks.  One
     pool's stack is its view's presolve, copied.
 
-    Newton opens at the engine's own share-1 opening, the prices of
-    cold_start(view, coefficients, 1.0), computed per pool from the view's
-    fair ratios and neck without the opening frequencies, which Newton
-    never reads.  A valuation a*sqrt(x) demands x = (a / 2 mu)**2, scale
-    a/2 at power 2, and opens at the bid a/2 * sqrt(fair ratio).
-    solve_full reaches every other share by 1/2-homogeneity: frequencies
-    scale by the share, prices by its inverse square root.
+    Newton opens at each pool's fair-share opening prices at share 1
+    (_fair_opening), where cold_start opens a run.  A valuation a*sqrt(x)
+    demands x = (a / 2 mu)**2, scale a/2 at power 2.  solve_full reaches
+    every other share by 1/2-homogeneity: frequencies scale by the share,
+    prices by its inverse square root.
     """
     presolves = [view.presolve for view in views]
     block = np.zeros((sum(p.block.shape[0] for p in presolves), sum(p.block.shape[1] for p in presolves)))
@@ -93,8 +90,7 @@ def _solve_one_pool(views: Sequence[PoolView], coefficients: Sequence[np.ndarray
     stack = _Presolve(np.concatenate([p.lines for p in presolves]),
                       np.concatenate([p.edges + k * n_edges for k, p in enumerate(presolves)]),
                       np.concatenate([p.first + shift for p, shift in zip(presolves, shifts)]), block)
-    opening = np.concatenate([_neck_prices(view.neck, 0.5 * a * np.sqrt(view.fair_ratio), view.capacity)
-                              for view, a in zip(views, coefficients)])
+    opening = np.concatenate([_fair_opening(view, a, 1.0)[1] for view, a in zip(views, coefficients)])
     return _clearing_prices(stack, np.concatenate([view.capacity for view in views]),
                             0.5 * np.concatenate(coefficients), 2, opening)
 

@@ -13,15 +13,9 @@ The fixed point of the three rules clears the pool: priced edges run at
 capacity, unpriced edges have slack, and every allocation sits where the
 operator's marginal value meets her path price.
 
-A cold run opens at fair-share bids (cold_start): each operator bids what
-the smallest even split of capacity along its line is worth to it, and
-charges that bid to the edge or edges of its line that set the split, its
-neck.  Each neck prices the bids charged to it over its share-scaled
-capacity and every other edge opens unpriced, so a line opens at the path
-price that buys its fair share, not at the sum of every edge's rationing
-price.  That opening is the optimum on a lone edge and scales with the
-share as the optimum does, so the loop only corrects what the even split
-got wrong.
+A cold run opens at the pool's fair-share opening (_fair_opening, read by
+cold_start), the optimum on a lone edge, so the loop only corrects what the
+even split got wrong.
 
 The loop runs on the pool's own edges only, the edges some line of the
 pool uses (PoolView.own_edges).  No load ever reaches another edge, so its
@@ -123,7 +117,6 @@ __all__ = [
     "DynamicsConfig",
     "PoolMarketState",
     "SinglePoolResult",
-    "default_price_eta",
     "cold_start",
     "price_step",
     "allocate_frequencies",
@@ -159,24 +152,25 @@ _MAX_PASSES = 5_000
 
 # The exact clearing solve (_clearing_prices) stops when its worst overload
 # and worst |price * excess| are within _NEWTON_TOL times the largest
-# budget, and spends at most _NEWTON_ITERS Newton iterations; no caller sets
-# either.
+# budget, and spends at most _NEWTON_ITERS Newton iterations.  Its Armijo
+# test leaves room for the dual value's rounding: _ROUNDING times the sum of
+# the magnitudes of the value's terms.  No caller sets any of them.
 _NEWTON_ITERS = 300
 _NEWTON_TOL = 1e-11
+_ROUNDING = 4e-16
 
 
 @dataclass(frozen=True)
 class DynamicsConfig:
     """The one tuning knob of the in-pool dynamics: the price step.
 
-    price_eta of None means the capacity-scaled default: one percent of the
-    smallest open edge capacity divided by the largest number of lines
-    sharing an edge; a price_eta given must be a real number in (0, inf),
-    else ValueError.  Operators re-bid every bid_refresh_period price
-    updates, a constant of the dynamics rather than a field.  The stop
-    test's tolerances and the refresh passes one pool run may spend are the
-    module constants _ABS_TOL, _REL_TOL and _MAX_PASSES, as the exact
-    solve's are _NEWTON_TOL and _NEWTON_ITERS.  No field describes
+    price_eta of None means the view's step (PoolView.price_eta); a
+    price_eta given must be a real number in (0, inf), else ValueError.
+    Operators re-bid every bid_refresh_period price updates, a constant of
+    the dynamics rather than a field.  The stop test's tolerances and the
+    refresh passes one pool run may spend are the module constants
+    _ABS_TOL, _REL_TOL and _MAX_PASSES, as the exact solve's are
+    _NEWTON_TOL and _NEWTON_ITERS.  No field describes
     the instance: what is legal input is decided before any pool runs, by
     the network and pool system when built and by compile_pool.
     """
@@ -187,18 +181,6 @@ class DynamicsConfig:
     def __post_init__(self) -> None:
         if self.price_eta is not None:
             _check_real("price_eta", self.price_eta, "(0, inf)")
-
-
-def default_price_eta(view: PoolView) -> float:
-    """Capacity-scaled price step: 0.01 * min open capacity / max lines per edge.
-
-    A closed (zero-capacity) edge sets no scale: it would make the step zero
-    and freeze every price.  When every edge is closed no load can move, so
-    the step is irrelevant and the scale falls back to one.  The step reads
-    only the view, so compile_pool computes it once, with the view
-    (PoolView.price_eta), and this returns it.
-    """
-    return view.price_eta
 
 
 @dataclass
@@ -467,26 +449,31 @@ def _neck_prices(neck: np.ndarray, bids: np.ndarray, supply: np.ndarray) -> np.n
     return np.divide(neck.dot(bids), supply, out=np.zeros(len(supply)), where=supply > 0.0)
 
 
-def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMarketState:
-    """Fair-share opening state: each operator bids what its even split is worth.
+def _fair_opening(view: PoolView, coefficients: np.ndarray, share: float) -> tuple[np.ndarray, np.ndarray]:
+    """A pool's fair-share opening at a share: its bids and their neck prices.
 
     An operator's fair share is share times its line's fair ratio (see
-    PoolView.fair_ratio).  It opens at the bid (a/2)*sqrt(fair share), at
-    which its marginal value meets the path price that allocates it exactly
-    that share, and the bid is charged only to the line's neck (see
-    _neck_prices), so each edge opens at the bids charged to it over its
-    share-scaled capacity.  On one edge with one operator this is the
-    optimum, and the state is 1/2-homogeneous in the share as the optimum
-    is: bids scale by sqrt(share), prices by 1/sqrt(share).  A line through
-    a closed edge opens at bid zero, so a closed edge carries no price.  The
-    opening frequencies are allocated at those prices.  The oracle opens its
-    Newton solve at this state's share-1 prices.  The share must be a real
-    number in [0, inf), else ValueError.
+    PoolView.fair_ratio).  It bids (a/2)*sqrt(fair share), at which its
+    marginal value meets the path price that allocates it exactly that
+    share, and the bid is charged only to the line's neck (_neck_prices),
+    so each edge opens at the bids charged to it over its share-scaled
+    capacity.  On one edge with one operator this is the optimum, and the
+    opening is 1/2-homogeneous in the share as the optimum is: bids scale
+    by sqrt(share), prices by 1/sqrt(share).  A line through a closed edge
+    has fair ratio zero, so it bids zero and a closed edge opens unpriced.
+    cold_start opens a run here, and the oracle its Newton solve at share 1.
+    """
+    bids = 0.5 * coefficients * np.sqrt(share * view.fair_ratio)
+    return bids, _neck_prices(view.neck, bids, view.capacity * share)
+
+
+def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMarketState:
+    """The pool's state at its fair-share opening (_fair_opening), frequencies allocated at its prices.
+
+    The share must be a real number in [0, inf), else ValueError.
     """
     _check_real("share", share, "[0, inf)")
-    supply = view.capacity * share
-    bids = 0.5 * coefficients * np.sqrt(share * view.fair_ratio)
-    prices = _neck_prices(view.neck, bids, supply)
+    bids, prices = _fair_opening(view, coefficients, share)
     ceil = view.bottleneck * share
     offers, free = _bid_terms(bids, ceil)
     freqs = allocate_frequencies(view.incidence.T.dot(prices), offers, free, _OVERLOAD * ceil)
@@ -512,19 +499,18 @@ def _reopen(prices: np.ndarray, loads: np.ndarray, supply: np.ndarray) -> None:
     prices[moved] *= np.sqrt(loads[moved] / supply[moved])
 
 
-def _charge_waiting(prices: np.ndarray, mu: np.ndarray, bids: np.ndarray, coefficients: np.ndarray, view: PoolView,
+def _charge_waiting(prices: np.ndarray, mu: np.ndarray, bids: np.ndarray, view: PoolView,
                     supply: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Charge each waiting line's bid to its neck; return the new prices and path prices.
 
     prices and supply are the price loop's, on the view's own edges.  A
-    line waits when it can run, bids, and sits on an unpriced path; the
-    price loop values a line that cannot run at zero, so a positive
-    coefficient marks one that can.  Its bid is added to its neck's price
-    (the view's neck on its own rows, _neck_prices), as cold_start charges
-    every bid.  With no line waiting the inputs come back as they are.  The
-    callers call it only when some path is unpriced.
+    line waits when it can run (view.runs), bids, and sits on an unpriced
+    path.  Its bid is added to its neck's price (the view's neck on its own
+    rows, _neck_prices), as the fair-share opening charges every bid.  With
+    no line waiting the inputs come back as they are.  The callers call it
+    only when some path is unpriced.
     """
-    waiting = (bids > 0.0) & (coefficients > 0.0) & ~(mu > 0.0)
+    waiting = (bids > 0.0) & view.runs & ~(mu > 0.0)
     if not waiting.any():
         return prices, mu
     prices = prices + _neck_prices(view.neck[view.own_edges], np.where(waiting, bids, 0.0), supply)
@@ -546,7 +532,6 @@ def _run_pool(
     share: float,
     warm: PoolMarketState | None,
     cfg: DynamicsConfig,
-    eta: float,
 ) -> SinglePoolResult:
     """Run one pool's market to its clearing point at a fixed share.
 
@@ -563,9 +548,8 @@ def _run_pool(
     whole run, so each re-bid on its priced path sets its bid to 0: it
     never buys anything, and a bid it kept growing against a falling path
     price would be charged to its neck when its edge reopens.
-    eta is the price step, which run_mechanism resolves once per pool from
-    cfg.price_eta for all of that pool's runs, so the run reads cfg only
-    for its refresh period: operators re-bid every
+    The run steps prices at cfg.price_eta, or at the view's step
+    (PoolView.price_eta) when that is None, and operators re-bid every
     cfg.bid_refresh_period price updates.  The run is made of whole
     passes: each runs one refresh period and ends with a re-bid, so its
     price updates are always a multiple of the period.  A run that spends
@@ -589,9 +573,8 @@ def _run_pool(
     and the stop test rejects an active line on an unpriced path.  So a
     boundary not covered by a pass's certificate, the opening included,
     charges each such line's bid to its neck, on top of the neck's price
-    (_charge_waiting), as cold_start charges every bid; with every path
-    priced it only pays the check, and a certified pass ends with every
-    path priced.  The boundary then allocates under the current bids, but
+    (_charge_waiting); with every path priced it only pays the check, and a
+    certified pass ends with every path priced.  The boundary then allocates under the current bids, but
     at a cold opening, which cold_start has allocated.  Outside a certified
     pass it reads a positive path price below the offer over 2**1000 as
     that quotient (_overflow_safe): the offer buys its cap either way, and
@@ -618,6 +601,8 @@ def _run_pool(
     in another order and change them.
     """
     period = cfg.bid_refresh_period
+    # the step as a 0-d array, which price_step's product takes as it is
+    eta = np.array(view.price_eta if cfg.price_eta is None else cfg.price_eta)
     # the view's own rows, compiled once: the step and the allocation read
     # these, not the whole view, on every price update
     own = view.own_edges
@@ -632,7 +617,6 @@ def _run_pool(
     margin = 4 * (len(inc) + period) * math.ulp(1.0)
     floor = period * eta * supply * (1.0 + margin)
     below_cap = cap * (1.0 - margin) ** 2
-    eta = np.array(eta)  # as a 0-d array, which price_step's product takes as it is
     # a line that cannot run re-bids as if valued at zero, so its best
     # response is 0, not a bid against a path it never buys anything on
     coefficients = np.where(view.runs, coefficients, 0.0)
@@ -669,7 +653,7 @@ def _run_pool(
     while True:
         offers, free = _bid_terms(bids, ceil)
         if not priced and not _positive(mu):
-            prices, mu = _charge_waiting(prices, mu, bids, coefficients, view, supply)
+            prices, mu = _charge_waiting(prices, mu, bids, view, supply)
         if passes or not cold:  # cold_start has allocated the opening
             freqs = allocate_frequencies(mu if priced else _overflow_safe(mu, offers), offers, free, cap, priced)
         loads = freqs.dot(inc_t)
@@ -816,21 +800,22 @@ def _clearing_prices(
     columns, every other entry zero: budget and opening hold one entry per
     edge, scale one per operator.
 
-    Newton opens at `opening`, the engine's fair-share opening prices
-    (_neck_prices), each implied edge's moved onto its first
-    cover; every line crossing the implied edge crosses the cover, so no
-    active path price falls and the dual value is finite from the start.
+    Newton opens at `opening`, each implied edge's price moved onto its
+    first cover; every line crossing the implied edge crosses the cover, so
+    no active path price falls and the dual value is finite from the start.
     The dual value blows up whenever an active operator's path turns free
     of charge, so descent steps keep every such path priced without
     explicit bookkeeping.  The stop test reads the engine's own
     overload and complementarity terms (_clearing_terms) at _NEWTON_TOL
     times the largest budget, and the solve spends at most _NEWTON_ITERS
     iterations; both are module constants, as a pool run's budget is.  The
-    Armijo test allows for the dual value's own rounding (a few ulps of
-    it), else a step the rounding hides stalls the descent short of the
-    tolerance.  Each accepted step's path prices,
-    demand and loads carry over to the next iteration and to the exit.  The
-    iterations reported count each one begun, the one whose stop test
+    Armijo test allows for the dual value's rounding, _ROUNDING times the
+    sum of its terms' magnitudes at the current point, else a step the
+    rounding hides stalls the descent short of the tolerance: at power 1
+    the terms take both signs, and that sum may far exceed the value.
+    Each accepted step's path prices, demand and loads carry over to the
+    next iteration and to the exit.  The iterations reported count each one
+    begun, the one whose stop test
     passes included.  At the exit the frequencies shrink uniformly onto the
     feasible set when some kept row's load exceeds its budget: they are
     divided by the largest load-to-budget ratio over the kept rows, one
@@ -899,6 +884,9 @@ def _clearing_prices(
         except LinAlgError:
             newton = None
 
+        # the sum of the dual terms' magnitudes: the value itself at power 2,
+        # whose terms are all nonnegative
+        size = cur if power == 2 else float(np.abs(s * (np.log(s / mu) - 1.0)).sum() + prices @ sub_budget)
         accepted = False
         base = prices[fset]
         candidates = [newton, -gf] if newton is not None else [-gf]
@@ -914,8 +902,8 @@ def _clearing_prices(
                 trial = prices.copy()
                 trial[fset] = moved_to
                 value, trial_mu = dual_value(trial)
-                # Armijo, with room for the rounding of the dual value itself
-                slack = 1e-4 * min(0.0, float(gf @ (moved_to - base))) + 4e-16 * abs(cur)
+                # Armijo, with room for the dual value's rounding
+                slack = 1e-4 * min(0.0, float(gf @ (moved_to - base))) + _ROUNDING * size
                 if math.isfinite(value) and value <= cur + slack:
                     if not np.count_nonzero(moved_to != base):
                         break

@@ -483,9 +483,9 @@ def test_closed_edge_keeps_the_default_price_step():
     net, pools, table = instances.chain_instance(3)
     closed = net.with_capacities({"e5": 0.0})
     for k in pools.pool_ids:
-        eta = lm.default_price_eta(lm.compile_pool(closed, pools, k))
+        eta = lm.compile_pool(closed, pools, k).price_eta
         assert eta > 0.0
-        assert eta == lm.default_price_eta(lm.compile_pool(net, pools, k))
+        assert eta == lm.compile_pool(net, pools, k).price_eta
     res = lm.run_mechanism(closed, pools, table)
     assert res.converged
     assert sum(res.price_updates.values()) < 5_000

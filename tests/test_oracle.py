@@ -142,6 +142,39 @@ def test_fixed_bids_on_grid_pool():
     assert float((prices * np.abs(gap)).max()) <= 1e-9 * scale
 
 
+def test_fixed_bids_clear_at_every_runs_end_state(monkeypatch):
+    """solve_fixed_bids converges at each pool's end state, its bids and share, of every converged run.
+
+    The runs are the 20 chains at the default step and, at the pin
+    (GRID_CFG), the 7x12 k1 and k2 grids at seeds 0-4 and the hubs 0-9: 75
+    pools.  The power-1 dual's terms take both signs, so the Armijo test's
+    room for its rounding reads the sum of their magnitudes; read from the
+    dual value alone, it stalled chain 15's pool k0 short of solver
+    precision.  The measurements section gives the worst Newton iterations
+    and dual evaluations.
+    """
+    solves = []
+    clearing = single_pool._clearing_prices
+
+    def spy(*args):
+        solves.append(clearing(*args))
+        return solves[-1]
+
+    monkeypatch.setattr(single_pool, "_clearing_prices", spy)
+    runs = ([(instances.chain_instance(seed), lm.MechanismConfig()) for seed in range(20)]
+            + [(instances.grid_instance(seed, k), instances.GRID_CFG) for k in (1, 2) for seed in range(5)]
+            + [(instances.hub_instance(seed), instances.GRID_CFG) for seed in range(10)])
+    for (net, pools, table), cfg in runs:
+        res = lm.run_mechanism(net, pools, table, cfg)
+        assert res.converged
+        for k, st in res.state.pool_states.items():
+            lm.solve_fixed_bids(lm.compile_pool(net, pools, k), st.bids, st.share)
+    assert len(solves) == 75 and all(sol.converged for sol in solves)
+    report.note(f"frozen bids at the runs' end states: {len(solves)} pools cleared, worst "
+                f"{max(sol.iterations for sol in solves)} Newton iterations / "
+                f"{max(sol.dual_evals for sol in solves)} dual evaluations")
+
+
 def _views(net, pools, table):
     """The views of an instance's pools, in pool order, and their coefficient vectors, as kkt_report reads them."""
     views = [lm.compile_pool(net, pools, k) for k in pools.pool_ids]
@@ -1141,14 +1174,21 @@ def _frozen_bid_pool(seed, pool):
 
 @pytest.mark.parametrize("seed, pool", [(7, "k0"), (15, "k1")])
 def test_descent_stops_where_no_step_moves_the_prices(seed, pool, monkeypatch):
-    """At a _NEWTON_TOL of 0 only exact clearing passes the stop test.  On these two pools the
-    descent reaches a point where every trial step the Armijo test accepts leaves the prices as they
-    are, so that trial is not taken (the zero-move break), no candidate is accepted, and the solve
-    returns, unconverged, long before its iteration budget (the no-accept break), next to the point
-    the default _NEWTON_TOL accepts.  Without either break it would repeat that point to the budget."""
+    """At a _NEWTON_TOL of 0 only exact clearing passes the stop test, which these two pools reach.
+
+    Forced with no room for the dual value's rounding (_ROUNDING 0), the
+    descent reaches a point where every trial step the Armijo test accepts
+    leaves the prices as they are, so that trial is not taken (the
+    zero-move break), no candidate is accepted, and the solve returns,
+    unconverged, long before its iteration budget (the no-accept break),
+    next to the point the default _NEWTON_TOL accepts.  Without either
+    break it would repeat that point to the budget.
+    """
     incidence, capacity, bids, opening = _frozen_bid_pool(seed, pool)
     cleared = _clear(incidence, capacity, bids, 1, opening)
     monkeypatch.setattr(single_pool, "_NEWTON_TOL", 0.0)
+    assert _clear(incidence, capacity, bids, 1, opening).converged
+    monkeypatch.setattr(single_pool, "_ROUNDING", 0.0)
     stuck = _clear(incidence, capacity, bids, 1, opening)
     assert cleared.converged and not stuck.converged
     assert cleared.iterations < stuck.iterations < single_pool._NEWTON_ITERS

@@ -58,16 +58,10 @@ def allocate(view, prices, bids, share, overload_factor=1.25):
     return lm.allocate_frequencies(mu, offers, free, overload_factor * ceil), mu
 
 
-def run_pool(view, coefficients, share, warm, cfg):
-    """_run_pool at the price step run_mechanism resolves for the pool."""
-    eta = lm.default_price_eta(view) if cfg.price_eta is None else cfg.price_eta
-    return _run_pool(view, coefficients, share, warm, cfg, eta)
-
-
 def run_one_pool(net, pools, pool_id, table, share, warm=None, cfg=None):
     """One pool's market at a fixed share, run as run_mechanism runs each pool."""
     view = lm.compile_pool(net, pools, pool_id)
-    return run_pool(view, table.coefficients_for(view), share, warm, cfg or lm.DynamicsConfig())
+    return _run_pool(view, table.coefficients_for(view), share, warm, cfg or lm.DynamicsConfig())
 
 
 def residuals_of(view, coefficients, state):
@@ -222,11 +216,11 @@ def test_budget_exit_counts_are_python_ints(monkeypatch):
 def test_default_step_scales_with_capacity_and_crowding():
     net1, pools1, _ = instances.single_edge()
     view1 = lm.compile_pool(net1, pools1, "k0")
-    assert lm.default_price_eta(view1) == pytest.approx(0.04)  # 0.01 * 4 / 1
+    assert view1.price_eta == pytest.approx(0.04)  # 0.01 * 4 / 1
 
     net2, pools2, _ = instances.two_lops_one_edge()
     view2 = lm.compile_pool(net2, pools2, "k0")
-    assert lm.default_price_eta(view2) == pytest.approx(0.02)  # 0.01 * 4 / 2
+    assert view2.price_eta == pytest.approx(0.02)  # 0.01 * 4 / 2
 
 
 
@@ -245,14 +239,45 @@ def test_default_step_reads_the_whole_view():
     assert 3 not in k0.own_edges and 3 in k1.own_edges
     assert k0.capacity[k0.own_edges].min() == pytest.approx(5.465, abs=1e-3)
     for view in (k0, k1):
-        assert lm.default_price_eta(view) == pytest.approx(0.02753, abs=1e-5)
-        assert lm.default_price_eta(view) == 0.01 * view.capacity[3]
+        assert view.price_eta == pytest.approx(0.02753, abs=1e-5)
+        assert view.price_eta == 0.01 * view.capacity[3]
 
 
 def test_all_closed_edges_give_a_positive_step():
     net = lm.Network(["u", "v"], [lm.Edge("e1", "u", "v", 0.0)])
     pools = lm.PoolSystem(["k0"], {("lop0", "k0"): lm.Line(("e1",))})
-    assert lm.default_price_eta(lm.compile_pool(net, pools, "k0")) == pytest.approx(0.01)
+    assert lm.compile_pool(net, pools, "k0").price_eta == pytest.approx(0.01)
+
+
+def test_run_steps_at_the_views_step_unless_the_config_sets_one(monkeypatch):
+    """_run_pool steps at view.price_eta under DynamicsConfig() and at x under DynamicsConfig(price_eta=x).
+
+    Every price step of a run receives that step, and the default run is the
+    run at the view's step given explicitly, byte for byte.
+    """
+    steps = []
+
+    def price_step(prices, loads, supply, eta, _fn=single_pool.price_step):
+        steps.append(float(eta))
+        return _fn(prices, loads, supply, eta)
+
+    monkeypatch.setattr(single_pool, "price_step", price_step)
+    net, pools, table = instances.chain_instance(0)  # both pools take steps at share 0.5
+    for k in pools.pool_ids:
+        view = lm.compile_pool(net, pools, k)
+        coeffs = table.coefficients_for(view)
+        runs = []
+        for cfg, eta in ((lm.DynamicsConfig(), view.price_eta),
+                         (lm.DynamicsConfig(price_eta=view.price_eta), view.price_eta),
+                         (lm.DynamicsConfig(price_eta=0.5 * view.price_eta), 0.5 * view.price_eta)):
+            steps.clear()
+            runs.append(_run_pool(view, coeffs, 0.5, None, cfg))
+            assert steps and set(steps) == {eta}
+        default, explicit, _ = runs
+        assert (default.iterations, default.bid_updates, default.converged, default.residuals) == (
+            explicit.iterations, explicit.bid_updates, explicit.converged, explicit.residuals)
+        for name in ("prices", "bids", "freqs"):
+            assert getattr(default.state, name).tobytes() == getattr(explicit.state, name).tobytes(), name
 
 
 def _two_edge_pool(e3_capacity=None):
@@ -520,12 +545,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
     some line uses, so it sums path prices and loads over those rows, as the
     engine does; every other edge is returned at price zero.
     """
-    if cfg.price_eta is not None:
-        eta = cfg.price_eta
-    else:
-        open_caps = view.capacity[view.capacity > 0.0]
-        scale = float(open_caps.min()) if open_caps.size else 1.0
-        eta = 0.01 * scale / max(1.0, float(view.incidence.sum(axis=1).max()))
+    eta = view.price_eta if cfg.price_eta is None else cfg.price_eta
     full = view
     own = np.flatnonzero(view.incidence.any(axis=1))
     view = dataclasses.replace(view, edge_ids=tuple(view.edge_ids[e] for e in own), capacity=view.capacity[own],
@@ -598,7 +618,7 @@ def reference_run_pool(view, coefficients, share, cfg, warm=None):
 
 
 def assert_same_run(view, coefficients, share, cfg, warm=None):
-    got = run_pool(view, coefficients, share, warm, cfg)
+    got = _run_pool(view, coefficients, share, warm, cfg)
     st, iters, bid_updates, converged, res = reference_run_pool(view, coefficients, share, cfg, warm)
     assert (got.iterations, got.bid_updates, got.converged) == (iters, bid_updates, converged)
     for name in ("prices", "bids", "freqs"):
@@ -692,7 +712,7 @@ def test_one_edge_warm_opening_at_a_vanishing_price_converges():
     view = _one_edge_view()
     warm = lm.PoolMarketState("k0", view.edge_ids, view.lop_ids, np.array([1e-300]), np.array([1e10]),
                               np.array([4.0]), 1.0)
-    got = run_pool(view, np.array([2.0]), 1.0, warm, lm.DynamicsConfig(price_eta=0.01))
+    got = _run_pool(view, np.array([2.0]), 1.0, warm, lm.DynamicsConfig(price_eta=0.01))
     assert got.converged and got.iterations == 50
 
 
@@ -732,7 +752,7 @@ def test_warm_rescaled_loop_matches_eager_reference(scale):
         for k in pools.pool_ids:
             view = lm.compile_pool(net, pools, k)
             coeffs = table.coefficients_for(view)
-            cleared = run_pool(view, coeffs, 0.5, None, cfg)
+            cleared = _run_pool(view, coeffs, 0.5, None, cfg)
             assert cleared.converged
             got = assert_same_run(view, coeffs, 0.5 * scale, cfg, warm=cleared.state)
             assert got.converged and got.iterations >= cfg.bid_refresh_period
@@ -763,7 +783,7 @@ def test_warm_state_reopens_a_moved_edge_at_its_half_homogeneous_price(k1_baseli
         return _fn(prices, *rest)
 
     monkeypatch.setattr(single_pool, "price_step", step)
-    got = run_pool(view, table.coefficients_for(view), warm.share, warm, instances.GRID_CFG.inner)
+    got = _run_pool(view, table.coefficients_for(view), warm.share, warm, instances.GRID_CFG.inner)
     assert got.converged and got.iterations > 0
     own = view.own_edges
     opening = np.zeros(view.n_edges)
@@ -917,8 +937,8 @@ def test_moved_share_runs_to_a_refresh_boundary():
     view = lm.compile_pool(net, pools, "k0")
     coeffs = table.coefficients_for(view)
     cfg = lm.DynamicsConfig()
-    cleared = run_pool(view, coeffs, 0.5, None, cfg).state
-    assert run_pool(view, coeffs, 0.5, cleared, cfg).iterations == 0
+    cleared = _run_pool(view, coeffs, 0.5, None, cfg).state
+    assert _run_pool(view, coeffs, 0.5, cleared, cfg).iterations == 0
 
     share = 0.5 * 1.001
     ratio = share / cleared.share
@@ -928,7 +948,7 @@ def test_moved_share_runs_to_a_refresh_boundary():
     rescaled.freqs, _ = allocate(view, rescaled.prices, rescaled.bids, share)
     rescaled.share = share
     assert residuals_of(view, coeffs, rescaled).converged
-    moved = run_pool(view, coeffs, share, cleared, cfg)
+    moved = _run_pool(view, coeffs, share, cleared, cfg)
     assert moved.converged
     assert moved.iterations >= cfg.bid_refresh_period
 
@@ -939,10 +959,10 @@ def test_warm_state_with_a_silent_line_cold_starts_the_pool():
     view = lm.compile_pool(net, pools, "k0")
     coeffs = table.coefficients_for(view)
     cfg = lm.DynamicsConfig()
-    cleared = run_pool(view, coeffs, 0.5, None, cfg)
+    cleared = _run_pool(view, coeffs, 0.5, None, cfg)
     silent = cleared.state.copy()
     silent.bids[0] = 0.0
-    got = run_pool(view, coeffs, 0.5, silent, cfg)
+    got = _run_pool(view, coeffs, 0.5, silent, cfg)
     assert got.iterations == cleared.iterations
     assert got.state.bids.tobytes() == cleared.state.bids.tobytes()
 
@@ -1330,24 +1350,24 @@ def _chain_with_unused_edge(first):
 def test_unused_edge_costs_nothing_and_changes_nothing(first):
     """An edge no line uses leaves every run byte for byte as it is, at price 0.
 
-    Each pool runs cold, then warm at a moved share.  Both networks take the
-    step of the one without the edge, since default_price_eta reads the
-    narrowest edge of the whole view.
+    Each pool runs cold, then warm at a moved share.  Both networks run at
+    the step of the one without the edge, given explicitly: the spare edge
+    is narrower than any other, so it sets the wide network's default step
+    (PoolView.price_eta).
     """
     net, pools, table = instances.chain_instance(3)
     wide, _, _ = _chain_with_unused_edge(first)
     spare = 0 if first else len(net.edges)
     shared = np.arange(len(wide.edges)) != spare
-    cfg = lm.DynamicsConfig()
     for k in pools.pool_ids:
         view, wide_view = lm.compile_pool(net, pools, k), lm.compile_pool(wide, pools, k)
-        assert spare not in wide_view.own_edges
+        assert spare not in wide_view.own_edges and wide_view.price_eta < view.price_eta
         coeffs = table.coefficients_for(view)
-        eta = lm.default_price_eta(view)
+        cfg = lm.DynamicsConfig(price_eta=view.price_eta)
         want = got = None
         for share in (0.5, 0.45):
-            want = _run_pool(view, coeffs, share, want.state if want else None, cfg, eta)
-            got = _run_pool(wide_view, coeffs, share, got.state if got else None, cfg, eta)
+            want = _run_pool(view, coeffs, share, want.state if want else None, cfg)
+            got = _run_pool(wide_view, coeffs, share, got.state if got else None, cfg)
             assert want.converged
             assert (got.iterations, got.bid_updates, got.converged, got.residuals) == (
                 want.iterations, want.bid_updates, want.converged, want.residuals
@@ -1368,15 +1388,15 @@ def test_warm_price_on_an_unused_edge_is_dropped(first):
     for k in pools.pool_ids:
         view = lm.compile_pool(net, pools, k)
         coeffs = table.coefficients_for(view)
-        cleared = run_pool(view, coeffs, 0.5, None, cfg)
+        cleared = _run_pool(view, coeffs, 0.5, None, cfg)
         assert cleared.converged
         warm = cleared.state.copy()
         warm.prices[spare] = 3.0
         # at the share it cleared at, the state is the cleared one again
-        same = run_pool(view, coeffs, 0.5, warm, cfg)
+        same = _run_pool(view, coeffs, 0.5, warm, cfg)
         assert same.converged and same.iterations == 0
         assert same.state.prices.tobytes() == cleared.state.prices.tobytes()
-        moved = run_pool(view, coeffs, 0.45, warm, cfg)
+        moved = _run_pool(view, coeffs, 0.45, warm, cfg)
         assert moved.converged and moved.state.prices[spare] == 0.0
         assert warm.prices[spare] == 3.0  # the warm state itself is untouched
 
@@ -1397,7 +1417,7 @@ def test_residuals_match_reference_on_final_states():
         for k in pools.pool_ids:
             view = lm.compile_pool(net, pools, k)
             coeffs = table.coefficients_for(view)
-            got = run_pool(view, coeffs, 0.5, None, cfg)
+            got = _run_pool(view, coeffs, 0.5, None, cfg)
             want = reference_residuals(view, coeffs, got.state)
             assert got.residuals == want
             assert residuals_of(view, coeffs, got.state) == want
@@ -1530,8 +1550,8 @@ def test_seams_run_once_per_use(monkeypatch):
     runs = []
     moved = []
 
-    def run_pool(view, coefficients, share, warm, cfg, eta):
-        res = _run_pool(view, coefficients, share, warm, cfg, eta)
+    def run_pool(view, coefficients, share, warm, cfg):
+        res = _run_pool(view, coefficients, share, warm, cfg)
         runs.append((view.n_lops, res.iterations, res.iterations == single_pool._MAX_PASSES * period))
         moved.append(warm is not None and warm.share != share)
         return res
@@ -1551,7 +1571,7 @@ def test_seams_run_once_per_use(monkeypatch):
     view = lm.compile_pool(net, pools, pools.pool_ids[0])
     for max_passes in (3, 4):
         monkeypatch.setattr(single_pool, "_MAX_PASSES", max_passes)
-        multi_pool._run_pool(view, table.coefficients_for(view), 0.5, None, lm.DynamicsConfig(price_eta=1e-3), 1e-3)
+        multi_pool._run_pool(view, table.coefficients_for(view), 0.5, None, lm.DynamicsConfig(price_eta=1e-3))
     updates = sum(n for _, n, _ in runs)
     boundaries = sum(n // period for _, n, _ in runs)
     budget_exits = sum(spent for _, _, spent in runs)
