@@ -27,6 +27,7 @@ from .single_pool import (
     PoolMarketState,
     SinglePoolResult,
     _TINY,
+    _ZERO,
     _run_pool,
 )
 from .utility import UtilityTable
@@ -76,7 +77,7 @@ class ProportionVector:
                 raise ValueError(f"proportions must be finite, got {self.values}")
             if low < -1e-12:
                 raise ValueError("proportions must be nonnegative")
-        if abs(float(self.values.sum()) - 1.0) > 1e-9:
+        if abs(float(np.add.reduce(values)) - 1.0) > 1e-9:
             raise ValueError(f"proportions must sum to 1, got {self.values.sum()}")
 
     @classmethod
@@ -115,7 +116,7 @@ def _mean(x: np.ndarray) -> float:
     np.mean divides the same sum by the same count, behind a Python wrapper
     that costs more than the sum.
     """
-    return float(x.sum() / len(x))
+    return float(np.add.reduce(x) / len(x))
 
 
 def pool_cost(capacity: np.ndarray, prices: np.ndarray) -> float:
@@ -130,7 +131,7 @@ def costs_equal(costs: np.ndarray, eps_cost: float) -> bool:
     """
     if len(costs) <= 1:
         return True
-    spread = float(costs.max() - costs.min())
+    spread = float(np.maximum.reduce(costs) - np.minimum.reduce(costs))
     return spread / max(_mean(costs), _TINY) <= eps_cost
 
 
@@ -146,8 +147,9 @@ def update_proportions(shares: ProportionVector, costs: np.ndarray) -> Proportio
     rescaled to the new split by the pool runs, not overwritten here.  costs
     must hold one real number per pool of the split (_real_values), else
     ValueError, and each must be finite and nonnegative, else
-    InputMismatchError.  A mean cost of zero makes the step undefined; the
-    split is returned unchanged.
+    InputMismatchError.  A mean cost of zero makes the step undefined, and
+    so does a positive mean when every pool that holds a share costs zero:
+    then no share can move, and the split is returned unchanged.
     """
     costs = _real_values("cost", costs)
     _check_length("split update", "costs", costs, len(shares.pool_ids))
@@ -156,7 +158,10 @@ def update_proportions(shares: ProportionVector, costs: np.ndarray) -> Proportio
     if not level > 0.0:
         return shares
     raw = shares.values * (costs / level) ** 2
-    return ProportionVector(shares.pool_ids, raw / raw.sum())
+    total = np.add.reduce(raw)
+    if not total > 0.0:
+        return shares
+    return ProportionVector(shares.pool_ids, raw / total)
 
 
 @dataclass(frozen=True)
@@ -319,6 +324,9 @@ def run_mechanism(
     # only the others
     live = np.array([views[k].runs.any() for k in pool_ids])
     shares = _live_split(shares, live)
+    # live is fixed for the run: the equal-cost test reads every pool's cost
+    # when every pool can run, and the level is 0 when none can
+    every_live, any_live = bool(live.all()), bool(live.any())
 
     price_updates = {k: 0 for k in pool_ids}
     bid_updates = 0
@@ -329,8 +337,9 @@ def run_mechanism(
     # the loop runs at least once, and its first pass sets pool_costs and level
     for outer in range(_MAX_OUTER + 1):
         inner_ok = True
-        for k, on in zip(pool_ids, live):
-            res: SinglePoolResult = _run_pool(views[k], coeffs[k], shares.share(k) if on else 0.0, states[k], cfg.inner)
+        # the split is over pool_ids in order, so its values line up with them
+        for k, on, share in zip(pool_ids, live, shares.values.tolist()):
+            res: SinglePoolResult = _run_pool(views[k], coeffs[k], share if on else 0.0, states[k], cfg.inner)
             states[k] = res.state
             price_updates[k] += res.iterations
             bid_updates += res.bid_updates
@@ -344,8 +353,8 @@ def run_mechanism(
                 )
         pool_costs = {k: pool_cost(capacity, states[k].prices) for k in pool_ids}
         costs = np.array([pool_costs[k] for k in pool_ids])
-        live_costs = costs[live]
-        level = _mean(live_costs) if live.any() else 0.0
+        live_costs = costs if every_live else costs[live]
+        level = _mean(live_costs) if any_live else 0.0
         outer_trace.append(
             {
                 "outer_iter": outer,
@@ -377,7 +386,7 @@ def run_mechanism(
         f_updates=outer,  # one split update per outer step before the last
         price_updates=price_updates,
         bid_updates=bid_updates,
-        objective=sum(float(coeffs[k] @ np.sqrt(np.maximum(states[k].freqs, 0.0))) for k in pool_ids),
+        objective=sum(float(coeffs[k].dot(np.sqrt(np.maximum(states[k].freqs, _ZERO)))) for k in pool_ids),
         outer_trace=outer_trace,
         diagnostics=diagnostics,
     )

@@ -23,17 +23,20 @@ otherwise derive from its incidence and capacities on every call: the
 pool's own edges and their rows, the lines that can run, each line's fair
 ratio and neck (_fair_split), the default price step, and, on first use,
 the exact solver's one-row-dominance presolve (_implied_rows, _presolve).
+Beside the views, keyed the same way, the pool system files the oracle's
+stack of a network's views (_Stack, _filed_stack), built on its first use.
 """
 from __future__ import annotations
 
 import json
 import numbers
 import weakref
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cached_property, lru_cache
+from itertools import accumulate
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -82,17 +85,25 @@ def _check_real(name: str, value: object, interval: str | None = None,
     or a subclass such as InputMismatchError; without an interval NaN and
     the infinities pass, and the caller decides on them.
     """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    # a float passes at once: the ABC test is the slow half of the check
+    if type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             x = float(value)
         except OverflowError:  # an integer beyond the float range
             raise error(f"{name} is out of the float range") from None
         if interval is None:
             return x
-        low, high = (float(end) for end in interval[1:-1].split(","))
-        if (low <= x if interval[0] == "[" else low < x) and (x <= high if interval[-1] == "]" else x < high):
+        low, high, closed_low, closed_high = _ends(interval)
+        if (low <= x if closed_low else low < x) and (x <= high if closed_high else x < high):
             return x
     raise error(f"{name} must be a real number{'' if interval is None else ' in ' + interval}, got {value!r}")
+
+
+@lru_cache(maxsize=64)
+def _ends(interval: str) -> tuple[float, float, bool, bool]:
+    """An interval as _check_real states it, such as "(0, inf)", read once: its ends and whether each is closed."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    return low, high, interval[0] == "[", interval[-1] == "]"
 
 
 def _check_length(where: str, name: str, values: np.ndarray, n: int) -> None:
@@ -239,13 +250,15 @@ class PoolSystem:
     lines is a read-only mapping over the system's own copy of the table.
     The system also holds the views compile_pool has built from it, per
     network, in a map keyed weakly by the network, so an entry goes with
-    its network.
+    its network, and beside them, keyed the same way, the oracle's stack
+    of each network's views (_filed_stack).
     """
 
     def __init__(self, pool_ids: Iterable[str], lines: Mapping[tuple[str, str], Line]) -> None:
         self.pool_ids = tuple(pool_ids)
         self.lines = MappingProxyType(dict(lines))
         self._views: weakref.WeakKeyDictionary[Network, dict[str, PoolView]] = weakref.WeakKeyDictionary()
+        self._stacks: weakref.WeakKeyDictionary[Network, _Stack] = weakref.WeakKeyDictionary()
         if not self.pool_ids:
             raise InputMismatchError("the pool system lists no pools")
         bad_keys = [key for key in self.lines
@@ -285,14 +298,16 @@ class _Presolve:
 
     lines marks the active lines, the columns the reduced system keeps.
     edges are the edges those lines cross, in presolve order, and first[i]
-    is the position in edges of edge i's first cover (_implied_rows).  block
-    is the reduced incidence: the rows of the kept edges, each its own first
-    cover, in presolve order, over the active lines.
+    is the position in edges of edge i's first cover (_implied_rows).  kept
+    marks the kept edges among them, each its own first cover, and block is
+    the reduced incidence: the rows of the kept edges, in presolve order,
+    over the active lines.
     """
 
     lines: np.ndarray
     edges: np.ndarray
     first: np.ndarray
+    kept: np.ndarray
     block: np.ndarray
 
 
@@ -521,10 +536,72 @@ def _presolve(incidence: np.ndarray, budget: np.ndarray, lines: np.ndarray) -> _
     """
     rows = incidence[:, lines]
     edges, first = _implied_rows(rows, budget)
-    presolve = _Presolve(lines, edges, first, rows[edges[first == np.arange(len(first))]])
-    for values in (edges, first, presolve.block):
+    kept = first == np.arange(len(first))
+    presolve = _Presolve(lines, edges, first, kept, rows[edges[kept]])
+    for values in (edges, first, kept, presolve.block):
         values.flags.writeable = False
     return presolve
+
+
+class _Stack(tuple):
+    """An instance's compiled views in pool order, with all its pools at share 1 stacked into one pool.
+
+    It is the tuple of the views, so it passes wherever they do, and it
+    carries the exact solver's reduced system of the stack, which
+    oracle._solve_one_pool solves: presolve holds the views' presolves
+    (PoolView.presolve) on its diagonal, budget is the capacity once per
+    pool, and blocks[p] is the slice of pool p's operators among the
+    stack's.  Row p*n_edges + e of the stack is edge e in pool p and the
+    columns are the pools' operators in turn.  No row of one pool crosses
+    an operator of another, so none covers a row of another pool, and each
+    block's order, covers and kept rows are its pool's own: the stack keeps
+    what each view keeps, block by block, and forms no product across
+    blocks.  None of this reads a share or a valuation, so _build_stack
+    builds it once per network, on the oracle's first use (_filed_stack).
+    """
+
+    presolve: _Presolve
+    budget: np.ndarray
+    blocks: tuple[slice, ...]
+
+
+def _build_stack(views: Sequence[PoolView]) -> _Stack:
+    """The stack of views (see _Stack), with read-only arrays; one view's is its presolve, copied."""
+    presolves = [view.presolve for view in views]
+    block = np.zeros((sum(p.block.shape[0] for p in presolves), sum(p.block.shape[1] for p in presolves)))
+    row = col = 0
+    for p in presolves:
+        block[row:row + p.block.shape[0], col:col + p.block.shape[1]] = p.block
+        row, col = row + p.block.shape[0], col + p.block.shape[1]
+    n_edges = views[0].n_edges
+    shifts = accumulate((len(p.edges) for p in presolves[:-1]), initial=0)
+    stack = _Stack(views)
+    stack.presolve = _Presolve(np.concatenate([p.lines for p in presolves]),
+                               np.concatenate([p.edges + k * n_edges for k, p in enumerate(presolves)]),
+                               np.concatenate([p.first + shift for p, shift in zip(presolves, shifts)]),
+                               np.concatenate([p.kept for p in presolves]), block)
+    stack.budget = np.concatenate([view.capacity for view in views])
+    for values in (*(getattr(stack.presolve, f.name) for f in fields(_Presolve)), stack.budget):
+        values.flags.writeable = False
+    bounds = [0, *accumulate(view.n_lops for view in views)]
+    stack.blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds, bounds[1:]))
+    return stack
+
+
+def _filed_stack(net: Network, pools: PoolSystem, views: Sequence[PoolView]) -> _Stack:
+    """The stack of views, which are compile_pool's views of every pool on net in pool order, built once.
+
+    The first call for a network builds it (_build_stack) and files it in
+    the pool system's map of stacks, keyed weakly by the network as its
+    views are, so it goes with its network; a shocked copy is another
+    network and gets its own.  Every later call returns that same object:
+    compile_pool returns the same view of a pool on a network every time,
+    so the filed stack holds the views a later call passes.
+    """
+    stack = pools._stacks.get(net)
+    if stack is None:
+        stack = pools._stacks[net] = _build_stack(views)
+    return stack
 
 
 # ---------------------------------------------------------------------------

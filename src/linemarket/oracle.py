@@ -13,7 +13,9 @@ The reference optimum: solve_full solves all pools once, stacked, at
 share 1.  There the pools' duals are separable, so the stack is one pool
 whose reduced system holds the views' presolved blocks on its diagonal
 (PoolView.presolve), and one Newton solve per instance (_solve_one_pool)
-minimizes their sum.
+minimizes their sum.  The stack reads no share and no valuation, so the
+pool system files it once per network, beside the views
+(network._filed_stack), and a repeated solve of an instance reuses it.
 Square-root valuations make a pool's optimum at share f its share-1
 optimum with frequencies scaled by f and prices by f**-1/2, so its value
 is sqrt(f) times its value at share 1 and the optimal split follows in
@@ -32,15 +34,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
-from .network import (InputMismatchError, Network, PoolSystem, PoolView, _check_length, _check_real, _Presolve,
-                      compile_pool)
-from .multi_pool import OuterState, ProportionVector, _check_warm, _mean, pool_cost
-from .single_pool import _TINY, PoolMarketState, _PoolSolve, _clearing_prices, _fair_opening, _max_or_zero, _pool_terms
+from .network import (InputMismatchError, Network, PoolSystem, PoolView, _build_stack, _check_length, _check_real,
+                      _filed_stack, _Stack, compile_pool)
+from .multi_pool import OuterState, ProportionVector, _check_warm, _mean, _real_values, pool_cost
+from .single_pool import (_TINY, _TINY_0D, _ZERO, PoolMarketState, _PoolSolve, _clearing_prices, _fair_opening,
+                          _max_or_zero, _pool_terms)
 from .utility import UtilityTable
 
 __all__ = [
@@ -65,34 +67,23 @@ def _solve_one_pool(views: Sequence[PoolView], coefficients: Sequence[np.ndarray
     At share 1 the pools' duals are separable, so their sum is the dual of
     one pool: the capacity vector once per pool, the coefficient vectors
     concatenated, and, as its reduced system, the views' presolved blocks
-    (PoolView.presolve) on the diagonal.  Row p*n_edges + e of the stack is
-    edge e in pool p and the columns are the pools' operators in turn, so
-    the answer splits back at those offsets.  No row of one pool crosses an
-    operator of another, so none covers a row of another pool, and each
-    block's order and covers are its pool's own: the stack keeps what each
-    view keeps, block by block, and forms no product across blocks.  One
-    pool's stack is its view's presolve, copied.
+    (PoolView.presolve) on the diagonal, the stack (network._Stack).  The
+    answer splits back at the stack's offsets: row p*n_edges + e is edge e
+    in pool p, and the columns are the pools' operators in turn.  views is
+    solve_full's filed stack, which holds that system already; any other
+    sequence of views has its stack built afresh (network._build_stack), to
+    the same bytes.
 
     Newton opens at each pool's fair-share opening prices at share 1
-    (_fair_opening), where cold_start opens a run.  A valuation a*sqrt(x)
+    (_fair_opening), where cold_start opens a run; the opening reads the
+    coefficients, so it is computed per call.  A valuation a*sqrt(x)
     demands x = (a / 2 mu)**2, scale a/2 at power 2.  solve_full reaches
     every other share by 1/2-homogeneity: frequencies scale by the share,
     prices by its inverse square root.
     """
-    presolves = [view.presolve for view in views]
-    block = np.zeros((sum(p.block.shape[0] for p in presolves), sum(p.block.shape[1] for p in presolves)))
-    row = col = 0
-    for p in presolves:
-        block[row:row + p.block.shape[0], col:col + p.block.shape[1]] = p.block
-        row, col = row + p.block.shape[0], col + p.block.shape[1]
-    n_edges = views[0].n_edges
-    shifts = accumulate((len(p.edges) for p in presolves[:-1]), initial=0)
-    stack = _Presolve(np.concatenate([p.lines for p in presolves]),
-                      np.concatenate([p.edges + k * n_edges for k, p in enumerate(presolves)]),
-                      np.concatenate([p.first + shift for p, shift in zip(presolves, shifts)]), block)
+    stack = views if isinstance(views, _Stack) else _build_stack(views)
     opening = np.concatenate([_fair_opening(view, a, 1.0)[1] for view, a in zip(views, coefficients)])
-    return _clearing_prices(stack, np.concatenate([view.capacity for view in views]),
-                            0.5 * np.concatenate(coefficients), 2, opening)
+    return _clearing_prices(stack.presolve, stack.budget, 0.5 * np.concatenate(coefficients), 2, opening)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +96,27 @@ def _worst(acc: float, term: float) -> float:
     residual as zero; otherwise this is max's answer, acc on a tie.
     """
     return acc if acc >= term or acc != acc else term
+
+
+def _candidate(where: str, name: str, values, n: int) -> np.ndarray:
+    """An array of a candidate as kkt_report reads it: real entries (_real_values), one-dimensional of length n.
+
+    An entry that is no real number, such as a bool or a string, raises
+    ValueError, a wrong shape InputMismatchError; each names where and name.
+    """
+    values = _real_values(f"{where}: {name}", values)
+    _check_length(where, name, values, n)
+    return values
+
+
+def _negativity(acc: float, x: np.ndarray) -> float:
+    """_worst(acc, -float(x.min(initial=0.0))) for an acc of at least 0 or NaN, read through argmin.
+
+    argmin points at the first NaN when there is one, so a NaN wins as it
+    does under min; a least entry of at least 0 leaves acc, as the zero the
+    reduction starts from would.
+    """
+    return _worst(acc, -float(x[x.argmin()])) if x.size else acc
 
 
 @dataclass(frozen=True)
@@ -162,8 +174,12 @@ def kkt_report(
     order, its compiled view (compile_pool), its valuation coefficients in
     the view's operator order (UtilityTable.coefficients_for), its
     frequencies, one per operator of the view, and its edge prices, one per
-    edge of the view; then one share per pool and the common cost level,
-    a real number (a bool or a string such as "3" raises ValueError).
+    edge of the view; then one share per pool and the common cost level.
+    Each is read by _check_real's rule: the cost level must be a real
+    number, and so must every entry of the coefficients, frequencies,
+    prices and shares (multi_pool._real_values), else ValueError naming the
+    input, so a bool or a string such as "3" is refused, not read as 1 or
+    3.  An array of float or integer dtype passes on its dtype alone.
     Checks, per pool: marginal value equals path price on running lines
     and no line that could run stands idle,
     priced edges run at share-scaled capacity, loads within capacity, and,
@@ -179,16 +195,17 @@ def kkt_report(
     kernel (single_pool._pool_terms), so they are the stop test's raw terms
     bit for bit; this report scales them by capacity, cost level and the
     path price floored at _TINY.  The kernel reads a pool all of whose
-    operators run without the mask that selects running operators.
+    operators run without the mask that selects running operators.  The
+    products are ndarray.dot, the BLAS call the @ operator makes, at less
+    dispatch cost.
     """
-    pool_ids = [view.pool_id for view in views]
     for name, seq in (("coefficient vectors", coefficients), ("frequency arrays", freqs),
                       ("price arrays", prices), ("shares", shares)):
         if len(seq) != len(views):
-            raise InputMismatchError(f"{len(seq)} {name} for the {len(views)} pools {pool_ids}")
+            raise InputMismatchError(f"{len(seq)} {name} for the {len(views)} pools {[v.pool_id for v in views]}")
     _check_real("cost_level", cost_level)
     level_scale = max(abs(cost_level), _TINY)
-    share_vec = np.asarray(shares, dtype=float)
+    share_vec = _real_values("shares", shares)
 
     stat_raw: float | None = None
     stat_rel: float | None = None
@@ -196,31 +213,31 @@ def kkt_report(
     over_raw = 0.0
     over_rel = 0.0
     spread_raw = 0.0
-    neg = _worst(0.0, -float(share_vec.min(initial=0.0)))
+    neg = _negativity(0.0, share_vec)
 
     for view, a, x, lam, share in zip(views, coefficients, freqs, prices, share_vec):
-        a, x, lam = np.asarray(a, dtype=float), np.asarray(x, dtype=float), np.asarray(lam, dtype=float)
-        for name, values, n in (("coefficients", a, view.n_lops), ("freqs", x, view.n_lops),
-                                ("prices", lam, view.n_edges)):
-            _check_length(f"candidate of pool {view.pool_id!r}", name, values, n)
-        slack = view.incidence @ x - view.capacity * share
-        over, comp, gap, mu = _pool_terms(a, lam, x, view.incidence.T @ lam, slack)
-        neg = _worst(_worst(neg, -float(x.min(initial=0.0))), -float(lam.min(initial=0.0)))
+        where = f"candidate of pool {view.pool_id!r}"
+        a = _candidate(where, "coefficients", a, view.n_lops)
+        x = _candidate(where, "freqs", x, view.n_lops)
+        lam = _candidate(where, "prices", lam, view.n_edges)
+        slack = view.incidence.dot(x) - view.capacity * share
+        over, comp, gap, mu = _pool_terms(a, lam, x, view.incidence.T.dot(lam), slack)
+        neg = _negativity(_negativity(neg, x), lam)
         # fewer gaps than operators: some operator runs nothing, and may stand idle
         idle = gap.size < x.size and bool((~(x > 0.0) & (view.bottleneck * share > 0.0)).any())
         if gap.size:
             stat_raw = _worst(stat_raw or 0.0, _max_or_zero(gap))
-            stat_rel = _worst(stat_rel or 0.0, _max_or_zero(gap / np.maximum(mu, _TINY)))
+            stat_rel = _worst(stat_rel or 0.0, _max_or_zero(gap / np.maximum(mu, _TINY_0D)))
         if idle:
             stat_rel = _worst(stat_rel or 0.0, 1.0)
         comp_raw = _worst(comp_raw, comp)
         over_raw = _worst(over_raw, over)
-        over_rel = _worst(over_rel, _max_or_zero(slack / np.maximum(view.capacity, _TINY)))
+        over_rel = _worst(over_rel, _max_or_zero(slack / np.maximum(view.capacity, _TINY_0D)))
         if share > 0.0:
             # the split's condition binds only pools that hold capacity
             spread_raw = _worst(spread_raw, abs(pool_cost(view.capacity, lam) - cost_level))
 
-    total_share = float(share_vec.sum())
+    total_share = float(np.add.reduce(share_vec))
     split_excess = _worst(0.0, total_share - 1.0)
     split_comp_raw = abs(cost_level * (total_share - 1.0))
 
@@ -303,8 +320,9 @@ def solve_full(
     is the answer's cost level, as it is a run's.  So all pools are solved
     once, stacked, at share 1: their share-1 duals are separable, so one
     Newton solve of the block-diagonal stack of the views' presolves
-    (_solve_one_pool) minimizes them all, and its prices and frequencies
-    split back per pool at the views' offsets.  A pool of value zero, such
+    (_solve_one_pool, on the stack filed for the network) minimizes them
+    all, and its prices and frequencies split back per pool at the stack's
+    offsets.  A pool of value zero, such
     as one without operators, gets share zero; when every pool is worth
     zero the split is uniform.  The
     answer is an OuterState on compile_pool's views of the instance, shared
@@ -314,21 +332,19 @@ def solve_full(
     certificate to hold.
     """
     utilities.validate_against(pools)
-    views = [compile_pool(net, pools, k) for k in pools.pool_ids]
+    views = _filed_stack(net, pools, [compile_pool(net, pools, k) for k in pools.pool_ids])
     coeffs = [utilities.coefficients_for(view) for view in views]
     sol = _solve_one_pool(views, coeffs)
-    # the answer splits back per pool at the views' offsets: each
+    # the answer splits back per pool at the stack's offsets: each
     # elementwise step runs once over the stack, each sum over one block
-    n_lops = [view.n_lops for view in views]
-    bounds = [0, *accumulate(n_lops)]
-    blocks = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    roots = np.sqrt(np.maximum(sol.freqs, 0.0))
-    values = np.array([a @ roots[block] for a, block in zip(coeffs, blocks)])
+    blocks = views.blocks
+    roots = np.sqrt(np.maximum(sol.freqs, _ZERO))
+    values = np.array([a.dot(roots[block]) for a, block in zip(coeffs, blocks)])
     weights = values ** 2
-    total = float(weights.sum())
+    total = float(np.add.reduce(weights))
     split = weights / total if total > 0.0 else np.full(len(views), 1.0 / len(views))
-    freqs = sol.freqs * split.repeat(n_lops)
-    roots = np.sqrt(np.maximum(freqs, 0.0))
+    freqs = sol.freqs * split.repeat([view.n_lops for view in views])
+    roots = np.sqrt(np.maximum(freqs, _ZERO))
 
     states: dict[str, PoolMarketState] = {}
     costs: dict[str, float] = {}
@@ -336,16 +352,16 @@ def solve_full(
     for view, a, block, lam_1, share in zip(views, coeffs, blocks, sol.prices.reshape(len(views), -1), split):
         x = freqs[block]
         lam = lam_1 * share ** -0.5 if share > 0.0 else np.zeros_like(lam_1)
-        bids = x * (view.incidence.T @ lam)
+        bids = x * view.incidence.T.dot(lam)
         states[view.pool_id] = PoolMarketState(view.pool_id, view.edge_ids, view.lop_ids, lam, bids, x, float(share))
         costs[view.pool_id] = pool_cost(view.capacity, lam)
-        objective += float(a @ roots[block])
+        objective += float(a.dot(roots[block]))
 
     # the cost level as a run reads it: the mean cost of the pools that hold
     # capacity, of which the split always has one
-    held = np.array(list(costs.values()))[split > 0.0]
+    held = np.array(list(costs.values()))[split > _ZERO]
     level = _mean(held)
-    top = float(held.max())
+    top = float(np.maximum.reduce(held))
     report = kkt_report(views, coeffs, [st.freqs for st in states.values()], [st.prices for st in states.values()],
                         split, level)
     return OracleSolution(

@@ -96,7 +96,9 @@ one demand law, x = (scale / path price)**power: a valuation a*sqrt(x) is
 power 2 at scale a/2, and a frozen bid w is power 1 at scale w.
 solve_fixed_bids is the fixed point of run_price_dynamics, on a presolve
 of the lines that bid; the oracle solves all of an instance's pools in one
-call, on the block-diagonal stack of their views' presolves.  Newton opens
+call, on the block-diagonal stack of their views' presolves, filed once per
+network (network._Stack).  Its products are ndarray.dot, the BLAS call the
+@ operator makes, at less dispatch cost.  Newton opens
 at neck prices (PoolView.neck, _neck_prices) and stops on the price loop's
 own overload and complementarity terms (_clearing_terms), so the engine
 and the exact solver share one definition of each.
@@ -225,9 +227,10 @@ class PoolMarketState:
         }
 
 
-# the projection's zero as a 0-d array: numpy converts a Python float
-# operand afresh on every call, an array it takes as it is
+# the projection's zero and the floor _TINY as 0-d arrays: numpy converts a
+# Python float operand afresh on every call, an array it takes as it is
 _ZERO = np.zeros(())
+_TINY_0D = np.array(_TINY)
 
 
 def price_step(
@@ -273,7 +276,7 @@ def _max_or_zero(x: np.ndarray) -> float:
     m = x[x.argmax()]
     if m < 0.0:
         return 0.0
-    return float(m) if m != 0.0 else float(x.max(initial=0.0))
+    return float(m) if m != 0.0 else float(np.maximum.reduce(x, initial=0.0))
 
 
 def _bid_terms(bids: np.ndarray, ceil: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -601,8 +604,6 @@ def _run_pool(
     in another order and change them.
     """
     period = cfg.bid_refresh_period
-    # the step as a 0-d array, which price_step's product takes as it is
-    eta = np.array(view.price_eta if cfg.price_eta is None else cfg.price_eta)
     # the view's own rows, compiled once: the step and the allocation read
     # these, not the whole view, on every price update
     own = view.own_edges
@@ -611,24 +612,25 @@ def _run_pool(
     supply = view.own_capacity * share
     ceil = view.bottleneck * share
     cap = _OVERLOAD * ceil
-    # no load is negative, so a step lowers a price by at most eta * supply
-    # and a pass by at most period times that; margin covers the pass's
-    # roundings (see the module docstring)
-    margin = 4 * (len(inc) + period) * math.ulp(1.0)
-    floor = period * eta * supply * (1.0 + margin)
-    below_cap = cap * (1.0 - margin) ** 2
+    # the step and the pass certificate's bounds (see the module docstring),
+    # set when the first pass starts: a run that stops at its opening needs
+    # none of them
+    eta = floor = below_cap = None
     # a line that cannot run re-bids as if valued at zero, so its best
-    # response is 0, not a bid against a path it never buys anything on
-    coefficients = np.where(view.runs, coefficients, 0.0)
+    # response is 0, not a bid against a path it never buys anything on;
+    # when every line can run (every bottleneck positive) nothing is masked
+    if not _positive(view.bottleneck):
+        coefficients = np.where(view.runs, coefficients, 0.0)
     # a state cleared at share zero holds nothing to rescale, a run at share
     # zero opens cleared at zero, and a line that can run but holds no bid
     # would never bid again: its path may stay unpriced, and an idle line
     # passes the residual check
     cold = (warm is None or not warm.share > 0.0 or not share > 0.0
-            or bool(((warm.bids <= 0.0) & view.runs).any()))
+            or not _positive(warm.bids) and bool(((warm.bids <= 0.0) & view.runs).any()))
     state = cold_start(view, coefficients, share) if cold else warm.copy()
     prices = state.prices[own]
-    prices[view.own_closed] = 0.0
+    if not cold:  # cold_start opens every closed edge at zero already
+        prices[view.own_closed] = 0.0
     # a pool's optimum at share f is its share-1 optimum with prices scaled
     # by f**-1/2 and bids by f**1/2, so a warm state cleared at another share
     # is rescaled to it; the allocation below then scales the frequencies.
@@ -664,6 +666,15 @@ def _run_pool(
             res = pool_residuals(coefficients, prices, freqs, mu, excess)
             if spent or res.converged:
                 break
+        if floor is None:
+            # the step as a 0-d array, which price_step's product takes as it is
+            eta = np.array(view.price_eta if cfg.price_eta is None else cfg.price_eta)
+            # no load is negative, so a step lowers a price by at most eta *
+            # supply and a pass by at most period times that; margin covers
+            # the pass's roundings (see the module docstring)
+            margin = 4 * (len(inc) + period) * math.ulp(1.0)
+            floor = period * eta * supply * (1.0 + margin)
+            below_cap = cap * (1.0 - margin) ** 2
         # each path price stays at least lower through the whole pass, its
         # boundary included: the pass is certified when every lower is
         # positive, and its plain steps skip the cap when no offer reaches
@@ -791,21 +802,26 @@ def _clearing_prices(
     budget while the cover's holds, so it never binds alone and stays
     unpriced.  Dropping the implied rows, equal rows among them, removes
     flat directions that would otherwise make the Newton system singular.
-    The order and covers are share-free, so the oracle passes each view's
-    presolve (PoolView.presolve), computed once, its blocks on a stack's
-    diagonal, and solve_fixed_bids one of its bidding lines, per call.  An
-    inactive operator never enters the system, so the solve is the one of
-    the same pool with its column deleted; at the exit the prices are
-    scattered onto the kept edges and the frequencies onto the active
-    columns, every other entry zero: budget and opening hold one entry per
-    edge, scale one per operator.
+    The order, covers and kept rows are share-free, so the oracle passes
+    the stack of its views' presolves (PoolView.presolve), each computed
+    once, filed once per network (network._Stack), and solve_fixed_bids one
+    of its bidding lines, per call.  An inactive operator never enters the
+    system, so the solve is the one of the same pool with its column
+    deleted; at the exit the prices are scattered onto the kept edges and
+    the frequencies onto the active columns, every other entry zero: budget
+    and opening hold one entry per edge, scale one per operator.
 
     Newton opens at `opening`, each implied edge's price moved onto its
     first cover; every line crossing the implied edge crosses the cover, so
     no active path price falls and the dual value is finite from the start.
     The dual value blows up whenever an active operator's path turns free
     of charge, so descent steps keep every such path priced without
-    explicit bookkeeping.  The stop test reads the engine's own
+    explicit bookkeeping.  A step moves the free rows only, those priced
+    or overloaded (negative dual gradient), and a row that is neither stays
+    at zero: when every row is free, as in most steps on the test chains,
+    the step reads the whole system as it is, with no row to gather and no
+    trial price to scatter back, the same numbers at less cost.  The stop
+    test reads the engine's own
     overload and complementarity terms (_clearing_terms) at _NEWTON_TOL
     times the largest budget, and the solve spends at most _NEWTON_ITERS
     iterations; both are module constants, as a pool run's budget is.  The
@@ -833,12 +849,12 @@ def _clearing_prices(
 
     # the edges no other edge implies; each implied edge's opening price
     # moves to its cover, which every line crossing it crosses
-    edges, first, sub_inc = presolve.edges, presolve.first, presolve.block
-    keep = first == np.arange(len(first))
+    edges, first, keep, sub_inc = presolve.edges, presolve.first, presolve.kept, presolve.block
     reps = edges[keep]
     sub_budget = budget[reps]
     prices = np.bincount(first, weights=opening[edges], minlength=len(edges))[keep]
-    scale_b = max(1.0, float(sub_budget.max()))
+    scale_b = max(1.0, float(np.maximum.reduce(sub_budget)))
+    tol = _NEWTON_TOL * scale_b
     s_sq = s ** 2
     evals = 0
 
@@ -846,64 +862,71 @@ def _clearing_prices(
         """The dual value at edge prices pr, and the path prices there, floored at _TINY.
 
         The demand and the Hessian read the path prices through the same
-        floor, so it is taken once per accepted point.
+        floor, so it is taken once per accepted point.  A path price that
+        is not positive, or NaN, makes the value inf.
         """
         nonlocal evals
         evals += 1
-        mu = sub_inc.T @ pr
-        m = np.maximum(mu, _TINY)
-        if np.count_nonzero(mu <= 0.0):
+        mu = sub_inc.T.dot(pr)
+        m = np.maximum(mu, _TINY_0D)
+        if not _positive(mu):
             return np.inf, m
         value = s_sq / m if power == 2 else s * (np.log(s / m) - 1.0)
-        return float(value.sum() + pr @ sub_budget), m
+        return float(np.add.reduce(value) + pr.dot(sub_budget)), m
 
     cur, mu = dual_value(prices)
     x = (s / mu) ** power
-    load = sub_inc @ x
+    load = sub_inc.dot(x)
     converged = False
     iters = 0
     for iters in range(1, _NEWTON_ITERS + 1):
         gap = load - sub_budget
-        if max(_clearing_terms(prices, gap)) <= _NEWTON_TOL * scale_b:
+        if max(_clearing_terms(prices, gap)) <= tol:
             converged = True
             break
 
         grad = -gap  # dual gradient: budget - load
-        fset = ((prices > 0.0) | (grad < 0.0)).nonzero()[0]
-        gf = grad[fset]
-        sub = sub_inc[fset]
-        hess = (sub * (power * x / mu)) @ sub.T
-        lev = max(1e-14 * float(hess.trace()) / len(fset),
+        free = (prices > _ZERO) | (grad < _ZERO)
+        # most steps free every row, and those read the whole system as it
+        # is: no row to gather, and no price to scatter back
+        every = np.count_nonzero(free) == len(free)
+        gf, sub, base = (grad, sub_inc, prices) if every else (grad[free], sub_inc[free], prices[free])
+        hess = (sub * (power * x / mu)).dot(sub.T)
+        # the diagonal as a view of the fresh product; its sum is the trace
+        diag = hess.reshape(-1)[:: len(gf) + 1]
+        lev = max(1e-14 * float(np.add.reduce(diag)) / len(gf),
                   1e-8 * _max_or_zero(np.abs(gf)) / scale_b)
-        hess.flat[:: len(fset) + 1] += lev
+        diag += lev
         # hess is positive definite, sub W sub.T with W > 0 plus lev > 0 on
         # its diagonal, so LAPACK can meet a zero pivot only through
         # rounding; the gradient step then remains
+        descent = -gf
         try:
-            newton = _newton_step(hess, -gf)
+            newton = _newton_step(hess, descent)
         except LinAlgError:
             newton = None
 
         # the sum of the dual terms' magnitudes: the value itself at power 2,
         # whose terms are all nonnegative
-        size = cur if power == 2 else float(np.abs(s * (np.log(s / mu) - 1.0)).sum() + prices @ sub_budget)
+        size = cur if power == 2 else float(np.add.reduce(np.abs(s * (np.log(s / mu) - 1.0))) + prices.dot(sub_budget))
         accepted = False
-        base = prices[fset]
-        candidates = [newton, -gf] if newton is not None else [-gf]
-        for step in candidates:
+        for step in (newton, descent) if newton is not None else (descent,):
             # the Newton step descends, gf @ step = -gf hess^-1 gf < 0, and so
-            # does -gf, as gf = 0 would have passed the stop test: only a step
-            # rounding spoiled is passed over
-            if float(gf @ step) >= 0.0:
+            # does descent, -gf, as gf = 0 would have passed the stop test:
+            # only a step rounding spoiled is passed over
+            if float(gf.dot(step)) >= 0.0:
                 continue
             t_step = 1.0
             for _ in range(60):
-                moved_to = np.maximum(0.0, base + t_step * step)
-                trial = prices.copy()
-                trial[fset] = moved_to
+                moved_to = np.maximum(_ZERO, base + t_step * step)
+                if every:
+                    trial = moved_to
+                else:
+                    trial = prices.copy()
+                    trial[free] = moved_to
                 value, trial_mu = dual_value(trial)
                 # Armijo, with room for the dual value's rounding
-                slack = 1e-4 * min(0.0, float(gf @ (moved_to - base))) + _ROUNDING * size
+                slack = 1e-4 * min(0.0, float(gf.dot(moved_to - base))) + _ROUNDING * size
                 if math.isfinite(value) and value <= cur + slack:
                     if not np.count_nonzero(moved_to != base):
                         break
@@ -916,10 +939,10 @@ def _clearing_prices(
         if not accepted:
             break
         x = (s / mu) ** power
-        load = sub_inc @ x
+        load = sub_inc.dot(x)
 
     # the uniform shrink onto the feasible set (see the docstring)
-    ratio = float(np.max(load / sub_budget))
+    ratio = float(np.maximum.reduce(load / sub_budget))
     if ratio > 1.0:
         x = x / ratio
     out = np.zeros(n_edges)

@@ -64,9 +64,10 @@ class UtilityTable:
             raise InputMismatchError(f"no valuation for operator {lop!r} in pool {pool_id!r}") from None
 
     def validate_against(self, pools: PoolSystem) -> None:
-        missing = set(pools.lines) - set(self.entries)
-        extra = set(self.entries) - set(pools.lines)
-        if missing or extra:
+        # key views compare as sets without building them
+        if self.entries.keys() != pools.lines.keys():
+            missing = set(pools.lines) - set(self.entries)
+            extra = set(self.entries) - set(pools.lines)
             raise InputMismatchError(
                 f"valuation table mismatch: missing={sorted(missing)} extra={sorted(extra)}"
             )

@@ -125,13 +125,15 @@ def builds(monkeypatch):
 
 @pytest.fixture
 def kernels(monkeypatch):
-    """The compile kernels run while the test runs, per view: _fair_split and _implied_rows calls.
+    """The compile kernels run while the test runs: _fair_split and _implied_rows per view, _build_stack per network.
 
-    Each kernel reads a view's rows and budgets, so each call is counted
-    under a digest of those, which names the view it ran for: a kernel run
-    twice on one view counts 2 under one key.  Two pools with the same
-    lines on one network would share a key; no instance the tests count
-    kernels on has such pools.
+    Each view kernel reads a view's rows and budgets, so each call is
+    counted under a digest of those, which names the view it ran for: a
+    kernel run twice on one view counts 2 under one key.  Two pools with
+    the same lines on one network would share a key; no instance the tests
+    count kernels on has such pools.  _build_stack reads an instance's
+    views, so each call is counted under a digest of their pools, incidences
+    and capacities, which names the network it ran for.
     """
     calls: dict[str, Counter] = {}
     for name in ("_fair_split", "_implied_rows"):
@@ -143,4 +145,15 @@ def kernels(monkeypatch):
             return kernel(rows, budget)
 
         monkeypatch.setattr(network, name, counted)
+    stacks = calls["_build_stack"] = Counter()
+    build_stack = network._build_stack
+
+    def counted_stack(views):
+        digest = hashlib.sha256()
+        for view in views:
+            digest.update(view.pool_id.encode() + view.incidence.tobytes() + view.capacity.tobytes())
+        stacks[digest.hexdigest()] += 1
+        return build_stack(views)
+
+    monkeypatch.setattr(network, "_build_stack", counted_stack)
     return calls

@@ -101,6 +101,12 @@ class TestUpdateProportions:
         out = lm.update_proportions(start, np.array([0.0, 0.0]))
         np.testing.assert_allclose(out.values, start.values)
 
+    def test_split_no_share_can_move_stays(self):
+        """Every pool holding a share costs zero while the mean is positive: no share can move, so the
+        split comes back as it was, not as 0 / 0 (a NaN split the suite's warning filter refuses)."""
+        start = lm.ProportionVector(("a", "b"), [1.0, 0.0])
+        assert lm.update_proportions(start, [0.0, 5.0]) is start
+
     def test_ordering_follows_costs(self):
         out = lm.update_proportions(shares2(), np.array([6.0, 2.0]))
         assert out.values[0] > 0.5 > out.values[1]

@@ -192,21 +192,34 @@ def test_views_share_the_networks_read_only_capacities():
 def test_one_instance_builds_each_pool_once(compiles, builds, kernels):
     """A run, its oracle, the certificates of both and a warm restart share one view per pool:
     every call goes through compile_pool, and only the first per pool builds.  So each view's fair
-    split runs once, when it is built, and its presolve once, at the oracle's first use."""
+    split runs once, when it is built, and its presolve once, at the oracle's first use.  The
+    oracle's stack of the views is built once for the network too: a second solve reads the filed
+    one, and its answer is the first's, bit for bit."""
     net, pools, table = instances.chain_instance(3)
     res = lm.run_mechanism(net, pools, table)
     sol = lm.solve_full(net, pools, table)
     for state in (res.state, sol.state):
         assert lm.mechanism_kkt(net, pools, table, state).max_scaled() <= 0.1
     again = lm.run_mechanism(net, pools, table, warm=res.state)
+    stack = pools._stacks[net]
+    twice = lm.solve_full(net, pools, table)
     ids = list(pools.pool_ids)
     assert again.converged and builds == ids
-    assert compiles == {"multi_pool": ids * 2, "oracle": ids * 3}
+    assert compiles == {"multi_pool": ids * 2, "oracle": ids * 4}
     for k in ids:
         assert lm.compile_pool(net, pools, k) is lm.compile_pool(net, pools, k)
     assert builds == ids
-    for name, seen in kernels.items():
+    for name in ("_fair_split", "_implied_rows"):
+        seen = kernels[name]
         assert len(seen) == len(ids) and set(seen.values()) == {1}, (name, seen)
+    assert list(kernels["_build_stack"].values()) == [1]
+    assert pools._stacks[net] is stack and len(stack) == len(ids)
+    assert all(view is lm.compile_pool(net, pools, k) for view, k in zip(stack, ids))
+    assert twice.kkt == sol.kkt and twice.objective == sol.objective
+    assert twice.state.shares.values.tobytes() == sol.state.shares.values.tobytes()
+    for k in ids:
+        for name in ("prices", "bids", "freqs"):
+            assert getattr(twice.state.pool_states[k], name).tobytes() == getattr(sol.state.pool_states[k], name).tobytes()
 
 
 def test_views_and_lines_refuse_writes():
@@ -260,6 +273,7 @@ def _fresh_arrays(view):
         "runs": runs, "fair_ratio": fair_ratio, "neck": neck,
         "price_eta": 0.01 * (float(open_caps.min()) if open_caps.size else 1.0) / max(1.0, most),
         "presolve.lines": runs, "presolve.edges": edges, "presolve.first": first,
+        "presolve.kept": first == np.arange(len(first)),
         "presolve.block": inc[:, runs][edges[first == np.arange(len(first))]],
     }
 
@@ -333,10 +347,10 @@ def test_line_table_is_the_systems_own_copy():
     assert lm.compile_pool(net, pools, "k0") is before and before.lop_ids == ("lop0",)
 
 
-def test_with_capacities_network_gets_its_own_views(builds):
+def test_with_capacities_network_gets_its_own_views(builds, kernels):
     """A shocked copy of a network is another network: its views are built at its own capacities,
-    and the original's stay filed beside them."""
-    net, pools, _ = instances.chain_instance(3)
+    and the original's stay filed beside them.  So does the oracle's stack of its views."""
+    net, pools, table = instances.chain_instance(3)
     first = lm.compile_pool(net, pools, "k0")
     closed = net.with_capacities({net.edge_ids[0]: 0.0})
     shocked = lm.compile_pool(closed, pools, "k0")
@@ -347,6 +361,12 @@ def test_with_capacities_network_gets_its_own_views(builds):
     assert (shocked.bottleneck[on_first] == 0.0).all() and (first.bottleneck > 0.0).all()
     assert lm.compile_pool(net, pools, "k0") is first and lm.compile_pool(closed, pools, "k0") is shocked
     assert builds == ["k0", "k0"]
+    for other in (net, closed, net, closed):
+        lm.solve_full(other, pools, table)
+    stacks = pools._stacks[net], pools._stacks[closed]
+    assert stacks[0][0] is first and stacks[1][0] is shocked
+    assert stacks[0].budget[0] > 0.0 and stacks[1].budget[0] == 0.0
+    assert len(kernels["_build_stack"]) == 2 and set(kernels["_build_stack"].values()) == {1}
 
 
 def test_capacity_copy_takes_its_original_layout():
@@ -379,19 +399,20 @@ def test_failing_compile_raises_again(builds):
 
 
 def test_views_go_with_their_network():
-    """The pool system keys its views weakly by network: once the network is gone, so is its entry,
-    while a view a caller still holds stays whole."""
-    net, pools, _ = instances.chain_instance(3)
+    """The pool system keys its views, and the oracle's stack of them, weakly by network: once the
+    network is gone, so are its entries, while a view a caller still holds stays whole."""
+    net, pools, table = instances.chain_instance(3)
     shocked = net.with_capacities({net.edge_ids[0]: 1.0})
     views = [lm.compile_pool(other, pools, "k0") for other in (net, shocked)]
-    assert len(pools._views) == 2
+    assert all([lm.solve_full(other, pools, table).converged for other in (net, shocked)])
+    assert len(pools._views) == 2 and len(pools._stacks) == 2
     del shocked
     gc.collect()
-    assert list(pools._views.keys()) == [net]
+    assert list(pools._views.keys()) == [net] and list(pools._stacks.keys()) == [net]
     assert views[1].incidence.shape == views[0].incidence.shape and views[1].capacity[0] == 1.0
     del net
     gc.collect()
-    assert len(pools._views) == 0
+    assert len(pools._views) == 0 and len(pools._stacks) == 0
 
 
 def test_compiled_view_matches_lines():

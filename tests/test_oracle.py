@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket import cli, network, oracle, single_pool
+from linemarket import cli, multi_pool, network, oracle, single_pool
 
 import instances
 import report
@@ -547,8 +547,11 @@ def test_stack_holds_each_pool_on_its_diagonal(monkeypatch):
     """The oracle's reduced stack holds each view's presolve on its diagonal, and nothing lies off it.
 
     Its budget is the capacity once per pool, its scales the halved
-    coefficients in pool order, its lines, edges and covers each view's,
-    offset by the pools before it, and its block the views' blocks.
+    coefficients in pool order, its lines, edges, covers and kept rows each
+    view's, offset by the pools before it, and its block the views' blocks.
+    The stack solve_full files for the network is the one it solves on, and
+    it equals, array for array and byte for byte, the stack built afresh
+    from a list of the same views.
     """
     solve = oracle._clearing_prices
     seen = []
@@ -560,10 +563,18 @@ def test_stack_holds_each_pool_on_its_diagonal(monkeypatch):
     monkeypatch.setattr(oracle, "_clearing_prices", recorded)
     multi = 0
     for name, make in STACK_CASES:
-        views, coeffs = _views(*make())
+        net, pools, table = make()
+        views, coeffs = _views(net, pools, table)
         seen.clear()
+        lm.solve_full(net, pools, table)
         oracle._solve_one_pool(views, coeffs)
-        ((stack, budget, scale, power),) = seen
+        (stack, budget, scale, power), fresh = seen
+        filed = pools._stacks[net]
+        assert stack is filed.presolve and budget is filed.budget, name
+        for field in dataclasses.fields(stack):
+            got, want = getattr(stack, field.name), getattr(fresh[0], field.name)
+            assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+        assert budget.tobytes() == fresh[1].tobytes() and scale.tobytes() == fresh[2].tobytes(), name
         multi += len(views) > 1
         n_edges = views[0].n_edges
         assert power == 2 and budget.tobytes() == np.tile(views[0].capacity, len(views)).tobytes(), name
@@ -572,9 +583,11 @@ def test_stack_holds_each_pool_on_its_diagonal(monkeypatch):
         for p, view in enumerate(views):
             own = view.presolve
             (height, width), n_edged = own.block.shape, len(own.edges)
+            assert filed.blocks[p] == slice(col, col + view.n_lops), name
             assert stack.lines[col:col + view.n_lops].tobytes() == own.lines.tobytes(), name
             assert stack.edges[pos:pos + n_edged].tolist() == (own.edges + p * n_edges).tolist(), name
             assert stack.first[pos:pos + n_edged].tolist() == (own.first + pos).tolist(), name
+            assert stack.kept[pos:pos + n_edged].tobytes() == own.kept.tobytes(), name
             assert stack.block[row:row + height, act:act + width].tobytes() == own.block.tobytes(), name
             assert stack.block[row:row + height].sum() == own.block.sum(), name
             row, col, act, pos = row + height, col + view.n_lops, act + width, pos + n_edged
@@ -687,6 +700,52 @@ def test_kkt_cost_level_must_be_a_real_number(level):
     with pytest.raises(ValueError, match=rf"cost_level must be a real number, got {level!r}"):
         lm.kkt_report(views, coeffs, [state.pool_states[k].freqs for k in pools.pool_ids],
                       [state.pool_states[k].prices for k in pools.pool_ids], list(state.shares.values), level)
+
+
+def _as_strings(arrays):
+    return [np.array([str(v) for v in values]) for values in arrays]
+
+
+@pytest.mark.parametrize(
+    "edits, named",
+    [
+        ({"shares": lambda s: [str(v) for v in s]}, "shares must be a real number, got '"),
+        ({"shares": lambda s: [True, False], "coefficients": _as_strings}, "shares must be a real number, got True"),
+        ({"shares": lambda s: np.array(s) > 0.0}, "shares must be a real number, got True"),
+        ({"coefficients": _as_strings}, "candidate of pool 'k0': coefficients must be a real number, got '"),
+        ({"freqs": lambda xs: [xs[0], list(xs[1][:-1]) + [None]]}, "candidate of pool 'k1': freqs must be a real"),
+        ({"prices": lambda lams: [lams[0].astype(object), lams[1].astype(bool)]},
+         "candidate of pool 'k1': prices must be a real number, got (True|False)"),
+    ],
+    ids=["string-shares", "string-coefficients-bool-shares", "bool-array-shares", "string-coefficients",
+         "none-freq", "bool-prices"],
+)
+def test_kkt_reads_only_real_numbers(edits, named, monkeypatch):
+    """Coefficients, frequencies, prices and shares are read by _check_real's rule, as the cost level is:
+    at the parent string shares certified at 2.2e-16 and string coefficients with shares [True, False]
+    at 0.39.  Float arrays pass on their dtype alone, with no entry checked one by one, and a list of
+    reals, integers included, still passes."""
+    net, pools, table = instances.chain_instance(3)
+    state = lm.run_mechanism(net, pools, table).state
+    views, coeffs = _views(net, pools, table)
+    args = {
+        "coefficients": coeffs,
+        "freqs": [state.pool_states[k].freqs for k in pools.pool_ids],
+        "prices": [state.pool_states[k].prices for k in pools.pool_ids],
+        "shares": state.shares.values,
+    }
+    checked = []
+    check_real = multi_pool._check_real
+    monkeypatch.setattr(multi_pool, "_check_real", lambda name, value: checked.append(name) or check_real(name, value))
+    report = lm.kkt_report(views, cost_level=state.cost_level, **args)
+    assert not checked
+    assert report == lm.kkt_report(views, [list(a) for a in coeffs], args["freqs"], args["prices"],
+                                   state.shares.values.tolist(), state.cost_level)
+    assert lm.kkt_report(views, coeffs, args["freqs"], args["prices"], [1, 0], 1).split_excess == 0.0
+    for arg, edit in edits.items():
+        args[arg] = edit(args[arg])
+    with pytest.raises(ValueError, match=named):
+        lm.kkt_report(views, cost_level=state.cost_level, **args)
 
 
 def test_mechanism_state_of_another_chain_is_rejected():
@@ -829,6 +888,41 @@ def test_dual_evaluations_cover_every_iteration(monkeypatch):
     assert (start.iterations, start.dual_evals) == (0, 1)
     idle = _clear(view.incidence, view.capacity, 0.0 * coeffs, 2, opening)
     assert (idle.iterations, idle.dual_evals) == (0, 0)
+
+
+def test_newton_steps_take_both_paths(monkeypatch):
+    """A Newton step with every kept row free reads the whole reduced system, one with a bound row
+    gathers the free rows and scatters its trial prices back; the 20 chains and the 7x12 k1/k2
+    grids at seeds 0-19 take both, and every step solves a system of the free rows alone.
+
+    Each step's rows are counted against the kept rows of its solve: the
+    counts are written to the measurements section.
+    """
+    solve, newton = oracle._clearing_prices, single_pool._newton_step
+    kept, steps = [], {"20 chains": [], "7x12 grids": []}
+
+    def counted_solve(presolve, budget, scale, power, opening):
+        kept.append(int(np.count_nonzero(presolve.kept)))
+        return solve(presolve, budget, scale, power, opening)
+
+    def counted_step(hess, rhs):
+        assert hess.shape == (len(rhs), len(rhs)) and 1 <= len(rhs) <= kept[-1]
+        family.append(len(rhs) == kept[-1])
+        return newton(hess, rhs)
+
+    monkeypatch.setattr(oracle, "_clearing_prices", counted_solve)
+    monkeypatch.setattr(single_pool, "_newton_step", counted_step)
+    family = steps["20 chains"]
+    for seed in range(20):
+        assert lm.solve_full(*instances.chain_instance(seed)).converged
+    family = steps["7x12 grids"]
+    for pools in (1, 2):
+        for seed in range(20):
+            assert lm.solve_full(*instances.grid_instance(seed, pools)).converged
+    every = {name: sum(free) for name, free in steps.items()}
+    assert every["20 chains"] and sum(len(free) - every[name] for name, free in steps.items())
+    report.note("Newton steps with every kept row free: "
+                + ", ".join(f"{name} {every[name]} of {len(free)}" for name, free in steps.items()))
 
 
 def _cover_cases():
