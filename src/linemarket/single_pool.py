@@ -597,7 +597,10 @@ def _run_pool(
     flag of allocate_frequencies and refresh_bids), an uncertified one lets
     each of them check; an uncapped pass also tells the allocations of its
     plain steps that none reaches its cap (cap None), and any other
-    allocation truncates at the cap.  Loads are freqs.dot(inc_t), which
+    allocation truncates at the cap.  The step and the certificate's
+    bounds are set when the first pass starts, and the coefficients are
+    masked only when some line cannot run, so a run that stops at its
+    opening computes neither.  Loads are freqs.dot(inc_t), which
     numpy computes with the same BLAS call as inc.dot(freqs), on the same
     buffer, so the bits are those of the matrix-vector product, at less
     cost.  A copy of the incidence in another memory order would sum

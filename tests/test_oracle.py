@@ -722,9 +722,9 @@ def _as_strings(arrays):
 )
 def test_kkt_reads_only_real_numbers(edits, named, monkeypatch):
     """Coefficients, frequencies, prices and shares are read by _check_real's rule, as the cost level is:
-    at the parent string shares certified at 2.2e-16 and string coefficients with shares [True, False]
-    at 0.39.  Float arrays pass on their dtype alone, with no entry checked one by one, and a list of
-    reals, integers included, still passes."""
+    read as numbers, string shares would certify at 2.2e-16 and string coefficients with shares
+    [True, False] at 0.39.  Float arrays pass on their dtype alone, with no entry checked one by one,
+    and a list of reals, integers included, still passes."""
     net, pools, table = instances.chain_instance(3)
     state = lm.run_mechanism(net, pools, table).state
     views, coeffs = _views(net, pools, table)
