@@ -20,8 +20,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .network import (InputMismatchError, Network, PoolSystem, PoolView, _check_length, _check_nonnegative,
-                      _check_real, compile_pool)
+from .network import (InputMismatchError, Network, PoolSystem, PoolView, _check_array, _check_names, _check_real,
+                      compile_pool)
 from .single_pool import (
     DynamicsConfig,
     PoolMarketState,
@@ -54,21 +54,24 @@ class ProportionVector:
     """Capacity split across pools: one value per pool id, finite, nonnegative, sums to one.
 
     values is the split's own read-only copy of the array it was given, so
-    no two splits, nor a split and its caller, share writable memory.  Each
-    entry must be a real number (_real_values), else ValueError: a bool or
-    a string such as "0.5" is no share, though float() would take it.
+    no two splits, nor a split and its caller, share writable memory.  The
+    pool ids must be a collection of names, not a str, else ValueError.
+    values is read as every array input is (network._check_array): one real
+    number per pool id, else ValueError for an entry that is no real number
+    (a bool or a string such as "0.5", though float() would take either)
+    and InputMismatchError for another shape.  Then each entry must be
+    finite and at least -1e-12, and they must sum to one, else ValueError.
     """
 
     pool_ids: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.array(_real_values("proportion", self.values))
+        _check_names("pool_ids", self.pool_ids)
+        n = len(self.pool_ids)
+        values = np.array(_check_array("split", "proportion", self.values, n, nonnegative=False))
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        n = len(self.pool_ids)
-        if values.shape != (n,):
-            raise ValueError(f"proportions have shape {values.shape}; the {n} pool ids need ({n},)")
         if n:
             # argmin and argmax point at the first NaN when there is one, so
             # the smallest and largest entries decide what isfinite would
@@ -95,19 +98,6 @@ class ProportionVector:
 
     def as_dict(self) -> dict[str, float]:
         return {k: float(v) for k, v in zip(self.pool_ids, self.values)}
-
-
-def _real_values(name: str, values) -> np.ndarray:
-    """values as a float array whose every entry is a real number by _check_real's rule.
-
-    np.asarray(values, dtype=float) would take "0.5" and True; here either
-    raises ValueError naming name.  An array of floating-point or integer
-    dtype passes on its dtype alone.
-    """
-    if getattr(getattr(values, "dtype", None), "kind", None) not in ("f", "i", "u"):
-        for value in np.ravel(np.array(values, dtype=object)):
-            _check_real(name, value)
-    return np.asarray(values, dtype=float)
 
 
 def _mean(x: np.ndarray) -> float:
@@ -145,15 +135,13 @@ def update_proportions(shares: ProportionVector, costs: np.ndarray) -> Proportio
     at share 1 over sqrt(f), so fed exactly cleared costs the step lands on
     the optimal split at once, however lopsided.  The warm states are
     rescaled to the new split by the pool runs, not overwritten here.  costs
-    must hold one real number per pool of the split (_real_values), else
-    ValueError, and each must be finite and nonnegative, else
-    InputMismatchError.  A mean cost of zero makes the step undefined, and
-    so does a positive mean when every pool that holds a share costs zero:
-    then no share can move, and the split is returned unchanged.
+    are read as every array input is (network._check_array): one finite,
+    nonnegative real number per pool of the split.  A mean cost of zero
+    makes the step undefined, and so does a positive mean when every pool
+    that holds a share costs zero: then no share can move, and the split is
+    returned unchanged.
     """
-    costs = _real_values("cost", costs)
-    _check_length("split update", "costs", costs, len(shares.pool_ids))
-    _check_nonnegative("split update", "costs", costs)
+    costs = _check_array("split update", "costs", costs, len(shares.pool_ids))
     level = _mean(costs)
     if not level > 0.0:
         return shares
@@ -172,12 +160,16 @@ class MechanismConfig:
     share positive, so a pool may end at as small a share as the optimum
     gives it.  The split updates a run may spend are the module constant
     _MAX_OUTER, as a pool run's refresh passes are single_pool._MAX_PASSES.
+    inner must be a DynamicsConfig, else ValueError naming it: None or a
+    bare step such as 0.1 would fail only inside a pool run.
     """
 
     inner: DynamicsConfig = field(default_factory=DynamicsConfig)
     eps_cost: float = 0.05
 
     def __post_init__(self) -> None:
+        if not isinstance(self.inner, DynamicsConfig):
+            raise ValueError(f"inner must be a DynamicsConfig, got {self.inner!r}")
         _check_real("eps_cost", self.eps_cost, "(0, inf)")
 
 
@@ -224,11 +216,12 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
     """Reject a warm state that does not fit the instance or holds values no run can resume.
 
     Its pools, and per pool its edges and operators, must be the instance's
-    in order.  Each pool state's prices must be a floating-point array of
-    one entry per edge, its bids and freqs one of one entry per operator,
-    none of them negative or non-finite, and its share a real number (not
-    a bool), finite and at least 0.  The state's cost_level must be a
-    finite real number too.
+    in order.  Each pool state's prices, bids and freqs must be arrays of a
+    floating-point dtype, and then pass as every array input does
+    (network._check_array): one finite, nonnegative entry per edge for the
+    prices and per operator for the bids and freqs.  Its share must be a
+    real number (not a bool), finite and at least 0, and the state's
+    cost_level a finite real number.  Each fault raises InputMismatchError.
     what names the state in the error; the certifier checks the states it
     reads by the same rule (oracle.mechanism_kkt).
     """
@@ -245,12 +238,11 @@ def _check_warm(warm: OuterState, views: Mapping[str, PoolView], what: str = "wa
             raise InputMismatchError(f"{where} has other edges or operators than the instance")
         for name, n in (("prices", view.n_edges), ("bids", view.n_lops), ("freqs", view.n_lops)):
             values = getattr(st, name)
-            _check_length(where, name, values, n)
             dtype = getattr(values, "dtype", None)
             # kind "f" is every floating-point dtype, as np.issubdtype(dtype, np.floating) reads it
             if getattr(dtype, "kind", None) != "f":
                 raise InputMismatchError(f"{where}: {name} is not a floating-point array (dtype {dtype})")
-            _check_nonnegative(where, name, values)
+            _check_array(where, name, values, n)
         _check_real(f"{where}: share", st.share, "[0, inf)", InputMismatchError)
     _check_real(f"{what}: cost_level", warm.cost_level, "(-inf, inf)", InputMismatchError)
 

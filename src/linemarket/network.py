@@ -106,20 +106,33 @@ def _ends(interval: str) -> tuple[float, float, bool, bool]:
     return low, high, interval[0] == "[", interval[-1] == "]"
 
 
-def _check_length(where: str, name: str, values: np.ndarray, n: int) -> None:
-    """Reject values unless it is one-dimensional with n entries, naming where it was read and name."""
-    if (values.shape if isinstance(values, np.ndarray) else np.shape(values)) != (n,):
-        raise InputMismatchError(f"{where}: {name} has shape {np.shape(values)}; the instance needs ({n},)")
+def _check_array(where: str, name: str, values: object, n: int, nonnegative: bool = True) -> np.ndarray:
+    """An array input as a float array of shape (n,); every array an entry point takes is read here.
 
-
-def _check_nonnegative(where: str, name: str, values: np.ndarray) -> None:
-    """Reject a float array holding a negative or non-finite entry, naming where it was read and name.
-
-    argmin and argmax point at the first NaN when there is one, so the two
-    reads reject what (np.isfinite(values) & (values >= 0.0)).all() rejects.
+    Each entry must be a real number by _check_real's rule, else ValueError
+    naming where it was read and name: np.asarray(values, dtype=float)
+    would take "0.5" and True.  An array of float or integer dtype passes
+    on its dtype alone, with no entry read one by one.  Any other shape
+    than (n,) raises InputMismatchError, and so, when nonnegative is set,
+    does a negative or non-finite entry: argmin and argmax point at the
+    first NaN when there is one, so the two reads reject what
+    (np.isfinite(values) & (values >= 0.0)).all() rejects.
     """
-    if values.size and not (values[values.argmin()] >= 0.0 and values[values.argmax()] < np.inf):
+    if getattr(getattr(values, "dtype", None), "kind", None) not in ("f", "i", "u"):
+        for value in np.ravel(np.array(values, dtype=object)):
+            _check_real(f"{where}: {name}", value)
+    values = np.asarray(values, dtype=float)
+    if values.shape != (n,):
+        raise InputMismatchError(f"{where}: {name} has shape {values.shape}; the instance needs ({n},)")
+    if nonnegative and n and not (values[values.argmin()] >= 0.0 and values[values.argmax()] < np.inf):
         raise InputMismatchError(f"{where}: {name} holds a negative or non-finite entry")
+    return values
+
+
+def _check_names(name: str, names: Iterable[str]) -> None:
+    """Reject a str where a collection of names is expected: it would be read as its one-letter names."""
+    if isinstance(names, str):
+        raise ValueError(f"{name} must be a collection of names, not the string {names!r}")
 
 
 @dataclass(frozen=True)
@@ -143,10 +156,12 @@ class Network:
     builds the edge-id tuple, the id-to-position map and the read-only
     capacity vector once, and every pool compiled against the network
     shares them; with_capacities and network_from_json build through it,
-    so they inherit the checks.
+    so they inherit the checks.  nodes given as one string raises
+    ValueError (_check_names).
     """
 
     def __init__(self, nodes: Iterable[str], edges: Iterable[Edge]) -> None:
+        _check_names("nodes", nodes)
         self.nodes = frozenset(nodes)
         self.edges = tuple(edges)
         not_edges = [e for e in self.edges if not isinstance(e, Edge)]
@@ -246,6 +261,7 @@ class PoolSystem:
     would read one set of lines under one split entry), a line filed
     under a pool the list does not name and a line that is not a Line,
     such as a bare tuple of edge ids.  A listed pool may hold no lines.
+    pool_ids given as one string raises ValueError (_check_names).
 
     lines is a read-only mapping over the system's own copy of the table.
     The system also holds the views compile_pool has built from it, per
@@ -255,6 +271,7 @@ class PoolSystem:
     """
 
     def __init__(self, pool_ids: Iterable[str], lines: Mapping[tuple[str, str], Line]) -> None:
+        _check_names("pool_ids", pool_ids)
         self.pool_ids = tuple(pool_ids)
         self.lines = MappingProxyType(dict(lines))
         self._views: weakref.WeakKeyDictionary[Network, dict[str, PoolView]] = weakref.WeakKeyDictionary()

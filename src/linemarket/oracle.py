@@ -38,9 +38,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .network import (InputMismatchError, Network, PoolSystem, PoolView, _build_stack, _check_length, _check_real,
+from .network import (InputMismatchError, Network, PoolSystem, PoolView, _build_stack, _check_array, _check_real,
                       _filed_stack, _Stack, compile_pool)
-from .multi_pool import OuterState, ProportionVector, _check_warm, _mean, _real_values, pool_cost
+from .multi_pool import OuterState, ProportionVector, _check_warm, _mean, pool_cost
 from .single_pool import (_TINY, _TINY_0D, _ZERO, PoolMarketState, _PoolSolve, _clearing_prices, _fair_opening,
                           _max_or_zero, _pool_terms)
 from .utility import UtilityTable
@@ -96,17 +96,6 @@ def _worst(acc: float, term: float) -> float:
     residual as zero; otherwise this is max's answer, acc on a tie.
     """
     return acc if acc >= term or acc != acc else term
-
-
-def _candidate(where: str, name: str, values, n: int) -> np.ndarray:
-    """An array of a candidate as kkt_report reads it: real entries (_real_values), one-dimensional of length n.
-
-    An entry that is no real number, such as a bool or a string, raises
-    ValueError, a wrong shape InputMismatchError; each names where and name.
-    """
-    values = _real_values(f"{where}: {name}", values)
-    _check_length(where, name, values, n)
-    return values
 
 
 def _negativity(acc: float, x: np.ndarray) -> float:
@@ -175,11 +164,12 @@ def kkt_report(
     the view's operator order (UtilityTable.coefficients_for), its
     frequencies, one per operator of the view, and its edge prices, one per
     edge of the view; then one share per pool and the common cost level.
-    Each is read by _check_real's rule: the cost level must be a real
-    number, and so must every entry of the coefficients, frequencies,
-    prices and shares (multi_pool._real_values), else ValueError naming the
-    input, so a bool or a string such as "3" is refused, not read as 1 or
-    3.  An array of float or integer dtype passes on its dtype alone.
+    The cost level must be a real number by _check_real's rule, and the
+    coefficients, frequencies, prices and shares are read as every array
+    input is (network._check_array, with negative entries let through):
+    an entry that is no real number raises ValueError naming the input, so
+    a bool or a string such as "3" is refused, not read as 1 or 3, and an
+    array of float or integer dtype passes on its dtype alone.
     Checks, per pool: marginal value equals path price on running lines
     and no line that could run stands idle,
     priced edges run at share-scaled capacity, loads within capacity, and,
@@ -205,7 +195,7 @@ def kkt_report(
             raise InputMismatchError(f"{len(seq)} {name} for the {len(views)} pools {[v.pool_id for v in views]}")
     _check_real("cost_level", cost_level)
     level_scale = max(abs(cost_level), _TINY)
-    share_vec = _real_values("shares", shares)
+    share_vec = _check_array("candidate", "shares", shares, len(views), nonnegative=False)
 
     stat_raw: float | None = None
     stat_rel: float | None = None
@@ -217,9 +207,9 @@ def kkt_report(
 
     for view, a, x, lam, share in zip(views, coefficients, freqs, prices, share_vec):
         where = f"candidate of pool {view.pool_id!r}"
-        a = _candidate(where, "coefficients", a, view.n_lops)
-        x = _candidate(where, "freqs", x, view.n_lops)
-        lam = _candidate(where, "prices", lam, view.n_edges)
+        a = _check_array(where, "coefficients", a, view.n_lops, nonnegative=False)
+        x = _check_array(where, "freqs", x, view.n_lops, nonnegative=False)
+        lam = _check_array(where, "prices", lam, view.n_edges, nonnegative=False)
         slack = view.incidence.dot(x) - view.capacity * share
         over, comp, gap, mu = _pool_terms(a, lam, x, view.incidence.T.dot(lam), slack)
         neg = _negativity(_negativity(neg, x), lam)

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .network import Edge, Line, Network, PoolSystem, _check_count, _check_real
+from .network import Edge, Line, Network, PoolSystem, _check_count, _check_names, _check_real
 from .multi_pool import MechanismConfig, MechanismResult, OuterState, run_mechanism
 from .oracle import mechanism_kkt
 from .utility import UtilitySpec, UtilityTable
@@ -337,10 +337,12 @@ def run_recovery_experiment(
     is certified by mechanism_kkt on the shocked network, which reads the
     views the restart read, so the shocked network builds each pool's view
     once.
-    Non-convergence of a recovery run is recorded in its ExperimentRecord,
-    not raised.
+    modes must be a nonempty collection of "cold" and "warm", not a str,
+    else ValueError.  Non-convergence of a recovery run is recorded in its
+    ExperimentRecord, not raised.
     """
     cfg = cfg or MechanismConfig()
+    _check_names("modes", modes)
     wanted = set(modes)
     if not wanted:
         raise ValueError("at least one of cold/warm must run")

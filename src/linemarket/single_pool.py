@@ -112,7 +112,7 @@ from typing import ClassVar
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
-from .network import PoolView, _Presolve, _check_count, _check_length, _check_nonnegative, _check_real, _presolve
+from .network import PoolView, _Presolve, _check_array, _check_count, _check_real, _presolve
 from .utility import best_response_bids
 
 __all__ = [
@@ -473,8 +473,11 @@ def _fair_opening(view: PoolView, coefficients: np.ndarray, share: float) -> tup
 def cold_start(view: PoolView, coefficients: np.ndarray, share: float) -> PoolMarketState:
     """The pool's state at its fair-share opening (_fair_opening), frequencies allocated at its prices.
 
-    The share must be a real number in [0, inf), else ValueError.
+    The coefficients are read as every array input is (network._check_array):
+    one finite, nonnegative real number per operator of the view.  The share
+    must be a real number in [0, inf), else ValueError.
     """
+    coefficients = _check_array(f"cold start of pool {view.pool_id!r}", "coefficients", coefficients, view.n_lops)
     _check_real("share", share, "[0, inf)")
     bids, prices = _fair_opening(view, coefficients, share)
     ceil = view.bottleneck * share
@@ -719,18 +722,15 @@ def run_price_dynamics(
     Returns (price history with steps+1 rows, excess history with steps
     rows).  This is the inner subsystem whose distance to the frozen-bid
     clearing prices is a descent function; tests exercise exactly that.
-    The prices and bids are read as floats and must be one per edge and one
-    per operator of the view, finite and nonnegative, else
-    InputMismatchError; steps must be a whole number of at least 0, eta
-    positive and finite, and the share a finite real of at least 0, else
-    ValueError.  No argument is modified.
+    The prices and bids are read as every array input is
+    (network._check_array): one finite, nonnegative real number per edge
+    and per operator of the view.  steps must be a whole number of at
+    least 0, eta positive and finite, and the share a finite real of at
+    least 0, else ValueError.  No argument is modified.
     """
-    prices = np.asarray(prices, dtype=float)
-    bids = np.asarray(bids, dtype=float)
     where = f"price dynamics of pool {view.pool_id!r}"
-    for name, values, n in (("prices", prices, view.n_edges), ("bids", bids, view.n_lops)):
-        _check_length(where, name, values, n)
-        _check_nonnegative(where, name, values)
+    prices = _check_array(where, "prices", prices, view.n_edges)
+    bids = _check_array(where, "bids", bids, view.n_lops)
     steps = _check_count("steps", steps, least=0)
     _check_real("eta", eta, "(0, inf)")
     _check_real("share", share, "[0, inf)")
@@ -965,14 +965,11 @@ def solve_fixed_bids(view: PoolView, bids: np.ndarray, share: float) -> np.ndarr
     the lines that bid and cross no edge of zero budget, computed per call,
     since the bids choose those lines.  Newton opens at the bids charged to
     each line's neck, as cold_start charges its own.  The bids are read as
-    floats and must be one per operator of the view, finite and
-    nonnegative, else InputMismatchError; the share must be a finite real
+    every array input is (network._check_array): one finite, nonnegative
+    real number per operator of the view.  The share must be a finite real
     of at least 0, else ValueError.
     """
-    bids = np.asarray(bids, dtype=float)
-    where = f"frozen bids of pool {view.pool_id!r}"
-    _check_length(where, "bids", bids, view.n_lops)
-    _check_nonnegative(where, "bids", bids)
+    bids = _check_array(f"frozen bids of pool {view.pool_id!r}", "bids", bids, view.n_lops)
     _check_real("share", share, "[0, inf)")
     supply = view.capacity * share
     opening = _neck_prices(view.neck, bids, supply)

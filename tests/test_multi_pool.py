@@ -1,6 +1,7 @@
 """Outer loop: pool costs, split updates, the equal-cost fixed point."""
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -44,7 +45,7 @@ class TestProportionVector:
         with pytest.raises(ValueError):
             lm.ProportionVector(("k0",), np.array([0.5, 0.5]))
         # one value per pool id, not one row: a column of the right length is refused
-        with pytest.raises(ValueError, match=r"proportions have shape \(2, 1\)"):
+        with pytest.raises(lm.InputMismatchError, match=r"split: proportion has shape \(2, 1\); the instance needs \(2,\)"):
             lm.ProportionVector(("a", "b"), [[0.5], [0.5]])
 
     @pytest.mark.parametrize("values", [np.array(["0.5", "0.5"]), [True, False], np.array([True, False]),
@@ -53,6 +54,11 @@ class TestProportionVector:
         """A split is read by _check_real's rule: float() would take "0.5" and True, a split does not."""
         with pytest.raises(ValueError, match="proportion must be a real number"):
             lm.ProportionVector(("k0", "k1"), values)
+
+    def test_rejects_a_string_of_pool_ids(self):
+        """A str is no collection of pool ids: "ab" built a split over pools 'a' and 'b'."""
+        with pytest.raises(ValueError, match="pool_ids must be a collection of names, not the string 'ab'"):
+            lm.ProportionVector("ab", [0.5, 0.5])
 
     def test_takes_any_real_entries(self):
         for values in ([0.5, 0.5], (np.float32(0.25), 0.75), np.array([1, 0]), np.array([0.5, 0.5], dtype=object)):
@@ -127,8 +133,8 @@ class TestUpdateProportions:
         ([np.nan, 2.0], "split update: costs holds a negative or non-finite entry"),
         ([-2.0, 2.0], "split update: costs holds a negative or non-finite entry"),
         ([np.inf, 2.0], "split update: costs holds a negative or non-finite entry"),
-        (["6", "2"], "cost must be a real number, got '6'"),
-        ([True, False], "cost must be a real number, got True"),
+        (["6", "2"], "split update: costs must be a real number, got '6'"),
+        ([True, False], "split update: costs must be a real number, got True"),
     ], ids=["wrong-length", "nan", "negative", "infinite", "strings", "bools"])
     def test_rejects_costs_no_pool_can_have(self, costs, named):
         """One finite, nonnegative real cost per pool: numpy's broadcast error, a NaN that left the split as
@@ -143,6 +149,13 @@ def test_equal_cost_tolerance_must_be_a_real_number(value):
     """A bool or a string is rejected with ValueError, not read as 1.0 or left to fail a comparison."""
     with pytest.raises(ValueError, match="eps_cost must be a real number"):
         lm.MechanismConfig(eps_cost=value)
+
+
+@pytest.mark.parametrize("inner", [None, 0.1, {"price_eta": 0.1}], ids=repr)
+def test_inner_dynamics_must_be_a_dynamics_config(inner):
+    """Anything else constructed and failed inside the pool run with an AttributeError."""
+    with pytest.raises(ValueError, match=rf"inner must be a DynamicsConfig, got {re.escape(repr(inner))}"):
+        lm.MechanismConfig(inner=inner)
 
 
 def test_config_validation():

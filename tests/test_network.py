@@ -96,6 +96,15 @@ class TestValidation:
         with pytest.raises(lm.InputMismatchError, match="the pool system lists no pools"):
             lm.PoolSystem([], {})
 
+    @pytest.mark.parametrize("build, named", [
+        (lambda: lm.Network("uv", [lm.Edge("e1", "u", "v", 4.0)]), "nodes must be a collection of names, not the string 'uv'"),
+        (lambda: lm.PoolSystem("ab", {}), "pool_ids must be a collection of names, not the string 'ab'"),
+    ], ids=["nodes", "pool-ids"])
+    def test_a_string_is_no_collection_of_names(self, build, named):
+        """A str iterates as its one-letter names: "uv" listed the nodes 'u' and 'v', "ab" the pools 'a' and 'b'."""
+        with pytest.raises(ValueError, match=named):
+            build()
+
     def test_broken_path(self):
         # e2 does not start where e1 ends once the middle node changes
         net = lm.Network(

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import linemarket as lm
-from linemarket import cli, multi_pool, network, oracle, single_pool
+from linemarket import cli, network, oracle, single_pool
 
 import instances
 import report
@@ -735,12 +735,13 @@ def test_kkt_reads_only_real_numbers(edits, named, monkeypatch):
         "shares": state.shares.values,
     }
     checked = []
-    check_real = multi_pool._check_real
-    monkeypatch.setattr(multi_pool, "_check_real", lambda name, value: checked.append(name) or check_real(name, value))
+    check_real = network._check_real
+    monkeypatch.setattr(network, "_check_real", lambda name, value: checked.append(name) or check_real(name, value))
     report = lm.kkt_report(views, cost_level=state.cost_level, **args)
     assert not checked
     assert report == lm.kkt_report(views, [list(a) for a in coeffs], args["freqs"], args["prices"],
                                    state.shares.values.tolist(), state.cost_level)
+    assert "candidate of pool 'k0': coefficients" in checked  # the patched binding is the one lists are read by
     assert lm.kkt_report(views, coeffs, args["freqs"], args["prices"], [1, 0], 1).split_excess == 0.0
     for arg, edit in edits.items():
         args[arg] = edit(args[arg])

@@ -353,6 +353,12 @@ class TestRecoveryExperiment:
         with pytest.raises(ValueError):
             lm.run_recovery_experiment(net, pools, table, dis, modes=("tepid",))
 
+    def test_a_string_of_modes_is_refused(self):
+        """A str is no collection of modes: "warm" was read as the modes 'w', 'a', 'r' and 'm'."""
+        net, pools, table = instances.single_edge()
+        with pytest.raises(ValueError, match="modes must be a collection of names, not the string 'warm'"):
+            lm.run_recovery_experiment(net, pools, table, lm.DisruptionSpec("reduce", 1, 0.1), modes="warm")
+
     def test_precomputed_baseline_is_reused(self):
         net, pools, table = instances.single_edge()
         base = lm.run_mechanism(net, pools, table)

@@ -446,6 +446,44 @@ def test_price_dynamics_reject_a_negative_or_non_finite_entry(name, bad):
         lm.run_price_dynamics(_frozen_bid_view(), args["prices"], args["bids"], 1.0, 0.05, 5)
 
 
+def _operator_array_reader(entry):
+    """entry's call on the two-operator frozen-bid pool as a function of its per-operator array, and that array's name."""
+    view = _frozen_bid_view()
+    return {
+        "cold_start": (lambda a: lm.cold_start(view, a, 1.0).bids, "cold start of pool 'k0': coefficients"),
+        "run_price_dynamics": (lambda b: lm.run_price_dynamics(view, [0.0], b, 1.0, 0.05, 5)[0],
+                               "price dynamics of pool 'k0': bids"),
+        "solve_fixed_bids": (lambda b: lm.solve_fixed_bids(view, b, 1.0), "frozen bids of pool 'k0': bids"),
+    }[entry]
+
+
+OPERATOR_ARRAYS = {
+    "string": (["1.3", 0.7], ValueError, "must be a real number, got '1.3'"),
+    "bool": ([1.3, True], ValueError, "must be a real number, got True"),
+    "bool-array": (np.array([True, False]), ValueError, "must be a real number, got True"),
+    "short": ([1.3], lm.InputMismatchError, r"has shape \(1,\); the instance needs \(2,\)"),
+    "nan": ([1.3, np.nan], lm.InputMismatchError, "holds a negative or non-finite entry"),
+    "negative": (np.array([-1.3, 0.7]), lm.InputMismatchError, "holds a negative or non-finite entry"),
+}
+
+
+# run_price_dynamics and solve_fixed_bids have their shape and sign checked
+# by the tests above and test_oracle's; cold_start's coefficients are new
+@pytest.mark.parametrize("entry, case", [
+    *(("cold_start", case) for case in OPERATOR_ARRAYS),
+    *((entry, case) for entry in ("run_price_dynamics", "solve_fixed_bids") for case in ("string", "bool", "bool-array")),
+])
+def test_operator_arrays_are_read_by_one_rule(entry, case):
+    """Each entry point reads its per-operator array by network._check_array, naming it: cold_start broadcast
+    one coefficient over every operator and opened NaN coefficients at NaN prices, and the frozen-bid
+    readers took "1.3" as 1.3 and True as 1.  A list of reals still reads as its float array, bit for bit."""
+    call, named = _operator_array_reader(entry)
+    values, error, message = OPERATOR_ARRAYS[case]
+    with pytest.raises(error, match=re.escape(named) + " " + message):
+        call(values)
+    assert call([1.3, 0.7]).tobytes() == call(np.array([1.3, 0.7])).tobytes()
+
+
 @pytest.mark.parametrize("name, value, message", [
     ("steps", -1, "steps must be a whole number of at least 0"),
     ("steps", 2.5, "steps must be a whole number of at least 0"),
